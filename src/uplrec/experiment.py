@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import hashlib
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -97,7 +97,10 @@ class ExperimentConfig:
         return "\n".join(lines) + "\n"
 
     def hash(self) -> str:
-        return hashlib.sha256(self.canonical_text().encode()).hexdigest()[:16]
+        """Hash of what the config computes; ``threads`` and ``out`` only say
+        how and where to run, so they are left out."""
+        what = replace(self, threads=1, out="")
+        return hashlib.sha256(what.canonical_text().encode()).hexdigest()[:16]
 
 
 _PARSERS = {

@@ -3,8 +3,10 @@
 One epoch is a shuffled pass over the positive pool with one sampled
 candidate j per positive (pairwise), or a pass over the exposed cells with
 unexposed cells sampled 1:1 (pointwise).  Updates use Adam restricted to the
-rows touched by the batch; runs are deterministic per seed.  Early stopping
-watches validation DCG@k.
+rows touched by the batch; runs are deterministic per seed.  The gradient
+scatter keeps ``np.add.at``'s summation order, so trained factors are
+bit-identical to an ``np.add.at`` implementation.  Early stopping watches
+validation DCG@k.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.sparse import csr_matrix
 
 from .datasets import ImplicitDataset
 from .errors import TrainingDivergedError
@@ -70,9 +73,11 @@ class AdamState:
         ):
             if len(rows) == 0:
                 continue
-            m[rows] = self.beta1 * m[rows] + (1.0 - self.beta1) * grads
-            v[rows] = self.beta2 * v[rows] + (1.0 - self.beta2) * grads**2
-            param[rows] -= learning_rate * (m[rows] / bc1) / (np.sqrt(v[rows] / bc2) + self.eps)
+            m_rows = self.beta1 * m[rows] + (1.0 - self.beta1) * grads
+            v_rows = self.beta2 * v[rows] + (1.0 - self.beta2) * grads**2
+            m[rows] = m_rows
+            v[rows] = v_rows
+            param[rows] -= learning_rate * (m_rows / bc1) / (np.sqrt(v_rows / bc2) + self.eps)
 
 
 @dataclass
@@ -140,6 +145,7 @@ class _PositivePool:
     """
 
     def __init__(self, dataset: ImplicitDataset, method: str):
+        method = "ubpr" if method.startswith("ubpr") else method
         self.dataset = dataset
         self.method = method
         if method == "ideal":
@@ -218,7 +224,7 @@ def sample_batch(dataset: ImplicitDataset, method: str, batch_size: int, rng,
         raise ValueError("dataset has no clicks")
     spec_like = method if isinstance(method, str) else method.method
     if spec_like in ("ideal", "bpr", "upl", "ubpr", "ubpr_nclip", "ubpr_clipped"):
-        pool = _PositivePool(dataset, "ubpr" if spec_like.startswith("ubpr") else spec_like)
+        pool = _PositivePool(dataset, spec_like)
         idx = rng.integers(0, len(pool), size=batch_size)
         u, i = pool.users[idx], pool.items[idx]
         j = pool.sample_negatives(u, i, rng)
@@ -285,6 +291,23 @@ def _pair_weights(spec: LossSpec, batch: PairBatch, loss_values):
     raise ValueError(f"{method!r} is not a pairwise method")
 
 
+def _scatter_rows(index, rows):
+    """Sum ``rows`` that share an ``index``: (sorted unique index, row sums).
+
+    A CSR indicator over a stable argsort adds each group's rows one at a
+    time in input order, starting from zero, exactly as ``np.add.at`` does,
+    so the sums are bit-identical to it (``np.add.reduceat`` is not).
+    """
+    order = np.argsort(index, kind="stable")
+    keys = index[order]
+    first = np.ones(len(keys), dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    starts = np.flatnonzero(first)
+    indicator = csr_matrix((np.ones(len(keys)), order, np.append(starts, len(keys))),
+                           shape=(len(starts), len(keys)))
+    return keys[starts], indicator @ rows
+
+
 def _apply_pair_batch(model, adam, batch: PairBatch, spec, config) -> float:
     m = len(batch)
     pu = model.user_factors[batch.u]
@@ -305,15 +328,9 @@ def _apply_pair_batch(model, adam, batch: PairBatch, spec, config) -> float:
     gqi_rows = (gi[:, None] * pu + 2.0 * lam * qi) / m
     gqj_rows = (gj[:, None] * pu + 2.0 * lam * qj) / m
 
-    uu, inv_u = np.unique(batch.u, return_inverse=True)
-    gu = np.zeros((len(uu), model.d))
-    np.add.at(gu, inv_u, gu_rows)
-
-    all_items = np.concatenate([batch.i, batch.j])
-    ii, inv_i = np.unique(all_items, return_inverse=True)
-    gq = np.zeros((len(ii), model.d))
-    np.add.at(gq, inv_i, np.concatenate([gqi_rows, gqj_rows]))
-
+    uu, gu = _scatter_rows(batch.u, gu_rows)
+    ii, gq = _scatter_rows(np.concatenate([batch.i, batch.j]),
+                           np.concatenate([gqi_rows, gqj_rows]))
     adam.update(model, uu, gu, ii, gq, config.learning_rate)
     return batch_loss
 
@@ -335,13 +352,8 @@ def _apply_point_batch(model, adam, batch: PointBatch, spec, config) -> float:
 
     gu_rows = (ds[:, None] * qi + 2.0 * lam * pu) / m
     gq_rows = (ds[:, None] * pu + 2.0 * lam * qi) / m
-    uu, inv_u = np.unique(batch.u, return_inverse=True)
-    gu = np.zeros((len(uu), model.d))
-    np.add.at(gu, inv_u, gu_rows)
-    ii, inv_i = np.unique(batch.i, return_inverse=True)
-    gq = np.zeros((len(ii), model.d))
-    np.add.at(gq, inv_i, gq_rows)
-
+    uu, gu = _scatter_rows(batch.u, gu_rows)
+    ii, gq = _scatter_rows(batch.i, gq_rows)
     adam.update(model, uu, gu, ii, gq, config.learning_rate)
     return batch_loss
 
@@ -350,8 +362,8 @@ def _apply_point_batch(model, adam, batch: PointBatch, spec, config) -> float:
 # Epoch loops
 
 
-def _pairwise_epoch(dataset, model, adam, spec, config, rng, propensities, gamma_hat):
-    pool = _PositivePool(dataset, "ubpr" if spec.method.startswith("ubpr") else spec.method)
+def _pairwise_epoch(pool, model, adam, spec, config, rng, propensities, gamma_hat):
+    dataset = pool.dataset
     perm = rng.permutation(len(pool))
     losses = []
     for start in range(0, len(perm), config.batch_size):
@@ -395,6 +407,8 @@ def train(dataset: ImplicitDataset, config: TrainConfig, loss_spec: LossSpec,
     model = init_model(dataset.num_users, dataset.num_items, config.d,
                        seed=config.seed, scale=config.init_scale)
     adam = AdamState.for_model(model)
+    if loss_spec.is_pairwise:
+        pool = _PositivePool(dataset, loss_spec.method)
 
     best_val = -math.inf
     best_model = None
@@ -405,7 +419,7 @@ def train(dataset: ImplicitDataset, config: TrainConfig, loss_spec: LossSpec,
 
     for epoch in range(config.max_epochs):
         if loss_spec.is_pairwise:
-            losses = _pairwise_epoch(dataset, model, adam, loss_spec, config, rng,
+            losses = _pairwise_epoch(pool, model, adam, loss_spec, config, rng,
                                      propensities, gamma_hat)
         else:
             losses = _pointwise_epoch(dataset, model, adam, loss_spec, config, rng,

@@ -68,6 +68,9 @@ class TestConfigParsing:
         cfg_path.write_text(small_config_text(triplet_files, "o", runs=3))
         b = exp.parse_config_file(cfg_path).hash()
         assert a != b
+        # threads and out say how and where to run, not what to compute
+        assert b == exp.parse_config_file(cfg_path, {"threads": "2"}).hash()
+        assert b == exp.parse_config_file(cfg_path, {"out": "p"}).hash()
 
     def test_invalid_method_token(self, tmp_path):
         cfg_path = tmp_path / "exp.cfg"
@@ -181,6 +184,23 @@ class TestExperimentRun:
         assert rc == 0
         assert (experiment_out / "aggregate.tsv").read_bytes() == before
         assert (experiment_out / "tables.md").read_bytes() == tables_before
+
+
+class TestExperimentWorkers:
+    def test_tables_identical_across_threads_and_out(self, triplet_files, tmp_path):
+        tables = ("aggregate.tsv", "tables.md", "per_run_metrics.tsv",
+                  "significance.tsv", "grid_search.tsv")
+        outputs = []
+        for threads in (1, 2):
+            out = tmp_path / f"out{threads}"
+            cfg_path = tmp_path / f"exp{threads}.cfg"
+            cfg_path.write_text(small_config_text(triplet_files, out, methods="bpr,relmf")
+                                + f"threads = {threads}\n")
+            assert cli.main(["experiment", "--config", str(cfg_path)]) == 0
+            assert f"threads={threads}" in (out / "config_resolved.cfg").read_text()
+            outputs.append({name: (out / name).read_bytes() for name in tables})
+        for name in tables:
+            assert outputs[0][name] == outputs[1][name], f"{name} differs across threads"
 
 
 class TestExperimentFailureIsolation:

@@ -5,15 +5,21 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from uplrec import trainer
 from uplrec.errors import TrainingDivergedError
 from uplrec.factor_model import FactorModel, TrainConfig, init_model
-from uplrec.losses import LossSpec, sigmoid_pair_loss, upl_pair_weight
+from uplrec.losses import LossSpec, pointwise_loss, sigmoid_pair_loss, upl_pair_weight
 from uplrec.oracle import SyntheticWorld, ideal_risk
 from uplrec.propensity import PropensityTable
 from uplrec.trainer import (
     AdamState,
     _apply_pair_batch,
+    _pair_weights,
+    _scatter_rows,
     relevance_predictor,
     run_upl_pipeline,
     sample_batch,
@@ -308,3 +314,162 @@ class TestMinibatchRiskMatchesIdeal:
 
         se = estimates.std(ddof=1) / math.sqrt(draws)
         assert abs(estimates.mean() - ideal) < 3 * se
+
+
+# ---------------------------------------------------------------------------
+# The gradient scatter and the training step against the np.add.at reference
+
+
+def _reference_scatter(index, rows):
+    uu, inv = np.unique(index, return_inverse=True)
+    out = np.zeros((len(uu), rows.shape[1]))
+    np.add.at(out, inv, rows)
+    return uu, out
+
+
+@st.composite
+def _scatter_inputs(draw):
+    n = draw(st.integers(1, 40))
+    d = draw(st.integers(1, 4))
+    if draw(st.booleans()):  # heavy duplicates
+        index = draw(hnp.arrays(np.int64, n, elements=st.integers(0, 2)))
+    else:  # all distinct
+        index = np.array(draw(st.permutations(range(n))), dtype=np.int64)
+    # magnitudes far apart make the sum depend on the order of the adds
+    values = st.one_of(st.just(-0.0), st.floats(-1e12, 1e12))
+    rows = draw(hnp.arrays(np.float64, (n, d), elements=values))
+    return index, rows
+
+
+class TestScatterRows:
+    @settings(deadline=None)
+    @given(_scatter_inputs())
+    @example((np.array([7]), np.array([[-0.0, 2.5]])))
+    @example((np.array([3, 3, 1]), np.full((3, 2), -0.0)))
+    def test_bit_identical_to_add_at(self, inputs):
+        index, rows = inputs
+        keys, sums = _scatter_rows(index, rows)
+        ref_keys, ref_sums = _reference_scatter(index, rows)
+        assert np.array_equal(keys, ref_keys)
+        assert np.array_equal(sums, ref_sums)
+        assert sums.dtype == ref_sums.dtype and sums.shape == ref_sums.shape
+        assert sums.tobytes() == ref_sums.tobytes()  # the sign of zero too
+
+    def test_empty_index(self):
+        keys, sums = _scatter_rows(np.empty(0, dtype=np.int64), np.empty((0, 3)))
+        assert keys.shape == (0,)
+        assert sums.shape == (0, 3)
+
+
+def _reference_adam_update(adam, model, user_rows, user_grads, item_rows, item_grads,
+                           learning_rate):
+    """AdamState.update as it was with np.add.at: three reads of m and v."""
+    adam.step += 1
+    bc1 = 1.0 - adam.beta1**adam.step
+    bc2 = 1.0 - adam.beta2**adam.step
+    for param, m, v, rows, grads in (
+        (model.user_factors, adam.user_m, adam.user_v, user_rows, user_grads),
+        (model.item_factors, adam.item_m, adam.item_v, item_rows, item_grads),
+    ):
+        if len(rows) == 0:
+            continue
+        m[rows] = adam.beta1 * m[rows] + (1.0 - adam.beta1) * grads
+        v[rows] = adam.beta2 * v[rows] + (1.0 - adam.beta2) * grads**2
+        param[rows] -= learning_rate * (m[rows] / bc1) / (np.sqrt(v[rows] / bc2) + adam.eps)
+
+
+def _reference_pair_batch(model, adam, batch, spec, config):
+    m = len(batch)
+    pu = model.user_factors[batch.u]
+    qi = model.item_factors[batch.i]
+    qj = model.item_factors[batch.j]
+    s_i = np.sum(pu * qi, axis=1)
+    s_j = np.sum(pu * qj, axis=1)
+    loss, dsi, dsj = sigmoid_pair_loss(s_i, s_j)
+    terms, gf = _pair_weights(spec, batch, loss)
+    lam = config.lam
+
+    reg = np.sum(pu**2, axis=1) + np.sum(qi**2, axis=1) + np.sum(qj**2, axis=1)
+    batch_loss = float(np.mean(terms) + lam * np.mean(reg))
+
+    gi = gf * dsi
+    gj = gf * dsj
+    gu_rows = (gi[:, None] * qi + gj[:, None] * qj + 2.0 * lam * pu) / m
+    gqi_rows = (gi[:, None] * pu + 2.0 * lam * qi) / m
+    gqj_rows = (gj[:, None] * pu + 2.0 * lam * qj) / m
+
+    uu, inv_u = np.unique(batch.u, return_inverse=True)
+    gu = np.zeros((len(uu), model.d))
+    np.add.at(gu, inv_u, gu_rows)
+
+    all_items = np.concatenate([batch.i, batch.j])
+    ii, inv_i = np.unique(all_items, return_inverse=True)
+    gq = np.zeros((len(ii), model.d))
+    np.add.at(gq, inv_i, np.concatenate([gqi_rows, gqj_rows]))
+
+    _reference_adam_update(adam, model, uu, gu, ii, gq, config.learning_rate)
+    return batch_loss
+
+
+def _reference_point_batch(model, adam, batch, spec, config):
+    m = len(batch)
+    pu = model.user_factors[batch.u]
+    qi = model.item_factors[batch.i]
+    s = np.sum(pu * qi, axis=1)
+    kwargs = {}
+    if spec.method == "wmf":
+        kwargs["weight"] = spec.wmf_weight
+    loss, ds = pointwise_loss(spec.method, batch.c, s,
+                              theta_click=batch.theta_click,
+                              theta_nonclick=batch.theta_nonclick, **kwargs)
+    lam = config.lam
+    reg = np.sum(pu**2, axis=1) + np.sum(qi**2, axis=1)
+    batch_loss = float(np.mean(loss) + lam * np.mean(reg))
+
+    gu_rows = (ds[:, None] * qi + 2.0 * lam * pu) / m
+    gq_rows = (ds[:, None] * pu + 2.0 * lam * qi) / m
+    uu, inv_u = np.unique(batch.u, return_inverse=True)
+    gu = np.zeros((len(uu), model.d))
+    np.add.at(gu, inv_u, gu_rows)
+    ii, inv_i = np.unique(batch.i, return_inverse=True)
+    gq = np.zeros((len(ii), model.d))
+    np.add.at(gq, inv_i, gq_rows)
+
+    _reference_adam_update(adam, model, uu, gu, ii, gq, config.learning_rate)
+    return batch_loss
+
+
+class TestStepMatchesReference:
+    @pytest.mark.parametrize("method", ["bpr", "ubpr_clipped", "relmf", "upl"])
+    def test_final_factors_bit_identical(self, method, monkeypatch):
+        # partial exposure, so the pointwise epoch samples unexposed cells and
+        # every batch of 32 repeats users and items
+        rng = np.random.default_rng(21)
+        cells = [(u, i, 0.5, int(rng.random() < 0.5))
+                 for u in range(20) for i in range(15) if rng.random() < 0.6]
+        ds = make_implicit(20, 15, cells)
+        pt = PropensityTable.from_click_counts(ds.item_click_counts)
+        config = TrainConfig(d=8, lam=1e-3, learning_rate=0.01, batch_size=32,
+                             max_epochs=3, seed=4)
+        spec = LossSpec(method, clip_threshold=0.0 if method == "ubpr_clipped" else None)
+
+        def trained():
+            if method == "upl":
+                return run_upl_pipeline(ds, config, config, pt).final_model
+            return train(ds, config, spec, pt).final_model
+
+        fast = trained()
+        calls = []
+
+        def counted(reference):
+            def step(*args):
+                calls.append(reference)
+                return reference(*args)
+            return step
+
+        monkeypatch.setattr(trainer, "_apply_pair_batch", counted(_reference_pair_batch))
+        monkeypatch.setattr(trainer, "_apply_point_batch", counted(_reference_point_batch))
+        slow = trained()
+        assert calls  # the reference really ran
+        assert np.array_equal(fast.user_factors, slow.user_factors)
+        assert np.array_equal(fast.item_factors, slow.item_factors)
