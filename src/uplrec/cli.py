@@ -134,10 +134,7 @@ def _cmd_train(args) -> int:
             for metric in ("dcg", "recall", "map"):
                 fh.write(f"{rep.method}\t{rep.run}\t{rep.cohort}\t{metric}\t{rep.k}\t"
                          f"{getattr(rep, metric):.17g}\n")
-    with open(out / "train.log", "w") as fh:
-        for epoch, loss, val in run.epoch_log:
-            val_str = "" if val is None else f"{val:.10g}"
-            fh.write(f"epoch={epoch}\ttrain_loss={loss:.10g}\tval_dcg5={val_str}\n")
+    exp.write_epoch_log(out / "train.log", run.epoch_log)
     for rep in reports:
         if rep.cohort == "all":
             print(f"{args.method} k={rep.k}: dcg={rep.dcg:.5f} "

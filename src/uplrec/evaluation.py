@@ -11,6 +11,19 @@ broken by ascending item index for determinism.
 By default each test user is ranked over the full item catalog with the
 user's relevant test items as ground truth; ``candidates="test_only"``
 restricts ranking to the user's own test items instead.
+
+One kernel, ``_user_metrics``, computes every metric.  It groups users by
+candidate count and takes each group a chunk at a time (at most
+``_CHUNK_CELLS`` score cells or gathered factor cells), so memory stays flat
+in the number of users.  Each chunk is scored by one stacked matmul, which
+numpy runs as one vector-matrix product per user, the product a per-user
+``user_factors[u] @ item_factors[items].T`` computes; a single matrix-matrix
+product would differ from it in the last bits and could reorder two
+near-tied candidates.  Rows are ordered by a stable argsort of the negated
+scores, reproducing the tie order above, and DCG, Recall and AP for every K
+and cohort are read off the ranked relevance.  Each row sums exactly
+min(K, n) terms and users are summed one at a time in user order, so every
+value equals that of a per-user loop bit for bit.
 """
 
 from __future__ import annotations
@@ -26,6 +39,8 @@ from .factor_model import FactorModel
 
 DEFAULT_KS = (3, 5, 8)
 COHORTS = ("all", "cold_start_users", "rare_items")
+CANDIDATE_MODES = ("catalog", "test_only")
+_CHUNK_CELLS = 1 << 15  # float64 cells per chunk: scores, or gathered item factors
 
 
 @dataclass
@@ -68,16 +83,93 @@ class MetricReport:
     num_users: int = 0
 
 
-def _ranked_relevance(scores, relevance):
-    scores = np.asarray(scores, dtype=np.float64)
-    relevance = np.asarray(relevance)
-    if scores.ndim != 1 or scores.shape != relevance.shape:
-        raise ValueError("scores/relevance must be 1-D with equal shapes")
-    if len(scores) == 0:
-        raise ValueError("empty item list")
-    # descending score, ties broken by ascending item index
-    order = np.lexsort((np.arange(len(scores)), -scores))
-    return relevance[order]
+def _check_ks(ks):
+    for k in ks:
+        if k < 1:
+            raise ValueError(f"cutoff k must be >= 1, got {k}")
+
+
+def _scores(model: FactorModel, users, cand_items):
+    """Scores of each user's candidates: all items when ``cand_items`` is
+    None, else row r of ``cand_items`` for ``users[r]``.  The stacked matmul
+    runs one vector-matrix product per user, the same one as
+    ``user_factors[u] @ item_factors[items].T``."""
+    rows = model.user_factors[users, None, :]
+    if cand_items is None:
+        return np.matmul(rows, model.item_factors.T)[:, 0, :]
+    return np.matmul(rows, model.item_factors[cand_items].transpose(0, 2, 1))[:, 0, :]
+
+
+def _top_metrics(top, total, n: int, k: int):
+    """(DCG@k, Recall@k, AP@k) arrays for rows of ``n`` candidates each;
+    ``top`` holds each row's ranked relevance from rank 1 on, ``total`` its
+    relevant count.  Every row sums exactly min(k, n) terms."""
+    top = top[:, :min(k, n)]
+    ranks = np.arange(1, top.shape[1] + 1)
+    dcg = (top / np.log2(ranks + 1)).sum(axis=1)
+    recall = top.sum(axis=1) / total
+    ap = (top * np.cumsum(top, axis=1) / ranks).sum(axis=1) / total
+    return dcg, recall, ap
+
+
+def _mean(values) -> float:
+    """Mean with users added one at a time in user order."""
+    return float(np.cumsum(values)[-1]) / len(values)
+
+
+def _user_metrics(model: FactorModel, data: ImplicitDataset, ks, candidates: str,
+                  cohorts: CohortMasks | None = None):
+    """Per-user (DCG, Recall, AP) at every k in ``ks`` for each cohort.
+
+    Returns {cohort: {k: (dcg, recall, ap)}}, arrays over the users the
+    cohort includes, in ascending user order.  Users are grouped by
+    candidate count and ranked a chunk at a time.
+    """
+    _check_ks(ks)
+    catalog = candidates == "catalog"
+    indptr = data.user_indptr
+    counts = np.diff(indptr)
+    rel = data.rel.astype(np.float64)
+    # cohort -> (relevance per stored cell, users allowed in)
+    spec = {"all": (rel, True)}
+    if cohorts is not None:
+        spec["cold_start_users"] = (rel, cohorts.cold_users[:data.num_users])
+        spec["rare_items"] = (rel * cohorts.rare_items[data.items], True)
+    totals = {c: np.bincount(data.users, weights=r, minlength=data.num_users)
+              for c, (r, _) in spec.items()}
+    included = {c: (totals[c] > 0) & allowed for c, (_, allowed) in spec.items()}
+    values = {c: {k: np.zeros((3, data.num_users)) for k in ks} for c in spec}
+
+    active = np.flatnonzero(counts)
+    widths = np.full(len(active), model.num_items) if catalog else counts[active]
+    for n in np.unique(widths):
+        group = active[widths == n]
+        step = max(1, _CHUNK_CELLS // (n if catalog else n * model.d))
+        for lo in range(0, len(group), step):
+            users = group[lo:lo + step]
+            if catalog:
+                # users between chunk users have no cells, so this range
+                # holds exactly the chunk's cells
+                cells = np.arange(indptr[users[0]], indptr[users[-1] + 1])
+                rows = np.repeat(np.arange(len(users)), counts[users])
+                scores = _scores(model, users, None)
+            else:
+                cells = indptr[users, None] + np.arange(n)
+                scores = _scores(model, users, data.items[cells])
+            # stable: ties keep candidate order, i.e. ascending item index
+            order = np.argsort(-scores, axis=1, kind="stable")[:, :max(ks, default=0)]
+            for c, (r, _) in spec.items():
+                if catalog:
+                    relevance = np.zeros((len(users), n))
+                    relevance[rows, data.items[cells]] = r[cells]
+                else:
+                    relevance = r[cells]
+                keep = included[c][users]
+                top = np.take_along_axis(relevance[keep], order[keep], axis=1)
+                for k in ks:
+                    values[c][k][:, users[keep]] = _top_metrics(
+                        top, totals[c][users[keep]], n, k)
+    return {c: {k: tuple(values[c][k][:, included[c]]) for k in ks} for c in spec}
 
 
 def rank_metrics(scores, relevance, k: int):
@@ -86,31 +178,19 @@ def rank_metrics(scores, relevance, k: int):
     Requires at least one relevant item; callers exclude zero-relevant users
     before averaging.
     """
-    ranked = _ranked_relevance(scores, relevance)
-    total_rel = int(ranked.sum())
+    scores = np.asarray(scores, dtype=np.float64)
+    relevance = np.asarray(relevance)
+    if scores.ndim != 1 or scores.shape != relevance.shape:
+        raise ValueError("scores/relevance must be 1-D with equal shapes")
+    if len(scores) == 0:
+        raise ValueError("empty item list")
+    _check_ks((k,))
+    total_rel = int(relevance.sum())
     if total_rel == 0:
         raise ValueError("no relevant item in the candidate list")
-    top = ranked[:k].astype(np.float64)
-    ranks = np.arange(1, len(top) + 1)
-    dcg = float(np.sum(top / np.log2(ranks + 1)))
-    recall = float(top.sum() / total_rel)
-    precision_at = np.cumsum(top) / ranks
-    ap = float(np.sum(top * precision_at) / total_rel)
-    return dcg, recall, ap
-
-
-def _user_metrics(scores, relevance, ks):
-    ranked = _ranked_relevance(scores, relevance)
-    total_rel = ranked.sum()
-    out = {}
-    for k in ks:
-        top = ranked[:k].astype(np.float64)
-        ranks = np.arange(1, len(top) + 1)
-        dcg = float(np.sum(top / np.log2(ranks + 1)))
-        recall = float(top.sum() / total_rel)
-        ap = float(np.sum(top * np.cumsum(top) / ranks) / total_rel)
-        out[k] = (dcg, recall, ap)
-    return out
+    order = np.argsort(-scores, kind="stable")[None, :k]
+    top = relevance.astype(np.float64)[order]
+    return tuple(float(m[0]) for m in _top_metrics(top, total_rel, len(scores), k))
 
 
 def evaluate(model: FactorModel, test: ImplicitDataset, ks=DEFAULT_KS,
@@ -123,59 +203,19 @@ def evaluate(model: FactorModel, test: ImplicitDataset, ks=DEFAULT_KS,
     only rare items as relevant (candidate sets are unchanged).  The latter
     two require ``cohorts`` masks.
     """
-    if candidates not in ("catalog", "test_only"):
+    if candidates not in CANDIDATE_MODES:
         raise ValueError(f"unknown candidate mode {candidates!r}")
     if model.num_users < test.num_users or model.num_items < test.num_items:
         raise ValueError("model dimensions do not cover the dataset")
-    cohort_names = ["all"] if cohorts is None else list(COHORTS)
-    # accumulator: cohort -> k -> [sum_dcg, sum_recall, sum_ap, n_users]
-    acc = {c: {k: [0.0, 0.0, 0.0, 0] for k in ks} for c in cohort_names}
-
-    indptr = test.user_indptr
-    for u in range(test.num_users):
-        lo, hi = indptr[u], indptr[u + 1]
-        if lo == hi:
-            continue
-        items = test.items[lo:hi]
-        rel = test.rel[lo:hi].astype(np.float64)
-        if candidates == "catalog":
-            scores = model.user_factors[u] @ model.item_factors.T
-            relevance = np.zeros(model.num_items)
-            relevance[items] = rel
-        else:
-            scores = model.user_factors[u] @ model.item_factors[items].T
-            relevance = rel
-
-        for cohort in cohort_names:
-            if cohort == "cold_start_users" and not cohorts.cold_users[u]:
-                continue
-            if cohort == "rare_items":
-                cr = np.zeros_like(relevance)
-                if candidates == "catalog":
-                    cr[items] = rel * cohorts.rare_items[items]
-                else:
-                    cr = relevance * cohorts.rare_items[items]
-            else:
-                cr = relevance
-            if cr.sum() == 0:
-                continue
-            for k, (dcg, recall, ap) in _user_metrics(scores, cr, ks).items():
-                slot = acc[cohort][k]
-                slot[0] += dcg
-                slot[1] += recall
-                slot[2] += ap
-                slot[3] += 1
-
     reports = []
-    for cohort in cohort_names:
+    for cohort, by_k in _user_metrics(model, test, ks, candidates, cohorts).items():
         for k in ks:
-            sd, sr, sa, n = acc[cohort][k]
-            if n == 0:
-                continue
-            reports.append(MetricReport(
-                method=method, run=run, cohort=cohort, k=k,
-                dcg=sd / n, recall=sr / n, map=sa / n, num_users=n,
-            ))
+            dcg, recall, ap = by_k[k]
+            if len(dcg):
+                reports.append(MetricReport(
+                    method=method, run=run, cohort=cohort, k=k, dcg=_mean(dcg),
+                    recall=_mean(recall), map=_mean(ap), num_users=len(dcg),
+                ))
     return reports
 
 
@@ -183,21 +223,8 @@ def validation_dcg(model: FactorModel, validation: ImplicitDataset, k: int = 5) 
     """Mean DCG@k over validation users, ranking each user's validation
     items with their clicks as relevance.  Used for early stopping and
     hyperparameter selection."""
-    indptr = validation.user_indptr
-    total, n_users = 0.0, 0
-    for u in range(validation.num_users):
-        lo, hi = indptr[u], indptr[u + 1]
-        if lo == hi:
-            continue
-        rel = validation.rel[lo:hi].astype(np.float64)
-        if rel.sum() == 0:
-            continue
-        items = validation.items[lo:hi]
-        scores = model.user_factors[u] @ model.item_factors[items].T
-        dcg, _, _ = rank_metrics(scores, rel, k)
-        total += dcg
-        n_users += 1
-    return total / n_users if n_users else 0.0
+    dcg = _user_metrics(model, validation, (k,), "test_only")["all"][k][0]
+    return _mean(dcg) if len(dcg) else 0.0
 
 
 def one_tailed_t_test(sample_a, sample_b) -> float:

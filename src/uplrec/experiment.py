@@ -27,6 +27,7 @@ from .datasets import (
     split_validation,
 )
 from .evaluation import (
+    CANDIDATE_MODES,
     CohortSpec,
     MetricReport,
     compute_cohorts,
@@ -86,6 +87,10 @@ class ExperimentConfig:
         for m in self.methods:
             if m not in METHOD_TOKENS:
                 raise ValueError(f"unknown method token {m!r}")
+        if not self.ks or min(self.ks) < 1:
+            raise ValueError(f"ks must be non-empty cutoffs >= 1, got {self.ks!r}")
+        if self.candidates not in CANDIDATE_MODES:
+            raise ValueError(f"unknown candidate mode {self.candidates!r}")
 
     def canonical_text(self) -> str:
         lines = []
@@ -377,16 +382,20 @@ def _final_runs(token, combo, data, propensities, config, cohorts, out: Path):
     reports = []
     for (tok, dd, ll, cc, run_idx), run_reports, epoch_log in results:
         reports.extend(run_reports)
-        log_path = out / "logs" / f"{token}_run{run_idx:03d}.log"
-        with open(log_path, "w") as fh:
-            for epoch, loss, val in epoch_log:
-                val_str = "" if val is None else f"{val:.10g}"
-                fh.write(f"epoch={epoch}\ttrain_loss={loss:.10g}\tval_dcg5={val_str}\n")
+        write_epoch_log(out / "logs" / f"{token}_run{run_idx:03d}.log", epoch_log)
     return reports
 
 
 # ---------------------------------------------------------------------------
 # Report files
+
+
+def write_epoch_log(path, epoch_log):
+    """One line per epoch: its training loss and validation DCG@5, if any."""
+    with open(path, "w") as fh:
+        for epoch, loss, val in epoch_log:
+            val_str = "" if val is None else f"{val:.10g}"
+            fh.write(f"epoch={epoch}\ttrain_loss={loss:.10g}\tval_dcg5={val_str}\n")
 
 
 def _write_grid(path, rows, cfg_hash):

@@ -155,19 +155,6 @@ def pointwise_loss(method, c, s, theta_click=1.0, theta_nonclick=1.0, weight=10.
 
 
 @dataclass
-class PairSample:
-    """One pairwise training example: clicked item i and candidate j."""
-
-    u: int
-    i: int
-    j: int
-    c_j: int = 0
-    theta_i: float = 1.0
-    theta_j: float = 1.0
-    gamma_hat_j: float = 0.0
-
-
-@dataclass
 class LossSpec:
     """Selects an estimator; method-specific fields must be present exactly
     when the method requires them."""

@@ -82,7 +82,8 @@ class AdamState:
 
 @dataclass
 class PairBatch:
-    """Struct-of-arrays batch of pairwise samples (see losses.PairSample)."""
+    """Struct-of-arrays batch of pairwise samples: user u, clicked item i and
+    candidate j, with j's click, both propensities and j's relevance estimate."""
 
     u: np.ndarray
     i: np.ndarray

@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from uplrec.datasets import ImplicitDataset
+
+# No per-example deadline: on a loaded host the first example of a property
+# test can take longer than hypothesis's default 200 ms.
+settings.register_profile("uplrec", deadline=None)
+settings.load_profile("uplrec")
 
 
 def make_implicit(num_users, num_items, cells, split_tag="train"):

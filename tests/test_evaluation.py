@@ -2,10 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 from scipy import stats
 
+from uplrec import evaluation
 from uplrec.evaluation import (
+    COHORTS,
+    CohortMasks,
     CohortSpec,
+    MetricReport,
     compute_cohorts,
     evaluate,
     one_tailed_t_test,
@@ -17,6 +23,230 @@ from uplrec.factor_model import FactorModel, init_model
 from conftest import make_implicit
 
 LOG2_3 = math.log2(3.0)
+
+
+# ---------------------------------------------------------------------------
+# Reference: the per-user loops the batched kernel replaced, kept verbatim
+# apart from taking each user's scores from ``score(u, items)`` (``items``
+# None meaning the whole catalog).
+
+
+def _ref_ranked_relevance(scores, relevance):
+    scores = np.asarray(scores, dtype=np.float64)
+    relevance = np.asarray(relevance)
+    if scores.ndim != 1 or scores.shape != relevance.shape:
+        raise ValueError("scores/relevance must be 1-D with equal shapes")
+    if len(scores) == 0:
+        raise ValueError("empty item list")
+    order = np.lexsort((np.arange(len(scores)), -scores))
+    return relevance[order]
+
+
+def _ref_rank_metrics(scores, relevance, k):
+    ranked = _ref_ranked_relevance(scores, relevance)
+    total_rel = int(ranked.sum())
+    if total_rel == 0:
+        raise ValueError("no relevant item in the candidate list")
+    top = ranked[:k].astype(np.float64)
+    ranks = np.arange(1, len(top) + 1)
+    dcg = float(np.sum(top / np.log2(ranks + 1)))
+    recall = float(top.sum() / total_rel)
+    precision_at = np.cumsum(top) / ranks
+    ap = float(np.sum(top * precision_at) / total_rel)
+    return dcg, recall, ap
+
+
+def _ref_user_metrics(scores, relevance, ks):
+    ranked = _ref_ranked_relevance(scores, relevance)
+    total_rel = ranked.sum()
+    out = {}
+    for k in ks:
+        top = ranked[:k].astype(np.float64)
+        ranks = np.arange(1, len(top) + 1)
+        dcg = float(np.sum(top / np.log2(ranks + 1)))
+        recall = float(top.sum() / total_rel)
+        ap = float(np.sum(top * np.cumsum(top) / ranks) / total_rel)
+        out[k] = (dcg, recall, ap)
+    return out
+
+
+def _ref_evaluate(score, num_items, test, ks, cohorts=None, candidates="catalog"):
+    cohort_names = ["all"] if cohorts is None else list(COHORTS)
+    acc = {c: {k: [0.0, 0.0, 0.0, 0] for k in ks} for c in cohort_names}
+    indptr = test.user_indptr
+    for u in range(test.num_users):
+        lo, hi = indptr[u], indptr[u + 1]
+        if lo == hi:
+            continue
+        items = test.items[lo:hi]
+        rel = test.rel[lo:hi].astype(np.float64)
+        if candidates == "catalog":
+            scores = score(u, None)
+            relevance = np.zeros(num_items)
+            relevance[items] = rel
+        else:
+            scores = score(u, items)
+            relevance = rel
+        for cohort in cohort_names:
+            if cohort == "cold_start_users" and not cohorts.cold_users[u]:
+                continue
+            if cohort == "rare_items":
+                cr = np.zeros_like(relevance)
+                if candidates == "catalog":
+                    cr[items] = rel * cohorts.rare_items[items]
+                else:
+                    cr = relevance * cohorts.rare_items[items]
+            else:
+                cr = relevance
+            if cr.sum() == 0:
+                continue
+            for k, (dcg, recall, ap) in _ref_user_metrics(scores, cr, ks).items():
+                slot = acc[cohort][k]
+                slot[0] += dcg
+                slot[1] += recall
+                slot[2] += ap
+                slot[3] += 1
+    reports = []
+    for cohort in cohort_names:
+        for k in ks:
+            sd, sr, sa, n = acc[cohort][k]
+            if n == 0:
+                continue
+            reports.append(MetricReport(method="", run=0, cohort=cohort, k=k,
+                                        dcg=sd / n, recall=sr / n, map=sa / n,
+                                        num_users=n))
+    return reports
+
+
+def _ref_validation_dcg(score, validation, k):
+    indptr = validation.user_indptr
+    total, n_users = 0.0, 0
+    for u in range(validation.num_users):
+        lo, hi = indptr[u], indptr[u + 1]
+        if lo == hi:
+            continue
+        rel = validation.rel[lo:hi].astype(np.float64)
+        if rel.sum() == 0:
+            continue
+        dcg, _, _ = _ref_rank_metrics(score(u, validation.items[lo:hi]), rel, k)
+        total += dcg
+        n_users += 1
+    return total / n_users if n_users else 0.0
+
+
+def _model_score(model):
+    def score(u, items):
+        factors = model.item_factors if items is None else model.item_factors[items]
+        return model.user_factors[u] @ factors.T
+    return score
+
+
+# Scores rounded to one decimal, so ties are common, with both signed zeros.
+_SCORE_VALUES = st.sampled_from([-0.0, 0.0, 0.1, -0.1, 0.2, 0.3, -0.3, 1.0])
+
+
+@st.composite
+def _ranking_cases(draw):
+    num_users = draw(st.integers(0, 20))
+    num_items = draw(st.integers(1, 12))
+    cells = []
+    for u in range(num_users):
+        # empty, short and full candidate lists (8 items when num_items >= 8)
+        n = draw(st.sampled_from([0, 1, 2, min(8, num_items), num_items]))
+        for i in draw(st.permutations(range(num_items)))[:n]:
+            cells.append((u, i, 0.5, draw(st.integers(0, 1))))
+    scores = np.array(draw(st.lists(_SCORE_VALUES, min_size=num_users * num_items,
+                                    max_size=num_users * num_items)),
+                      dtype=np.float64).reshape(num_users, num_items)
+    cohorts = CohortMasks(
+        rare_items=np.array(draw(st.lists(st.booleans(), min_size=num_items,
+                                          max_size=num_items)), dtype=bool),
+        cold_users=np.array(draw(st.lists(st.booleans(), min_size=num_users,
+                                          max_size=num_users)), dtype=bool),
+    )
+    ks = tuple(draw(st.lists(st.sampled_from([1, 2, 3, 5, 8, 9, 16]),
+                             min_size=1, max_size=4, unique=True)))
+    chunk_cells = draw(st.integers(1, 40))
+    return make_implicit(num_users, num_items, cells, split_tag="test"), \
+        scores, cohorts, ks, chunk_cells
+
+
+def _fixed_case(num_users, num_items, counts, seed):
+    """Users with the given candidate counts; each with a candidate has a
+    relevant item."""
+    rng = np.random.default_rng(seed)
+    cells = []
+    for u, n in zip(range(num_users), counts):
+        items = rng.permutation(num_items)[:n]
+        rels = (rng.random(n) < 0.5).astype(int)
+        rels[:1] = 1
+        cells.extend((u, int(i), 0.5, int(r)) for i, r in zip(items, rels))
+    scores = np.round(rng.normal(0, 1, (num_users, num_items)), 1)
+    cohorts = CohortMasks(rare_items=rng.random(num_items) < 0.5,
+                          cold_users=rng.random(num_users) < 0.5)
+    return make_implicit(num_users, num_items, cells, split_tag="test"), \
+        scores, cohorts, (1, 3, 5, 8, 9, 16), 20
+
+
+class TestKernelMatchesLoop:
+    """The batched kernel against the per-user loops it replaced: every
+    mean must be equal, not close."""
+
+    @given(_ranking_cases())
+    @example(_fixed_case(6, 8, [8, 8, 3, 0, 8, 5], seed=1))  # 8 candidates at k=8
+    @example(_fixed_case(12, 16, [16, 9, 8, 7, 5, 3, 1, 16, 2, 8, 9, 4], seed=2))
+    @example((make_implicit(3, 4, [], split_tag="test"), np.zeros((3, 4)),
+              CohortMasks(np.ones(4, bool), np.ones(3, bool)), (3,), 5))
+    def test_bit_identical_to_reference_loop(self, case):
+        test, scores, cohorts, ks, chunk_cells = case
+
+        def patched_scores(model, users, cand_items):
+            if cand_items is None:
+                return scores[users]
+            return np.take_along_axis(scores[users], cand_items, axis=1)
+
+        model = FactorModel(np.zeros((test.num_users, 1)), np.zeros((test.num_items, 1)))
+
+        def score(u, items):
+            return scores[u] if items is None else scores[u, items]
+
+        no_hard = CohortMasks(np.zeros(test.num_items, bool), np.zeros(test.num_users, bool))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(evaluation, "_scores", patched_scores)
+            mp.setattr(evaluation, "_CHUNK_CELLS", chunk_cells)
+            for candidates in ("catalog", "test_only"):
+                for masks in (None, cohorts, no_hard):
+                    got = evaluate(model, test, ks=ks, cohorts=masks, candidates=candidates)
+                    want = _ref_evaluate(score, test.num_items, test, ks, masks, candidates)
+                    assert got == want
+            for k in ks:
+                assert validation_dcg(model, test, k=k) == _ref_validation_dcg(score, test, k)
+        if len(test) == 0:
+            assert evaluate(model, test, ks=ks, cohorts=cohorts) == []
+
+    @pytest.mark.parametrize("d", [1, 3, 64])
+    def test_model_scores_match_per_user_products(self, d):
+        # no patching: the stacked matmul gives each user's scores bit for bit
+        test, _, cohorts, ks, _ = _fixed_case(40, 30, [30, 12, 12, 7, 3, 1, 0, 8] * 5, seed=d)
+        model = init_model(40, 30, d=d, seed=d)
+        for candidates in ("catalog", "test_only"):
+            got = evaluate(model, test, ks=ks, cohorts=cohorts, candidates=candidates)
+            assert got == _ref_evaluate(_model_score(model), 30, test, ks, cohorts, candidates)
+        users = np.arange(40)
+        assert np.array_equal(evaluation._scores(model, users, None),
+                              np.stack([_model_score(model)(u, None) for u in users]))
+        assert validation_dcg(model, test, k=5) == \
+            _ref_validation_dcg(_model_score(model), test, 5)
+
+    def test_rank_metrics_matches_reference(self):
+        rng = np.random.default_rng(7)
+        for _ in range(50):
+            n = int(rng.integers(1, 20))
+            scores = np.round(rng.normal(0, 1, n), 1)
+            rel = (rng.random(n) < 0.4).astype(int)
+            rel[rng.integers(n)] = 1
+            for k in (1, 3, 5, 8, 9, 16, 25):
+                assert rank_metrics(scores, rel, k) == _ref_rank_metrics(scores, rel, k)
 
 
 class TestRankMetrics:
@@ -95,6 +325,11 @@ class TestRankMetrics:
         with pytest.raises(ValueError):
             rank_metrics([], [], k=3)
 
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_cutoff_below_one_rejected(self, k):
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            rank_metrics([2.0, 1.0, 0.5], [1, 0, 1], k=k)
+
 
 class TestEvaluate:
     def _two_user_setup(self):
@@ -172,6 +407,17 @@ class TestEvaluate:
         assert rare[0].num_users == 1
         assert rare[0].dcg == pytest.approx(1 / LOG2_3)
 
+    @pytest.mark.parametrize("ks", [(0,), (3, -1)])
+    def test_cutoff_below_one_rejected(self, ks):
+        model, test = self._two_user_setup()
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            evaluate(model, test, ks=ks)
+
+    def test_unknown_candidate_mode_rejected(self):
+        model, test = self._two_user_setup()
+        with pytest.raises(ValueError, match="candidate mode"):
+            evaluate(model, test, candidates="test_onyl")
+
     def test_model_dataset_dimension_check(self):
         test = make_implicit(3, 3, [(0, 0, 0.5, 1)], split_tag="test")
         with pytest.raises(ValueError):
@@ -192,6 +438,12 @@ class TestValidationDcg:
                             split_tag="validation")
         model = FactorModel(np.ones((2, 1)), np.ones((2, 1)))
         assert validation_dcg(model, val, k=5) == pytest.approx(1.0)
+
+    def test_cutoff_below_one_rejected(self):
+        val = make_implicit(1, 2, [(0, 0, 0.9, 1)], split_tag="validation")
+        model = FactorModel(np.ones((1, 1)), np.ones((2, 1)))
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            validation_dcg(model, val, k=0)
 
 
 class TestOneTailedTTest:

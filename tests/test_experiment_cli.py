@@ -72,6 +72,19 @@ class TestConfigParsing:
         assert b == exp.parse_config_file(cfg_path, {"threads": "2"}).hash()
         assert b == exp.parse_config_file(cfg_path, {"out": "p"}).hash()
 
+    @pytest.mark.parametrize("ks", [(), (-1,), (0,), (5, 0)])
+    def test_bad_cutoffs_rejected(self, ks):
+        with pytest.raises(ValueError, match="ks must be"):
+            exp.ExperimentConfig(ks=ks)
+
+    def test_unknown_candidate_mode_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="test_onyl"):
+            exp.ExperimentConfig(candidates="test_onyl")
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text("candidates = test_onyl\n")
+        with pytest.raises(ValueError, match="candidate mode"):
+            exp.parse_config_file(cfg_path)
+
     def test_invalid_method_token(self, tmp_path):
         cfg_path = tmp_path / "exp.cfg"
         cfg_path.write_text("methods = bpr,expomf\n")

@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -342,7 +342,6 @@ def _scatter_inputs(draw):
 
 
 class TestScatterRows:
-    @settings(deadline=None)
     @given(_scatter_inputs())
     @example((np.array([7]), np.array([[-0.0, 2.5]])))
     @example((np.array([3, 3, 1]), np.full((3, 2), -0.0)))
