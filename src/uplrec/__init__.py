@@ -19,10 +19,10 @@ from .datasets import (
 )
 from .evaluation import CohortSpec, MetricReport, evaluate, one_tailed_t_test, rank_metrics
 from .factor_model import FactorModel, TrainConfig, init_model, l2_penalty, score
-from .losses import LossSpec, clip_term, pointwise_loss, sigmoid_pair_loss, \
+from .losses import LossSpec, clip_term, pair_weights, pointwise_loss, sigmoid_pair_loss, \
     ubpr_pair_weight, upl_pair_weight
 from .oracle import SyntheticWorld, closed_form_variance_upl, exact_expectation, \
     ideal_risk, mc_bias_variance
 from .propensity import PropensityTable, estimate_click_propensity, \
     estimate_nonclick_propensity, posterior_exposure
-from .trainer import AdamState, TrainRun, run_upl_pipeline, sample_batch, train
+from .trainer import AdamState, TrainRun, run_upl_pipeline, train

@@ -128,12 +128,7 @@ def _cmd_train(args) -> int:
     cohorts = compute_cohorts(data.train, CohortSpec())
     reports = evaluate(run.final_model, data.test, cohorts=cohorts,
                        candidates=args.candidates, method=args.method, run=0)
-    with open(out / "metrics.tsv", "w") as fh:
-        fh.write("method\trun\tcohort\tmetric\tk\tvalue\n")
-        for rep in reports:
-            for metric in ("dcg", "recall", "map"):
-                fh.write(f"{rep.method}\t{rep.run}\t{rep.cohort}\t{metric}\t{rep.k}\t"
-                         f"{getattr(rep, metric):.17g}\n")
+    exp.write_metrics(out / "metrics.tsv", reports)
     exp.write_epoch_log(out / "train.log", run.epoch_log)
     for rep in reports:
         if rep.cohort == "all":

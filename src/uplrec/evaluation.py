@@ -175,13 +175,15 @@ def _user_metrics(model: FactorModel, data: ImplicitDataset, ks, candidates: str
 def rank_metrics(scores, relevance, k: int):
     """(DCG@k, Recall@k, AP@k) for one user's candidate list.
 
-    Requires at least one relevant item; callers exclude zero-relevant users
-    before averaging.
+    Relevance is binary (0/1).  Requires at least one relevant item; callers
+    exclude zero-relevant users before averaging.
     """
     scores = np.asarray(scores, dtype=np.float64)
     relevance = np.asarray(relevance)
     if scores.ndim != 1 or scores.shape != relevance.shape:
         raise ValueError("scores/relevance must be 1-D with equal shapes")
+    if not np.all((relevance == 0) | (relevance == 1)):
+        raise ValueError("relevance must hold only 0 and 1")
     if len(scores) == 0:
         raise ValueError("empty item list")
     _check_ks((k,))

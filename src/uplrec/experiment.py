@@ -3,9 +3,10 @@ validation DCG@5, repeated final runs, aggregation and significance tests.
 
 The experiment method tokens map onto loss estimators as follows: ``ubpr``
 is the practical clipped variant (its threshold is grid-tuned alongside d
-and lambda), ``ubpr_nclip`` removes clipping, and ``upl`` runs the two-stage
-relmf -> upl pipeline.  Outputs are deterministic functions of the config
-file: no timestamps, stable ordering, fixed float formatting.
+and lambda), ``ubpr_nclip`` is unclipped ubpr (``LossSpec("ubpr")``), and
+``upl`` runs the two-stage relmf -> upl pipeline.  Outputs are
+deterministic functions of the config file: no timestamps, stable ordering,
+fixed float formatting.
 """
 
 from __future__ import annotations
@@ -227,6 +228,8 @@ def save_prepared(data: PreparedData, out_dir):
 def make_loss_spec(token: str, config: ExperimentConfig, clip: float = 0.0) -> LossSpec:
     if token == "ubpr":
         return LossSpec("ubpr_clipped", clip_threshold=clip)
+    if token == "ubpr_nclip":
+        return LossSpec("ubpr")
     if token == "wmf":
         return LossSpec("wmf", wmf_weight=config.wmf_weight)
     return LossSpec(token)
@@ -339,7 +342,8 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> Path:
             failures.append((token, f"{type(exc).__name__}: {exc}"))
 
     _write_grid(out / "grid_search.tsv", grid_rows, cfg_hash)
-    _write_per_run(out / "per_run_metrics.tsv", all_reports, cfg_hash, config.seed)
+    write_metrics(out / "per_run_metrics.tsv", all_reports,
+                  f"config_hash={cfg_hash}\tbase_seed={config.seed}")
     write_aggregates(out, all_reports, cfg_hash)
     if failures:
         with open(out / "failures.tsv", "w") as fh:
@@ -406,15 +410,18 @@ def _write_grid(path, rows, cfg_hash):
             fh.write(f"{token}\t{d}\t{lam:.17g}\t{clip:.17g}\t{val:.17g}\n")
 
 
-def _write_per_run(path, reports, cfg_hash, base_seed):
-    rows = []
-    for rep in reports:
-        for metric in METRIC_NAMES:
-            rows.append((rep.method, rep.run, rep.cohort, metric, rep.k,
-                         getattr(rep, metric)))
-    rows.sort(key=lambda r: (r[0], r[1], r[2], r[3], r[4]))
+def _metric_rows(reports):
+    return [(rep.method, rep.run, rep.cohort, metric, rep.k, getattr(rep, metric))
+            for rep in reports for metric in METRIC_NAMES]
+
+
+def write_metrics(path, reports, comment=""):
+    """The per-run metrics TSV: one row per report and metric, sorted by
+    (method, run, cohort, metric, k), after an optional '#' comment line."""
+    rows = sorted(_metric_rows(reports), key=lambda r: r[:5])
     with open(path, "w") as fh:
-        fh.write(f"# config_hash={cfg_hash}\tbase_seed={base_seed}\n")
+        if comment:
+            fh.write(f"# {comment}\n")
         fh.write("method\trun\tcohort\tmetric\tk\tvalue\n")
         for method, run, cohort, metric, k, value in rows:
             fh.write(f"{method}\t{run}\t{cohort}\t{metric}\t{k}\t{value:.17g}\n")
@@ -434,13 +441,7 @@ def read_per_run(path):
 
 def write_aggregates(out_dir, reports, cfg_hash):
     """aggregate.tsv, significance.tsv and tables.md from MetricReports."""
-    out = Path(out_dir)
-    rows = []
-    for rep in reports:
-        for metric in METRIC_NAMES:
-            rows.append((rep.method, rep.run, rep.cohort, metric, rep.k,
-                         getattr(rep, metric)))
-    write_aggregates_from_rows(out, rows, cfg_hash)
+    write_aggregates_from_rows(Path(out_dir), _metric_rows(reports), cfg_hash)
 
 
 def write_aggregates_from_rows(out_dir, rows, cfg_hash):

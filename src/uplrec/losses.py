@@ -1,14 +1,18 @@
 """Loss estimators for implicit-feedback ranking, with analytic gradients.
 
 Pairwise base loss is L(s_i, s_j) = -log sigmoid(s_i - s_j).  The estimators
-differ only in the weight each (i: clicked, j) pair receives:
+differ only in the weight each (i: clicked, j != i) pair receives, and
+``pair_weights`` is the one place that weight is computed, for the trainer's
+sampled pairs and the oracle's full pair sums alike:
 
-* bpr / ideal: weight 1 on (c_i=1, c_j=0) pairs
-* ubpr:        (c_i/theta_i) * (1 - c_j/theta_j), j unrestricted; can go
-               negative when c_j=1 and theta_j<1
+* bpr:         1 when c_j=0, 0 when j is clicked
+* ubpr:        (1/theta_i) * (1 - c_j/theta_j); negative when c_j=1 and
+               theta_j<1
 * ubpr_clipped: the ubpr term truncated below at a threshold in [-10, 0]
-* upl:         (1 - gamma_j) / (theta_i * (1 - theta_j*gamma_j)) on
-               (c_i=1, c_j=0) pairs; non-negative by construction
+* upl:         (1 - gamma_j) / (theta_i * (1 - theta_j*gamma_j)) when c_j=0,
+               0 when j is clicked; non-negative by construction
+
+A pair whose i is not clicked weighs 0 under every estimator.
 
 Pointwise baselines (wmf, relmf, mfdu) are logistic losses on single cells
 with their respective confidence / inverse-propensity weightings.
@@ -22,7 +26,7 @@ import numpy as np
 
 from .errors import SingularityError
 
-PAIRWISE_METHODS = ("ideal", "bpr", "ubpr", "ubpr_nclip", "ubpr_clipped", "upl")
+PAIRWISE_METHODS = ("bpr", "ubpr", "ubpr_clipped", "upl")
 POINTWISE_METHODS = ("wmf", "relmf", "mfdu")
 METHODS = PAIRWISE_METHODS + POINTWISE_METHODS
 
@@ -186,23 +190,23 @@ class LossSpec:
         return self.method in PAIRWISE_METHODS
 
 
-def pair_term(spec: LossSpec, c_i, c_j, theta_i, theta_j, gamma_j, loss_value):
-    """Scalar per-pair estimator term as the full-batch risk computes it.
+def pair_weights(spec: LossSpec, c_j, theta_i, theta_j, gamma_j, loss):
+    """Terms of (clicked i, candidate j) pairs and the factor multiplying
+    dL/ds in their gradients: (terms, grad_factor).
 
-    ``loss_value`` is L(f(u,i), f(u,j)).  Pairs outside the estimator's index
-    set contribute 0: upl/bpr/ideal only use (c_i=1, c_j=0); ubpr uses any
-    pair with c_i=1.
+    ``loss`` holds L(f(u,i), f(u,j)); clipping acts on the weighted loss, and
+    a clipped term has no gradient.
     """
     method = spec.method
-    if method in ("bpr", "ideal"):
-        return float(loss_value) if (c_i == 1 and c_j == 0) else 0.0
-    if method == "upl":
-        if c_i == 1 and c_j == 0:
-            return upl_pair_weight(theta_i, theta_j, gamma_j) * float(loss_value)
-        return 0.0
-    if method in ("ubpr", "ubpr_nclip"):
-        return ubpr_pair_weight(c_i, c_j, theta_i, theta_j) * float(loss_value)
+    if method == "bpr":
+        w = np.where(np.asarray(c_j) == 0, 1.0, 0.0)
+    elif method == "upl":
+        w = np.where(np.asarray(c_j) == 0, upl_pair_weight(theta_i, theta_j, gamma_j), 0.0)
+    elif method in ("ubpr", "ubpr_clipped"):
+        w = ubpr_pair_weight(1, c_j, theta_i, theta_j)
+    else:
+        raise ValueError(f"{method!r} is not a pairwise method")
+    terms = w * loss
     if method == "ubpr_clipped":
-        raw = ubpr_pair_weight(c_i, c_j, theta_i, theta_j) * float(loss_value)
-        return clip_term(raw, spec.clip_threshold)
-    raise ValueError(f"{method!r} is not a pairwise method")
+        return clip_term(terms, spec.clip_threshold), w * (terms > spec.clip_threshold)
+    return terms, w

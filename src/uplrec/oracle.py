@@ -5,8 +5,9 @@ with clicks generated as c = o * r, o ~ Bern(theta), r ~ Bern(gamma), all
 cells independent.  For worlds of up to 10 cells the module enumerates the
 full joint of the four (o, r) outcomes per cell and computes each
 estimator's exact expectation; Monte Carlo sampling covers anything larger
-and supplies variance estimates.  Estimator terms are computed through the
-same loss functions the trainer uses, on a full-batch basis.
+and supplies variance estimates.  Estimator terms come from
+``losses.pair_weights``, the function that weights the trainer's sampled
+pairs, applied to every ordered same-user pair at once.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from scipy import stats
 
 from .errors import EnumerationBoundError
 from .factor_model import FactorModel, init_model
-from .losses import LossSpec, pair_term, sigmoid_pair_loss
+from .losses import LossSpec, pair_weights, sigmoid_pair_loss
 
 MAX_EXACT_CELLS = 10
 _CHUNK = 1 << 16
@@ -155,9 +156,10 @@ def _make_spec(estimator: str, clip_threshold: float) -> LossSpec:
 class _FullBatchEstimator:
     """Evaluates an estimator's full-batch empirical risk for click vectors.
 
-    Every pair term is a function of (c_i, c_j) in {0,1}^2 only, so the
-    full-batch sum is a bilinear form in the click vector; the four per-pair
-    term values are taken straight from the loss module.
+    A pair term is 0 unless i is clicked, and then depends on c_j alone, so
+    the full-batch sum is c @ row_vec + c @ cross @ c with the c_j = 0 terms
+    in ``row_vec`` and the c_j = 1 minus c_j = 0 terms in ``cross``.  The
+    terms come from ``losses.pair_weights``, the function the trainer calls.
     """
 
     def __init__(self, world: SyntheticWorld, model: FactorModel, estimator: str,
@@ -170,24 +172,14 @@ class _FullBatchEstimator:
             else np.asarray(gamma_hat, dtype=np.float64).ravel()
         p_idx, q_idx = _pair_index(world)
         losses = _loss_values(world, model, p_idx, q_idx)
+        t0, t1 = (pair_weights(spec, np.full(len(p_idx), c_j), theta[p_idx], theta[q_idx],
+                               gamma[q_idx], losses)[0] for c_j in (0, 1))
 
         n = world.num_cells
-        tables = np.zeros((2, 2, len(p_idx)))
-        for ci in (0, 1):
-            for cj in (0, 1):
-                tables[ci, cj] = [
-                    pair_term(spec, ci, cj, theta[p], theta[q], gamma[q], L)
-                    for p, q, L in zip(p_idx, q_idx, losses)
-                ]
-
-        t00, t01, t10, t11 = tables[0, 0], tables[0, 1], tables[1, 0], tables[1, 1]
-        self.const = float(t00.sum())
         self.row_vec = np.zeros(n)
-        np.add.at(self.row_vec, p_idx, t10 - t00)
-        self.col_vec = np.zeros(n)
-        np.add.at(self.col_vec, q_idx, t01 - t00)
+        np.add.at(self.row_vec, p_idx, t0)
         self.cross = np.zeros((n, n))
-        np.add.at(self.cross, (p_idx, q_idx), t11 - t10 - t01 + t00)
+        np.add.at(self.cross, (p_idx, q_idx), t1 - t0)
         self.num_cells = n
 
     def evaluate(self, clicks: np.ndarray) -> np.ndarray:
@@ -195,8 +187,7 @@ class _FullBatchEstimator:
         c = np.asarray(clicks, dtype=np.float64)
         single = c.ndim == 1
         c = np.atleast_2d(c)
-        out = self.const + c @ (self.row_vec + self.col_vec) \
-            + np.einsum("mp,pq,mq->m", c, self.cross, c, optimize=True)
+        out = c @ self.row_vec + np.einsum("mp,pq,mq->m", c, self.cross, c, optimize=True)
         return out[0] if single else out
 
 

@@ -1,12 +1,14 @@
 """Mini-batch training of the factor ranker under any of the loss estimators.
 
-One epoch is a shuffled pass over the positive pool with one sampled
-candidate j per positive (pairwise), or a pass over the exposed cells with
-unexposed cells sampled 1:1 (pointwise).  Updates use Adam restricted to the
-rows touched by the batch; runs are deterministic per seed.  The gradient
-scatter keeps ``np.add.at``'s summation order, so trained factors are
-bit-identical to an ``np.add.at`` implementation.  Early stopping watches
-validation DCG@k.
+One pairwise epoch is a shuffled pass over the clicked cells with one
+candidate j per positive, drawn uniformly over the items other than i for
+every estimator; ``losses.pair_weights`` weights each pair, so the expected
+epoch term sum is the estimator's full-batch risk divided by I - 1.  One
+pointwise epoch is a pass over the exposed cells with unexposed cells sampled
+1:1.  Updates use Adam restricted to the rows touched by the batch; runs are
+deterministic per seed.  The gradient scatter keeps ``np.add.at``'s
+summation order, so trained factors are bit-identical to an ``np.add.at``
+implementation.  Early stopping watches validation DCG@k.
 """
 
 from __future__ import annotations
@@ -25,12 +27,10 @@ from .losses import (
     GAMMA_HAT_MAX,
     GAMMA_HAT_MIN,
     LossSpec,
-    clip_term,
+    pair_weights,
+    pointwise_loss,
     sigmoid,
     sigmoid_pair_loss,
-    pointwise_loss,
-    ubpr_pair_weight,
-    upl_pair_weight,
 )
 from .propensity import PropensityTable
 
@@ -139,57 +139,25 @@ def relevance_predictor(model: FactorModel, lo=GAMMA_HAT_MIN, hi=GAMMA_HAT_MAX):
 
 
 class _PositivePool:
-    """Positives a pairwise sampler may draw, with the method's j rule.
-
-    Users for whom no valid j exists are dropped from the pool up front,
-    which realizes the "resample a different positive" contract.
+    """The clicked (u, i) pairs a pairwise epoch draws, and the j rule every
+    pairwise estimator shares: j uniform over the items other than i, clicked
+    or not.  The estimator weights a clicked j (0 under bpr and upl), so the
+    expected epoch term sum is the full-batch risk divided by I - 1.
     """
 
-    def __init__(self, dataset: ImplicitDataset, method: str):
-        method = "ubpr" if method.startswith("ubpr") else method
+    def __init__(self, dataset: ImplicitDataset):
         self.dataset = dataset
-        self.method = method
-        if method == "ideal":
-            # positives: exposed cells with rel=1; negatives: rel=0 exposed cells
-            neg_mask = dataset.rel == 0
-            self.neg_users = dataset.users[neg_mask]
-            self.neg_items = dataset.items[neg_mask]
-            self.neg_indptr = np.searchsorted(self.neg_users, np.arange(dataset.num_users + 1))
-            neg_counts = np.diff(self.neg_indptr)
-            pos_u, pos_i = dataset.click_pairs
-            keep = neg_counts[pos_u] > 0
-            self.users, self.items = pos_u[keep], pos_i[keep]
-        else:
-            pos_u, pos_i = dataset.click_pairs
-            if method in ("bpr", "upl"):
-                keep = dataset.user_click_counts[pos_u] < dataset.num_items
-            else:  # ubpr family: j only needs to differ from i
-                keep = np.full(len(pos_u), dataset.num_items > 1)
-            self.users, self.items = pos_u[keep], pos_i[keep]
-        if len(self.users) == 0:
+        self.users, self.items = dataset.click_pairs
+        if len(self.users) == 0 or dataset.num_items < 2:
             raise ValueError("no positive with an admissible candidate j")
 
     def __len__(self):
         return len(self.users)
 
-    def sample_negatives(self, u, i, rng) -> np.ndarray:
-        """One candidate j per positive, per the method's rule."""
-        dataset = self.dataset
-        if self.method == "ideal":
-            counts = np.diff(self.neg_indptr)
-            k = rng.integers(0, counts[u])
-            return self.neg_items[self.neg_indptr[u] + k]
-        j = rng.integers(0, dataset.num_items, size=len(u))
-        if self.method in ("bpr", "upl"):
-            bad = dataset.is_clicked(u, j)
-        else:  # ubpr: j uniform over all items != i, clicked or not
-            bad = j == i
-        while bad.any():
-            j[bad] = rng.integers(0, dataset.num_items, size=int(bad.sum()))
-            if self.method in ("bpr", "upl"):
-                bad[bad] = dataset.is_clicked(u[bad], j[bad])
-            else:
-                bad[bad] = j[bad] == i[bad]
+    def sample_negatives(self, i, rng) -> np.ndarray:
+        """One candidate j per positive, uniform over the items != i."""
+        j = rng.integers(0, self.dataset.num_items - 1, size=len(i))
+        j += j >= i
         return j
 
 
@@ -207,40 +175,6 @@ def _enrich_pair_batch(dataset, u, i, j, propensities, gamma_hat) -> PairBatch:
         theta_i=theta_i, theta_j=theta_j,
         gamma_hat_j=np.asarray(gh, dtype=np.float64),
     )
-
-
-def sample_batch(dataset: ImplicitDataset, method: str, batch_size: int, rng,
-                 propensities: PropensityTable | None = None, gamma_hat=None):
-    """Draw one mini-batch of exactly ``batch_size`` samples.
-
-    Pairwise methods draw positives uniformly (with replacement) from the
-    click set and one j each: bpr/upl take j uniform over the user's
-    non-clicked items, ubpr takes j uniform over all items != i.  Pointwise
-    methods draw half the batch from exposed cells (keeping their click
-    label) and half uniformly from unexposed cells (label 0).
-    """
-    if batch_size < 1:
-        raise ValueError("batch_size must be >= 1")
-    if dataset.num_clicks < 1:
-        raise ValueError("dataset has no clicks")
-    spec_like = method if isinstance(method, str) else method.method
-    if spec_like in ("ideal", "bpr", "upl", "ubpr", "ubpr_nclip", "ubpr_clipped"):
-        pool = _PositivePool(dataset, spec_like)
-        idx = rng.integers(0, len(pool), size=batch_size)
-        u, i = pool.users[idx], pool.items[idx]
-        j = pool.sample_negatives(u, i, rng)
-        return _enrich_pair_batch(dataset, u, i, j, propensities, gamma_hat)
-    if spec_like in ("wmf", "relmf", "mfdu"):
-        nu, ni = _sample_unexposed(dataset, batch_size // 2, rng)
-        n_exposed = batch_size - len(nu)
-        idx = rng.integers(0, len(dataset), size=n_exposed)
-        eu, ei = dataset.users[idx], dataset.items[idx]
-        ec = dataset.rel[idx].astype(np.float64)
-        u = np.concatenate([eu, nu])
-        i = np.concatenate([ei, ni])
-        c = np.concatenate([ec, np.zeros(len(nu))])
-        return _make_point_batch(u, i, c, propensities)
-    raise ValueError(f"unknown method {spec_like!r}")
 
 
 def _sample_unexposed(dataset: ImplicitDataset, count: int, rng):
@@ -272,26 +206,6 @@ def _make_point_batch(u, i, c, propensities) -> PointBatch:
 # Gradient steps
 
 
-def _pair_weights(spec: LossSpec, batch: PairBatch, loss_values):
-    """Per-sample loss terms and the factor multiplying dL/ds in the gradient."""
-    method = spec.method
-    if method in ("bpr", "ideal"):
-        w = np.ones(len(batch))
-        return w * loss_values, w
-    if method == "upl":
-        w = upl_pair_weight(batch.theta_i, batch.theta_j, batch.gamma_hat_j)
-        return w * loss_values, w
-    if method in ("ubpr", "ubpr_nclip"):
-        w = ubpr_pair_weight(1, batch.c_j, batch.theta_i, batch.theta_j)
-        return w * loss_values, w
-    if method == "ubpr_clipped":
-        w = ubpr_pair_weight(1, batch.c_j, batch.theta_i, batch.theta_j)
-        raw = w * loss_values
-        terms = clip_term(raw, spec.clip_threshold)
-        return terms, w * (raw > spec.clip_threshold)
-    raise ValueError(f"{method!r} is not a pairwise method")
-
-
 def _scatter_rows(index, rows):
     """Sum ``rows`` that share an ``index``: (sorted unique index, row sums).
 
@@ -317,7 +231,8 @@ def _apply_pair_batch(model, adam, batch: PairBatch, spec, config) -> float:
     s_i = np.sum(pu * qi, axis=1)
     s_j = np.sum(pu * qj, axis=1)
     loss, dsi, dsj = sigmoid_pair_loss(s_i, s_j)
-    terms, gf = _pair_weights(spec, batch, loss)
+    terms, gf = pair_weights(spec, batch.c_j, batch.theta_i, batch.theta_j,
+                             batch.gamma_hat_j, loss)
     lam = config.lam
 
     reg = np.sum(pu**2, axis=1) + np.sum(qi**2, axis=1) + np.sum(qj**2, axis=1)
@@ -370,7 +285,7 @@ def _pairwise_epoch(pool, model, adam, spec, config, rng, propensities, gamma_ha
     for start in range(0, len(perm), config.batch_size):
         sel = perm[start:start + config.batch_size]
         u, i = pool.users[sel], pool.items[sel]
-        j = pool.sample_negatives(u, i, rng)
+        j = pool.sample_negatives(i, rng)
         batch = _enrich_pair_batch(dataset, u, i, j, propensities, gamma_hat)
         losses.append((_apply_pair_batch(model, adam, batch, spec, config), len(batch)))
     return losses
@@ -409,7 +324,7 @@ def train(dataset: ImplicitDataset, config: TrainConfig, loss_spec: LossSpec,
                        seed=config.seed, scale=config.init_scale)
     adam = AdamState.for_model(model)
     if loss_spec.is_pairwise:
-        pool = _PositivePool(dataset, loss_spec.method)
+        pool = _PositivePool(dataset)
 
     best_val = -math.inf
     best_model = None

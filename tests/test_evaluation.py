@@ -325,6 +325,13 @@ class TestRankMetrics:
         with pytest.raises(ValueError):
             rank_metrics([], [], k=3)
 
+    # graded relevance once gave AP = 2.0; fractional relevance truncated to
+    # "no relevant item"
+    @pytest.mark.parametrize("relevance", [[2, 0], [0.5, 0.4]])
+    def test_non_binary_relevance_rejected(self, relevance):
+        with pytest.raises(ValueError, match="only 0 and 1"):
+            rank_metrics([2.0, 1.0], relevance, k=1)
+
     @pytest.mark.parametrize("k", [0, -1])
     def test_cutoff_below_one_rejected(self, k):
         with pytest.raises(ValueError, match="k must be >= 1"):

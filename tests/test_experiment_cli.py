@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,8 @@ from uplrec.datasets import load_dataset
 from uplrec.factor_model import load_checkpoint
 
 from conftest import write_synthetic_triplets
+
+BUNDLED_WORLDS = sorted((Path(__file__).resolve().parents[1] / "worlds").glob("*.txt"))
 
 
 @pytest.fixture(scope="module")
@@ -256,6 +260,15 @@ class TestVerifyCli:
         assert rc == 0
         out = capsys.readouterr().out
         assert "ideal risk" in out and "upl" in out
+
+    @pytest.mark.parametrize("world", BUNDLED_WORLDS, ids=lambda p: p.name)
+    def test_bundled_world_exact(self, world, capsys):
+        rc = cli.main(["verify", "--world", str(world), "--exact-only"])
+        out = capsys.readouterr().out
+        assert rc == 0
+        for estimator in ("upl", "ubpr"):
+            line = next(l for l in out.splitlines() if l.startswith(f"  {estimator}:"))
+            assert line.endswith("(bias +0.000e+00)"), line
 
     def test_world_too_large_for_exact(self, tmp_path):
         from uplrec.errors import EnumerationBoundError

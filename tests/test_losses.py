@@ -7,7 +7,7 @@ from uplrec.errors import SingularityError
 from uplrec.losses import (
     LossSpec,
     clip_term,
-    pair_term,
+    pair_weights,
     pointwise_loss,
     sigmoid,
     sigmoid_pair_loss,
@@ -203,14 +203,50 @@ class TestEstimatorIdentities:
     def test_methods_coincide_under_full_exposure(self):
         # theta = 1 and gamma_hat = 0 on candidates: upl == ubpr == bpr terms
         rng = np.random.default_rng(6)
-        for _ in range(50):
-            s_i, s_j = rng.normal(0, 2, 2)
-            loss, _, _ = sigmoid_pair_loss(s_i, s_j)
-            upl = pair_term(LossSpec("upl"), 1, 0, 1.0, 1.0, 0.0, loss)
-            ubpr = pair_term(LossSpec("ubpr"), 1, 0, 1.0, 1.0, 0.0, loss)
-            bpr = pair_term(LossSpec("bpr"), 1, 0, 1.0, 1.0, 0.0, loss)
-            assert abs(upl - ubpr) < 1e-12
-            assert abs(upl - bpr) < 1e-12
+        s = rng.normal(0, 2, (50, 2))
+        loss, _, _ = sigmoid_pair_loss(s[:, 0], s[:, 1])
+        ones, zeros = np.ones(50), np.zeros(50)
+        upl, ubpr, bpr = (pair_weights(LossSpec(m), zeros, ones, ones, zeros, loss)[0]
+                          for m in ("upl", "ubpr", "bpr"))
+        assert np.max(np.abs(upl - ubpr)) < 1e-12
+        assert np.max(np.abs(upl - bpr)) < 1e-12
+
+
+class TestPairWeights:
+    def _pairs(self, n=200, seed=9):
+        rng = np.random.default_rng(seed)
+        c_j = rng.integers(0, 2, n)
+        theta_i, theta_j = rng.uniform(0.05, 1.0, (2, n))
+        gamma_j = rng.uniform(0.0, 0.95, n)
+        loss, _, _ = sigmoid_pair_loss(*rng.normal(0, 2, (2, n)))
+        return c_j, theta_i, theta_j, gamma_j, loss
+
+    def test_weights_are_the_estimator_weights(self):
+        # a clicked candidate weighs 0 under bpr and upl
+        c_j, theta_i, theta_j, gamma_j, loss = self._pairs()
+        expected = {
+            "bpr": np.where(c_j == 0, 1.0, 0.0),
+            "upl": np.where(c_j == 0, upl_pair_weight(theta_i, theta_j, gamma_j), 0.0),
+            "ubpr": ubpr_pair_weight(1, c_j, theta_i, theta_j),
+        }
+        for method, w in expected.items():
+            terms, gf = pair_weights(LossSpec(method), c_j, theta_i, theta_j, gamma_j, loss)
+            assert np.array_equal(gf, w) and np.array_equal(terms, w * loss)
+
+    @pytest.mark.parametrize("threshold", [0.0, -0.5])
+    def test_clipped_terms_carry_no_gradient(self, threshold):
+        c_j, theta_i, theta_j, gamma_j, loss = self._pairs()
+        spec = LossSpec("ubpr_clipped", clip_threshold=threshold)
+        terms, gf = pair_weights(spec, c_j, theta_i, theta_j, gamma_j, loss)
+        raw, w = pair_weights(LossSpec("ubpr"), c_j, theta_i, theta_j, gamma_j, loss)
+        clipped = raw <= threshold
+        assert clipped.any() and not clipped.all()
+        assert np.array_equal(terms, np.maximum(raw, threshold))
+        assert np.all(gf[clipped] == 0) and np.array_equal(gf[~clipped], w[~clipped])
+
+    def test_pointwise_method_rejected(self):
+        with pytest.raises(ValueError, match="not a pairwise method"):
+            pair_weights(LossSpec("relmf"), 0, 0.5, 0.5, 0.5, 1.0)
 
 
 class TestLossSpec:
@@ -239,3 +275,10 @@ class TestLossSpec:
     def test_unknown_method(self):
         with pytest.raises(ValueError):
             LossSpec("expomf")
+
+    # "ideal" was a test-only sampler; the ubpr_nclip experiment token maps
+    # to LossSpec("ubpr")
+    @pytest.mark.parametrize("method", ["ideal", "ubpr_nclip"])
+    def test_removed_methods_rejected(self, method):
+        with pytest.raises(ValueError, match="unknown method"):
+            LossSpec(method)

@@ -163,8 +163,11 @@ class TestExactExpectation:
         def clipped_term(ci, cj, ki, kj, L):
             return max(ubpr_term(ci, cj, ki, kj, L), 0.0)
 
+        def bpr_term(ci, cj, ki, kj, L):
+            return L if ci == 1 and cj == 0 else 0.0
+
         for estimator, term in (("upl", upl_term), ("ubpr", ubpr_term),
-                                ("ubpr_clipped", clipped_term)):
+                                ("ubpr_clipped", clipped_term), ("bpr", bpr_term)):
             expected = brute_force_expectation(world, model, term)
             assert exact_expectation(world, model, estimator) == pytest.approx(
                 expected, abs=1e-12)

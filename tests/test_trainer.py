@@ -12,17 +12,17 @@ from hypothesis.extra import numpy as hnp
 from uplrec import trainer
 from uplrec.errors import TrainingDivergedError
 from uplrec.factor_model import FactorModel, TrainConfig, init_model
-from uplrec.losses import LossSpec, pointwise_loss, sigmoid_pair_loss, upl_pair_weight
-from uplrec.oracle import SyntheticWorld, ideal_risk
+from uplrec.losses import LossSpec, pair_weights, pointwise_loss, sigmoid_pair_loss
+from uplrec.oracle import exact_expectation, ideal_risk, model_for_world, random_world
 from uplrec.propensity import PropensityTable
 from uplrec.trainer import (
     AdamState,
     _apply_pair_batch,
-    _pair_weights,
+    _enrich_pair_batch,
+    _PositivePool,
     _scatter_rows,
     relevance_predictor,
     run_upl_pipeline,
-    sample_batch,
     train,
 )
 
@@ -60,88 +60,124 @@ class TestAdam:
             assert adam.step == expected
 
 
-class TestSampleBatch:
-    def test_forced_single_pair(self):
-        # one click and a single other item: the only possible bpr pair
-        ds = make_implicit(1, 2, [(0, 0, 1.0, 1)])
-        rng = np.random.default_rng(0)
-        batch = sample_batch(ds, "bpr", 8, rng)
-        assert np.all(batch.u == 0)
-        assert np.all(batch.i == 0)
-        assert np.all(batch.j == 1)
-        assert np.all(batch.c_j == 0)
+def _pair_epoch_batches(monkeypatch, ds, batch_size, epochs=1, seed=0,
+                        propensities=None, gamma_hat=None):
+    """The batches that pairwise epochs hand to the training step."""
+    batches = []
+    monkeypatch.setattr(trainer, "_apply_pair_batch",
+                        lambda model, adam, batch, spec, config: batches.append(batch) or 0.0)
+    pool = _PositivePool(ds)
+    config = TrainConfig(d=2, batch_size=batch_size)
+    rng = np.random.default_rng(seed)
+    for _ in range(epochs):
+        trainer._pairwise_epoch(pool, None, None, None, config, rng, propensities, gamma_hat)
+    return batches
 
-    def test_exact_batch_size(self):
+
+def _pair_terms(spec, batches):
+    """pair_weights on the concatenated batches, with unit losses."""
+    c_j, theta_i, theta_j, gamma_j = (np.concatenate([getattr(b, f) for b in batches])
+                                      for f in ("c_j", "theta_i", "theta_j", "gamma_hat_j"))
+    return c_j, pair_weights(spec, c_j, theta_i, theta_j, gamma_j, np.ones(len(c_j)))
+
+
+class TestSampleBatch:
+    def test_forced_single_pair(self, monkeypatch):
+        # one click and a single other item: the only possible pair
+        ds = make_implicit(1, 2, [(0, 0, 1.0, 1)])
+        for batch in _pair_epoch_batches(monkeypatch, ds, batch_size=4, epochs=8):
+            assert np.all(batch.u == 0)
+            assert np.all(batch.i == 0)
+            assert np.all(batch.j == 1)
+            assert np.all(batch.c_j == 0)
+
+    def test_exact_batch_size(self, monkeypatch):
+        # an epoch draws every positive once: full batches, then the rest
         ds = make_implicit(2, 5, [(u, i, 0.5, 1) for u in range(2) for i in range(2)])
-        rng = np.random.default_rng(1)
-        for method in ("bpr", "ubpr", "wmf"):
-            assert len(sample_batch(ds, method, 256, rng)) == 256
+        batches = _pair_epoch_batches(monkeypatch, ds, batch_size=3)
+        assert [len(b) for b in batches] == [3, 1]
+        pairs = sorted(zip(np.concatenate([b.u for b in batches]).tolist(),
+                           np.concatenate([b.i for b in batches]).tolist()))
+        assert pairs == [(0, 0), (0, 1), (1, 0), (1, 1)]
 
     def test_ubpr_candidate_frequencies(self):
-        # 11 items, 1 click on item 0: j uniform over the other 10 items
+        # 11 items, 1 click on item 0: every pairwise method takes j uniform
+        # over the other 10 items
         ds = make_implicit(1, 11, [(0, 0, 1.0, 1)])
         rng = np.random.default_rng(2)
         draws = 100_000
-        batch = sample_batch(ds, "ubpr", draws, rng)
-        counts = np.bincount(batch.j, minlength=11)
+        j = _PositivePool(ds).sample_negatives(np.zeros(draws, dtype=np.int64), rng)
+        counts = np.bincount(j, minlength=11)
         assert counts[0] == 0  # j != i
         p = 1 / 10
         sigma = math.sqrt(draws * p * (1 - p))
         for item in range(1, 11):
             assert abs(counts[item] - draws * p) < 3 * sigma
 
-    def test_bpr_negatives_never_clicked(self):
+    @pytest.mark.parametrize("method", ["bpr", "upl"])
+    def test_clicked_candidates_weigh_zero(self, method, monkeypatch):
         cells = [(0, i, 0.5, 1) for i in range(3)] + [(0, 3, 0.5, 0)]
         ds = make_implicit(1, 6, cells)
-        rng = np.random.default_rng(3)
-        batch = sample_batch(ds, "bpr", 2000, rng)
-        assert not ds.is_clicked(batch.u, batch.j).any()
+        batches = _pair_epoch_batches(monkeypatch, ds, batch_size=2, epochs=200, seed=3)
+        c_j, (terms, gf) = _pair_terms(LossSpec(method), batches)
+        assert 0 < c_j.sum() < len(c_j)  # clicked candidates are drawn
+        assert np.all(terms[c_j == 1] == 0) and np.all(gf[c_j == 1] == 0)
+        assert np.all(gf[c_j == 0] > 0)
 
-    def test_ubpr_candidates_include_clicked(self):
+    def test_ubpr_candidates_include_clicked(self, monkeypatch):
         cells = [(0, i, 0.5, 1) for i in range(5)] + [(0, 5, 0.5, 0)]
         ds = make_implicit(1, 6, cells)
-        rng = np.random.default_rng(4)
-        batch = sample_batch(ds, "ubpr", 2000, rng)
-        assert batch.c_j.sum() > 0  # clicked candidates do occur
+        pt = PropensityTable(theta_click=np.full(6, 0.5), theta_nonclick=np.full(6, 0.5))
+        batches = _pair_epoch_batches(monkeypatch, ds, batch_size=5, epochs=100, seed=4,
+                                      propensities=pt)
+        c_j, (terms, _) = _pair_terms(LossSpec("ubpr"), batches)
+        assert c_j.sum() > 0  # clicked candidates do occur
+        assert np.all(terms[c_j == 1] == -2.0)  # and weigh (1/0.5) * (1 - 1/0.5)
 
-    def test_user_with_no_candidate_is_resampled(self):
-        # user 0 clicked everything; only user 1's positives are usable
+    @pytest.mark.parametrize("method", ["bpr", "upl"])
+    def test_user_who_clicked_everything_weighs_zero(self, method, monkeypatch):
+        # user 0 clicked every item: their positives stay in the pool, and
+        # every candidate they draw is clicked, so their pairs weigh 0
         cells = [(0, i, 0.9, 1) for i in range(3)] + \
                 [(1, 0, 0.5, 1), (1, 1, 0.5, 0)]
         ds = make_implicit(2, 3, cells)
-        rng = np.random.default_rng(5)
-        batch = sample_batch(ds, "bpr", 500, rng)
-        assert np.all(batch.u == 1)
+        batches = _pair_epoch_batches(monkeypatch, ds, batch_size=2, epochs=50, seed=5)
+        users = np.concatenate([b.u for b in batches])
+        _, (terms, gf) = _pair_terms(LossSpec(method), batches)
+        assert np.count_nonzero(users == 0) == 3 * 50
+        assert np.all(terms[users == 0] == 0) and np.all(gf[users == 0] == 0)
 
-    def test_pointwise_mix(self):
+    def test_pool_needs_a_click_and_another_item(self):
+        with pytest.raises(ValueError, match="admissible"):
+            _PositivePool(make_implicit(1, 3, [(0, 0, 0.5, 0)]))
+        with pytest.raises(ValueError, match="admissible"):
+            _PositivePool(make_implicit(2, 1, [(0, 0, 0.5, 1)]))
+
+    def test_pointwise_mix(self, monkeypatch):
         cells = [(u, i, 0.5, 1) for u in range(3) for i in range(2)]
         ds = make_implicit(3, 8, cells)
-        rng = np.random.default_rng(6)
-        batch = sample_batch(ds, "relmf", 100, rng)
-        assert len(batch) == 100
-        exposed = ds.is_exposed(batch.u, batch.i)
-        assert exposed.sum() == 50  # half exposed, half unexposed
-        assert np.all(batch.c[~exposed] == 0)
+        batches = []
+        monkeypatch.setattr(trainer, "_apply_point_batch",
+                            lambda model, adam, batch, spec, config:
+                            batches.append(batch) or 0.0)
+        config = TrainConfig(d=2, batch_size=4)
+        trainer._pointwise_epoch(ds, None, None, LossSpec("relmf"), config,
+                                 np.random.default_rng(6), None)
+        assert [len(b) for b in batches] == [4, 4, 4]
+        for batch in batches:
+            exposed = ds.is_exposed(batch.u, batch.i)
+            assert exposed.sum() == 2  # half exposed, half unexposed
+            assert np.all(batch.c[~exposed] == 0)
 
-    def test_ideal_method_samples_relevance_pairs(self):
-        # ideal pairs: positive has rel=1, candidate is an exposed rel=0 cell
-        cells = [(0, 0, 0.9, 1), (0, 1, 0.1, 0), (0, 2, 0.8, 1), (1, 0, 0.7, 1)]
-        ds = make_implicit(2, 4, cells)
-        rng = np.random.default_rng(11)
-        batch = sample_batch(ds, "ideal", 300, rng)
-        # user 1 has no exposed rel=0 cell, so all positives come from user 0
-        assert np.all(batch.u == 0)
-        assert set(np.unique(batch.i)) <= {0, 2}
-        assert np.all(batch.j == 1)
-
-    def test_gamma_hat_passthrough_clamped(self):
+    def test_gamma_hat_passthrough_clamped(self, monkeypatch):
         ds = make_implicit(1, 4, [(0, 0, 1.0, 1)])
         model = FactorModel(np.full((1, 2), 50.0), np.full((4, 2), 50.0))
         gh = relevance_predictor(model)
-        rng = np.random.default_rng(7)
-        batch = sample_batch(ds, "upl", 50, rng, gamma_hat=gh)
-        assert np.all(batch.gamma_hat_j <= 1 - 1e-6)
-        assert np.all(batch.gamma_hat_j >= 1e-6)
+        batches = _pair_epoch_batches(monkeypatch, ds, batch_size=1, epochs=50, seed=7,
+                                      gamma_hat=gh)
+        gamma_hat_j = np.concatenate([b.gamma_hat_j for b in batches])
+        assert np.all(gamma_hat_j <= 1 - 1e-6)
+        assert np.all(gamma_hat_j >= 1e-6)
 
 
 class TestTrainLoop:
@@ -150,13 +186,19 @@ class TestTrainLoop:
         model = init_model(2, 4, d=6, seed=2, scale=0.1)
         adam = AdamState.for_model(model)
         rng = np.random.default_rng(3)
-        batch = sample_batch(separable_dataset, "bpr", 16, rng)
+        pool = _PositivePool(separable_dataset)
+        idx = rng.integers(0, len(pool), size=16)
+        i = pool.items[idx]
+        batch = _enrich_pair_batch(separable_dataset, pool.users[idx], i,
+                                   pool.sample_negatives(i, rng), None, None)
 
         def batch_loss(m):
             s_i = np.sum(m.user_factors[batch.u] * m.item_factors[batch.i], axis=1)
             s_j = np.sum(m.user_factors[batch.u] * m.item_factors[batch.j], axis=1)
             loss, _, _ = sigmoid_pair_loss(s_i, s_j)
-            return float(np.mean(loss))
+            terms, _ = pair_weights(LossSpec("bpr"), batch.c_j, batch.theta_i,
+                                    batch.theta_j, batch.gamma_hat_j, loss)
+            return float(np.mean(terms))
 
         before = batch_loss(model)
         _apply_pair_batch(model, adam, batch, LossSpec("bpr"), config)
@@ -260,60 +302,58 @@ class TestUplPipeline:
         assert a.loss_spec.method == "upl"
 
 
+class _EveryDraw:
+    """Stands in for the epoch rng: ``integers(0, n, size)`` returns 0..n-1
+    in turn.  Handed positives repeated n times, a draw with no rejection
+    step then yields every outcome of every positive exactly once."""
+
+    def integers(self, low, high, size):
+        return np.resize(np.arange(low, high), size)
+
+
 class TestMinibatchRiskMatchesIdeal:
-    def test_upl_minibatch_estimate_unbiased(self):
-        """Scaled mini-batch upl losses over fresh click draws average to the
-        exact ideal risk of the world (the estimator + sampler combination
-        is unbiased end to end)."""
-        theta = np.array([[0.6, 0.45, 0.7]])
-        gamma = np.array([[0.55, 0.35, 0.65]])
-        world = SyntheticWorld(theta=theta, gamma=gamma)
-        model = init_model(1, 3, d=4, seed=11, scale=0.8)
-        ideal = ideal_risk(world, model)
-        num_items = 3
-        batch_size = 2
-        prop = PropensityTable(theta_click=theta[0], theta_nonclick=1 - theta[0])
+    @pytest.mark.parametrize("estimator", ["upl", "ubpr", "ubpr_clipped", "bpr"])
+    @pytest.mark.parametrize("num_items, world_seed, model_seed",
+                             [(5, 3, 0), (5, 3, 1), (5, 3, 2), (6, 5, 0)])
+    def test_epoch_expectation_is_full_batch_risk_over_i_minus_1(
+            self, estimator, num_items, world_seed, model_seed):
+        """Exact expectation, over every click outcome and every candidate
+        draw, of the term sum of one epoch as training samples and weights
+        it: (I - 1) times it is the oracle's full-batch expectation, and for
+        the unbiased estimators it is the ideal risk over I - 1."""
+        world = random_world(1, num_items, seed=world_seed)
+        model = model_for_world(world, seed=model_seed)
+        theta, gamma = world.theta[0], world.gamma[0]
+        spec = LossSpec(estimator, clip_threshold=0.0 if estimator == "ubpr_clipped" else None)
+        prop = PropensityTable(theta_click=theta, theta_nonclick=1.0 - theta)
+        gamma_hat = (lambda users, items: world.gamma[users, items]) \
+            if estimator == "upl" else None
+        scores = model.score_matrix()
+        click_prob = theta * gamma
 
-        def gamma_hat(users, items):
-            return gamma[0][np.asarray(items)]
+        expected = 0.0
+        for clicks in itertools.product((0, 1), repeat=num_items):
+            clicks = np.array(clicks)
+            if not clicks.any():
+                continue  # no positive: the epoch and the full-batch risk are empty
+            prob = np.prod(np.where(clicks == 1, click_prob, 1.0 - click_prob))
+            ds = make_implicit(1, num_items,
+                               [(0, k, gamma[k], clicks[k]) for k in range(num_items)])
+            pool = _PositivePool(ds)
+            u = np.repeat(pool.users, num_items - 1)
+            i = np.repeat(pool.items, num_items - 1)
+            j = pool.sample_negatives(i, _EveryDraw())
+            batch = _enrich_pair_batch(ds, u, i, j, prop, gamma_hat)
+            loss, _, _ = sigmoid_pair_loss(scores[u, i], scores[u, j])
+            terms, _ = pair_weights(spec, batch.c_j, batch.theta_i, batch.theta_j,
+                                    batch.gamma_hat_j, loss)
+            expected += prob * math.fsum(terms) / (num_items - 1)
 
-        # pre-build a dataset per click pattern; draws select patterns i.i.d.
-        datasets = {}
-        for pattern in itertools.product((0, 1), repeat=num_items):
-            if sum(pattern) == 0:
-                datasets[pattern] = None  # empty risk
-                continue
-            cells = [(0, i, gamma[0, i], pattern[i]) for i in range(num_items)]
-            datasets[pattern] = make_implicit(1, num_items, cells)
-
-        rng = np.random.default_rng(123)
-        draws = 100_000
-        click_prob = (theta * gamma)[0]
-        patterns = rng.random((draws, num_items)) < click_prob
-
-        uf, itf = model.user_factors, model.item_factors
-        estimates = np.zeros(draws)
-        for k in range(draws):
-            pattern = tuple(int(x) for x in patterns[k])
-            n_clicks = sum(pattern)
-            if n_clicks == 0 or n_clicks == num_items:
-                # no (c_i=1, c_j=0) pair exists: the full-batch risk is 0
-                estimates[k] = 0.0
-                continue
-            ds = datasets[pattern]
-            batch = sample_batch(ds, "upl", batch_size, rng,
-                                 propensities=prop, gamma_hat=gamma_hat)
-            s_i = np.sum(uf[batch.u] * itf[batch.i], axis=1)
-            s_j = np.sum(uf[batch.u] * itf[batch.j], axis=1)
-            loss, _, _ = sigmoid_pair_loss(s_i, s_j)
-            w = upl_pair_weight(batch.theta_i, batch.theta_j, batch.gamma_hat_j)
-            neg_count = num_items - n_clicks
-            # scale back to the full pair sum: positives and candidates are
-            # each drawn uniformly, so multiply by the pool sizes
-            estimates[k] = n_clicks * neg_count * float(np.mean(w * loss))
-
-        se = estimates.std(ddof=1) / math.sqrt(draws)
-        assert abs(estimates.mean() - ideal) < 3 * se
+        exact = exact_expectation(world, model, estimator, clip_threshold=0.0)
+        assert expected * (num_items - 1) == pytest.approx(exact, rel=1e-12)
+        if estimator in ("upl", "ubpr"):
+            ideal = ideal_risk(world, model)
+            assert expected == pytest.approx(ideal / (num_items - 1), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -385,7 +425,8 @@ def _reference_pair_batch(model, adam, batch, spec, config):
     s_i = np.sum(pu * qi, axis=1)
     s_j = np.sum(pu * qj, axis=1)
     loss, dsi, dsj = sigmoid_pair_loss(s_i, s_j)
-    terms, gf = _pair_weights(spec, batch, loss)
+    terms, gf = pair_weights(spec, batch.c_j, batch.theta_i, batch.theta_j,
+                             batch.gamma_hat_j, loss)
     lam = config.lam
 
     reg = np.sum(pu**2, axis=1) + np.sum(qi**2, axis=1) + np.sum(qj**2, axis=1)
