@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import time
 from pathlib import Path
 
 from . import experiment as exp
@@ -165,9 +166,12 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if args.samples <= 0:
-        print("error: --samples must be positive", file=sys.stderr)
+    monte_carlo = not (args.world and args.exact_only)
+    if monte_carlo and args.samples < oracle.MIN_MC_SAMPLES:
+        print(f"error: --samples must be >= {oracle.MIN_MC_SAMPLES} for a Monte Carlo "
+              f"run, got {args.samples}", file=sys.stderr)
         return 2
+    started = time.perf_counter()
     if args.world:
         world = oracle.parse_world_spec(args.world)
         model = oracle.model_for_world(world, seed=args.seed)
@@ -191,6 +195,7 @@ def _cmd_verify(args) -> int:
         if args.out and reports:
             oracle.reports_to_tsv(reports, args.out)
             print(f"wrote {args.out}")
+        _report_time(f"{len(oracle.ESTIMATORS)} estimators", started)
         return 0
 
     results = oracle.verification_suite(samples=args.samples, seed=args.seed)
@@ -199,7 +204,13 @@ def _cmd_verify(args) -> int:
         status = "PASS" if passed else "FAIL"
         failed += 0 if passed else 1
         print(f"{status} {name}: {detail}")
+    _report_time(f"{len(results)} checks", started)
     return 1 if failed else 0
+
+
+def _report_time(what, started):
+    """Wall time to stderr, apart from the deterministic stdout."""
+    print(f"verify: {what} in {time.perf_counter() - started:.2f} s", file=sys.stderr)
 
 
 def _cmd_report(args) -> int:

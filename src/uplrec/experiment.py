@@ -103,10 +103,15 @@ class ExperimentConfig:
         return "\n".join(lines) + "\n"
 
     def hash(self) -> str:
-        """Hash of what the config computes; ``threads`` and ``out`` only say
-        how and where to run, so they are left out."""
-        what = replace(self, threads=1, out="")
-        return hashlib.sha256(what.canonical_text().encode()).hexdigest()[:16]
+        """Hash of what the config computes.  The rating files enter by the
+        sha256 of their bytes, not by path, so the same data hashes alike
+        wherever it lies; ``threads`` and ``out`` only say how and where to
+        run, so they are left out."""
+        paths = _rating_files(self.dataset, self.format, self.train_file, self.test_file)
+        digests = ",".join(hashlib.sha256(p.read_bytes()).hexdigest() for p in paths)
+        what = replace(self, dataset="", train_file="", test_file="", threads=1, out="")
+        text = what.canonical_text() + f"ratings_sha256={digests}\n"
+        return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
 _PARSERS = {
@@ -178,29 +183,35 @@ def _find_file(root: Path, explicit: str, candidates) -> Path:
     raise FileNotFoundError(f"none of {candidates} found under {root}")
 
 
+def _rating_files(dataset_path, format="coat", train_file="", test_file=""):
+    """The (train, test) explicit-rating files that ``prepare_datasets`` reads."""
+    root = Path(dataset_path)
+    if format == "coat":
+        names = ("train.ascii",), ("test.ascii",)
+    elif format == "triplets":
+        names = _TRIPLET_TRAIN_NAMES, _TRIPLET_TEST_NAMES
+    else:
+        raise ValueError(f"unknown dataset format {format!r}")
+    return (_find_file(root, train_file, names[0]), _find_file(root, test_file, names[1]))
+
+
 def prepare_datasets(dataset_path, format="coat", epsilon_train=0.1, epsilon_test=0.0,
                      validation_fraction=0.1, seed=0, train_file="",
                      test_file="") -> PreparedData:
     """Load explicit ratings and produce (train, validation, test) implicit
     splits.  Generation seeds: train = seed, test = seed + 1, split = seed + 2.
     """
-    root = Path(dataset_path)
+    train_path, test_path = _rating_files(dataset_path, format, train_file, test_file)
     if format == "coat":
-        train_path = _find_file(root, train_file, ("train.ascii",))
-        test_path = _find_file(root, test_file, ("test.ascii",))
         train_ratings = load_triplets(train_path, format="dense")
         test_ratings = load_triplets(test_path, format="dense")
         if (train_ratings.num_users != test_ratings.num_users
                 or train_ratings.num_items != test_ratings.num_items):
             raise ValueError("train/test dense matrices have different shapes")
-    elif format == "triplets":
-        train_path = _find_file(root, train_file, _TRIPLET_TRAIN_NAMES)
-        test_path = _find_file(root, test_file, _TRIPLET_TEST_NAMES)
+    else:
         train_ratings = load_triplets(train_path, format="triplets")
         test_ratings = load_triplets(test_path, format="triplets")
         train_ratings, test_ratings = align_index_spaces(train_ratings, test_ratings)
-    else:
-        raise ValueError(f"unknown dataset format {format!r}")
 
     train_full = generate_semi_synthetic(train_ratings, epsilon_train, seed, "train")
     test = generate_semi_synthetic(test_ratings, epsilon_test, seed + 1, "test")

@@ -4,8 +4,10 @@ A world fixes per-cell exposure and relevance probabilities (theta, gamma)
 with clicks generated as c = o * r, o ~ Bern(theta), r ~ Bern(gamma), all
 cells independent.  For worlds of up to 10 cells the module enumerates the
 full joint of the four (o, r) outcomes per cell and computes each
-estimator's exact expectation; Monte Carlo sampling covers anything larger
-and supplies variance estimates.  Estimator terms come from
+estimator's exact expectation.  An estimator sees only the clicks, so it is
+evaluated once per distinct click vector (2^cells of them) and the 4^cells
+outcomes are reduced against those values.  Monte Carlo sampling covers
+anything larger and supplies variance estimates.  Estimator terms come from
 ``losses.pair_weights``, the function that weights the trainer's sampled
 pairs, applied to every ordered same-user pair at once.
 """
@@ -24,6 +26,7 @@ from .factor_model import FactorModel, init_model
 from .losses import LossSpec, pair_weights, sigmoid_pair_loss
 
 MAX_EXACT_CELLS = 10
+MIN_MC_SAMPLES = 10**4
 _CHUNK = 1 << 16
 
 ESTIMATORS = ("upl", "ubpr", "ubpr_clipped", "bpr")
@@ -128,17 +131,12 @@ class EstimatorReport:
 
 
 def _pair_index(world: SyntheticWorld):
-    """Ordered same-user cell pairs (i != j), as flat cell indices."""
+    """Ordered same-user cell pairs (i != j), as flat cell indices, ordered
+    by user, then i, then j."""
     n_items = world.num_items
-    p_idx, q_idx = [], []
-    for u in range(world.num_users):
-        base = u * n_items
-        for i in range(n_items):
-            for j in range(n_items):
-                if i != j:
-                    p_idx.append(base + i)
-                    q_idx.append(base + j)
-    return np.asarray(p_idx, dtype=np.int64), np.asarray(q_idx, dtype=np.int64)
+    i, j = np.nonzero(~np.eye(n_items, dtype=bool))
+    base = np.arange(world.num_users, dtype=np.int64)[:, None] * n_items
+    return (base + i).ravel(), (base + j).ravel()
 
 
 def _loss_values(world: SyntheticWorld, model: FactorModel, p_idx, q_idx):
@@ -199,36 +197,81 @@ def ideal_risk(world: SyntheticWorld, model: FactorModel) -> float:
     return float(math.fsum(gamma[p_idx] * (1.0 - gamma[q_idx]) * losses))
 
 
+def _low_outcomes(o_fac, r_fac, cells):
+    """Probability and click code of every outcome of the first ``cells``.
+
+    Entry sum_k v_k 4^k belongs to the outcome with v_k = o_k + 2 r_k; its
+    probability is the product of the cells' o and r factors taken left to
+    right in cell order, and its code has bit k set when c_k = o_k r_k = 1.
+    """
+    prob = np.ones(1)
+    code = np.zeros(1, dtype=np.int64)
+    clicked = np.array([0, 0, 0, 1], dtype=np.int64)
+    for k in range(cells):
+        prob = (np.multiply.outer(o_fac[k], prob) * r_fac[k][:, None]).ravel()
+        code = ((clicked << k)[:, None] | code).ravel()
+    return prob, code
+
+
+def _high_outcome(o_fac, r_fac, first, block):
+    """Factors, in cell order, and click code of cells ``first``.. in outcome
+    ``block`` of those cells."""
+    factors, code = [], 0
+    for k in range(first, len(o_fac)):
+        v = (block >> (2 * (k - first))) & 3
+        factors += [o_fac[k, v], r_fac[k, v]]
+        code |= (v == 3) << k
+    return factors, code
+
+
 def exact_expectation(world: SyntheticWorld, model: FactorModel, estimator: str,
                       clip_threshold: float = 0.0, gamma_hat=None) -> float:
     """Expectation of the full-batch empirical risk over the exact joint of
     (o, r) outcomes for every cell.
 
-    Enumerates all 4^cells outcomes (o, r in {0,1} per cell), weighting each
-    by its probability and evaluating the estimator on the induced clicks
-    c = o*r.  Worlds beyond MAX_EXACT_CELLS cells are rejected.
+    Weights the estimator on the induced clicks c = o*r by the probability
+    of each of the 4^cells outcomes (o, r in {0,1} per cell).  The estimator
+    sees only c, so it is evaluated once on each of the 2^cells click
+    vectors and every outcome looks its value up by click code.  The
+    outcomes are reduced in ``_CHUNK``-sized runs of the outcome index, each
+    a dot product of probabilities and values, and the runs are added with
+    ``math.fsum``.  An outcome's probability is the product of its cells'
+    factors in cell order: the cells that fit in one chunk are tabulated
+    once, and each chunk multiplies in the remaining cells' factors.  Worlds
+    beyond MAX_EXACT_CELLS cells are rejected.
     """
     n = world.num_cells
     if n > MAX_EXACT_CELLS:
         raise EnumerationBoundError(
             f"world has {n} cells; exact enumeration capped at {MAX_EXACT_CELLS}")
     est = _FullBatchEstimator(world, model, estimator, clip_threshold, gamma_hat)
-    theta = world.theta.ravel()
-    gamma = world.gamma.ravel()
+    codes = np.arange(1 << n, dtype=np.int64)
+    values = est.evaluate(((codes[:, None] >> np.arange(n)) & 1).astype(np.float64))
+
+    theta, gamma = world.theta.ravel(), world.gamma.ravel()
+    o_fac = np.stack([1.0 - theta, theta, 1.0 - theta, theta], axis=1)  # by v = o + 2r
+    r_fac = np.stack([1.0 - gamma, 1.0 - gamma, gamma, gamma], axis=1)
+    low = min(n, (_CHUNK.bit_length() - 1) // 2)  # largest 4^low <= _CHUNK
+    low_prob, low_code = _low_outcomes(o_fac, r_fac, low)
+    block_len = len(low_prob)
 
     total_outcomes = 4**n
     partials = []
     for start in range(0, total_outcomes, _CHUNK):
-        idx = np.arange(start, min(start + _CHUNK, total_outcomes), dtype=np.int64)
-        prob = np.ones(len(idx))
-        clicks = np.empty((len(idx), n))
-        for k in range(n):
-            o = (idx >> (2 * k)) & 1
-            r = (idx >> (2 * k + 1)) & 1
-            prob *= np.where(o == 1, theta[k], 1.0 - theta[k])
-            prob *= np.where(r == 1, gamma[k], 1.0 - gamma[k])
-            clicks[:, k] = o & r
-        partials.append(float(prob @ est.evaluate(clicks)))
+        stop = min(start + _CHUNK, total_outcomes)
+        probs, clicks = [], []
+        for block in range(start // block_len, (stop - 1) // block_len + 1):
+            base = block * block_len
+            lo, hi = max(start, base) - base, min(stop, base + block_len) - base
+            factors, high_code = _high_outcome(o_fac, r_fac, low, block)
+            prob = low_prob[lo:hi].copy()
+            for f in factors:
+                prob *= f
+            probs.append(prob)
+            clicks.append(low_code[lo:hi] | high_code)
+        prob = probs[0] if len(probs) == 1 else np.concatenate(probs)
+        click = clicks[0] if len(clicks) == 1 else np.concatenate(clicks)
+        partials.append(float(prob @ values[click]))
     return math.fsum(partials)
 
 
@@ -251,8 +294,8 @@ def mc_bias_variance(world: SyntheticWorld, model: FactorModel, estimator: str,
     reports the sample mean and variance with standard errors.  The exact
     expectation is attached when the world is small enough to enumerate.
     """
-    if samples < 10**4:
-        raise ValueError("samples must be >= 10^4")
+    if samples < MIN_MC_SAMPLES:
+        raise ValueError(f"samples must be >= {MIN_MC_SAMPLES}, got {samples}")
     est = _FullBatchEstimator(world, model, estimator, clip_threshold, gamma_hat)
     values = est.evaluate(sample_clicks(world, samples, seed))
     ideal = ideal_risk(world, model)
@@ -286,8 +329,8 @@ def variance_order_test(world: SyntheticWorld, model: FactorModel,
     paired t on the per-draw squared deviations.  Returns
     (var_hi, var_lo, p_value).
     """
-    if samples < 10**4:
-        raise ValueError("samples must be >= 10^4")
+    if samples < MIN_MC_SAMPLES:
+        raise ValueError(f"samples must be >= {MIN_MC_SAMPLES}, got {samples}")
     clicks = sample_clicks(world, samples, seed)
     a = _FullBatchEstimator(world, model, estimator_hi).evaluate(clicks)
     b = _FullBatchEstimator(world, model, estimator_lo).evaluate(clicks)
@@ -317,14 +360,11 @@ def closed_form_variance_upl(world: SyntheticWorld, model: FactorModel) -> float
         s = scores[u]
         th, ga = theta[u], gamma[u]
         n = world.num_items
-        L = np.empty((n, n))
-        for i in range(n):
-            L[i], _, _ = sigmoid_pair_loss(s[i], s)
+        L, _, _ = sigmoid_pair_loss(s[:, None], s[None, :])
         lead = (1.0 / th - ga) * ga  # indexed by i
         w = (1.0 - ga) / (1.0 - th * ga)  # indexed by j
         for i in range(n):
-            others = [j for j in range(n) if j != i]
-            wl = np.array([w[j] * L[i, j] for j in others])
+            wl = np.delete(w * L[i], i)  # w_j * L_ij over j != i
             total += lead[i] * float(np.sum(wl**2))
             # cross terms: sum_{j != k} wl_j * wl_k = (sum wl)^2 - sum wl^2
             total += lead[i] * float(np.sum(wl) ** 2 - np.sum(wl**2))

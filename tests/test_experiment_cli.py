@@ -1,3 +1,5 @@
+import re
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +12,8 @@ from uplrec.factor_model import load_checkpoint
 
 from conftest import write_synthetic_triplets
 
-BUNDLED_WORLDS = sorted((Path(__file__).resolve().parents[1] / "worlds").glob("*.txt"))
+WORLDS_DIR = Path(__file__).resolve().parents[1] / "worlds"
+BUNDLED_WORLDS = sorted(WORLDS_DIR.glob("*.txt"))
 
 
 @pytest.fixture(scope="module")
@@ -75,6 +78,21 @@ class TestConfigParsing:
         # threads and out say how and where to run, not what to compute
         assert b == exp.parse_config_file(cfg_path, {"threads": "2"}).hash()
         assert b == exp.parse_config_file(cfg_path, {"out": "p"}).hash()
+
+    def test_hash_follows_rating_bytes_not_paths(self, triplet_files, tmp_path):
+        def hash_of(ratings):
+            cfg_path = tmp_path / "exp.cfg"
+            cfg_path.write_text(small_config_text(ratings, "o"))
+            return exp.parse_config_file(cfg_path).hash()
+
+        a, b = (shutil.copytree(triplet_files, tmp_path / name) for name in ("a", "b"))
+        assert hash_of(a) == hash_of(b)
+        train = b / "train.txt"  # change one rating
+        lines = train.read_text().splitlines()
+        u, i, r = lines[0].split("\t")
+        lines[0] = "\t".join((u, i, str(1 + int(r) % 5)))
+        train.write_text("\n".join(lines) + "\n")
+        assert hash_of(b) != hash_of(a)
 
     @pytest.mark.parametrize("ks", [(), (-1,), (0,), (5, 0)])
     def test_bad_cutoffs_rejected(self, ks):
@@ -247,10 +265,12 @@ class TestExperimentFailureIsolation:
 class TestVerifyCli:
     def test_bundled_suite_passes(self, capsys):
         rc = cli.main(["verify", "--samples", "10000"])
-        out = capsys.readouterr().out
+        captured = capsys.readouterr()
         assert rc == 0
-        assert out.count("PASS") == 5
-        assert "FAIL" not in out
+        assert captured.out.count("PASS") == 5
+        assert "FAIL" not in captured.out
+        assert "verify:" not in captured.out
+        assert re.fullmatch(r"verify: 5 checks in \d+\.\d\d s\n", captured.err)
 
     def test_world_file_exact(self, tmp_path, capsys):
         from uplrec.oracle import random_world, write_world_spec
@@ -280,6 +300,43 @@ class TestVerifyCli:
 
     def test_zero_samples_is_argument_error(self):
         assert cli.main(["verify", "--samples", "0"]) == 2
+
+    @pytest.mark.parametrize("world", [None, "clip_bias.txt"])
+    def test_samples_below_floor_rejected_up_front(self, world, capsys, monkeypatch):
+        from uplrec import oracle
+
+        def never(*args, **kwargs):
+            raise AssertionError("checks ran before --samples was validated")
+
+        monkeypatch.setattr(oracle, "verification_suite", never)
+        monkeypatch.setattr(oracle, "exact_expectation", never)
+        argv = ["verify", "--samples", str(oracle.MIN_MC_SAMPLES - 1)]
+        if world:
+            argv += ["--world", str(WORLDS_DIR / world)]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: --samples must be >= {oracle.MIN_MC_SAMPLES} "
+                                f"for a Monte Carlo run, got {oracle.MIN_MC_SAMPLES - 1}\n")
+
+    def test_exact_only_ignores_samples(self, capsys):
+        rc = cli.main(["verify", "--world", str(WORLDS_DIR / "clip_bias.txt"),
+                       "--exact-only", "--samples", "5000"])
+        assert rc == 0
+        assert "(bias +0.000e+00)" in capsys.readouterr().out
+
+    def test_timing_on_stderr_stdout_unchanged(self, capsys):
+        rc = cli.main(["verify", "--world", str(WORLDS_DIR / "clip_bias.txt"),
+                       "--exact-only"])
+        assert rc == 0
+        captured = capsys.readouterr()
+        assert captured.out == (
+            "world: 1 users x 3 items (3 cells); ideal risk = 1.284326616\n"
+            "  upl: exact expectation = 1.284326616 (bias +0.000e+00)\n"
+            "  ubpr: exact expectation = 1.284326616 (bias +0.000e+00)\n"
+            "  ubpr_clipped: exact expectation = 1.926489925 (bias +6.422e-01)\n"
+            "  bpr: exact expectation = 0.9632449623 (bias -3.211e-01)\n")
+        assert re.fullmatch(r"verify: 4 estimators in \d+\.\d\d s\n", captured.err)
 
 
 class TestGridFile:

@@ -1,9 +1,13 @@
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import uplrec.oracle as oracle_mod
 from uplrec.errors import EnumerationBoundError
 from uplrec.factor_model import FactorModel
 from uplrec.oracle import (
@@ -19,10 +23,13 @@ from uplrec.oracle import (
     random_world,
     unbiasedness_suite,
     variance_order_test,
+    verification_suite,
     write_world_spec,
 )
 
 LN2 = math.log(2.0)
+DEFAULT_CHUNK = oracle_mod._CHUNK
+BUNDLED_WORLD_FILES = sorted((Path(__file__).resolve().parents[1] / "worlds").glob("*.txt"))
 
 
 def pair_logloss(si, sj):
@@ -191,7 +198,6 @@ class TestExactExpectation:
     def test_chunk_partition_order_independent(self, monkeypatch):
         # the outcome range is reduced in chunks; the partition must not
         # change the result beyond compensated-summation noise
-        import uplrec.oracle as oracle_mod
         world = random_world(2, 4, seed=95)  # 8 cells -> 65536 outcomes
         model = model_for_world(world, seed=96)
         values = []
@@ -282,3 +288,160 @@ class TestBundledWorlds:
         b = unbiasedness_suite(count=3)
         for (_, wa), (_, wb) in zip(a, b):
             assert np.array_equal(wa.theta, wb.theta)
+
+
+# ---------------------------------------------------------------------------
+# The click-vector enumeration against the 4^n outcome loop it replaced
+
+
+def reference_exact_expectation(world, model, estimator, clip_threshold=0.0,
+                                gamma_hat=None):
+    """The previous exact_expectation: every chunk of the 4^n outcome index
+    builds its probabilities and click rows cell by cell and evaluates the
+    estimator on every row."""
+    n = world.num_cells
+    est = oracle_mod._FullBatchEstimator(world, model, estimator, clip_threshold, gamma_hat)
+    theta = world.theta.ravel()
+    gamma = world.gamma.ravel()
+    total_outcomes = 4**n
+    partials = []
+    for start in range(0, total_outcomes, oracle_mod._CHUNK):
+        idx = np.arange(start, min(start + oracle_mod._CHUNK, total_outcomes), dtype=np.int64)
+        prob = np.ones(len(idx))
+        clicks = np.empty((len(idx), n))
+        for k in range(n):
+            o = (idx >> (2 * k)) & 1
+            r = (idx >> (2 * k + 1)) & 1
+            prob *= np.where(o == 1, theta[k], 1.0 - theta[k])
+            prob *= np.where(r == 1, gamma[k], 1.0 - gamma[k])
+            clicks[:, k] = o & r
+        partials.append(float(prob @ est.evaluate(clicks)))
+    return math.fsum(partials)
+
+
+def batch_invariant(evaluate):
+    """``evaluate`` with each row read off one evaluation of all 2^n click
+    vectors.  BLAS may round the last rows of a batch whose length is not a
+    multiple of its block through another kernel, so the reference loop's
+    values can move in the last bit with a chunk such as 977; this wrapper
+    pins them to the values of full batches."""
+    def wrapped(self, clicks):
+        n = clicks.shape[1]
+        codes = np.arange(1 << n, dtype=np.int64)
+        table = evaluate(self, ((codes[:, None] >> np.arange(n)) & 1).astype(np.float64))
+        return table[clicks.astype(np.int64) @ (1 << np.arange(n, dtype=np.int64))]
+    return wrapped
+
+
+@st.composite
+def exact_cases(draw):
+    chunk = draw(st.sampled_from((DEFAULT_CHUNK, 1 << 10, 977, 1)))
+    max_cells = 5 if chunk == 1 else 8  # one chunk per outcome: keep 4^n small
+    users = draw(st.integers(1, 2))
+    items = draw(st.integers(1, max_cells // users))
+    world = random_world(users, items, seed=draw(st.integers(0, 2**16)))
+    model = model_for_world(world, seed=draw(st.sampled_from((1234, 0, 3))))
+    estimator = draw(st.sampled_from(oracle_mod.ESTIMATORS))
+    clip = draw(st.sampled_from((0.0, -0.5)))
+    gamma_hat = None
+    if draw(st.booleans()):
+        gamma_hat = np.clip(world.gamma + draw(st.sampled_from((-0.2, 0.1, 0.3))),
+                            0.01, 0.95)
+    return chunk, world, model, estimator, clip, gamma_hat
+
+
+def _old_pair_index(world):
+    n_items = world.num_items
+    p_idx, q_idx = [], []
+    for u in range(world.num_users):
+        base = u * n_items
+        for i in range(n_items):
+            for j in range(n_items):
+                if i != j:
+                    p_idx.append(base + i)
+                    q_idx.append(base + j)
+    return np.asarray(p_idx, dtype=np.int64), np.asarray(q_idx, dtype=np.int64)
+
+
+def _old_closed_form_variance_upl(world, model):
+    scores = model.score_matrix()
+    total = 0.0
+    for u in range(world.num_users):
+        s = scores[u]
+        th, ga = world.theta[u], world.gamma[u]
+        n = world.num_items
+        L = np.empty((n, n))
+        for i in range(n):
+            L[i], _, _ = oracle_mod.sigmoid_pair_loss(s[i], s)
+        lead = (1.0 / th - ga) * ga
+        w = (1.0 - ga) / (1.0 - th * ga)
+        for i in range(n):
+            others = [j for j in range(n) if j != i]
+            wl = np.array([w[j] * L[i, j] for j in others])
+            total += lead[i] * float(np.sum(wl**2))
+            total += lead[i] * float(np.sum(wl) ** 2 - np.sum(wl**2))
+    return total
+
+
+def _bundled_and_suite_worlds():
+    worlds = [w for _, w in unbiasedness_suite(count=20)]
+    worlds += [clip_bias_world()] + [w for _, w in low_exposure_worlds()]
+    worlds += [parse_world_spec(path) for path in BUNDLED_WORLD_FILES]
+    return worlds
+
+
+def _fixed_case(chunk, shape, seed, estimator):
+    world = random_world(*shape, seed=seed)
+    return chunk, world, model_for_world(world, seed=1234), estimator, 0.0, None
+
+
+class TestExactMatchesReference:
+    @settings(max_examples=30)
+    @given(exact_cases())
+    @example(_fixed_case(977, (2, 4), 0, "ubpr"))  # chunks that span outcome blocks
+    def test_bit_identical_to_outcome_loop(self, case):
+        chunk, world, model, estimator, clip, gamma_hat = case
+        real = oracle_mod._FullBatchEstimator.evaluate
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(oracle_mod, "_CHUNK", chunk)
+            if chunk % 4:
+                mp.setattr(oracle_mod._FullBatchEstimator, "evaluate", batch_invariant(real))
+            fast = exact_expectation(world, model, estimator, clip, gamma_hat)
+            slow = reference_exact_expectation(world, model, estimator, clip, gamma_hat)
+        assert fast == slow
+
+    @pytest.mark.parametrize("shape,estimator,clip,perturbed", [
+        ((1, 9), "upl", 0.0, False),
+        ((2, 5), "ubpr_clipped", -0.5, True),
+    ])
+    def test_bit_identical_at_nine_and_ten_cells(self, shape, estimator, clip, perturbed):
+        world = random_world(*shape, seed=sum(shape))
+        model = model_for_world(world, seed=1234)
+        gamma_hat = np.clip(world.gamma + 0.1, 0.01, 0.95) if perturbed else None
+        assert exact_expectation(world, model, estimator, clip, gamma_hat) == \
+            reference_exact_expectation(world, model, estimator, clip, gamma_hat)
+
+    def test_verification_suite_rows_unchanged(self, monkeypatch):
+        fast = verification_suite(samples=10**4, suite_count=10)
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[2])
+            return reference_exact_expectation(*args, **kwargs)
+
+        monkeypatch.setattr(oracle_mod, "exact_expectation", counted)
+        slow = verification_suite(samples=10**4, suite_count=10)
+        assert len(calls) == 2 * 10 + 1 + len(oracle_mod.ESTIMATORS)  # the reference ran
+        assert fast == slow
+
+    def test_pair_index_matches_loop(self):
+        for shape in ((1, 1), (3, 1), (1, 2), (2, 4), (3, 3), (1, 10)):
+            world = random_world(*shape, seed=1)
+            for new, old in zip(oracle_mod._pair_index(world), _old_pair_index(world)):
+                assert new.dtype == old.dtype and np.array_equal(new, old)
+
+    def test_closed_form_variance_matches_loop(self):
+        for k, world in enumerate(_bundled_and_suite_worlds()):
+            model = model_for_world(world, seed=1234 + k)
+            assert closed_form_variance_upl(world, model) == \
+                _old_closed_form_variance_upl(world, model)
