@@ -1,7 +1,7 @@
 """Unbiased pairwise learning from implicit feedback.
 
 Implements the low-variance unbiased pairwise estimator (upl) next to its
-pointwise (wmf, relmf, mfdu) and pairwise (bpr, ubpr and clipped ubpr)
+pointwise (wmf, relmf) and pairwise (bpr, ubpr and clipped ubpr)
 baselines, a semi-synthetic MNAR data pipeline, ranking evaluation with
 cohort slicing, and an exact-enumeration oracle that verifies estimator
 unbiasedness and the variance ordering.
@@ -18,11 +18,10 @@ from .datasets import (
     split_validation,
 )
 from .evaluation import CohortSpec, MetricReport, evaluate, one_tailed_t_test, rank_metrics
-from .factor_model import FactorModel, TrainConfig, init_model, l2_penalty, score
+from .factor_model import FactorModel, TrainConfig, init_model
 from .losses import LossSpec, clip_term, pair_weights, pointwise_loss, sigmoid_pair_loss, \
     ubpr_pair_weight, upl_pair_weight
 from .oracle import SyntheticWorld, closed_form_variance_upl, exact_expectation, \
     ideal_risk, mc_bias_variance
-from .propensity import PropensityTable, estimate_click_propensity, \
-    estimate_nonclick_propensity, posterior_exposure
+from .propensity import PropensityTable, estimate_click_propensity, posterior_exposure
 from .trainer import AdamState, TrainRun, run_upl_pipeline, train

@@ -13,14 +13,15 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 from . import experiment as exp
 from . import oracle
 from .datasets import load_dataset
 from .evaluation import CohortSpec, compute_cohorts, evaluate
-from .experiment import METHOD_TOKENS, ExperimentConfig, PreparedData
-from .factor_model import save_checkpoint
+from .experiment import METHOD_TOKENS, PreparedData
+from .factor_model import TrainConfig, save_checkpoint
 from .propensity import PropensityTable
 
 
@@ -71,8 +72,9 @@ def main(argv=None) -> int:
     v.add_argument("--world", default=None, help="world spec file; bundled suite if omitted")
     v.add_argument("--samples", type=int, default=100000)
     v.add_argument("--seed", type=int, default=1234)
-    v.add_argument("--exact-only", action="store_true")
-    v.add_argument("--out", default=None, help="optional TSV for estimator reports")
+    v.add_argument("--exact-only", action="store_true", help="needs --world")
+    v.add_argument("--out", default=None,
+                   help="TSV of the Monte Carlo reports of a --world run")
 
     r = sub.add_parser("report", help="re-aggregate an experiment output directory")
     r.add_argument("--out", required=True)
@@ -115,14 +117,13 @@ def _load_prepared(data_dir) -> PreparedData:
 def _cmd_train(args) -> int:
     data = _load_prepared(args.data)
     propensities = PropensityTable.from_click_counts(data.train.item_click_counts)
-    config = ExperimentConfig(
-        methods=(args.method,), runs=1, seed=args.seed,
-        batch_size=args.batch_size, learning_rate=args.learning_rate,
-        max_epochs=args.max_epochs, patience=args.patience,
-        candidates=args.candidates, wmf_weight=args.wmf_weight,
+    train_config = TrainConfig(
+        d=args.d, lam=args.lam, learning_rate=args.learning_rate,
+        batch_size=args.batch_size, max_epochs=args.max_epochs,
+        patience=args.patience, seed=args.seed,
     )
-    run = exp.train_method(args.method, data, propensities, config,
-                           d=args.d, lam=args.lam, clip=args.clip, seed=args.seed)
+    run = exp.train_method(args.method, data, propensities, train_config,
+                           args.clip, args.wmf_weight)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     save_checkpoint(run.final_model, out / "model.ckpt", seed=args.seed)
@@ -149,13 +150,9 @@ def _cmd_experiment(args) -> int:
     overrides = {k: v for k, v in overrides.items() if v is not None}
     config = exp.parse_config_file(args.config, overrides)
     if args.grid_file:
-        grid_cfg = exp.parse_config_file(args.grid_file)
-        config = exp.parse_config_file(args.config, {
-            **overrides,
-            "d_grid": ",".join(str(d) for d in grid_cfg.d_grid),
-            "lambda_grid": ",".join(repr(l) for l in grid_cfg.lambda_grid),
-            "clip_grid": ",".join(repr(c) for c in grid_cfg.clip_grid),
-        })
+        grid = exp.parse_config_file(args.grid_file)
+        config = replace(config, d_grid=grid.d_grid, lambda_grid=grid.lambda_grid,
+                         clip_grid=grid.clip_grid)
     out = exp.run_experiment(config)
     failures = out / "failures.tsv"
     print(f"experiment done: {out} (config hash {config.hash()})")
@@ -166,8 +163,13 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    monte_carlo = not (args.world and args.exact_only)
-    if monte_carlo and args.samples < oracle.MIN_MC_SAMPLES:
+    if args.exact_only and not args.world:
+        print("error: --exact-only needs --world", file=sys.stderr)
+        return 2
+    if args.out and (args.exact_only or not args.world):
+        print("error: --out needs --world without --exact-only", file=sys.stderr)
+        return 2
+    if not args.exact_only and args.samples < oracle.MIN_MC_SAMPLES:
         print(f"error: --samples must be >= {oracle.MIN_MC_SAMPLES} for a Monte Carlo "
               f"run, got {args.samples}", file=sys.stderr)
         return 2
@@ -192,7 +194,7 @@ def _cmd_verify(args) -> int:
                              else f" exact={rep.exact_expectation:.10g}")
                 print(f"  {estimator}: mc mean={rep.mc_mean:.10g} "
                       f"var={rep.mc_variance:.6g}{exact_str}")
-        if args.out and reports:
+        if args.out:
             oracle.reports_to_tsv(reports, args.out)
             print(f"wrote {args.out}")
         _report_time(f"{len(oracle.ESTIMATORS)} estimators", started)

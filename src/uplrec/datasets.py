@@ -236,11 +236,6 @@ class ImplicitDataset:
         if np.any(np.diff(codes) <= 0):
             raise IntegrityError("duplicate (user, item) pair")
 
-    # click = exposure * rel, and exposure is 1 on every stored cell.
-    @property
-    def click(self) -> np.ndarray:
-        return self.rel
-
     def __len__(self):
         return len(self.users)
 
@@ -277,9 +272,6 @@ class ImplicitDataset:
     def user_indptr(self) -> np.ndarray:
         """CSR-style offsets into the exposed-cell arrays, one slice per user."""
         return np.searchsorted(self.users, np.arange(self.num_users + 1))
-
-    def user_slice(self, u: int) -> slice:
-        return slice(self.user_indptr[u], self.user_indptr[u + 1])
 
     def is_exposed(self, users, items) -> np.ndarray:
         return _sorted_contains(self.exposed_codes,

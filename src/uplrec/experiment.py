@@ -3,10 +3,11 @@ validation DCG@5, repeated final runs, aggregation and significance tests.
 
 The experiment method tokens map onto loss estimators as follows: ``ubpr``
 is the practical clipped variant (its threshold is grid-tuned alongside d
-and lambda), ``ubpr_nclip`` is unclipped ubpr (``LossSpec("ubpr")``), and
-``upl`` runs the two-stage relmf -> upl pipeline.  Outputs are
-deterministic functions of the config file: no timestamps, stable ordering,
-fixed float formatting.
+and lambda), ``ubpr_nclip`` is unclipped ubpr (``LossSpec("ubpr")``),
+``mfdu`` trains relmf (``LossSpec("relmf")``) until MF-DU's relevance prior
+of unclicked cells has a source, and ``upl`` runs the two-stage relmf -> upl
+pipeline.  Outputs are deterministic functions of the config file: no
+timestamps, stable ordering, fixed float formatting.
 """
 
 from __future__ import annotations
@@ -236,13 +237,15 @@ def save_prepared(data: PreparedData, out_dir):
 # Single training jobs
 
 
-def make_loss_spec(token: str, config: ExperimentConfig, clip: float = 0.0) -> LossSpec:
+def make_loss_spec(token: str, clip: float, wmf_weight: float) -> LossSpec:
     if token == "ubpr":
         return LossSpec("ubpr_clipped", clip_threshold=clip)
     if token == "ubpr_nclip":
         return LossSpec("ubpr")
+    if token == "mfdu":
+        return LossSpec("relmf")
     if token == "wmf":
-        return LossSpec("wmf", wmf_weight=config.wmf_weight)
+        return LossSpec("wmf", wmf_weight=wmf_weight)
     return LossSpec(token)
 
 
@@ -258,14 +261,13 @@ def make_train_config(config: ExperimentConfig, d: int, lam: float, seed: int) -
 
 
 def train_method(token: str, data: PreparedData, propensities: PropensityTable,
-                 config: ExperimentConfig, d: int, lam: float, clip: float, seed: int):
+                 train_config: TrainConfig, clip: float, wmf_weight: float):
     """Train one run of an experiment method; returns the TrainRun."""
-    tc = make_train_config(config, d, lam, seed)
     if token == "upl":
-        return run_upl_pipeline(data.train, tc, tc, propensities,
+        return run_upl_pipeline(data.train, train_config, propensities,
                                 validation=data.validation)
-    spec = make_loss_spec(token, config, clip)
-    return train(data.train, tc, spec, propensities, validation=data.validation)
+    spec = make_loss_spec(token, clip, wmf_weight)
+    return train(data.train, train_config, spec, propensities, validation=data.validation)
 
 
 def _grid_for(token: str, config: ExperimentConfig):
@@ -294,7 +296,8 @@ def _pool_grid_task(args):
     token, d, lam, clip = args
     config = _POOL_STATE["config"]
     run = train_method(token, _POOL_STATE["data"], _POOL_STATE["propensities"],
-                       config, d, lam, clip, seed=config.seed)
+                       make_train_config(config, d, lam, config.seed), clip,
+                       config.wmf_weight)
     return args, max(run.validation_curve) if run.validation_curve else 0.0
 
 
@@ -302,8 +305,9 @@ def _pool_final_task(args):
     token, d, lam, clip, run_idx = args
     config = _POOL_STATE["config"]
     data = _POOL_STATE["data"]
-    run = train_method(token, data, _POOL_STATE["propensities"], config,
-                       d, lam, clip, seed=config.seed + run_idx)
+    run = train_method(token, data, _POOL_STATE["propensities"],
+                       make_train_config(config, d, lam, config.seed + run_idx), clip,
+                       config.wmf_weight)
     reports = evaluate(run.final_model, data.test, ks=config.ks,
                        cohorts=_POOL_STATE["cohorts"],
                        candidates=config.candidates, method=token, run=run_idx)

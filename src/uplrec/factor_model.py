@@ -51,10 +51,6 @@ class FactorModel:
         """Dense num_users x num_items score matrix."""
         return self.user_factors @ self.item_factors.T
 
-    def score_users(self, users) -> np.ndarray:
-        """Scores of the given users against the full catalog."""
-        return self.user_factors[np.asarray(users)] @ self.item_factors.T
-
 
 @dataclass
 class TrainConfig:
@@ -67,7 +63,6 @@ class TrainConfig:
     max_epochs: int = 200
     patience: int = 5
     seed: int = 0
-    init_scale: float = 0.01
 
     def __post_init__(self):
         if self.d < 1:
@@ -91,25 +86,6 @@ def init_model(num_users, num_items, d, seed, scale=0.01) -> FactorModel:
         user_factors=rng.normal(0.0, scale, size=(num_users, d)),
         item_factors=rng.normal(0.0, scale, size=(num_items, d)),
     )
-
-
-def score(model: FactorModel, u: int, i: int) -> float:
-    """f(u, i) = dot(user_factors[u], item_factors[i])."""
-    if not 0 <= u < model.num_users:
-        raise ValueError(f"user index {u} out of range")
-    if not 0 <= i < model.num_items:
-        raise ValueError(f"item index {i} out of range")
-    return float(model.user_factors[u] @ model.item_factors[i])
-
-
-def l2_penalty(model: FactorModel, user_rows=(), item_rows=()) -> float:
-    """Sum of squared entries of the touched rows (mini-batch-local reg)."""
-    total = 0.0
-    if len(user_rows):
-        total += float(np.sum(model.user_factors[np.asarray(user_rows)] ** 2))
-    if len(item_rows):
-        total += float(np.sum(model.item_factors[np.asarray(item_rows)] ** 2))
-    return total
 
 
 def save_checkpoint(model: FactorModel, path, seed=0):

@@ -14,8 +14,8 @@ sampled pairs and the oracle's full pair sums alike:
 
 A pair whose i is not clicked weighs 0 under every estimator.
 
-Pointwise baselines (wmf, relmf, mfdu) are logistic losses on single cells
-with their respective confidence / inverse-propensity weightings.
+Pointwise baselines (wmf, relmf) are logistic losses on single cells with
+their respective confidence / inverse-propensity weightings.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import numpy as np
 from .errors import SingularityError
 
 PAIRWISE_METHODS = ("bpr", "ubpr", "ubpr_clipped", "upl")
-POINTWISE_METHODS = ("wmf", "relmf", "mfdu")
+POINTWISE_METHODS = ("wmf", "relmf")
 METHODS = PAIRWISE_METHODS + POINTWISE_METHODS
 
 GAMMA_HAT_MIN = 1e-6
@@ -110,17 +110,12 @@ def clip_term(weighted_loss, threshold):
     return float(out) if out.ndim == 0 else out
 
 
-def pointwise_loss(method, c, s, theta_click=1.0, theta_nonclick=1.0, weight=10.0,
-                   gamma_unclicked=0.0):
+def pointwise_loss(method, c, s, theta_click=1.0, weight=10.0):
     """Pointwise losses on a single cell, with gradient w.r.t. the score.
 
     With p = sigmoid(s):
       wmf:    weight*c*(-log p) + (1-c)*(-log(1-p))
       relmf:  (c/theta_click)*(-log p) + (1 - c/theta_click)*(-log(1-p))
-      mfdu:   c*[(1/theta_click)*(-log p) + (1 - 1/theta_click)*(-log(1-p))]
-              + (1-c)*[(1 - (1-theta_nonclick)*gamma_unclicked)*(-log(1-p))]
-    mfdu's unclicked weight takes the relevance prior of unclicked cells as
-    ``gamma_unclicked`` (default 0, which makes the weight exactly 1).
     Returns (loss, dloss_ds).
     """
     c = np.asarray(c, dtype=np.float64)
@@ -140,14 +135,6 @@ def pointwise_loss(method, c, s, theta_click=1.0, theta_nonclick=1.0, weight=10.
             raise SingularityError("theta_click must be positive")
         w_pos = c / theta_click
         w_neg = 1.0 - c / theta_click
-    elif method == "mfdu":
-        theta_click = np.asarray(theta_click, dtype=np.float64)
-        theta_nonclick = np.asarray(theta_nonclick, dtype=np.float64)
-        if np.any(theta_click <= 0):
-            raise SingularityError("theta_click must be positive")
-        w_pos = c / theta_click
-        w_neg = c * (1.0 - 1.0 / theta_click) \
-            + (1.0 - c) * (1.0 - (1.0 - theta_nonclick) * gamma_unclicked)
     else:
         raise ValueError(f"unknown pointwise method {method!r}")
 

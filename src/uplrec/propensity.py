@@ -1,9 +1,7 @@
 """Popularity-based exposure propensities and posterior exposure probability.
 
 Per-item propensities are powers of normalized click counts:
-theta_click = (n_i / max n_i)^power for clicked data and
-theta_nonclick = (1 - n_i / max n_i)^power for non-clicked data.
-Items whose raw formula value is 0 receive a configurable floor, since
+theta_click = (n_i / max n_i)^power, raised to a configurable floor, since
 inverse-propensity weights divide by these numbers.
 """
 
@@ -33,19 +31,6 @@ def estimate_click_propensity(click_counts, power=DEFAULT_POWER, floor=DEFAULT_F
     return np.maximum(theta, floor)
 
 
-def estimate_nonclick_propensity(click_counts, power=DEFAULT_POWER, floor=DEFAULT_FLOOR):
-    """(1 - n_i / max_i n_i)^power per item, floored for the most-clicked item."""
-    counts = np.asarray(click_counts, dtype=np.float64)
-    if power <= 0:
-        raise ValueError("power must be positive")
-    if counts.size == 0 or counts.max() <= 0:
-        raise EstimationError("all click counts are zero")
-    if np.any(counts < 0):
-        raise ValueError("negative click count")
-    theta = (1.0 - counts / counts.max()) ** power
-    return np.maximum(theta, floor)
-
-
 def posterior_exposure(theta, gamma):
     """P(exposed | not clicked) = theta * (1 - gamma) / (1 - theta * gamma).
 
@@ -67,49 +52,18 @@ def posterior_exposure(theta, gamma):
 
 @dataclass
 class PropensityTable:
-    """Per-item exposure propensities for clicked and non-clicked data."""
+    """Per-item exposure propensities of clicked data."""
 
     theta_click: np.ndarray
-    theta_nonclick: np.ndarray
-    power: float = DEFAULT_POWER
-    max_count: int = 0
 
     @classmethod
     def from_click_counts(cls, click_counts, power=DEFAULT_POWER, floor=DEFAULT_FLOOR):
-        counts = np.asarray(click_counts)
-        return cls(
-            theta_click=estimate_click_propensity(counts, power, floor),
-            theta_nonclick=estimate_nonclick_propensity(counts, power, floor),
-            power=power,
-            max_count=int(counts.max()),
-        )
-
-    @property
-    def num_items(self) -> int:
-        return len(self.theta_click)
+        return cls(theta_click=estimate_click_propensity(click_counts, power, floor))
 
     def save(self, out_dir):
-        """Two-column (item_index, value) text files for audit."""
+        """Two-column (item_index, value) text file for audit."""
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        for name, values in (("theta_click.tsv", self.theta_click),
-                             ("theta_nonclick.tsv", self.theta_nonclick)):
-            with open(out / name, "w") as fh:
-                for idx, v in enumerate(values):
-                    fh.write(f"{idx}\t{v:.17g}\n")
-
-    @classmethod
-    def load(cls, in_dir, power=DEFAULT_POWER, max_count=0):
-        src = Path(in_dir)
-
-        def read(name):
-            vals = []
-            with open(src / name) as fh:
-                for line in fh:
-                    if line.strip():
-                        _, v = line.split("\t")
-                        vals.append(float(v))
-            return np.asarray(vals)
-
-        return cls(read("theta_click.tsv"), read("theta_nonclick.tsv"),
-                   power=power, max_count=max_count)
+        with open(out / "theta_click.tsv", "w") as fh:
+            for idx, v in enumerate(self.theta_click):
+                fh.write(f"{idx}\t{v:.17g}\n")

@@ -103,7 +103,6 @@ class PointBatch:
     i: np.ndarray
     c: np.ndarray
     theta_click: np.ndarray
-    theta_nonclick: np.ndarray
 
     def __len__(self):
         return len(self.u)
@@ -122,14 +121,14 @@ class TrainRun:
     epoch_log: list = field(default_factory=list)  # (epoch, train_loss, val_metric|None)
 
 
-def relevance_predictor(model: FactorModel, lo=GAMMA_HAT_MIN, hi=GAMMA_HAT_MAX):
+def relevance_predictor(model: FactorModel):
     """Clamped-sigmoid relevance estimates from a trained pointwise model."""
 
     def gamma_hat(users, items):
         users = np.asarray(users)
         items = np.asarray(items)
         s = np.sum(model.user_factors[users] * model.item_factors[items], axis=-1)
-        return np.clip(sigmoid(s), lo, hi)
+        return np.clip(sigmoid(s), GAMMA_HAT_MIN, GAMMA_HAT_MAX)
 
     return gamma_hat
 
@@ -193,13 +192,8 @@ def _sample_unexposed(dataset: ImplicitDataset, count: int, rng):
 
 
 def _make_point_batch(u, i, c, propensities) -> PointBatch:
-    if propensities is not None:
-        tc = propensities.theta_click[i]
-        tn = propensities.theta_nonclick[i]
-    else:
-        tc = np.ones(len(i))
-        tn = np.ones(len(i))
-    return PointBatch(u=u, i=i, c=c, theta_click=tc, theta_nonclick=tn)
+    tc = propensities.theta_click[i] if propensities is not None else np.ones(len(i))
+    return PointBatch(u=u, i=i, c=c, theta_click=tc)
 
 
 # ---------------------------------------------------------------------------
@@ -259,9 +253,8 @@ def _apply_point_batch(model, adam, batch: PointBatch, spec, config) -> float:
     kwargs = {}
     if spec.method == "wmf":
         kwargs["weight"] = spec.wmf_weight
-    loss, ds = pointwise_loss(spec.method, batch.c, s,
-                              theta_click=batch.theta_click,
-                              theta_nonclick=batch.theta_nonclick, **kwargs)
+    loss, ds = pointwise_loss(spec.method, batch.c, s, theta_click=batch.theta_click,
+                              **kwargs)
     lam = config.lam
     reg = np.sum(pu**2, axis=1) + np.sum(qi**2, axis=1)
     batch_loss = float(np.mean(loss) + lam * np.mean(reg))
@@ -320,8 +313,7 @@ def train(dataset: ImplicitDataset, config: TrainConfig, loss_spec: LossSpec,
     if (gamma_hat is not None) != (loss_spec.method == "upl"):
         raise ValueError("gamma_hat must be supplied exactly for the upl method")
     rng = np.random.default_rng(config.seed)
-    model = init_model(dataset.num_users, dataset.num_items, config.d,
-                       seed=config.seed, scale=config.init_scale)
+    model = init_model(dataset.num_users, dataset.num_items, config.d, seed=config.seed)
     adam = AdamState.for_model(model)
     if loss_spec.is_pairwise:
         pool = _PositivePool(dataset)
@@ -373,14 +365,15 @@ def train(dataset: ImplicitDataset, config: TrainConfig, loss_spec: LossSpec,
     )
 
 
-def run_upl_pipeline(dataset: ImplicitDataset, config_relmf: TrainConfig,
-                     config_upl: TrainConfig, propensities: PropensityTable,
+def run_upl_pipeline(dataset: ImplicitDataset, config: TrainConfig,
+                     propensities: PropensityTable,
                      validation: ImplicitDataset | None = None,
                      val_k: int = 5) -> TrainRun:
     """Two-stage pipeline: train relmf, then train upl with its clamped
-    sigmoid predictions as the relevance estimates for sampled negatives."""
-    relmf_run = train(dataset, config_relmf, LossSpec("relmf"), propensities,
+    sigmoid predictions as the relevance estimates for sampled negatives.
+    Both stages use ``config``."""
+    relmf_run = train(dataset, config, LossSpec("relmf"), propensities,
                       validation=validation, val_k=val_k)
     gamma_hat = relevance_predictor(relmf_run.final_model)
-    return train(dataset, config_upl, LossSpec("upl"), propensities,
+    return train(dataset, config, LossSpec("upl"), propensities,
                  gamma_hat=gamma_hat, validation=validation, val_k=val_k)

@@ -132,9 +132,7 @@ def test_criterion_4_gradient_correctness():
 
     # pointwise losses
     for method, kwargs in (("wmf", {"weight": 5.0}),
-                           ("relmf", {"theta_click": 0.35}),
-                           ("mfdu", {"theta_click": 0.35, "theta_nonclick": 0.6,
-                                     "gamma_unclicked": 0.3})):
+                           ("relmf", {"theta_click": 0.35})):
         for _ in range(100):
             c = int(rng.integers(0, 2))
             s = rng.normal(0, 3)

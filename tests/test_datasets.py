@@ -126,7 +126,7 @@ class TestGenerateSemiSynthetic:
         ratings = ratings_from_entries([(0, 0, 5)], 1, 2)
         ds = generate_semi_synthetic(ratings, epsilon=0.0, seed=1)
         assert ds.gamma[0] == 1.0
-        assert ds.rel[0] == 1 and ds.click[0] == 1
+        assert ds.rel[0] == 1 and ds.is_clicked([0], [0])[0]
 
     def test_unrated_pair_is_unexposed(self):
         ratings = ratings_from_entries([(0, 0, 5)], 1, 2)
@@ -165,7 +165,7 @@ class TestGenerateSemiSynthetic:
         cu, ci = ds.click_pairs
         assert ds.is_exposed(cu, ci).all()
         # every click carries relevance draw 1 (click = exposure * rel)
-        assert np.all(ds.rel[ds.click == 1] == 1)
+        assert np.all(ds.rel[ds.is_clicked(ds.users, ds.items)] == 1)
 
 
 class TestSplitValidation:

@@ -221,6 +221,20 @@ class TestExperimentRun:
         assert (experiment_out / "tables.md").read_bytes() == tables_before
 
 
+class TestMfduToken:
+    def test_mfdu_rows_equal_relmf(self, triplet_files, tmp_path):
+        # the mfdu token trains LossSpec("relmf") under the same configs
+        cfg_path = tmp_path / "exp.cfg"
+        out = tmp_path / "out"
+        cfg_path.write_text(small_config_text(triplet_files, out,
+                                              methods="relmf,mfdu", runs=2))
+        assert cli.main(["experiment", "--config", str(cfg_path)]) == 0
+        rows = exp.read_per_run(out / "per_run_metrics.tsv")
+        relmf = {r[1:5]: r[5] for r in rows if r[0] == "relmf"}
+        mfdu = {r[1:5]: r[5] for r in rows if r[0] == "mfdu"}
+        assert relmf and mfdu == relmf
+
+
 class TestExperimentWorkers:
     def test_tables_identical_across_threads_and_out(self, triplet_files, tmp_path):
         tables = ("aggregate.tsv", "tables.md", "per_run_metrics.tsv",
@@ -318,6 +332,36 @@ class TestVerifyCli:
         assert captured.out == ""
         assert captured.err == (f"error: --samples must be >= {oracle.MIN_MC_SAMPLES} "
                                 f"for a Monte Carlo run, got {oracle.MIN_MC_SAMPLES - 1}\n")
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--exact-only"], "error: --exact-only needs --world\n"),
+        (["--world", str(WORLDS_DIR / "clip_bias.txt"), "--exact-only", "--out", "{out}"],
+         "error: --out needs --world without --exact-only\n"),
+        (["--out", "{out}"], "error: --out needs --world without --exact-only\n"),
+    ], ids=["exact_only_without_world", "out_with_exact_only", "out_without_world"])
+    def test_ignored_flag_combinations_rejected_up_front(
+            self, argv, message, tmp_path, capsys, monkeypatch):
+        from uplrec import oracle
+
+        def never(*args, **kwargs):
+            raise AssertionError("checks ran before the flags were validated")
+
+        monkeypatch.setattr(oracle, "verification_suite", never)
+        monkeypatch.setattr(oracle, "exact_expectation", never)
+        out = tmp_path / "reports.tsv"
+        assert cli.main(["verify"] + [a.format(out=out) for a in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == message
+        assert not out.exists()
+
+    def test_world_mc_out_written(self, tmp_path, capsys):
+        out = tmp_path / "reports.tsv"
+        rc = cli.main(["verify", "--world", str(WORLDS_DIR / "clip_bias.txt"),
+                       "--samples", "10000", "--out", str(out)])
+        assert rc == 0
+        assert f"wrote {out}" in capsys.readouterr().out
+        assert out.read_text().startswith("estimator\tideal_risk\t")
 
     def test_exact_only_ignores_samples(self, capsys):
         rc = cli.main(["verify", "--world", str(WORLDS_DIR / "clip_bias.txt"),

@@ -7,10 +7,8 @@ from uplrec.factor_model import (
     FactorModel,
     TrainConfig,
     init_model,
-    l2_penalty,
     load_checkpoint,
     save_checkpoint,
-    score,
 )
 
 
@@ -43,45 +41,24 @@ class TestInitModel:
             init_model(5, 5, d=0, seed=0)
 
 
-class TestScore:
+class TestScoreMatrix:
     def test_orthogonal_rows(self):
         model = FactorModel(np.array([[1.0, 0.0]]), np.array([[0.0, 1.0]]))
-        assert score(model, 0, 0) == 0.0
+        assert model.score_matrix()[0, 0] == 0.0
 
     def test_unit_vector_self_product(self):
         model = FactorModel(np.array([[1.0, 0.0]]), np.array([[1.0, 0.0]]))
-        assert score(model, 0, 0) == 1.0
+        assert model.score_matrix()[0, 0] == 1.0
 
     def test_hand_arithmetic(self):
         model = FactorModel(np.array([[1.0, 2.0]]), np.array([[3.0, -1.0]]))
-        assert score(model, 0, 0) == pytest.approx(1.0)
-
-    def test_index_out_of_range(self):
-        model = init_model(3, 4, d=2, seed=0)
-        with pytest.raises(ValueError):
-            score(model, 3, 0)
-        with pytest.raises(ValueError):
-            score(model, 0, 4)
+        assert model.score_matrix()[0, 0] == pytest.approx(1.0)
 
     def test_bilinearity_in_user_row(self):
         model = init_model(2, 2, d=6, seed=1, scale=1.0)
-        base = score(model, 0, 1)
+        base = model.score_matrix()[0, 1]
         model.user_factors[0] *= 3.5
-        assert score(model, 0, 1) == pytest.approx(3.5 * base, rel=1e-12)
-
-
-class TestL2Penalty:
-    def test_zero_model(self):
-        model = FactorModel(np.zeros((2, 3)), np.zeros((4, 3)))
-        assert l2_penalty(model, [0, 1], [0, 1, 2, 3]) == 0.0
-
-    def test_single_row(self):
-        model = FactorModel(np.array([[3.0, 4.0]]), np.zeros((1, 2)))
-        assert l2_penalty(model, user_rows=[0]) == 25.0
-
-    def test_two_rows(self):
-        model = FactorModel(np.array([[1.0, 0.0]]), np.array([[0.0, 2.0]]))
-        assert l2_penalty(model, user_rows=[0], item_rows=[0]) == 5.0
+        assert model.score_matrix()[0, 1] == pytest.approx(3.5 * base, rel=1e-12)
 
 
 class TestCheckpoint:

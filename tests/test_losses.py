@@ -9,7 +9,6 @@ from uplrec.losses import (
     clip_term,
     pair_weights,
     pointwise_loss,
-    sigmoid,
     sigmoid_pair_loss,
     ubpr_pair_weight,
     upl_pair_weight,
@@ -145,25 +144,6 @@ class TestPointwiseLoss:
         with pytest.raises(ValueError):
             pointwise_loss("wmf", 1, 0.0, weight=0.5)
 
-    def test_mfdu_matches_stated_form(self):
-        # clicked cell: (1/tc)(-log p) + (1 - 1/tc)(-log(1-p))
-        s, tc = 0.7, 0.4
-        p = sigmoid(s)
-        expected = (1 / tc) * -math.log(p) + (1 - 1 / tc) * -math.log1p(-p)
-        loss, _ = pointwise_loss("mfdu", 1, s, theta_click=tc, theta_nonclick=0.9)
-        assert loss == pytest.approx(expected, rel=1e-12)
-        # unclicked cell with zero relevance prior: weight exactly 1
-        loss0, _ = pointwise_loss("mfdu", 0, s, theta_click=tc, theta_nonclick=0.9)
-        assert loss0 == pytest.approx(-math.log1p(-p), rel=1e-12)
-
-    def test_mfdu_unclicked_prior(self):
-        s, tn, g0 = -0.3, 0.6, 0.25
-        p = sigmoid(s)
-        expected = (1 - (1 - tn) * g0) * -math.log1p(-p)
-        loss, _ = pointwise_loss("mfdu", 0, s, theta_click=0.5, theta_nonclick=tn,
-                                 gamma_unclicked=g0)
-        assert loss == pytest.approx(expected, rel=1e-12)
-
     def test_zero_propensity_singularity(self):
         with pytest.raises(SingularityError):
             pointwise_loss("relmf", 1, 0.0, theta_click=0.0)
@@ -171,7 +151,6 @@ class TestPointwiseLoss:
     @pytest.mark.parametrize("method,kwargs", [
         ("wmf", {"weight": 7.0}),
         ("relmf", {"theta_click": 0.3}),
-        ("mfdu", {"theta_click": 0.3, "theta_nonclick": 0.6, "gamma_unclicked": 0.2}),
     ])
     def test_gradients_match_finite_differences(self, method, kwargs):
         rng = np.random.default_rng(4)
@@ -277,8 +256,10 @@ class TestLossSpec:
             LossSpec("expomf")
 
     # "ideal" was a test-only sampler; the ubpr_nclip experiment token maps
-    # to LossSpec("ubpr")
-    @pytest.mark.parametrize("method", ["ideal", "ubpr_nclip"])
+    # to LossSpec("ubpr") and the mfdu token to LossSpec("relmf")
+    @pytest.mark.parametrize("method", ["ideal", "ubpr_nclip", "mfdu"])
     def test_removed_methods_rejected(self, method):
         with pytest.raises(ValueError, match="unknown method"):
             LossSpec(method)
+        with pytest.raises(ValueError, match="unknown pointwise method"):
+            pointwise_loss(method, 1, 0.0)

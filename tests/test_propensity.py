@@ -5,7 +5,6 @@ from uplrec.errors import EstimationError, SingularityError
 from uplrec.propensity import (
     PropensityTable,
     estimate_click_propensity,
-    estimate_nonclick_propensity,
     posterior_exposure,
 )
 
@@ -36,20 +35,6 @@ class TestClickPropensity:
     def test_power_must_be_positive(self):
         with pytest.raises(ValueError):
             estimate_click_propensity([1, 2], power=0.0)
-
-
-class TestNonclickPropensity:
-    def test_zero_count_gets_one(self):
-        theta = estimate_nonclick_propensity([0, 10], power=0.5)
-        assert theta[0] == 1.0
-
-    def test_three_quarters_of_max_sqrt(self):
-        theta = estimate_nonclick_propensity([3, 4], power=0.5)
-        assert theta[0] == pytest.approx(0.5, abs=1e-15)  # sqrt(1 - 3/4)
-
-    def test_max_count_gets_floor(self):
-        theta = estimate_nonclick_propensity([10, 2], power=0.5, floor=1e-2)
-        assert theta[0] == 0.01
 
 
 class TestPosteriorExposure:
@@ -107,12 +92,12 @@ class TestPosteriorExposure:
 
 
 class TestPropensityTable:
-    def test_from_counts_and_round_trip(self, tmp_path):
+    def test_from_counts_and_save(self, tmp_path):
         table = PropensityTable.from_click_counts([5, 0, 20, 3])
-        assert table.max_count == 20
         assert table.theta_click[2] == 1.0
-        assert table.theta_nonclick[2] == pytest.approx(0.01)
+        assert table.theta_click[1] == 0.01  # zero clicks: the floor
         table.save(tmp_path)
-        back = PropensityTable.load(tmp_path)
-        assert np.array_equal(back.theta_click, table.theta_click)
-        assert np.array_equal(back.theta_nonclick, table.theta_nonclick)
+        assert [p.name for p in tmp_path.iterdir()] == ["theta_click.tsv"]
+        lines = (tmp_path / "theta_click.tsv").read_text().splitlines()
+        assert lines[2] == "2\t1"
+        assert [float(l.split("\t")[1]) for l in lines] == list(table.theta_click)

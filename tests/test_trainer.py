@@ -127,7 +127,7 @@ class TestSampleBatch:
     def test_ubpr_candidates_include_clicked(self, monkeypatch):
         cells = [(0, i, 0.5, 1) for i in range(5)] + [(0, 5, 0.5, 0)]
         ds = make_implicit(1, 6, cells)
-        pt = PropensityTable(theta_click=np.full(6, 0.5), theta_nonclick=np.full(6, 0.5))
+        pt = PropensityTable(theta_click=np.full(6, 0.5))
         batches = _pair_epoch_batches(monkeypatch, ds, batch_size=5, epochs=100, seed=4,
                                       propensities=pt)
         c_j, (terms, _) = _pair_terms(LossSpec("ubpr"), batches)
@@ -296,8 +296,8 @@ class TestUplPipeline:
         pt = PropensityTable.from_click_counts(ds.item_click_counts)
         config = TrainConfig(d=4, lam=1e-5, learning_rate=0.01, batch_size=32,
                              max_epochs=5, seed=7)
-        a = run_upl_pipeline(ds, config, config, pt)
-        b = run_upl_pipeline(ds, config, config, pt)
+        a = run_upl_pipeline(ds, config, pt)
+        b = run_upl_pipeline(ds, config, pt)
         assert model_checksum(a.final_model) == model_checksum(b.final_model)
         assert a.loss_spec.method == "upl"
 
@@ -325,7 +325,7 @@ class TestMinibatchRiskMatchesIdeal:
         model = model_for_world(world, seed=model_seed)
         theta, gamma = world.theta[0], world.gamma[0]
         spec = LossSpec(estimator, clip_threshold=0.0 if estimator == "ubpr_clipped" else None)
-        prop = PropensityTable(theta_click=theta, theta_nonclick=1.0 - theta)
+        prop = PropensityTable(theta_click=theta)
         gamma_hat = (lambda users, items: world.gamma[users, items]) \
             if estimator == "upl" else None
         scores = model.score_matrix()
@@ -459,9 +459,8 @@ def _reference_point_batch(model, adam, batch, spec, config):
     kwargs = {}
     if spec.method == "wmf":
         kwargs["weight"] = spec.wmf_weight
-    loss, ds = pointwise_loss(spec.method, batch.c, s,
-                              theta_click=batch.theta_click,
-                              theta_nonclick=batch.theta_nonclick, **kwargs)
+    loss, ds = pointwise_loss(spec.method, batch.c, s, theta_click=batch.theta_click,
+                              **kwargs)
     lam = config.lam
     reg = np.sum(pu**2, axis=1) + np.sum(qi**2, axis=1)
     batch_loss = float(np.mean(loss) + lam * np.mean(reg))
@@ -495,7 +494,7 @@ class TestStepMatchesReference:
 
         def trained():
             if method == "upl":
-                return run_upl_pipeline(ds, config, config, pt).final_model
+                return run_upl_pipeline(ds, config, pt).final_model
             return train(ds, config, spec, pt).final_model
 
         fast = trained()
