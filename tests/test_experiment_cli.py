@@ -9,6 +9,7 @@ from uplrec import cli
 from uplrec import experiment as exp
 from uplrec.datasets import load_dataset
 from uplrec.factor_model import load_checkpoint
+from uplrec.losses import LossSpec
 
 from conftest import write_synthetic_triplets
 
@@ -114,6 +115,20 @@ class TestConfigParsing:
             exp.parse_config_file(cfg_path)
 
 
+class TestMakeLossSpec:
+    @pytest.mark.parametrize("token, spec", [
+        ("wmf", LossSpec("wmf", wmf_weight=4.0)),
+        ("relmf", LossSpec("relmf")),
+        ("mfdu", LossSpec("relmf")),
+        ("bpr", LossSpec("bpr")),
+        ("ubpr", LossSpec("ubpr_clipped", clip_threshold=-2.0)),
+        ("ubpr_nclip", LossSpec("ubpr")),
+        ("upl", LossSpec("upl")),
+    ])
+    def test_token_maps_to_spec(self, token, spec):
+        assert exp.make_loss_spec(token, clip=-2.0, wmf_weight=4.0) == spec
+
+
 class TestPrepareCli:
     def test_prepare_writes_splits(self, triplet_files, tmp_path):
         out = tmp_path / "prepared"
@@ -158,6 +173,25 @@ class TestTrainCli:
         assert lines[0] == "method\trun\tcohort\tmetric\tk\tvalue"
         assert len(lines) > 1
         assert (out / "train.log").read_text().startswith("epoch=0\t")
+
+    def test_mfdu_trains_relmf(self, triplet_files, tmp_path):
+        prep = tmp_path / "prep"
+        cli.main(["prepare", "--dataset", str(triplet_files), "--format",
+                  "triplets", "--seed", "3", "--out", str(prep)])
+        outs = {}
+        for method in ("relmf", "mfdu"):
+            outs[method] = tmp_path / method
+            assert cli.main([
+                "train", "--data", str(prep), "--method", method, "--d", "8",
+                "--lam", "1e-5", "--max-epochs", "4", "--seed", "2",
+                "--out", str(outs[method]),
+            ]) == 0
+        for name in ("model.ckpt", "train.log"):
+            assert (outs["mfdu"] / name).read_bytes() == (outs["relmf"] / name).read_bytes()
+        relmf_rows = (outs["relmf"] / "metrics.tsv").read_text().splitlines()
+        mfdu_rows = (outs["mfdu"] / "metrics.tsv").read_text().splitlines()
+        assert [r.split("\t")[1:] for r in mfdu_rows] == \
+            [r.split("\t")[1:] for r in relmf_rows]
 
 
 @pytest.fixture(scope="module")
@@ -211,6 +245,10 @@ class TestExperimentRun:
         assert (experiment_out / "grid_search.tsv").exists()
         assert (experiment_out / "logs" / "bpr_run000.log").exists()
         assert (experiment_out / "propensities" / "theta_click.tsv").exists()
+
+    def test_propensities_hold_click_table_only(self, experiment_out):
+        assert [p.name for p in (experiment_out / "propensities").iterdir()] == \
+            ["theta_click.tsv"]
 
     def test_report_reaggregation_idempotent(self, experiment_out):
         before = (experiment_out / "aggregate.tsv").read_bytes()
@@ -397,3 +435,21 @@ class TestGridFile:
         body = [l for l in grid_lines if not l.startswith(("#", "method\t"))]
         assert len(body) == 2  # two d values x one lambda
         assert {l.split("\t")[1] for l in body} == {"4", "6"}
+
+    def test_grid_file_resolves_like_inline_grids(self, triplet_files, tmp_path, capsys):
+        grid = {"d_grid": "4,6", "lambda_grid": "1e-4,1e-3", "clip_grid": "-1,0"}
+        base = small_config_text(triplet_files, tmp_path / "a", runs=1)
+        (tmp_path / "a.cfg").write_text(base)
+        (tmp_path / "grid.cfg").write_text("".join(f"{k} = {v}\n" for k, v in grid.items()))
+        inline = small_config_text(triplet_files, tmp_path / "b", runs=1)
+        for key, value in grid.items():
+            inline = re.sub(rf"^{key} = .*$", f"{key} = {value}", inline, flags=re.M)
+        (tmp_path / "b.cfg").write_text(inline)
+        assert cli.main(["experiment", "--config", str(tmp_path / "a.cfg"),
+                         "--grid-file", str(tmp_path / "grid.cfg")]) == 0
+        assert cli.main(["experiment", "--config", str(tmp_path / "b.cfg")]) == 0
+        hashes = re.findall(r"config hash (\w+)", capsys.readouterr().out)
+        assert len(hashes) == 2 and hashes[0] == hashes[1]
+        resolved_a = (tmp_path / "a" / "config_resolved.cfg").read_text()
+        resolved_b = (tmp_path / "b" / "config_resolved.cfg").read_text()
+        assert resolved_a.replace(str(tmp_path / "a"), str(tmp_path / "b")) == resolved_b

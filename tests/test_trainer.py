@@ -12,7 +12,15 @@ from hypothesis.extra import numpy as hnp
 from uplrec import trainer
 from uplrec.errors import TrainingDivergedError
 from uplrec.factor_model import FactorModel, TrainConfig, init_model
-from uplrec.losses import LossSpec, pair_weights, pointwise_loss, sigmoid_pair_loss
+from uplrec.losses import (
+    GAMMA_HAT_MAX,
+    GAMMA_HAT_MIN,
+    LossSpec,
+    pair_weights,
+    pointwise_loss,
+    sigmoid,
+    sigmoid_pair_loss,
+)
 from uplrec.oracle import exact_expectation, ideal_risk, model_for_world, random_world
 from uplrec.propensity import PropensityTable
 from uplrec.trainer import (
@@ -178,6 +186,16 @@ class TestSampleBatch:
         gamma_hat_j = np.concatenate([b.gamma_hat_j for b in batches])
         assert np.all(gamma_hat_j <= 1 - 1e-6)
         assert np.all(gamma_hat_j >= 1e-6)
+
+
+    def test_relevance_predictor_clamps_both_ends(self):
+        # scores 1600, -1600 and 2: the extremes clamp, the middle passes through
+        model = FactorModel(np.array([[40.0], [-40.0], [0.05]]), np.array([[40.0]]))
+        gh = relevance_predictor(model)(np.array([0, 1, 2]), np.array([0, 0, 0]))
+        assert gh[0] == GAMMA_HAT_MAX
+        assert gh[1] == GAMMA_HAT_MIN
+        assert gh[2] == sigmoid(np.array([0.05 * 40.0]))[0]
+        assert GAMMA_HAT_MIN < gh[2] < GAMMA_HAT_MAX
 
 
 class TestTrainLoop:
