@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from dataclasses import replace
 from pathlib import Path
 
 from . import experiment as exp
@@ -57,7 +56,8 @@ def main(argv=None) -> int:
 
     e = sub.add_parser("experiment", help="full experiment sweep from a config file")
     e.add_argument("--config", required=True, help="flat key=value config file")
-    e.add_argument("--grid-file", default=None, help="config file overriding grid keys")
+    e.add_argument("--grid-file", default=None,
+                   help="config file whose *_grid keys override the config's")
     e.add_argument("--dataset", default=None)
     e.add_argument("--format", default=None)
     e.add_argument("--methods", default=None)
@@ -148,11 +148,9 @@ def _cmd_experiment(args) -> int:
         "epsilon_test": args.epsilon_test,
     }
     overrides = {k: v for k, v in overrides.items() if v is not None}
-    config = exp.parse_config_file(args.config, overrides)
     if args.grid_file:
-        grid = exp.parse_config_file(args.grid_file)
-        config = replace(config, d_grid=grid.d_grid, lambda_grid=grid.lambda_grid,
-                         clip_grid=grid.clip_grid)
+        overrides.update(exp.read_config_values(args.grid_file, exp.GRID_KEYS))
+    config = exp.parse_config_file(args.config, overrides)
     out = exp.run_experiment(config)
     failures = out / "failures.tsv"
     print(f"experiment done: {out} (config hash {config.hash()})")

@@ -132,8 +132,12 @@ _PARSERS = {
 }
 
 
-def parse_config_file(path, overrides=None) -> ExperimentConfig:
-    """Flat key=value config; '#' comments; unknown keys are errors."""
+GRID_KEYS = tuple(key for key in _PARSERS if key.endswith("_grid"))
+
+
+def read_config_values(path, keys=tuple(_PARSERS)) -> dict:
+    """The parsed values a flat key=value file sets; '#' comments; unknown
+    keys and keys outside ``keys`` are errors."""
     values = {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -146,7 +150,15 @@ def parse_config_file(path, overrides=None) -> ExperimentConfig:
             key = key.strip()
             if key not in _PARSERS:
                 raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
+            if key not in keys:
+                raise ValueError(f"{path}:{lineno}: {key!r} is not one of {', '.join(keys)}")
             values[key] = _PARSERS[key](val.strip())
+    return values
+
+
+def parse_config_file(path, overrides=None) -> ExperimentConfig:
+    """Flat key=value config; '#' comments; unknown keys are errors."""
+    values = read_config_values(path)
     if overrides:
         for key, val in overrides.items():
             if val is None:
@@ -284,12 +296,8 @@ def _grid_for(token: str, config: ExperimentConfig):
 _POOL_STATE = {}
 
 
-def _pool_init(data, propensities, config, cohorts_on):
-    _POOL_STATE["data"] = data
-    _POOL_STATE["propensities"] = propensities
-    _POOL_STATE["config"] = config
-    _POOL_STATE["cohorts"] = (
-        compute_cohorts(data.train, CohortSpec()) if cohorts_on else None)
+def _pool_init(state):
+    _POOL_STATE.update(state)
 
 
 def _pool_grid_task(args):
@@ -311,7 +319,7 @@ def _pool_final_task(args):
     reports = evaluate(run.final_model, data.test, ks=config.ks,
                        cohorts=_POOL_STATE["cohorts"],
                        candidates=config.candidates, method=token, run=run_idx)
-    return args, reports, run.epoch_log
+    return reports, run.epoch_log
 
 
 # ---------------------------------------------------------------------------
@@ -337,22 +345,19 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> Path:
         data.train.item_click_counts, power=config.propensity_power,
         floor=config.propensity_floor)
     propensities.save(out / "propensities")
-    cohorts = compute_cohorts(data.train, CohortSpec()) if config.cohorts else None
+    # what every task reads: handed to each worker once, or set in-process
+    state = {"data": data, "propensities": propensities, "config": config,
+             "cohorts": compute_cohorts(data.train, CohortSpec()) if config.cohorts else None}
 
     grid_rows = []
     all_reports: list[MetricReport] = []
     failures = []
-    chosen: dict[str, tuple] = {}
 
     for token in config.methods:
         try:
-            best_combo, method_grid_rows = _grid_search(token, data, propensities,
-                                                        config, cohorts)
+            best_combo, method_grid_rows = _grid_search(token, state)
             grid_rows.extend(method_grid_rows)
-            chosen[token] = best_combo
-            reports = _final_runs(token, best_combo, data, propensities, config,
-                                  cohorts, out)
-            all_reports.extend(reports)
+            all_reports.extend(_final_runs(token, best_combo, state, out))
         except Exception as exc:  # isolate per-method failures
             failures.append((token, f"{type(exc).__name__}: {exc}"))
 
@@ -368,24 +373,22 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> Path:
     return out
 
 
-def _run_tasks(task_fn, tasks, data, propensities, config):
+def _run_tasks(task_fn, tasks, state):
     """Run tasks in-process or on a worker pool; output order follows tasks."""
-    if config.threads > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=config.threads, initializer=_pool_init,
-                                 initargs=(data, propensities, config,
-                                           config.cohorts)) as pool:
+    threads = state["config"].threads
+    if threads > 1 and len(tasks) > 1:
+        with ProcessPoolExecutor(max_workers=threads, initializer=_pool_init,
+                                 initargs=(state,)) as pool:
             return list(pool.map(task_fn, tasks))
-    _pool_init(data, propensities, config, config.cohorts)
+    _pool_init(state)
     return [task_fn(t) for t in tasks]
 
 
-def _grid_search(token, data, propensities, config, cohorts):
-    combos = _grid_for(token, config)
-    tasks = [(token, d, lam, clip) for d, lam, clip in combos]
-    results = _run_tasks(_pool_grid_task, tasks, data, propensities, config)
+def _grid_search(token, state):
+    tasks = [(token, d, lam, clip) for d, lam, clip in _grid_for(token, state["config"])]
     rows = []
     best_combo, best_val = None, -np.inf
-    for (tok, d, lam, clip), val in results:
+    for (_, d, lam, clip), val in _run_tasks(_pool_grid_task, tasks, state):
         rows.append((token, d, lam, clip, val))
         if val > best_val:
             best_val = val
@@ -393,13 +396,12 @@ def _grid_search(token, data, propensities, config, cohorts):
     return best_combo, rows
 
 
-def _final_runs(token, combo, data, propensities, config, cohorts, out: Path):
+def _final_runs(token, combo, state, out: Path):
     d, lam, clip = combo
-    tasks = [(token, d, lam, clip, r) for r in range(config.runs)]
-    results = _run_tasks(_pool_final_task, tasks, data, propensities, config)
-    results.sort(key=lambda r: r[0][4])
+    tasks = [(token, d, lam, clip, r) for r in range(state["config"].runs)]
     reports = []
-    for (tok, dd, ll, cc, run_idx), run_reports, epoch_log in results:
+    for run_idx, (run_reports, epoch_log) in enumerate(
+            _run_tasks(_pool_final_task, tasks, state)):
         reports.extend(run_reports)
         write_epoch_log(out / "logs" / f"{token}_run{run_idx:03d}.log", epoch_log)
     return reports

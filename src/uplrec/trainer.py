@@ -5,16 +5,24 @@ candidate j per positive, drawn uniformly over the items other than i for
 every estimator; ``losses.pair_weights`` weights each pair, so the expected
 epoch term sum is the estimator's full-batch risk divided by I - 1.  One
 pointwise epoch is a pass over the exposed cells with unexposed cells sampled
-1:1.  Updates use Adam restricted to the rows touched by the batch; runs are
-deterministic per seed.  The gradient scatter keeps ``np.add.at``'s
-summation order, so trained factors are bit-identical to an ``np.add.at``
-implementation.  Early stopping watches validation DCG@k.
+1:1.
+
+Every estimator trains through the one step ``_step``: a batch is the users
+u and one item array per score (i for a pointwise batch, i and j for a
+pairwise one), and the epoch hands it an objective that maps the scores to
+the terms and each term's derivative by each score.  The step adds the L2
+penalty, scatters the row gradients and makes one Adam update restricted to
+the rows the batch touched; runs are deterministic per seed.  The gradient
+scatter keeps ``np.add.at``'s summation order, so trained factors are
+bit-identical to an ``np.add.at`` implementation.  Early stopping watches
+validation DCG@k.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -48,9 +56,6 @@ class AdamState:
     item_m: np.ndarray
     item_v: np.ndarray
     step: int = 0
-    beta1: float = ADAM_BETA1
-    beta2: float = ADAM_BETA2
-    eps: float = ADAM_EPS
 
     @classmethod
     def for_model(cls, model: FactorModel) -> "AdamState":
@@ -65,47 +70,19 @@ class AdamState:
                learning_rate: float):
         """One Adam step on the touched rows (grads are per unique row)."""
         self.step += 1
-        bc1 = 1.0 - self.beta1**self.step
-        bc2 = 1.0 - self.beta2**self.step
+        bc1 = 1.0 - ADAM_BETA1**self.step
+        bc2 = 1.0 - ADAM_BETA2**self.step
         for param, m, v, rows, grads in (
             (model.user_factors, self.user_m, self.user_v, user_rows, user_grads),
             (model.item_factors, self.item_m, self.item_v, item_rows, item_grads),
         ):
             if len(rows) == 0:
                 continue
-            m_rows = self.beta1 * m[rows] + (1.0 - self.beta1) * grads
-            v_rows = self.beta2 * v[rows] + (1.0 - self.beta2) * grads**2
+            m_rows = ADAM_BETA1 * m[rows] + (1.0 - ADAM_BETA1) * grads
+            v_rows = ADAM_BETA2 * v[rows] + (1.0 - ADAM_BETA2) * grads**2
             m[rows] = m_rows
             v[rows] = v_rows
-            param[rows] -= learning_rate * (m_rows / bc1) / (np.sqrt(v_rows / bc2) + self.eps)
-
-
-@dataclass
-class PairBatch:
-    """Struct-of-arrays batch of pairwise samples: user u, clicked item i and
-    candidate j, with j's click, both propensities and j's relevance estimate."""
-
-    u: np.ndarray
-    i: np.ndarray
-    j: np.ndarray
-    c_j: np.ndarray
-    theta_i: np.ndarray
-    theta_j: np.ndarray
-    gamma_hat_j: np.ndarray
-
-    def __len__(self):
-        return len(self.u)
-
-
-@dataclass
-class PointBatch:
-    u: np.ndarray
-    i: np.ndarray
-    c: np.ndarray
-    theta_click: np.ndarray
-
-    def __len__(self):
-        return len(self.u)
+            param[rows] -= learning_rate * (m_rows / bc1) / (np.sqrt(v_rows / bc2) + ADAM_EPS)
 
 
 @dataclass
@@ -160,20 +137,12 @@ class _PositivePool:
         return j
 
 
-def _enrich_pair_batch(dataset, u, i, j, propensities, gamma_hat) -> PairBatch:
-    if propensities is not None:
-        theta_i = propensities.theta_click[i]
-        theta_j = propensities.theta_click[j]
-    else:
-        theta_i = np.ones(len(i))
-        theta_j = np.ones(len(j))
-    gh = gamma_hat(u, j) if gamma_hat is not None else np.zeros(len(j))
-    return PairBatch(
-        u=u, i=i, j=j,
-        c_j=dataset.is_clicked(u, j).astype(np.int8),
-        theta_i=theta_i, theta_j=theta_j,
-        gamma_hat_j=np.asarray(gh, dtype=np.float64),
-    )
+def _pair_inputs(dataset, u, i, j, theta, gamma_hat):
+    """``pair_weights``' inputs for sampled pairs (u, i, j): j's click, the
+    propensities of i and j, and j's relevance estimate (0 without one)."""
+    gamma_j = gamma_hat(u, j) if gamma_hat is not None else np.zeros(len(j))
+    return (dataset.is_clicked(u, j).astype(np.int8), theta[i], theta[j],
+            np.asarray(gamma_j, dtype=np.float64))
 
 
 def _sample_unexposed(dataset: ImplicitDataset, count: int, rng):
@@ -189,11 +158,6 @@ def _sample_unexposed(dataset: ImplicitDataset, count: int, rng):
         i[bad] = rng.integers(0, dataset.num_items, size=n)
         bad[bad] = dataset.is_exposed(u[bad], i[bad])
     return u, i
-
-
-def _make_point_batch(u, i, c, propensities) -> PointBatch:
-    tc = propensities.theta_click[i] if propensities is not None else np.ones(len(i))
-    return PointBatch(u=u, i=i, c=c, theta_click=tc)
 
 
 # ---------------------------------------------------------------------------
@@ -217,52 +181,48 @@ def _scatter_rows(index, rows):
     return keys[starts], indicator @ rows
 
 
-def _apply_pair_batch(model, adam, batch: PairBatch, spec, config) -> float:
-    m = len(batch)
-    pu = model.user_factors[batch.u]
-    qi = model.item_factors[batch.i]
-    qj = model.item_factors[batch.j]
-    s_i = np.sum(pu * qi, axis=1)
-    s_j = np.sum(pu * qj, axis=1)
+def _pair_objective(spec, c_j, theta_i, theta_j, gamma_j, s_i, s_j):
+    """The estimator's pair terms and their derivatives by s_i and s_j."""
     loss, dsi, dsj = sigmoid_pair_loss(s_i, s_j)
-    terms, gf = pair_weights(spec, batch.c_j, batch.theta_i, batch.theta_j,
-                             batch.gamma_hat_j, loss)
-    lam = config.lam
+    terms, gf = pair_weights(spec, c_j, theta_i, theta_j, gamma_j, loss)
+    return terms, (gf * dsi, gf * dsj)
 
-    reg = np.sum(pu**2, axis=1) + np.sum(qi**2, axis=1) + np.sum(qj**2, axis=1)
+
+def _point_objective(spec, c, theta_click, s):
+    """The estimator's pointwise terms and their derivatives by s."""
+    loss, ds = pointwise_loss(spec.method, c, s, theta_click=theta_click,
+                              weight=spec.wmf_weight)
+    return loss, (ds,)
+
+
+def _step(model, adam, u, items, objective, config) -> float:
+    """One Adam step on a batch; returns the batch's mean term plus penalty.
+
+    Row r scores user ``u[r]`` against ``items[k][r]`` for each k, and
+    ``objective(*scores)`` returns the terms and, per score, each term's
+    derivative by it.  Sums run in item order (the user term first in the
+    penalty, the L2 part last in the user gradient), and the item rows are
+    scattered all i rows first, which fixes every float operation's order.
+    """
+    m = len(u)
+    lam = config.lam
+    pu = model.user_factors[u]
+    qs = [model.item_factors[k] for k in items]
+    terms, grads = objective(*(np.sum(pu * q, axis=1) for q in qs))
+
+    reg = np.sum(pu**2, axis=1)
+    for q in qs:
+        reg = reg + np.sum(q**2, axis=1)
     batch_loss = float(np.mean(terms) + lam * np.mean(reg))
 
-    gi = gf * dsi
-    gj = gf * dsj
-    gu_rows = (gi[:, None] * qi + gj[:, None] * qj + 2.0 * lam * pu) / m
-    gqi_rows = (gi[:, None] * pu + 2.0 * lam * qi) / m
-    gqj_rows = (gj[:, None] * pu + 2.0 * lam * qj) / m
+    gu_rows = grads[0][:, None] * qs[0]
+    for g, q in zip(grads[1:], qs[1:]):
+        gu_rows = gu_rows + g[:, None] * q
+    gu_rows = (gu_rows + 2.0 * lam * pu) / m
+    gq_rows = [(g[:, None] * pu + 2.0 * lam * q) / m for g, q in zip(grads, qs)]
 
-    uu, gu = _scatter_rows(batch.u, gu_rows)
-    ii, gq = _scatter_rows(np.concatenate([batch.i, batch.j]),
-                           np.concatenate([gqi_rows, gqj_rows]))
-    adam.update(model, uu, gu, ii, gq, config.learning_rate)
-    return batch_loss
-
-
-def _apply_point_batch(model, adam, batch: PointBatch, spec, config) -> float:
-    m = len(batch)
-    pu = model.user_factors[batch.u]
-    qi = model.item_factors[batch.i]
-    s = np.sum(pu * qi, axis=1)
-    kwargs = {}
-    if spec.method == "wmf":
-        kwargs["weight"] = spec.wmf_weight
-    loss, ds = pointwise_loss(spec.method, batch.c, s, theta_click=batch.theta_click,
-                              **kwargs)
-    lam = config.lam
-    reg = np.sum(pu**2, axis=1) + np.sum(qi**2, axis=1)
-    batch_loss = float(np.mean(loss) + lam * np.mean(reg))
-
-    gu_rows = (ds[:, None] * qi + 2.0 * lam * pu) / m
-    gq_rows = (ds[:, None] * pu + 2.0 * lam * qi) / m
-    uu, gu = _scatter_rows(batch.u, gu_rows)
-    ii, gq = _scatter_rows(batch.i, gq_rows)
+    uu, gu = _scatter_rows(u, gu_rows)
+    ii, gq = _scatter_rows(np.concatenate(items), np.concatenate(gq_rows))
     adam.update(model, uu, gu, ii, gq, config.learning_rate)
     return batch_loss
 
@@ -271,20 +231,20 @@ def _apply_point_batch(model, adam, batch: PointBatch, spec, config) -> float:
 # Epoch loops
 
 
-def _pairwise_epoch(pool, model, adam, spec, config, rng, propensities, gamma_hat):
-    dataset = pool.dataset
+def _pairwise_epoch(pool, model, adam, spec, config, rng, theta, gamma_hat):
     perm = rng.permutation(len(pool))
     losses = []
     for start in range(0, len(perm), config.batch_size):
         sel = perm[start:start + config.batch_size]
         u, i = pool.users[sel], pool.items[sel]
         j = pool.sample_negatives(i, rng)
-        batch = _enrich_pair_batch(dataset, u, i, j, propensities, gamma_hat)
-        losses.append((_apply_pair_batch(model, adam, batch, spec, config), len(batch)))
+        objective = partial(_pair_objective, spec,
+                            *_pair_inputs(pool.dataset, u, i, j, theta, gamma_hat))
+        losses.append((_step(model, adam, u, (i, j), objective, config), len(u)))
     return losses
 
 
-def _pointwise_epoch(dataset, model, adam, spec, config, rng, propensities):
+def _pointwise_epoch(dataset, model, adam, spec, config, rng, theta):
     half = max(1, config.batch_size // 2)
     perm = rng.permutation(len(dataset))
     losses = []
@@ -296,8 +256,8 @@ def _pointwise_epoch(dataset, model, adam, spec, config, rng, propensities):
         u = np.concatenate([eu, nu])
         i = np.concatenate([ei, ni])
         c = np.concatenate([ec, np.zeros(len(nu))])
-        batch = _make_point_batch(u, i, c, propensities)
-        losses.append((_apply_point_batch(model, adam, batch, spec, config), len(batch)))
+        objective = partial(_point_objective, spec, c, theta[i])
+        losses.append((_step(model, adam, u, (i,), objective, config), len(u)))
     return losses
 
 
@@ -315,6 +275,8 @@ def train(dataset: ImplicitDataset, config: TrainConfig, loss_spec: LossSpec,
     rng = np.random.default_rng(config.seed)
     model = init_model(dataset.num_users, dataset.num_items, config.d, seed=config.seed)
     adam = AdamState.for_model(model)
+    theta = propensities.theta_click if propensities is not None \
+        else np.ones(dataset.num_items)
     if loss_spec.is_pairwise:
         pool = _PositivePool(dataset)
 
@@ -327,11 +289,10 @@ def train(dataset: ImplicitDataset, config: TrainConfig, loss_spec: LossSpec,
 
     for epoch in range(config.max_epochs):
         if loss_spec.is_pairwise:
-            losses = _pairwise_epoch(pool, model, adam, loss_spec, config, rng,
-                                     propensities, gamma_hat)
+            losses = _pairwise_epoch(pool, model, adam, loss_spec, config, rng, theta,
+                                     gamma_hat)
         else:
-            losses = _pointwise_epoch(dataset, model, adam, loss_spec, config, rng,
-                                      propensities)
+            losses = _pointwise_epoch(dataset, model, adam, loss_spec, config, rng, theta)
         total = sum(n for _, n in losses)
         train_loss = sum(l * n for l, n in losses) / max(total, 1)
         if not math.isfinite(train_loss):

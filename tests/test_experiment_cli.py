@@ -453,3 +453,25 @@ class TestGridFile:
         resolved_a = (tmp_path / "a" / "config_resolved.cfg").read_text()
         resolved_b = (tmp_path / "b" / "config_resolved.cfg").read_text()
         assert resolved_a.replace(str(tmp_path / "a"), str(tmp_path / "b")) == resolved_b
+
+    def test_grid_keys_left_out_keep_the_config_values(self, triplet_files, tmp_path):
+        out = tmp_path / "out"
+        cfg = re.sub(r"^lambda_grid = .*$", "lambda_grid = 0.001",
+                     small_config_text(triplet_files, out, runs=1), flags=re.M)
+        (tmp_path / "exp.cfg").write_text(cfg)
+        (tmp_path / "grid.cfg").write_text("clip_grid = 0,-1\n")
+        assert cli.main(["experiment", "--config", str(tmp_path / "exp.cfg"),
+                         "--grid-file", str(tmp_path / "grid.cfg")]) == 0
+        resolved = (out / "config_resolved.cfg").read_text().splitlines()
+        assert "d_grid=8" in resolved
+        assert "lambda_grid=0.001" in resolved
+        assert "clip_grid=0.0,-1.0" in resolved
+
+    def test_non_grid_key_rejected(self, triplet_files, tmp_path):
+        out = tmp_path / "out"
+        (tmp_path / "exp.cfg").write_text(small_config_text(triplet_files, out, runs=1))
+        (tmp_path / "grid.cfg").write_text("d_grid = 4\nruns = 3\n")
+        with pytest.raises(ValueError, match=r"grid\.cfg:2: 'runs' is not one of"):
+            cli.main(["experiment", "--config", str(tmp_path / "exp.cfg"),
+                      "--grid-file", str(tmp_path / "grid.cfg")])
+        assert not out.exists()  # rejected before anything ran

@@ -2,6 +2,8 @@ import hashlib
 import itertools
 import math
 import warnings
+from functools import partial
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -25,8 +27,8 @@ from uplrec.oracle import exact_expectation, ideal_risk, model_for_world, random
 from uplrec.propensity import PropensityTable
 from uplrec.trainer import (
     AdamState,
-    _apply_pair_batch,
-    _enrich_pair_batch,
+    _pair_inputs,
+    _pair_objective,
     _PositivePool,
     _scatter_rows,
     relevance_predictor,
@@ -69,16 +71,31 @@ class TestAdam:
 
 
 def _pair_epoch_batches(monkeypatch, ds, batch_size, epochs=1, seed=0,
-                        propensities=None, gamma_hat=None):
-    """The batches that pairwise epochs hand to the training step."""
-    batches = []
-    monkeypatch.setattr(trainer, "_apply_pair_batch",
-                        lambda model, adam, batch, spec, config: batches.append(batch) or 0.0)
+                        theta=None, gamma_hat=None):
+    """The batches that pairwise epochs hand to the training step, each with
+    the ``pair_weights`` inputs the epoch looked up for it."""
+    inputs, batches = [], []
+
+    def looked_up(*args):
+        inputs.append(_pair_inputs(*args))
+        return inputs[-1]
+
+    def step(model, adam, u, items, objective, config):
+        i, j = items
+        c_j, theta_i, theta_j, gamma_hat_j = inputs[-1]
+        batches.append(SimpleNamespace(u=u, i=i, j=j, c_j=c_j, theta_i=theta_i,
+                                       theta_j=theta_j, gamma_hat_j=gamma_hat_j))
+        return 0.0
+
+    monkeypatch.setattr(trainer, "_pair_inputs", looked_up)
+    monkeypatch.setattr(trainer, "_step", step)
     pool = _PositivePool(ds)
     config = TrainConfig(d=2, batch_size=batch_size)
     rng = np.random.default_rng(seed)
+    theta = np.ones(ds.num_items) if theta is None else theta
     for _ in range(epochs):
-        trainer._pairwise_epoch(pool, None, None, None, config, rng, propensities, gamma_hat)
+        trainer._pairwise_epoch(pool, None, None, None, config, rng, theta, gamma_hat)
+    assert len(inputs) == len(batches)
     return batches
 
 
@@ -103,7 +120,7 @@ class TestSampleBatch:
         # an epoch draws every positive once: full batches, then the rest
         ds = make_implicit(2, 5, [(u, i, 0.5, 1) for u in range(2) for i in range(2)])
         batches = _pair_epoch_batches(monkeypatch, ds, batch_size=3)
-        assert [len(b) for b in batches] == [3, 1]
+        assert [len(b.u) for b in batches] == [3, 1]
         pairs = sorted(zip(np.concatenate([b.u for b in batches]).tolist(),
                            np.concatenate([b.i for b in batches]).tolist()))
         assert pairs == [(0, 0), (0, 1), (1, 0), (1, 1)]
@@ -135,9 +152,8 @@ class TestSampleBatch:
     def test_ubpr_candidates_include_clicked(self, monkeypatch):
         cells = [(0, i, 0.5, 1) for i in range(5)] + [(0, 5, 0.5, 0)]
         ds = make_implicit(1, 6, cells)
-        pt = PropensityTable(theta_click=np.full(6, 0.5))
         batches = _pair_epoch_batches(monkeypatch, ds, batch_size=5, epochs=100, seed=4,
-                                      propensities=pt)
+                                      theta=np.full(6, 0.5))
         c_j, (terms, _) = _pair_terms(LossSpec("ubpr"), batches)
         assert c_j.sum() > 0  # clicked candidates do occur
         assert np.all(terms[c_j == 1] == -2.0)  # and weigh (1/0.5) * (1 - 1/0.5)
@@ -164,18 +180,28 @@ class TestSampleBatch:
     def test_pointwise_mix(self, monkeypatch):
         cells = [(u, i, 0.5, 1) for u in range(3) for i in range(2)]
         ds = make_implicit(3, 8, cells)
-        batches = []
-        monkeypatch.setattr(trainer, "_apply_point_batch",
-                            lambda model, adam, batch, spec, config:
-                            batches.append(batch) or 0.0)
+        batches, clicks = [], []
+
+        def loss(method, c, s, **kwargs):
+            clicks.append(c)
+            return pointwise_loss(method, c, s, **kwargs)
+
+        def step(model, adam, u, items, objective, config):
+            batches.append((u, items))
+            objective(np.zeros(len(u)))  # hands the batch's clicks to pointwise_loss
+            return 0.0
+
+        monkeypatch.setattr(trainer, "pointwise_loss", loss)
+        monkeypatch.setattr(trainer, "_step", step)
         config = TrainConfig(d=2, batch_size=4)
         trainer._pointwise_epoch(ds, None, None, LossSpec("relmf"), config,
-                                 np.random.default_rng(6), None)
-        assert [len(b) for b in batches] == [4, 4, 4]
-        for batch in batches:
-            exposed = ds.is_exposed(batch.u, batch.i)
+                                 np.random.default_rng(6), np.ones(8))
+        assert [len(u) for u, _ in batches] == [4, 4, 4]
+        assert len(clicks) == len(batches)
+        for (u, (i,)), c in zip(batches, clicks):
+            exposed = ds.is_exposed(u, i)
             assert exposed.sum() == 2  # half exposed, half unexposed
-            assert np.all(batch.c[~exposed] == 0)
+            assert np.all(c[~exposed] == 0)
 
     def test_gamma_hat_passthrough_clamped(self, monkeypatch):
         ds = make_implicit(1, 4, [(0, 0, 1.0, 1)])
@@ -206,20 +232,23 @@ class TestTrainLoop:
         rng = np.random.default_rng(3)
         pool = _PositivePool(separable_dataset)
         idx = rng.integers(0, len(pool), size=16)
-        i = pool.items[idx]
-        batch = _enrich_pair_batch(separable_dataset, pool.users[idx], i,
-                                   pool.sample_negatives(i, rng), None, None)
+        u, i = pool.users[idx], pool.items[idx]
+        j = pool.sample_negatives(i, rng)
+        c_j, theta_i, theta_j, gamma_hat_j = _pair_inputs(
+            separable_dataset, u, i, j, np.ones(separable_dataset.num_items), None)
+        objective = partial(_pair_objective, LossSpec("bpr"), c_j, theta_i, theta_j,
+                            gamma_hat_j)
 
         def batch_loss(m):
-            s_i = np.sum(m.user_factors[batch.u] * m.item_factors[batch.i], axis=1)
-            s_j = np.sum(m.user_factors[batch.u] * m.item_factors[batch.j], axis=1)
+            s_i = np.sum(m.user_factors[u] * m.item_factors[i], axis=1)
+            s_j = np.sum(m.user_factors[u] * m.item_factors[j], axis=1)
             loss, _, _ = sigmoid_pair_loss(s_i, s_j)
-            terms, _ = pair_weights(LossSpec("bpr"), batch.c_j, batch.theta_i,
-                                    batch.theta_j, batch.gamma_hat_j, loss)
+            terms, _ = pair_weights(LossSpec("bpr"), c_j, theta_i, theta_j, gamma_hat_j,
+                                    loss)
             return float(np.mean(terms))
 
         before = batch_loss(model)
-        _apply_pair_batch(model, adam, batch, LossSpec("bpr"), config)
+        trainer._step(model, adam, u, (i, j), objective, config)
         assert batch_loss(model) < before
 
     def test_determinism_same_seed(self, separable_dataset):
@@ -336,14 +365,14 @@ class TestMinibatchRiskMatchesIdeal:
     def test_epoch_expectation_is_full_batch_risk_over_i_minus_1(
             self, estimator, num_items, world_seed, model_seed):
         """Exact expectation, over every click outcome and every candidate
-        draw, of the term sum of one epoch as training samples and weights
-        it: (I - 1) times it is the oracle's full-batch expectation, and for
-        the unbiased estimators it is the ideal risk over I - 1."""
+        draw, of the term sum of one epoch as training samples it and as the
+        objective handed to the step weights it: (I - 1) times it is the
+        oracle's full-batch expectation, and for the unbiased estimators it
+        is the ideal risk over I - 1."""
         world = random_world(1, num_items, seed=world_seed)
         model = model_for_world(world, seed=model_seed)
         theta, gamma = world.theta[0], world.gamma[0]
         spec = LossSpec(estimator, clip_threshold=0.0 if estimator == "ubpr_clipped" else None)
-        prop = PropensityTable(theta_click=theta)
         gamma_hat = (lambda users, items: world.gamma[users, items]) \
             if estimator == "upl" else None
         scores = model.score_matrix()
@@ -361,10 +390,8 @@ class TestMinibatchRiskMatchesIdeal:
             u = np.repeat(pool.users, num_items - 1)
             i = np.repeat(pool.items, num_items - 1)
             j = pool.sample_negatives(i, _EveryDraw())
-            batch = _enrich_pair_batch(ds, u, i, j, prop, gamma_hat)
-            loss, _, _ = sigmoid_pair_loss(scores[u, i], scores[u, j])
-            terms, _ = pair_weights(spec, batch.c_j, batch.theta_i, batch.theta_j,
-                                    batch.gamma_hat_j, loss)
+            terms, _ = _pair_objective(spec, *_pair_inputs(ds, u, i, j, theta, gamma_hat),
+                                       scores[u, i], scores[u, j])
             expected += prob * math.fsum(terms) / (num_items - 1)
 
         exact = exact_expectation(world, model, estimator, clip_threshold=0.0)
@@ -421,74 +448,51 @@ class TestScatterRows:
 def _reference_adam_update(adam, model, user_rows, user_grads, item_rows, item_grads,
                            learning_rate):
     """AdamState.update as it was with np.add.at: three reads of m and v."""
+    beta1, beta2, eps = trainer.ADAM_BETA1, trainer.ADAM_BETA2, trainer.ADAM_EPS
     adam.step += 1
-    bc1 = 1.0 - adam.beta1**adam.step
-    bc2 = 1.0 - adam.beta2**adam.step
+    bc1 = 1.0 - beta1**adam.step
+    bc2 = 1.0 - beta2**adam.step
     for param, m, v, rows, grads in (
         (model.user_factors, adam.user_m, adam.user_v, user_rows, user_grads),
         (model.item_factors, adam.item_m, adam.item_v, item_rows, item_grads),
     ):
         if len(rows) == 0:
             continue
-        m[rows] = adam.beta1 * m[rows] + (1.0 - adam.beta1) * grads
-        v[rows] = adam.beta2 * v[rows] + (1.0 - adam.beta2) * grads**2
-        param[rows] -= learning_rate * (m[rows] / bc1) / (np.sqrt(v[rows] / bc2) + adam.eps)
+        m[rows] = beta1 * m[rows] + (1.0 - beta1) * grads
+        v[rows] = beta2 * v[rows] + (1.0 - beta2) * grads**2
+        param[rows] -= learning_rate * (m[rows] / bc1) / (np.sqrt(v[rows] / bc2) + eps)
 
 
-def _reference_pair_batch(model, adam, batch, spec, config):
-    m = len(batch)
-    pu = model.user_factors[batch.u]
-    qi = model.item_factors[batch.i]
-    qj = model.item_factors[batch.j]
-    s_i = np.sum(pu * qi, axis=1)
-    s_j = np.sum(pu * qj, axis=1)
-    loss, dsi, dsj = sigmoid_pair_loss(s_i, s_j)
-    terms, gf = pair_weights(spec, batch.c_j, batch.theta_i, batch.theta_j,
-                             batch.gamma_hat_j, loss)
+def _reference_step(model, adam, u, items, objective, config):
+    """The pairwise and the pointwise step as they were, written out apart,
+    with np.add.at."""
+    m = len(u)
     lam = config.lam
-
-    reg = np.sum(pu**2, axis=1) + np.sum(qi**2, axis=1) + np.sum(qj**2, axis=1)
+    pu = model.user_factors[u]
+    if len(items) == 2:
+        i, j = items
+        qi = model.item_factors[i]
+        qj = model.item_factors[j]
+        terms, (gi, gj) = objective(np.sum(pu * qi, axis=1), np.sum(pu * qj, axis=1))
+        reg = np.sum(pu**2, axis=1) + np.sum(qi**2, axis=1) + np.sum(qj**2, axis=1)
+        gu_rows = (gi[:, None] * qi + gj[:, None] * qj + 2.0 * lam * pu) / m
+        gqi_rows = (gi[:, None] * pu + 2.0 * lam * qi) / m
+        gqj_rows = (gj[:, None] * pu + 2.0 * lam * qj) / m
+        all_items = np.concatenate([i, j])
+        gq_rows = np.concatenate([gqi_rows, gqj_rows])
+    else:
+        (all_items,) = items
+        qi = model.item_factors[all_items]
+        terms, (ds,) = objective(np.sum(pu * qi, axis=1))
+        reg = np.sum(pu**2, axis=1) + np.sum(qi**2, axis=1)
+        gu_rows = (ds[:, None] * qi + 2.0 * lam * pu) / m
+        gq_rows = (ds[:, None] * pu + 2.0 * lam * qi) / m
     batch_loss = float(np.mean(terms) + lam * np.mean(reg))
 
-    gi = gf * dsi
-    gj = gf * dsj
-    gu_rows = (gi[:, None] * qi + gj[:, None] * qj + 2.0 * lam * pu) / m
-    gqi_rows = (gi[:, None] * pu + 2.0 * lam * qi) / m
-    gqj_rows = (gj[:, None] * pu + 2.0 * lam * qj) / m
-
-    uu, inv_u = np.unique(batch.u, return_inverse=True)
+    uu, inv_u = np.unique(u, return_inverse=True)
     gu = np.zeros((len(uu), model.d))
     np.add.at(gu, inv_u, gu_rows)
-
-    all_items = np.concatenate([batch.i, batch.j])
     ii, inv_i = np.unique(all_items, return_inverse=True)
-    gq = np.zeros((len(ii), model.d))
-    np.add.at(gq, inv_i, np.concatenate([gqi_rows, gqj_rows]))
-
-    _reference_adam_update(adam, model, uu, gu, ii, gq, config.learning_rate)
-    return batch_loss
-
-
-def _reference_point_batch(model, adam, batch, spec, config):
-    m = len(batch)
-    pu = model.user_factors[batch.u]
-    qi = model.item_factors[batch.i]
-    s = np.sum(pu * qi, axis=1)
-    kwargs = {}
-    if spec.method == "wmf":
-        kwargs["weight"] = spec.wmf_weight
-    loss, ds = pointwise_loss(spec.method, batch.c, s, theta_click=batch.theta_click,
-                              **kwargs)
-    lam = config.lam
-    reg = np.sum(pu**2, axis=1) + np.sum(qi**2, axis=1)
-    batch_loss = float(np.mean(loss) + lam * np.mean(reg))
-
-    gu_rows = (ds[:, None] * qi + 2.0 * lam * pu) / m
-    gq_rows = (ds[:, None] * pu + 2.0 * lam * qi) / m
-    uu, inv_u = np.unique(batch.u, return_inverse=True)
-    gu = np.zeros((len(uu), model.d))
-    np.add.at(gu, inv_u, gu_rows)
-    ii, inv_i = np.unique(batch.i, return_inverse=True)
     gq = np.zeros((len(ii), model.d))
     np.add.at(gq, inv_i, gq_rows)
 
@@ -497,7 +501,7 @@ def _reference_point_batch(model, adam, batch, spec, config):
 
 
 class TestStepMatchesReference:
-    @pytest.mark.parametrize("method", ["bpr", "ubpr_clipped", "relmf", "upl"])
+    @pytest.mark.parametrize("method", ["bpr", "ubpr", "ubpr_clipped", "wmf", "relmf", "upl"])
     def test_final_factors_bit_identical(self, method, monkeypatch):
         # partial exposure, so the pointwise epoch samples unexposed cells and
         # every batch of 32 repeats users and items
@@ -508,25 +512,24 @@ class TestStepMatchesReference:
         pt = PropensityTable.from_click_counts(ds.item_click_counts)
         config = TrainConfig(d=8, lam=1e-3, learning_rate=0.01, batch_size=32,
                              max_epochs=3, seed=4)
-        spec = LossSpec(method, clip_threshold=0.0 if method == "ubpr_clipped" else None)
+        spec = LossSpec(method, clip_threshold=0.0 if method == "ubpr_clipped" else None,
+                        wmf_weight=5.0 if method == "wmf" else None)
 
         def trained():
             if method == "upl":
-                return run_upl_pipeline(ds, config, pt).final_model
-            return train(ds, config, spec, pt).final_model
+                return run_upl_pipeline(ds, config, pt)
+            return train(ds, config, spec, pt)
 
         fast = trained()
         calls = []
 
-        def counted(reference):
-            def step(*args):
-                calls.append(reference)
-                return reference(*args)
-            return step
+        def reference(*args):
+            calls.append(args)
+            return _reference_step(*args)
 
-        monkeypatch.setattr(trainer, "_apply_pair_batch", counted(_reference_pair_batch))
-        monkeypatch.setattr(trainer, "_apply_point_batch", counted(_reference_point_batch))
+        monkeypatch.setattr(trainer, "_step", reference)
         slow = trained()
         assert calls  # the reference really ran
-        assert np.array_equal(fast.user_factors, slow.user_factors)
-        assert np.array_equal(fast.item_factors, slow.item_factors)
+        assert np.array_equal(fast.final_model.user_factors, slow.final_model.user_factors)
+        assert np.array_equal(fast.final_model.item_factors, slow.final_model.item_factors)
+        assert fast.epoch_log == slow.epoch_log  # the training losses too
