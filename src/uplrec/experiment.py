@@ -306,7 +306,7 @@ def _pool_grid_task(args):
     run = train_method(token, _POOL_STATE["data"], _POOL_STATE["propensities"],
                        make_train_config(config, d, lam, config.seed), clip,
                        config.wmf_weight)
-    return args, max(run.validation_curve) if run.validation_curve else 0.0
+    return max(run.validation_curve) if run.validation_curve else 0.0
 
 
 def _pool_final_task(args):
@@ -385,10 +385,11 @@ def _run_tasks(task_fn, tasks, state):
 
 
 def _grid_search(token, state):
-    tasks = [(token, d, lam, clip) for d, lam, clip in _grid_for(token, state["config"])]
+    combos = _grid_for(token, state["config"])
+    tasks = [(token, *combo) for combo in combos]
     rows = []
     best_combo, best_val = None, -np.inf
-    for (_, d, lam, clip), val in _run_tasks(_pool_grid_task, tasks, state):
+    for (d, lam, clip), val in zip(combos, _run_tasks(_pool_grid_task, tasks, state)):
         rows.append((token, d, lam, clip, val))
         if val > best_val:
             best_val = val

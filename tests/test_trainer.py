@@ -73,21 +73,16 @@ class TestAdam:
 def _pair_epoch_batches(monkeypatch, ds, batch_size, epochs=1, seed=0,
                         theta=None, gamma_hat=None):
     """The batches that pairwise epochs hand to the training step, each with
-    the ``pair_weights`` inputs the epoch looked up for it."""
-    inputs, batches = [], []
-
-    def looked_up(*args):
-        inputs.append(_pair_inputs(*args))
-        return inputs[-1]
+    the ``pair_weights`` inputs bound into the objective the step receives."""
+    batches = []
 
     def step(model, adam, u, items, objective, config):
         i, j = items
-        c_j, theta_i, theta_j, gamma_hat_j = inputs[-1]
+        _, c_j, theta_i, theta_j, gamma_hat_j = objective.args
         batches.append(SimpleNamespace(u=u, i=i, j=j, c_j=c_j, theta_i=theta_i,
                                        theta_j=theta_j, gamma_hat_j=gamma_hat_j))
         return 0.0
 
-    monkeypatch.setattr(trainer, "_pair_inputs", looked_up)
     monkeypatch.setattr(trainer, "_step", step)
     pool = _PositivePool(ds)
     config = TrainConfig(d=2, batch_size=batch_size)
@@ -95,7 +90,6 @@ def _pair_epoch_batches(monkeypatch, ds, batch_size, epochs=1, seed=0,
     theta = np.ones(ds.num_items) if theta is None else theta
     for _ in range(epochs):
         trainer._pairwise_epoch(pool, None, None, None, config, rng, theta, gamma_hat)
-    assert len(inputs) == len(batches)
     return batches
 
 
@@ -465,15 +459,21 @@ def _reference_adam_update(adam, model, user_rows, user_grads, item_rows, item_g
 
 def _reference_step(model, adam, u, items, objective, config):
     """The pairwise and the pointwise step as they were, written out apart,
-    with np.add.at."""
+    with np.add.at.  Only the inputs bound into ``objective`` are read: the
+    losses, weights and derivatives are computed here."""
     m = len(u)
     lam = config.lam
     pu = model.user_factors[u]
+    spec, *bound = objective.args
     if len(items) == 2:
         i, j = items
+        c_j, theta_i, theta_j, gamma_j = bound
         qi = model.item_factors[i]
         qj = model.item_factors[j]
-        terms, (gi, gj) = objective(np.sum(pu * qi, axis=1), np.sum(pu * qj, axis=1))
+        loss, dsi, dsj = sigmoid_pair_loss(np.sum(pu * qi, axis=1), np.sum(pu * qj, axis=1))
+        terms, gf = pair_weights(spec, c_j, theta_i, theta_j, gamma_j, loss)
+        gi = gf * dsi
+        gj = gf * dsj
         reg = np.sum(pu**2, axis=1) + np.sum(qi**2, axis=1) + np.sum(qj**2, axis=1)
         gu_rows = (gi[:, None] * qi + gj[:, None] * qj + 2.0 * lam * pu) / m
         gqi_rows = (gi[:, None] * pu + 2.0 * lam * qi) / m
@@ -482,8 +482,11 @@ def _reference_step(model, adam, u, items, objective, config):
         gq_rows = np.concatenate([gqi_rows, gqj_rows])
     else:
         (all_items,) = items
+        c, theta_click = bound
         qi = model.item_factors[all_items]
-        terms, (ds,) = objective(np.sum(pu * qi, axis=1))
+        kwargs = {"weight": spec.wmf_weight} if spec.method == "wmf" else {}
+        terms, ds = pointwise_loss(spec.method, c, np.sum(pu * qi, axis=1),
+                                   theta_click=theta_click, **kwargs)
         reg = np.sum(pu**2, axis=1) + np.sum(qi**2, axis=1)
         gu_rows = (ds[:, None] * qi + 2.0 * lam * pu) / m
         gq_rows = (ds[:, None] * pu + 2.0 * lam * qi) / m
@@ -523,7 +526,25 @@ class TestStepMatchesReference:
         fast = trained()
         calls = []
 
+        specs = [LossSpec("relmf"), LossSpec("upl")] if method == "upl" else [spec]
+
         def reference(*args):
+            # the inputs bound into the objective, looked up independently
+            _, _, u, items, objective, _ = args
+            bound_spec, *bound = objective.args
+            assert bound_spec in specs
+            if len(items) == 2:
+                i, j = items
+                c_j, theta_i, theta_j, gamma_j = bound
+                assert np.array_equal(c_j, ds.is_clicked(u, j))
+                assert np.array_equal(theta_i, pt.theta_click[i])
+                assert np.array_equal(theta_j, pt.theta_click[j])
+                assert gamma_j.any() == (method == "upl")
+            else:
+                (i,) = items
+                c, theta_click = bound
+                assert np.array_equal(c, ds.is_clicked(u, i))
+                assert np.array_equal(theta_click, pt.theta_click[i])
             calls.append(args)
             return _reference_step(*args)
 
