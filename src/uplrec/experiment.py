@@ -6,8 +6,16 @@ is the practical clipped variant (its threshold is grid-tuned alongside d
 and lambda), ``ubpr_nclip`` is unclipped ubpr (``LossSpec("ubpr")``),
 ``mfdu`` trains relmf (``LossSpec("relmf")``) until MF-DU's relevance prior
 of unclicked cells has a source, and ``upl`` runs the two-stage relmf -> upl
-pipeline.  Outputs are deterministic functions of the config file: no
-timestamps, stable ordering, fixed float formatting.
+pipeline.
+
+Training is a pure function of (LossSpec, TrainConfig) on the prepared
+data, so an experiment trains each distinct pair once and reuses the run
+where it recurs: a method's final run 0 is its grid run at the chosen combo
+(both train at ``seed``), ``mfdu`` reads relmf's runs, and each upl run takes
+its relevance estimates from the relmf run under the same TrainConfig.  A
+run is held only while a later task of the experiment can still read it.
+Outputs are deterministic functions of the config file: no timestamps,
+stable ordering, fixed float formatting.
 """
 
 from __future__ import annotations
@@ -39,7 +47,7 @@ from .evaluation import (
 from .factor_model import TrainConfig
 from .losses import LossSpec
 from .propensity import PropensityTable
-from .trainer import run_upl_pipeline, train
+from .trainer import relevance_predictor, run_upl_pipeline, train
 
 METHOD_TOKENS = ("wmf", "relmf", "mfdu", "bpr", "ubpr", "ubpr_nclip", "upl")
 DISPLAY_NAMES = {
@@ -283,16 +291,33 @@ def train_method(token: str, data: PreparedData, propensities: PropensityTable,
 
 
 def _grid_for(token: str, config: ExperimentConfig):
+    """The method's (d, lambda, clip) combos; a value repeated in a grid
+    names the same run, so each combo appears once."""
     combos = []
     clips = config.clip_grid if token == "ubpr" else (0.0,)
     for d in config.d_grid:
         for lam in config.lambda_grid:
             for clip in clips:
                 combos.append((d, lam, clip))
-    return combos
+    return list(dict.fromkeys(combos))
 
 
-# worker globals for process pools (set once per worker via initializer)
+def _run_key(token: str, combo, config: ExperimentConfig, seed: int):
+    """The (LossSpec, TrainConfig) a method trains at a grid combo and seed."""
+    d, lam, clip = combo
+    return (make_loss_spec(token, clip, config.wmf_weight),
+            make_train_config(config, d, lam, seed))
+
+
+def _specs_read(token: str, config: ExperimentConfig) -> set:
+    """The LossSpecs whose runs a method reads: those it trains, and for upl
+    its relmf stage."""
+    specs = {make_loss_spec(token, clip, config.wmf_weight)
+             for _, _, clip in _grid_for(token, config)}
+    return specs | {LossSpec("relmf")} if token == "upl" else specs
+
+
+# what every training task reads, set once in each pool worker
 _POOL_STATE = {}
 
 
@@ -300,26 +325,85 @@ def _pool_init(state):
     _POOL_STATE.update(state)
 
 
-def _pool_grid_task(args):
-    token, d, lam, clip = args
-    config = _POOL_STATE["config"]
-    run = train_method(token, _POOL_STATE["data"], _POOL_STATE["propensities"],
-                       make_train_config(config, d, lam, config.seed), clip,
-                       config.wmf_weight)
-    return max(run.validation_curve) if run.validation_curve else 0.0
+def _train_key(state, task):
+    """Train one (LossSpec, TrainConfig) key; returns the runs trained, the
+    key's own last.  A upl key takes its relmf stage's model from the task,
+    or trains that stage first under the same config."""
+    spec, train_config, relmf_model = task
+    data, propensities = state["data"], state["propensities"]
+    runs, gamma_hat = [], None
+    if spec.method == "upl":
+        if relmf_model is None:
+            runs.append(train(data.train, train_config, LossSpec("relmf"), propensities,
+                              validation=data.validation))
+            relmf_model = runs[0].final_model
+        gamma_hat = relevance_predictor(relmf_model)
+    runs.append(train(data.train, train_config, spec, propensities, gamma_hat=gamma_hat,
+                      validation=data.validation))
+    return runs
 
 
-def _pool_final_task(args):
-    token, d, lam, clip, run_idx = args
-    config = _POOL_STATE["config"]
-    data = _POOL_STATE["data"]
-    run = train_method(token, data, _POOL_STATE["propensities"],
-                       make_train_config(config, d, lam, config.seed + run_idx), clip,
-                       config.wmf_weight)
-    reports = evaluate(run.final_model, data.test, ks=config.ks,
-                       cohorts=_POOL_STATE["cohorts"],
-                       candidates=config.candidates, method=token, run=run_idx)
-    return reports, run.epoch_log
+def _pool_train_key(task):
+    return _train_key(_POOL_STATE, task)
+
+
+def _train_tasks(tasks, state):
+    """Yield each task's runs in task order, trained in-process or, with
+    threads > 1, on a worker pool."""
+    threads = state["config"].threads
+    if threads > 1 and len(tasks) > 1:
+        with ProcessPoolExecutor(max_workers=threads, initializer=_pool_init,
+                                 initargs=(state,)) as pool:
+            yield from pool.map(_pool_train_key, tasks)
+    else:
+        for task in tasks:
+            yield _train_key(state, task)
+
+
+class _Runs:
+    """An experiment's training runs, keyed by (LossSpec, TrainConfig).
+
+    Training is a pure function of its key on the prepared data, so each key
+    trains once.  A run is held only while a later task can read it: a
+    caller releases each key it is done with, and a run stays after that
+    only if its LossSpec is in ``keep``, the specs the methods still to
+    come read.
+    """
+
+    def __init__(self, state):
+        self.state = state
+        self.held = {}
+        self.keep = set()
+
+    def stream(self, keys):
+        """Yield (key, run) in key order: the held run, or one trained now.
+
+        The keys not held are trained in key order, on a pool all submitted
+        at once; the keys must be distinct.  A upl task gets the held
+        relmf run under its config, or trains that stage first; a stage run
+        is held only if its spec is kept.  Failed runs are never held.
+        """
+        relmf = LossSpec("relmf")
+        fresh = [key for key in keys if key not in self.held]
+        tasks = [(spec, train_config, self.held[relmf, train_config].final_model
+                  if spec.method == "upl" and (relmf, train_config) in self.held else None)
+                 for spec, train_config in fresh]
+        trained = _train_tasks(tasks, self.state)
+        fresh = set(fresh)
+        for key in keys:
+            if key in fresh:
+                *stages, self.held[key] = next(trained)
+                for run in stages:
+                    if run.loss_spec in self.keep:
+                        self.held[run.loss_spec, run.config] = run
+            yield key, self.held[key]
+
+    def release(self, key):
+        if key[0] not in self.keep:
+            self.held.pop(key, None)
+
+    def drop_unkept(self):
+        self.held = {key: run for key, run in self.held.items() if key[0] in self.keep}
 
 
 # ---------------------------------------------------------------------------
@@ -345,21 +429,25 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> Path:
         data.train.item_click_counts, power=config.propensity_power,
         floor=config.propensity_floor)
     propensities.save(out / "propensities")
-    # what every task reads: handed to each worker once, or set in-process
-    state = {"data": data, "propensities": propensities, "config": config,
-             "cohorts": compute_cohorts(data.train, CohortSpec()) if config.cohorts else None}
+    # what every task reads: handed to each worker once, or passed in-process
+    runs = _Runs({"data": data, "propensities": propensities, "config": config,
+                  "cohorts": compute_cohorts(data.train, CohortSpec())
+                  if config.cohorts else None})
 
     grid_rows = []
     all_reports: list[MetricReport] = []
     failures = []
 
-    for token in config.methods:
+    for idx, token in enumerate(config.methods):
+        runs.keep = set().union(*(_specs_read(later, config)
+                                  for later in config.methods[idx + 1:]))
         try:
-            best_combo, method_grid_rows = _grid_search(token, state)
+            best_combo, method_grid_rows = _grid_search(token, runs)
             grid_rows.extend(method_grid_rows)
-            all_reports.extend(_final_runs(token, best_combo, state, out))
+            all_reports.extend(_final_runs(token, best_combo, runs, out))
         except Exception as exc:  # isolate per-method failures
             failures.append((token, f"{type(exc).__name__}: {exc}"))
+        runs.drop_unkept()
 
     _write_grid(out / "grid_search.tsv", grid_rows, cfg_hash)
     write_metrics(out / "per_run_metrics.tsv", all_reports,
@@ -373,37 +461,40 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> Path:
     return out
 
 
-def _run_tasks(task_fn, tasks, state):
-    """Run tasks in-process or on a worker pool; output order follows tasks."""
-    threads = state["config"].threads
-    if threads > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=threads, initializer=_pool_init,
-                                 initargs=(state,)) as pool:
-            return list(pool.map(task_fn, tasks))
-    _pool_init(state)
-    return [task_fn(t) for t in tasks]
-
-
-def _grid_search(token, state):
-    combos = _grid_for(token, state["config"])
-    tasks = [(token, *combo) for combo in combos]
+def _grid_search(token, runs: _Runs):
+    """The best combo on validation DCG@5 and the grid rows.  The best run
+    stays held: final run 0 has its key."""
+    config = runs.state["config"]
+    combos = _grid_for(token, config)
+    keys = [_run_key(token, combo, config, config.seed) for combo in combos]
     rows = []
-    best_combo, best_val = None, -np.inf
-    for (d, lam, clip), val in zip(combos, _run_tasks(_pool_grid_task, tasks, state)):
-        rows.append((token, d, lam, clip, val))
+    best_combo, best_key, best_val = None, None, -np.inf
+    for combo, (key, run) in zip(combos, runs.stream(keys)):
+        val = max(run.validation_curve) if run.validation_curve else 0.0
+        rows.append((token, *combo, val))
         if val > best_val:
-            best_val = val
-            best_combo = (d, lam, clip)
+            if best_key is not None:
+                runs.release(best_key)
+            best_combo, best_key, best_val = combo, key, val
+        else:
+            runs.release(key)
     return best_combo, rows
 
 
-def _final_runs(token, combo, state, out: Path):
-    d, lam, clip = combo
-    tasks = [(token, d, lam, clip, r) for r in range(state["config"].runs)]
-    reports = []
-    for run_idx, (run_reports, epoch_log) in enumerate(
-            _run_tasks(_pool_final_task, tasks, state)):
-        reports.extend(run_reports)
+def _final_runs(token, combo, runs: _Runs, out: Path):
+    """Run r trains at seed ``seed + r``; the logs are written once every run
+    has been evaluated."""
+    state = runs.state
+    config = state["config"]
+    keys = [_run_key(token, combo, config, config.seed + r) for r in range(config.runs)]
+    reports, epoch_logs = [], []
+    for run_idx, (key, run) in enumerate(runs.stream(keys)):
+        reports.extend(evaluate(run.final_model, state["data"].test, ks=config.ks,
+                                cohorts=state["cohorts"], candidates=config.candidates,
+                                method=token, run=run_idx))
+        epoch_logs.append(run.epoch_log)
+        runs.release(key)
+    for run_idx, epoch_log in enumerate(epoch_logs):
         write_epoch_log(out / "logs" / f"{token}_run{run_idx:03d}.log", epoch_log)
     return reports
 

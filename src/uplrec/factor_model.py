@@ -52,9 +52,10 @@ class FactorModel:
         return self.user_factors @ self.item_factors.T
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
-    """Hyperparameters shared by every learning method."""
+    """Hyperparameters shared by every learning method; frozen, so that with
+    a LossSpec it names one training run."""
 
     d: int = 100
     lam: float = 1e-5

@@ -145,10 +145,11 @@ def pointwise_loss(method, c, s, theta_click=1.0, weight=10.0):
     return loss, grad
 
 
-@dataclass
+@dataclass(frozen=True)
 class LossSpec:
     """Selects an estimator; method-specific fields must be present exactly
-    when the method requires them."""
+    when the method requires them.  Frozen, so that with a TrainConfig it
+    names one training run."""
 
     method: str
     clip_threshold: float | None = None

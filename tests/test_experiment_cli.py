@@ -5,11 +5,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from uplrec import cli
+from uplrec import cli, trainer
 from uplrec import experiment as exp
 from uplrec.datasets import load_dataset
+from uplrec.evaluation import CohortSpec, compute_cohorts, evaluate
 from uplrec.factor_model import load_checkpoint
 from uplrec.losses import LossSpec
+from uplrec.propensity import PropensityTable
+from uplrec.trainer import run_upl_pipeline
 
 from conftest import write_synthetic_triplets
 
@@ -194,6 +197,21 @@ class TestTrainCli:
             [r.split("\t")[1:] for r in relmf_rows]
 
 
+def wrap_train(monkeypatch, fail=None):
+    """Wrap ``train`` where the experiment and the upl pipeline look it up;
+    returns the (LossSpec, TrainConfig) of every training attempted, and
+    training under the LossSpec ``fail`` raises."""
+    keys = []
+    for module in (trainer, exp):
+        def train(dataset, config, loss_spec, *args, _real=module.train, **kwargs):
+            keys.append((loss_spec, config))
+            if loss_spec == fail:
+                raise RuntimeError(f"synthetic {loss_spec.method} failure")
+            return _real(dataset, config, loss_spec, *args, **kwargs)
+        monkeypatch.setattr(module, "train", train)
+    return keys
+
+
 @pytest.fixture(scope="module")
 def experiment_out(triplet_files, tmp_path_factory):
     tmp = tmp_path_factory.mktemp("exp")
@@ -275,18 +293,25 @@ class TestMfduToken:
 
 class TestExperimentWorkers:
     def test_tables_identical_across_threads_and_out(self, triplet_files, tmp_path):
+        # mfdu and upl read relmf's runs: with threads 2 the workers hand
+        # their runs back and the upl tasks receive relmf models
         tables = ("aggregate.tsv", "tables.md", "per_run_metrics.tsv",
                   "significance.tsv", "grid_search.tsv")
         outputs = []
         for threads in (1, 2):
             out = tmp_path / f"out{threads}"
             cfg_path = tmp_path / f"exp{threads}.cfg"
-            cfg_path.write_text(small_config_text(triplet_files, out, methods="bpr,relmf")
+            cfg_path.write_text(small_config_text(triplet_files, out,
+                                                  methods="relmf,mfdu,bpr,upl")
                                 + f"threads = {threads}\n")
             assert cli.main(["experiment", "--config", str(cfg_path)]) == 0
             assert f"threads={threads}" in (out / "config_resolved.cfg").read_text()
             outputs.append({name: (out / name).read_bytes() for name in tables})
-        for name in tables:
+            outputs[-1].update({f"logs/{p.name}": p.read_bytes()
+                                for p in sorted((out / "logs").glob("*.log"))})
+        assert len(outputs[0]) == len(tables) + 4 * 2
+        assert outputs[0].keys() == outputs[1].keys()
+        for name in outputs[0]:
             assert outputs[0][name] == outputs[1][name], f"{name} differs across threads"
 
 
@@ -298,20 +323,126 @@ class TestExperimentFailureIsolation:
         cfg_path.write_text(small_config_text(triplet_files, out,
                                               methods="bpr,upl", runs=1))
         config = exp.parse_config_file(cfg_path)
-
-        real = exp.train_method
-
-        def flaky(token, *args, **kwargs):
-            if token == "upl":
-                raise RuntimeError("synthetic failure")
-            return real(token, *args, **kwargs)
-
-        monkeypatch.setattr(exp, "train_method", flaky)
+        wrap_train(monkeypatch, fail=LossSpec("upl"))
         exp.run_experiment(config)
         failures = (out / "failures.tsv").read_text()
         assert "upl\tRuntimeError" in failures
         rows = exp.read_per_run(out / "per_run_metrics.tsv")
         assert {r[0] for r in rows} == {"bpr"}
+
+    def test_relmf_failure_surfaces_for_each_reader(self, triplet_files, tmp_path,
+                                                    monkeypatch):
+        # mfdu and upl read relmf's runs; each reports the failure itself,
+        # as each did when it trained relmf on its own
+        cfg_path = tmp_path / "exp.cfg"
+        out = tmp_path / "out"
+        cfg_path.write_text(small_config_text(triplet_files, out,
+                                              methods="relmf,mfdu,bpr,upl", runs=2))
+        keys = wrap_train(monkeypatch, fail=LossSpec("relmf"))
+        exp.run_experiment(exp.parse_config_file(cfg_path))
+        assert (out / "failures.tsv").read_text() == (
+            "method\terror\n"
+            "relmf\tRuntimeError: synthetic relmf failure\n"
+            "mfdu\tRuntimeError: synthetic relmf failure\n"
+            "upl\tRuntimeError: synthetic relmf failure\n")
+        # a failed run is never held: every reader tries relmf once itself
+        assert [spec for spec, _ in keys].count(LossSpec("relmf")) == 3
+        rows = exp.read_per_run(out / "per_run_metrics.tsv")
+        assert {r[0] for r in rows} == {"bpr"} and {r[1] for r in rows} == {0, 1}
+        assert sorted(p.name for p in (out / "logs").iterdir()) == \
+            ["bpr_run000.log", "bpr_run001.log"]
+
+
+class TestRunMemo:
+    """Training is a pure function of (LossSpec, TrainConfig): an experiment
+    trains each distinct key once, and reusing a run changes no output."""
+
+    # methods -> (trainings, of which pointwise).  All seven: wmf, relmf,
+    # bpr, ubpr_nclip and upl train runs 0 and 1, ubpr its 2 clips at the
+    # grid seed and then run 1, and mfdu and upl's relmf stage reuse relmf's.
+    # upl alone trains its relmf stage in each of its 2 tasks.
+    EXPERIMENTS = {"wmf,relmf,mfdu,bpr,ubpr,ubpr_nclip,upl": (13, 4), "upl": (4, 2)}
+
+    @pytest.fixture(scope="class", params=sorted(EXPERIMENTS))
+    def memo_run(self, request, triplet_files, tmp_path_factory):
+        tmp = tmp_path_factory.mktemp("memo")
+        cfg_path = tmp / "exp.cfg"
+        cfg_path.write_text(small_config_text(triplet_files, tmp / "out",
+                                              methods=request.param, runs=2)
+                            + "clip_grid = 0,-1\n")
+        config = exp.parse_config_file(cfg_path)
+        with pytest.MonkeyPatch.context() as mp:
+            keys = wrap_train(mp)
+            exp.run_experiment(config)
+        return config, keys
+
+    def test_each_distinct_key_trains_once(self, memo_run):
+        config, keys = memo_run
+        assert len(keys) == len(set(keys))
+        trainings, pointwise = self.EXPERIMENTS[",".join(config.methods)]
+        assert len(keys) == trainings
+        assert sum(1 for spec, _ in keys if not spec.is_pairwise) == pointwise
+
+    def test_outputs_match_independent_training(self, memo_run, tmp_path):
+        # reports and epoch logs of upl, mfdu and bpr, each run trained
+        # from scratch through the public calls, without the experiment
+        config, _ = memo_run
+        out = Path(config.out)
+        data = exp.prepare_datasets(config.dataset, config.format, config.epsilon_train,
+                                    config.epsilon_test, config.validation_fraction,
+                                    config.seed)
+        propensities = PropensityTable.from_click_counts(
+            data.train.item_click_counts, power=config.propensity_power,
+            floor=config.propensity_floor)
+        cohorts = compute_cohorts(data.train, CohortSpec())
+        rows = exp.read_per_run(out / "per_run_metrics.tsv")
+        tokens = [t for t in ("upl", "mfdu", "bpr") if t in config.methods]
+        assert tokens
+        for token in tokens:
+            expected = []
+            for run in range(config.runs):
+                train_config = exp.make_train_config(config, 8, 1e-5, config.seed + run)
+                if token == "upl":
+                    trained = run_upl_pipeline(data.train, train_config, propensities,
+                                               validation=data.validation)
+                else:
+                    trained = trainer.train(
+                        data.train, train_config,
+                        exp.make_loss_spec(token, 0.0, config.wmf_weight),
+                        propensities, validation=data.validation)
+                for rep in evaluate(trained.final_model, data.test, ks=config.ks,
+                                    cohorts=cohorts, candidates=config.candidates,
+                                    method=token, run=run):
+                    expected += [(rep.method, rep.run, rep.cohort, metric, rep.k,
+                                  getattr(rep, metric)) for metric in exp.METRIC_NAMES]
+                log = tmp_path / f"{token}{run}.log"
+                exp.write_epoch_log(log, trained.epoch_log)
+                name = f"{token}_run{run:03d}.log"
+                assert (out / "logs" / name).read_text() == log.read_text(), name
+            assert sorted(r for r in rows if r[0] == token) == sorted(expected), token
+
+    @pytest.mark.parametrize("d_grid", [(8, 12), (12, 8)])
+    def test_repeated_grid_value_searched_once(self, triplet_files, tmp_path, d_grid):
+        # mfdu reads relmf's held runs; a repeated d names the same run,
+        # whether or not it is the best one
+        first, second = d_grid
+        cfg_path = tmp_path / "exp.cfg"
+        out = tmp_path / "out"
+        cfg_path.write_text(small_config_text(triplet_files, out, methods="relmf,mfdu",
+                                              runs=1)
+                            + f"d_grid = {first},{second},{first}\n")
+        exp.run_experiment(exp.parse_config_file(cfg_path))
+        assert not (out / "failures.tsv").exists()
+        grid = [line.split("\t")[:2] for line in
+                (out / "grid_search.tsv").read_text().splitlines()[2:]]
+        assert grid == [[token, str(d)] for token in ("relmf", "mfdu")
+                        for d in (first, second)]
+
+    def test_no_state_left_after_experiment(self, triplet_files, tmp_path):
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(small_config_text(triplet_files, tmp_path / "out", runs=1))
+        exp.run_experiment(exp.parse_config_file(cfg_path))
+        assert exp._POOL_STATE == {}
 
 
 class TestVerifyCli:
