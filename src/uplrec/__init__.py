@@ -24,4 +24,4 @@ from .losses import LossSpec, clip_term, pair_weights, pointwise_loss, sigmoid_p
 from .oracle import SyntheticWorld, closed_form_variance_upl, exact_expectation, \
     ideal_risk, mc_bias_variance
 from .propensity import PropensityTable, estimate_click_propensity, posterior_exposure
-from .trainer import AdamState, TrainRun, run_upl_pipeline, train
+from .trainer import AdamState, TrainRun, train, train_key

@@ -2,7 +2,8 @@
 
 Subcommands:
   prepare     turn explicit-rating files into semi-synthetic implicit splits
-  train       one training run on a prepared dataset directory
+  train       one training run on a prepared dataset directory: the run 0
+              an experiment gives for the same token, seed and combo
   experiment  full sweep from a key=value config file (grid + repeated runs)
   verify      run the estimator oracle suite (exact enumeration + Monte Carlo)
   report      re-aggregate an experiment directory from its per-run TSV
@@ -22,6 +23,7 @@ from .evaluation import CohortSpec, compute_cohorts, evaluate
 from .experiment import METHOD_TOKENS, PreparedData
 from .factor_model import TrainConfig, save_checkpoint
 from .propensity import PropensityTable
+from .trainer import train_key
 
 
 def main(argv=None) -> int:
@@ -122,8 +124,8 @@ def _cmd_train(args) -> int:
         batch_size=args.batch_size, max_epochs=args.max_epochs,
         patience=args.patience, seed=args.seed,
     )
-    run = exp.train_method(args.method, data, propensities, train_config,
-                           args.clip, args.wmf_weight)
+    spec = exp.make_loss_spec(args.method, args.clip, args.wmf_weight)
+    *_, run = train_key(data.train, train_config, spec, propensities, data.validation)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     save_checkpoint(run.final_model, out / "model.ckpt", seed=args.seed)

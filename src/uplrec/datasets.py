@@ -10,7 +10,7 @@ against them later.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from pathlib import Path
 
@@ -158,16 +158,10 @@ def align_index_spaces(a: ExplicitRatings, b: ExplicitRatings):
     item_ids = np.union1d(a.item_ids, b.item_ids)
 
     def remap(r: ExplicitRatings) -> ExplicitRatings:
-        return ExplicitRatings(
-            num_users=len(user_ids),
-            num_items=len(item_ids),
-            users=np.searchsorted(user_ids, r.user_ids[r.users]),
-            items=np.searchsorted(item_ids, r.item_ids[r.items]),
-            ratings=r.ratings,
-            r_max=r.r_max,
-            user_ids=user_ids,
-            item_ids=item_ids,
-        )
+        return replace(r, num_users=len(user_ids), num_items=len(item_ids),
+                       users=np.searchsorted(user_ids, r.user_ids[r.users]),
+                       items=np.searchsorted(item_ids, r.item_ids[r.items]),
+                       user_ids=user_ids, item_ids=item_ids)
 
     return remap(a), remap(b)
 
@@ -334,18 +328,8 @@ def split_validation(dataset: ImplicitDataset, fraction: float, seed: int):
     val_mask[perm[:n_val]] = True
 
     def take(mask, tag):
-        return ImplicitDataset(
-            num_users=dataset.num_users,
-            num_items=dataset.num_items,
-            users=dataset.users[mask],
-            items=dataset.items[mask],
-            gamma=dataset.gamma[mask],
-            rel=dataset.rel[mask],
-            split_tag=tag,
-            epsilon=dataset.epsilon,
-            seed=dataset.seed,
-            r_max=dataset.r_max,
-        )
+        return replace(dataset, users=dataset.users[mask], items=dataset.items[mask],
+                       gamma=dataset.gamma[mask], rel=dataset.rel[mask], split_tag=tag)
 
     return take(~val_mask, dataset.split_tag), take(val_mask, "validation")
 

@@ -5,15 +5,17 @@ The experiment method tokens map onto loss estimators as follows: ``ubpr``
 is the practical clipped variant (its threshold is grid-tuned alongside d
 and lambda), ``ubpr_nclip`` is unclipped ubpr (``LossSpec("ubpr")``),
 ``mfdu`` trains relmf (``LossSpec("relmf")``) until MF-DU's relevance prior
-of unclicked cells has a source, and ``upl`` runs the two-stage relmf -> upl
-pipeline.
+of unclicked cells has a source, and ``upl`` is two-stage: it reads the run
+that ``trainer.stage_spec`` names, relmf under the same TrainConfig.
 
 Training is a pure function of (LossSpec, TrainConfig) on the prepared
-data, so an experiment trains each distinct pair once and reuses the run
-where it recurs: a method's final run 0 is its grid run at the chosen combo
-(both train at ``seed``), ``mfdu`` reads relmf's runs, and each upl run takes
-its relevance estimates from the relmf run under the same TrainConfig.  A
-run is held only while a later task of the experiment can still read it.
+data, and every key trains through ``trainer.train_key``, as ``uplrec train``
+does, so an experiment's run 0 of a method is what ``uplrec train`` gives for
+the same token, seed and combo.  An experiment trains each distinct key once
+and reuses the run where it recurs: a method's final run 0 is its grid run at
+the chosen combo (both train at ``seed``), ``mfdu`` reads relmf's runs, and
+each upl task is handed its held relmf stage.  A run is held only while a
+later task of the experiment can still read it.
 Outputs are deterministic functions of the config file: no timestamps,
 stable ordering, fixed float formatting.
 """
@@ -47,7 +49,7 @@ from .evaluation import (
 from .factor_model import TrainConfig
 from .losses import LossSpec
 from .propensity import PropensityTable
-from .trainer import relevance_predictor, run_upl_pipeline, train
+from .trainer import stage_spec, train_key
 
 METHOD_TOKENS = ("wmf", "relmf", "mfdu", "bpr", "ubpr", "ubpr_nclip", "upl")
 DISPLAY_NAMES = {
@@ -94,11 +96,17 @@ class ExperimentConfig:
             raise ValueError("hyperparameter grid must be non-empty")
         if "ubpr" in self.methods and not self.clip_grid:
             raise ValueError("clip_grid must be non-empty when ubpr is run")
+        if not self.methods:
+            raise ValueError(f"methods must name at least one token, got {self.methods!r}")
         for m in self.methods:
             if m not in METHOD_TOKENS:
                 raise ValueError(f"unknown method token {m!r}")
         if not self.ks or min(self.ks) < 1:
             raise ValueError(f"ks must be non-empty cutoffs >= 1, got {self.ks!r}")
+        for name, values in (("methods", self.methods), ("ks", self.ks)):
+            repeated = [v for v in values if values.count(v) > 1]
+            if repeated:  # its rows would be written, and counted, twice
+                raise ValueError(f"{name} repeats {repeated[0]!r}")
         if self.candidates not in CANDIDATE_MODES:
             raise ValueError(f"unknown candidate mode {self.candidates!r}")
 
@@ -280,16 +288,6 @@ def make_train_config(config: ExperimentConfig, d: int, lam: float, seed: int) -
     )
 
 
-def train_method(token: str, data: PreparedData, propensities: PropensityTable,
-                 train_config: TrainConfig, clip: float, wmf_weight: float):
-    """Train one run of an experiment method; returns the TrainRun."""
-    if token == "upl":
-        return run_upl_pipeline(data.train, train_config, propensities,
-                                validation=data.validation)
-    spec = make_loss_spec(token, clip, wmf_weight)
-    return train(data.train, train_config, spec, propensities, validation=data.validation)
-
-
 def _grid_for(token: str, config: ExperimentConfig):
     """The method's (d, lambda, clip) combos; a value repeated in a grid
     names the same run, so each combo appears once."""
@@ -310,11 +308,11 @@ def _run_key(token: str, combo, config: ExperimentConfig, seed: int):
 
 
 def _specs_read(token: str, config: ExperimentConfig) -> set:
-    """The LossSpecs whose runs a method reads: those it trains, and for upl
-    its relmf stage."""
+    """The LossSpecs whose runs a method reads: those it trains and their
+    stages."""
     specs = {make_loss_spec(token, clip, config.wmf_weight)
              for _, _, clip in _grid_for(token, config)}
-    return specs | {LossSpec("relmf")} if token == "upl" else specs
+    return specs | {stage_spec(spec) for spec in specs} - {None}
 
 
 # what every training task reads, set once in each pool worker
@@ -325,26 +323,12 @@ def _pool_init(state):
     _POOL_STATE.update(state)
 
 
-def _train_key(state, task):
-    """Train one (LossSpec, TrainConfig) key; returns the runs trained, the
-    key's own last.  A upl key takes its relmf stage's model from the task,
-    or trains that stage first under the same config."""
-    spec, train_config, relmf_model = task
-    data, propensities = state["data"], state["propensities"]
-    runs, gamma_hat = [], None
-    if spec.method == "upl":
-        if relmf_model is None:
-            runs.append(train(data.train, train_config, LossSpec("relmf"), propensities,
-                              validation=data.validation))
-            relmf_model = runs[0].final_model
-        gamma_hat = relevance_predictor(relmf_model)
-    runs.append(train(data.train, train_config, spec, propensities, gamma_hat=gamma_hat,
-                      validation=data.validation))
-    return runs
-
-
-def _pool_train_key(task):
-    return _train_key(_POOL_STATE, task)
+def _train_task(task, state=_POOL_STATE):
+    """``train_key`` on a task: (LossSpec, TrainConfig, stage model or None)."""
+    spec, train_config, stage_model = task
+    data = state["data"]
+    return train_key(data.train, train_config, spec, state["propensities"],
+                     data.validation, stage_model)
 
 
 def _train_tasks(tasks, state):
@@ -354,10 +338,10 @@ def _train_tasks(tasks, state):
     if threads > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=threads, initializer=_pool_init,
                                  initargs=(state,)) as pool:
-            yield from pool.map(_pool_train_key, tasks)
+            yield from pool.map(_train_task, tasks)
     else:
         for task in tasks:
-            yield _train_key(state, task)
+            yield _train_task(task, state)
 
 
 class _Runs:
@@ -379,15 +363,15 @@ class _Runs:
         """Yield (key, run) in key order: the held run, or one trained now.
 
         The keys not held are trained in key order, on a pool all submitted
-        at once; the keys must be distinct.  A upl task gets the held
-        relmf run under its config, or trains that stage first; a stage run
-        is held only if its spec is kept.  Failed runs are never held.
+        at once; the keys must be distinct.  A task gets the model of its
+        held stage run, or trains that stage first; a stage run is held only
+        if its spec is kept.  Failed runs are never held.
         """
-        relmf = LossSpec("relmf")
         fresh = [key for key in keys if key not in self.held]
-        tasks = [(spec, train_config, self.held[relmf, train_config].final_model
-                  if spec.method == "upl" and (relmf, train_config) in self.held else None)
-                 for spec, train_config in fresh]
+        tasks = []
+        for spec, train_config in fresh:
+            stage = self.held.get((stage_spec(spec), train_config))
+            tasks.append((spec, train_config, None if stage is None else stage.final_model))
         trained = _train_tasks(tasks, self.state)
         fresh = set(fresh)
         for key in keys:

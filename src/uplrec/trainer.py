@@ -15,7 +15,9 @@ penalty, scatters the row gradients and makes one Adam update restricted to
 the rows the batch touched; runs are deterministic per seed.  The gradient
 scatter keeps ``np.add.at``'s summation order, so trained factors are
 bit-identical to an ``np.add.at`` implementation.  Early stopping watches
-validation DCG@k.
+validation DCG@5.  ``uplrec train`` and the experiment both train a
+(LossSpec, TrainConfig) key through ``train_key``, which for upl first trains
+the relmf stage that ``stage_spec`` names, unless it is given that model.
 """
 
 from __future__ import annotations
@@ -263,14 +265,14 @@ def _pointwise_epoch(dataset, model, adam, spec, config, rng, theta):
 
 def train(dataset: ImplicitDataset, config: TrainConfig, loss_spec: LossSpec,
           propensities: PropensityTable | None = None, gamma_hat=None,
-          validation: ImplicitDataset | None = None, val_k: int = 5) -> TrainRun:
+          validation: ImplicitDataset | None = None) -> TrainRun:
     """Run one training job; deterministic given config.seed.
 
-    With a validation split, stops once validation DCG@val_k has not improved
+    With a validation split, stops once validation DCG@5 has not improved
     for ``config.patience`` epochs and returns the best-validation snapshot;
     otherwise runs ``config.max_epochs`` epochs and returns the final model.
     """
-    if (gamma_hat is not None) != (loss_spec.method == "upl"):
+    if (gamma_hat is not None) != (stage_spec(loss_spec) is not None):
         raise ValueError("gamma_hat must be supplied exactly for the upl method")
     rng = np.random.default_rng(config.seed)
     model = init_model(dataset.num_users, dataset.num_items, config.d, seed=config.seed)
@@ -301,7 +303,7 @@ def train(dataset: ImplicitDataset, config: TrainConfig, loss_spec: LossSpec,
 
         val_metric = None
         if validation is not None:
-            val_metric = validation_dcg(model, validation, k=val_k)
+            val_metric = validation_dcg(model, validation)
             curve.append(val_metric)
             if val_metric > best_val:
                 best_val = val_metric
@@ -326,15 +328,26 @@ def train(dataset: ImplicitDataset, config: TrainConfig, loss_spec: LossSpec,
     )
 
 
-def run_upl_pipeline(dataset: ImplicitDataset, config: TrainConfig,
-                     propensities: PropensityTable,
-                     validation: ImplicitDataset | None = None,
-                     val_k: int = 5) -> TrainRun:
-    """Two-stage pipeline: train relmf, then train upl with its clamped
-    sigmoid predictions as the relevance estimates for sampled negatives.
-    Both stages use ``config``."""
-    relmf_run = train(dataset, config, LossSpec("relmf"), propensities,
-                      validation=validation, val_k=val_k)
-    gamma_hat = relevance_predictor(relmf_run.final_model)
-    return train(dataset, config, LossSpec("upl"), propensities,
-                 gamma_hat=gamma_hat, validation=validation, val_k=val_k)
+def stage_spec(loss_spec: LossSpec) -> LossSpec | None:
+    """The LossSpec of the run, under the same TrainConfig, whose model gives
+    an estimator its relevance estimates: relmf for upl, else None."""
+    return LossSpec("relmf") if loss_spec.method == "upl" else None
+
+
+def train_key(dataset: ImplicitDataset, config: TrainConfig, loss_spec: LossSpec,
+              propensities: PropensityTable | None = None,
+              validation: ImplicitDataset | None = None,
+              stage_model: FactorModel | None = None) -> list[TrainRun]:
+    """Train the key (loss_spec, config); returns the TrainRuns trained, the
+    key's own last.  An estimator with a ``stage_spec`` reads
+    ``stage_model``, or trains that stage first, which then heads the list.
+    """
+    stage, runs, gamma_hat = stage_spec(loss_spec), [], None
+    if stage is not None:
+        if stage_model is None:
+            runs.append(train(dataset, config, stage, propensities, validation=validation))
+            stage_model = runs[0].final_model
+        gamma_hat = relevance_predictor(stage_model)
+    runs.append(train(dataset, config, loss_spec, propensities, gamma_hat=gamma_hat,
+                      validation=validation))
+    return runs

@@ -12,7 +12,6 @@ from uplrec.evaluation import CohortSpec, compute_cohorts, evaluate
 from uplrec.factor_model import load_checkpoint
 from uplrec.losses import LossSpec
 from uplrec.propensity import PropensityTable
-from uplrec.trainer import run_upl_pipeline
 
 from conftest import write_synthetic_triplets
 
@@ -117,6 +116,22 @@ class TestConfigParsing:
         with pytest.raises(ValueError, match="expomf"):
             exp.parse_config_file(cfg_path)
 
+    @pytest.mark.parametrize("line, message", [
+        ("methods = bpr,upl,bpr", "methods repeats 'bpr'"),
+        ("ks = 3,5,5", "ks repeats 5"),
+        ("methods =", r"methods must name at least one token, got \(\)"),
+    ])
+    def test_repeated_or_empty_values_rejected_before_writing(self, triplet_files, tmp_path,
+                                                              line, message):
+        # a repeated token or cutoff would write every run's rows twice and
+        # count them twice in aggregate.tsv; no methods would run nothing
+        out = tmp_path / "out"
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(small_config_text(triplet_files, out) + line + "\n")
+        with pytest.raises(ValueError, match=message):
+            cli.main(["experiment", "--config", str(cfg_path)])
+        assert not out.exists()
+
 
 class TestMakeLossSpec:
     @pytest.mark.parametrize("token, spec", [
@@ -196,19 +211,45 @@ class TestTrainCli:
         assert [r.split("\t")[1:] for r in mfdu_rows] == \
             [r.split("\t")[1:] for r in relmf_rows]
 
+    def test_each_token_matches_experiment_run_zero(self, triplet_files, tmp_path):
+        # `uplrec train` and the experiment train a key the same way: for the
+        # same seed and combo, train gives the experiment's run 0
+        seed, prep = 5, tmp_path / "prep"
+        assert cli.main(["prepare", "--dataset", str(triplet_files), "--format",
+                         "triplets", "--seed", str(seed), "--out", str(prep)]) == 0
+        cfg_path, out = tmp_path / "exp.cfg", tmp_path / "exp"
+        cfg_path.write_text(small_config_text(triplet_files, out,
+                                              methods=",".join(exp.METHOD_TOKENS),
+                                              runs=1, seed=seed)
+                            + "clip_grid = -1\nmax_epochs = 4\n")
+        assert cli.main(["experiment", "--config", str(cfg_path)]) == 0
+        rows = exp.read_per_run(out / "per_run_metrics.tsv")
+        for token in exp.METHOD_TOKENS:
+            run_dir = tmp_path / token
+            assert cli.main([
+                "train", "--data", str(prep), "--method", token, "--d", "8",
+                "--lam", "1e-5", "--clip", "-1", "--batch-size", "64",
+                "--max-epochs", "4", "--patience", "3", "--seed", str(seed),
+                "--out", str(run_dir),
+            ]) == 0
+            assert (run_dir / "train.log").read_bytes() == \
+                (out / "logs" / f"{token}_run000.log").read_bytes(), token
+            expected = [r for r in rows if r[:2] == (token, 0)]
+            assert expected and exp.read_per_run(run_dir / "metrics.tsv") == expected, token
+
 
 def wrap_train(monkeypatch, fail=None):
-    """Wrap ``train`` where the experiment and the upl pipeline look it up;
-    returns the (LossSpec, TrainConfig) of every training attempted, and
-    training under the LossSpec ``fail`` raises."""
+    """Wrap ``train`` where ``trainer.train_key`` looks it up; returns the
+    (LossSpec, TrainConfig) of every training attempted, and training under
+    the LossSpec ``fail`` raises."""
     keys = []
-    for module in (trainer, exp):
-        def train(dataset, config, loss_spec, *args, _real=module.train, **kwargs):
-            keys.append((loss_spec, config))
-            if loss_spec == fail:
-                raise RuntimeError(f"synthetic {loss_spec.method} failure")
-            return _real(dataset, config, loss_spec, *args, **kwargs)
-        monkeypatch.setattr(module, "train", train)
+
+    def train(dataset, config, loss_spec, *args, _real=trainer.train, **kwargs):
+        keys.append((loss_spec, config))
+        if loss_spec == fail:
+            raise RuntimeError(f"synthetic {loss_spec.method} failure")
+        return _real(dataset, config, loss_spec, *args, **kwargs)
+    monkeypatch.setattr(trainer, "train", train)
     return keys
 
 
@@ -385,7 +426,8 @@ class TestRunMemo:
 
     def test_outputs_match_independent_training(self, memo_run, tmp_path):
         # reports and epoch logs of upl, mfdu and bpr, each run trained
-        # from scratch through the public calls, without the experiment
+        # from scratch through train and relevance_predictor, without the
+        # experiment or train_key
         config, _ = memo_run
         out = Path(config.out)
         data = exp.prepare_datasets(config.dataset, config.format, config.epsilon_train,
@@ -403,8 +445,12 @@ class TestRunMemo:
             for run in range(config.runs):
                 train_config = exp.make_train_config(config, 8, 1e-5, config.seed + run)
                 if token == "upl":
-                    trained = run_upl_pipeline(data.train, train_config, propensities,
-                                               validation=data.validation)
+                    relmf = trainer.train(data.train, train_config, LossSpec("relmf"),
+                                          propensities, validation=data.validation)
+                    trained = trainer.train(
+                        data.train, train_config, LossSpec("upl"), propensities,
+                        gamma_hat=trainer.relevance_predictor(relmf.final_model),
+                        validation=data.validation)
                 else:
                     trained = trainer.train(
                         data.train, train_config,

@@ -264,13 +264,62 @@ class TestClosedFormVariance:
             expected, rel=1e-12)
 
     def test_ratio_to_mc_variance_recorded(self):
-        # diagnostic only: the conditioning in the closed form is ambiguous,
-        # so record the ratio without asserting equality
+        # diagnostic only: the closed form holds every candidate unclicked,
+        # so it is not the estimator's variance; record the ratio
         world = random_world(1, 5, seed=110)
         model = model_for_world(world, seed=111)
         rep = mc_bias_variance(world, model, "upl", samples=10**4, seed=112)
         ratio = rep.closed_form_variance / rep.mc_variance
         assert math.isfinite(ratio) and ratio > 0
+
+    WORLDS = [((1, 3), 1), ((1, 5), 2), ((2, 4), 3), ((1, 8), 4)]
+
+    @staticmethod
+    def _world(shape, seed):
+        world = random_world(*shape, seed=seed)
+        return world, model_for_world(world, seed=seed + 10)
+
+    @staticmethod
+    def _candidate_weight(world, u, j):
+        return (1 - world.gamma[u, j]) / (1 - world.theta[u, j] * world.gamma[u, j])
+
+    @pytest.mark.parametrize("shape, seed", WORLDS)
+    def test_equals_variance_with_candidates_unclicked(self, shape, seed):
+        # sum_i (1/theta_i - gamma_i) gamma_i A_i^2, with A_i the sum over
+        # j != i of (1 - gamma_j) / (1 - theta_j gamma_j) L_ij: the variance
+        # of sum_i (c_i / theta_i) A_i over independent c_i ~ Bern(theta_i gamma_i)
+        world, model = self._world(shape, seed)
+        s, th, ga = model.score_matrix(), world.theta, world.gamma
+        terms = []
+        for u in range(world.num_users):
+            for i in range(world.num_items):
+                a = math.fsum(self._candidate_weight(world, u, j) * pair_logloss(s[u, i], s[u, j])
+                              for j in range(world.num_items) if j != i)
+                terms.append((1 / th[u, i] - ga[u, i]) * ga[u, i] * a * a)
+        assert closed_form_variance_upl(world, model) == pytest.approx(math.fsum(terms),
+                                                                       rel=1e-12)
+
+    @pytest.mark.parametrize("shape, seed", WORLDS)
+    def test_exceeds_exact_variance(self, shape, seed):
+        # the exact variance of upl's full-batch risk, over every click
+        # vector weighted by prod (theta gamma)^c (1 - theta gamma)^(1 - c)
+        world, model = self._world(shape, seed)
+        s, th, ga = model.score_matrix(), world.theta, world.gamma
+        cells = list(itertools.product(range(world.num_users), range(world.num_items)))
+        probs, values = [], []
+        for clicks in itertools.product((0, 1), repeat=len(cells)):
+            c = dict(zip(cells, clicks))
+            probs.append(math.prod(th[k] * ga[k] if c[k] else 1 - th[k] * ga[k]
+                                   for k in cells))
+            values.append(math.fsum(
+                self._candidate_weight(world, u, j) / th[u, i] * pair_logloss(s[u, i], s[u, j])
+                for (u, i), (v, j) in itertools.product(cells, cells)
+                if u == v and i != j and c[u, i] and not c[u, j]))
+        mean = math.fsum(p * v for p, v in zip(probs, values))
+        exact = math.fsum(p * (v - mean) ** 2 for p, v in zip(probs, values))
+        # the same enumeration gives the oracle's exact expectation
+        assert mean == pytest.approx(exact_expectation(world, model, "upl"), rel=1e-12)
+        assert 1.3 < closed_form_variance_upl(world, model) / exact < 2.8
 
 
 class TestBundledWorlds:

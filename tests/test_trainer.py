@@ -32,8 +32,9 @@ from uplrec.trainer import (
     _PositivePool,
     _scatter_rows,
     relevance_predictor,
-    run_upl_pipeline,
+    stage_spec,
     train,
+    train_key,
 )
 
 from conftest import make_implicit
@@ -337,10 +338,25 @@ class TestUplPipeline:
         pt = PropensityTable.from_click_counts(ds.item_click_counts)
         config = TrainConfig(d=4, lam=1e-5, learning_rate=0.01, batch_size=32,
                              max_epochs=5, seed=7)
-        a = run_upl_pipeline(ds, config, pt)
-        b = run_upl_pipeline(ds, config, pt)
-        assert model_checksum(a.final_model) == model_checksum(b.final_model)
-        assert a.loss_spec.method == "upl"
+        a = train_key(ds, config, LossSpec("upl"), pt)
+        b = train_key(ds, config, LossSpec("upl"), pt)
+        assert [run.loss_spec for run in a] == [LossSpec("relmf"), LossSpec("upl")]
+        assert model_checksum(a[-1].final_model) == model_checksum(b[-1].final_model)
+        # handed its stage's model, the key trains upl alone, to the same run
+        (c,) = train_key(ds, config, LossSpec("upl"), pt, stage_model=a[0].final_model)
+        assert model_checksum(c.final_model) == model_checksum(a[-1].final_model)
+        assert c.epoch_log == a[-1].epoch_log
+
+    def test_only_upl_has_a_stage(self):
+        ds = self._exposed_everything(seed=2)
+        pt = PropensityTable.from_click_counts(ds.item_click_counts)
+        config = TrainConfig(d=4, lam=1e-5, learning_rate=0.01, batch_size=32,
+                             max_epochs=2, seed=3)
+        for method in ("bpr", "ubpr", "wmf", "relmf"):
+            spec = LossSpec(method, wmf_weight=5.0 if method == "wmf" else None)
+            assert stage_spec(spec) is None
+            assert [run.loss_spec for run in train_key(ds, config, spec, pt)] == [spec]
+        assert stage_spec(LossSpec("upl")) == LossSpec("relmf")
 
 
 class _EveryDraw:
@@ -519,9 +535,7 @@ class TestStepMatchesReference:
                         wmf_weight=5.0 if method == "wmf" else None)
 
         def trained():
-            if method == "upl":
-                return run_upl_pipeline(ds, config, pt)
-            return train(ds, config, spec, pt)
+            return train_key(ds, config, spec, pt)[-1]
 
         fast = trained()
         calls = []
