@@ -7,6 +7,9 @@ Subcommands:
   experiment  full sweep from a key=value config file (grid + repeated runs)
   verify      run the estimator oracle suite (exact enumeration + Monte Carlo)
   report      re-aggregate an experiment directory from its per-run TSV
+
+A flag that sets a config field takes its type and default from the field,
+in ExperimentConfig or TrainConfig; ``experiment``'s are parsed as strings.
 """
 
 from __future__ import annotations
@@ -14,16 +17,28 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from dataclasses import fields
 from pathlib import Path
 
 from . import experiment as exp
 from . import oracle
 from .datasets import load_dataset
-from .evaluation import CohortSpec, compute_cohorts, evaluate
-from .experiment import METHOD_TOKENS, PreparedData
+from .evaluation import CANDIDATE_MODES, CohortSpec, compute_cohorts, evaluate
+from .experiment import METHOD_TOKENS, ExperimentConfig, PreparedData
 from .factor_model import TrainConfig, save_checkpoint
 from .propensity import PropensityTable
 from .trainer import train_key
+
+
+# the ExperimentConfig keys `experiment` flags override, given as strings
+_OVERRIDE_KEYS = ("dataset", "format", "methods", "runs", "seed", "epsilon_train",
+                  "epsilon_test", "threads", "out")
+
+
+def _flag(parser, key, default, **kwargs):
+    """The --flag of a setting: its type and default are the setting's."""
+    parser.add_argument("--" + key.replace("_", "-"), type=type(default), default=default,
+                        **kwargs)
 
 
 def main(argv=None) -> int:
@@ -32,43 +47,28 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("prepare", help="generate semi-synthetic implicit datasets")
     p.add_argument("--dataset", required=True, help="dataset file or directory")
-    p.add_argument("--format", default="coat", choices=["coat", "triplets"])
-    p.add_argument("--train-file", default="")
-    p.add_argument("--test-file", default="")
-    p.add_argument("--epsilon-train", type=float, default=0.1)
-    p.add_argument("--epsilon-test", type=float, default=0.0)
-    p.add_argument("--validation-fraction", type=float, default=0.1)
-    p.add_argument("--seed", type=int, default=0)
+    _flag(p, "format", ExperimentConfig.format, choices=["coat", "triplets"])
+    for name in ("train_file", "test_file", "epsilon_train", "epsilon_test",
+                 "validation_fraction", "seed"):
+        _flag(p, name, getattr(ExperimentConfig, name))
     p.add_argument("--out", required=True)
 
     t = sub.add_parser("train", help="single training run on a prepared directory")
     t.add_argument("--data", required=True, help="directory written by `prepare`")
     t.add_argument("--method", required=True, choices=METHOD_TOKENS)
-    t.add_argument("--d", type=int, default=100)
-    t.add_argument("--lam", type=float, default=1e-5)
-    t.add_argument("--clip", type=float, default=0.0)
-    t.add_argument("--wmf-weight", type=float, default=10.0)
-    t.add_argument("--learning-rate", type=float, default=0.001)
-    t.add_argument("--batch-size", type=int, default=256)
-    t.add_argument("--max-epochs", type=int, default=200)
-    t.add_argument("--patience", type=int, default=5)
-    t.add_argument("--seed", type=int, default=0)
-    t.add_argument("--candidates", default="catalog", choices=["catalog", "test_only"])
+    for f in fields(TrainConfig):
+        _flag(t, f.name, f.default)
+    _flag(t, "clip", 0.0)
+    _flag(t, "wmf_weight", ExperimentConfig.wmf_weight)
+    _flag(t, "candidates", ExperimentConfig.candidates, choices=CANDIDATE_MODES)
     t.add_argument("--out", required=True)
 
     e = sub.add_parser("experiment", help="full experiment sweep from a config file")
     e.add_argument("--config", required=True, help="flat key=value config file")
     e.add_argument("--grid-file", default=None,
                    help="config file whose *_grid keys override the config's")
-    e.add_argument("--dataset", default=None)
-    e.add_argument("--format", default=None)
-    e.add_argument("--methods", default=None)
-    e.add_argument("--runs", default=None)
-    e.add_argument("--seed", default=None)
-    e.add_argument("--epsilon-train", dest="epsilon_train", default=None)
-    e.add_argument("--epsilon-test", dest="epsilon_test", default=None)
-    e.add_argument("--threads", default=None)
-    e.add_argument("--out", default=None)
+    for key in _OVERRIDE_KEYS:
+        e.add_argument("--" + key.replace("_", "-"), default=None)
 
     v = sub.add_parser("verify", help="estimator oracle suite")
     v.add_argument("--world", default=None, help="world spec file; bundled suite if omitted")
@@ -119,11 +119,7 @@ def _load_prepared(data_dir) -> PreparedData:
 def _cmd_train(args) -> int:
     data = _load_prepared(args.data)
     propensities = PropensityTable.from_click_counts(data.train.item_click_counts)
-    train_config = TrainConfig(
-        d=args.d, lam=args.lam, learning_rate=args.learning_rate,
-        batch_size=args.batch_size, max_epochs=args.max_epochs,
-        patience=args.patience, seed=args.seed,
-    )
+    train_config = TrainConfig(**{f.name: getattr(args, f.name) for f in fields(TrainConfig)})
     spec = exp.make_loss_spec(args.method, args.clip, args.wmf_weight)
     *_, run = train_key(data.train, train_config, spec, propensities, data.validation)
     out = Path(args.out)
@@ -143,13 +139,7 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    overrides = {
-        "dataset": args.dataset, "format": args.format, "methods": args.methods,
-        "runs": args.runs, "seed": args.seed, "threads": args.threads,
-        "out": args.out, "epsilon_train": args.epsilon_train,
-        "epsilon_test": args.epsilon_test,
-    }
-    overrides = {k: v for k, v in overrides.items() if v is not None}
+    overrides = {key: getattr(args, key) for key in _OVERRIDE_KEYS}
     if args.grid_file:
         overrides.update(exp.read_config_values(args.grid_file, exp.GRID_KEYS))
     config = exp.parse_config_file(args.config, overrides)
@@ -220,7 +210,7 @@ def _cmd_report(args) -> int:
     rows = exp.read_per_run(out / "per_run_metrics.tsv")
     hash_file = out / "config_hash.txt"
     cfg_hash = hash_file.read_text().strip() if hash_file.exists() else "unknown"
-    exp.write_aggregates_from_rows(out, rows, cfg_hash)
+    exp.write_aggregates(out, rows, cfg_hash)
     print(f"re-aggregated {len(rows)} rows into {out}")
     return 0
 

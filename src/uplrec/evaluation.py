@@ -196,7 +196,7 @@ def rank_metrics(scores, relevance, k: int):
 
 
 def evaluate(model: FactorModel, test: ImplicitDataset, ks=DEFAULT_KS,
-             cohorts: CohortMasks | None = None, candidates: str = "catalog",
+             cohorts: CohortMasks | None = None, candidates: str = CANDIDATE_MODES[0],
              method: str = "", run: int = 0) -> list[MetricReport]:
     """Per-cohort, per-K ranking metrics averaged over included users.
 

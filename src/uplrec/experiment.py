@@ -40,6 +40,7 @@ from .datasets import (
 )
 from .evaluation import (
     CANDIDATE_MODES,
+    DEFAULT_KS,
     CohortSpec,
     MetricReport,
     compute_cohorts,
@@ -48,7 +49,7 @@ from .evaluation import (
 )
 from .factor_model import TrainConfig
 from .losses import LossSpec
-from .propensity import PropensityTable
+from .propensity import DEFAULT_FLOOR, DEFAULT_POWER, PropensityTable
 from .trainer import stage_spec, train_key
 
 METHOD_TOKENS = ("wmf", "relmf", "mfdu", "bpr", "ubpr", "ubpr_nclip", "upl")
@@ -74,16 +75,16 @@ class ExperimentConfig:
     d_grid: tuple = (100, 200, 300)
     lambda_grid: tuple = (1e-7, 1e-5, 1e-3)
     clip_grid: tuple = (0.0, -0.1, -1.0, -10.0)
-    ks: tuple = (3, 5, 8)
+    ks: tuple = DEFAULT_KS
     cohorts: bool = True
-    candidates: str = "catalog"
-    batch_size: int = 256
-    learning_rate: float = 0.001
-    max_epochs: int = 200
-    patience: int = 5
+    candidates: str = CANDIDATE_MODES[0]
+    batch_size: int = TrainConfig.batch_size
+    learning_rate: float = TrainConfig.learning_rate
+    max_epochs: int = TrainConfig.max_epochs
+    patience: int = TrainConfig.patience
     wmf_weight: float = 10.0
-    propensity_power: float = 0.5
-    propensity_floor: float = 0.01
+    propensity_power: float = DEFAULT_POWER
+    propensity_floor: float = DEFAULT_FLOOR
     threads: int = 1
     out: str = ""
 
@@ -109,6 +110,9 @@ class ExperimentConfig:
                 raise ValueError(f"{name} repeats {repeated[0]!r}")
         if self.candidates not in CANDIDATE_MODES:
             raise ValueError(f"unknown candidate mode {self.candidates!r}")
+        for token in self.methods:  # TrainConfig and LossSpec reject what cannot train
+            for combo in _grid_for(token, self):
+                _run_key(token, combo, self, self.seed)
 
     def canonical_text(self) -> str:
         lines = []
@@ -131,21 +135,17 @@ class ExperimentConfig:
         return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
-_PARSERS = {
-    "dataset": str, "format": str, "train_file": str, "test_file": str,
-    "methods": lambda s: tuple(t.strip() for t in s.split(",") if t.strip()),
-    "runs": int, "seed": int,
-    "epsilon_train": float, "epsilon_test": float, "validation_fraction": float,
-    "d_grid": lambda s: tuple(int(t) for t in s.split(",")),
-    "lambda_grid": lambda s: tuple(float(t) for t in s.split(",")),
-    "clip_grid": lambda s: tuple(float(t) for t in s.split(",")),
-    "ks": lambda s: tuple(int(t) for t in s.split(",")),
-    "cohorts": lambda s: s.strip().lower() in ("on", "true", "1", "yes"),
-    "candidates": str,
-    "batch_size": int, "learning_rate": float, "max_epochs": int, "patience": int,
-    "wmf_weight": float, "propensity_power": float, "propensity_floor": float,
-    "threads": int, "out": str,
-}
+def _parser(default):
+    """A config value's parser, read off the type of its field's default."""
+    if isinstance(default, bool):
+        return lambda s: s.strip().lower() in ("on", "true", "1", "yes")
+    if isinstance(default, tuple):
+        return lambda s: tuple(type(default[0])(t) for t in s.split(","))
+    return type(default)
+
+
+_PARSERS = {f.name: _parser(f.default) for f in fields(ExperimentConfig)}
+_PARSERS["methods"] = lambda s: tuple(t.strip() for t in s.split(",") if t.strip())
 
 
 GRID_KEYS = tuple(key for key in _PARSERS if key.endswith("_grid"))
@@ -175,12 +175,10 @@ def read_config_values(path, keys=tuple(_PARSERS)) -> dict:
 def parse_config_file(path, overrides=None) -> ExperimentConfig:
     """Flat key=value config; '#' comments; unknown keys are errors."""
     values = read_config_values(path)
-    if overrides:
-        for key, val in overrides.items():
-            if val is None:
-                continue
-            if key not in _PARSERS:
-                raise ValueError(f"unknown config key {key!r}")
+    for key, val in (overrides or {}).items():
+        if key not in _PARSERS:
+            raise ValueError(f"unknown config key {key!r}")
+        if val is not None:  # None overrides nothing
             values[key] = _PARSERS[key](val) if isinstance(val, str) else val
     return ExperimentConfig(**values)
 
@@ -278,14 +276,10 @@ def make_loss_spec(token: str, clip: float, wmf_weight: float) -> LossSpec:
 
 
 def make_train_config(config: ExperimentConfig, d: int, lam: float, seed: int) -> TrainConfig:
-    return TrainConfig(
-        d=d, lam=lam,
-        learning_rate=config.learning_rate,
-        batch_size=config.batch_size,
-        max_epochs=config.max_epochs,
-        patience=config.patience,
-        seed=seed,
-    )
+    """The combo's d and lambda at ``seed``, the rest the experiment's fields."""
+    shared = {f.name: getattr(config, f.name) for f in fields(TrainConfig)
+              if hasattr(config, f.name)}
+    return TrainConfig(**{**shared, "d": d, "lam": lam, "seed": seed})
 
 
 def _grid_for(token: str, config: ExperimentConfig):
@@ -436,7 +430,7 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> Path:
     _write_grid(out / "grid_search.tsv", grid_rows, cfg_hash)
     write_metrics(out / "per_run_metrics.tsv", all_reports,
                   f"config_hash={cfg_hash}\tbase_seed={config.seed}")
-    write_aggregates(out, all_reports, cfg_hash)
+    write_aggregates(out, _metric_rows(all_reports), cfg_hash)
     if failures:
         with open(out / "failures.tsv", "w") as fh:
             fh.write("method\terror\n")
@@ -532,12 +526,9 @@ def read_per_run(path):
     return rows
 
 
-def write_aggregates(out_dir, reports, cfg_hash):
-    """aggregate.tsv, significance.tsv and tables.md from MetricReports."""
-    write_aggregates_from_rows(Path(out_dir), _metric_rows(reports), cfg_hash)
-
-
-def write_aggregates_from_rows(out_dir, rows, cfg_hash):
+def write_aggregates(out_dir, rows, cfg_hash):
+    """aggregate.tsv, significance.tsv and tables.md from per-run metric rows
+    (method, run, cohort, metric, k, value)."""
     out = Path(out_dir)
     groups: dict[tuple, dict[str, list]] = {}
     for method, run, cohort, metric, k, value in rows:

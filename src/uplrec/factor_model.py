@@ -74,6 +74,10 @@ class TrainConfig:
             raise ValueError("batch_size must be >= 1")
         if self.lam < 0:
             raise ValueError("lambda must be >= 0")
+        if self.max_epochs < 1:  # else the random initial model is the result
+            raise ValueError("max_epochs must be >= 1")
+        if self.patience < 1:  # else training stops after epoch 0
+            raise ValueError("patience must be >= 1")
 
 
 def init_model(num_users, num_items, d, seed, scale=0.01) -> FactorModel:

@@ -1,5 +1,6 @@
 import re
 import shutil
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,7 @@ from uplrec import cli, trainer
 from uplrec import experiment as exp
 from uplrec.datasets import load_dataset
 from uplrec.evaluation import CohortSpec, compute_cohorts, evaluate
-from uplrec.factor_model import load_checkpoint
+from uplrec.factor_model import TrainConfig, load_checkpoint
 from uplrec.losses import LossSpec
 from uplrec.propensity import PropensityTable
 
@@ -132,6 +133,44 @@ class TestConfigParsing:
             cli.main(["experiment", "--config", str(cfg_path)])
         assert not out.exists()
 
+    @pytest.mark.parametrize("lines, message", [
+        ("d_grid = 0", "latent dimension must be >= 1"),
+        ("lambda_grid = -1", "lambda must be >= 0"),
+        ("batch_size = 0", "batch_size must be >= 1"),
+        ("learning_rate = 0", "learning_rate must be positive"),
+        ("max_epochs = 0", "max_epochs must be >= 1"),
+        ("patience = 0", "patience must be >= 1"),
+        ("methods = wmf,bpr\nwmf_weight = 0.5", "wmf_weight must be >= 1"),
+        ("methods = wmf,bpr,ubpr\nclip_grid = 5", r"clip_threshold must be in \[-10, 0\]"),
+    ], ids=["d", "lambda", "batch_size", "learning_rate", "max_epochs", "patience",
+            "wmf_weight", "clip"])
+    def test_untrainable_values_rejected_before_writing(self, triplet_files, tmp_path,
+                                                        lines, message):
+        # every run of some method would fail: the config builds each key
+        # it trains, so TrainConfig and LossSpec reject the value up front
+        out = tmp_path / "out"
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(small_config_text(triplet_files, out) + lines + "\n")
+        with pytest.raises(ValueError, match=message):
+            cli.main(["experiment", "--config", str(cfg_path)])
+        assert not out.exists()
+
+    def test_canonical_text_round_trips_every_field(self, tmp_path):
+        # every field away from its default, so each field's parser is used
+        config = exp.ExperimentConfig(
+            dataset="ratings", format="triplets", train_file="a.txt", test_file="b.txt",
+            methods=("upl", "bpr"), runs=3, seed=7, epsilon_train=0.25, epsilon_test=0.05,
+            validation_fraction=0.2, d_grid=(4, 6), lambda_grid=(0.5, 1e-9),
+            clip_grid=(-0.5, -2.0), ks=(1, 10), cohorts=False, candidates="test_only",
+            batch_size=32, learning_rate=0.01, max_epochs=9, patience=2, wmf_weight=3.5,
+            propensity_power=0.75, propensity_floor=0.05, threads=2, out="o")
+        default = exp.ExperimentConfig()
+        assert [f.name for f in fields(config)
+                if getattr(config, f.name) == getattr(default, f.name)] == []
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(config.canonical_text())
+        assert exp.parse_config_file(cfg_path) == config
+
 
 class TestMakeLossSpec:
     @pytest.mark.parametrize("token, spec", [
@@ -236,6 +275,97 @@ class TestTrainCli:
                 (out / "logs" / f"{token}_run000.log").read_bytes(), token
             expected = [r for r in rows if r[:2] == (token, 0)]
             assert expected and exp.read_per_run(run_dir / "metrics.tsv") == expected, token
+
+
+class _Stop(Exception):
+    pass
+
+
+def stop_at(monkeypatch, module, name):
+    """Replace ``module.name`` with a stub that records its arguments and
+    raises _Stop; returns the recorded (args, kwargs)."""
+    calls = []
+
+    def stub(*args, **kwargs):
+        calls.append((args, kwargs))
+        raise _Stop
+    monkeypatch.setattr(module, name, stub)
+    return calls
+
+
+class TestCliSurface:
+    """A flag's default is its setting's default, and each flag reaches the
+    setting it names."""
+
+    @pytest.fixture(scope="class")
+    def prepared(self, triplet_files, tmp_path_factory):
+        prep = tmp_path_factory.mktemp("prep")
+        assert cli.main(["prepare", "--dataset", str(triplet_files), "--format", "triplets",
+                         "--out", str(prep)]) == 0
+        return prep
+
+    def test_prepare_defaults_are_the_config_defaults(self, triplet_files, tmp_path,
+                                                      monkeypatch):
+        calls = stop_at(monkeypatch, exp, "prepare_datasets")
+        with pytest.raises(_Stop):
+            cli.main(["prepare", "--dataset", str(triplet_files), "--out", str(tmp_path)])
+        default = exp.ExperimentConfig()
+        assert calls == [((str(triplet_files), default.format, default.epsilon_train,
+                           default.epsilon_test, default.validation_fraction, default.seed,
+                           default.train_file, default.test_file), {})]
+
+    @pytest.mark.parametrize("token", exp.METHOD_TOKENS)
+    def test_train_defaults_are_the_config_defaults(self, prepared, tmp_path, monkeypatch,
+                                                    token):
+        # only the required flags: TrainConfig's defaults, and
+        # ExperimentConfig's wmf_weight, propensities and candidates
+        keys, candidates = [], []
+
+        def quick_train_key(dataset, config, spec, propensities, *args,
+                            _real=trainer.train_key):
+            keys.append((config, spec, propensities.theta_click))
+            return _real(dataset, replace(config, d=2, max_epochs=1), spec, propensities,
+                         *args)
+
+        def recording_evaluate(*args, _real=cli.evaluate, **kwargs):
+            candidates.append(kwargs["candidates"])
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(cli, "train_key", quick_train_key)
+        monkeypatch.setattr(cli, "evaluate", recording_evaluate)
+        assert cli.main(["train", "--data", str(prepared), "--method", token,
+                         "--out", str(tmp_path)]) == 0
+        default = exp.ExperimentConfig()
+        (config, spec, theta), = keys
+        assert config == TrainConfig()
+        assert spec == exp.make_loss_spec(token, 0.0, default.wmf_weight)
+        counts = load_dataset(prepared / "train").item_click_counts
+        assert np.array_equal(theta, PropensityTable.from_click_counts(
+            counts, power=default.propensity_power, floor=default.propensity_floor).theta_click)
+        assert candidates == [default.candidates]
+
+    def test_experiment_flags_set_their_keys(self, triplet_files, tmp_path, monkeypatch):
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(small_config_text(triplet_files, tmp_path / "out"))
+        flags = [  # flag, key, value given, value set; none is the file's
+            ("--dataset", "dataset", "elsewhere", "elsewhere"),
+            ("--format", "format", "coat", "coat"),
+            ("--methods", "methods", "relmf, upl", ("relmf", "upl")),
+            ("--runs", "runs", "3", 3),
+            ("--seed", "seed", "4", 4),
+            ("--epsilon-train", "epsilon_train", "0.3", 0.3),
+            ("--epsilon-test", "epsilon_test", "0.2", 0.2),
+            ("--threads", "threads", "2", 2),
+            ("--out", "out", "elsewhere_out", "elsewhere_out"),
+        ]
+        calls = stop_at(monkeypatch, exp, "run_experiment")
+        with pytest.raises(_Stop):
+            cli.main(["experiment", "--config", str(cfg_path)]
+                     + [arg for flag, _, given, _ in flags for arg in (flag, given)])
+        (config,), _ = calls[0]
+        from_file = exp.parse_config_file(cfg_path)
+        for _, key, _, value in flags:
+            assert getattr(from_file, key) != value, key
+            assert getattr(config, key) == value, key
 
 
 def wrap_train(monkeypatch, fail=None):

@@ -96,6 +96,13 @@ class TestTrainConfig:
             TrainConfig(batch_size=0)
         with pytest.raises(ValueError):
             TrainConfig(lam=-1e-3)
+        # max_epochs 0 would return the random initial model, patience 0
+        # would stop every run after epoch 0
+        with pytest.raises(ValueError, match="max_epochs must be >= 1"):
+            TrainConfig(max_epochs=0)
+        with pytest.raises(ValueError, match="patience must be >= 1"):
+            TrainConfig(patience=0)
+        TrainConfig(max_epochs=1, patience=1)
 
     def test_defaults(self):
         cfg = TrainConfig()
