@@ -47,7 +47,7 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("prepare", help="generate semi-synthetic implicit datasets")
     p.add_argument("--dataset", required=True, help="dataset file or directory")
-    _flag(p, "format", ExperimentConfig.format, choices=["coat", "triplets"])
+    _flag(p, "format", ExperimentConfig.format, choices=exp.DATASET_FORMATS)
     for name in ("train_file", "test_file", "epsilon_train", "epsilon_test",
                  "validation_fraction", "seed"):
         _flag(p, name, getattr(ExperimentConfig, name))
@@ -140,9 +140,13 @@ def _cmd_train(args) -> int:
 
 def _cmd_experiment(args) -> int:
     overrides = {key: getattr(args, key) for key in _OVERRIDE_KEYS}
-    if args.grid_file:
-        overrides.update(exp.read_config_values(args.grid_file, exp.GRID_KEYS))
-    config = exp.parse_config_file(args.config, overrides)
+    try:
+        if args.grid_file:
+            overrides.update(exp.read_config_values(args.grid_file, exp.GRID_KEYS))
+        config = exp.parse_config_file(args.config, overrides)
+    except ValueError as exc:  # a config error: one line, not a traceback
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     out = exp.run_experiment(config)
     failures = out / "failures.tsv"
     print(f"experiment done: {out} (config hash {config.hash()})")

@@ -32,7 +32,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
+from scipy.special import stdtr
 
 from .datasets import ImplicitDataset
 from .factor_model import FactorModel
@@ -230,7 +230,8 @@ def validation_dcg(model: FactorModel, validation: ImplicitDataset, k: int = 5) 
 
 
 def one_tailed_t_test(sample_a, sample_b) -> float:
-    """Welch two-sample one-tailed p-value for mean(a) > mean(b).
+    """Welch two-sample one-tailed p-value for mean(a) > mean(b); the tail
+    is ``scipy.special.stdtr``, bit-identical to ``scipy.stats.t.sf``.
 
     Degenerate case (both samples constant and equal) returns 0.5 with a
     warning.
@@ -251,4 +252,4 @@ def one_tailed_t_test(sample_a, sample_b) -> float:
     df = se2**2 / (
         (va / len(a)) ** 2 / (len(a) - 1) + (vb / len(b)) ** 2 / (len(b) - 1)
     )
-    return float(stats.t.sf(t, df))
+    return float(stdtr(df, -t))

@@ -58,12 +58,19 @@ DISPLAY_NAMES = {
     "ubpr": "UBPR", "ubpr_nclip": "UBPR_NClip", "upl": "UPL",
 }
 METRIC_NAMES = ("dcg", "recall", "map")
+# each dataset format's load_triplets format and (train, test) rating-file names
+_RATING_FILES = {
+    "coat": ("dense", ("train.ascii",), ("test.ascii",)),
+    "triplets": ("triplets", ("train.txt", "ydata-ymusic-rating-study-v1_0-train.txt"),
+                 ("test.txt", "ydata-ymusic-rating-study-v1_0-test.txt")),
+}
+DATASET_FORMATS = tuple(_RATING_FILES)
 
 
 @dataclass
 class ExperimentConfig:
     dataset: str = ""
-    format: str = "coat"  # coat (dense matrices) | triplets
+    format: str = DATASET_FORMATS[0]
     train_file: str = ""
     test_file: str = ""
     methods: tuple = METHOD_TOKENS
@@ -110,9 +117,16 @@ class ExperimentConfig:
                 raise ValueError(f"{name} repeats {repeated[0]!r}")
         if self.candidates not in CANDIDATE_MODES:
             raise ValueError(f"unknown candidate mode {self.candidates!r}")
+        if self.format not in DATASET_FORMATS:
+            raise ValueError(f"unknown dataset format {self.format!r}")
         for token in self.methods:  # TrainConfig and LossSpec reject what cannot train
             for combo in _grid_for(token, self):
-                _run_key(token, combo, self, self.seed)
+                try:
+                    _run_key(token, combo, self, self.seed)
+                except ValueError as exc:
+                    key, value = _rejected_setting(token, combo, self)
+                    raise ValueError(f"{key} value {value!r} for method {token}: {exc}") \
+                        from None
 
     def canonical_text(self) -> str:
         lines = []
@@ -196,10 +210,6 @@ class PreparedData:
     item_ids: np.ndarray | None = None
 
 
-_TRIPLET_TRAIN_NAMES = ("train.txt", "ydata-ymusic-rating-study-v1_0-train.txt")
-_TRIPLET_TEST_NAMES = ("test.txt", "ydata-ymusic-rating-study-v1_0-test.txt")
-
-
 def _find_file(root: Path, explicit: str, candidates) -> Path:
     if explicit:
         p = Path(explicit)
@@ -210,36 +220,31 @@ def _find_file(root: Path, explicit: str, candidates) -> Path:
     raise FileNotFoundError(f"none of {candidates} found under {root}")
 
 
-def _rating_files(dataset_path, format="coat", train_file="", test_file=""):
+def _rating_files(dataset_path, format, train_file, test_file):
     """The (train, test) explicit-rating files that ``prepare_datasets`` reads."""
-    root = Path(dataset_path)
-    if format == "coat":
-        names = ("train.ascii",), ("test.ascii",)
-    elif format == "triplets":
-        names = _TRIPLET_TRAIN_NAMES, _TRIPLET_TEST_NAMES
-    else:
+    if format not in _RATING_FILES:
         raise ValueError(f"unknown dataset format {format!r}")
-    return (_find_file(root, train_file, names[0]), _find_file(root, test_file, names[1]))
+    _, train_names, test_names = _RATING_FILES[format]
+    root = Path(dataset_path)
+    return (_find_file(root, train_file, train_names), _find_file(root, test_file, test_names))
 
 
-def prepare_datasets(dataset_path, format="coat", epsilon_train=0.1, epsilon_test=0.0,
-                     validation_fraction=0.1, seed=0, train_file="",
-                     test_file="") -> PreparedData:
+def prepare_datasets(dataset_path, format=ExperimentConfig.format,
+                     epsilon_train=ExperimentConfig.epsilon_train,
+                     epsilon_test=ExperimentConfig.epsilon_test,
+                     validation_fraction=ExperimentConfig.validation_fraction,
+                     seed=ExperimentConfig.seed, train_file="", test_file="") -> PreparedData:
     """Load explicit ratings and produce (train, validation, test) implicit
     splits.  Generation seeds: train = seed, test = seed + 1, split = seed + 2.
     """
-    train_path, test_path = _rating_files(dataset_path, format, train_file, test_file)
-    if format == "coat":
-        train_ratings = load_triplets(train_path, format="dense")
-        test_ratings = load_triplets(test_path, format="dense")
-        if (train_ratings.num_users != test_ratings.num_users
-                or train_ratings.num_items != test_ratings.num_items):
-            raise ValueError("train/test dense matrices have different shapes")
-    else:
-        train_ratings = load_triplets(train_path, format="triplets")
-        test_ratings = load_triplets(test_path, format="triplets")
+    train_ratings, test_ratings = (
+        load_triplets(path, format=_RATING_FILES[format][0])
+        for path in _rating_files(dataset_path, format, train_file, test_file))
+    if format == "triplets":
         train_ratings, test_ratings = align_index_spaces(train_ratings, test_ratings)
-
+    elif (train_ratings.num_users, train_ratings.num_items) != (
+            test_ratings.num_users, test_ratings.num_items):
+        raise ValueError("train/test dense matrices have different shapes")
     train_full = generate_semi_synthetic(train_ratings, epsilon_train, seed, "train")
     test = generate_semi_synthetic(test_ratings, epsilon_test, seed + 1, "test")
     train, validation = split_validation(train_full, validation_fraction, seed + 2)
@@ -299,6 +304,22 @@ def _run_key(token: str, combo, config: ExperimentConfig, seed: int):
     d, lam, clip = combo
     return (make_loss_spec(token, clip, config.wmf_weight),
             make_train_config(config, d, lam, seed))
+
+
+def _rejected_setting(token, combo, config: ExperimentConfig):
+    """The (config key, value) behind a key that fails to build: each
+    TrainConfig setting is tried alone over the defaults, which build; if
+    none fails, the LossSpec's one config value does."""
+    d, lam, clip = combo
+    settings = [("d_grid", "d", d), ("lambda_grid", "lam", lam)] + [
+        (f.name, f.name, getattr(config, f.name)) for f in fields(TrainConfig)
+        if hasattr(config, f.name)]
+    for key, name, value in settings:
+        try:
+            TrainConfig(**{name: value})
+        except ValueError:
+            return key, value
+    return ("clip_grid", clip) if token == "ubpr" else ("wmf_weight", config.wmf_weight)
 
 
 def _specs_read(token: str, config: ExperimentConfig) -> set:

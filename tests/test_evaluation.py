@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 from scipy import stats
+from scipy.special import stdtr
 
 from uplrec import evaluation
 from uplrec.evaluation import (
@@ -23,6 +24,14 @@ from uplrec.factor_model import FactorModel, init_model
 from conftest import make_implicit
 
 LOG2_3 = math.log2(3.0)
+
+
+def same_bits(x, y) -> bool:
+    """Equal shapes, nan at the same places and every other value bit for bit."""
+    x, y = np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64)
+    nan = np.isnan(x)
+    return (x.shape == y.shape and np.array_equal(nan, np.isnan(y))
+            and np.array_equal(x[~nan].view(np.uint64), y[~nan].view(np.uint64)))
 
 
 # ---------------------------------------------------------------------------
@@ -477,6 +486,37 @@ class TestOneTailedTTest:
             b = rng.normal(0.0, 2.0, size=int(rng.integers(3, 30)))
             expected = stats.ttest_ind(a, b, equal_var=False, alternative="greater").pvalue
             assert one_tailed_t_test(a, b) == pytest.approx(expected, abs=1e-6)
+
+    def test_tail_is_t_sf_bit_for_bit(self):
+        # the tail both t tests take, stdtr(df, -t), against the
+        # stats.t.sf(t, df) it replaced: Welch-style fractional df and the
+        # samples - 1 df of variance_order_test
+        rng = np.random.default_rng(12)
+        t = np.concatenate([[np.inf, -np.inf, np.nan, 0.0, -0.0, 1e-300, -1e-300, 40.0,
+                             -40.0], rng.normal(0.0, 3.0, 200), rng.uniform(-60, 60, 50)])
+        df = np.concatenate([[1.0, 1.5, 2.0, 2.718, 29.999], rng.uniform(1.0, 120.0, 40),
+                             [9999.0, 99999.0]])
+        new = stdtr(df[None, :], -t[:, None])
+        old = stats.t.sf(t[:, None], df[None, :])
+        assert same_bits(new, old)
+        for df_int in (9, 9999, 99999):  # an int df, as samples - 1 passes it
+            assert same_bits(stdtr(df_int, -t), stats.t.sf(t, df=df_int))
+
+    # a variance below about 1e-154 squares to 0 and makes df nan, on both sides
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @given(st.lists(st.floats(-1e3, 1e3), min_size=2, max_size=30),
+           st.lists(st.floats(-1e3, 1e3), min_size=2, max_size=30))
+    @example([0.5, 0.6, 0.7], [0.4, 0.5, 0.6])
+    @example([0.0, 0.0], [0.0, 1e-113])
+    def test_p_value_is_the_t_sf_one(self, a, b):
+        # Welch's t and df as one_tailed_t_test forms them, and the
+        # stats.t.sf tail it took before
+        va = np.var(a, ddof=1) / len(a)
+        vb = np.var(b, ddof=1) / len(b)
+        assume(va + vb > 0.0)  # else no tail is read
+        t = (np.mean(a) - np.mean(b)) / np.sqrt(va + vb)
+        df = (va + vb) ** 2 / (va**2 / (len(a) - 1) + vb**2 / (len(b) - 1))
+        assert same_bits(one_tailed_t_test(a, b), stats.t.sf(t, df))
 
     def test_degenerate_zero_variance_flagged(self):
         with pytest.warns(UserWarning):

@@ -1,3 +1,4 @@
+import inspect
 import re
 import shutil
 from dataclasses import fields, replace
@@ -111,6 +112,16 @@ class TestConfigParsing:
         with pytest.raises(ValueError, match="candidate mode"):
             exp.parse_config_file(cfg_path)
 
+    def test_unknown_format_rejected_in_one_line(self, triplet_files, tmp_path, capsys):
+        with pytest.raises(ValueError, match="unknown dataset format 'csv'"):
+            exp.ExperimentConfig(format="csv")
+        out = tmp_path / "out"
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(small_config_text(triplet_files, out))
+        assert cli.main(["experiment", "--config", str(cfg_path), "--format", "csv"]) == 2
+        assert capsys.readouterr().err == "error: unknown dataset format 'csv'\n"
+        assert not out.exists()
+
     def test_invalid_method_token(self, tmp_path):
         cfg_path = tmp_path / "exp.cfg"
         cfg_path.write_text("methods = bpr,expomf\n")
@@ -123,37 +134,43 @@ class TestConfigParsing:
         ("methods =", r"methods must name at least one token, got \(\)"),
     ])
     def test_repeated_or_empty_values_rejected_before_writing(self, triplet_files, tmp_path,
-                                                              line, message):
+                                                              capsys, line, message):
         # a repeated token or cutoff would write every run's rows twice and
         # count them twice in aggregate.tsv; no methods would run nothing
         out = tmp_path / "out"
         cfg_path = tmp_path / "exp.cfg"
         cfg_path.write_text(small_config_text(triplet_files, out) + line + "\n")
-        with pytest.raises(ValueError, match=message):
-            cli.main(["experiment", "--config", str(cfg_path)])
+        assert cli.main(["experiment", "--config", str(cfg_path)]) == 2
+        assert re.fullmatch(f"error: {message}\n", capsys.readouterr().err)
         assert not out.exists()
 
     @pytest.mark.parametrize("lines, message", [
-        ("d_grid = 0", "latent dimension must be >= 1"),
-        ("lambda_grid = -1", "lambda must be >= 0"),
-        ("batch_size = 0", "batch_size must be >= 1"),
-        ("learning_rate = 0", "learning_rate must be positive"),
-        ("max_epochs = 0", "max_epochs must be >= 1"),
-        ("patience = 0", "patience must be >= 1"),
-        ("methods = wmf,bpr\nwmf_weight = 0.5", "wmf_weight must be >= 1"),
-        ("methods = wmf,bpr,ubpr\nclip_grid = 5", r"clip_threshold must be in \[-10, 0\]"),
+        ("d_grid = 0", "d_grid value 0 for method bpr: latent dimension must be >= 1"),
+        ("lambda_grid = -1", "lambda_grid value -1.0 for method bpr: lambda must be >= 0"),
+        ("batch_size = 0", "batch_size value 0 for method bpr: batch_size must be >= 1"),
+        ("learning_rate = 0",
+         "learning_rate value 0.0 for method bpr: learning_rate must be positive"),
+        ("max_epochs = 0", "max_epochs value 0 for method bpr: max_epochs must be >= 1"),
+        ("patience = 0", "patience value 0 for method bpr: patience must be >= 1"),
+        ("methods = wmf,bpr\nwmf_weight = 0.5",
+         "wmf_weight value 0.5 for method wmf: wmf_weight must be >= 1"),
+        ("methods = wmf,bpr,ubpr\nclip_grid = 5",
+         "clip_grid value 5.0 for method ubpr: clip_threshold must be in [-10, 0]"),
     ], ids=["d", "lambda", "batch_size", "learning_rate", "max_epochs", "patience",
             "wmf_weight", "clip"])
     def test_untrainable_values_rejected_before_writing(self, triplet_files, tmp_path,
-                                                        lines, message):
+                                                        capsys, lines, message):
         # every run of some method would fail: the config builds each key
-        # it trains, so TrainConfig and LossSpec reject the value up front
+        # it trains, so TrainConfig and LossSpec reject the value up front,
+        # and the CLI names the key, value and method in one line
         out = tmp_path / "out"
         cfg_path = tmp_path / "exp.cfg"
         cfg_path.write_text(small_config_text(triplet_files, out) + lines + "\n")
-        with pytest.raises(ValueError, match=message):
-            cli.main(["experiment", "--config", str(cfg_path)])
+        assert cli.main(["experiment", "--config", str(cfg_path)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
+        with pytest.raises(ValueError, match=re.escape(message)):
+            exp.parse_config_file(cfg_path)
 
     def test_canonical_text_round_trips_every_field(self, tmp_path):
         # every field away from its default, so each field's parser is used
@@ -200,6 +217,18 @@ class TestPrepareCli:
         assert len(val) == int(0.1 * (len(train) + len(val)))
         assert train.epsilon == 0.1 and test.epsilon == 0.0
         assert (out / "user_map.tsv").exists()
+
+    def test_prepare_coat_matrices(self, tmp_path):
+        # coat reads two dense matrices of one shape, 0 meaning unrated
+        (tmp_path / "train.ascii").write_text("1 0 5\n0 3 4\n")
+        (tmp_path / "test.ascii").write_text("0 2 0\n1 0 0\n")
+        data = exp.prepare_datasets(tmp_path, seed=1)
+        assert (data.test.num_users, data.test.num_items) == (2, 3)
+        assert len(data.train) + len(data.validation) == 4 and len(data.test) == 2
+        assert list(data.item_ids) == [0, 1, 2]
+        (tmp_path / "test.ascii").write_text("0 2\n1 0\n")
+        with pytest.raises(ValueError, match="different shapes"):
+            exp.prepare_datasets(tmp_path)
 
     def test_prepare_deterministic(self, triplet_files, tmp_path):
         out1, out2 = tmp_path / "p1", tmp_path / "p2"
@@ -313,6 +342,26 @@ class TestCliSurface:
         assert calls == [((str(triplet_files), default.format, default.epsilon_train,
                            default.epsilon_test, default.validation_fraction, default.seed,
                            default.train_file, default.test_file), {})]
+
+    def test_prepare_datasets_defaults_are_the_config_defaults(self):
+        # perfbench's train-d200 calls prepare_datasets with format and seed
+        # alone, so its data follows ExperimentConfig's epsilons and split
+        params = inspect.signature(exp.prepare_datasets).parameters
+        default = exp.ExperimentConfig()
+        assert {name: p.default for name, p in params.items() if name != "dataset_path"} \
+            == {name: getattr(default, name) for name in params if name != "dataset_path"}
+
+    def test_format_choices_are_the_dataset_formats(self, tmp_path, monkeypatch, capsys):
+        # --format offers the formats _rating_files knows, from one tuple
+        monkeypatch.setattr(exp, "DATASET_FORMATS", ("coat", "other"))
+        calls = stop_at(monkeypatch, exp, "prepare_datasets")
+        argv = ["prepare", "--dataset", "d", "--out", str(tmp_path), "--format"]
+        with pytest.raises(_Stop):
+            cli.main(argv + ["other"])
+        assert calls[0][0][1] == "other"
+        with pytest.raises(SystemExit):
+            cli.main(argv + ["triplets"])
+        assert "invalid choice: 'triplets'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("token", exp.METHOD_TOKENS)
     def test_train_defaults_are_the_config_defaults(self, prepared, tmp_path, monkeypatch,
@@ -774,11 +823,12 @@ class TestGridFile:
         assert "lambda_grid=0.001" in resolved
         assert "clip_grid=0.0,-1.0" in resolved
 
-    def test_non_grid_key_rejected(self, triplet_files, tmp_path):
+    def test_non_grid_key_rejected(self, triplet_files, tmp_path, capsys):
         out = tmp_path / "out"
         (tmp_path / "exp.cfg").write_text(small_config_text(triplet_files, out, runs=1))
         (tmp_path / "grid.cfg").write_text("d_grid = 4\nruns = 3\n")
-        with pytest.raises(ValueError, match=r"grid\.cfg:2: 'runs' is not one of"):
-            cli.main(["experiment", "--config", str(tmp_path / "exp.cfg"),
-                      "--grid-file", str(tmp_path / "grid.cfg")])
+        assert cli.main(["experiment", "--config", str(tmp_path / "exp.cfg"),
+                         "--grid-file", str(tmp_path / "grid.cfg")]) == 2
+        assert re.match(r"error: .*grid\.cfg:2: 'runs' is not one of",
+                        capsys.readouterr().err)
         assert not out.exists()  # rejected before anything ran
