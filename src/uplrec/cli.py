@@ -144,12 +144,13 @@ def _cmd_experiment(args) -> int:
         if args.grid_file:
             overrides.update(exp.read_config_values(args.grid_file, exp.GRID_KEYS))
         config = exp.parse_config_file(args.config, overrides)
-    except ValueError as exc:  # a config error: one line, not a traceback
+        cfg_hash = config.hash()  # reads the rating files
+    except (ValueError, FileNotFoundError) as exc:  # a config error: one line, not a traceback
         print(f"error: {exc}", file=sys.stderr)
         return 2
     out = exp.run_experiment(config)
     failures = out / "failures.tsv"
-    print(f"experiment done: {out} (config hash {config.hash()})")
+    print(f"experiment done: {out} (config hash {cfg_hash})")
     if failures.exists():
         print(f"some methods failed, see {failures}", file=sys.stderr)
         return 1

@@ -32,7 +32,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import stdtr
 
 from .datasets import ImplicitDataset
 from .factor_model import FactorModel
@@ -230,26 +229,48 @@ def validation_dcg(model: FactorModel, validation: ImplicitDataset, k: int = 5) 
 
 
 def one_tailed_t_test(sample_a, sample_b) -> float:
-    """Welch two-sample one-tailed p-value for mean(a) > mean(b); the tail
-    is ``scipy.special.stdtr``, bit-identical to ``scipy.stats.t.sf``.
+    """Welch two-sample one-tailed p-value for mean(a) > mean(b), its tail
+    from ``t_sf``.
 
     Degenerate case (both samples constant and equal) returns 0.5 with a
-    warning.
+    warning.  When the per-sample variances are so small (below about
+    1e-154) or so large that Welch's df under- or overflows, df is formed
+    from the two variances divided by the larger one, which leaves it
+    unchanged in exact arithmetic.
     """
     a = np.asarray(sample_a, dtype=np.float64)
     b = np.asarray(sample_b, dtype=np.float64)
     if len(a) < 2 or len(b) < 2:
         raise ValueError("both samples need at least 2 values")
-    va, vb = a.var(ddof=1), b.var(ddof=1)
+    va, vb = a.var(ddof=1) / len(a), b.var(ddof=1) / len(b)
     ma, mb = a.mean(), b.mean()
-    se2 = va / len(a) + vb / len(b)
+    se2 = va + vb
     if se2 == 0.0:
         if ma == mb:
             warnings.warn("degenerate zero-variance identical samples; p = 0.5")
             return 0.5
         return 0.0 if ma > mb else 1.0
     t = (ma - mb) / np.sqrt(se2)
-    df = se2**2 / (
-        (va / len(a)) ** 2 / (len(a) - 1) + (vb / len(b)) ** 2 / (len(b) - 1)
-    )
+    with np.errstate(all="ignore"):
+        df = _welch_df(va, vb, len(a), len(b))
+    if not np.isfinite(df):
+        scale = max(va, vb)
+        df = _welch_df(va / scale, vb / scale, len(a), len(b))
+    return t_sf(t, df)
+
+
+def _welch_df(va, vb, na, nb):
+    """Welch-Satterthwaite df of two samples' variances of the mean."""
+    return (va + vb) ** 2 / (va**2 / (na - 1) + vb**2 / (nb - 1))
+
+
+def t_sf(t, df) -> float:
+    """P(T > t) for Student's t with ``df`` degrees of freedom: scipy's
+    ``stdtr(df, -t)``, the function ``scipy.stats.t.sf`` calls, so the value
+    is bit-identical to it.  Both one-sided tests, ``one_tailed_t_test`` and
+    ``oracle.variance_order_test``, read their tail here.  ``scipy.special``
+    is imported on the first call, not with the package, so commands that
+    test nothing never load it."""
+    from scipy.special import stdtr
+
     return float(stdtr(df, -t))

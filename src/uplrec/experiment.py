@@ -213,11 +213,14 @@ class PreparedData:
 def _find_file(root: Path, explicit: str, candidates) -> Path:
     if explicit:
         p = Path(explicit)
-        return p if p.is_absolute() else root / p
+        p = p if p.is_absolute() else root / p
+        if p.exists():
+            return p
+        raise FileNotFoundError(f"dataset {root}: rating file {p} not found")
     for name in candidates:
         if (root / name).exists():
             return root / name
-    raise FileNotFoundError(f"none of {candidates} found under {root}")
+    raise FileNotFoundError(f"dataset {root}: none of {', '.join(candidates)} found")
 
 
 def _rating_files(dataset_path, format, train_file, test_file):
@@ -414,9 +417,9 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> Path:
     out = Path(out_dir or config.out)
     if not str(out):
         raise ValueError("no output directory configured")
+    cfg_hash = config.hash()  # finds the rating files before anything is written
     out.mkdir(parents=True, exist_ok=True)
     (out / "logs").mkdir(exist_ok=True)
-    cfg_hash = config.hash()
     (out / "config_resolved.cfg").write_text(config.canonical_text())
     (out / "config_hash.txt").write_text(cfg_hash + "\n")
 

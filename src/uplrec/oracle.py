@@ -19,9 +19,9 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.special import stdtr
 
 from .errors import EnumerationBoundError
+from .evaluation import t_sf
 from .factor_model import FactorModel, init_model
 from .losses import LossSpec, pair_weights, sigmoid_pair_loss
 
@@ -321,8 +321,8 @@ def variance_order_test(world: SyntheticWorld, model: FactorModel,
     """One-sided paired test that Var(estimator_hi) > Var(estimator_lo).
 
     Both estimators are evaluated on the same click draws; the test is a paired t on
-    the per-draw squared deviations, its tail ``scipy.special.stdtr`` (bit-identical
-    to ``scipy.stats.t.sf``).  Returns (var_hi, var_lo, p_value).
+    the per-draw squared deviations, its tail ``evaluation.t_sf``.  Returns
+    (var_hi, var_lo, p_value).
     """
     if samples < MIN_MC_SAMPLES:
         raise ValueError(f"samples must be >= {MIN_MC_SAMPLES}, got {samples}")
@@ -331,7 +331,7 @@ def variance_order_test(world: SyntheticWorld, model: FactorModel,
     b = _FullBatchEstimator(world, model, estimator_lo).evaluate(clicks)
     dev = (a - a.mean()) ** 2 - (b - b.mean()) ** 2
     t_stat = dev.mean() / (dev.std(ddof=1) / math.sqrt(samples))
-    p = float(stdtr(samples - 1, -t_stat))
+    p = t_sf(t_stat, samples - 1)
     return float(a.var(ddof=1)), float(b.var(ddof=1)), p
 
 

@@ -27,7 +27,6 @@ from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
-from scipy.sparse import csr_matrix
 
 from .datasets import ImplicitDataset
 from .errors import TrainingDivergedError
@@ -171,8 +170,13 @@ def _scatter_rows(index, rows):
 
     A CSR indicator over a stable argsort adds each group's rows one at a
     time in input order, starting from zero, exactly as ``np.add.at`` does,
-    so the sums are bit-identical to it (``np.add.reduceat`` is not).
+    so the sums are bit-identical to it (``np.add.reduceat`` is not); every
+    bit-identical numpy scatter measured slower.  ``scipy.sparse`` is
+    imported here, on the first training step, so that ``import uplrec``
+    loads no scipy; a repeated import costs about 0.5 us.
     """
+    from scipy.sparse import csr_matrix
+
     order = np.argsort(index, kind="stable")
     keys = index[order]
     first = np.ones(len(keys), dtype=bool)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -502,21 +503,42 @@ class TestOneTailedTTest:
         for df_int in (9, 9999, 99999):  # an int df, as samples - 1 passes it
             assert same_bits(stdtr(df_int, -t), stats.t.sf(t, df=df_int))
 
-    # a variance below about 1e-154 squares to 0 and makes df nan, on both sides
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     @given(st.lists(st.floats(-1e3, 1e3), min_size=2, max_size=30),
            st.lists(st.floats(-1e3, 1e3), min_size=2, max_size=30))
     @example([0.5, 0.6, 0.7], [0.4, 0.5, 0.6])
     @example([0.0, 0.0], [0.0, 1e-113])
     def test_p_value_is_the_t_sf_one(self, a, b):
         # Welch's t and df as one_tailed_t_test forms them, and the
-        # stats.t.sf tail it took before
+        # stats.t.sf tail it took before; a df that under- or overflows is
+        # formed from the variances over the larger one, without a warning
         va = np.var(a, ddof=1) / len(a)
         vb = np.var(b, ddof=1) / len(b)
         assume(va + vb > 0.0)  # else no tail is read
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            p = one_tailed_t_test(a, b)
         t = (np.mean(a) - np.mean(b)) / np.sqrt(va + vb)
-        df = (va + vb) ** 2 / (va**2 / (len(a) - 1) + vb**2 / (len(b) - 1))
-        assert same_bits(one_tailed_t_test(a, b), stats.t.sf(t, df))
+
+        def welch_df(va, vb):
+            return (va + vb) ** 2 / (va**2 / (len(a) - 1) + vb**2 / (len(b) - 1))
+
+        with np.errstate(all="ignore"):
+            df = welch_df(va, vb)
+        if not np.isfinite(df):
+            df = welch_df(va / max(va, vb), vb / max(va, vb))
+        assert same_bits(p, stats.t.sf(t, df))
+
+    @pytest.mark.parametrize("scale", [2.0**-520, 2.0**500], ids=["tiny", "huge"])
+    def test_df_out_of_float_range_is_rescaled(self, scale):
+        # at these scales the squared variances in Welch's df under- or
+        # overflow; the p-value is the one of the unscaled samples
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert one_tailed_t_test([0.0, 0.0], [0.0, scale]) == pytest.approx(0.75)
+            rng = np.random.default_rng(6)
+            a, b = rng.normal(0.3, 1.0, 7), rng.normal(0.0, 2.0, 5)
+            assert one_tailed_t_test(a * scale, b * scale) == pytest.approx(
+                one_tailed_t_test(a, b), rel=1e-12)
 
     def test_degenerate_zero_variance_flagged(self):
         with pytest.warns(UserWarning):

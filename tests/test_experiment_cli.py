@@ -122,6 +122,27 @@ class TestConfigParsing:
         assert capsys.readouterr().err == "error: unknown dataset format 'csv'\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("extra, message", [
+        ("", "dataset {root}: none of train.txt, ydata-ymusic-rating-study-v1_0-train.txt "
+             "found"),
+        ("train_file = gone.txt\n", "dataset {root}: rating file {root}/gone.txt not found"),
+    ], ids=["searched", "named"])
+    def test_missing_rating_files_rejected_before_writing(self, tmp_path, capsys, extra,
+                                                          message):
+        # the config hash reads the rating files, so a dataset without them
+        # is a config error before the output tree is created
+        root = tmp_path / "nonexistent"
+        out = tmp_path / "out"
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(small_config_text(root, out) + extra)
+        assert cli.main(["experiment", "--config", str(cfg_path)]) == 2
+        assert capsys.readouterr().err == "error: " + message.format(root=root) + "\n"
+        assert not out.exists()
+        config = exp.parse_config_file(cfg_path)
+        with pytest.raises(FileNotFoundError, match=re.escape(str(root))):
+            exp.run_experiment(config)
+        assert not out.exists()
+
     def test_invalid_method_token(self, tmp_path):
         cfg_path = tmp_path / "exp.cfg"
         cfg_path.write_text("methods = bpr,expomf\n")
@@ -406,6 +427,11 @@ class TestCliSurface:
             ("--threads", "threads", "2", 2),
             ("--out", "out", "elsewhere_out", "elsewhere_out"),
         ]
+        # the CLI hashes the rating files before it runs: give --dataset some
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "elsewhere").mkdir()
+        for name in ("train.ascii", "test.ascii"):
+            (tmp_path / "elsewhere" / name).write_text("")
         calls = stop_at(monkeypatch, exp, "run_experiment")
         with pytest.raises(_Stop):
             cli.main(["experiment", "--config", str(cfg_path)]
