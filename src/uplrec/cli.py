@@ -97,9 +97,13 @@ def main(argv=None) -> int:
 
 
 def _cmd_prepare(args) -> int:
-    data = exp.prepare_datasets(
-        args.dataset, args.format, args.epsilon_train, args.epsilon_test,
-        args.validation_fraction, args.seed, args.train_file, args.test_file)
+    try:
+        data = exp.prepare_datasets(
+            args.dataset, args.format, args.epsilon_train, args.epsilon_test,
+            args.validation_fraction, args.seed, args.train_file, args.test_file)
+    except FileNotFoundError as exc:  # names the dataset and the file it lacks
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     exp.save_prepared(data, args.out)
     print(f"prepared {args.out}: train {len(data.train)} cells "
           f"({data.train.num_clicks} clicks), validation {len(data.validation)}, "
@@ -117,7 +121,11 @@ def _load_prepared(data_dir) -> PreparedData:
 
 
 def _cmd_train(args) -> int:
-    data = _load_prepared(args.data)
+    try:
+        data = _load_prepared(args.data)
+    except FileNotFoundError as exc:
+        print(f"error: prepared data {args.data}: {exc.filename} not found", file=sys.stderr)
+        return 2
     propensities = PropensityTable.from_click_counts(data.train.item_click_counts)
     train_config = TrainConfig(**{f.name: getattr(args, f.name) for f in fields(TrainConfig)})
     spec = exp.make_loss_spec(args.method, args.clip, args.wmf_weight)
@@ -144,13 +152,13 @@ def _cmd_experiment(args) -> int:
         if args.grid_file:
             overrides.update(exp.read_config_values(args.grid_file, exp.GRID_KEYS))
         config = exp.parse_config_file(args.config, overrides)
-        cfg_hash = config.hash()  # reads the rating files
+        config.rating_files()  # a dataset without them is a config error
     except (ValueError, FileNotFoundError) as exc:  # a config error: one line, not a traceback
         print(f"error: {exc}", file=sys.stderr)
         return 2
     out = exp.run_experiment(config)
     failures = out / "failures.tsv"
-    print(f"experiment done: {out} (config hash {cfg_hash})")
+    print(f"experiment done: {out} (config hash {exp.read_config_hash(out)})")
     if failures.exists():
         print(f"some methods failed, see {failures}", file=sys.stderr)
         return 1
@@ -213,9 +221,7 @@ def _report_time(what, started):
 def _cmd_report(args) -> int:
     out = Path(args.out)
     rows = exp.read_per_run(out / "per_run_metrics.tsv")
-    hash_file = out / "config_hash.txt"
-    cfg_hash = hash_file.read_text().strip() if hash_file.exists() else "unknown"
-    exp.write_aggregates(out, rows, cfg_hash)
+    exp.write_aggregates(out, rows, exp.read_config_hash(out))
     print(f"re-aggregated {len(rows)} rows into {out}")
     return 0
 

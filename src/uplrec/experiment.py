@@ -137,13 +137,18 @@ class ExperimentConfig:
             lines.append(f"{f.name}={v}")
         return "\n".join(lines) + "\n"
 
+    def rating_files(self) -> tuple[Path, Path]:
+        """The (train, test) rating files the config reads; FileNotFoundError
+        names the dataset and the file it lacks."""
+        return _rating_files(self.dataset, self.format, self.train_file, self.test_file)
+
     def hash(self) -> str:
         """Hash of what the config computes.  The rating files enter by the
         sha256 of their bytes, not by path, so the same data hashes alike
         wherever it lies; ``threads`` and ``out`` only say how and where to
         run, so they are left out."""
-        paths = _rating_files(self.dataset, self.format, self.train_file, self.test_file)
-        digests = ",".join(hashlib.sha256(p.read_bytes()).hexdigest() for p in paths)
+        digests = ",".join(hashlib.sha256(p.read_bytes()).hexdigest()
+                           for p in self.rating_files())
         what = replace(self, dataset="", train_file="", test_file="", threads=1, out="")
         text = what.canonical_text() + f"ratings_sha256={digests}\n"
         return hashlib.sha256(text.encode()).hexdigest()[:16]
@@ -412,6 +417,9 @@ class _Runs:
 # The experiment driver
 
 
+CONFIG_HASH_FILE = "config_hash.txt"
+
+
 def run_experiment(config: ExperimentConfig, out_dir=None) -> Path:
     """Grid-search, repeated runs, aggregation, significance and tables."""
     out = Path(out_dir or config.out)
@@ -421,7 +429,7 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> Path:
     out.mkdir(parents=True, exist_ok=True)
     (out / "logs").mkdir(exist_ok=True)
     (out / "config_resolved.cfg").write_text(config.canonical_text())
-    (out / "config_hash.txt").write_text(cfg_hash + "\n")
+    (out / CONFIG_HASH_FILE).write_text(cfg_hash + "\n")
 
     data = prepare_datasets(
         config.dataset, config.format, config.epsilon_train, config.epsilon_test,
@@ -548,6 +556,12 @@ def read_per_run(path):
             method, run, cohort, metric, k, value = line.rstrip("\n").split("\t")
             rows.append((method, int(run), cohort, metric, int(k), float(value)))
     return rows
+
+
+def read_config_hash(out_dir) -> str:
+    """The config hash ``run_experiment`` wrote into out_dir, or "unknown"."""
+    path = Path(out_dir) / CONFIG_HASH_FILE
+    return path.read_text().strip() if path.exists() else "unknown"
 
 
 def write_aggregates(out_dir, rows, cfg_hash):

@@ -14,10 +14,11 @@ the terms and each term's derivative by each score.  The step adds the L2
 penalty, scatters the row gradients and makes one Adam update restricted to
 the rows the batch touched; runs are deterministic per seed.  The gradient
 scatter keeps ``np.add.at``'s summation order, so trained factors are
-bit-identical to an ``np.add.at`` implementation.  Early stopping watches
-validation DCG@5.  ``uplrec train`` and the experiment both train a
-(LossSpec, TrainConfig) key through ``train_key``, which for upl first trains
-the relmf stage that ``stage_spec`` names, unless it is given that model.
+bit-identical to an ``np.add.at`` implementation; it is plain numpy, so
+training loads no scipy module.  Early stopping watches validation DCG@5.
+``uplrec train`` and the experiment both train a (LossSpec, TrainConfig) key
+through ``train_key``, which for upl first trains the relmf stage that
+``stage_spec`` names, unless it is given that model.
 """
 
 from __future__ import annotations
@@ -79,11 +80,27 @@ class AdamState:
         ):
             if len(rows) == 0:
                 continue
-            m_rows = ADAM_BETA1 * m[rows] + (1.0 - ADAM_BETA1) * grads
-            v_rows = ADAM_BETA2 * v[rows] + (1.0 - ADAM_BETA2) * grads**2
+            # in place on the gathered rows, with the float operations of
+            # m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g**2 and
+            # param -= lr * (m/bc1) / (sqrt(v/bc2) + eps), in that order
+            scratch = np.multiply(grads, 1.0 - ADAM_BETA1)
+            m_rows = m[rows]
+            m_rows *= ADAM_BETA1
+            m_rows += scratch
             m[rows] = m_rows
+            np.square(grads, out=scratch)
+            scratch *= 1.0 - ADAM_BETA2
+            v_rows = v[rows]
+            v_rows *= ADAM_BETA2
+            v_rows += scratch
             v[rows] = v_rows
-            param[rows] -= learning_rate * (m_rows / bc1) / (np.sqrt(v_rows / bc2) + ADAM_EPS)
+            m_rows /= bc1
+            m_rows *= learning_rate
+            v_rows /= bc2
+            np.sqrt(v_rows, out=v_rows)
+            v_rows += ADAM_EPS
+            m_rows /= v_rows
+            param[rows] -= m_rows
 
 
 @dataclass
@@ -168,23 +185,35 @@ def _sample_unexposed(dataset: ImplicitDataset, count: int, rng):
 def _scatter_rows(index, rows):
     """Sum ``rows`` that share an ``index``: (sorted unique index, row sums).
 
-    A CSR indicator over a stable argsort adds each group's rows one at a
-    time in input order, starting from zero, exactly as ``np.add.at`` does,
-    so the sums are bit-identical to it (``np.add.reduceat`` is not); every
-    bit-identical numpy scatter measured slower.  ``scipy.sparse`` is
-    imported here, on the first training step, so that ``import uplrec``
-    loads no scipy; a repeated import costs about 0.5 us.
+    Each group's rows are added one at a time in input order, starting from
+    zero, exactly as ``np.add.at`` does, so the sums are bit-identical to it
+    (``np.add.reduceat`` is not).  The rows are laid out pass-major over a
+    stable argsort, with the groups ordered by size: pass p holds the p-th
+    member of every group with more than p members, which are the first
+    groups, so each pass is one contiguous slice add and there are as many
+    passes as the largest group has members.
     """
-    from scipy.sparse import csr_matrix
-
     order = np.argsort(index, kind="stable")
     keys = index[order]
-    first = np.ones(len(keys), dtype=bool)
-    first[1:] = keys[1:] != keys[:-1]
-    starts = np.flatnonzero(first)
-    indicator = csr_matrix((np.ones(len(keys)), order, np.append(starts, len(keys))),
-                           shape=(len(starts), len(keys)))
-    return keys[starts], indicator @ rows
+    edge = np.empty(len(keys) + 1, dtype=bool)
+    edge[0] = edge[-1] = True
+    np.not_equal(keys[1:], keys[:-1], out=edge[1:-1])
+    bounds = np.flatnonzero(edge)  # the group starts, then len(keys)
+    starts = bounds[:-1]
+    sizes = bounds[1:] - starts
+    by_size = np.argsort(-sizes, kind="stable")
+    passes = np.arange(sizes.max(initial=0))[:, None]
+    member = passes < sizes[by_size]  # (pass, group by size): has a p-th member
+    laid = rows[order[(starts[by_size] + passes)[member]]]
+    sums = laid[:len(starts)]
+    sums += 0.0  # pass 0 adds each first member to zero, as np.add.at does (-0.0 -> 0.0)
+    lo = len(starts)
+    for width in np.count_nonzero(member[1:], axis=1).tolist():
+        sums[:width] += laid[lo:lo + width]
+        lo += width
+    out = np.empty_like(sums)
+    out[by_size] = sums
+    return keys[starts], out
 
 
 def _pair_objective(spec, c_j, theta_i, theta_j, gamma_j, s_i, s_j):

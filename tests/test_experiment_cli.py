@@ -143,6 +143,23 @@ class TestConfigParsing:
             exp.run_experiment(config)
         assert not out.exists()
 
+    def test_rating_files_hashed_once_per_run(self, triplet_files, tmp_path, monkeypatch,
+                                              capsys):
+        calls = []
+
+        def counting_hash(config, _real=exp.ExperimentConfig.hash):
+            calls.append(config)
+            return _real(config)
+        monkeypatch.setattr(exp.ExperimentConfig, "hash", counting_hash)
+        out = tmp_path / "out"
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(small_config_text(triplet_files, out, runs=1))
+        assert cli.main(["experiment", "--config", str(cfg_path)]) == 0
+        assert len(calls) == 1
+        cfg_hash = (out / "config_hash.txt").read_text().strip()
+        assert cfg_hash == exp.parse_config_file(cfg_path).hash()
+        assert capsys.readouterr().out == f"experiment done: {out} (config hash {cfg_hash})\n"
+
     def test_invalid_method_token(self, tmp_path):
         cfg_path = tmp_path / "exp.cfg"
         cfg_path.write_text("methods = bpr,expomf\n")
@@ -239,6 +256,13 @@ class TestPrepareCli:
         assert train.epsilon == 0.1 and test.epsilon == 0.0
         assert (out / "user_map.tsv").exists()
 
+    def test_missing_dataset_rejected_in_one_line(self, tmp_path, capsys):
+        root = tmp_path / "nonexistent"
+        out = tmp_path / "prepared"
+        assert cli.main(["prepare", "--dataset", str(root), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: dataset {root}: none of train.ascii found\n"
+        assert not out.exists()
+
     def test_prepare_coat_matrices(self, tmp_path):
         # coat reads two dense matrices of one shape, 0 meaning unrated
         (tmp_path / "train.ascii").write_text("1 0 5\n0 3 4\n")
@@ -280,6 +304,16 @@ class TestTrainCli:
         assert lines[0] == "method\trun\tcohort\tmetric\tk\tvalue"
         assert len(lines) > 1
         assert (out / "train.log").read_text().startswith("epoch=0\t")
+
+    def test_data_without_splits_rejected_in_one_line(self, tmp_path, capsys):
+        data = tmp_path / "unprepared"
+        data.mkdir()
+        out = tmp_path / "run"
+        assert cli.main(["train", "--data", str(data), "--method", "bpr",
+                         "--out", str(out)]) == 2
+        assert capsys.readouterr().err == \
+            f"error: prepared data {data}: {data / 'train' / 'meta.json'} not found\n"
+        assert not out.exists()
 
     def test_mfdu_trains_relmf(self, triplet_files, tmp_path):
         prep = tmp_path / "prep"

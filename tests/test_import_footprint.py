@@ -1,10 +1,12 @@
-"""What ``import uplrec`` loads.  The package imports no scipy module: the t
-tail (``evaluation.t_sf``) imports ``scipy.special`` and the gradient scatter
-(``trainer._scatter_rows``) imports ``scipy.sparse`` on their first call, so
-``uplrec --help``, ``prepare`` and ``report`` and the benchmark's set-up
-load neither (about 0.45 s of import and 23 MB, BENCH_12.json).
-``scipy.stats``, about two thirds of the import before that (BENCH_11.json),
-must not be loaded even by the calls that use scipy."""
+"""What ``import uplrec`` and training load.  The package imports no scipy
+module, so ``uplrec --help``, ``prepare`` and ``report`` and the benchmark's
+set-up load none (about 0.45 s of import and 23 MB, BENCH_12.json).
+Training loads none either: the gradient scatter (``trainer._scatter_rows``)
+is plain numpy, which keeps ``scipy.sparse`` (about 12 MB of train-d200's
+peak RSS, BENCH_13.json) out of every pairwise and pointwise run.  Only the
+t tail (``evaluation.t_sf``) imports ``scipy.special``, on its first call.
+``scipy.stats``, about two thirds of the import before BENCH_11.json, must not
+be loaded even by the calls that use scipy."""
 
 import os
 import subprocess
@@ -20,20 +22,23 @@ import uplrec, uplrec.cli
 print(sorted(name for name in sys.modules if name.startswith("scipy")))
 from uplrec import LossSpec, TrainConfig, oracle, trainer
 from uplrec.datasets import ImplicitDataset
+users, items = np.divmod(np.arange(12), 4)
+data = ImplicitDataset(3, 4, users, items, np.full(12, 0.5), (items < 2).astype(np.int8))
+for method in ("bpr", "relmf"):
+    run = trainer.train(data, TrainConfig(d=2, max_epochs=1, batch_size=4), LossSpec(method))
+    assert run.epochs_trained == 1
+print(sorted(name for name in sys.modules if name.startswith("scipy")))
 world = oracle.random_world(1, 5, seed=3)
 model = oracle.model_for_world(world, seed=4)
 uplrec.one_tailed_t_test([0.1, 0.4, 0.3], [0.2, 0.0, 0.1])
 oracle.variance_order_test(world, model, "ubpr", "upl", samples=oracle.MIN_MC_SAMPLES, seed=5)
-users, items = np.divmod(np.arange(12), 4)
-data = ImplicitDataset(3, 4, users, items, np.full(12, 0.5), (items < 2).astype(np.int8))
-trainer.train(data, TrainConfig(d=2, max_epochs=1, batch_size=4), LossSpec("bpr"))
 print(sorted(name for name in sys.modules if name.startswith("scipy.stats")))
 """
 
 
-def test_import_loads_no_scipy_and_calls_no_scipy_stats():
+def test_import_and_training_load_no_scipy_and_t_tests_no_scipy_stats():
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     done = subprocess.run([sys.executable, "-c", SCRIPT], env=env, capture_output=True,
                           text=True, timeout=60)
     assert done.returncode == 0, done.stderr
-    assert done.stdout == "[]\n[]\n"
+    assert done.stdout == "[]\n[]\n[]\n"

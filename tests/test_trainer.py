@@ -426,10 +426,21 @@ def _reference_scatter(index, rows):
 def _scatter_inputs(draw):
     n = draw(st.integers(1, 40))
     d = draw(st.integers(1, 4))
-    if draw(st.booleans()):  # heavy duplicates
+    case = draw(st.sampled_from(["heavy", "distinct", "mixed"]))
+    if case == "heavy":  # heavy duplicates
         index = draw(hnp.arrays(np.int64, n, elements=st.integers(0, 2)))
-    else:  # all distinct
+    elif case == "distinct":  # all distinct
         index = np.array(draw(st.permutations(range(n))), dtype=np.int64)
+    else:  # a few keys from a wide range repeat many times among singletons
+        n = max(n, 3)
+        hot = draw(st.lists(st.integers(500_000, 10**6), min_size=1, max_size=3, unique=True))
+        singles = draw(st.lists(st.integers(0, 499_999), min_size=n, max_size=n, unique=True))
+        picks = draw(hnp.arrays(np.int64, n, elements=st.integers(-1, len(hot) - 1)))
+        # a singleton and a twice-drawn hot key: the smallest key is a
+        # singleton, so the largest group is not the smallest key
+        picks[:3] = [-1, 0, 0]
+        index = np.where(picks < 0, singles, np.asarray(hot)[picks])
+        index = index[draw(st.permutations(range(n)))]
     # magnitudes far apart make the sum depend on the order of the adds
     values = st.one_of(st.just(-0.0), st.floats(-1e12, 1e12))
     rows = draw(hnp.arrays(np.float64, (n, d), elements=values))
@@ -440,6 +451,12 @@ class TestScatterRows:
     @given(_scatter_inputs())
     @example((np.array([7]), np.array([[-0.0, 2.5]])))
     @example((np.array([3, 3, 1]), np.full((3, 2), -0.0)))
+    @example((np.array([900_000, 5, 900_000, 7, 900_000, 3, 800_000, 800_000]),
+              np.array([[1e12], [1.0], [-1e12], [2.0], [1.0], [3.0], [-0.0], [-0.0]])))
+    # a hot key among singletons, whose sum depends on the order of its adds
+    # (an unstable argsort reorders it)
+    @example((np.array([10, 21, 21, 13, 21, 21, 16, 21, 21, 19]) * 100_000,
+              np.array([[1e12], [0.1], [-1e12]] * 3 + [[1e12]])))
     def test_bit_identical_to_add_at(self, inputs):
         index, rows = inputs
         keys, sums = _scatter_rows(index, rows)
