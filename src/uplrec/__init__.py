@@ -3,8 +3,8 @@
 Implements the low-variance unbiased pairwise estimator (upl) next to its
 pointwise (wmf, relmf) and pairwise (bpr, ubpr and clipped ubpr)
 baselines, a semi-synthetic MNAR data pipeline, ranking evaluation with
-cohort slicing, and an exact-enumeration oracle that verifies estimator
-unbiasedness and the variance ordering.
+cohort slicing, and an oracle that verifies estimator unbiasedness and the
+variance ordering through closed-form exact moments and Monte Carlo.
 """
 
 __version__ = "0.1.0"
@@ -21,7 +21,7 @@ from .evaluation import CohortSpec, MetricReport, evaluate, one_tailed_t_test, r
 from .factor_model import FactorModel, TrainConfig, init_model
 from .losses import LossSpec, clip_term, pair_weights, pointwise_loss, sigmoid_pair_loss, \
     ubpr_pair_weight, upl_pair_weight
-from .oracle import SyntheticWorld, closed_form_variance_upl, exact_expectation, \
-    ideal_risk, mc_bias_variance
+from .oracle import SyntheticWorld, exact_expectation, exact_moments, ideal_risk, \
+    mc_bias_variance
 from .propensity import PropensityTable, estimate_click_propensity, posterior_exposure
 from .trainer import AdamState, TrainRun, train, train_key

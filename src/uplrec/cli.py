@@ -5,7 +5,7 @@ Subcommands:
   train       one training run on a prepared dataset directory: the run 0
               an experiment gives for the same token, seed and combo
   experiment  full sweep from a key=value config file (grid + repeated runs)
-  verify      run the estimator oracle suite (exact enumeration + Monte Carlo)
+  verify      run the estimator oracle suite (exact moments + Monte Carlo)
   report      re-aggregate an experiment directory from its per-run TSV
 
 A flag that sets a config field takes its type and default from the field,
@@ -23,6 +23,7 @@ from pathlib import Path
 from . import experiment as exp
 from . import oracle
 from .datasets import load_dataset
+from .errors import ParseError
 from .evaluation import CANDIDATE_MODES, CohortSpec, compute_cohorts, evaluate
 from .experiment import METHOD_TOKENS, ExperimentConfig, PreparedData
 from .factor_model import TrainConfig, save_checkpoint
@@ -101,7 +102,7 @@ def _cmd_prepare(args) -> int:
         data = exp.prepare_datasets(
             args.dataset, args.format, args.epsilon_train, args.epsilon_test,
             args.validation_fraction, args.seed, args.train_file, args.test_file)
-    except FileNotFoundError as exc:  # names the dataset and the file it lacks
+    except (FileNotFoundError, ParseError) as exc:  # names the file and what is wrong
         print(f"error: {exc}", file=sys.stderr)
         return 2
     exp.save_prepared(data, args.out)
@@ -156,7 +157,11 @@ def _cmd_experiment(args) -> int:
     except (ValueError, FileNotFoundError) as exc:  # a config error: one line, not a traceback
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    out = exp.run_experiment(config)
+    try:
+        out = exp.run_experiment(config)
+    except ParseError as exc:  # a malformed rating file, found before anything is written
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     failures = out / "failures.tsv"
     print(f"experiment done: {out} (config hash {exp.read_config_hash(out)})")
     if failures.exists():
@@ -178,7 +183,11 @@ def _cmd_verify(args) -> int:
         return 2
     started = time.perf_counter()
     if args.world:
-        world = oracle.parse_world_spec(args.world)
+        try:
+            world = oracle.parse_world_spec(args.world)
+        except (FileNotFoundError, ParseError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         model = oracle.model_for_world(world, seed=args.seed)
         reports = []
         ideal = oracle.ideal_risk(world, model)
@@ -193,10 +202,8 @@ def _cmd_verify(args) -> int:
                 rep = oracle.mc_bias_variance(world, model, estimator,
                                               samples=args.samples, seed=args.seed)
                 reports.append(rep)
-                exact_str = ("" if rep.exact_expectation is None
-                             else f" exact={rep.exact_expectation:.10g}")
                 print(f"  {estimator}: mc mean={rep.mc_mean:.10g} "
-                      f"var={rep.mc_variance:.6g}{exact_str}")
+                      f"var={rep.mc_variance:.6g} exact={rep.exact_expectation:.10g}")
         if args.out:
             oracle.reports_to_tsv(reports, args.out)
             print(f"wrote {args.out}")

@@ -22,10 +22,6 @@ class EstimationError(ValueError):
     """Propensity estimation impossible (e.g. all click counts are zero)."""
 
 
-class EnumerationBoundError(ValueError):
-    """World too large for exact outcome enumeration."""
-
-
 class TrainingDivergedError(RuntimeError):
     """Non-finite loss encountered; message carries epoch/batch context."""
 

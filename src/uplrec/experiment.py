@@ -425,15 +425,15 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> Path:
     out = Path(out_dir or config.out)
     if not str(out):
         raise ValueError("no output directory configured")
-    cfg_hash = config.hash()  # finds the rating files before anything is written
+    # find and parse the rating files before anything is written
+    cfg_hash = config.hash()
+    data = prepare_datasets(
+        config.dataset, config.format, config.epsilon_train, config.epsilon_test,
+        config.validation_fraction, config.seed, config.train_file, config.test_file)
     out.mkdir(parents=True, exist_ok=True)
     (out / "logs").mkdir(exist_ok=True)
     (out / "config_resolved.cfg").write_text(config.canonical_text())
     (out / CONFIG_HASH_FILE).write_text(cfg_hash + "\n")
-
-    data = prepare_datasets(
-        config.dataset, config.format, config.epsilon_train, config.epsilon_test,
-        config.validation_fraction, config.seed, config.train_file, config.test_file)
     save_prepared(data, out / "data")
     propensities = PropensityTable.from_click_counts(
         data.train.item_click_counts, power=config.propensity_power,

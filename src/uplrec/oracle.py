@@ -1,15 +1,13 @@
-"""Ground-truth verification of the pairwise estimators on small worlds.
+"""Ground-truth verification of the pairwise estimators on synthetic worlds.
 
 A world fixes per-cell exposure and relevance probabilities (theta, gamma)
 with clicks generated as c = o * r, o ~ Bern(theta), r ~ Bern(gamma), all
-cells independent.  For worlds of up to 10 cells the module enumerates the
-full joint of the four (o, r) outcomes per cell and computes each
-estimator's exact expectation.  An estimator sees only the clicks, so it is
-evaluated once per distinct click vector (2^cells of them) and the 4^cells
-outcomes are reduced against those values.  Monte Carlo sampling covers
-anything larger and supplies variance estimates.  Estimator terms come from
-``losses.pair_weights``, the function that weights the trainer's sampled
-pairs, applied to every ordered same-user pair at once.
+cells independent.  An estimator sees only the clicks, and its full-batch
+risk is a polynomial of degree 2 in them, so ``exact_moments`` gives its
+exact mean and variance in closed form on worlds of any size.  Monte Carlo
+sampling draws the same risk and checks the closed form.  Estimator terms
+come from ``losses.pair_weights``, the function that weights the trainer's
+sampled pairs, applied to every ordered same-user pair at once.
 """
 
 from __future__ import annotations
@@ -20,14 +18,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import EnumerationBoundError
+from .errors import ParseError
 from .evaluation import t_sf
 from .factor_model import FactorModel, init_model
 from .losses import LossSpec, pair_weights, sigmoid_pair_loss
 
-MAX_EXACT_CELLS = 10
 MIN_MC_SAMPLES = 10**4
-_CHUNK = 1 << 16
 
 ESTIMATORS = ("upl", "ubpr", "ubpr_clipped", "bpr")
 
@@ -74,32 +70,50 @@ def parse_world_spec(path) -> SyntheticWorld:
         gamma
         <U rows of I floats>
 
-    '#' starts a comment; blank lines are ignored.
+    '#' starts a comment; blank lines are ignored.  A malformed file raises
+    ParseError naming the file and line.
     """
-    lines = []
-    for raw in Path(path).read_text().splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            lines.append(line)
-    it = iter(lines)
+    numbered = [(lineno, raw.split("#", 1)[0].strip())
+                for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1)]
+    numbered = [(lineno, line) for lineno, line in numbered if line]
+    it = iter(numbered)
+    end = numbered[-1][0] if numbered else 1
 
-    def expect(keyword, line):
+    def take(what):
+        lineno, line = next(it, (end, ""))
+        if not line:
+            raise ParseError(path, lineno, f"file ends before {what}")
+        return lineno, line
+
+    def header(keyword):
+        lineno, line = take(repr(keyword))
         parts = line.split()
         if parts[0] != keyword:
-            raise ValueError(f"expected {keyword!r}, got {line!r}")
-        return parts
+            raise ParseError(path, lineno, f"expected {keyword!r}, got {line!r}")
+        return lineno, parts[1:]
 
-    users = int(expect("users", next(it))[1])
-    items = int(expect("items", next(it))[1])
+    def count(keyword):
+        lineno, parts = header(keyword)
+        if len(parts) != 1 or not parts[0].isdigit() or int(parts[0]) < 1:
+            raise ParseError(path, lineno, f"expected '{keyword} <positive count>'")
+        return int(parts[0])
+
+    users, items = count("users"), count("items")
 
     def read_table(keyword):
-        expect(keyword, next(it))
-        rows = [[float(tok) for tok in next(it).split()] for _ in range(users)]
-        table = np.asarray(rows)
-        if table.shape != (users, items):
-            raise ValueError(f"{keyword} table has shape {table.shape}, "
-                             f"expected {(users, items)}")
-        return table
+        header(keyword)
+        rows = []
+        for _ in range(users):
+            lineno, line = take(f"the end of the {keyword} table")
+            try:
+                row = [float(tok) for tok in line.split()]
+            except ValueError:
+                row = []
+            if len(row) != items or not all(0.0 < v < 1.0 for v in row):
+                raise ParseError(path, lineno, f"expected {items} {keyword} values strictly "
+                                 f"inside (0, 1), got {line!r}")
+            rows.append(row)
+        return np.asarray(rows)
 
     theta = read_table("theta")
     gamma = read_table("gamma")
@@ -126,7 +140,7 @@ class EstimatorReport:
     mc_mean: float | None = None
     mc_variance: float | None = None
     mc_se: float | None = None
-    closed_form_variance: float | None = None
+    exact_variance: float | None = None
     sample_count: int = 0
 
 
@@ -192,82 +206,42 @@ def ideal_risk(world: SyntheticWorld, model: FactorModel) -> float:
     return float(math.fsum(gamma[p_idx] * (1.0 - gamma[q_idx]) * losses))
 
 
-def _low_outcomes(o_fac, r_fac, cells):
-    """Probability and click code of every outcome of the first ``cells``.
+def exact_moments(world: SyntheticWorld, model: FactorModel, estimator: str,
+                  clip_threshold: float = 0.0, gamma_hat=None) -> tuple[float, float]:
+    """Exact (mean, variance) of the full-batch empirical risk.
 
-    Entry sum_k v_k 4^k belongs to the outcome with v_k = o_k + 2 r_k; its
-    probability is the product of the cells' o and r factors taken left to
-    right in cell order, and its code has bit k set when c_k = o_k r_k = 1.
+    The risk is c @ a + c @ B @ c with B zero on its diagonal, a polynomial
+    of degree 2 in the independent clicks c_k ~ Bern(p_k), p = theta*gamma.
+    Written in the centred clicks x = c - p (its p-biased Fourier
+    expansion), with s2 = p(1 - p) and S = B + B^T, it is
+    a @ p + p @ B @ p + x @ (a + S @ p) + sum_{k<l} S_kl x_k x_l, whose terms
+    are uncorrelated: the mean is a @ p + p @ B @ p and the variance
+    sum_k (a + S @ p)_k^2 s2_k + sum_{k<l} S_kl^2 s2_k s2_l.  B is
+    block-diagonal by user, so a and B are built one user at a time and no
+    cells x cells matrix is formed; the users' moments add up.
     """
-    prob = np.ones(1)
-    code = np.zeros(1, dtype=np.int64)
-    clicked = np.array([0, 0, 0, 1], dtype=np.int64)
-    for k in range(cells):
-        prob = (np.multiply.outer(o_fac[k], prob) * r_fac[k][:, None]).ravel()
-        code = ((clicked << k)[:, None] | code).ravel()
-    return prob, code
-
-
-def _high_outcome(o_fac, r_fac, first, block):
-    """Factors, in cell order, and click code of cells ``first``.. in outcome
-    ``block`` of those cells."""
-    factors, code = [], 0
-    for k in range(first, len(o_fac)):
-        v = (block >> (2 * (k - first))) & 3
-        factors += [o_fac[k, v], r_fac[k, v]]
-        code |= (v == 3) << k
-    return factors, code
+    gamma = world.gamma if gamma_hat is None else np.reshape(gamma_hat, world.theta.shape)
+    p = world.theta * world.gamma
+    s2 = p * (1.0 - p)
+    means, variances = [], []
+    for u in range(world.num_users):
+        rows = slice(u, u + 1)
+        block = _FullBatchEstimator(SyntheticWorld(world.theta[rows], world.gamma[rows]),
+                                    FactorModel(model.user_factors[rows], model.item_factors),
+                                    estimator, clip_threshold, gamma[rows])
+        a, B = block.row_vec, block.cross
+        assert not B.diagonal().any(), "a cell paired with itself"
+        S = B + B.T
+        means.append(a @ p[u] + p[u] @ B @ p[u])
+        variances.append((a + S @ p[u]) ** 2 @ s2[u] + 0.5 * (s2[u] @ (S * S) @ s2[u]))
+    return math.fsum(means), math.fsum(variances)
 
 
 def exact_expectation(world: SyntheticWorld, model: FactorModel, estimator: str,
                       clip_threshold: float = 0.0, gamma_hat=None) -> float:
-    """Expectation of the full-batch empirical risk over the exact joint of
-    (o, r) outcomes for every cell.
-
-    Weights the estimator on the induced clicks c = o*r by the probability
-    of each of the 4^cells outcomes (o, r in {0,1} per cell).  The estimator
-    sees only c, so it is evaluated once on each of the 2^cells click
-    vectors and every outcome looks its value up by click code.  The
-    outcomes are reduced in ``_CHUNK``-sized runs of the outcome index, each
-    a dot product of probabilities and values, and the runs are added with
-    ``math.fsum``.  An outcome's probability is the product of its cells'
-    factors in cell order: the cells that fit in one chunk are tabulated
-    once, and each chunk multiplies in the remaining cells' factors.  Worlds
-    beyond MAX_EXACT_CELLS cells are rejected.
-    """
-    n = world.num_cells
-    if n > MAX_EXACT_CELLS:
-        raise EnumerationBoundError(
-            f"world has {n} cells; exact enumeration capped at {MAX_EXACT_CELLS}")
-    est = _FullBatchEstimator(world, model, estimator, clip_threshold, gamma_hat)
-    codes = np.arange(1 << n, dtype=np.int64)
-    values = est.evaluate(((codes[:, None] >> np.arange(n)) & 1).astype(np.float64))
-
-    theta, gamma = world.theta.ravel(), world.gamma.ravel()
-    o_fac = np.stack([1.0 - theta, theta, 1.0 - theta, theta], axis=1)  # by v = o + 2r
-    r_fac = np.stack([1.0 - gamma, 1.0 - gamma, gamma, gamma], axis=1)
-    low = min(n, (_CHUNK.bit_length() - 1) // 2)  # largest 4^low <= _CHUNK
-    low_prob, low_code = _low_outcomes(o_fac, r_fac, low)
-    block_len = len(low_prob)
-
-    total_outcomes = 4**n
-    partials = []
-    for start in range(0, total_outcomes, _CHUNK):
-        stop = min(start + _CHUNK, total_outcomes)
-        probs, clicks = [], []
-        for block in range(start // block_len, (stop - 1) // block_len + 1):
-            base = block * block_len
-            lo, hi = max(start, base) - base, min(stop, base + block_len) - base
-            factors, high_code = _high_outcome(o_fac, r_fac, low, block)
-            prob = low_prob[lo:hi].copy()
-            for f in factors:
-                prob *= f
-            probs.append(prob)
-            clicks.append(low_code[lo:hi] | high_code)
-        prob = probs[0] if len(probs) == 1 else np.concatenate(probs)
-        click = clicks[0] if len(clicks) == 1 else np.concatenate(clicks)
-        partials.append(float(prob @ values[click]))
-    return math.fsum(partials)
+    """Exact expectation of the full-batch empirical risk over the clicks
+    c = o*r, o ~ Bern(theta), r ~ Bern(gamma): the mean of ``exact_moments``."""
+    return exact_moments(world, model, estimator, clip_threshold, gamma_hat)[0]
 
 
 def sample_clicks(world: SyntheticWorld, samples: int, seed: int) -> np.ndarray:
@@ -286,8 +260,8 @@ def mc_bias_variance(world: SyntheticWorld, model: FactorModel, estimator: str,
     """Monte-Carlo mean/variance of an estimator's full-batch risk.
 
     Draws i.i.d. (o, r) worlds, evaluates the empirical risk per draw and
-    reports the sample mean and variance with standard errors.  The exact
-    expectation is attached when the world is small enough to enumerate.
+    reports the sample mean and variance with standard errors, next to the
+    exact moments.
     """
     if samples < MIN_MC_SAMPLES:
         raise ValueError(f"samples must be >= {MIN_MC_SAMPLES}, got {samples}")
@@ -296,23 +270,18 @@ def mc_bias_variance(world: SyntheticWorld, model: FactorModel, estimator: str,
     ideal = ideal_risk(world, model)
     mean = float(values.mean())
     variance = float(values.var(ddof=1))
-    report = EstimatorReport(
+    exact_mean, exact_var = exact_moments(world, model, estimator, clip_threshold, gamma_hat)
+    return EstimatorReport(
         estimator=estimator,
         ideal_risk=ideal,
+        exact_expectation=exact_mean,
+        bias=exact_mean - ideal,
         mc_mean=mean,
         mc_variance=variance,
         mc_se=float(np.sqrt(variance / samples)),
+        exact_variance=exact_var,
         sample_count=samples,
     )
-    if world.num_cells <= MAX_EXACT_CELLS:
-        report.exact_expectation = exact_expectation(
-            world, model, estimator, clip_threshold, gamma_hat)
-        report.bias = report.exact_expectation - ideal
-    else:
-        report.bias = mean - ideal
-    if estimator == "upl" and gamma_hat is None:
-        report.closed_form_variance = closed_form_variance_upl(world, model)
-    return report
 
 
 def variance_order_test(world: SyntheticWorld, model: FactorModel,
@@ -333,36 +302,6 @@ def variance_order_test(world: SyntheticWorld, model: FactorModel,
     t_stat = dev.mean() / (dev.std(ddof=1) / math.sqrt(samples))
     p = t_sf(t_stat, samples - 1)
     return float(a.var(ddof=1)), float(b.var(ddof=1)), p
-
-
-def closed_form_variance_upl(world: SyntheticWorld, model: FactorModel) -> float:
-    """sum_i (1/theta_i - gamma_i) * gamma_i * A_i^2 over the cells i, with
-    A_i = sum_{j != i, same user} (1 - gamma_j) / (1 - theta_j*gamma_j) * L_ij.
-
-    This is the variance of upl's full-batch risk with every candidate j
-    held unclicked, so that only the c_i ~ Bern(theta_i*gamma_i) vary; it is
-    not the estimator's variance.  On the small random worlds of its tests
-    it exceeds the exact variance over the 2^cells click vectors by
-    1.3-2.8x.  The pair terms (j = k) and the cross terms (j != k) are
-    summed apart.
-    """
-    scores = model.score_matrix()
-    theta = world.theta
-    gamma = world.gamma
-    total = 0.0
-    for u in range(world.num_users):
-        s = scores[u]
-        th, ga = theta[u], gamma[u]
-        n = world.num_items
-        L, _, _ = sigmoid_pair_loss(s[:, None], s[None, :])
-        lead = (1.0 / th - ga) * ga  # indexed by i
-        w = (1.0 - ga) / (1.0 - th * ga)  # indexed by j
-        for i in range(n):
-            wl = np.delete(w * L[i], i)  # w_j * L_ij over j != i
-            total += lead[i] * float(np.sum(wl**2))
-            # cross terms: sum_{j != k} wl_j * wl_k = (sum wl)^2 - sum wl^2
-            total += lead[i] * float(np.sum(wl) ** 2 - np.sum(wl**2))
-    return total
 
 
 # ---------------------------------------------------------------------------
@@ -389,7 +328,7 @@ _SUITE_SHAPES = [(1, 4), (1, 5), (2, 3), (1, 6), (2, 4),
 
 
 def unbiasedness_suite(count=20, seed=90210):
-    """Deterministic suite of admissible random worlds (<= 10 cells each)."""
+    """Deterministic suite of small random worlds (<= 10 cells each)."""
     worlds = []
     for k in range(count):
         users, items = _SUITE_SHAPES[k % len(_SUITE_SHAPES)]
@@ -443,15 +382,19 @@ def verification_suite(samples=10**5, seed=1234, suite_count=20):
     results.append(("ubpr_clipped_biased", gap > 1e-3,
                     f"E[clipped ubpr] - ideal = {gap:.6f}"))
 
-    ordering_ok = True
-    details = []
+    ordering_ok = exact_ok = True
+    details, exact_details = [], []
     for name, world in low_exposure_worlds():
         model = model_for_world(world, seed=seed + 7)
         var_ubpr, var_upl, p = variance_order_test(
             world, model, "ubpr", "upl", samples=samples, seed=seed)
         ordering_ok &= var_ubpr > var_upl and p < 0.01
         details.append(f"{name}: var ratio {var_ubpr / var_upl:.2f}, p={p:.2e}")
+        exact_ubpr, exact_upl = (exact_moments(world, model, e)[1] for e in ("ubpr", "upl"))
+        exact_ok &= exact_ubpr > exact_upl
+        exact_details.append(f"{name}: exact var ratio {exact_ubpr / exact_upl:.2f}")
     results.append(("variance_ordering", ordering_ok, "; ".join(details)))
+    results.append(("variance_ordering_exact", exact_ok, "; ".join(exact_details)))
 
     agree_ok = True
     agree_details = []
@@ -470,7 +413,7 @@ def verification_suite(samples=10**5, seed=1234, suite_count=20):
 
 def reports_to_tsv(reports, path):
     cols = ("estimator", "ideal_risk", "exact_expectation", "bias", "mc_mean",
-            "mc_variance", "mc_se", "closed_form_variance", "sample_count")
+            "mc_variance", "mc_se", "exact_variance", "sample_count")
     with open(path, "w") as fh:
         fh.write("\t".join(cols) + "\n")
         for rep in reports:

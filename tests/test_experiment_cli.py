@@ -45,6 +45,15 @@ def small_config_text(dataset, out, methods="bpr", runs=2, seed=11):
     )
 
 
+def malformed_triplets(source, tmp_path):
+    """A copy of a triplets dataset whose train file's second line is '1<TAB>2'."""
+    root = tmp_path / "malformed"
+    shutil.copytree(source, root)
+    lines = (root / "train.txt").read_text().splitlines(keepends=True)
+    (root / "train.txt").write_text(lines[0] + "1\t2\n" + "".join(lines[1:]))
+    return root
+
+
 class TestConfigParsing:
     def test_round_trip_defaults(self, tmp_path, triplet_files):
         cfg_path = tmp_path / "exp.cfg"
@@ -141,6 +150,19 @@ class TestConfigParsing:
         config = exp.parse_config_file(cfg_path)
         with pytest.raises(FileNotFoundError, match=re.escape(str(root))):
             exp.run_experiment(config)
+        assert not out.exists()
+
+    def test_malformed_rating_file_rejected_before_writing(self, triplet_files, tmp_path,
+                                                           capsys):
+        # the ratings are parsed before the output tree is created
+        root = malformed_triplets(triplet_files, tmp_path)
+        out = tmp_path / "out"
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(small_config_text(root, out))
+        assert cli.main(["experiment", "--config", str(cfg_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {root / 'train.txt'}:2: expected 3 fields, got 2\n"
+        assert captured.out == ""
         assert not out.exists()
 
     def test_rating_files_hashed_once_per_run(self, triplet_files, tmp_path, monkeypatch,
@@ -261,6 +283,15 @@ class TestPrepareCli:
         out = tmp_path / "prepared"
         assert cli.main(["prepare", "--dataset", str(root), "--out", str(out)]) == 2
         assert capsys.readouterr().err == f"error: dataset {root}: none of train.ascii found\n"
+        assert not out.exists()
+
+    def test_malformed_rating_file_rejected_in_one_line(self, triplet_files, tmp_path, capsys):
+        root = malformed_triplets(triplet_files, tmp_path)
+        out = tmp_path / "prepared"
+        assert cli.main(["prepare", "--dataset", str(root), "--format", "triplets",
+                         "--out", str(out)]) == 2
+        assert capsys.readouterr().err == \
+            f"error: {root / 'train.txt'}:2: expected 3 fields, got 2\n"
         assert not out.exists()
 
     def test_prepare_coat_matrices(self, tmp_path):
@@ -735,10 +766,10 @@ class TestVerifyCli:
         rc = cli.main(["verify", "--samples", "10000"])
         captured = capsys.readouterr()
         assert rc == 0
-        assert captured.out.count("PASS") == 5
+        assert captured.out.count("PASS") == 6
         assert "FAIL" not in captured.out
         assert "verify:" not in captured.out
-        assert re.fullmatch(r"verify: 5 checks in \d+\.\d\d s\n", captured.err)
+        assert re.fullmatch(r"verify: 6 checks in \d+\.\d\d s\n", captured.err)
 
     def test_world_file_exact(self, tmp_path, capsys):
         from uplrec.oracle import random_world, write_world_spec
@@ -751,20 +782,41 @@ class TestVerifyCli:
 
     @pytest.mark.parametrize("world", BUNDLED_WORLDS, ids=lambda p: p.name)
     def test_bundled_world_exact(self, world, capsys):
+        # upl and ubpr are unbiased: the printed bias is rounding error
         rc = cli.main(["verify", "--world", str(world), "--exact-only"])
         out = capsys.readouterr().out
         assert rc == 0
+        ideal = float(re.search(r"ideal risk = (\S+)", out).group(1))
         for estimator in ("upl", "ubpr"):
             line = next(l for l in out.splitlines() if l.startswith(f"  {estimator}:"))
-            assert line.endswith("(bias +0.000e+00)"), line
+            bias = float(re.fullmatch(r".*\(bias (\S+)\)", line).group(1))
+            assert abs(bias) <= 1e-12 * ideal, line
 
-    def test_world_too_large_for_exact(self, tmp_path):
-        from uplrec.errors import EnumerationBoundError
+    def test_world_beyond_ten_cells_exact(self, tmp_path, capsys):
         from uplrec.oracle import random_world, write_world_spec
         path = tmp_path / "w.txt"
-        write_world_spec(random_world(1, 11, seed=3), path)
-        with pytest.raises(EnumerationBoundError):
-            cli.main(["verify", "--world", str(path), "--exact-only"])
+        write_world_spec(random_world(3, 11, seed=3), path)
+        assert cli.main(["verify", "--world", str(path), "--exact-only"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("world: 3 users x 11 items (33 cells); ideal risk = ")
+        assert out.count("exact expectation = ") == 4
+
+    @pytest.mark.parametrize("text, lineno, message", [
+        ("users 1\nitems 3\ntheta\n0.5 0.5 0.5\ngamma\n", 5,
+         "file ends before the end of the gamma table"),
+        ("users 1\nitems 3\ntheta\n0.5 0.5\ngamma\n0.5 0.5 0.5\n", 4,
+         "expected 3 theta values strictly inside (0, 1), got '0.5 0.5'"),
+        ("users 1\nitems 3\ntheta\n0.5 1.5 0.5\ngamma\n0.5 0.5 0.5\n", 4,
+         "expected 3 theta values strictly inside (0, 1), got '0.5 1.5 0.5'"),
+    ], ids=["truncated", "short_row", "theta_outside_unit_interval"])
+    def test_malformed_world_file_rejected_in_one_line(self, tmp_path, capsys, text, lineno,
+                                                       message):
+        path = tmp_path / "w.txt"
+        path.write_text(text)
+        assert cli.main(["verify", "--world", str(path), "--exact-only"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {path}:{lineno}: {message}\n"
 
     def test_zero_samples_is_argument_error(self):
         assert cli.main(["verify", "--samples", "0"]) == 2
@@ -821,19 +873,22 @@ class TestVerifyCli:
         rc = cli.main(["verify", "--world", str(WORLDS_DIR / "clip_bias.txt"),
                        "--exact-only", "--samples", "5000"])
         assert rc == 0
-        assert "(bias +0.000e+00)" in capsys.readouterr().out
+        assert "  bpr: exact expectation = 0.9632449623 (bias -3.211e-01)\n" in \
+            capsys.readouterr().out
 
     def test_timing_on_stderr_stdout_unchanged(self, capsys):
         rc = cli.main(["verify", "--world", str(WORLDS_DIR / "clip_bias.txt"),
                        "--exact-only"])
         assert rc == 0
         captured = capsys.readouterr()
-        assert captured.out == (
-            "world: 1 users x 3 items (3 cells); ideal risk = 1.284326616\n"
-            "  upl: exact expectation = 1.284326616 (bias +0.000e+00)\n"
-            "  ubpr: exact expectation = 1.284326616 (bias +0.000e+00)\n"
-            "  ubpr_clipped: exact expectation = 1.926489925 (bias +6.422e-01)\n"
-            "  bpr: exact expectation = 0.9632449623 (bias -3.211e-01)\n")
+        # the unbiased estimators' bias is rounding error, of either sign
+        assert re.fullmatch(
+            r"world: 1 users x 3 items \(3 cells\); ideal risk = 1\.284326616\n"
+            r"  upl: exact expectation = 1\.284326616 \(bias [+-]\d\.\d{3}e[+-]\d\d\)\n"
+            r"  ubpr: exact expectation = 1\.284326616 \(bias [+-]\d\.\d{3}e[+-]\d\d\)\n"
+            r"  ubpr_clipped: exact expectation = 1\.926489925 \(bias \+6\.422e-01\)\n"
+            r"  bpr: exact expectation = 0\.9632449623 \(bias -3\.211e-01\)\n",
+            captured.out)
         assert re.fullmatch(r"verify: 4 estimators in \d+\.\d\d s\n", captured.err)
 
 

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -8,19 +9,21 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import uplrec.oracle as oracle_mod
-from uplrec.errors import EnumerationBoundError
+from uplrec.errors import ParseError
 from uplrec.factor_model import FactorModel
 from uplrec.oracle import (
     SyntheticWorld,
     clip_bias_world,
-    closed_form_variance_upl,
     exact_expectation,
+    exact_moments,
     ideal_risk,
     low_exposure_worlds,
     mc_bias_variance,
     model_for_world,
     parse_world_spec,
     random_world,
+    reports_to_tsv,
+    sample_clicks,
     unbiasedness_suite,
     variance_order_test,
     verification_suite,
@@ -28,7 +31,6 @@ from uplrec.oracle import (
 )
 
 LN2 = math.log(2.0)
-DEFAULT_CHUNK = oracle_mod._CHUNK
 BUNDLED_WORLD_FILES = sorted((Path(__file__).resolve().parents[1] / "worlds").glob("*.txt"))
 
 
@@ -96,6 +98,28 @@ class TestSyntheticWorld:
         back = parse_world_spec(path)
         assert np.array_equal(back.theta, world.theta)
         assert np.array_equal(back.gamma, world.gamma)
+
+    @pytest.mark.parametrize("text, lineno, message", [
+        ("", 1, "file ends before 'users'"),
+        ("users 1\nitem 3\n", 2, "expected 'items', got 'item 3'"),
+        ("users 0\nitems 3\n", 1, "expected 'users <positive count>'"),
+        ("users 1\nitems 3\ntheta\n0.5 0.5 0.5\ngamma\n", 5,
+         "file ends before the end of the gamma table"),
+        ("users 1\nitems 3\ntheta\n0.5 0.5\ngamma\n0.5 0.5 0.5\n", 4,
+         "expected 3 theta values strictly inside (0, 1), got '0.5 0.5'"),
+        ("users 1\nitems 2\ntheta\n0.5 x\ngamma\n0.5 0.5\n", 4,
+         "expected 2 theta values strictly inside (0, 1), got '0.5 x'"),
+        ("users 1\nitems 2\ntheta\n0.5 0.5\n# comment\ngamma\n1 0.5\n", 7,
+         "expected 2 gamma values strictly inside (0, 1), got '1 0.5'"),
+    ], ids=["empty", "bad_keyword", "no_users", "truncated", "short_row", "non_numeric",
+            "gamma_outside_unit_interval"])
+    def test_spec_parser_names_file_and_line(self, tmp_path, text, lineno, message):
+        path = tmp_path / "w.txt"
+        path.write_text(text)
+        with pytest.raises(ParseError) as info:
+            parse_world_spec(path)
+        assert str(info.value) == f"{path}:{lineno}: {message}"
+        assert info.value.lineno == lineno
 
     def test_spec_parser_comments(self, tmp_path):
         path = tmp_path / "w.txt"
@@ -189,23 +213,6 @@ class TestExactExpectation:
         assert abs(exact_true - ideal) < 1e-10
         assert abs(exact_pert - ideal) > 1e-3
 
-    def test_enumeration_bound(self):
-        world = random_world(1, 11, seed=90)  # 11 cells
-        model = model_for_world(world, seed=91)
-        with pytest.raises(EnumerationBoundError, match="11"):
-            exact_expectation(world, model, "upl")
-
-    def test_chunk_partition_order_independent(self, monkeypatch):
-        # the outcome range is reduced in chunks; the partition must not
-        # change the result beyond compensated-summation noise
-        world = random_world(2, 4, seed=95)  # 8 cells -> 65536 outcomes
-        model = model_for_world(world, seed=96)
-        values = []
-        for chunk in (1 << 16, 1 << 10, 977):  # incl. a non-power-of-two
-            monkeypatch.setattr(oracle_mod, "_CHUNK", chunk)
-            values.append(exact_expectation(world, model, "ubpr"))
-        assert max(values) - min(values) < 1e-12
-
 
 class TestMonteCarlo:
     def test_sample_floor(self):
@@ -238,90 +245,6 @@ class TestMonteCarlo:
         assert p < 0.01
 
 
-class TestClosedFormVariance:
-    def test_single_cell_world_is_zero(self):
-        world = SyntheticWorld(theta=np.array([[0.5]]), gamma=np.array([[0.5]]))
-        model = model_for_world(world, seed=1)
-        assert closed_form_variance_upl(world, model) == 0.0
-
-    def test_two_cell_world_hand_evaluated(self):
-        # only the first sum contributes (triples need >= 3 items); evaluate
-        # its two ordered-pair terms by hand
-        theta = np.array([[0.4, 0.7]])
-        gamma = np.array([[0.6, 0.2]])
-        world = SyntheticWorld(theta=theta, gamma=gamma)
-        model = model_for_world(world, seed=3)
-        s = model.score_matrix()[0]
-
-        def first_sum_term(i, j):
-            L = pair_logloss(s[i], s[j])
-            return ((1 / theta[0, i] - gamma[0, i]) * gamma[0, i]
-                    * (1 - gamma[0, j]) ** 2 * L**2
-                    / (1 - theta[0, j] * gamma[0, j]) ** 2)
-
-        expected = first_sum_term(0, 1) + first_sum_term(1, 0)
-        assert closed_form_variance_upl(world, model) == pytest.approx(
-            expected, rel=1e-12)
-
-    def test_ratio_to_mc_variance_recorded(self):
-        # diagnostic only: the closed form holds every candidate unclicked,
-        # so it is not the estimator's variance; record the ratio
-        world = random_world(1, 5, seed=110)
-        model = model_for_world(world, seed=111)
-        rep = mc_bias_variance(world, model, "upl", samples=10**4, seed=112)
-        ratio = rep.closed_form_variance / rep.mc_variance
-        assert math.isfinite(ratio) and ratio > 0
-
-    WORLDS = [((1, 3), 1), ((1, 5), 2), ((2, 4), 3), ((1, 8), 4)]
-
-    @staticmethod
-    def _world(shape, seed):
-        world = random_world(*shape, seed=seed)
-        return world, model_for_world(world, seed=seed + 10)
-
-    @staticmethod
-    def _candidate_weight(world, u, j):
-        return (1 - world.gamma[u, j]) / (1 - world.theta[u, j] * world.gamma[u, j])
-
-    @pytest.mark.parametrize("shape, seed", WORLDS)
-    def test_equals_variance_with_candidates_unclicked(self, shape, seed):
-        # sum_i (1/theta_i - gamma_i) gamma_i A_i^2, with A_i the sum over
-        # j != i of (1 - gamma_j) / (1 - theta_j gamma_j) L_ij: the variance
-        # of sum_i (c_i / theta_i) A_i over independent c_i ~ Bern(theta_i gamma_i)
-        world, model = self._world(shape, seed)
-        s, th, ga = model.score_matrix(), world.theta, world.gamma
-        terms = []
-        for u in range(world.num_users):
-            for i in range(world.num_items):
-                a = math.fsum(self._candidate_weight(world, u, j) * pair_logloss(s[u, i], s[u, j])
-                              for j in range(world.num_items) if j != i)
-                terms.append((1 / th[u, i] - ga[u, i]) * ga[u, i] * a * a)
-        assert closed_form_variance_upl(world, model) == pytest.approx(math.fsum(terms),
-                                                                       rel=1e-12)
-
-    @pytest.mark.parametrize("shape, seed", WORLDS)
-    def test_exceeds_exact_variance(self, shape, seed):
-        # the exact variance of upl's full-batch risk, over every click
-        # vector weighted by prod (theta gamma)^c (1 - theta gamma)^(1 - c)
-        world, model = self._world(shape, seed)
-        s, th, ga = model.score_matrix(), world.theta, world.gamma
-        cells = list(itertools.product(range(world.num_users), range(world.num_items)))
-        probs, values = [], []
-        for clicks in itertools.product((0, 1), repeat=len(cells)):
-            c = dict(zip(cells, clicks))
-            probs.append(math.prod(th[k] * ga[k] if c[k] else 1 - th[k] * ga[k]
-                                   for k in cells))
-            values.append(math.fsum(
-                self._candidate_weight(world, u, j) / th[u, i] * pair_logloss(s[u, i], s[u, j])
-                for (u, i), (v, j) in itertools.product(cells, cells)
-                if u == v and i != j and c[u, i] and not c[u, j]))
-        mean = math.fsum(p * v for p, v in zip(probs, values))
-        exact = math.fsum(p * (v - mean) ** 2 for p, v in zip(probs, values))
-        # the same enumeration gives the oracle's exact expectation
-        assert mean == pytest.approx(exact_expectation(world, model, "upl"), rel=1e-12)
-        assert 1.3 < closed_form_variance_upl(world, model) / exact < 2.8
-
-
 class TestBundledWorlds:
     def test_suite_size_and_cell_cap(self):
         suite = unbiasedness_suite(count=20)
@@ -340,54 +263,62 @@ class TestBundledWorlds:
 
 
 # ---------------------------------------------------------------------------
-# The click-vector enumeration against the 4^n outcome loop it replaced
+# The closed-form moments against an independent click-vector enumeration
 
 
-def reference_exact_expectation(world, model, estimator, clip_threshold=0.0,
-                                gamma_hat=None):
-    """The previous exact_expectation: every chunk of the 4^n outcome index
-    builds its probabilities and click rows cell by cell and evaluates the
-    estimator on every row."""
-    n = world.num_cells
-    est = oracle_mod._FullBatchEstimator(world, model, estimator, clip_threshold, gamma_hat)
-    theta = world.theta.ravel()
-    gamma = world.gamma.ravel()
-    total_outcomes = 4**n
-    partials = []
-    for start in range(0, total_outcomes, oracle_mod._CHUNK):
-        idx = np.arange(start, min(start + oracle_mod._CHUNK, total_outcomes), dtype=np.int64)
-        prob = np.ones(len(idx))
-        clicks = np.empty((len(idx), n))
-        for k in range(n):
-            o = (idx >> (2 * k)) & 1
-            r = (idx >> (2 * k + 1)) & 1
-            prob *= np.where(o == 1, theta[k], 1.0 - theta[k])
-            prob *= np.where(r == 1, gamma[k], 1.0 - gamma[k])
-            clicks[:, k] = o & r
-        partials.append(float(prob @ est.evaluate(clicks)))
-    return math.fsum(partials)
+def click_enumeration_moments(world, model, estimator, clip_threshold=0.0, gamma_hat=None):
+    """Independent reference, pure python: the (mean, variance) of the
+    full-batch risk over all 2^cells click vectors, each weighted by the
+    product of its cells' click probabilities theta*gamma or 1 - theta*gamma.
+    """
+    theta = world.theta.ravel().tolist()
+    p = (world.theta * world.gamma).ravel().tolist()
+    g = (world.gamma if gamma_hat is None else np.asarray(gamma_hat)).ravel().tolist()
+    scores = model.score_matrix().ravel().tolist()
+    items = world.num_items
+    pairs = [(i, j, pair_logloss(scores[i], scores[j]))
+             for i in range(world.num_cells) for j in range(world.num_cells)
+             if i != j and i // items == j // items]
+
+    def term(i, j, c_j, loss):  # of a pair whose i is clicked
+        if estimator == "upl":
+            return 0.0 if c_j else loss * (1 - g[j]) / (theta[i] * (1 - theta[j] * g[j]))
+        if estimator == "bpr":
+            return 0.0 if c_j else loss
+        ubpr = (1 - c_j / theta[j]) * loss / theta[i]
+        return ubpr if estimator == "ubpr" else max(ubpr, clip_threshold)
+
+    probs, values = [], []
+    for clicks in itertools.product((0, 1), repeat=world.num_cells):
+        probs.append(math.prod(pk if ck else 1 - pk for pk, ck in zip(p, clicks)))
+        values.append(math.fsum(term(i, j, clicks[j], loss)
+                                for i, j, loss in pairs if clicks[i]))
+    mean = math.fsum(pr * v for pr, v in zip(probs, values))
+    return mean, math.fsum(pr * (v - mean) ** 2 for pr, v in zip(probs, values))
 
 
-def batch_invariant(evaluate):
-    """``evaluate`` with each row read off one evaluation of all 2^n click
-    vectors.  BLAS may round the last rows of a batch whose length is not a
-    multiple of its block through another kernel, so the reference loop's
-    values can move in the last bit with a chunk such as 977; this wrapper
-    pins them to the values of full batches."""
-    def wrapped(self, clicks):
-        n = clicks.shape[1]
-        codes = np.arange(1 << n, dtype=np.int64)
-        table = evaluate(self, ((codes[:, None] >> np.arange(n)) & 1).astype(np.float64))
-        return table[clicks.astype(np.int64) @ (1 << np.arange(n, dtype=np.int64))]
-    return wrapped
+def assert_moments_match(world, model, estimator, clip=0.0, gamma_hat=None):
+    expected = click_enumeration_moments(world, model, estimator, clip, gamma_hat)
+    actual = exact_moments(world, model, estimator, clip, gamma_hat)
+    assert actual == pytest.approx(expected, rel=1e-12, abs=0.0), (estimator, clip)
+
+
+def _named_worlds():
+    worlds = unbiasedness_suite(count=20) + [("clip_bias", clip_bias_world())]
+    worlds += low_exposure_worlds()
+    worlds += [(path.name, parse_world_spec(path)) for path in BUNDLED_WORLD_FILES]
+    return worlds
+
+
+NAMED_WORLDS = _named_worlds()
+# every estimator at the default threshold, and clipped ubpr at a negative one
+ESTIMATOR_CASES = [(e, 0.0) for e in oracle_mod.ESTIMATORS] + [("ubpr_clipped", -0.5)]
 
 
 @st.composite
-def exact_cases(draw):
-    chunk = draw(st.sampled_from((DEFAULT_CHUNK, 1 << 10, 977, 1)))
-    max_cells = 5 if chunk == 1 else 8  # one chunk per outcome: keep 4^n small
+def moment_cases(draw):
     users = draw(st.integers(1, 2))
-    items = draw(st.integers(1, max_cells // users))
+    items = draw(st.integers(1, 8 // users))
     world = random_world(users, items, seed=draw(st.integers(0, 2**16)))
     model = model_for_world(world, seed=draw(st.sampled_from((1234, 0, 3))))
     estimator = draw(st.sampled_from(oracle_mod.ESTIMATORS))
@@ -396,7 +327,35 @@ def exact_cases(draw):
     if draw(st.booleans()):
         gamma_hat = np.clip(world.gamma + draw(st.sampled_from((-0.2, 0.1, 0.3))),
                             0.01, 0.95)
-    return chunk, world, model, estimator, clip, gamma_hat
+    return world, model, estimator, clip, gamma_hat
+
+
+class TestExactMatchesReference:
+    @settings(max_examples=30)
+    @given(moment_cases())
+    def test_moments_match_click_enumeration(self, case):
+        assert_moments_match(*case)
+
+    @pytest.mark.parametrize("k", range(len(NAMED_WORLDS)), ids=[n for n, _ in NAMED_WORLDS])
+    def test_named_world_moments(self, k):
+        world = NAMED_WORLDS[k][1]
+        model = model_for_world(world, seed=1234 + k)
+        perturbed = np.clip(world.gamma + 0.2, 0.01, 0.95)
+        for estimator, clip in ESTIMATOR_CASES:
+            for gamma_hat in (None, perturbed):
+                assert_moments_match(world, model, estimator, clip, gamma_hat)
+
+    def test_eleven_cell_world_moments(self):
+        world = random_world(1, 11, seed=90)
+        model = model_for_world(world, seed=91)
+        for estimator, clip in ESTIMATOR_CASES:
+            assert_moments_match(world, model, estimator, clip)
+
+    def test_pair_index_matches_loop(self):
+        for shape in ((1, 1), (3, 1), (1, 2), (2, 4), (3, 3), (1, 10)):
+            world = random_world(*shape, seed=1)
+            for new, old in zip(oracle_mod._pair_index(world), _old_pair_index(world)):
+                assert new.dtype == old.dtype and np.array_equal(new, old)
 
 
 def _old_pair_index(world):
@@ -412,85 +371,79 @@ def _old_pair_index(world):
     return np.asarray(p_idx, dtype=np.int64), np.asarray(q_idx, dtype=np.int64)
 
 
-def _old_closed_form_variance_upl(world, model):
-    scores = model.score_matrix()
-    total = 0.0
-    for u in range(world.num_users):
-        s = scores[u]
-        th, ga = world.theta[u], world.gamma[u]
-        n = world.num_items
-        L = np.empty((n, n))
-        for i in range(n):
-            L[i], _, _ = oracle_mod.sigmoid_pair_loss(s[i], s)
-        lead = (1.0 / th - ga) * ga
-        w = (1.0 - ga) / (1.0 - th * ga)
-        for i in range(n):
-            others = [j for j in range(n) if j != i]
-            wl = np.array([w[j] * L[i, j] for j in others])
-            total += lead[i] * float(np.sum(wl**2))
-            total += lead[i] * float(np.sum(wl) ** 2 - np.sum(wl**2))
-    return total
+class TestExactMoments:
+    def test_single_cell_world_is_zero(self):
+        world = SyntheticWorld(theta=np.array([[0.5]]), gamma=np.array([[0.5]]))
+        model = model_for_world(world, seed=1)
+        for estimator in oracle_mod.ESTIMATORS:
+            assert exact_moments(world, model, estimator) == (0.0, 0.0)
 
+    def test_two_cell_world_hand_evaluated(self):
+        # upl's risk is x when only cell 0 is clicked, y when only cell 1
+        # is, and 0 otherwise
+        theta = np.array([[0.4, 0.7]])
+        gamma = np.array([[0.6, 0.2]])
+        world = SyntheticWorld(theta=theta, gamma=gamma)
+        model = model_for_world(world, seed=3)
+        s = model.score_matrix()[0]
+        p = (theta * gamma)[0]
 
-def _bundled_and_suite_worlds():
-    worlds = [w for _, w in unbiasedness_suite(count=20)]
-    worlds += [clip_bias_world()] + [w for _, w in low_exposure_worlds()]
-    worlds += [parse_world_spec(path) for path in BUNDLED_WORLD_FILES]
-    return worlds
+        def weighted_loss(i, j):
+            return (pair_logloss(s[i], s[j]) * (1 - gamma[0, j])
+                    / (theta[0, i] * (1 - theta[0, j] * gamma[0, j])))
 
+        x, y = weighted_loss(0, 1), weighted_loss(1, 0)
+        px, py = p[0] * (1 - p[1]), (1 - p[0]) * p[1]
+        mean = px * x + py * y
+        var = px * x**2 + py * y**2 - mean**2
+        assert exact_moments(world, model, "upl") == pytest.approx((mean, var), rel=1e-12)
 
-def _fixed_case(chunk, shape, seed, estimator):
-    world = random_world(*shape, seed=seed)
-    return chunk, world, model_for_world(world, seed=1234), estimator, 0.0, None
+    @pytest.mark.parametrize("estimator", oracle_mod.ESTIMATORS)
+    def test_forty_cells_against_monte_carlo(self, estimator):
+        world = random_world(2, 20, seed=120)
+        model = model_for_world(world, seed=121)
+        samples = 10**5
+        est = oracle_mod._FullBatchEstimator(world, model, estimator)
+        values = est.evaluate(sample_clicks(world, samples, seed=122))
+        sq_dev = (values - values.mean()) ** 2
+        mean, var = exact_moments(world, model, estimator)
+        assert abs(mean - values.mean()) < 4 * values.std(ddof=1) / math.sqrt(samples)
+        assert abs(var - values.var(ddof=1)) < 4 * sq_dev.std(ddof=1) / math.sqrt(samples)
 
+    def test_no_cells_by_cells_allocation(self):
+        # 1,000 cells: a cells x cells float matrix would take 8 MB
+        world = random_world(10, 100, seed=130)
+        model = model_for_world(world, seed=131)
+        tracemalloc.start()
+        try:
+            exact_moments(world, model, "ubpr")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < world.num_cells**2 * 8 / 4
 
-class TestExactMatchesReference:
-    @settings(max_examples=30)
-    @given(exact_cases())
-    @example(_fixed_case(977, (2, 4), 0, "ubpr"))  # chunks that span outcome blocks
-    def test_bit_identical_to_outcome_loop(self, case):
-        chunk, world, model, estimator, clip, gamma_hat = case
-        real = oracle_mod._FullBatchEstimator.evaluate
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(oracle_mod, "_CHUNK", chunk)
-            if chunk % 4:
-                mp.setattr(oracle_mod._FullBatchEstimator, "evaluate", batch_invariant(real))
-            fast = exact_expectation(world, model, estimator, clip, gamma_hat)
-            slow = reference_exact_expectation(world, model, estimator, clip, gamma_hat)
-        assert fast == slow
+    def test_reports_carry_exact_moments(self, tmp_path):
+        world = random_world(1, 5, seed=140)
+        model = model_for_world(world, seed=141)
+        reports = [mc_bias_variance(world, model, e, samples=10**4, seed=142)
+                   for e in oracle_mod.ESTIMATORS]
+        for rep in reports:
+            mean, var = exact_moments(world, model, rep.estimator)
+            assert (rep.exact_expectation, rep.exact_variance) == (mean, var)
+            assert rep.bias == mean - rep.ideal_risk
+        path = tmp_path / "reports.tsv"
+        reports_to_tsv(reports, path)
+        header, *rows = [line.split("\t") for line in path.read_text().splitlines()]
+        column = header.index("exact_variance")
+        assert [float(row[column]) for row in rows] == \
+            pytest.approx([rep.exact_variance for rep in reports], rel=1e-9)
 
-    @pytest.mark.parametrize("shape,estimator,clip,perturbed", [
-        ((1, 9), "upl", 0.0, False),
-        ((2, 5), "ubpr_clipped", -0.5, True),
-    ])
-    def test_bit_identical_at_nine_and_ten_cells(self, shape, estimator, clip, perturbed):
-        world = random_world(*shape, seed=sum(shape))
-        model = model_for_world(world, seed=1234)
-        gamma_hat = np.clip(world.gamma + 0.1, 0.01, 0.95) if perturbed else None
-        assert exact_expectation(world, model, estimator, clip, gamma_hat) == \
-            reference_exact_expectation(world, model, estimator, clip, gamma_hat)
-
-    def test_verification_suite_rows_unchanged(self, monkeypatch):
-        fast = verification_suite(samples=10**4, suite_count=10)
-        calls = []
-
-        def counted(*args, **kwargs):
-            calls.append(args[2])
-            return reference_exact_expectation(*args, **kwargs)
-
-        monkeypatch.setattr(oracle_mod, "exact_expectation", counted)
-        slow = verification_suite(samples=10**4, suite_count=10)
-        assert len(calls) == 2 * 10 + 1 + len(oracle_mod.ESTIMATORS)  # the reference ran
-        assert fast == slow
-
-    def test_pair_index_matches_loop(self):
-        for shape in ((1, 1), (3, 1), (1, 2), (2, 4), (3, 3), (1, 10)):
-            world = random_world(*shape, seed=1)
-            for new, old in zip(oracle_mod._pair_index(world), _old_pair_index(world)):
-                assert new.dtype == old.dtype and np.array_equal(new, old)
-
-    def test_closed_form_variance_matches_loop(self):
-        for k, world in enumerate(_bundled_and_suite_worlds()):
-            model = model_for_world(world, seed=1234 + k)
-            assert closed_form_variance_upl(world, model) == \
-                _old_closed_form_variance_upl(world, model)
+    def test_variance_ordering_exact_check(self):
+        rows = {name: (ok, detail) for name, ok, detail in
+                verification_suite(samples=10**4, suite_count=2)}
+        assert rows["variance_ordering_exact"] == (True, (
+            "low_theta_0: exact var ratio 6.16; low_theta_1: exact var ratio 8.39; "
+            "low_theta_2: exact var ratio 11.44"))
+        assert list(rows) == ["upl_unbiased_exact", "ubpr_unbiased_exact",
+                              "ubpr_clipped_biased", "variance_ordering",
+                              "variance_ordering_exact", "enumeration_mc_agreement"]
