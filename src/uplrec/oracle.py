@@ -3,15 +3,19 @@
 A world fixes per-cell exposure and relevance probabilities (theta, gamma)
 with clicks generated as c = o * r, o ~ Bern(theta), r ~ Bern(gamma), all
 cells independent.  An estimator sees only the clicks, and its full-batch
-risk is a polynomial of degree 2 in them, so ``exact_moments`` gives its
-exact mean and variance in closed form on worlds of any size.  Monte Carlo
-sampling draws the same risk and checks the closed form.  Estimator terms
-come from ``losses.pair_weights``, the function that weights the trainer's
-sampled pairs, applied to every ordered same-user pair at once.
+risk is a polynomial of degree 2 in them, c @ a + c @ B @ c with B
+block-diagonal by user, so ``exact_moments`` gives its exact mean and
+variance in closed form on worlds of any size.  Monte Carlo sampling draws
+the same risk and checks the closed form.  Estimator terms come from
+``losses.pair_weights``, the function that weights the trainer's sampled
+pairs, applied to every ordered pair of one user's items at once.  The
+exact moments, the ideal risk and Monte Carlo all read the same per-user
+(a, B) blocks, so no array grows with cells^2.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -40,11 +44,12 @@ class SyntheticWorld:
         self.gamma = np.asarray(self.gamma, dtype=np.float64)
         if self.theta.ndim != 2 or self.theta.shape != self.gamma.shape:
             raise ValueError("theta/gamma must be 2-D with equal shapes")
-        if np.any(self.theta <= 0) or np.any(self.theta >= 1):
+        # written so that NaN fails every check
+        if not np.all((self.theta > 0) & (self.theta < 1)):
             raise ValueError("theta must lie strictly inside (0, 1)")
-        if np.any(self.gamma <= 0) or np.any(self.gamma >= 1):
+        if not np.all((self.gamma > 0) & (self.gamma < 1)):
             raise ValueError("gamma must lie strictly inside (0, 1)")
-        if np.any(self.theta * self.gamma >= 1):
+        if not np.all(self.theta * self.gamma < 1):
             raise ValueError("theta * gamma must be < 1")
 
     @property
@@ -117,6 +122,10 @@ def parse_world_spec(path) -> SyntheticWorld:
 
     theta = read_table("theta")
     gamma = read_table("gamma")
+    extra = next(it, None)
+    if extra:
+        raise ParseError(path, extra[0], f"expected the end of the file after the gamma "
+                         f"table, got {extra[1]!r}")
     return SyntheticWorld(theta=theta, gamma=gamma)
 
 
@@ -135,75 +144,60 @@ class EstimatorReport:
 
     estimator: str
     ideal_risk: float
-    exact_expectation: float | None = None
-    bias: float | None = None
-    mc_mean: float | None = None
-    mc_variance: float | None = None
-    mc_se: float | None = None
-    exact_variance: float | None = None
-    sample_count: int = 0
+    exact_expectation: float
+    bias: float
+    mc_mean: float
+    mc_variance: float
+    mc_se: float
+    exact_variance: float
+    sample_count: int
 
 
-def _pair_index(world: SyntheticWorld):
-    """Ordered same-user cell pairs (i != j), as flat cell indices, ordered
-    by user, then i, then j."""
-    n_items = world.num_items
-    i, j = np.nonzero(~np.eye(n_items, dtype=bool))
-    base = np.arange(world.num_users, dtype=np.int64)[:, None] * n_items
-    return (base + i).ravel(), (base + j).ravel()
+def _pair_losses(world: SyntheticWorld, model: FactorModel):
+    """Each user's ordered item pairs (i != j) and their losses L(s_i, s_j),
+    as (u, i, j, loss), ordered by user, then i, then j."""
+    i, j = np.nonzero(~np.eye(world.num_items, dtype=bool))
+    for u in range(world.num_users):
+        # a (1, d) row, not a (d,) vector: numpy sends the two to BLAS
+        # kernels whose last bits differ
+        scores = (model.user_factors[u:u + 1] @ model.item_factors.T)[0]
+        yield u, i, j, np.atleast_1d(sigmoid_pair_loss(scores[i], scores[j])[0])
 
 
-def _loss_values(world: SyntheticWorld, model: FactorModel, p_idx, q_idx):
-    scores = model.score_matrix().ravel()
-    loss, _, _ = sigmoid_pair_loss(scores[p_idx], scores[q_idx])
-    return np.atleast_1d(loss)
-
-
-class _FullBatchEstimator:
-    """Evaluates an estimator's full-batch empirical risk for click vectors.
+def _risk_blocks(world: SyntheticWorld, model: FactorModel, estimator: str,
+                 clip_threshold: float = 0.0, gamma_hat=None):
+    """Each user's (a, B): the full-batch risk is the sum over users of
+    c @ a + c @ B @ c, with c that user's clicks.
 
     A pair term is 0 unless i is clicked, and then depends on c_j alone, so
-    the full-batch sum is c @ row_vec + c @ cross @ c with the c_j = 0 terms
-    in ``row_vec`` and the c_j = 1 minus c_j = 0 terms in ``cross``.  The
-    terms come from ``losses.pair_weights``, the function the trainer calls.
+    a sums the c_j = 0 terms over j and B holds the c_j = 1 minus c_j = 0
+    terms.  The terms come from ``losses.pair_weights``, the function the
+    trainer calls.
     """
-
-    def __init__(self, world: SyntheticWorld, model: FactorModel, estimator: str,
-                 clip_threshold: float = 0.0, gamma_hat=None):
-        if estimator not in ESTIMATORS:
-            raise ValueError(f"unknown estimator {estimator!r}")
-        spec = LossSpec(estimator, clip_threshold=clip_threshold
-                        if estimator == "ubpr_clipped" else None)
-        theta = world.theta.ravel()
-        gamma = world.gamma.ravel() if gamma_hat is None \
-            else np.asarray(gamma_hat, dtype=np.float64).ravel()
-        p_idx, q_idx = _pair_index(world)
-        losses = _loss_values(world, model, p_idx, q_idx)
-        t0, t1 = (pair_weights(spec, np.full(len(p_idx), c_j), theta[p_idx], theta[q_idx],
-                               gamma[q_idx], losses)[0] for c_j in (0, 1))
-
-        n = world.num_cells
-        self.row_vec = np.zeros(n)
-        np.add.at(self.row_vec, p_idx, t0)
-        self.cross = np.zeros((n, n))
-        np.add.at(self.cross, (p_idx, q_idx), t1 - t0)
-        self.num_cells = n
-
-    def evaluate(self, clicks: np.ndarray) -> np.ndarray:
-        """Empirical risk per click row; clicks is (m, num_cells) in {0,1}."""
-        c = np.asarray(clicks, dtype=np.float64)
-        single = c.ndim == 1
-        c = np.atleast_2d(c)
-        out = c @ self.row_vec + np.einsum("mp,pq,mq->m", c, self.cross, c, optimize=True)
-        return out[0] if single else out
+    if estimator not in ESTIMATORS:
+        raise ValueError(f"unknown estimator {estimator!r}")
+    spec = LossSpec(estimator, clip_threshold=clip_threshold
+                    if estimator == "ubpr_clipped" else None)
+    gamma = world.gamma if gamma_hat is None \
+        else np.reshape(np.asarray(gamma_hat, dtype=np.float64), world.theta.shape)
+    n = world.num_items
+    for u, i, j, loss in _pair_losses(world, model):
+        theta = world.theta[u]
+        t0, t1 = (pair_weights(spec, c_j, theta[i], theta[j], gamma[u, j], loss)[0]
+                  for c_j in (0, 1))
+        a = np.zeros(n)
+        np.add.at(a, i, t0)
+        B = np.zeros((n, n))
+        B[i, j] = t1 - t0
+        assert not B.diagonal().any(), "a cell paired with itself"
+        yield a, B
 
 
 def ideal_risk(world: SyntheticWorld, model: FactorModel) -> float:
     """Sum over ordered same-user pairs of gamma_i*(1-gamma_j)*L(s_i, s_j)."""
-    p_idx, q_idx = _pair_index(world)
-    losses = _loss_values(world, model, p_idx, q_idx)
-    gamma = world.gamma.ravel()
-    return float(math.fsum(gamma[p_idx] * (1.0 - gamma[q_idx]) * losses))
+    gamma = world.gamma
+    return math.fsum(itertools.chain.from_iterable(
+        gamma[u, i] * (1.0 - gamma[u, j]) * loss for u, i, j, loss in _pair_losses(world, model)))
 
 
 def exact_moments(world: SyntheticWorld, model: FactorModel, estimator: str,
@@ -217,23 +211,16 @@ def exact_moments(world: SyntheticWorld, model: FactorModel, estimator: str,
     a @ p + p @ B @ p + x @ (a + S @ p) + sum_{k<l} S_kl x_k x_l, whose terms
     are uncorrelated: the mean is a @ p + p @ B @ p and the variance
     sum_k (a + S @ p)_k^2 s2_k + sum_{k<l} S_kl^2 s2_k s2_l.  B is
-    block-diagonal by user, so a and B are built one user at a time and no
-    cells x cells matrix is formed; the users' moments add up.
+    block-diagonal by user, so the users' moments add up.
     """
-    gamma = world.gamma if gamma_hat is None else np.reshape(gamma_hat, world.theta.shape)
     p = world.theta * world.gamma
     s2 = p * (1.0 - p)
     means, variances = [], []
-    for u in range(world.num_users):
-        rows = slice(u, u + 1)
-        block = _FullBatchEstimator(SyntheticWorld(world.theta[rows], world.gamma[rows]),
-                                    FactorModel(model.user_factors[rows], model.item_factors),
-                                    estimator, clip_threshold, gamma[rows])
-        a, B = block.row_vec, block.cross
-        assert not B.diagonal().any(), "a cell paired with itself"
+    for pu, s2u, (a, B) in zip(p, s2, _risk_blocks(world, model, estimator,
+                                                   clip_threshold, gamma_hat)):
         S = B + B.T
-        means.append(a @ p[u] + p[u] @ B @ p[u])
-        variances.append((a + S @ p[u]) ** 2 @ s2[u] + 0.5 * (s2[u] @ (S * S) @ s2[u]))
+        means.append(a @ pu + pu @ B @ pu)
+        variances.append((a + S @ pu) ** 2 @ s2u + 0.5 * (s2u @ (S * S) @ s2u))
     return math.fsum(means), math.fsum(variances)
 
 
@@ -244,14 +231,25 @@ def exact_expectation(world: SyntheticWorld, model: FactorModel, estimator: str,
     return exact_moments(world, model, estimator, clip_threshold, gamma_hat)[0]
 
 
-def sample_clicks(world: SyntheticWorld, samples: int, seed: int) -> np.ndarray:
-    """(samples, num_cells) click draws: o ~ Bern(theta), r ~ Bern(gamma)."""
+def sample_clicks(world: SyntheticWorld, samples: int, seed: int):
+    """Yields each user's (samples, num_items) click draws, that user's
+    o ~ Bern(theta) drawn before its r ~ Bern(gamma)."""
     rng = np.random.default_rng(seed)
-    theta = world.theta.ravel()
-    gamma = world.gamma.ravel()
-    o = rng.random((samples, world.num_cells)) < theta
-    r = rng.random((samples, world.num_cells)) < gamma
-    return (o & r).astype(np.float64)
+    shape = (samples, world.num_items)
+    for theta, gamma in zip(world.theta, world.gamma):
+        yield ((rng.random(shape) < theta) & (rng.random(shape) < gamma)).astype(np.float64)
+
+
+def _sampled_risks(world: SyntheticWorld, model: FactorModel, samples: int, seed: int,
+                   *estimators) -> list[np.ndarray]:
+    """Full-batch risk of each (estimator, clip_threshold, gamma_hat) on the
+    same click draws, one (samples,) array per estimator."""
+    risks = [0.0] * len(estimators)
+    blocks = zip(*(_risk_blocks(world, model, *e) for e in estimators))
+    for c, user_blocks in zip(sample_clicks(world, samples, seed), blocks):
+        risks = [risk + (c @ a + np.einsum("mp,pq,mq->m", c, B, c, optimize=True))
+                 for risk, (a, B) in zip(risks, user_blocks)]
+    return risks
 
 
 def mc_bias_variance(world: SyntheticWorld, model: FactorModel, estimator: str,
@@ -265,8 +263,8 @@ def mc_bias_variance(world: SyntheticWorld, model: FactorModel, estimator: str,
     """
     if samples < MIN_MC_SAMPLES:
         raise ValueError(f"samples must be >= {MIN_MC_SAMPLES}, got {samples}")
-    est = _FullBatchEstimator(world, model, estimator, clip_threshold, gamma_hat)
-    values = est.evaluate(sample_clicks(world, samples, seed))
+    values, = _sampled_risks(world, model, samples, seed,
+                             (estimator, clip_threshold, gamma_hat))
     ideal = ideal_risk(world, model)
     mean = float(values.mean())
     variance = float(values.var(ddof=1))
@@ -295,9 +293,7 @@ def variance_order_test(world: SyntheticWorld, model: FactorModel,
     """
     if samples < MIN_MC_SAMPLES:
         raise ValueError(f"samples must be >= {MIN_MC_SAMPLES}, got {samples}")
-    clicks = sample_clicks(world, samples, seed)
-    a = _FullBatchEstimator(world, model, estimator_hi).evaluate(clicks)
-    b = _FullBatchEstimator(world, model, estimator_lo).evaluate(clicks)
+    a, b = _sampled_risks(world, model, samples, seed, (estimator_hi,), (estimator_lo,))
     dev = (a - a.mean()) ** 2 - (b - b.mean()) ** 2
     t_stat = dev.mean() / (dev.std(ddof=1) / math.sqrt(samples))
     p = t_sf(t_stat, samples - 1)
@@ -417,8 +413,6 @@ def reports_to_tsv(reports, path):
     with open(path, "w") as fh:
         fh.write("\t".join(cols) + "\n")
         for rep in reports:
-            row = []
-            for c in cols:
-                v = getattr(rep, c)
-                row.append("" if v is None else (f"{v:.10g}" if isinstance(v, float) else str(v)))
-            fh.write("\t".join(row) + "\n")
+            row = (getattr(rep, c) for c in cols)
+            fh.write("\t".join(f"{v:.10g}" if isinstance(v, float) else str(v)
+                                for v in row) + "\n")

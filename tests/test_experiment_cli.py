@@ -808,7 +808,9 @@ class TestVerifyCli:
          "expected 3 theta values strictly inside (0, 1), got '0.5 0.5'"),
         ("users 1\nitems 3\ntheta\n0.5 1.5 0.5\ngamma\n0.5 0.5 0.5\n", 4,
          "expected 3 theta values strictly inside (0, 1), got '0.5 1.5 0.5'"),
-    ], ids=["truncated", "short_row", "theta_outside_unit_interval"])
+        ("users 1\nitems 2\ntheta\n0.5 0.5\ngamma\n0.5 0.5\n0.5 0.5\nusers 7\n", 7,
+         "expected the end of the file after the gamma table, got '0.5 0.5'"),
+    ], ids=["truncated", "short_row", "theta_outside_unit_interval", "extra_lines"])
     def test_malformed_world_file_rejected_in_one_line(self, tmp_path, capsys, text, lineno,
                                                        message):
         path = tmp_path / "w.txt"
