@@ -44,6 +44,8 @@ class SyntheticWorld:
         self.gamma = np.asarray(self.gamma, dtype=np.float64)
         if self.theta.ndim != 2 or self.theta.shape != self.gamma.shape:
             raise ValueError("theta/gamma must be 2-D with equal shapes")
+        if self.theta.size == 0:
+            raise ValueError(f"a world needs users and items, got shape {self.theta.shape}")
         # written so that NaN fails every check
         if not np.all((self.theta > 0) & (self.theta < 1)):
             raise ValueError("theta must lie strictly inside (0, 1)")
@@ -167,7 +169,8 @@ def _pair_losses(world: SyntheticWorld, model: FactorModel):
 def _risk_blocks(world: SyntheticWorld, model: FactorModel, estimator: str,
                  clip_threshold: float = 0.0, gamma_hat=None):
     """Each user's (a, B): the full-batch risk is the sum over users of
-    c @ a + c @ B @ c, with c that user's clicks.
+    c @ a + c @ B @ c, with c that user's clicks.  The estimator is checked
+    on the call, before any block is built.
 
     A pair term is 0 unless i is clicked, and then depends on c_j alone, so
     a sums the c_j = 0 terms over j and B holds the c_j = 1 minus c_j = 0
@@ -180,17 +183,21 @@ def _risk_blocks(world: SyntheticWorld, model: FactorModel, estimator: str,
                     if estimator == "ubpr_clipped" else None)
     gamma = world.gamma if gamma_hat is None \
         else np.reshape(np.asarray(gamma_hat, dtype=np.float64), world.theta.shape)
-    n = world.num_items
-    for u, i, j, loss in _pair_losses(world, model):
-        theta = world.theta[u]
-        t0, t1 = (pair_weights(spec, c_j, theta[i], theta[j], gamma[u, j], loss)[0]
-                  for c_j in (0, 1))
-        a = np.zeros(n)
-        np.add.at(a, i, t0)
-        B = np.zeros((n, n))
-        B[i, j] = t1 - t0
-        assert not B.diagonal().any(), "a cell paired with itself"
-        yield a, B
+    return (_risk_block(spec, world.theta[u], gamma[u], i, j, loss)
+            for u, i, j, loss in _pair_losses(world, model))
+
+
+def _risk_block(spec: LossSpec, theta, gamma, i, j, loss):
+    """One user's (a, B) from the losses of its ordered pairs (i, j)."""
+    t0, t1 = (pair_weights(spec, c_j, theta[i], theta[j], gamma[j], loss)[0]
+              for c_j in (0, 1))
+    n = len(theta)
+    a = np.zeros(n)
+    np.add.at(a, i, t0)
+    B = np.zeros((n, n))
+    B[i, j] = t1 - t0
+    assert not B.diagonal().any(), "a cell paired with itself"
+    return a, B
 
 
 def ideal_risk(world: SyntheticWorld, model: FactorModel) -> float:
@@ -289,14 +296,16 @@ def variance_order_test(world: SyntheticWorld, model: FactorModel,
 
     Both estimators are evaluated on the same click draws; the test is a paired t on
     the per-draw squared deviations, its tail ``evaluation.t_sf``.  Returns
-    (var_hi, var_lo, p_value).
+    (var_hi, var_lo, p_value), p_value 1.0 when every paired deviation is 0.
     """
     if samples < MIN_MC_SAMPLES:
         raise ValueError(f"samples must be >= {MIN_MC_SAMPLES}, got {samples}")
     a, b = _sampled_risks(world, model, samples, seed, (estimator_hi,), (estimator_lo,))
     dev = (a - a.mean()) ** 2 - (b - b.mean()) ** 2
-    t_stat = dev.mean() / (dev.std(ddof=1) / math.sqrt(samples))
-    p = t_sf(t_stat, samples - 1)
+    if dev.any():
+        p = t_sf(dev.mean() / (dev.std(ddof=1) / math.sqrt(samples)), samples - 1)
+    else:  # both estimators deviate alike on every draw: no evidence of an order
+        p = 1.0
     return float(a.var(ddof=1)), float(b.var(ddof=1)), p
 
 

@@ -14,8 +14,8 @@ the terms and each term's derivative by each score.  The step adds the L2
 penalty, scatters the row gradients and makes one Adam update restricted to
 the rows the batch touched; runs are deterministic per seed.  The gradient
 scatter keeps ``np.add.at``'s summation order, so trained factors are
-bit-identical to an ``np.add.at`` implementation; it is plain numpy, so
-training loads no scipy module.  Early stopping watches validation DCG@5.
+bit-identical to an ``np.add.at`` implementation.  Early stopping watches
+validation DCG@5.
 ``uplrec train`` and the experiment both train a (LossSpec, TrainConfig) key
 through ``train_key``, which for upl first trains the relmf stage that
 ``stage_spec`` names, unless it is given that model.

@@ -18,6 +18,7 @@ from uplrec.evaluation import (
     evaluate,
     one_tailed_t_test,
     rank_metrics,
+    t_sf,
     validation_dcg,
 )
 from uplrec.factor_model import FactorModel, init_model
@@ -27,12 +28,20 @@ from conftest import make_implicit
 LOG2_3 = math.log2(3.0)
 
 
-def same_bits(x, y) -> bool:
-    """Equal shapes, nan at the same places and every other value bit for bit."""
-    x, y = np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64)
-    nan = np.isnan(x)
-    return (x.shape == y.shape and np.array_equal(nan, np.isnan(y))
-            and np.array_equal(x[~nan].view(np.uint64), y[~nan].view(np.uint64)))
+def assert_t_tail_close(got, want, df):
+    """``t_sf``'s stated accuracy against scipy's Student-t tail: relative
+    1e-11 for df <= 1e4 and 1e-9 for df <= 1e6, absolute 1e-300 where
+    scipy's tail is below 1e-300, and nan where scipy gives nan.  The
+    relative bounds are the worst errors measured, rounded up to a power of
+    ten: 1.03e-12 on ``test_t_sf_matches_stdtr``'s grid for df <= 1e4, and
+    1.03e-10 for df <= 1e6, at df = 1e6 and t = 1.91 on a 0.01 step of t
+    (9.0e-11 on the grid).  The error grows about in proportion to df."""
+    got, want, df = np.broadcast_arrays(*(np.asarray(x, dtype=np.float64)
+                                          for x in (got, want, df)))
+    rel = np.where(df <= 1e4, 1e-11, 1e-9)
+    assert np.array_equal(np.isnan(got), np.isnan(want))
+    bound = np.where(want >= 1e-300, rel * want, 1e-300)
+    assert np.all(np.abs(got - want)[~np.isnan(want)] <= bound[~np.isnan(want)])
 
 
 # ---------------------------------------------------------------------------
@@ -488,20 +497,38 @@ class TestOneTailedTTest:
             expected = stats.ttest_ind(a, b, equal_var=False, alternative="greater").pvalue
             assert one_tailed_t_test(a, b) == pytest.approx(expected, abs=1e-6)
 
-    def test_tail_is_t_sf_bit_for_bit(self):
-        # the tail both t tests take, stdtr(df, -t), against the
-        # stats.t.sf(t, df) it replaced: Welch-style fractional df and the
-        # samples - 1 df of variance_order_test
+    def test_t_sf_matches_stdtr(self):
+        # the tail both t tests take, against scipy's stdtr(df, -t), the
+        # function stats.t.sf calls: Welch-style fractional df, the
+        # samples - 1 df of variance_order_test and df up to 1e6, both tails
         rng = np.random.default_rng(12)
-        t = np.concatenate([[np.inf, -np.inf, np.nan, 0.0, -0.0, 1e-300, -1e-300, 40.0,
-                             -40.0], rng.normal(0.0, 3.0, 200), rng.uniform(-60, 60, 50)])
-        df = np.concatenate([[1.0, 1.5, 2.0, 2.718, 29.999], rng.uniform(1.0, 120.0, 40),
-                             [9999.0, 99999.0]])
-        new = stdtr(df[None, :], -t[:, None])
-        old = stats.t.sf(t[:, None], df[None, :])
-        assert same_bits(new, old)
+        t = np.concatenate([[np.inf, 0.0, 1e-300, 5e-324, 1e-160, 40.0, 1e100, 1.3e154, 1e200],
+                            rng.normal(0.0, 3.0, 200), rng.uniform(-60, 60, 50)])
+        t = np.concatenate([t, -t])
+        df = np.concatenate([[1.0, 1.5, 2.0, 2.718, 29.999], rng.uniform(0.5, 120.0, 40),
+                             10.0 ** rng.uniform(2, 6, 40), [9, 9999, 99999, 999999, 1e6]])
+        got = np.array([[t_sf(ti, di) for di in df] for ti in t])
+        assert_t_tail_close(got, stdtr(df[None, :], -t[:, None]), df[None, :])
         for df_int in (9, 9999, 99999):  # an int df, as samples - 1 passes it
-            assert same_bits(stdtr(df_int, -t), stats.t.sf(t, df=df_int))
+            assert_t_tail_close([t_sf(ti, df_int) for ti in t], stdtr(df_int, -t), df_int)
+        assert math.isnan(t_sf(np.nan, 3.0))
+        assert (t_sf(np.inf, 3.0), t_sf(-np.inf, 3.0)) == (0.0, 1.0)
+        assert t_sf(0.0, 3.0) == t_sf(-0.0, 3.0) == t_sf(-1e-300, 1e5) == 0.5
+
+    @pytest.mark.parametrize("df", [0.0, -1.0, np.inf, np.nan])
+    def test_t_sf_rejects_df_outside_zero_infinity(self, df):
+        with pytest.raises(ValueError, match="df must be positive and finite"):
+            t_sf(1.0, df)
+
+    @given(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3), st.floats(0.5, 1e6))
+    def test_t_sf_is_a_tail(self, t, u, df):
+        # the two tails add up to 1, and the tail falls as t rises; the
+        # slack is the largest upward step measured between neighbouring
+        # floats (2.7e-14 relative, where the fraction switches branch),
+        # rounded up to a power of ten
+        assert abs(t_sf(t, df) + t_sf(-t, df) - 1.0) <= 1e-15
+        lo, hi = sorted((t, u))
+        assert t_sf(hi, df) <= t_sf(lo, df) * (1.0 + 1e-13)
 
     @given(st.lists(st.floats(-1e3, 1e3), min_size=2, max_size=30),
            st.lists(st.floats(-1e3, 1e3), min_size=2, max_size=30))
@@ -509,8 +536,9 @@ class TestOneTailedTTest:
     @example([0.0, 0.0], [0.0, 1e-113])
     def test_p_value_is_the_t_sf_one(self, a, b):
         # Welch's t and df as one_tailed_t_test forms them, and the
-        # stats.t.sf tail it took before; a df that under- or overflows is
-        # formed from the variances over the larger one, without a warning
+        # stats.t.sf tail it took before, within t_sf's stated accuracy; a
+        # df that under- or overflows is formed from the variances over the
+        # larger one, without a warning
         va = np.var(a, ddof=1) / len(a)
         vb = np.var(b, ddof=1) / len(b)
         assume(va + vb > 0.0)  # else no tail is read
@@ -526,7 +554,7 @@ class TestOneTailedTTest:
             df = welch_df(va, vb)
         if not np.isfinite(df):
             df = welch_df(va / max(va, vb), vb / max(va, vb))
-        assert same_bits(p, stats.t.sf(t, df))
+        assert_t_tail_close(p, stats.t.sf(t, df), df)
 
     @pytest.mark.parametrize("scale", [2.0**-520, 2.0**500], ids=["tiny", "huge"])
     def test_df_out_of_float_range_is_rescaled(self, scale):

@@ -2,6 +2,7 @@ import inspect
 import itertools
 import math
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -94,6 +95,11 @@ class TestSyntheticWorld:
             SyntheticWorld(theta=np.array([[np.nan, 0.5]]), gamma=np.array([[0.5, 0.5]]))
         with pytest.raises(ValueError, match="gamma"):
             SyntheticWorld(theta=np.array([[0.5, 0.5]]), gamma=np.array([[0.5, np.nan]]))
+
+    @pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0)])
+    def test_empty_world_rejected(self, shape):
+        with pytest.raises(ValueError, match="needs users and items"):
+            SyntheticWorld(np.zeros(shape), np.zeros(shape))
 
     def test_spec_round_trip(self, tmp_path):
         world = random_world(2, 3, seed=4)
@@ -250,6 +256,17 @@ class TestMonteCarlo:
         assert var_ubpr > var_upl
         assert p < 0.01
 
+    def test_identical_estimators_give_p_one_without_warning(self):
+        # every paired deviation is 0, so the paired t statistic would be 0/0
+        world = random_world(1, 4, 1)
+        model = model_for_world(world, seed=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            var_hi, var_lo, p = variance_order_test(world, model, "upl", "upl",
+                                                    samples=10**4, seed=3)
+        assert var_hi == var_lo > 0.0
+        assert p == 1.0
+
 
 class TestBundledWorlds:
     def test_suite_size_and_cell_cap(self):
@@ -364,6 +381,14 @@ class TestExactMoments:
         model = model_for_world(world, seed=1)
         for estimator in oracle_mod.ESTIMATORS:
             assert exact_moments(world, model, estimator) == (0.0, 0.0)
+
+    def test_unknown_estimator_rejected_before_any_block(self):
+        world = random_world(1, 3, seed=4)
+        model = model_for_world(world, seed=5)
+        with pytest.raises(ValueError, match="unknown estimator 'nonsense'"):
+            exact_moments(world, model, "nonsense")
+        with pytest.raises(ValueError, match="unknown estimator 'nonsense'"):
+            oracle_mod._risk_blocks(world, model, "nonsense")  # not iterated
 
     def test_two_cell_world_hand_evaluated(self):
         # upl's risk is x when only cell 0 is clicked, y when only cell 1
