@@ -181,6 +181,9 @@ def _cmd_verify(args) -> int:
         print(f"error: --samples must be >= {oracle.MIN_MC_SAMPLES} for a Monte Carlo "
               f"run, got {args.samples}", file=sys.stderr)
         return 2
+    if args.out and Path(args.out).is_dir():
+        print(f"error: --out {args.out} is a directory", file=sys.stderr)
+        return 2
     started = time.perf_counter()
     if args.world:
         try:
@@ -189,25 +192,23 @@ def _cmd_verify(args) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return 2
         model = oracle.model_for_world(world, seed=args.seed)
-        reports = []
-        ideal = oracle.ideal_risk(world, model)
+        reports = oracle.estimator_reports(
+            world, model, [(e,) for e in oracle.ESTIMATORS],
+            None if args.exact_only else args.samples, args.seed)
         print(f"world: {world.num_users} users x {world.num_items} items "
-              f"({world.num_cells} cells); ideal risk = {ideal:.10g}")
-        for estimator in oracle.ESTIMATORS:
+              f"({world.num_cells} cells); ideal risk = {reports[0].ideal_risk:.10g}")
+        for rep in reports:
             if args.exact_only:
-                exact = oracle.exact_expectation(world, model, estimator)
-                print(f"  {estimator}: exact expectation = {exact:.10g} "
-                      f"(bias {exact - ideal:+.3e})")
+                print(f"  {rep.estimator}: exact expectation = {rep.exact_expectation:.10g} "
+                      f"(bias {rep.bias:+.3e})")
             else:
-                rep = oracle.mc_bias_variance(world, model, estimator,
-                                              samples=args.samples, seed=args.seed)
-                reports.append(rep)
-                print(f"  {estimator}: mc mean={rep.mc_mean:.10g} "
+                print(f"  {rep.estimator}: mc mean={rep.mc_mean:.10g} "
                       f"var={rep.mc_variance:.6g} exact={rep.exact_expectation:.10g}")
         if args.out:
+            Path(args.out).parent.mkdir(parents=True, exist_ok=True)
             oracle.reports_to_tsv(reports, args.out)
             print(f"wrote {args.out}")
-        _report_time(f"{len(oracle.ESTIMATORS)} estimators", started)
+        _report_time(f"{len(reports)} estimators", started)
         return 0
 
     results = oracle.verification_suite(samples=args.samples, seed=args.seed)

@@ -47,10 +47,6 @@ class FactorModel:
     def copy(self) -> "FactorModel":
         return FactorModel(self.user_factors.copy(), self.item_factors.copy())
 
-    def score_matrix(self) -> np.ndarray:
-        """Dense num_users x num_items score matrix."""
-        return self.user_factors @ self.item_factors.T
-
 
 @dataclass(frozen=True)
 class TrainConfig:

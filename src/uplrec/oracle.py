@@ -8,9 +8,11 @@ block-diagonal by user, so ``exact_moments`` gives its exact mean and
 variance in closed form on worlds of any size.  Monte Carlo sampling draws
 the same risk and checks the closed form.  Estimator terms come from
 ``losses.pair_weights``, the function that weights the trainer's sampled
-pairs, applied to every ordered pair of one user's items at once.  The
-exact moments, the ideal risk and Monte Carlo all read the same per-user
-(a, B) blocks, so no array grows with cells^2.
+pairs, applied to every ordered pair of one user's items at once.  One
+per-user pass (``_world_pass``) builds each user's pair losses once, every
+requested estimator's (a, B) block from them and, for Monte Carlo, that
+user's click draw once; the exact moments, the ideal risk and the per-draw
+risks are its reductions, and no array grows with cells^2.
 """
 
 from __future__ import annotations
@@ -142,7 +144,8 @@ def write_world_spec(world: SyntheticWorld, path):
 
 @dataclass
 class EstimatorReport:
-    """Exact and Monte-Carlo summary of one estimator on one world."""
+    """Exact and Monte-Carlo summary of one estimator on one world; the
+    Monte-Carlo fields are nan, and sample_count 0, when nothing was drawn."""
 
     estimator: str
     ideal_risk: float
@@ -166,29 +169,26 @@ def _pair_losses(world: SyntheticWorld, model: FactorModel):
         yield u, i, j, np.atleast_1d(sigmoid_pair_loss(scores[i], scores[j])[0])
 
 
-def _risk_blocks(world: SyntheticWorld, model: FactorModel, estimator: str,
-                 clip_threshold: float = 0.0, gamma_hat=None):
-    """Each user's (a, B): the full-batch risk is the sum over users of
-    c @ a + c @ B @ c, with c that user's clicks.  The estimator is checked
-    on the call, before any block is built.
-
-    A pair term is 0 unless i is clicked, and then depends on c_j alone, so
-    a sums the c_j = 0 terms over j and B holds the c_j = 1 minus c_j = 0
-    terms.  The terms come from ``losses.pair_weights``, the function the
-    trainer calls.
-    """
+def _case(world: SyntheticWorld, estimator: str, clip_threshold: float = 0.0, gamma_hat=None):
+    """The LossSpec and the (num_users, num_items) gamma of one case."""
     if estimator not in ESTIMATORS:
         raise ValueError(f"unknown estimator {estimator!r}")
     spec = LossSpec(estimator, clip_threshold=clip_threshold
                     if estimator == "ubpr_clipped" else None)
     gamma = world.gamma if gamma_hat is None \
         else np.reshape(np.asarray(gamma_hat, dtype=np.float64), world.theta.shape)
-    return (_risk_block(spec, world.theta[u], gamma[u], i, j, loss)
-            for u, i, j, loss in _pair_losses(world, model))
+    return spec, gamma
 
 
 def _risk_block(spec: LossSpec, theta, gamma, i, j, loss):
-    """One user's (a, B) from the losses of its ordered pairs (i, j)."""
+    """One user's (a, B): the full-batch risk is the sum over users of
+    c @ a + c @ B @ c, with c that user's clicks.
+
+    A pair term is 0 unless i is clicked, and then depends on c_j alone, so
+    a sums the c_j = 0 terms over j and B holds the c_j = 1 minus c_j = 0
+    terms.  The terms come from ``losses.pair_weights``, the function the
+    trainer calls.
+    """
     t0, t1 = (pair_weights(spec, c_j, theta[i], theta[j], gamma[j], loss)[0]
               for c_j in (0, 1))
     n = len(theta)
@@ -200,11 +200,53 @@ def _risk_block(spec: LossSpec, theta, gamma, i, j, loss):
     return a, B
 
 
+def _world_pass(world: SyntheticWorld, model: FactorModel, cases, samples=None, seed=0,
+                ideal=False):
+    """The one walk over a world's users that every oracle result reduces.
+
+    A case is (estimator[, clip_threshold[, gamma_hat]]); the estimator
+    names and ``samples`` are checked before the walk.  For each user the
+    pair losses are built once and, when ``samples`` is given, the clicks
+    are drawn once (``sample_clicks``); each case's (a, B) block then gives
+    that user's exact moments and its risk on every draw.  Returns (ideal,
+    moments, risks): the ideal risk when asked for, else None; each case's
+    exact (mean, variance) (see ``exact_moments``); and each case's
+    (samples,) per-draw risks, or None without samples.
+    """
+    specs = [_case(world, *case) for case in cases]
+    if samples is not None and samples < MIN_MC_SAMPLES:
+        raise ValueError(f"samples must be >= {MIN_MC_SAMPLES}, got {samples}")
+    p = world.theta * world.gamma
+    s2 = p * (1.0 - p)
+    means, variances = [[] for _ in specs], [[] for _ in specs]
+    risks = [0.0] * len(specs)
+    draws = None if samples is None else sample_clicks(world, samples, seed)
+
+    def walk():
+        for u, i, j, loss in _pair_losses(world, model):
+            c = None if draws is None else next(draws)
+            for k, (spec, gamma) in enumerate(specs):  # one (a, B) alive at a time
+                a, B = _risk_block(spec, world.theta[u], gamma[u], i, j, loss)
+                S = B + B.T
+                means[k].append(a @ p[u] + p[u] @ B @ p[u])
+                variances[k].append((a + S @ p[u]) ** 2 @ s2[u]
+                                    + 0.5 * (s2[u] @ (S * S) @ s2[u]))
+                if c is not None:
+                    risks[k] = risks[k] + (c @ a + np.einsum("mp,pq,mq->m", c, B, c,
+                                                             optimize=True))
+            if ideal:
+                yield world.gamma[u, i] * (1.0 - world.gamma[u, j]) * loss
+
+    # math.fsum rounds once over all it is given, so the ideal's pair terms
+    # stream into it user by user instead of being kept
+    ideal_sum = math.fsum(itertools.chain.from_iterable(walk()))
+    moments = [(math.fsum(m), math.fsum(v)) for m, v in zip(means, variances)]
+    return (ideal_sum if ideal else None), moments, (None if draws is None else risks)
+
+
 def ideal_risk(world: SyntheticWorld, model: FactorModel) -> float:
     """Sum over ordered same-user pairs of gamma_i*(1-gamma_j)*L(s_i, s_j)."""
-    gamma = world.gamma
-    return math.fsum(itertools.chain.from_iterable(
-        gamma[u, i] * (1.0 - gamma[u, j]) * loss for u, i, j, loss in _pair_losses(world, model)))
+    return _world_pass(world, model, (), ideal=True)[0]
 
 
 def exact_moments(world: SyntheticWorld, model: FactorModel, estimator: str,
@@ -220,15 +262,7 @@ def exact_moments(world: SyntheticWorld, model: FactorModel, estimator: str,
     sum_k (a + S @ p)_k^2 s2_k + sum_{k<l} S_kl^2 s2_k s2_l.  B is
     block-diagonal by user, so the users' moments add up.
     """
-    p = world.theta * world.gamma
-    s2 = p * (1.0 - p)
-    means, variances = [], []
-    for pu, s2u, (a, B) in zip(p, s2, _risk_blocks(world, model, estimator,
-                                                   clip_threshold, gamma_hat)):
-        S = B + B.T
-        means.append(a @ pu + pu @ B @ pu)
-        variances.append((a + S @ pu) ** 2 @ s2u + 0.5 * (s2u @ (S * S) @ s2u))
-    return math.fsum(means), math.fsum(variances)
+    return _world_pass(world, model, [(estimator, clip_threshold, gamma_hat)])[1][0]
 
 
 def exact_expectation(world: SyntheticWorld, model: FactorModel, estimator: str,
@@ -247,16 +281,33 @@ def sample_clicks(world: SyntheticWorld, samples: int, seed: int):
         yield ((rng.random(shape) < theta) & (rng.random(shape) < gamma)).astype(np.float64)
 
 
-def _sampled_risks(world: SyntheticWorld, model: FactorModel, samples: int, seed: int,
-                   *estimators) -> list[np.ndarray]:
-    """Full-batch risk of each (estimator, clip_threshold, gamma_hat) on the
-    same click draws, one (samples,) array per estimator."""
-    risks = [0.0] * len(estimators)
-    blocks = zip(*(_risk_blocks(world, model, *e) for e in estimators))
-    for c, user_blocks in zip(sample_clicks(world, samples, seed), blocks):
-        risks = [risk + (c @ a + np.einsum("mp,pq,mq->m", c, B, c, optimize=True))
-                 for risk, (a, B) in zip(risks, user_blocks)]
-    return risks
+def estimator_reports(world: SyntheticWorld, model: FactorModel, cases, samples=None,
+                      seed=0) -> list[EstimatorReport]:
+    """Exact and Monte-Carlo summary of each case (estimator[,
+    clip_threshold[, gamma_hat]]) on one world, from one pass over it: every
+    case is scored on the same click draws.  Without ``samples`` nothing is
+    drawn, and the Monte-Carlo fields are nan and ``sample_count`` 0.
+    """
+    ideal, moments, risks = _world_pass(world, model, cases, samples, seed, ideal=True)
+    reports = []
+    for (estimator, *_), (exact_mean, exact_var), values in zip(
+            cases, moments, risks or [None] * len(cases)):
+        mean = variance = se = math.nan
+        if values is not None:
+            mean, variance = float(values.mean()), float(values.var(ddof=1))
+            se = float(np.sqrt(variance / samples))
+        reports.append(EstimatorReport(
+            estimator=estimator,
+            ideal_risk=ideal,
+            exact_expectation=exact_mean,
+            bias=exact_mean - ideal,
+            mc_mean=mean,
+            mc_variance=variance,
+            mc_se=se,
+            exact_variance=exact_var,
+            sample_count=samples or 0,
+        ))
+    return reports
 
 
 def mc_bias_variance(world: SyntheticWorld, model: FactorModel, estimator: str,
@@ -268,25 +319,19 @@ def mc_bias_variance(world: SyntheticWorld, model: FactorModel, estimator: str,
     reports the sample mean and variance with standard errors, next to the
     exact moments.
     """
-    if samples < MIN_MC_SAMPLES:
-        raise ValueError(f"samples must be >= {MIN_MC_SAMPLES}, got {samples}")
-    values, = _sampled_risks(world, model, samples, seed,
-                             (estimator, clip_threshold, gamma_hat))
-    ideal = ideal_risk(world, model)
-    mean = float(values.mean())
-    variance = float(values.var(ddof=1))
-    exact_mean, exact_var = exact_moments(world, model, estimator, clip_threshold, gamma_hat)
-    return EstimatorReport(
-        estimator=estimator,
-        ideal_risk=ideal,
-        exact_expectation=exact_mean,
-        bias=exact_mean - ideal,
-        mc_mean=mean,
-        mc_variance=variance,
-        mc_se=float(np.sqrt(variance / samples)),
-        exact_variance=exact_var,
-        sample_count=samples,
-    )
+    return estimator_reports(world, model, [(estimator, clip_threshold, gamma_hat)],
+                             samples, seed)[0]
+
+
+def _variance_order(hi, lo):
+    """(var_hi, var_lo, p) of the one-sided paired t test that the per-draw
+    risks ``hi`` vary more than ``lo``, on their squared deviations."""
+    dev = (hi - hi.mean()) ** 2 - (lo - lo.mean()) ** 2
+    if dev.any():
+        p = t_sf(dev.mean() / (dev.std(ddof=1) / math.sqrt(len(dev))), len(dev) - 1)
+    else:  # both estimators deviate alike on every draw: no evidence of an order
+        p = 1.0
+    return float(hi.var(ddof=1)), float(lo.var(ddof=1)), p
 
 
 def variance_order_test(world: SyntheticWorld, model: FactorModel,
@@ -298,15 +343,8 @@ def variance_order_test(world: SyntheticWorld, model: FactorModel,
     the per-draw squared deviations, its tail ``evaluation.t_sf``.  Returns
     (var_hi, var_lo, p_value), p_value 1.0 when every paired deviation is 0.
     """
-    if samples < MIN_MC_SAMPLES:
-        raise ValueError(f"samples must be >= {MIN_MC_SAMPLES}, got {samples}")
-    a, b = _sampled_risks(world, model, samples, seed, (estimator_hi,), (estimator_lo,))
-    dev = (a - a.mean()) ** 2 - (b - b.mean()) ** 2
-    if dev.any():
-        p = t_sf(dev.mean() / (dev.std(ddof=1) / math.sqrt(samples)), samples - 1)
-    else:  # both estimators deviate alike on every draw: no evidence of an order
-        p = 1.0
-    return float(a.var(ddof=1)), float(b.var(ddof=1)), p
+    _, _, risks = _world_pass(world, model, [(estimator_hi,), (estimator_lo,)], samples, seed)
+    return _variance_order(*risks)
 
 
 # ---------------------------------------------------------------------------
@@ -364,7 +402,10 @@ def low_exposure_worlds(count=3, seed=777):
 
 
 def verification_suite(samples=10**5, seed=1234, suite_count=20):
-    """Run every oracle invariant; yields (check_name, passed, detail) rows."""
+    """Run every oracle invariant; yields (check_name, passed, detail) rows.
+
+    Each world is walked once, for all the estimators its checks compare.
+    """
     results = []
 
     worlds = unbiasedness_suite(count=suite_count)
@@ -372,9 +413,9 @@ def verification_suite(samples=10**5, seed=1234, suite_count=20):
     max_err_ubpr = 0.0
     for k, (name, world) in enumerate(worlds):
         model = model_for_world(world, seed=seed + k)
-        ideal = ideal_risk(world, model)
-        max_err_upl = max(max_err_upl, abs(exact_expectation(world, model, "upl") - ideal))
-        max_err_ubpr = max(max_err_ubpr, abs(exact_expectation(world, model, "ubpr") - ideal))
+        upl, ubpr = estimator_reports(world, model, [("upl",), ("ubpr",)])
+        max_err_upl = max(max_err_upl, abs(upl.bias))
+        max_err_ubpr = max(max_err_ubpr, abs(ubpr.bias))
     results.append(("upl_unbiased_exact", max_err_upl < 1e-10,
                     f"max |E[upl] - ideal| = {max_err_upl:.3e} over {len(worlds)} worlds"))
     results.append(("ubpr_unbiased_exact", max_err_ubpr < 1e-10,
@@ -382,8 +423,7 @@ def verification_suite(samples=10**5, seed=1234, suite_count=20):
 
     world = clip_bias_world()
     model = model_for_world(world, seed=seed)
-    gap = exact_expectation(world, model, "ubpr_clipped", clip_threshold=0.0) \
-        - ideal_risk(world, model)
+    gap = estimator_reports(world, model, [("ubpr_clipped", 0.0)])[0].bias
     results.append(("ubpr_clipped_biased", gap > 1e-3,
                     f"E[clipped ubpr] - ideal = {gap:.6f}"))
 
@@ -391,11 +431,12 @@ def verification_suite(samples=10**5, seed=1234, suite_count=20):
     details, exact_details = [], []
     for name, world in low_exposure_worlds():
         model = model_for_world(world, seed=seed + 7)
-        var_ubpr, var_upl, p = variance_order_test(
-            world, model, "ubpr", "upl", samples=samples, seed=seed)
+        _, ((_, exact_ubpr), (_, exact_upl)), risks = _world_pass(
+            world, model, [("ubpr",), ("upl",)], samples, seed)
+        var_ubpr, var_upl, p = _variance_order(*risks)
+        del risks  # freed before the next world's draws, which reuse the memory
         ordering_ok &= var_ubpr > var_upl and p < 0.01
         details.append(f"{name}: var ratio {var_ubpr / var_upl:.2f}, p={p:.2e}")
-        exact_ubpr, exact_upl = (exact_moments(world, model, e)[1] for e in ("ubpr", "upl"))
         exact_ok &= exact_ubpr > exact_upl
         exact_details.append(f"{name}: exact var ratio {exact_ubpr / exact_upl:.2f}")
     results.append(("variance_ordering", ordering_ok, "; ".join(details)))
@@ -405,12 +446,12 @@ def verification_suite(samples=10**5, seed=1234, suite_count=20):
     agree_details = []
     world = unbiasedness_suite(count=1)[0][1]
     model = model_for_world(world, seed=seed + 3)
-    for estimator in ESTIMATORS:
-        rep = mc_bias_variance(world, model, estimator, samples=samples, seed=seed)
+    for rep in estimator_reports(world, model, [(e,) for e in ESTIMATORS], samples, seed):
         err = abs(rep.exact_expectation - rep.mc_mean)
         ok = err < 4.0 * rep.mc_se
         agree_ok &= ok
-        agree_details.append(f"{estimator}: |exact-mc| = {err:.2e} (4se = {4 * rep.mc_se:.2e})")
+        agree_details.append(f"{rep.estimator}: |exact-mc| = {err:.2e} "
+                             f"(4se = {4 * rep.mc_se:.2e})")
     results.append(("enumeration_mc_agreement", agree_ok, "; ".join(agree_details)))
 
     return results

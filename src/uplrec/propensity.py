@@ -23,10 +23,11 @@ def estimate_click_propensity(click_counts, power=DEFAULT_POWER, floor=DEFAULT_F
     counts = np.asarray(click_counts, dtype=np.float64)
     if power <= 0:
         raise ValueError("power must be positive")
-    if counts.size == 0 or counts.max() <= 0:
+    # written so that NaN fails the check
+    if not np.all((counts >= 0) & (counts < np.inf)):
+        raise ValueError("click counts must be finite and non-negative")
+    if counts.size == 0 or counts.max() == 0:
         raise EstimationError("all click counts are zero")
-    if np.any(counts < 0):
-        raise ValueError("negative click count")
     theta = (counts / counts.max()) ** power
     return np.maximum(theta, floor)
 

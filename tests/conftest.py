@@ -10,6 +10,23 @@ settings.register_profile("uplrec", deadline=None)
 settings.load_profile("uplrec")
 
 
+def score_matrix(model):
+    """A FactorModel's dense num_users x num_items score matrix."""
+    return model.user_factors @ model.item_factors.T
+
+
+def count_calls(monkeypatch, module, *names):
+    """Patch each named function of ``module`` to count its calls into the
+    returned {name: count} dict."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(*args, _name=name, _original=getattr(module, name), **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
 def make_implicit(num_users, num_items, cells, split_tag="train"):
     """Build a small ImplicitDataset from (u, i, gamma, rel) tuples."""
     users = np.array([c[0] for c in cells])

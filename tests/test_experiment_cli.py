@@ -15,7 +15,7 @@ from uplrec.factor_model import TrainConfig, load_checkpoint
 from uplrec.losses import LossSpec
 from uplrec.propensity import PropensityTable
 
-from conftest import write_synthetic_triplets
+from conftest import count_calls, write_synthetic_triplets
 
 WORLDS_DIR = Path(__file__).resolve().parents[1] / "worlds"
 BUNDLED_WORLDS = sorted(WORLDS_DIR.glob("*.txt"))
@@ -761,6 +761,35 @@ class TestRunMemo:
         assert exp._POOL_STATE == {}
 
 
+# `uplrec verify --world` output at the default seed, pinned byte for byte
+LOW_EXPOSURE_MC_STDOUT = """\
+world: 1 users x 5 items (5 cells); ideal risk = 3.753739632
+  upl: mc mean=3.717868349 var=40.742 exact=3.753739632
+  ubpr: mc mean=3.752242649 var=389.86 exact=3.753739632
+  ubpr_clipped: mc mean=7.180506889 var=154.238 exact=7.249904191
+  bpr: mc mean=1.020349278 var=3.04248 exact=1.029605442
+"""
+LOW_EXPOSURE_MC_TSV = (
+    "estimator\tideal_risk\texact_expectation\tbias\tmc_mean\tmc_variance\tmc_se\t"
+    "exact_variance\tsample_count\n"
+    "upl\t3.753739632\t3.753739632\t0\t3.717868349\t40.74203741\t0.06382948959\t"
+    "41.02393109\t10000\n"
+    "ubpr\t3.753739632\t3.753739632\t-4.440892099e-16\t3.752242649\t389.8604641\t"
+    "0.197448845\t390.7325495\t10000\n"
+    "ubpr_clipped\t3.753739632\t7.249904191\t3.496164559\t7.180506889\t154.2376619\t"
+    "0.1241924563\t155.3640082\t10000\n"
+    "bpr\t3.753739632\t1.029605442\t-2.72413419\t1.020349278\t3.042483236\t"
+    "0.01744271549\t3.05206021\t10000\n"
+)
+CLIP_BIAS_EXACT_STDOUT = """\
+world: 1 users x 3 items (3 cells); ideal risk = 1.284326616
+  upl: exact expectation = 1.284326616 (bias -2.220e-16)
+  ubpr: exact expectation = 1.284326616 (bias +0.000e+00)
+  ubpr_clipped: exact expectation = 1.926489925 (bias +6.422e-01)
+  bpr: exact expectation = 0.9632449623 (bias -3.211e-01)
+"""
+
+
 class TestVerifyCli:
     def test_bundled_suite_passes(self, capsys):
         rc = cli.main(["verify", "--samples", "10000"])
@@ -831,7 +860,7 @@ class TestVerifyCli:
             raise AssertionError("checks ran before --samples was validated")
 
         monkeypatch.setattr(oracle, "verification_suite", never)
-        monkeypatch.setattr(oracle, "exact_expectation", never)
+        monkeypatch.setattr(oracle, "estimator_reports", never)
         argv = ["verify", "--samples", str(oracle.MIN_MC_SAMPLES - 1)]
         if world:
             argv += ["--world", str(WORLDS_DIR / world)]
@@ -855,13 +884,55 @@ class TestVerifyCli:
             raise AssertionError("checks ran before the flags were validated")
 
         monkeypatch.setattr(oracle, "verification_suite", never)
-        monkeypatch.setattr(oracle, "exact_expectation", never)
+        monkeypatch.setattr(oracle, "estimator_reports", never)
         out = tmp_path / "reports.tsv"
         assert cli.main(["verify"] + [a.format(out=out) for a in argv]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == message
         assert not out.exists()
+
+    def test_out_directory_rejected_up_front(self, tmp_path, capsys, monkeypatch):
+        from uplrec import oracle
+
+        def never(*args, **kwargs):
+            raise AssertionError("checks ran before --out was validated")
+
+        monkeypatch.setattr(oracle, "estimator_reports", never)
+        assert cli.main(["verify", "--world", str(WORLDS_DIR / "clip_bias.txt"),
+                         "--samples", "10000", "--out", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --out {tmp_path} is a directory\n"
+
+    def test_world_mc_out_into_missing_directory(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "dir" / "r.tsv"
+        assert cli.main(["verify", "--world", str(WORLDS_DIR / "clip_bias.txt"),
+                         "--samples", "10000", "--out", str(out)]) == 0
+        assert capsys.readouterr().out.endswith(f"wrote {out}\n")
+        assert out.read_text().startswith("estimator\tideal_risk\t")
+
+    def test_world_mc_output_bytes(self, tmp_path, capsys):
+        out = tmp_path / "r.tsv"
+        assert cli.main(["verify", "--world", str(WORLDS_DIR / "low_exposure.txt"),
+                         "--samples", "10000", "--out", str(out)]) == 0
+        assert capsys.readouterr().out == LOW_EXPOSURE_MC_STDOUT + f"wrote {out}\n"
+        assert out.read_bytes() == LOW_EXPOSURE_MC_TSV.encode()
+
+    def test_world_exact_output_bytes(self, capsys):
+        assert cli.main(["verify", "--world", str(WORLDS_DIR / "clip_bias.txt"),
+                         "--exact-only"]) == 0
+        assert capsys.readouterr().out == CLIP_BIAS_EXACT_STDOUT
+
+    @pytest.mark.parametrize("mode, draws", [(["--samples", "10000"], 1),
+                                             (["--exact-only"], 0)])
+    def test_world_run_walks_the_world_once(self, mode, draws, capsys, monkeypatch):
+        from uplrec import oracle
+
+        calls = count_calls(monkeypatch, oracle, "sample_clicks", "_pair_losses")
+        assert cli.main(["verify", "--world", str(WORLDS_DIR / "low_exposure.txt")]
+                        + mode) == 0
+        assert calls == {"sample_clicks": draws, "_pair_losses": 1}
 
     def test_world_mc_out_written(self, tmp_path, capsys):
         out = tmp_path / "reports.tsv"

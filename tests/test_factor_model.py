@@ -11,6 +11,8 @@ from uplrec.factor_model import (
     save_checkpoint,
 )
 
+from conftest import score_matrix
+
 
 def checksum(model):
     h = hashlib.sha256()
@@ -44,21 +46,21 @@ class TestInitModel:
 class TestScoreMatrix:
     def test_orthogonal_rows(self):
         model = FactorModel(np.array([[1.0, 0.0]]), np.array([[0.0, 1.0]]))
-        assert model.score_matrix()[0, 0] == 0.0
+        assert score_matrix(model)[0, 0] == 0.0
 
     def test_unit_vector_self_product(self):
         model = FactorModel(np.array([[1.0, 0.0]]), np.array([[1.0, 0.0]]))
-        assert model.score_matrix()[0, 0] == 1.0
+        assert score_matrix(model)[0, 0] == 1.0
 
     def test_hand_arithmetic(self):
         model = FactorModel(np.array([[1.0, 2.0]]), np.array([[3.0, -1.0]]))
-        assert model.score_matrix()[0, 0] == pytest.approx(1.0)
+        assert score_matrix(model)[0, 0] == pytest.approx(1.0)
 
     def test_bilinearity_in_user_row(self):
         model = init_model(2, 2, d=6, seed=1, scale=1.0)
-        base = model.score_matrix()[0, 1]
+        base = score_matrix(model)[0, 1]
         model.user_factors[0] *= 3.5
-        assert model.score_matrix()[0, 1] == pytest.approx(3.5 * base, rel=1e-12)
+        assert score_matrix(model)[0, 1] == pytest.approx(3.5 * base, rel=1e-12)
 
 
 class TestCheckpoint:

@@ -16,6 +16,7 @@ from uplrec.factor_model import FactorModel
 from uplrec.oracle import (
     SyntheticWorld,
     clip_bias_world,
+    estimator_reports,
     exact_expectation,
     exact_moments,
     ideal_risk,
@@ -31,6 +32,8 @@ from uplrec.oracle import (
     write_world_spec,
 )
 
+from conftest import count_calls, score_matrix
+
 LN2 = math.log(2.0)
 BUNDLED_WORLD_FILES = sorted((Path(__file__).resolve().parents[1] / "worlds").glob("*.txt"))
 
@@ -41,7 +44,7 @@ def pair_logloss(si, sj):
 
 def brute_force_ideal(world, model):
     """Independent pair-sum oracle (pure python, no package calls)."""
-    scores = model.score_matrix()
+    scores = score_matrix(model)
     total = 0.0
     for u in range(world.num_users):
         for i in range(world.num_items):
@@ -63,7 +66,7 @@ def brute_force_expectation(world, model, term_fn):
     cells = [(u, i) for u in range(world.num_users) for i in range(n_items)]
     theta = world.theta.ravel()
     gamma = world.gamma.ravel()
-    scores = model.score_matrix().ravel()
+    scores = score_matrix(model).ravel()
     total = 0.0
     for outcome in itertools.product([0, 1, 2, 3], repeat=len(cells)):
         prob = 1.0
@@ -230,8 +233,12 @@ class TestMonteCarlo:
     def test_sample_floor(self):
         world = random_world(1, 3, seed=5)
         model = model_for_world(world, seed=6)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="samples must be >= 10000, got 100"):
             mc_bias_variance(world, model, "upl", samples=100, seed=0)
+        with pytest.raises(ValueError, match="samples must be >= 10000, got 9999"):
+            variance_order_test(world, model, "ubpr", "upl", samples=9999, seed=0)
+        with pytest.raises(ValueError, match="samples must be >= 10000, got 0"):
+            estimator_reports(world, model, [("upl",)], samples=0)
 
     def test_degenerate_single_cell_estimator_is_constant_zero(self):
         # a 1-cell world has no pairs, so every estimator is identically 0
@@ -297,7 +304,7 @@ def click_enumeration_moments(world, model, estimator, clip_threshold=0.0, gamma
     theta = world.theta.ravel().tolist()
     p = (world.theta * world.gamma).ravel().tolist()
     g = (world.gamma if gamma_hat is None else np.asarray(gamma_hat)).ravel().tolist()
-    scores = model.score_matrix().ravel().tolist()
+    scores = score_matrix(model).ravel().tolist()
     items = world.num_items
     pairs = [(i, j, pair_logloss(scores[i], scores[j]))
              for i in range(world.num_cells) for j in range(world.num_cells)
@@ -382,13 +389,18 @@ class TestExactMoments:
         for estimator in oracle_mod.ESTIMATORS:
             assert exact_moments(world, model, estimator) == (0.0, 0.0)
 
-    def test_unknown_estimator_rejected_before_any_block(self):
+    def test_unknown_estimator_rejected_before_any_block(self, monkeypatch):
         world = random_world(1, 3, seed=4)
         model = model_for_world(world, seed=5)
+
+        def never(*args, **kwargs):
+            raise AssertionError("a pair loss was built before the names were checked")
+
+        monkeypatch.setattr(oracle_mod, "_pair_losses", never)
         with pytest.raises(ValueError, match="unknown estimator 'nonsense'"):
             exact_moments(world, model, "nonsense")
         with pytest.raises(ValueError, match="unknown estimator 'nonsense'"):
-            oracle_mod._risk_blocks(world, model, "nonsense")  # not iterated
+            oracle_mod._world_pass(world, model, [("upl",), ("nonsense",)], samples=10**4)
 
     def test_two_cell_world_hand_evaluated(self):
         # upl's risk is x when only cell 0 is clicked, y when only cell 1
@@ -397,7 +409,7 @@ class TestExactMoments:
         gamma = np.array([[0.6, 0.2]])
         world = SyntheticWorld(theta=theta, gamma=gamma)
         model = model_for_world(world, seed=3)
-        s = model.score_matrix()[0]
+        s = score_matrix(model)[0]
         p = (theta * gamma)[0]
 
         def weighted_loss(i, j):
@@ -416,7 +428,7 @@ class TestExactMoments:
         model = model_for_world(world, seed=121)
         samples = 10**5
         rep = mc_bias_variance(world, model, estimator, samples=samples, seed=122)
-        values, = oracle_mod._sampled_risks(world, model, samples, 122, (estimator,))
+        _, _, (values,) = oracle_mod._world_pass(world, model, [(estimator,)], samples, 122)
         assert (rep.mc_mean, rep.mc_variance) == (values.mean(), values.var(ddof=1))
         sq_dev = (values - values.mean()) ** 2
         assert abs(rep.exact_expectation - rep.mc_mean) < 4 * rep.mc_se
@@ -435,12 +447,15 @@ class TestExactMoments:
         (lambda world, model: ideal_risk(world, model), 100 * 100**2 * 8),
         (lambda world, model: mc_bias_variance(world, model, "ubpr", samples=10**4, seed=1),
          4 * 10**4 * 100 * 8),
-    ], ids=["exact_moments", "ideal_risk", "mc_bias_variance"])
+        (lambda world, model: estimator_reports(
+            world, model, [(e,) for e in oracle_mod.ESTIMATORS], samples=10**4, seed=1),
+         4 * 10**4 * 100 * 8),
+    ], ids=["exact_moments", "ideal_risk", "mc_bias_variance", "four_estimator_reports"])
     def test_no_cells_by_cells_allocation(self, run, limit):
         # 2,000 cells: a cells x cells float matrix would take 32 MB.  Per-user
         # blocks keep the peak below a hundred (items, items) float arrays, and
         # Monte Carlo's below four (samples, items) ones, whatever the number
-        # of users.
+        # of users or of estimators sharing the draws.
         world = random_world(20, 100, seed=130)
         model = model_for_world(world, seed=131)
         tracemalloc.start()
@@ -484,6 +499,60 @@ class TestExactMoments:
         assert list(rows) == ["upl_unbiased_exact", "ubpr_unbiased_exact",
                               "ubpr_clipped_biased", "variance_ordering",
                               "variance_ordering_exact", "enumeration_mc_agreement"]
+
+
+# ---------------------------------------------------------------------------
+# The one pass over a world serves every estimator
+
+
+def single_case_risks(world, model, case, samples, seed):
+    """One case's per-draw risks with its blocks built alone, user by user,
+    from the same click draws."""
+    spec, gamma = oracle_mod._case(world, *case)
+    risk = 0.0
+    for c, (u, i, j, loss) in zip(oracle_mod.sample_clicks(world, samples, seed),
+                                  oracle_mod._pair_losses(world, model)):
+        a, B = oracle_mod._risk_block(spec, world.theta[u], gamma[u], i, j, loss)
+        risk = risk + (c @ a + np.einsum("mp,pq,mq->m", c, B, c, optimize=True))
+    return risk
+
+
+class TestWorldPass:
+    def test_shared_pass_equals_each_estimator_alone(self):
+        world = random_world(3, 6, seed=150)
+        model = model_for_world(world, seed=151)
+        gamma_hat = np.clip(world.gamma + 0.2, 0.01, 0.95)
+        cases = [("upl",), ("upl", 0.0, gamma_hat), ("ubpr",), ("ubpr_clipped", 0.0),
+                 ("ubpr_clipped", -1.0), ("ubpr_clipped", -1.0, gamma_hat), ("bpr",)]
+        ideal, moments, risks = oracle_mod._world_pass(world, model, cases, samples=10**4,
+                                                       seed=152, ideal=True)
+        assert ideal == ideal_risk(world, model)
+        assert moments == [exact_moments(world, model, *case) for case in cases]
+        for case, values in zip(cases, risks):
+            alone = single_case_risks(world, model, case, 10**4, 152)
+            assert np.array_equal(values, alone), case
+        reports = estimator_reports(world, model, cases, samples=10**4, seed=152)
+        for case, rep in zip(cases, reports):
+            assert rep == mc_bias_variance(world, model, case[0], 10**4, 152, *case[1:])
+
+    def test_exact_only_reports_draw_nothing(self, monkeypatch):
+        world = random_world(2, 4, seed=160)
+        model = model_for_world(world, seed=161)
+        calls = count_calls(monkeypatch, oracle_mod, "sample_clicks", "_pair_losses")
+        rep, = estimator_reports(world, model, [("ubpr_clipped", -1.0)])
+        assert calls == {"sample_clicks": 0, "_pair_losses": 1}
+        assert (rep.exact_expectation, rep.exact_variance) == \
+            exact_moments(world, model, "ubpr_clipped", -1.0)
+        assert rep.bias == rep.exact_expectation - ideal_risk(world, model)
+        assert math.isnan(rep.mc_mean) and math.isnan(rep.mc_variance)
+        assert math.isnan(rep.mc_se) and rep.sample_count == 0
+
+    def test_suite_draws_four_times_and_walks_each_world_once(self, monkeypatch):
+        calls = count_calls(monkeypatch, oracle_mod, "sample_clicks", "_pair_losses")
+        verification_suite(samples=10**4)
+        # 20 unbiasedness worlds, the clip-bias world, 3 low-exposure worlds
+        # and the agreement world; one draw per Monte Carlo world
+        assert calls == {"sample_clicks": 4, "_pair_losses": 25}
 
 
 # perfbench/layers.py wraps these by name and reads the leading arguments

@@ -26,6 +26,13 @@ class TestClickPropensity:
         with pytest.raises(EstimationError):
             estimate_click_propensity([0, 0, 0])
 
+    @pytest.mark.parametrize("counts", [[3, np.nan], [np.inf, 1], [2, -np.inf], [-1, -2],
+                                        [4, -1]])
+    def test_non_finite_or_negative_counts_rejected(self, counts):
+        with pytest.raises(ValueError, match="finite and non-negative") as info:
+            estimate_click_propensity(counts)
+        assert not isinstance(info.value, EstimationError)
+
     def test_scale_invariance(self):
         counts = np.array([2, 5, 9, 0, 13])
         a = estimate_click_propensity(counts)

@@ -37,7 +37,7 @@ from uplrec.trainer import (
     train_key,
 )
 
-from conftest import make_implicit
+from conftest import make_implicit, score_matrix
 
 
 def model_checksum(model):
@@ -267,7 +267,7 @@ class TestTrainLoop:
         config = TrainConfig(d=8, lam=0.0, learning_rate=0.05, batch_size=4,
                              max_epochs=300, seed=3)
         run = train(separable_dataset, config, LossSpec("bpr"))
-        scores = run.final_model.score_matrix()
+        scores = score_matrix(run.final_model)
         relevant = {0: [0, 1], 1: [2, 3]}
         for u, rel_items in relevant.items():
             irr = [i for i in range(4) if i not in rel_items]
@@ -385,7 +385,7 @@ class TestMinibatchRiskMatchesIdeal:
         spec = LossSpec(estimator, clip_threshold=0.0 if estimator == "ubpr_clipped" else None)
         gamma_hat = (lambda users, items: world.gamma[users, items]) \
             if estimator == "upl" else None
-        scores = model.score_matrix()
+        scores = score_matrix(model)
         click_prob = theta * gamma
 
         expected = 0.0
