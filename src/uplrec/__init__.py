@@ -21,7 +21,6 @@ from .evaluation import CohortSpec, MetricReport, evaluate, one_tailed_t_test, r
 from .factor_model import FactorModel, TrainConfig, init_model
 from .losses import LossSpec, clip_term, pair_weights, pointwise_loss, sigmoid_pair_loss, \
     ubpr_pair_weight, upl_pair_weight
-from .oracle import SyntheticWorld, exact_expectation, exact_moments, ideal_risk, \
-    mc_bias_variance
+from .oracle import SyntheticWorld, estimator_reports
 from .propensity import PropensityTable, estimate_click_propensity, posterior_exposure
 from .trainer import AdamState, TrainRun, train, train_key

@@ -121,18 +121,33 @@ def _load_prepared(data_dir) -> PreparedData:
     )
 
 
+def _make_dir(path) -> bool:
+    """Create directory ``path`` and its parents before any work; when that
+    fails, print one error line and return False."""
+    try:
+        Path(path).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"error: cannot create directory {path}: {exc.strerror}", file=sys.stderr)
+        return False
+    return True
+
+
 def _cmd_train(args) -> int:
     try:
         data = _load_prepared(args.data)
     except FileNotFoundError as exc:
         print(f"error: prepared data {args.data}: {exc.filename} not found", file=sys.stderr)
         return 2
+    except ValueError as exc:  # a malformed file: ParseError names it and the line
+        print(f"error: prepared data {args.data}: {exc}", file=sys.stderr)
+        return 2
+    out = Path(args.out)
+    if not _make_dir(out):
+        return 2
     propensities = PropensityTable.from_click_counts(data.train.item_click_counts)
     train_config = TrainConfig(**{f.name: getattr(args, f.name) for f in fields(TrainConfig)})
     spec = exp.make_loss_spec(args.method, args.clip, args.wmf_weight)
     *_, run = train_key(data.train, train_config, spec, propensities, data.validation)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     save_checkpoint(run.final_model, out / "model.ckpt", seed=args.seed)
     cohorts = compute_cohorts(data.train, CohortSpec())
     reports = evaluate(run.final_model, data.test, cohorts=cohorts,
@@ -191,6 +206,8 @@ def _cmd_verify(args) -> int:
         except (FileNotFoundError, ParseError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
+        if args.out and not _make_dir(Path(args.out).parent):
+            return 2
         model = oracle.model_for_world(world, seed=args.seed)
         reports = oracle.estimator_reports(
             world, model, [(e,) for e in oracle.ESTIMATORS],
@@ -205,7 +222,6 @@ def _cmd_verify(args) -> int:
                 print(f"  {rep.estimator}: mc mean={rep.mc_mean:.10g} "
                       f"var={rep.mc_variance:.6g} exact={rep.exact_expectation:.10g}")
         if args.out:
-            Path(args.out).parent.mkdir(parents=True, exist_ok=True)
             oracle.reports_to_tsv(reports, args.out)
             print(f"wrote {args.out}")
         _report_time(f"{len(reports)} estimators", started)
@@ -228,7 +244,11 @@ def _report_time(what, started):
 
 def _cmd_report(args) -> int:
     out = Path(args.out)
-    rows = exp.read_per_run(out / "per_run_metrics.tsv")
+    try:
+        rows = exp.read_per_run(out / "per_run_metrics.tsv")
+    except (FileNotFoundError, ParseError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     exp.write_aggregates(out, rows, exp.read_config_hash(out))
     print(f"re-aggregated {len(rows)} rows into {out}")
     return 0

@@ -360,11 +360,24 @@ def save_dataset(dataset: ImplicitDataset, out_dir):
             fh.write(f"{u}\t{i}\t{g:.17g}\t{r}\n")
 
 
+_META_KEYS = ("format_version", "num_users", "num_items", "split_tag", "epsilon", "seed")
+
+
 def load_dataset(in_dir) -> ImplicitDataset:
+    """Read a directory ``save_dataset`` wrote; a malformed meta.json or
+    exposed.tsv raises ParseError naming the file and line."""
     src = Path(in_dir)
-    meta = json.loads((src / "meta.json").read_text())
+    meta_path = src / "meta.json"
+    try:
+        meta = json.loads(meta_path.read_text())
+    except json.JSONDecodeError as exc:
+        raise ParseError(meta_path, exc.lineno, f"not valid JSON: {exc.msg}") from None
+    if not isinstance(meta, dict) or not meta.keys() >= set(_META_KEYS):
+        raise ParseError(meta_path, 1, "expected a JSON object with the keys "
+                         + ", ".join(_META_KEYS))
     if meta["format_version"] != DATASET_FORMAT_VERSION:
-        raise ValueError(f"unsupported dataset format version {meta['format_version']}")
+        raise ParseError(meta_path, 1,
+                         f"unsupported dataset format version {meta['format_version']}")
     users, items, gamma, rel = [], [], [], []
     with open(src / "exposed.tsv") as fh:
         header = fh.readline()
@@ -376,10 +389,14 @@ def load_dataset(in_dir) -> ImplicitDataset:
             parts = line.split("\t")
             if len(parts) != 4:
                 raise ParseError(src / "exposed.tsv", lineno, "expected 4 columns")
-            users.append(int(parts[0]))
-            items.append(int(parts[1]))
-            gamma.append(float(parts[2]))
-            rel.append(int(parts[3]))
+            try:
+                users.append(int(parts[0]))
+                items.append(int(parts[1]))
+                gamma.append(float(parts[2]))
+                rel.append(int(parts[3]))
+            except ValueError:
+                raise ParseError(src / "exposed.tsv", lineno, "expected integer user, item "
+                                 f"and rel and a float gamma, got {line.rstrip()!r}") from None
     return ImplicitDataset(
         num_users=meta["num_users"],
         num_items=meta["num_items"],

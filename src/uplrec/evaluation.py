@@ -267,7 +267,7 @@ def _welch_df(va, vb, na, nb):
 
 def t_sf(t, df) -> float:
     """P(T > t) for Student's t with ``df`` > 0 degrees of freedom, the one
-    t tail: ``one_tailed_t_test`` and ``oracle.variance_order_test`` read it.
+    t tail: ``one_tailed_t_test`` and ``oracle.variance_order`` read it.
 
     For t > 0 it is I_x(df/2, 1/2) / 2 with x = df / (df + t^2), the
     regularized incomplete beta taken from its continued fraction (modified

@@ -38,6 +38,7 @@ from .datasets import (
     save_index_maps,
     split_validation,
 )
+from .errors import ParseError
 from .evaluation import (
     CANDIDATE_MODES,
     DEFAULT_KS,
@@ -547,14 +548,19 @@ def write_metrics(path, reports, comment=""):
 
 
 def read_per_run(path):
-    """Parse per_run_metrics.tsv back into row tuples."""
+    """Parse per_run_metrics.tsv back into row tuples; a malformed row raises
+    ParseError naming the file and line."""
     rows = []
     with open(path) as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             if line.startswith("#") or line.startswith("method\t") or not line.strip():
                 continue
-            method, run, cohort, metric, k, value = line.rstrip("\n").split("\t")
-            rows.append((method, int(run), cohort, metric, int(k), float(value)))
+            try:
+                method, run, cohort, metric, k, value = line.rstrip("\n").split("\t")
+                rows.append((method, int(run), cohort, metric, int(k), float(value)))
+            except ValueError:
+                raise ParseError(path, lineno, "expected method, run, cohort, metric, k and "
+                                 f"value, got {line.rstrip()!r}") from None
     return rows
 
 

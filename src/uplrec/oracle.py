@@ -4,22 +4,23 @@ A world fixes per-cell exposure and relevance probabilities (theta, gamma)
 with clicks generated as c = o * r, o ~ Bern(theta), r ~ Bern(gamma), all
 cells independent.  An estimator sees only the clicks, and its full-batch
 risk is a polynomial of degree 2 in them, c @ a + c @ B @ c with B
-block-diagonal by user, so ``exact_moments`` gives its exact mean and
-variance in closed form on worlds of any size.  Monte Carlo sampling draws
-the same risk and checks the closed form.  Estimator terms come from
-``losses.pair_weights``, the function that weights the trainer's sampled
-pairs, applied to every ordered pair of one user's items at once.  One
-per-user pass (``_world_pass``) builds each user's pair losses once, every
+block-diagonal by user, so its exact mean and variance have a closed form
+on worlds of any size.  Monte Carlo sampling draws the same risk and checks
+the closed form.  Estimator terms come from ``losses.pair_weights``, the
+function that weights the trainer's sampled pairs, applied to every ordered
+pair of one user's items at once.  ``estimator_reports`` is the one walk
+over a world's users: for each user it builds the pair losses once, every
 requested estimator's (a, B) block from them and, for Monte Carlo, that
-user's click draw once; the exact moments, the ideal risk and the per-draw
-risks are its reductions, and no array grows with cells^2.
+user's click draw once.  Each report carries the ideal risk, the exact
+moments and, when drawn, the per-draw risks, which ``variance_order``
+compares; no array grows with cells^2.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -133,19 +134,11 @@ def parse_world_spec(path) -> SyntheticWorld:
     return SyntheticWorld(theta=theta, gamma=gamma)
 
 
-def write_world_spec(world: SyntheticWorld, path):
-    with open(path, "w") as fh:
-        fh.write(f"users {world.num_users}\nitems {world.num_items}\n")
-        for name, table in (("theta", world.theta), ("gamma", world.gamma)):
-            fh.write(f"{name}\n")
-            for row in table:
-                fh.write(" ".join(f"{v:.17g}" for v in row) + "\n")
-
-
 @dataclass
 class EstimatorReport:
     """Exact and Monte-Carlo summary of one estimator on one world; the
-    Monte-Carlo fields are nan, and sample_count 0, when nothing was drawn."""
+    Monte-Carlo fields are nan, sample_count 0 and risks None when nothing
+    was drawn."""
 
     estimator: str
     ideal_risk: float
@@ -156,6 +149,7 @@ class EstimatorReport:
     mc_se: float
     exact_variance: float
     sample_count: int
+    risks: np.ndarray | None = field(default=None, compare=False, repr=False)  # per draw
 
 
 def _pair_losses(world: SyntheticWorld, model: FactorModel):
@@ -200,18 +194,39 @@ def _risk_block(spec: LossSpec, theta, gamma, i, j, loss):
     return a, B
 
 
-def _world_pass(world: SyntheticWorld, model: FactorModel, cases, samples=None, seed=0,
-                ideal=False):
-    """The one walk over a world's users that every oracle result reduces.
+def sample_clicks(world: SyntheticWorld, samples: int, seed: int):
+    """Yields each user's (samples, num_items) click draws, that user's
+    o ~ Bern(theta) drawn before its r ~ Bern(gamma)."""
+    rng = np.random.default_rng(seed)
+    shape = (samples, world.num_items)
+    for theta, gamma in zip(world.theta, world.gamma):
+        yield ((rng.random(shape) < theta) & (rng.random(shape) < gamma)).astype(np.float64)
+
+
+def estimator_reports(world: SyntheticWorld, model: FactorModel, cases, samples=None,
+                      seed=0) -> list[EstimatorReport]:
+    """Exact and Monte-Carlo summary of each case on one world, from the one
+    walk over its users that every oracle result reduces.
 
     A case is (estimator[, clip_threshold[, gamma_hat]]); the estimator
     names and ``samples`` are checked before the walk.  For each user the
     pair losses are built once and, when ``samples`` is given, the clicks
-    are drawn once (``sample_clicks``); each case's (a, B) block then gives
-    that user's exact moments and its risk on every draw.  Returns (ideal,
-    moments, risks): the ideal risk when asked for, else None; each case's
-    exact (mean, variance) (see ``exact_moments``); and each case's
-    (samples,) per-draw risks, or None without samples.
+    are drawn once (``sample_clicks``), so every case is scored on the same
+    draws; each case's (a, B) block then gives that user's share of the
+    exact moments and its risk on every draw.  Without ``samples`` nothing
+    is drawn: the Monte-Carlo fields are nan, ``sample_count`` is 0 and
+    ``risks`` is None.
+
+    The ideal risk is the sum over ordered same-user pairs of
+    gamma_i*(1-gamma_j)*L(s_i, s_j).  The exact moments are those of the
+    full-batch risk c @ a + c @ B @ c, B zero on its diagonal, a polynomial
+    of degree 2 in the independent clicks c_k ~ Bern(p_k), p = theta*gamma.
+    Written in the centred clicks x = c - p (its p-biased Fourier
+    expansion), with s2 = p(1 - p) and S = B + B^T, it is
+    a @ p + p @ B @ p + x @ (a + S @ p) + sum_{k<l} S_kl x_k x_l, whose terms
+    are uncorrelated: the mean is a @ p + p @ B @ p and the variance
+    sum_k (a + S @ p)_k^2 s2_k + sum_{k<l} S_kl^2 s2_k s2_l.  B is
+    block-diagonal by user, so the users' moments add up.
     """
     specs = [_case(world, *case) for case in cases]
     if samples is not None and samples < MIN_MC_SAMPLES:
@@ -234,66 +249,18 @@ def _world_pass(world: SyntheticWorld, model: FactorModel, cases, samples=None, 
                 if c is not None:
                     risks[k] = risks[k] + (c @ a + np.einsum("mp,pq,mq->m", c, B, c,
                                                              optimize=True))
-            if ideal:
-                yield world.gamma[u, i] * (1.0 - world.gamma[u, j]) * loss
+            yield world.gamma[u, i] * (1.0 - world.gamma[u, j]) * loss
 
     # math.fsum rounds once over all it is given, so the ideal's pair terms
     # stream into it user by user instead of being kept
-    ideal_sum = math.fsum(itertools.chain.from_iterable(walk()))
-    moments = [(math.fsum(m), math.fsum(v)) for m, v in zip(means, variances)]
-    return (ideal_sum if ideal else None), moments, (None if draws is None else risks)
-
-
-def ideal_risk(world: SyntheticWorld, model: FactorModel) -> float:
-    """Sum over ordered same-user pairs of gamma_i*(1-gamma_j)*L(s_i, s_j)."""
-    return _world_pass(world, model, (), ideal=True)[0]
-
-
-def exact_moments(world: SyntheticWorld, model: FactorModel, estimator: str,
-                  clip_threshold: float = 0.0, gamma_hat=None) -> tuple[float, float]:
-    """Exact (mean, variance) of the full-batch empirical risk.
-
-    The risk is c @ a + c @ B @ c with B zero on its diagonal, a polynomial
-    of degree 2 in the independent clicks c_k ~ Bern(p_k), p = theta*gamma.
-    Written in the centred clicks x = c - p (its p-biased Fourier
-    expansion), with s2 = p(1 - p) and S = B + B^T, it is
-    a @ p + p @ B @ p + x @ (a + S @ p) + sum_{k<l} S_kl x_k x_l, whose terms
-    are uncorrelated: the mean is a @ p + p @ B @ p and the variance
-    sum_k (a + S @ p)_k^2 s2_k + sum_{k<l} S_kl^2 s2_k s2_l.  B is
-    block-diagonal by user, so the users' moments add up.
-    """
-    return _world_pass(world, model, [(estimator, clip_threshold, gamma_hat)])[1][0]
-
-
-def exact_expectation(world: SyntheticWorld, model: FactorModel, estimator: str,
-                      clip_threshold: float = 0.0, gamma_hat=None) -> float:
-    """Exact expectation of the full-batch empirical risk over the clicks
-    c = o*r, o ~ Bern(theta), r ~ Bern(gamma): the mean of ``exact_moments``."""
-    return exact_moments(world, model, estimator, clip_threshold, gamma_hat)[0]
-
-
-def sample_clicks(world: SyntheticWorld, samples: int, seed: int):
-    """Yields each user's (samples, num_items) click draws, that user's
-    o ~ Bern(theta) drawn before its r ~ Bern(gamma)."""
-    rng = np.random.default_rng(seed)
-    shape = (samples, world.num_items)
-    for theta, gamma in zip(world.theta, world.gamma):
-        yield ((rng.random(shape) < theta) & (rng.random(shape) < gamma)).astype(np.float64)
-
-
-def estimator_reports(world: SyntheticWorld, model: FactorModel, cases, samples=None,
-                      seed=0) -> list[EstimatorReport]:
-    """Exact and Monte-Carlo summary of each case (estimator[,
-    clip_threshold[, gamma_hat]]) on one world, from one pass over it: every
-    case is scored on the same click draws.  Without ``samples`` nothing is
-    drawn, and the Monte-Carlo fields are nan and ``sample_count`` 0.
-    """
-    ideal, moments, risks = _world_pass(world, model, cases, samples, seed, ideal=True)
+    ideal = math.fsum(itertools.chain.from_iterable(walk()))
     reports = []
-    for (estimator, *_), (exact_mean, exact_var), values in zip(
-            cases, moments, risks or [None] * len(cases)):
+    for (estimator, *_), m, v, values in zip(cases, means, variances, risks):
+        exact_mean = math.fsum(m)
         mean = variance = se = math.nan
-        if values is not None:
+        if draws is None:
+            values = None
+        else:
             mean, variance = float(values.mean()), float(values.var(ddof=1))
             se = float(np.sqrt(variance / samples))
         reports.append(EstimatorReport(
@@ -304,47 +271,29 @@ def estimator_reports(world: SyntheticWorld, model: FactorModel, cases, samples=
             mc_mean=mean,
             mc_variance=variance,
             mc_se=se,
-            exact_variance=exact_var,
+            exact_variance=math.fsum(v),
             sample_count=samples or 0,
+            risks=values,
         ))
     return reports
 
 
-def mc_bias_variance(world: SyntheticWorld, model: FactorModel, estimator: str,
-                     samples: int, seed: int, clip_threshold: float = 0.0,
-                     gamma_hat=None) -> EstimatorReport:
-    """Monte-Carlo mean/variance of an estimator's full-batch risk.
+def variance_order(report_hi: EstimatorReport, report_lo: EstimatorReport) -> float:
+    """p value of the one-sided paired test that report_hi's estimator varies
+    more than report_lo's.
 
-    Draws i.i.d. (o, r) worlds, evaluates the empirical risk per draw and
-    reports the sample mean and variance with standard errors, next to the
-    exact moments.
+    The two reports come from one ``estimator_reports`` call with samples,
+    so their ``risks`` pair up draw by draw; the test is a paired t on the
+    per-draw squared deviations, its tail ``evaluation.t_sf``, and p is 1.0
+    when every paired deviation is 0.
     """
-    return estimator_reports(world, model, [(estimator, clip_threshold, gamma_hat)],
-                             samples, seed)[0]
-
-
-def _variance_order(hi, lo):
-    """(var_hi, var_lo, p) of the one-sided paired t test that the per-draw
-    risks ``hi`` vary more than ``lo``, on their squared deviations."""
-    dev = (hi - hi.mean()) ** 2 - (lo - lo.mean()) ** 2
-    if dev.any():
-        p = t_sf(dev.mean() / (dev.std(ddof=1) / math.sqrt(len(dev))), len(dev) - 1)
-    else:  # both estimators deviate alike on every draw: no evidence of an order
-        p = 1.0
-    return float(hi.var(ddof=1)), float(lo.var(ddof=1)), p
-
-
-def variance_order_test(world: SyntheticWorld, model: FactorModel,
-                        estimator_hi: str, estimator_lo: str,
-                        samples: int, seed: int):
-    """One-sided paired test that Var(estimator_hi) > Var(estimator_lo).
-
-    Both estimators are evaluated on the same click draws; the test is a paired t on
-    the per-draw squared deviations, its tail ``evaluation.t_sf``.  Returns
-    (var_hi, var_lo, p_value), p_value 1.0 when every paired deviation is 0.
-    """
-    _, _, risks = _world_pass(world, model, [(estimator_hi,), (estimator_lo,)], samples, seed)
-    return _variance_order(*risks)
+    hi, lo = report_hi.risks, report_lo.risks
+    if hi is None or lo is None:
+        raise ValueError("variance_order needs reports drawn with samples")
+    dev = (hi - report_hi.mc_mean) ** 2 - (lo - report_lo.mc_mean) ** 2
+    if not dev.any():  # both estimators deviate alike on every draw: no evidence of an order
+        return 1.0
+    return t_sf(dev.mean() / (dev.std(ddof=1) / math.sqrt(len(dev))), len(dev) - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -431,14 +380,14 @@ def verification_suite(samples=10**5, seed=1234, suite_count=20):
     details, exact_details = [], []
     for name, world in low_exposure_worlds():
         model = model_for_world(world, seed=seed + 7)
-        _, ((_, exact_ubpr), (_, exact_upl)), risks = _world_pass(
-            world, model, [("ubpr",), ("upl",)], samples, seed)
-        var_ubpr, var_upl, p = _variance_order(*risks)
-        del risks  # freed before the next world's draws, which reuse the memory
-        ordering_ok &= var_ubpr > var_upl and p < 0.01
-        details.append(f"{name}: var ratio {var_ubpr / var_upl:.2f}, p={p:.2e}")
-        exact_ok &= exact_ubpr > exact_upl
-        exact_details.append(f"{name}: exact var ratio {exact_ubpr / exact_upl:.2f}")
+        ubpr, upl = estimator_reports(world, model, [("ubpr",), ("upl",)], samples, seed)
+        p = variance_order(ubpr, upl)
+        ordering_ok &= ubpr.mc_variance > upl.mc_variance and p < 0.01
+        details.append(f"{name}: var ratio {ubpr.mc_variance / upl.mc_variance:.2f}, p={p:.2e}")
+        exact_ok &= ubpr.exact_variance > upl.exact_variance
+        exact_details.append(f"{name}: exact var ratio "
+                             f"{ubpr.exact_variance / upl.exact_variance:.2f}")
+        del ubpr, upl  # their risks are freed before the next world's draws reuse the memory
     results.append(("variance_ordering", ordering_ok, "; ".join(details)))
     results.append(("variance_ordering_exact", exact_ok, "; ".join(exact_details)))
 

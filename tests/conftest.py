@@ -15,6 +15,17 @@ def score_matrix(model):
     return model.user_factors @ model.item_factors.T
 
 
+def write_world_spec(world, path):
+    """Write a SyntheticWorld in the format ``oracle.parse_world_spec`` reads,
+    every probability to 17 significant digits so it reads back exactly."""
+    with open(path, "w") as fh:
+        fh.write(f"users {world.num_users}\nitems {world.num_items}\n")
+        for name, table in (("theta", world.theta), ("gamma", world.gamma)):
+            fh.write(f"{name}\n")
+            for row in table:
+                fh.write(" ".join(f"{v:.17g}" for v in row) + "\n")
+
+
 def count_calls(monkeypatch, module, *names):
     """Patch each named function of ``module`` to count its calls into the
     returned {name: count} dict."""

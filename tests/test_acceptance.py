@@ -27,12 +27,11 @@ from uplrec.losses import (
 )
 from uplrec.oracle import (
     clip_bias_world,
-    exact_expectation,
-    ideal_risk,
+    estimator_reports,
     low_exposure_worlds,
     model_for_world,
     unbiasedness_suite,
-    variance_order_test,
+    variance_order,
 )
 
 from conftest import write_synthetic_triplets
@@ -54,10 +53,9 @@ def test_criterion_1_estimator_unbiasedness_exact():
     for k, (name, world) in enumerate(worlds):
         assert world.num_cells <= 10
         model = model_for_world(world, seed=1000 + k)
-        ideal = ideal_risk(world, model)
-        for estimator in ("upl", "ubpr"):
-            err = abs(exact_expectation(world, model, estimator) - ideal)
-            assert err <= 1e-10, f"{estimator} biased by {err:.3e} on {name}"
+        for rep in estimator_reports(world, model, [("upl",), ("ubpr",)]):
+            err = abs(rep.exact_expectation - rep.ideal_risk)
+            assert err <= 1e-10, f"{rep.estimator} biased by {err:.3e} on {name}"
             max_err = max(max_err, err)
     elapsed = time.monotonic() - start
     assert elapsed < 60.0
@@ -70,8 +68,8 @@ def test_criterion_2_clipping_bias_exact():
     start = time.monotonic()
     world = clip_bias_world()
     model = model_for_world(world, seed=2)
-    gap = exact_expectation(world, model, "ubpr_clipped", clip_threshold=0.0) \
-        - ideal_risk(world, model)
+    clipped, = estimator_reports(world, model, [("ubpr_clipped", 0.0)])
+    gap = clipped.exact_expectation - clipped.ideal_risk
     elapsed = time.monotonic() - start
     assert gap > 1e-3
     assert elapsed < 60.0
@@ -85,8 +83,9 @@ def test_criterion_3_variance_ordering_monte_carlo():
     for k, (name, world) in enumerate(low_exposure_worlds(count=3)):
         assert np.all(world.theta <= 0.2)
         model = model_for_world(world, seed=3000 + k)
-        var_ubpr, var_upl, p = variance_order_test(world, model, "ubpr", "upl",
-                                                   samples=10**5, seed=4000 + k)
+        ubpr, upl = estimator_reports(world, model, [("ubpr",), ("upl",)],
+                                      samples=10**5, seed=4000 + k)
+        var_ubpr, var_upl, p = ubpr.mc_variance, upl.mc_variance, variance_order(ubpr, upl)
         assert var_ubpr / var_upl > 1.0
         assert p < 0.01
         details.append(f"{name}: ratio {var_ubpr / var_upl:.1f}, p={p:.1e}")

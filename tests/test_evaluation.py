@@ -500,7 +500,7 @@ class TestOneTailedTTest:
     def test_t_sf_matches_stdtr(self):
         # the tail both t tests take, against scipy's stdtr(df, -t), the
         # function stats.t.sf calls: Welch-style fractional df, the
-        # samples - 1 df of variance_order_test and df up to 1e6, both tails
+        # samples - 1 df of oracle.variance_order and df up to 1e6, both tails
         rng = np.random.default_rng(12)
         t = np.concatenate([[np.inf, 0.0, 1e-300, 5e-324, 1e-160, 40.0, 1e100, 1.3e154, 1e200],
                             rng.normal(0.0, 3.0, 200), rng.uniform(-60, 60, 50)])

@@ -15,7 +15,7 @@ from uplrec.factor_model import TrainConfig, load_checkpoint
 from uplrec.losses import LossSpec
 from uplrec.propensity import PropensityTable
 
-from conftest import count_calls, write_synthetic_triplets
+from conftest import count_calls, write_synthetic_triplets, write_world_spec
 
 WORLDS_DIR = Path(__file__).resolve().parents[1] / "worlds"
 BUNDLED_WORLDS = sorted(WORLDS_DIR.glob("*.txt"))
@@ -318,6 +318,13 @@ class TestPrepareCli:
 
 
 class TestTrainCli:
+    @pytest.fixture
+    def prep(self, triplet_files, tmp_path):
+        prep = tmp_path / "prep"
+        assert cli.main(["prepare", "--dataset", str(triplet_files), "--format", "triplets",
+                         "--out", str(prep)]) == 0
+        return prep
+
     def test_single_run_outputs(self, triplet_files, tmp_path):
         prep = tmp_path / "prep"
         cli.main(["prepare", "--dataset", str(triplet_files), "--format",
@@ -345,6 +352,44 @@ class TestTrainCli:
         assert capsys.readouterr().err == \
             f"error: prepared data {data}: {data / 'train' / 'meta.json'} not found\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("name, edit, lineno, message", [
+        ("exposed.tsv", lambda text: text + "0\tx\t0.5\t1\n", -1,
+         "expected integer user, item and rel and a float gamma, got '0\\tx\\t0.5\\t1'"),
+        ("meta.json", lambda text: text[:text.index(",")], 2,
+         "not valid JSON: Expecting ',' delimiter"),
+        ("meta.json", lambda text: text.replace('"seed"', '"sead"'), 1,
+         "expected a JSON object with the keys format_version, num_users, num_items, "
+         "split_tag, epsilon, seed"),
+    ], ids=["malformed_row", "meta_not_json", "meta_without_key"])
+    def test_malformed_prepared_file_rejected_in_one_line(self, prep, tmp_path, capsys,
+                                                          monkeypatch, name, edit, lineno,
+                                                          message):
+        stop_at(monkeypatch, cli, "train_key")
+        path = prep / "train" / name
+        path.write_text(edit(path.read_text()))
+        if lineno < 0:
+            lineno = len(path.read_text().splitlines())
+        out = tmp_path / "run"
+        assert cli.main(["train", "--data", str(prep), "--method", "bpr",
+                         "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: prepared data {prep}: {path}:{lineno}: {message}\n"
+        assert not out.exists()
+
+    def test_out_under_a_file_rejected_before_training(self, prep, tmp_path, capsys,
+                                                       monkeypatch):
+        stop_at(monkeypatch, cli, "train_key")
+        afile = tmp_path / "afile"
+        afile.write_text("kept\n")
+        out = afile / "run"
+        assert cli.main(["train", "--data", str(prep), "--method", "bpr",
+                         "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: cannot create directory {out}: Not a directory\n"
+        assert afile.read_text() == "kept\n"
 
     def test_mfdu_trains_relmf(self, triplet_files, tmp_path):
         prep = tmp_path / "prep"
@@ -588,6 +633,26 @@ class TestExperimentRun:
         assert (experiment_out / "tables.md").read_bytes() == tables_before
 
 
+class TestReportCli:
+    def test_missing_per_run_table_rejected_in_one_line(self, tmp_path, capsys):
+        assert cli.main(["report", "--out", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == \
+            f"error: [Errno 2] No such file or directory: '{tmp_path / 'per_run_metrics.tsv'}'\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_malformed_per_run_row_rejected_in_one_line(self, tmp_path, capsys):
+        path = tmp_path / "per_run_metrics.tsv"
+        path.write_text("method\trun\tcohort\tmetric\tk\tvalue\nbpr\t0\tall\tdcg\t5\n")
+        assert cli.main(["report", "--out", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: {path}:2: expected method, run, cohort, metric, k "
+                                "and value, got 'bpr\\t0\\tall\\tdcg\\t5'\n")
+        assert list(tmp_path.iterdir()) == [path]
+
+
 class TestMfduToken:
     def test_mfdu_rows_equal_relmf(self, triplet_files, tmp_path):
         # the mfdu token trains LossSpec("relmf") under the same configs
@@ -801,7 +866,7 @@ class TestVerifyCli:
         assert re.fullmatch(r"verify: 6 checks in \d+\.\d\d s\n", captured.err)
 
     def test_world_file_exact(self, tmp_path, capsys):
-        from uplrec.oracle import random_world, write_world_spec
+        from uplrec.oracle import random_world
         path = tmp_path / "w.txt"
         write_world_spec(random_world(1, 4, seed=3), path)
         rc = cli.main(["verify", "--world", str(path), "--exact-only"])
@@ -822,7 +887,7 @@ class TestVerifyCli:
             assert abs(bias) <= 1e-12 * ideal, line
 
     def test_world_beyond_ten_cells_exact(self, tmp_path, capsys):
-        from uplrec.oracle import random_world, write_world_spec
+        from uplrec.oracle import random_world
         path = tmp_path / "w.txt"
         write_world_spec(random_world(3, 11, seed=3), path)
         assert cli.main(["verify", "--world", str(path), "--exact-only"]) == 0
@@ -904,6 +969,22 @@ class TestVerifyCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: --out {tmp_path} is a directory\n"
+
+    def test_out_under_a_file_rejected_up_front(self, tmp_path, capsys, monkeypatch):
+        from uplrec import oracle
+
+        def never(*args, **kwargs):
+            raise AssertionError("checks ran before --out was checked")
+
+        monkeypatch.setattr(oracle, "estimator_reports", never)
+        afile = tmp_path / "afile"
+        afile.write_text("kept\n")
+        assert cli.main(["verify", "--world", str(WORLDS_DIR / "clip_bias.txt"),
+                         "--samples", "10000", "--out", str(afile / "r.tsv")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: cannot create directory {afile}: File exists\n"
+        assert afile.read_text() == "kept\n"
 
     def test_world_mc_out_into_missing_directory(self, tmp_path, capsys):
         out = tmp_path / "missing" / "dir" / "r.tsv"

@@ -31,7 +31,8 @@ print(sorted(name for name in sys.modules if name.startswith("scipy")))
 world = oracle.random_world(1, 5, seed=3)
 model = oracle.model_for_world(world, seed=4)
 uplrec.one_tailed_t_test([0.1, 0.4, 0.3], [0.2, 0.0, 0.1])
-oracle.variance_order_test(world, model, "ubpr", "upl", samples=oracle.MIN_MC_SAMPLES, seed=5)
+oracle.variance_order(*oracle.estimator_reports(world, model, [("ubpr",), ("upl",)],
+                                                 samples=oracle.MIN_MC_SAMPLES, seed=5))
 print(sorted(name for name in sys.modules if name.startswith("scipy")))
 """
 

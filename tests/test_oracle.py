@@ -17,22 +17,17 @@ from uplrec.oracle import (
     SyntheticWorld,
     clip_bias_world,
     estimator_reports,
-    exact_expectation,
-    exact_moments,
-    ideal_risk,
     low_exposure_worlds,
-    mc_bias_variance,
     model_for_world,
     parse_world_spec,
     random_world,
     reports_to_tsv,
     unbiasedness_suite,
-    variance_order_test,
+    variance_order,
     verification_suite,
-    write_world_spec,
 )
 
-from conftest import count_calls, score_matrix
+from conftest import count_calls, score_matrix, write_world_spec
 
 LN2 = math.log(2.0)
 BUNDLED_WORLD_FILES = sorted((Path(__file__).resolve().parents[1] / "worlds").glob("*.txt"))
@@ -148,11 +143,12 @@ class TestIdealRisk:
     def test_item_permutation_invariance(self):
         world = SyntheticWorld(theta=np.full((1, 4), 0.5), gamma=np.full((1, 4), 0.3))
         model = model_for_world(world, seed=1)
-        base = ideal_risk(world, model)
+        base, = estimator_reports(world, model, [("upl",)])
         perm = [2, 0, 3, 1]
         world_p = SyntheticWorld(theta=world.theta[:, perm], gamma=world.gamma[:, perm])
         model_p = FactorModel(model.user_factors, model.item_factors[perm])
-        assert ideal_risk(world_p, model_p) == pytest.approx(base, rel=1e-12)
+        permuted, = estimator_reports(world_p, model_p, [("upl",)])
+        assert permuted.ideal_risk == pytest.approx(base.ideal_risk, rel=1e-12)
 
     def test_near_degenerate_probabilities(self):
         # gamma -> (1, 0) at equal scores: risk -> 1 * 1 * ln 2
@@ -160,14 +156,15 @@ class TestIdealRisk:
         world = SyntheticWorld(theta=np.array([[0.5, 0.5]]),
                                gamma=np.array([[1 - eps, eps]]))
         model = FactorModel(np.zeros((1, 2)), np.zeros((2, 2)))
-        assert ideal_risk(world, model) == pytest.approx(LN2, abs=1e-9)
+        rep, = estimator_reports(world, model, [("upl",)])
+        assert rep.ideal_risk == pytest.approx(LN2, abs=1e-9)
 
     def test_matches_independent_brute_force(self):
         world = SyntheticWorld(theta=np.array([[0.4, 0.6, 0.8]]),
                                gamma=np.array([[0.9, 0.5, 0.1]]))
         model = model_for_world(world, seed=11)
-        assert ideal_risk(world, model) == pytest.approx(
-            brute_force_ideal(world, model), rel=1e-12)
+        rep, = estimator_reports(world, model, [("bpr",)])
+        assert rep.ideal_risk == pytest.approx(brute_force_ideal(world, model), rel=1e-12)
 
 
 class TestExactExpectation:
@@ -175,21 +172,21 @@ class TestExactExpectation:
         for k in range(4):
             world = random_world(1, 4, seed=30 + k)
             model = model_for_world(world, seed=40 + k)
-            assert exact_expectation(world, model, "upl") == pytest.approx(
-                ideal_risk(world, model), abs=1e-10)
+            rep, = estimator_reports(world, model, [("upl",)])
+            assert rep.exact_expectation == pytest.approx(rep.ideal_risk, abs=1e-10)
 
     def test_ubpr_unbiased_with_true_theta(self):
         for k in range(4):
             world = random_world(2, 3, seed=50 + k)
             model = model_for_world(world, seed=60 + k)
-            assert exact_expectation(world, model, "ubpr") == pytest.approx(
-                ideal_risk(world, model), abs=1e-10)
+            rep, = estimator_reports(world, model, [("ubpr",)])
+            assert rep.exact_expectation == pytest.approx(rep.ideal_risk, abs=1e-10)
 
     def test_clipping_introduces_positive_bias(self):
         world = clip_bias_world()
         model = model_for_world(world, seed=2)
-        clipped = exact_expectation(world, model, "ubpr_clipped", clip_threshold=0.0)
-        assert clipped - ideal_risk(world, model) > 1e-3
+        clipped, = estimator_reports(world, model, [("ubpr_clipped", 0.0)])
+        assert clipped.exact_expectation - clipped.ideal_risk > 1e-3
 
     def test_matches_pure_python_enumeration(self):
         # independent (o, r) outcome walk vs the vectorized enumeration
@@ -212,56 +209,50 @@ class TestExactExpectation:
         def bpr_term(ci, cj, ki, kj, L):
             return L if ci == 1 and cj == 0 else 0.0
 
-        for estimator, term in (("upl", upl_term), ("ubpr", ubpr_term),
-                                ("ubpr_clipped", clipped_term), ("bpr", bpr_term)):
+        terms = (upl_term, ubpr_term, clipped_term, bpr_term)
+        reports = estimator_reports(world, model, [(e,) for e in oracle_mod.ESTIMATORS])
+        for rep, term in zip(reports, terms):
             expected = brute_force_expectation(world, model, term)
-            assert exact_expectation(world, model, estimator) == pytest.approx(
-                expected, abs=1e-12)
+            assert rep.exact_expectation == pytest.approx(expected, abs=1e-12), rep.estimator
 
     def test_perturbed_gamma_hat_mode_induces_bias(self):
         world = random_world(1, 4, seed=80)
         model = model_for_world(world, seed=81)
-        ideal = ideal_risk(world, model)
-        exact_true = exact_expectation(world, model, "upl")
         perturbed = np.clip(world.gamma + 0.3, 0.01, 0.95)
-        exact_pert = exact_expectation(world, model, "upl", gamma_hat=perturbed)
-        assert abs(exact_true - ideal) < 1e-10
-        assert abs(exact_pert - ideal) > 1e-3
+        true, pert = estimator_reports(world, model, [("upl",), ("upl", 0.0, perturbed)])
+        assert abs(true.bias) < 1e-10
+        assert abs(pert.bias) > 1e-3
 
 
 class TestMonteCarlo:
     def test_sample_floor(self):
         world = random_world(1, 3, seed=5)
         model = model_for_world(world, seed=6)
-        with pytest.raises(ValueError, match="samples must be >= 10000, got 100"):
-            mc_bias_variance(world, model, "upl", samples=100, seed=0)
-        with pytest.raises(ValueError, match="samples must be >= 10000, got 9999"):
-            variance_order_test(world, model, "ubpr", "upl", samples=9999, seed=0)
-        with pytest.raises(ValueError, match="samples must be >= 10000, got 0"):
-            estimator_reports(world, model, [("upl",)], samples=0)
+        for samples in (100, 9999, 0):
+            with pytest.raises(ValueError, match=f"samples must be >= 10000, got {samples}$"):
+                estimator_reports(world, model, [("ubpr",), ("upl",)], samples=samples)
 
     def test_degenerate_single_cell_estimator_is_constant_zero(self):
         # a 1-cell world has no pairs, so every estimator is identically 0
         world = SyntheticWorld(theta=np.array([[0.5]]), gamma=np.array([[0.5]]))
         model = model_for_world(world, seed=1)
-        rep = mc_bias_variance(world, model, "upl", samples=10**4, seed=2)
+        rep, = estimator_reports(world, model, [("upl",)], samples=10**4, seed=2)
         assert rep.mc_variance == 0.0
         assert rep.mc_mean == 0.0
 
     def test_mc_mean_consistent_with_exact(self):
         world = random_world(1, 5, seed=100)
         model = model_for_world(world, seed=101)
-        for estimator in ("upl", "ubpr", "bpr"):
-            rep = mc_bias_variance(world, model, estimator, samples=10**5, seed=102)
-            assert abs(rep.exact_expectation - rep.mc_mean) < 4 * rep.mc_se
+        for rep in estimator_reports(world, model, [("upl",), ("ubpr",), ("bpr",)],
+                                     samples=10**5, seed=102):
+            assert abs(rep.exact_expectation - rep.mc_mean) < 4 * rep.mc_se, rep.estimator
 
     def test_variance_ordering_low_exposure(self):
         name, world = low_exposure_worlds(count=1)[0]
         model = model_for_world(world, seed=7)
-        var_ubpr, var_upl, p = variance_order_test(world, model, "ubpr", "upl",
-                                                   samples=10**4, seed=8)
-        assert var_ubpr > var_upl
-        assert p < 0.01
+        ubpr, upl = estimator_reports(world, model, [("ubpr",), ("upl",)], samples=10**4, seed=8)
+        assert ubpr.mc_variance > upl.mc_variance
+        assert variance_order(ubpr, upl) < 0.01
 
     def test_identical_estimators_give_p_one_without_warning(self):
         # every paired deviation is 0, so the paired t statistic would be 0/0
@@ -269,10 +260,19 @@ class TestMonteCarlo:
         model = model_for_world(world, seed=2)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            var_hi, var_lo, p = variance_order_test(world, model, "upl", "upl",
-                                                    samples=10**4, seed=3)
-        assert var_hi == var_lo > 0.0
+            hi, lo = estimator_reports(world, model, [("upl",), ("upl",)], samples=10**4,
+                                       seed=3)
+            p = variance_order(hi, lo)
+        assert hi.mc_variance == lo.mc_variance > 0.0
         assert p == 1.0
+
+    def test_variance_order_needs_draws(self):
+        world = random_world(1, 4, 1)
+        model = model_for_world(world, seed=2)
+        hi, lo = estimator_reports(world, model, [("ubpr",), ("upl",)])
+        assert hi.risks is None and lo.risks is None
+        with pytest.raises(ValueError, match="needs reports drawn with samples"):
+            variance_order(hi, lo)
 
 
 class TestBundledWorlds:
@@ -329,7 +329,8 @@ def click_enumeration_moments(world, model, estimator, clip_threshold=0.0, gamma
 
 def assert_moments_match(world, model, estimator, clip=0.0, gamma_hat=None):
     expected = click_enumeration_moments(world, model, estimator, clip, gamma_hat)
-    actual = exact_moments(world, model, estimator, clip, gamma_hat)
+    rep, = estimator_reports(world, model, [(estimator, clip, gamma_hat)])
+    actual = rep.exact_expectation, rep.exact_variance
     assert actual == pytest.approx(expected, rel=1e-12, abs=0.0), (estimator, clip)
 
 
@@ -386,8 +387,8 @@ class TestExactMoments:
     def test_single_cell_world_is_zero(self):
         world = SyntheticWorld(theta=np.array([[0.5]]), gamma=np.array([[0.5]]))
         model = model_for_world(world, seed=1)
-        for estimator in oracle_mod.ESTIMATORS:
-            assert exact_moments(world, model, estimator) == (0.0, 0.0)
+        for rep in estimator_reports(world, model, [(e,) for e in oracle_mod.ESTIMATORS]):
+            assert (rep.exact_expectation, rep.exact_variance) == (0.0, 0.0), rep.estimator
 
     def test_unknown_estimator_rejected_before_any_block(self, monkeypatch):
         world = random_world(1, 3, seed=4)
@@ -398,9 +399,9 @@ class TestExactMoments:
 
         monkeypatch.setattr(oracle_mod, "_pair_losses", never)
         with pytest.raises(ValueError, match="unknown estimator 'nonsense'"):
-            exact_moments(world, model, "nonsense")
+            estimator_reports(world, model, [("nonsense",)])
         with pytest.raises(ValueError, match="unknown estimator 'nonsense'"):
-            oracle_mod._world_pass(world, model, [("upl",), ("nonsense",)], samples=10**4)
+            estimator_reports(world, model, [("upl",), ("nonsense",)], samples=10**4)
 
     def test_two_cell_world_hand_evaluated(self):
         # upl's risk is x when only cell 0 is clicked, y when only cell 1
@@ -420,47 +421,41 @@ class TestExactMoments:
         px, py = p[0] * (1 - p[1]), (1 - p[0]) * p[1]
         mean = px * x + py * y
         var = px * x**2 + py * y**2 - mean**2
-        assert exact_moments(world, model, "upl") == pytest.approx((mean, var), rel=1e-12)
+        rep, = estimator_reports(world, model, [("upl",)])
+        assert (rep.exact_expectation, rep.exact_variance) == \
+            pytest.approx((mean, var), rel=1e-12)
 
     @pytest.mark.parametrize("estimator", oracle_mod.ESTIMATORS)
     def test_forty_cells_against_monte_carlo(self, estimator):
         world = random_world(2, 20, seed=120)
         model = model_for_world(world, seed=121)
         samples = 10**5
-        rep = mc_bias_variance(world, model, estimator, samples=samples, seed=122)
-        _, _, (values,) = oracle_mod._world_pass(world, model, [(estimator,)], samples, 122)
+        rep, = estimator_reports(world, model, [(estimator,)], samples=samples, seed=122)
+        values = rep.risks
+        assert values.shape == (samples,) and rep.sample_count == samples
         assert (rep.mc_mean, rep.mc_variance) == (values.mean(), values.var(ddof=1))
         sq_dev = (values - values.mean()) ** 2
         assert abs(rep.exact_expectation - rep.mc_mean) < 4 * rep.mc_se
         assert abs(rep.exact_variance - rep.mc_variance) < \
             4 * sq_dev.std(ddof=1) / math.sqrt(samples)
-        # variance_order_test scores both estimators on the same draws
-        other = "upl" if estimator == "bpr" else "bpr"
-        var_hi, var_lo, _ = variance_order_test(world, model, estimator, other,
-                                                samples=samples, seed=122)
-        assert var_hi == rep.mc_variance
-        assert var_lo == mc_bias_variance(world, model, other, samples=samples,
-                                          seed=122).mc_variance
 
-    @pytest.mark.parametrize("run, limit", [
-        (lambda world, model: exact_moments(world, model, "ubpr"), 100 * 100**2 * 8),
-        (lambda world, model: ideal_risk(world, model), 100 * 100**2 * 8),
-        (lambda world, model: mc_bias_variance(world, model, "ubpr", samples=10**4, seed=1),
-         4 * 10**4 * 100 * 8),
-        (lambda world, model: estimator_reports(
-            world, model, [(e,) for e in oracle_mod.ESTIMATORS], samples=10**4, seed=1),
-         4 * 10**4 * 100 * 8),
-    ], ids=["exact_moments", "ideal_risk", "mc_bias_variance", "four_estimator_reports"])
-    def test_no_cells_by_cells_allocation(self, run, limit):
+    @pytest.mark.parametrize("cases, samples, limit", [
+        ([("ubpr",)], None, 100 * 100**2 * 8),
+        ([(e,) for e in oracle_mod.ESTIMATORS], None, 100 * 100**2 * 8),
+        ([("ubpr",)], 10**4, 4 * 10**4 * 100 * 8),
+        ([(e,) for e in oracle_mod.ESTIMATORS], 10**4, 4 * 10**4 * 100 * 8),
+    ], ids=["exact_one", "exact_four", "mc_one", "mc_four"])
+    def test_no_cells_by_cells_allocation(self, cases, samples, limit):
         # 2,000 cells: a cells x cells float matrix would take 32 MB.  Per-user
-        # blocks keep the peak below a hundred (items, items) float arrays, and
-        # Monte Carlo's below four (samples, items) ones, whatever the number
-        # of users or of estimators sharing the draws.
+        # blocks keep the peak, the ideal risk's included, below a hundred
+        # (items, items) float arrays, and Monte Carlo's below four (samples,
+        # items) ones, whatever the number of users or of estimators sharing
+        # the draws.
         world = random_world(20, 100, seed=130)
         model = model_for_world(world, seed=131)
         tracemalloc.start()
         try:
-            run(world, model)
+            estimator_reports(world, model, cases, samples, seed=1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -469,15 +464,18 @@ class TestExactMoments:
     def test_reports_carry_exact_moments(self, tmp_path):
         world = random_world(1, 5, seed=140)
         model = model_for_world(world, seed=141)
-        reports = [mc_bias_variance(world, model, e, samples=10**4, seed=142)
-                   for e in oracle_mod.ESTIMATORS]
-        for rep in reports:
-            mean, var = exact_moments(world, model, rep.estimator)
-            assert (rep.exact_expectation, rep.exact_variance) == (mean, var)
-            assert rep.bias == mean - rep.ideal_risk
+        cases = [(e,) for e in oracle_mod.ESTIMATORS]
+        reports = estimator_reports(world, model, cases, samples=10**4, seed=142)
+        for rep, exact in zip(reports, estimator_reports(world, model, cases)):
+            assert (rep.exact_expectation, rep.exact_variance, rep.ideal_risk) == \
+                (exact.exact_expectation, exact.exact_variance, exact.ideal_risk)
+            assert rep.bias == rep.exact_expectation - rep.ideal_risk
         path = tmp_path / "reports.tsv"
         reports_to_tsv(reports, path)
         header, *rows = [line.split("\t") for line in path.read_text().splitlines()]
+        # the per-draw risks stay out of the table
+        assert header == ["estimator", "ideal_risk", "exact_expectation", "bias", "mc_mean",
+                          "mc_variance", "mc_se", "exact_variance", "sample_count"]
         column = header.index("exact_variance")
         assert [float(row[column]) for row in rows] == \
             pytest.approx([rep.exact_variance for rep in reports], rel=1e-9)
@@ -499,6 +497,18 @@ class TestExactMoments:
         assert list(rows) == ["upl_unbiased_exact", "ubpr_unbiased_exact",
                               "ubpr_clipped_biased", "variance_ordering",
                               "variance_ordering_exact", "enumeration_mc_agreement"]
+
+    def test_suite_frees_each_worlds_draws(self):
+        # the suite's peak is 10.4 MB (11.2 MB on a process's first call);
+        # each low-exposure world's two risk arrays kept alive into the next
+        # world's draws would lift it to 12.0 MB (12.8 MB)
+        tracemalloc.start()
+        try:
+            verification_suite()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 11.5e6
 
 
 # ---------------------------------------------------------------------------
@@ -524,16 +534,12 @@ class TestWorldPass:
         gamma_hat = np.clip(world.gamma + 0.2, 0.01, 0.95)
         cases = [("upl",), ("upl", 0.0, gamma_hat), ("ubpr",), ("ubpr_clipped", 0.0),
                  ("ubpr_clipped", -1.0), ("ubpr_clipped", -1.0, gamma_hat), ("bpr",)]
-        ideal, moments, risks = oracle_mod._world_pass(world, model, cases, samples=10**4,
-                                                       seed=152, ideal=True)
-        assert ideal == ideal_risk(world, model)
-        assert moments == [exact_moments(world, model, *case) for case in cases]
-        for case, values in zip(cases, risks):
-            alone = single_case_risks(world, model, case, 10**4, 152)
-            assert np.array_equal(values, alone), case
         reports = estimator_reports(world, model, cases, samples=10**4, seed=152)
         for case, rep in zip(cases, reports):
-            assert rep == mc_bias_variance(world, model, case[0], 10**4, 152, *case[1:])
+            assert np.array_equal(rep.risks, single_case_risks(world, model, case, 10**4, 152))
+            alone, = estimator_reports(world, model, [case], samples=10**4, seed=152)
+            assert rep == alone, case
+        assert rep.ideal_risk == pytest.approx(brute_force_ideal(world, model), rel=1e-12)
 
     def test_exact_only_reports_draw_nothing(self, monkeypatch):
         world = random_world(2, 4, seed=160)
@@ -541,11 +547,11 @@ class TestWorldPass:
         calls = count_calls(monkeypatch, oracle_mod, "sample_clicks", "_pair_losses")
         rep, = estimator_reports(world, model, [("ubpr_clipped", -1.0)])
         assert calls == {"sample_clicks": 0, "_pair_losses": 1}
-        assert (rep.exact_expectation, rep.exact_variance) == \
-            exact_moments(world, model, "ubpr_clipped", -1.0)
-        assert rep.bias == rep.exact_expectation - ideal_risk(world, model)
+        drawn, = estimator_reports(world, model, [("ubpr_clipped", -1.0)], samples=10**4)
+        assert (rep.ideal_risk, rep.exact_expectation, rep.exact_variance, rep.bias) == \
+            (drawn.ideal_risk, drawn.exact_expectation, drawn.exact_variance, drawn.bias)
         assert math.isnan(rep.mc_mean) and math.isnan(rep.mc_variance)
-        assert math.isnan(rep.mc_se) and rep.sample_count == 0
+        assert math.isnan(rep.mc_se) and rep.sample_count == 0 and rep.risks is None
 
     def test_suite_draws_four_times_and_walks_each_world_once(self, monkeypatch):
         calls = count_calls(monkeypatch, oracle_mod, "sample_clicks", "_pair_losses")
@@ -556,12 +562,11 @@ class TestWorldPass:
 
 
 # perfbench/layers.py wraps these by name and reads the leading arguments
-# it names; a rename would silently zero its oracle counters.
+# it names; a rename would silently zero its oracle counters.  An oracle
+# workload that times estimator_reports reads its world, model and cases.
 TRACED_ORACLE_FUNCTIONS = {
     "verification_suite": [],
-    "exact_expectation": ["world"],
-    "mc_bias_variance": [],
-    "variance_order_test": [],
+    "estimator_reports": ["world", "model", "cases"],
     "sample_clicks": ["world", "samples", "seed"],
 }
 

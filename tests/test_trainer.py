@@ -23,7 +23,7 @@ from uplrec.losses import (
     sigmoid,
     sigmoid_pair_loss,
 )
-from uplrec.oracle import exact_expectation, ideal_risk, model_for_world, random_world
+from uplrec.oracle import estimator_reports, model_for_world, random_world
 from uplrec.propensity import PropensityTable
 from uplrec.trainer import (
     AdamState,
@@ -404,11 +404,10 @@ class TestMinibatchRiskMatchesIdeal:
                                        scores[u, i], scores[u, j])
             expected += prob * math.fsum(terms) / (num_items - 1)
 
-        exact = exact_expectation(world, model, estimator, clip_threshold=0.0)
-        assert expected * (num_items - 1) == pytest.approx(exact, rel=1e-12)
+        exact, = estimator_reports(world, model, [(estimator, 0.0)])
+        assert expected * (num_items - 1) == pytest.approx(exact.exact_expectation, rel=1e-12)
         if estimator in ("upl", "ubpr"):
-            ideal = ideal_risk(world, model)
-            assert expected == pytest.approx(ideal / (num_items - 1), rel=1e-12)
+            assert expected == pytest.approx(exact.ideal_risk / (num_items - 1), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
