@@ -217,7 +217,7 @@ def _cmd_verify(args) -> int:
         for rep in reports:
             if args.exact_only:
                 print(f"  {rep.estimator}: exact expectation = {rep.exact_expectation:.10g} "
-                      f"(bias {rep.bias:+.3e})")
+                      f"(bias {rep.bias:+.3e}), exact variance = {rep.exact_variance:.10g}")
             else:
                 print(f"  {rep.estimator}: mc mean={rep.mc_mean:.10g} "
                       f"var={rep.mc_variance:.6g} exact={rep.exact_expectation:.10g}")

@@ -365,7 +365,10 @@ _META_KEYS = ("format_version", "num_users", "num_items", "split_tag", "epsilon"
 
 def load_dataset(in_dir) -> ImplicitDataset:
     """Read a directory ``save_dataset`` wrote; a malformed meta.json or
-    exposed.tsv raises ParseError naming the file and line."""
+    exposed.tsv, or a row that breaks the dataset's constraints (an index
+    outside meta.json's counts, gamma outside [0, 1], rel not 0 or 1, a
+    repeated (user, item) pair), raises ParseError naming the file and
+    line."""
     src = Path(in_dir)
     meta_path = src / "meta.json"
     try:
@@ -378,25 +381,43 @@ def load_dataset(in_dir) -> ImplicitDataset:
     if meta["format_version"] != DATASET_FORMAT_VERSION:
         raise ParseError(meta_path, 1,
                          f"unsupported dataset format version {meta['format_version']}")
+    if not all(type(meta[k]) is int and meta[k] >= 0 for k in ("num_users", "num_items")):
+        raise ParseError(meta_path, 1, "num_users and num_items must be non-negative integers")
     users, items, gamma, rel = [], [], [], []
-    with open(src / "exposed.tsv") as fh:
+    first_line = {}  # (user, item) -> the line that stored it
+    path = src / "exposed.tsv"
+    with open(path) as fh:
         header = fh.readline()
         if header.strip() != "user\titem\tgamma\trel":
-            raise ParseError(src / "exposed.tsv", 1, "unexpected header")
+            raise ParseError(path, 1, "unexpected header")
         for lineno, line in enumerate(fh, start=2):
             if not line.strip():
                 continue
             parts = line.split("\t")
             if len(parts) != 4:
-                raise ParseError(src / "exposed.tsv", lineno, "expected 4 columns")
+                raise ParseError(path, lineno, "expected 4 columns")
             try:
-                users.append(int(parts[0]))
-                items.append(int(parts[1]))
-                gamma.append(float(parts[2]))
-                rel.append(int(parts[3]))
+                u, i, g, r = int(parts[0]), int(parts[1]), float(parts[2]), int(parts[3])
             except ValueError:
-                raise ParseError(src / "exposed.tsv", lineno, "expected integer user, item "
+                raise ParseError(path, lineno, "expected integer user, item "
                                  f"and rel and a float gamma, got {line.rstrip()!r}") from None
+            for name, index in (("user", u), ("item", i)):
+                count = meta[f"num_{name}s"]
+                if not 0 <= index < count:
+                    raise ParseError(path, lineno, f"{name} {index} outside [0, {count}) "
+                                     f"of meta.json's num_{name}s")
+            if not 0.0 <= g <= 1.0:
+                raise ParseError(path, lineno, f"gamma {g!r} outside [0, 1]")
+            if r not in (0, 1):
+                raise ParseError(path, lineno, f"rel {r} is neither 0 nor 1")
+            if (u, i) in first_line:
+                raise ParseError(path, lineno, f"duplicate (user, item) pair ({u}, {i}), "
+                                 f"first on line {first_line[u, i]}")
+            first_line[u, i] = lineno
+            users.append(u)
+            items.append(i)
+            gamma.append(g)
+            rel.append(r)
     return ImplicitDataset(
         num_users=meta["num_users"],
         num_items=meta["num_items"],

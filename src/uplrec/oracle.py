@@ -11,9 +11,11 @@ function that weights the trainer's sampled pairs, applied to every ordered
 pair of one user's items at once.  ``estimator_reports`` is the one walk
 over a world's users: for each user it builds the pair losses once, every
 requested estimator's (a, B) block from them and, for Monte Carlo, that
-user's click draw once.  Each report carries the ideal risk, the exact
-moments and, when drawn, the per-draw risks, which ``variance_order``
-compares; no array grows with cells^2.
+user's click draw once, streamed in chunks of about MC_CHUNK_CELLS cells
+that every case's risks add up in place.  Each report carries the ideal
+risk, the exact moments and, when drawn, the per-draw risks, which
+``variance_order`` compares; no array grows with cells^2, and only the
+(samples,) risks grow with the number of draws.
 """
 
 from __future__ import annotations
@@ -31,6 +33,8 @@ from .factor_model import FactorModel, init_model
 from .losses import LossSpec, pair_weights, sigmoid_pair_loss
 
 MIN_MC_SAMPLES = 10**4
+MC_CHUNK_CELLS = 1 << 16  # cells of one Monte Carlo chunk, see _chunk_rows
+_RISK_SUBSCRIPTS = "mp,pq,mq->m"  # c @ B @ c for each row c of a chunk
 
 ESTIMATORS = ("upl", "ubpr", "ubpr_clipped", "bpr")
 
@@ -194,13 +198,46 @@ def _risk_block(spec: LossSpec, theta, gamma, i, j, loss):
     return a, B
 
 
+def _chunk_rows(num_items: int) -> int:
+    """Rows of one Monte Carlo chunk: about MC_CHUNK_CELLS cells, in a
+    multiple of 512 rows and at least 512.  With such chunks every per-row
+    result of ``c @ a`` and of the risk's einsum keeps the bits of the
+    one-shot (samples, items) arrays; other row counts (109, 327) moved
+    the last bits at 100-300 items."""
+    return max(512, MC_CHUNK_CELLS // num_items // 512 * 512)
+
+
 def sample_clicks(world: SyntheticWorld, samples: int, seed: int):
-    """Yields each user's (samples, num_items) click draws, that user's
-    o ~ Bern(theta) drawn before its r ~ Bern(gamma)."""
-    rng = np.random.default_rng(seed)
-    shape = (samples, world.num_items)
+    """Yields, for each user, an iterator over that user's click draws in
+    row chunks of ``_chunk_rows`` rows, together (samples, num_items).
+
+    The draws are bit for bit those of one generator drawing each user's
+    whole (samples, num_items) o ~ Bern(theta) and then its r ~
+    Bern(gamma): the o chunks come from a copy of the generator, the r
+    chunks from a second copy moved ahead by samples * num_items doubles
+    (``random`` reads one 64-bit output per double), and the generator
+    itself then moves past both.  Only one chunk's draws are held at a
+    time, so the memory does not grow with ``samples``.
+    """
+    bits = np.random.default_rng(seed).bit_generator
+    cells = samples * world.num_items
+    rows = _chunk_rows(world.num_items)
+
+    def copy(ahead):
+        rng = np.random.Generator(np.random.PCG64())
+        rng.bit_generator.state = bits.state
+        rng.bit_generator.advance(ahead)
+        return rng
+
+    def chunks(theta, gamma, o_rng, r_rng):
+        for start in range(0, samples, rows):
+            shape = (min(rows, samples - start), world.num_items)
+            yield ((o_rng.random(shape) < theta)
+                   & (r_rng.random(shape) < gamma)).astype(np.float64)
+
     for theta, gamma in zip(world.theta, world.gamma):
-        yield ((rng.random(shape) < theta) & (rng.random(shape) < gamma)).astype(np.float64)
+        yield chunks(theta, gamma, copy(0), copy(cells))
+        bits.advance(2 * cells)
 
 
 def estimator_reports(world: SyntheticWorld, model: FactorModel, cases, samples=None,
@@ -213,9 +250,10 @@ def estimator_reports(world: SyntheticWorld, model: FactorModel, cases, samples=
     pair losses are built once and, when ``samples`` is given, the clicks
     are drawn once (``sample_clicks``), so every case is scored on the same
     draws; each case's (a, B) block then gives that user's share of the
-    exact moments and its risk on every draw.  Without ``samples`` nothing
-    is drawn: the Monte-Carlo fields are nan, ``sample_count`` is 0 and
-    ``risks`` is None.
+    exact moments and, chunk by chunk of the draws, its risk on every draw,
+    added in place into the case's (samples,) risks.  Without ``samples``
+    nothing is drawn: the Monte-Carlo fields are nan, ``sample_count`` is 0
+    and ``risks`` is None.
 
     The ideal risk is the sum over ordered same-user pairs of
     gamma_i*(1-gamma_j)*L(s_i, s_j).  The exact moments are those of the
@@ -234,21 +272,33 @@ def estimator_reports(world: SyntheticWorld, model: FactorModel, cases, samples=
     p = world.theta * world.gamma
     s2 = p * (1.0 - p)
     means, variances = [[] for _ in specs], [[] for _ in specs]
-    risks = [0.0] * len(specs)
-    draws = None if samples is None else sample_clicks(world, samples, seed)
+    draws, risks = itertools.repeat(()), [None] * len(specs)
+    if samples is not None:
+        draws = sample_clicks(world, samples, seed)
+        risks = [np.zeros(samples) for _ in specs]
+        # the contraction order that einsum's optimize=True would search for
+        # on every chunk, found once from the shapes alone
+        n = world.num_items
+        c = np.broadcast_to(0.0, (min(samples, _chunk_rows(n)), n))
+        path = np.einsum_path(_RISK_SUBSCRIPTS, c, np.broadcast_to(0.0, (n, n)), c,
+                              optimize=True)[0]
 
     def walk():
-        for u, i, j, loss in _pair_losses(world, model):
-            c = None if draws is None else next(draws)
-            for k, (spec, gamma) in enumerate(specs):  # one (a, B) alive at a time
-                a, B = _risk_block(spec, world.theta[u], gamma[u], i, j, loss)
+        for (u, i, j, loss), chunks in zip(_pair_losses(world, model), draws):
+            blocks = [_risk_block(spec, world.theta[u], gamma[u], i, j, loss)
+                      for spec, gamma in specs]
+            for k, (a, B) in enumerate(blocks):
                 S = B + B.T
                 means[k].append(a @ p[u] + p[u] @ B @ p[u])
                 variances[k].append((a + S @ p[u]) ** 2 @ s2[u]
                                     + 0.5 * (s2[u] @ (S * S) @ s2[u]))
-                if c is not None:
-                    risks[k] = risks[k] + (c @ a + np.einsum("mp,pq,mq->m", c, B, c,
-                                                             optimize=True))
+            start = 0
+            for c in chunks:
+                stop = start + len(c)
+                for (a, B), risk in zip(blocks, risks):
+                    risk[start:stop] += c @ a + np.einsum(_RISK_SUBSCRIPTS, c, B, c,
+                                                          optimize=path)
+                start = stop
             yield world.gamma[u, i] * (1.0 - world.gamma[u, j]) * loss
 
     # math.fsum rounds once over all it is given, so the ideal's pair terms
@@ -258,9 +308,7 @@ def estimator_reports(world: SyntheticWorld, model: FactorModel, cases, samples=
     for (estimator, *_), m, v, values in zip(cases, means, variances, risks):
         exact_mean = math.fsum(m)
         mean = variance = se = math.nan
-        if draws is None:
-            values = None
-        else:
+        if values is not None:
             mean, variance = float(values.mean()), float(values.var(ddof=1))
             se = float(np.sqrt(variance / samples))
         reports.append(EstimatorReport(

@@ -361,7 +361,21 @@ class TestTrainCli:
         ("meta.json", lambda text: text.replace('"seed"', '"sead"'), 1,
          "expected a JSON object with the keys format_version, num_users, num_items, "
          "split_tag, epsilon, seed"),
-    ], ids=["malformed_row", "meta_not_json", "meta_without_key"])
+        ("meta.json", lambda text: text.replace('"num_users": 60', '"num_users": "60"'), 1,
+         "num_users and num_items must be non-negative integers"),
+        # the fixture's train split has 60 users and 40 items, and its line 3
+        # is the row "0  4  1  1"
+        ("exposed.tsv", lambda text: text + "999\t0\t0.5\t1\n", -1,
+         "user 999 outside [0, 60) of meta.json's num_users"),
+        ("exposed.tsv", lambda text: text + "0\t40\t0.5\t1\n", -1,
+         "item 40 outside [0, 40) of meta.json's num_items"),
+        ("exposed.tsv", lambda text: text + "0\t0\t1.5\t1\n", -1, "gamma 1.5 outside [0, 1]"),
+        ("exposed.tsv", lambda text: text + "0\t0\t0.5\t2\n", -1, "rel 2 is neither 0 nor 1"),
+        ("exposed.tsv", lambda text: text + "0\t4\t1\t1\n", -1,
+         "duplicate (user, item) pair (0, 4), first on line 3"),
+    ], ids=["malformed_row", "meta_not_json", "meta_without_key", "meta_count_not_int",
+            "user_out_of_range", "item_out_of_range", "gamma_outside_unit_interval",
+            "rel_not_binary", "duplicate_pair"])
     def test_malformed_prepared_file_rejected_in_one_line(self, prep, tmp_path, capsys,
                                                           monkeypatch, name, edit, lineno,
                                                           message):
@@ -848,10 +862,10 @@ LOW_EXPOSURE_MC_TSV = (
 )
 CLIP_BIAS_EXACT_STDOUT = """\
 world: 1 users x 3 items (3 cells); ideal risk = 1.284326616
-  upl: exact expectation = 1.284326616 (bias -2.220e-16)
-  ubpr: exact expectation = 1.284326616 (bias +0.000e+00)
-  ubpr_clipped: exact expectation = 1.926489925 (bias +6.422e-01)
-  bpr: exact expectation = 0.9632449623 (bias -3.211e-01)
+  upl: exact expectation = 1.284326616 (bias -2.220e-16), exact variance = 2.350071477
+  ubpr: exact expectation = 1.284326616 (bias +0.000e+00), exact variance = 7.410719169
+  ubpr_clipped: exact expectation = 1.926489925 (bias +6.422e-01), exact variance = 5.287660823
+  bpr: exact expectation = 0.9632449623 (bias -3.211e-01), exact variance = 1.321915206
 """
 
 
@@ -883,7 +897,7 @@ class TestVerifyCli:
         ideal = float(re.search(r"ideal risk = (\S+)", out).group(1))
         for estimator in ("upl", "ubpr"):
             line = next(l for l in out.splitlines() if l.startswith(f"  {estimator}:"))
-            bias = float(re.fullmatch(r".*\(bias (\S+)\)", line).group(1))
+            bias = float(re.fullmatch(r".*\(bias (\S+)\), exact variance = \S+", line).group(1))
             assert abs(bias) <= 1e-12 * ideal, line
 
     def test_world_beyond_ten_cells_exact(self, tmp_path, capsys):
@@ -1027,8 +1041,8 @@ class TestVerifyCli:
         rc = cli.main(["verify", "--world", str(WORLDS_DIR / "clip_bias.txt"),
                        "--exact-only", "--samples", "5000"])
         assert rc == 0
-        assert "  bpr: exact expectation = 0.9632449623 (bias -3.211e-01)\n" in \
-            capsys.readouterr().out
+        assert ("  bpr: exact expectation = 0.9632449623 (bias -3.211e-01), "
+                "exact variance = 1.321915206\n") in capsys.readouterr().out
 
     def test_timing_on_stderr_stdout_unchanged(self, capsys):
         rc = cli.main(["verify", "--world", str(WORLDS_DIR / "clip_bias.txt"),
@@ -1038,10 +1052,14 @@ class TestVerifyCli:
         # the unbiased estimators' bias is rounding error, of either sign
         assert re.fullmatch(
             r"world: 1 users x 3 items \(3 cells\); ideal risk = 1\.284326616\n"
-            r"  upl: exact expectation = 1\.284326616 \(bias [+-]\d\.\d{3}e[+-]\d\d\)\n"
-            r"  ubpr: exact expectation = 1\.284326616 \(bias [+-]\d\.\d{3}e[+-]\d\d\)\n"
-            r"  ubpr_clipped: exact expectation = 1\.926489925 \(bias \+6\.422e-01\)\n"
-            r"  bpr: exact expectation = 0\.9632449623 \(bias -3\.211e-01\)\n",
+            r"  upl: exact expectation = 1\.284326616 \(bias [+-]\d\.\d{3}e[+-]\d\d\), "
+            r"exact variance = 2\.350071477\n"
+            r"  ubpr: exact expectation = 1\.284326616 \(bias [+-]\d\.\d{3}e[+-]\d\d\), "
+            r"exact variance = 7\.410719169\n"
+            r"  ubpr_clipped: exact expectation = 1\.926489925 \(bias \+6\.422e-01\), "
+            r"exact variance = 5\.287660823\n"
+            r"  bpr: exact expectation = 0\.9632449623 \(bias -3\.211e-01\), "
+            r"exact variance = 1\.321915206\n",
             captured.out)
         assert re.fullmatch(r"verify: 4 estimators in \d+\.\d\d s\n", captured.err)
 

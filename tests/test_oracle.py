@@ -499,29 +499,40 @@ class TestExactMoments:
                               "variance_ordering_exact", "enumeration_mc_agreement"]
 
     def test_suite_frees_each_worlds_draws(self):
-        # the suite's peak is 10.4 MB (11.2 MB on a process's first call);
-        # each low-exposure world's two risk arrays kept alive into the next
-        # world's draws would lift it to 12.0 MB (12.8 MB)
+        # the suite's peak is 4.5 MB (5.3 MB on a process's first call), the
+        # bound 0.5 MB above it; each low-exposure world's two risk arrays
+        # kept alive into the next world's draws would lift it to 6.1 MB
+        # (6.9 MB)
         tracemalloc.start()
         try:
             verification_suite()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 11.5e6
+        assert peak < 5.8e6
 
 
 # ---------------------------------------------------------------------------
 # The one pass over a world serves every estimator
 
 
+def one_shot_clicks(world, samples, seed):
+    """Each user's whole (samples, num_items) click draw at once, all of o
+    before all of r: the stream ``sample_clicks`` reproduces in chunks.
+    Also yields the generator, which has just drawn that user."""
+    rng = np.random.default_rng(seed)
+    shape = (samples, world.num_items)
+    for theta, gamma in zip(world.theta, world.gamma):
+        yield ((rng.random(shape) < theta) & (rng.random(shape) < gamma)).astype(np.float64), rng
+
+
 def single_case_risks(world, model, case, samples, seed):
     """One case's per-draw risks with its blocks built alone, user by user,
-    from the same click draws."""
+    from each user's one-shot (samples, num_items) click draw."""
     spec, gamma = oracle_mod._case(world, *case)
     risk = 0.0
-    for c, (u, i, j, loss) in zip(oracle_mod.sample_clicks(world, samples, seed),
-                                  oracle_mod._pair_losses(world, model)):
+    for (c, _), (u, i, j, loss) in zip(one_shot_clicks(world, samples, seed),
+                                       oracle_mod._pair_losses(world, model)):
         a, B = oracle_mod._risk_block(spec, world.theta[u], gamma[u], i, j, loss)
         risk = risk + (c @ a + np.einsum("mp,pq,mq->m", c, B, c, optimize=True))
     return risk
@@ -559,6 +570,62 @@ class TestWorldPass:
         # 20 unbiasedness worlds, the clip-bias world, 3 low-exposure worlds
         # and the agreement world; one draw per Monte Carlo world
         assert calls == {"sample_clicks": 4, "_pair_losses": 25}
+
+
+class TestChunkedDraws:
+    @pytest.mark.parametrize("items, rows", [(4, 16384), (5, 12800), (100, 512), (300, 512)])
+    def test_chunks_replay_the_one_shot_stream(self, items, rows, monkeypatch):
+        # about 2**16 cells a chunk, in a multiple of 512 rows; three full
+        # chunks and a part, for each of two users
+        assert oracle_mod._chunk_rows(items) == rows
+        samples = 3 * rows + 17
+        world = random_world(2, items, seed=170)
+        made = []
+
+        def default_rng(seed, _made_by=np.random.default_rng):
+            made.append(_made_by(seed))
+            return made[-1]
+
+        monkeypatch.setattr(np.random, "default_rng", default_rng)
+        users = [list(chunks) for chunks in oracle_mod.sample_clicks(world, samples, 171)]
+        monkeypatch.undo()
+        for chunks, (clicks, rng) in zip(users, one_shot_clicks(world, samples, 171),
+                                         strict=True):
+            assert [len(c) for c in chunks] == [rows] * 3 + [17]
+            assert np.array_equal(np.concatenate(chunks), clicks)
+        # the generator ends where the one-shot draws leave it
+        assert made[0].bit_generator.state == rng.bit_generator.state
+
+    @pytest.mark.parametrize("shape, samples", [((1, 5), 30017), ((3, 6), 30017),
+                                                ((20, 100), 10007), ((2, 300), 10007)],
+                             ids=["1x5", "3x6", "20x100", "2x300"])
+    def test_chunked_risks_equal_one_shot(self, shape, samples):
+        # per-draw results of the chunked c @ a and einsum keep every bit of
+        # the one-shot (samples, items) arrays
+        world = random_world(*shape, seed=180)
+        model = model_for_world(world, seed=181)
+        cases = [("upl",), ("ubpr_clipped", -1.0)]
+        reports = estimator_reports(world, model, cases, samples=samples, seed=182)
+        for case, rep in zip(cases, reports):
+            assert np.array_equal(rep.risks, single_case_risks(world, model, case, samples, 182))
+
+    @pytest.mark.parametrize("cases", [[("ubpr",)], [(e,) for e in oracle_mod.ESTIMATORS]],
+                             ids=["one", "four"])
+    def test_draw_memory_does_not_grow_with_samples(self, cases):
+        # only the (samples,) arrays grow: each case's risks and the one
+        # temporary np.var makes of them; the draws stay in fixed chunks
+        world = random_world(1, 5, seed=190)
+        model = model_for_world(world, seed=191)
+        peaks = []
+        for samples in (10**5, 4 * 10**5):
+            tracemalloc.start()
+            try:
+                estimator_reports(world, model, cases, samples, seed=192)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        added = (len(cases) + 1) * 3 * 10**5 * 8
+        assert peaks[1] - peaks[0] <= 1.1 * added
 
 
 # perfbench/layers.py wraps these by name and reads the leading arguments
