@@ -23,7 +23,7 @@ from pathlib import Path
 from . import experiment as exp
 from . import oracle
 from .datasets import load_dataset
-from .errors import ParseError
+from .errors import EstimationError, IntegrityError, ParseError
 from .evaluation import CANDIDATE_MODES, CohortSpec, compute_cohorts, evaluate
 from .experiment import METHOD_TOKENS, ExperimentConfig, PreparedData
 from .factor_model import TrainConfig, save_checkpoint
@@ -102,7 +102,7 @@ def _cmd_prepare(args) -> int:
         data = exp.prepare_datasets(
             args.dataset, args.format, args.epsilon_train, args.epsilon_test,
             args.validation_fraction, args.seed, args.train_file, args.test_file)
-    except (FileNotFoundError, ParseError) as exc:  # names the file and what is wrong
+    except (FileNotFoundError, ParseError, IntegrityError) as exc:  # names the files
         print(f"error: {exc}", file=sys.stderr)
         return 2
     exp.save_prepared(data, args.out)
@@ -135,8 +135,12 @@ def _make_dir(path) -> bool:
 def _cmd_train(args) -> int:
     try:
         data = _load_prepared(args.data)
+        propensities = PropensityTable.from_click_counts(data.train.item_click_counts)
     except FileNotFoundError as exc:
         print(f"error: prepared data {args.data}: {exc.filename} not found", file=sys.stderr)
+        return 2
+    except EstimationError as exc:  # a train split without clicks
+        print(f"error: prepared data {args.data}: train split: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:  # a malformed file: ParseError names it and the line
         print(f"error: prepared data {args.data}: {exc}", file=sys.stderr)
@@ -144,7 +148,6 @@ def _cmd_train(args) -> int:
     out = Path(args.out)
     if not _make_dir(out):
         return 2
-    propensities = PropensityTable.from_click_counts(data.train.item_click_counts)
     train_config = TrainConfig(**{f.name: getattr(args, f.name) for f in fields(TrainConfig)})
     spec = exp.make_loss_spec(args.method, args.clip, args.wmf_weight)
     *_, run = train_key(data.train, train_config, spec, propensities, data.validation)
@@ -172,10 +175,13 @@ def _cmd_experiment(args) -> int:
     except (ValueError, FileNotFoundError) as exc:  # a config error: one line, not a traceback
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    try:
+    try:  # each error below is found before anything is written
         out = exp.run_experiment(config)
-    except ParseError as exc:  # a malformed rating file, found before anything is written
+    except (ParseError, IntegrityError) as exc:  # malformed rating files, named
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except EstimationError as exc:  # a train split without clicks
+        print(f"error: dataset {config.dataset}: train split: {exc}", file=sys.stderr)
         return 2
     failures = out / "failures.tsv"
     print(f"experiment done: {out} (config hash {exp.read_config_hash(out)})")

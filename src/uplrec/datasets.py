@@ -79,6 +79,7 @@ def load_triplets(path, format="triplets", r_max=5) -> ExplicitRatings:
 
 def _load_triplet_file(path: Path, r_max: int) -> ExplicitRatings:
     raw_users, raw_items, ratings = [], [], []
+    first_line = {}  # (user, item) -> the line that rated it
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -95,9 +96,15 @@ def _load_triplet_file(path: Path, r_max: int) -> ExplicitRatings:
                 raise ParseError(path, lineno, f"non-integer field in {line!r}") from None
             if not 1 <= r <= r_max:
                 raise ParseError(path, lineno, f"rating {r} outside [1, {r_max}]")
+            if (u, i) in first_line:
+                raise ParseError(path, lineno, f"duplicate (user, item) pair ({u}, {i}), "
+                                 f"first on line {first_line[u, i]}")
+            first_line[u, i] = lineno
             raw_users.append(u)
             raw_items.append(i)
             ratings.append(r)
+    if not ratings:
+        raise ParseError(path, 1, "no ratings")
     raw_users = np.asarray(raw_users, dtype=np.int64)
     raw_items = np.asarray(raw_items, dtype=np.int64)
     user_ids, users = np.unique(raw_users, return_inverse=True)
@@ -222,7 +229,8 @@ class ImplicitDataset:
             raise ValueError("user index out of range")
         if n and (self.items.min() < 0 or self.items.max() >= self.num_items):
             raise ValueError("item index out of range")
-        if np.any(self.gamma < 0) or np.any(self.gamma > 1):
+        # written so that NaN fails the check
+        if not np.all((self.gamma >= 0) & (self.gamma <= 1)):
             raise ValueError("gamma outside [0, 1]")
         if not np.all(np.isin(self.rel, (0, 1))):
             raise ValueError("rel must be binary")

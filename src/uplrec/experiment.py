@@ -38,7 +38,7 @@ from .datasets import (
     save_index_maps,
     split_validation,
 )
-from .errors import ParseError
+from .errors import IntegrityError, ParseError
 from .evaluation import (
     CANDIDATE_MODES,
     DEFAULT_KS,
@@ -246,14 +246,16 @@ def prepare_datasets(dataset_path, format=ExperimentConfig.format,
     """Load explicit ratings and produce (train, validation, test) implicit
     splits.  Generation seeds: train = seed, test = seed + 1, split = seed + 2.
     """
-    train_ratings, test_ratings = (
-        load_triplets(path, format=_RATING_FILES[format][0])
-        for path in _rating_files(dataset_path, format, train_file, test_file))
+    paths = _rating_files(dataset_path, format, train_file, test_file)
+    train_ratings, test_ratings = (load_triplets(path, format=_RATING_FILES[format][0])
+                                   for path in paths)
     if format == "triplets":
         train_ratings, test_ratings = align_index_spaces(train_ratings, test_ratings)
     elif (train_ratings.num_users, train_ratings.num_items) != (
             test_ratings.num_users, test_ratings.num_items):
-        raise ValueError("train/test dense matrices have different shapes")
+        raise IntegrityError("{} and {} have different shapes, {}x{} and {}x{}".format(
+            *paths, train_ratings.num_users, train_ratings.num_items,
+            test_ratings.num_users, test_ratings.num_items))
     train_full = generate_semi_synthetic(train_ratings, epsilon_train, seed, "train")
     test = generate_semi_synthetic(test_ratings, epsilon_test, seed + 1, "test")
     train, validation = split_validation(train_full, validation_fraction, seed + 2)
@@ -426,19 +428,20 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> Path:
     out = Path(out_dir or config.out)
     if not str(out):
         raise ValueError("no output directory configured")
-    # find and parse the rating files before anything is written
+    # find and parse the rating files, and estimate the propensities from
+    # the train split's clicks, before anything is written
     cfg_hash = config.hash()
     data = prepare_datasets(
         config.dataset, config.format, config.epsilon_train, config.epsilon_test,
         config.validation_fraction, config.seed, config.train_file, config.test_file)
+    propensities = PropensityTable.from_click_counts(
+        data.train.item_click_counts, power=config.propensity_power,
+        floor=config.propensity_floor)
     out.mkdir(parents=True, exist_ok=True)
     (out / "logs").mkdir(exist_ok=True)
     (out / "config_resolved.cfg").write_text(config.canonical_text())
     (out / CONFIG_HASH_FILE).write_text(cfg_hash + "\n")
     save_prepared(data, out / "data")
-    propensities = PropensityTable.from_click_counts(
-        data.train.item_click_counts, power=config.propensity_power,
-        floor=config.propensity_floor)
     propensities.save(out / "propensities")
     # what every task reads: handed to each worker once, or passed in-process
     runs = _Runs({"data": data, "propensities": propensities, "config": config,

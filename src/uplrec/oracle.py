@@ -2,11 +2,12 @@
 
 A world fixes per-cell exposure and relevance probabilities (theta, gamma)
 with clicks generated as c = o * r, o ~ Bern(theta), r ~ Bern(gamma), all
-cells independent.  An estimator sees only the clicks, and its full-batch
-risk is a polynomial of degree 2 in them, c @ a + c @ B @ c with B
-block-diagonal by user, so its exact mean and variance have a closed form
-on worlds of any size.  Monte Carlo sampling draws the same risk and checks
-the closed form.  Estimator terms come from ``losses.pair_weights``, the
+cells independent.  An estimator sees only the clicks c ~ Bern(p),
+p = theta * gamma, and its full-batch risk is a polynomial of degree 2 in
+them, c @ a + c @ B @ c with B block-diagonal by user, so its exact mean
+and variance have a closed form in p on worlds of any size.  Monte Carlo
+sampling draws each click once from p, one uniform a cell, and checks the
+closed form.  Estimator terms come from ``losses.pair_weights``, the
 function that weights the trainer's sampled pairs, applied to every ordered
 pair of one user's items at once.  ``estimator_reports`` is the one walk
 over a world's users: for each user it builds the pair losses once, every
@@ -200,44 +201,37 @@ def _risk_block(spec: LossSpec, theta, gamma, i, j, loss):
 
 def _chunk_rows(num_items: int) -> int:
     """Rows of one Monte Carlo chunk: about MC_CHUNK_CELLS cells, in a
-    multiple of 512 rows and at least 512.  With such chunks every per-row
-    result of ``c @ a`` and of the risk's einsum keeps the bits of the
-    one-shot (samples, items) arrays; other row counts (109, 327) moved
-    the last bits at 100-300 items."""
+    multiple of 512 rows and at least 512.  With a multiple of 512 rows
+    every per-row result of ``c @ a`` and of the risk's einsum keeps the
+    bits it has in any other such array, whatever the number of BLAS
+    threads.  Other row counts (109, 279, 327) moved the last bits at
+    100-300 items, and with a threaded BLAS the bits of their last rows
+    followed its split of the product, so a short chunk is padded to this
+    many rows."""
     return max(512, MC_CHUNK_CELLS // num_items // 512 * 512)
 
 
 def sample_clicks(world: SyntheticWorld, samples: int, seed: int):
-    """Yields, for each user, an iterator over that user's click draws in
-    row chunks of ``_chunk_rows`` rows, together (samples, num_items).
+    """Yields, for each user, an iterator over that user's click draws
+    c ~ Bern(theta * gamma) in row chunks of ``_chunk_rows`` rows, together
+    (samples, num_items).
 
-    The draws are bit for bit those of one generator drawing each user's
-    whole (samples, num_items) o ~ Bern(theta) and then its r ~
-    Bern(gamma): the o chunks come from a copy of the generator, the r
-    chunks from a second copy moved ahead by samples * num_items doubles
-    (``random`` reads one 64-bit output per double), and the generator
-    itself then moves past both.  Only one chunk's draws are held at a
-    time, so the memory does not grow with ``samples``.
+    One generator draws every chunk in turn, one uniform a cell, so the
+    chunks are bit for bit that generator's one-shot (samples, num_items)
+    draw of each user in turn, provided each user's chunks are used up
+    before the next user's.  Only one chunk's draws are held at a time, so
+    the memory does not grow with ``samples``.
     """
-    bits = np.random.default_rng(seed).bit_generator
-    cells = samples * world.num_items
+    rng = np.random.default_rng(seed)
     rows = _chunk_rows(world.num_items)
 
-    def copy(ahead):
-        rng = np.random.Generator(np.random.PCG64())
-        rng.bit_generator.state = bits.state
-        rng.bit_generator.advance(ahead)
-        return rng
-
-    def chunks(theta, gamma, o_rng, r_rng):
+    def chunks(p):
         for start in range(0, samples, rows):
             shape = (min(rows, samples - start), world.num_items)
-            yield ((o_rng.random(shape) < theta)
-                   & (r_rng.random(shape) < gamma)).astype(np.float64)
+            yield (rng.random(shape) < p).astype(np.float64)
 
-    for theta, gamma in zip(world.theta, world.gamma):
-        yield chunks(theta, gamma, copy(0), copy(cells))
-        bits.advance(2 * cells)
+    for p in world.theta * world.gamma:
+        yield chunks(p)
 
 
 def estimator_reports(world: SyntheticWorld, model: FactorModel, cases, samples=None,
@@ -279,7 +273,8 @@ def estimator_reports(world: SyntheticWorld, model: FactorModel, cases, samples=
         # the contraction order that einsum's optimize=True would search for
         # on every chunk, found once from the shapes alone
         n = world.num_items
-        c = np.broadcast_to(0.0, (min(samples, _chunk_rows(n)), n))
+        rows = _chunk_rows(n)
+        c = np.broadcast_to(0.0, (rows, n))
         path = np.einsum_path(_RISK_SUBSCRIPTS, c, np.broadcast_to(0.0, (n, n)), c,
                               optimize=True)[0]
 
@@ -295,9 +290,11 @@ def estimator_reports(world: SyntheticWorld, model: FactorModel, cases, samples=
             start = 0
             for c in chunks:
                 stop = start + len(c)
+                if len(c) < rows:  # rows without clicks up to the full shape, see _chunk_rows
+                    c = np.pad(c, ((0, rows - len(c)), (0, 0)))
                 for (a, B), risk in zip(blocks, risks):
-                    risk[start:stop] += c @ a + np.einsum(_RISK_SUBSCRIPTS, c, B, c,
-                                                          optimize=path)
+                    risk[start:stop] += (c @ a + np.einsum(_RISK_SUBSCRIPTS, c, B, c,
+                                                           optimize=path))[:stop - start]
                 start = stop
             yield world.gamma[u, i] * (1.0 - world.gamma[u, j]) * loss
 

@@ -3,6 +3,7 @@ import pytest
 
 from uplrec.datasets import (
     ExplicitRatings,
+    ImplicitDataset,
     align_index_spaces,
     generate_semi_synthetic,
     load_dataset,
@@ -55,9 +56,21 @@ class TestLoadTriplets:
             load_triplets(path)
 
     def test_duplicate_pair_rejected(self, tmp_path):
+        # the file names the repeat's line and the first; built directly,
+        # the ratings still check it
         path = tmp_path / "r.txt"
-        path.write_text("1\t2\t3\n1\t2\t4\n")
+        path.write_text("1\t2\t3\n5\t6\t1\n1\t2\t4\n")
+        with pytest.raises(ParseError, match=r"r\.txt:3: duplicate \(user, item\) pair "
+                                             r"\(1, 2\), first on line 1$"):
+            load_triplets(path)
         with pytest.raises(IntegrityError):
+            ratings_from_entries([(0, 1, 3), (0, 1, 4)], 1, 2)
+
+    @pytest.mark.parametrize("text", ["", "\n  \n"], ids=["empty", "blank_lines"])
+    def test_file_without_ratings_rejected(self, tmp_path, text):
+        path = tmp_path / "r.txt"
+        path.write_text(text)
+        with pytest.raises(ParseError, match=r"r\.txt:1: no ratings$"):
             load_triplets(path)
 
     def test_dense_row_zero_means_unrated(self, tmp_path):
@@ -198,6 +211,13 @@ class TestSplitValidation:
             split_validation(ds, 0.0, seed=0)
         with pytest.raises(ValueError):
             split_validation(ds, 1.0, seed=0)
+
+
+class TestImplicitDatasetValidation:
+    @pytest.mark.parametrize("bad", [np.nan, -0.1, 1.5])
+    def test_gamma_outside_unit_interval_rejected(self, bad):
+        with pytest.raises(ValueError, match=r"gamma outside \[0, 1\]"):
+            ImplicitDataset(2, 2, [0, 1], [0, 1], [bad, 0.5], [0, 1])
 
 
 class TestSaveLoadRoundTrip:

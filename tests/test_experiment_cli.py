@@ -54,6 +54,43 @@ def malformed_triplets(source, tmp_path):
     return root
 
 
+BAD_RATING_FILES = ["duplicate_pair", "no_ratings", "dense_shapes"]
+
+
+def bad_rating_files(case, source, tmp_path):
+    """A dataset whose rating files break one rule: its root, its format and
+    the error line it gives."""
+    root = tmp_path / case
+    if case == "dense_shapes":
+        root.mkdir()
+        (root / "train.ascii").write_text("1 0 5\n0 3 4\n")
+        (root / "test.ascii").write_text("0 2\n1 0\n")
+        return root, "coat", (f"{root / 'train.ascii'} and {root / 'test.ascii'} have "
+                              "different shapes, 2x3 and 2x2")
+    shutil.copytree(source, root)
+    train = root / "train.txt"
+    if case == "no_ratings":
+        train.write_text("")
+        return root, "triplets", f"{train}:1: no ratings"
+    lines = train.read_text().splitlines(keepends=True)
+    user, item, _ = lines[0].split("\t")
+    train.write_text("".join(lines) + f"{user}\t{item}\t1\n")
+    return root, "triplets", (f"{train}:{len(lines) + 1}: duplicate (user, item) pair "
+                              f"({user}, {item}), first on line 1")
+
+
+def clickless_triplets(tmp_path):
+    """Two one-star train ratings that draw no click at epsilon_train 0 and
+    seed 11, and one test rating."""
+    root = tmp_path / "clickless"
+    root.mkdir()
+    (root / "train.txt").write_text("1\t1\t1\n2\t2\t1\n")
+    (root / "test.txt").write_text("1\t2\t5\n")
+    assert exp.prepare_datasets(root, "triplets", epsilon_train=0.0,
+                                seed=11).train.num_clicks == 0
+    return root
+
+
 class TestConfigParsing:
     def test_round_trip_defaults(self, tmp_path, triplet_files):
         cfg_path = tmp_path / "exp.cfg"
@@ -162,6 +199,31 @@ class TestConfigParsing:
         assert cli.main(["experiment", "--config", str(cfg_path)]) == 2
         captured = capsys.readouterr()
         assert captured.err == f"error: {root / 'train.txt'}:2: expected 3 fields, got 2\n"
+        assert captured.out == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize("case", BAD_RATING_FILES)
+    def test_bad_rating_files_rejected_before_writing(self, triplet_files, tmp_path, capsys,
+                                                      case):
+        root, format, message = bad_rating_files(case, triplet_files, tmp_path)
+        out = tmp_path / "out"
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(small_config_text(root, out))
+        assert cli.main(["experiment", "--config", str(cfg_path), "--format", format]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+        assert not out.exists()
+
+    def test_train_split_without_clicks_rejected_before_writing(self, tmp_path, capsys):
+        root = clickless_triplets(tmp_path)
+        out = tmp_path / "out"
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(small_config_text(root, out) + "epsilon_train = 0\n")
+        assert cli.main(["experiment", "--config", str(cfg_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == \
+            f"error: dataset {root}: train split: all click counts are zero\n"
         assert captured.out == ""
         assert not out.exists()
 
@@ -294,6 +356,18 @@ class TestPrepareCli:
             f"error: {root / 'train.txt'}:2: expected 3 fields, got 2\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("case", BAD_RATING_FILES)
+    def test_bad_rating_files_rejected_in_one_line(self, triplet_files, tmp_path, capsys,
+                                                   case):
+        root, format, message = bad_rating_files(case, triplet_files, tmp_path)
+        out = tmp_path / "prepared"
+        assert cli.main(["prepare", "--dataset", str(root), "--format", format,
+                         "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+        assert not out.exists()
+
     def test_prepare_coat_matrices(self, tmp_path):
         # coat reads two dense matrices of one shape, 0 meaning unrated
         (tmp_path / "train.ascii").write_text("1 0 5\n0 3 4\n")
@@ -390,6 +464,21 @@ class TestTrainCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: prepared data {prep}: {path}:{lineno}: {message}\n"
+        assert not out.exists()
+
+    def test_train_split_without_clicks_rejected_in_one_line(self, prep, tmp_path, capsys,
+                                                               monkeypatch):
+        stop_at(monkeypatch, cli, "train_key")
+        path = prep / "train" / "exposed.tsv"
+        header, *rows = path.read_text().splitlines(keepends=True)
+        path.write_text(header + "".join(row[:row.rindex("\t")] + "\t0\n" for row in rows))
+        out = tmp_path / "run"
+        assert cli.main(["train", "--data", str(prep), "--method", "bpr",
+                         "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == \
+            f"error: prepared data {prep}: train split: all click counts are zero\n"
         assert not out.exists()
 
     def test_out_under_a_file_rejected_before_training(self, prep, tmp_path, capsys,
@@ -843,22 +932,22 @@ class TestRunMemo:
 # `uplrec verify --world` output at the default seed, pinned byte for byte
 LOW_EXPOSURE_MC_STDOUT = """\
 world: 1 users x 5 items (5 cells); ideal risk = 3.753739632
-  upl: mc mean=3.717868349 var=40.742 exact=3.753739632
-  ubpr: mc mean=3.752242649 var=389.86 exact=3.753739632
-  ubpr_clipped: mc mean=7.180506889 var=154.238 exact=7.249904191
-  bpr: mc mean=1.020349278 var=3.04248 exact=1.029605442
+  upl: mc mean=3.773627201 var=41.1297 exact=3.753739632
+  ubpr: mc mean=4.018351318 var=374.713 exact=3.753739632
+  ubpr_clipped: mc mean=7.28907348 var=155.686 exact=7.249904191
+  bpr: mc mean=1.032382009 var=3.048 exact=1.029605442
 """
 LOW_EXPOSURE_MC_TSV = (
     "estimator\tideal_risk\texact_expectation\tbias\tmc_mean\tmc_variance\tmc_se\t"
     "exact_variance\tsample_count\n"
-    "upl\t3.753739632\t3.753739632\t0\t3.717868349\t40.74203741\t0.06382948959\t"
+    "upl\t3.753739632\t3.753739632\t0\t3.773627201\t41.12965655\t0.06413240721\t"
     "41.02393109\t10000\n"
-    "ubpr\t3.753739632\t3.753739632\t-4.440892099e-16\t3.752242649\t389.8604641\t"
-    "0.197448845\t390.7325495\t10000\n"
-    "ubpr_clipped\t3.753739632\t7.249904191\t3.496164559\t7.180506889\t154.2376619\t"
-    "0.1241924563\t155.3640082\t10000\n"
-    "bpr\t3.753739632\t1.029605442\t-2.72413419\t1.020349278\t3.042483236\t"
-    "0.01744271549\t3.05206021\t10000\n"
+    "ubpr\t3.753739632\t3.753739632\t-4.440892099e-16\t4.018351318\t374.7133013\t"
+    "0.1935751279\t390.7325495\t10000\n"
+    "ubpr_clipped\t3.753739632\t7.249904191\t3.496164559\t7.28907348\t155.6857118\t"
+    "0.1247740806\t155.3640082\t10000\n"
+    "bpr\t3.753739632\t1.029605442\t-2.72413419\t1.032382009\t3.047996511\t"
+    "0.01745851228\t3.05206021\t10000\n"
 )
 CLIP_BIAS_EXACT_STDOUT = """\
 world: 1 users x 3 items (3 cells); ideal risk = 1.284326616

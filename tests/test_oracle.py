@@ -1,6 +1,9 @@
 import inspect
 import itertools
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -487,16 +490,25 @@ class TestExactMoments:
             "low_theta_0: exact var ratio 6.16; low_theta_1: exact var ratio 8.39; "
             "low_theta_2: exact var ratio 11.44"))
         assert rows["variance_ordering"] == (True, (
-            "low_theta_0: var ratio 6.11, p=1.44e-227; low_theta_1: var ratio 8.00, "
-            "p=3.65e-127; low_theta_2: var ratio 11.10, p=8.32e-120"))
+            "low_theta_0: var ratio 6.33, p=8.15e-174; low_theta_1: var ratio 8.17, "
+            "p=5.17e-133; low_theta_2: var ratio 11.18, p=8.90e-130"))
         assert rows["enumeration_mc_agreement"] == (True, (
-            "upl: |exact-mc| = 7.03e-03 (4se = 2.47e-02); "
-            "ubpr: |exact-mc| = 9.70e-03 (4se = 2.40e-02); "
-            "ubpr_clipped: |exact-mc| = 7.97e-03 (4se = 2.58e-02); "
-            "bpr: |exact-mc| = 6.49e-03 (4se = 1.81e-02)"))
+            "upl: |exact-mc| = 1.55e-03 (4se = 2.47e-02); "
+            "ubpr: |exact-mc| = 2.45e-03 (4se = 2.40e-02); "
+            "ubpr_clipped: |exact-mc| = 1.95e-03 (4se = 2.58e-02); "
+            "bpr: |exact-mc| = 1.80e-03 (4se = 1.81e-02)"))
         assert list(rows) == ["upl_unbiased_exact", "ubpr_unbiased_exact",
                               "ubpr_clipped_biased", "variance_ordering",
                               "variance_ordering_exact", "enumeration_mc_agreement"]
+
+    @pytest.mark.parametrize("seed", range(1234, 1244))
+    def test_suite_passes_at_neighbouring_seeds(self, seed):
+        # the checks hold on the draws of ten suite seeds, not only on the
+        # default one the detail lines pin
+        assert [(name, ok) for name, ok, _ in verification_suite(seed=seed)] == [
+            (name, True) for name in ("upl_unbiased_exact", "ubpr_unbiased_exact",
+                                      "ubpr_clipped_biased", "variance_ordering",
+                                      "variance_ordering_exact", "enumeration_mc_agreement")]
 
     def test_suite_frees_each_worlds_draws(self):
         # the suite's peak is 4.5 MB (5.3 MB on a process's first call), the
@@ -517,24 +529,27 @@ class TestExactMoments:
 
 
 def one_shot_clicks(world, samples, seed):
-    """Each user's whole (samples, num_items) click draw at once, all of o
-    before all of r: the stream ``sample_clicks`` reproduces in chunks.
-    Also yields the generator, which has just drawn that user."""
+    """Each user's whole (samples, num_items) click draw c ~ Bern(theta *
+    gamma) at once, user after user from one generator: the stream
+    ``sample_clicks`` reproduces in chunks.  Also yields the generator,
+    which has just drawn that user."""
     rng = np.random.default_rng(seed)
     shape = (samples, world.num_items)
-    for theta, gamma in zip(world.theta, world.gamma):
-        yield ((rng.random(shape) < theta) & (rng.random(shape) < gamma)).astype(np.float64), rng
+    for p in world.theta * world.gamma:
+        yield (rng.random(shape) < p).astype(np.float64), rng
 
 
 def single_case_risks(world, model, case, samples, seed):
     """One case's per-draw risks with its blocks built alone, user by user,
-    from each user's one-shot (samples, num_items) click draw."""
+    from each user's one-shot (samples, num_items) click draw, padded with
+    rows without clicks to a multiple of 512 rows as ``_chunk_rows`` asks."""
     spec, gamma = oracle_mod._case(world, *case)
     risk = 0.0
     for (c, _), (u, i, j, loss) in zip(one_shot_clicks(world, samples, seed),
                                        oracle_mod._pair_losses(world, model)):
         a, B = oracle_mod._risk_block(spec, world.theta[u], gamma[u], i, j, loss)
-        risk = risk + (c @ a + np.einsum("mp,pq,mq->m", c, B, c, optimize=True))
+        c = np.pad(c, ((0, -samples % 512), (0, 0)))
+        risk = risk + (c @ a + np.einsum("mp,pq,mq->m", c, B, c, optimize=True))[:samples]
     return risk
 
 
@@ -601,13 +616,39 @@ class TestChunkedDraws:
                              ids=["1x5", "3x6", "20x100", "2x300"])
     def test_chunked_risks_equal_one_shot(self, shape, samples):
         # per-draw results of the chunked c @ a and einsum keep every bit of
-        # the one-shot (samples, items) arrays
+        # the one-shot (samples, items) arrays padded to a multiple of 512 rows
         world = random_world(*shape, seed=180)
         model = model_for_world(world, seed=181)
         cases = [("upl",), ("ubpr_clipped", -1.0)]
         reports = estimator_reports(world, model, cases, samples=samples, seed=182)
         for case, rep in zip(cases, reports):
             assert np.array_equal(rep.risks, single_case_risks(world, model, case, samples, 182))
+
+    def test_risks_do_not_depend_on_blas_threads(self, tmp_path):
+        # a threaded BLAS splits each product by its shape; the short last
+        # chunk (279 of 10,007 rows) moved a last bit of a risk between one
+        # thread and two before it was padded to the full chunk's shape; this
+        # process's BLAS runs with as many threads as the host gives it
+        script = (
+            "import sys\nimport numpy as np\nfrom uplrec import oracle\n"
+            "world = oracle.random_world(20, 100, seed=180)\n"
+            "model = oracle.model_for_world(world, seed=181)\n"
+            "rep, = oracle.estimator_reports(world, model, [('ubpr_clipped', -1.0)], "
+            "samples=10007, seed=182)\n"
+            "np.save(sys.argv[1], rep.risks)\n")
+        one_thread = dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                                    "MKL_NUM_THREADS"), "1")
+        env = {**os.environ, "PYTHONPATH": str(Path(oracle_mod.__file__).parents[1]),
+               **one_thread}
+        out = tmp_path / "risks.npy"
+        done = subprocess.run([sys.executable, "-c", script, str(out)], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        world = random_world(20, 100, seed=180)
+        model = model_for_world(world, seed=181)
+        rep, = estimator_reports(world, model, [("ubpr_clipped", -1.0)], samples=10007,
+                                 seed=182)
+        assert np.array_equal(rep.risks, np.load(out))
 
     @pytest.mark.parametrize("cases", [[("ubpr",)], [(e,) for e in oracle_mod.ESTIMATORS]],
                              ids=["one", "four"])
