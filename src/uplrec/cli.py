@@ -133,6 +133,17 @@ def _make_dir(path) -> bool:
 
 
 def _cmd_train(args) -> int:
+    settings = {f.name: getattr(args, f.name) for f in fields(TrainConfig)}
+    try:  # each setting alone over the defaults, which build, to name its flag
+        for flag in settings:
+            TrainConfig(**{flag: settings[flag]})
+        flag = "clip" if args.method == "ubpr" else "wmf_weight"
+        spec = exp.make_loss_spec(args.method, args.clip, args.wmf_weight)
+    except ValueError as exc:
+        print(f"error: --{flag.replace('_', '-')} {getattr(args, flag)!r}: {exc}",
+              file=sys.stderr)
+        return 2
+    train_config = TrainConfig(**settings)
     try:
         data = _load_prepared(args.data)
         propensities = PropensityTable.from_click_counts(data.train.item_click_counts)
@@ -148,8 +159,6 @@ def _cmd_train(args) -> int:
     out = Path(args.out)
     if not _make_dir(out):
         return 2
-    train_config = TrainConfig(**{f.name: getattr(args, f.name) for f in fields(TrainConfig)})
-    spec = exp.make_loss_spec(args.method, args.clip, args.wmf_weight)
     *_, run = train_key(data.train, train_config, spec, propensities, data.validation)
     save_checkpoint(run.final_model, out / "model.ckpt", seed=args.seed)
     cohorts = compute_cohorts(data.train, CohortSpec())
@@ -171,6 +180,8 @@ def _cmd_experiment(args) -> int:
         if args.grid_file:
             overrides.update(exp.read_config_values(args.grid_file, exp.GRID_KEYS))
         config = exp.parse_config_file(args.config, overrides)
+        if not config.out:  # Path("") would be the working directory
+            raise ValueError(f"{args.config}: no output directory: set out or pass --out")
         config.rating_files()  # a dataset without them is a config error
     except (ValueError, FileNotFoundError) as exc:  # a config error: one line, not a traceback
         print(f"error: {exc}", file=sys.stderr)

@@ -158,7 +158,14 @@ class ExperimentConfig:
 def _parser(default):
     """A config value's parser, read off the type of its field's default."""
     if isinstance(default, bool):
-        return lambda s: s.strip().lower() in ("on", "true", "1", "yes")
+        def parse_bool(s):
+            word = s.strip().lower()
+            if word in ("on", "true", "yes", "1"):
+                return True
+            if word in ("off", "false", "no", "0"):
+                return False
+            raise ValueError(f"expected on/off, true/false, yes/no or 1/0, got {s!r}")
+        return parse_bool
     if isinstance(default, tuple):
         return lambda s: tuple(type(default[0])(t) for t in s.split(","))
     return type(default)
@@ -173,7 +180,7 @@ GRID_KEYS = tuple(key for key in _PARSERS if key.endswith("_grid"))
 
 def read_config_values(path, keys=tuple(_PARSERS)) -> dict:
     """The parsed values a flat key=value file sets; '#' comments; unknown
-    keys and keys outside ``keys`` are errors."""
+    keys, keys outside ``keys`` and values that do not parse are errors."""
     values = {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -188,7 +195,10 @@ def read_config_values(path, keys=tuple(_PARSERS)) -> dict:
                 raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
             if key not in keys:
                 raise ValueError(f"{path}:{lineno}: {key!r} is not one of {', '.join(keys)}")
-            values[key] = _PARSERS[key](val.strip())
+            try:
+                values[key] = _PARSERS[key](val.strip())
+            except ValueError as exc:
+                raise ParseError(path, lineno, f"{key}: {exc}") from None
     return values
 
 
@@ -198,8 +208,12 @@ def parse_config_file(path, overrides=None) -> ExperimentConfig:
     for key, val in (overrides or {}).items():
         if key not in _PARSERS:
             raise ValueError(f"unknown config key {key!r}")
-        if val is not None:  # None overrides nothing
+        if val is None:  # None overrides nothing
+            continue
+        try:
             values[key] = _PARSERS[key](val) if isinstance(val, str) else val
+        except ValueError as exc:
+            raise ValueError(f"{key} override {val!r}: {exc}") from None
     return ExperimentConfig(**values)
 
 
@@ -425,9 +439,9 @@ CONFIG_HASH_FILE = "config_hash.txt"
 
 def run_experiment(config: ExperimentConfig, out_dir=None) -> Path:
     """Grid-search, repeated runs, aggregation, significance and tables."""
+    if not (out_dir or config.out):  # Path("") would be the working directory
+        raise ValueError("no output directory configured: set out")
     out = Path(out_dir or config.out)
-    if not str(out):
-        raise ValueError("no output directory configured")
     # find and parse the rating files, and estimate the propensities from
     # the train split's clicks, before anything is written
     cfg_hash = config.hash()

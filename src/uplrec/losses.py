@@ -56,7 +56,7 @@ def sigmoid_pair_loss(s_i, s_j):
     and dloss_dsj = +(1 - sigmoid(d)) for d = s_i - s_j.
     """
     d = np.asarray(s_i, dtype=np.float64) - np.asarray(s_j, dtype=np.float64)
-    loss = np.logaddexp(0.0, -d)
+    loss = softplus(-d)
     g = sigmoid(-d)  # = 1 - sigmoid(d)
     if np.ndim(loss) == 0:
         return float(loss), float(-g), float(g)

@@ -10,13 +10,13 @@ sampling draws each click once from p, one uniform a cell, and checks the
 closed form.  Estimator terms come from ``losses.pair_weights``, the
 function that weights the trainer's sampled pairs, applied to every ordered
 pair of one user's items at once.  ``estimator_reports`` is the one walk
-over a world's users: for each user it builds the pair losses once, every
-requested estimator's (a, B) block from them and, for Monte Carlo, that
-user's click draw once, streamed in chunks of about MC_CHUNK_CELLS cells
-that every case's risks add up in place.  Each report carries the ideal
-risk, the exact moments and, when drawn, the per-draw risks, which
-``variance_order`` compares; no array grows with cells^2, and only the
-(samples,) risks grow with the number of draws.
+over a world's users: for each user it builds one (items, items) table of
+pair losses, every requested estimator's (a, B) block from it and, for
+Monte Carlo, that user's click draw once, streamed in chunks of about
+MC_CHUNK_CELLS cells that every case's risks add up in place.  Each report
+carries the ideal risk, the exact moments and, when drawn, the per-draw
+risks, which ``variance_order`` compares; no array grows with cells^2, and
+only the (samples,) risks grow with the number of draws.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ import numpy as np
 from .errors import ParseError
 from .evaluation import t_sf
 from .factor_model import FactorModel, init_model
-from .losses import LossSpec, pair_weights, sigmoid_pair_loss
+from .losses import LossSpec, pair_weights, softplus
 
 MIN_MC_SAMPLES = 10**4
 MC_CHUNK_CELLS = 1 << 16  # cells of one Monte Carlo chunk, see _chunk_rows
@@ -158,14 +158,15 @@ class EstimatorReport:
 
 
 def _pair_losses(world: SyntheticWorld, model: FactorModel):
-    """Each user's ordered item pairs (i != j) and their losses L(s_i, s_j),
-    as (u, i, j, loss), ordered by user, then i, then j."""
-    i, j = np.nonzero(~np.eye(world.num_items, dtype=bool))
+    """Each user's (items, items) table of pair losses L[i, j] = L(s_i, s_j),
+    zero on the diagonal, as (u, loss), ordered by user."""
     for u in range(world.num_users):
         # a (1, d) row, not a (d,) vector: numpy sends the two to BLAS
         # kernels whose last bits differ
         scores = (model.user_factors[u:u + 1] @ model.item_factors.T)[0]
-        yield u, i, j, np.atleast_1d(sigmoid_pair_loss(scores[i], scores[j])[0])
+        loss = softplus(scores - scores[:, None])  # -log sigmoid(s_i - s_j)
+        np.fill_diagonal(loss, 0.0)
+        yield u, loss
 
 
 def _case(world: SyntheticWorld, estimator: str, clip_threshold: float = 0.0, gamma_hat=None):
@@ -179,23 +180,21 @@ def _case(world: SyntheticWorld, estimator: str, clip_threshold: float = 0.0, ga
     return spec, gamma
 
 
-def _risk_block(spec: LossSpec, theta, gamma, i, j, loss):
+def _risk_block(spec: LossSpec, theta, gamma, loss):
     """One user's (a, B): the full-batch risk is the sum over users of
     c @ a + c @ B @ c, with c that user's clicks.
 
-    A pair term is 0 unless i is clicked, and then depends on c_j alone, so
-    a sums the c_j = 0 terms over j and B holds the c_j = 1 minus c_j = 0
-    terms.  The terms come from ``losses.pair_weights``, the function the
-    trainer calls.
+    A pair term is 0 unless i is clicked, and then depends on c_j alone.
+    ``losses.pair_weights``, the function the trainer calls, gives the
+    (items, items) term tables t0 and t1 at c_j = 0 and 1; a sums t0 over j
+    in j order from 0.0 (a pairwise sum moves its last bits), and
+    B = t1 - t0 with a zero diagonal.
     """
-    t0, t1 = (pair_weights(spec, c_j, theta[i], theta[j], gamma[j], loss)[0]
+    t0, t1 = (pair_weights(spec, c_j, theta[:, None], theta, gamma, loss)[0]
               for c_j in (0, 1))
-    n = len(theta)
-    a = np.zeros(n)
-    np.add.at(a, i, t0)
-    B = np.zeros((n, n))
-    B[i, j] = t1 - t0
-    assert not B.diagonal().any(), "a cell paired with itself"
+    a = np.add.reduce(np.ascontiguousarray(t0.T), axis=0, initial=0.0)
+    B = t1 - t0
+    np.fill_diagonal(B, 0.0)
     return a, B
 
 
@@ -241,7 +240,7 @@ def estimator_reports(world: SyntheticWorld, model: FactorModel, cases, samples=
 
     A case is (estimator[, clip_threshold[, gamma_hat]]); the estimator
     names and ``samples`` are checked before the walk.  For each user the
-    pair losses are built once and, when ``samples`` is given, the clicks
+    pair-loss table is built once and, when ``samples`` is given, the clicks
     are drawn once (``sample_clicks``), so every case is scored on the same
     draws; each case's (a, B) block then gives that user's share of the
     exact moments and, chunk by chunk of the draws, its risk on every draw,
@@ -279,8 +278,8 @@ def estimator_reports(world: SyntheticWorld, model: FactorModel, cases, samples=
                               optimize=True)[0]
 
     def walk():
-        for (u, i, j, loss), chunks in zip(_pair_losses(world, model), draws):
-            blocks = [_risk_block(spec, world.theta[u], gamma[u], i, j, loss)
+        for (u, loss), chunks in zip(_pair_losses(world, model), draws):
+            blocks = [_risk_block(spec, world.theta[u], gamma[u], loss)
                       for spec, gamma in specs]
             for k, (a, B) in enumerate(blocks):
                 S = B + B.T
@@ -296,7 +295,7 @@ def estimator_reports(world: SyntheticWorld, model: FactorModel, cases, samples=
                     risk[start:stop] += (c @ a + np.einsum(_RISK_SUBSCRIPTS, c, B, c,
                                                            optimize=path))[:stop - start]
                 start = stop
-            yield world.gamma[u, i] * (1.0 - world.gamma[u, j]) * loss
+            yield (world.gamma[u, :, None] * (1.0 - world.gamma[u]) * loss).ravel()
 
     # math.fsum rounds once over all it is given, so the ideal's pair terms
     # stream into it user by user instead of being kept

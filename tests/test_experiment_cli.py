@@ -10,6 +10,7 @@ import pytest
 from uplrec import cli, trainer
 from uplrec import experiment as exp
 from uplrec.datasets import load_dataset
+from uplrec.errors import ParseError
 from uplrec.evaluation import CohortSpec, compute_cohorts, evaluate
 from uplrec.factor_model import TrainConfig, load_checkpoint
 from uplrec.losses import LossSpec
@@ -226,6 +227,74 @@ class TestConfigParsing:
             f"error: dataset {root}: train split: all click counts are zero\n"
         assert captured.out == ""
         assert not out.exists()
+
+    @pytest.mark.parametrize("drop, flags", [("out = {out}\n", []), ("", ["--out", ""])],
+                             ids=["missing", "empty_override"])
+    def test_empty_out_rejected_before_writing(self, triplet_files, tmp_path, capsys,
+                                               monkeypatch, drop, flags):
+        # Path("") is the working directory, which would take the whole tree
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(small_config_text(triplet_files, "o").replace(
+            drop.format(out="o"), ""))
+        assert cli.main(["experiment", "--config", str(cfg_path), *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == \
+            f"error: {cfg_path}: no output directory: set out or pass --out\n"
+        assert captured.out == ""
+        config = exp.parse_config_file(cfg_path, {"out": ""})
+        with pytest.raises(ValueError, match="no output directory configured"):
+            exp.run_experiment(config)
+        assert list(work.iterdir()) == []
+
+    @pytest.mark.parametrize("line, message", [
+        ("d_grid = 8,abc", "d_grid: invalid literal for int() with base 10: 'abc'"),
+        ("lambda_grid = 1e-5,x", "lambda_grid: could not convert string to float: 'x'"),
+        ("runs = two", "runs: invalid literal for int() with base 10: 'two'"),
+        ("cohorts = maybe", "cohorts: expected on/off, true/false, yes/no or 1/0, "
+                            "got 'maybe'"),
+        ("cohorts =", "cohorts: expected on/off, true/false, yes/no or 1/0, got ''"),
+    ], ids=["int_grid", "float_grid", "int", "bool", "empty_bool"])
+    def test_unparsable_value_names_file_line_and_key(self, triplet_files, tmp_path, capsys,
+                                                      line, message):
+        out = tmp_path / "out"
+        cfg_path = tmp_path / "exp.cfg"
+        text = small_config_text(triplet_files, out) + line + "\n"
+        cfg_path.write_text(text)
+        lineno = len(text.splitlines())
+        assert cli.main(["experiment", "--config", str(cfg_path)]) == 2
+        assert capsys.readouterr().err == f"error: {cfg_path}:{lineno}: {message}\n"
+        assert not out.exists()
+        with pytest.raises(ParseError) as info:
+            exp.parse_config_file(cfg_path)
+        assert (info.value.path, info.value.lineno) == (str(cfg_path), lineno)
+
+    def test_unparsable_grid_file_or_override_names_its_key(self, triplet_files, tmp_path,
+                                                             capsys):
+        out = tmp_path / "out"
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(small_config_text(triplet_files, out))
+        grid = tmp_path / "grid.cfg"
+        grid.write_text("# grids\nd_grid = 8\nclip_grid = 0,low\n")
+        assert cli.main(["experiment", "--config", str(cfg_path),
+                         "--grid-file", str(grid)]) == 2
+        assert capsys.readouterr().err == \
+            f"error: {grid}:3: clip_grid: could not convert string to float: 'low'\n"
+        assert cli.main(["experiment", "--config", str(cfg_path), "--runs", "abc"]) == 2
+        assert capsys.readouterr().err == \
+            "error: runs override 'abc': invalid literal for int() with base 10: 'abc'\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("word, value", [
+        ("on", True), ("ON", True), ("true", True), ("True", True), ("yes", True),
+        ("1", True), ("off", False), ("Off", False), ("false", False), ("FALSE", False),
+        ("no", False), ("0", False)])
+    def test_boolean_spellings(self, tmp_path, word, value):
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(f"cohorts = {word}\n")
+        assert exp.read_config_values(cfg_path) == {"cohorts": value}
 
     def test_rating_files_hashed_once_per_run(self, triplet_files, tmp_path, monkeypatch,
                                               capsys):
@@ -479,6 +548,24 @@ class TestTrainCli:
         assert captured.out == ""
         assert captured.err == \
             f"error: prepared data {prep}: train split: all click counts are zero\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("method, flags, message", [
+        ("ubpr", ["--clip", "5"], "--clip 5.0: clip_threshold must be in [-10, 0]"),
+        ("wmf", ["--wmf-weight", "0.5"], "--wmf-weight 0.5: wmf_weight must be >= 1"),
+        ("bpr", ["--d", "0"], "--d 0: latent dimension must be >= 1"),
+        ("upl", ["--learning-rate", "-1"],
+         "--learning-rate -1.0: learning_rate must be positive"),
+    ], ids=["clip", "wmf_weight", "d", "learning_rate"])
+    def test_rejected_setting_named_before_out_created(self, prep, tmp_path, capsys,
+                                                        monkeypatch, method, flags, message):
+        stop_at(monkeypatch, cli, "train_key")
+        out = tmp_path / "run"
+        assert cli.main(["train", "--data", str(prep), "--method", method, *flags,
+                         "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
         assert not out.exists()
 
     def test_out_under_a_file_rejected_before_training(self, prep, tmp_path, capsys,

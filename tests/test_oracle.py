@@ -16,7 +16,9 @@ from hypothesis import strategies as st
 import uplrec.oracle as oracle_mod
 from uplrec.errors import ParseError
 from uplrec.factor_model import FactorModel
+from uplrec.losses import pair_weights, sigmoid_pair_loss
 from uplrec.oracle import (
+    ESTIMATORS,
     SyntheticWorld,
     clip_bias_world,
     estimator_reports,
@@ -545,9 +547,9 @@ def single_case_risks(world, model, case, samples, seed):
     rows without clicks to a multiple of 512 rows as ``_chunk_rows`` asks."""
     spec, gamma = oracle_mod._case(world, *case)
     risk = 0.0
-    for (c, _), (u, i, j, loss) in zip(one_shot_clicks(world, samples, seed),
-                                       oracle_mod._pair_losses(world, model)):
-        a, B = oracle_mod._risk_block(spec, world.theta[u], gamma[u], i, j, loss)
+    for (c, _), (u, loss) in zip(one_shot_clicks(world, samples, seed),
+                                 oracle_mod._pair_losses(world, model)):
+        a, B = oracle_mod._risk_block(spec, world.theta[u], gamma[u], loss)
         c = np.pad(c, ((0, -samples % 512), (0, 0)))
         risk = risk + (c @ a + np.einsum("mp,pq,mq->m", c, B, c, optimize=True))[:samples]
     return risk
@@ -585,6 +587,45 @@ class TestWorldPass:
         # 20 unbiasedness worlds, the clip-bias world, 3 low-exposure worlds
         # and the agreement world; one draw per Monte Carlo world
         assert calls == {"sample_clicks": 4, "_pair_losses": 25}
+
+
+def flat_pair_block(spec, theta, gamma, scores):
+    """Reference (loss table, a, B) of one user from the flat list of its
+    ordered pairs i != j: a scattered with ``np.add.at`` in j order, B and
+    the loss table written pair by pair into zeros."""
+    n = len(scores)
+    i, j = np.nonzero(~np.eye(n, dtype=bool))
+    loss = sigmoid_pair_loss(scores[i], scores[j])[0]
+    t0, t1 = (pair_weights(spec, c_j, theta[i], theta[j], gamma[j], loss)[0]
+              for c_j in (0, 1))
+    table, a, B = np.zeros((n, n)), np.zeros(n), np.zeros((n, n))
+    table[i, j] = loss
+    np.add.at(a, i, t0)
+    B[i, j] = t1 - t0
+    return table, a, B
+
+
+class TestRiskBlock:
+    @pytest.mark.parametrize("shape", [(1, 5), (3, 6), (20, 100), (2, 300)],
+                             ids=["1x5", "3x6", "20x100", "2x300"])
+    def test_tables_keep_the_flat_pair_bits(self, shape):
+        # a is a sequential sum over j from 0.0, as np.add.at adds; a
+        # pairwise sum over each row moves last bits at 100 and 300 items
+        world = random_world(*shape, seed=190)
+        model = model_for_world(world, seed=191)
+        gamma_hat = np.clip(world.gamma + 0.2, 0.01, 0.95)
+        cases = [(e,) for e in ESTIMATORS] + [("ubpr_clipped", -1.0), ("upl", 0.0, gamma_hat)]
+        for u, table in oracle_mod._pair_losses(world, model):
+            scores = (model.user_factors[u:u + 1] @ model.item_factors.T)[0]
+            for case in cases:
+                spec, gamma = oracle_mod._case(world, *case)
+                a, B = oracle_mod._risk_block(spec, world.theta[u], gamma[u], table)
+                ref_table, ref_a, ref_B = flat_pair_block(spec, world.theta[u], gamma[u],
+                                                          scores)
+                assert table.tobytes() == ref_table.tobytes()
+                assert a.tobytes() == ref_a.tobytes(), (u, case)
+                assert B.tobytes() == ref_B.tobytes(), (u, case)
+                assert not B.diagonal().any() and not table.diagonal().any()
 
 
 class TestChunkedDraws:
