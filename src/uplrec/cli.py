@@ -83,6 +83,10 @@ def main(argv=None) -> int:
     r.add_argument("--out", required=True)
 
     args = parser.parse_args(argv)
+    if args.command in ("prepare", "train") and not args.out:
+        # Path("") is the working directory, which would take the outputs
+        print("error: --out is empty: name an output directory", file=sys.stderr)
+        return 2
     if args.command == "prepare":
         return _cmd_prepare(args)
     if args.command == "train":
@@ -98,6 +102,12 @@ def main(argv=None) -> int:
 
 
 def _cmd_prepare(args) -> int:
+    try:  # each split setting alone over the defaults, which build, to name its flag
+        for flag in ("epsilon_train", "epsilon_test", "validation_fraction"):
+            ExperimentConfig(**{flag: getattr(args, flag)})
+    except ValueError as exc:
+        print(f"error: --{flag.replace('_', '-')}: {exc}", file=sys.stderr)
+        return 2
     try:
         data = exp.prepare_datasets(
             args.dataset, args.format, args.epsilon_train, args.epsilon_test,

@@ -368,15 +368,17 @@ def save_dataset(dataset: ImplicitDataset, out_dir):
             fh.write(f"{u}\t{i}\t{g:.17g}\t{r}\n")
 
 
-_META_KEYS = ("format_version", "num_users", "num_items", "split_tag", "epsilon", "seed")
+_META_KEYS = ("format_version", "num_users", "num_items", "num_exposed", "num_clicks",
+              "split_tag", "epsilon", "seed")
 
 
 def load_dataset(in_dir) -> ImplicitDataset:
     """Read a directory ``save_dataset`` wrote; a malformed meta.json or
-    exposed.tsv, or a row that breaks the dataset's constraints (an index
+    exposed.tsv, a row that breaks the dataset's constraints (an index
     outside meta.json's counts, gamma outside [0, 1], rel not 0 or 1, a
-    repeated (user, item) pair), raises ParseError naming the file and
-    line."""
+    repeated (user, item) pair), or rows and clicks that differ from
+    meta.json's num_exposed and num_clicks (a truncated file), raises
+    ParseError naming the file and line."""
     src = Path(in_dir)
     meta_path = src / "meta.json"
     try:
@@ -394,6 +396,7 @@ def load_dataset(in_dir) -> ImplicitDataset:
     users, items, gamma, rel = [], [], [], []
     first_line = {}  # (user, item) -> the line that stored it
     path = src / "exposed.tsv"
+    lineno = 1
     with open(path) as fh:
         header = fh.readline()
         if header.strip() != "user\titem\tgamma\trel":
@@ -426,6 +429,10 @@ def load_dataset(in_dir) -> ImplicitDataset:
             items.append(i)
             gamma.append(g)
             rel.append(r)
+    if (len(rel), sum(rel)) != (meta["num_exposed"], meta["num_clicks"]):
+        raise ParseError(path, lineno + 1, f"ends after {len(rel)} rows with {sum(rel)} "
+                         f"clicks, but meta.json's num_exposed and num_clicks are "
+                         f"{meta['num_exposed']!r} and {meta['num_clicks']!r}")
     return ImplicitDataset(
         num_users=meta["num_users"],
         num_items=meta["num_items"],

@@ -101,6 +101,12 @@ class ExperimentConfig:
             raise ValueError("runs must be >= 1")
         if self.threads < 1:
             raise ValueError("threads must be >= 1")
+        for key in ("epsilon_train", "epsilon_test"):  # NaN fails each range test
+            if not 0.0 <= getattr(self, key) < 1.0:
+                raise ValueError(f"{key} must be in [0, 1), got {getattr(self, key)!r}")
+        if not 0.0 < self.validation_fraction < 1.0:
+            raise ValueError("validation_fraction must be in (0, 1), "
+                             f"got {self.validation_fraction!r}")
         if not self.d_grid or not self.lambda_grid:
             raise ValueError("hyperparameter grid must be non-empty")
         if "ubpr" in self.methods and not self.clip_grid:

@@ -1,15 +1,16 @@
 """Mini-batch training of the factor ranker under any of the loss estimators.
 
-One pairwise epoch is a shuffled pass over the clicked cells with one
-candidate j per positive, drawn uniformly over the items other than i for
+Each sampling rule is one generator of an epoch's batches: ``_pair_batches``
+makes a shuffled pass over the clicked cells with one candidate j per
+positive, drawn by ``_sample_j`` uniformly over the items other than i for
 every estimator; ``losses.pair_weights`` weights each pair, so the expected
-epoch term sum is the estimator's full-batch risk divided by I - 1.  One
-pointwise epoch is a pass over the exposed cells with unexposed cells sampled
-1:1.
+epoch term sum is the estimator's full-batch risk divided by I - 1.
+``_point_batches`` makes a pass over the exposed cells with unexposed cells
+sampled 1:1.  ``train`` runs every epoch as one loop over its generator.
 
 Every estimator trains through the one step ``_step``: a batch is the users
 u and one item array per score (i for a pointwise batch, i and j for a
-pairwise one), and the epoch hands it an objective that maps the scores to
+pairwise one), and the generator hands it an objective that maps the scores to
 the terms and each term's derivative by each score.  The step adds the L2
 penalty, scatters the row gradients and makes one Adam update restricted to
 the rows the batch touched; runs are deterministic per seed.  The gradient
@@ -112,7 +113,6 @@ class TrainRun:
     final_model: FactorModel
     validation_curve: list = field(default_factory=list)
     epochs_trained: int = 0
-    best_epoch: int = -1
     epoch_log: list = field(default_factory=list)  # (epoch, train_loss, val_metric|None)
 
 
@@ -129,38 +129,14 @@ def relevance_predictor(model: FactorModel):
 
 
 # ---------------------------------------------------------------------------
-# Sampling
+# Epoch batches: one generator per sampling rule
 
 
-class _PositivePool:
-    """The clicked (u, i) pairs a pairwise epoch draws, and the j rule every
-    pairwise estimator shares: j uniform over the items other than i, clicked
-    or not.  The estimator weights a clicked j (0 under bpr and upl), so the
-    expected epoch term sum is the full-batch risk divided by I - 1.
-    """
-
-    def __init__(self, dataset: ImplicitDataset):
-        self.dataset = dataset
-        self.users, self.items = dataset.click_pairs
-        if len(self.users) == 0 or dataset.num_items < 2:
-            raise ValueError("no positive with an admissible candidate j")
-
-    def __len__(self):
-        return len(self.users)
-
-    def sample_negatives(self, i, rng) -> np.ndarray:
-        """One candidate j per positive, uniform over the items != i."""
-        j = rng.integers(0, self.dataset.num_items - 1, size=len(i))
-        j += j >= i
-        return j
-
-
-def _pair_inputs(dataset, u, i, j, theta, gamma_hat):
-    """``pair_weights``' inputs for sampled pairs (u, i, j): j's click, the
-    propensities of i and j, and j's relevance estimate (0 without one)."""
-    gamma_j = gamma_hat(u, j) if gamma_hat is not None else np.zeros(len(j))
-    return (dataset.is_clicked(u, j).astype(np.int8), theta[i], theta[j],
-            np.asarray(gamma_j, dtype=np.float64))
+def _sample_j(i, num_items: int, rng) -> np.ndarray:
+    """One candidate j per positive i, uniform over the items other than i."""
+    j = rng.integers(0, num_items - 1, size=len(i))
+    j += j >= i
+    return j
 
 
 def _sample_unexposed(dataset: ImplicitDataset, count: int, rng):
@@ -176,6 +152,42 @@ def _sample_unexposed(dataset: ImplicitDataset, count: int, rng):
         i[bad] = rng.integers(0, dataset.num_items, size=n)
         bad[bad] = dataset.is_exposed(u[bad], i[bad])
     return u, i
+
+
+def _pair_batches(dataset: ImplicitDataset, spec, batch_size: int, theta, gamma_hat, rng):
+    """One pairwise epoch's batches (u, (i, j), objective): the clicked (u, i)
+    pairs shuffled, each with one candidate j from ``_sample_j``, clicked or
+    not.  The estimator weights a clicked j (0 under bpr and upl), so the
+    expected epoch term sum is the full-batch risk divided by I - 1.  The
+    objective binds j's click, the propensities of i and j and j's relevance
+    estimate (0 without one)."""
+    users, items = dataset.click_pairs
+    if len(users) == 0 or dataset.num_items < 2:
+        raise ValueError("no positive with an admissible candidate j")
+    perm = rng.permutation(len(users))
+    for start in range(0, len(perm), batch_size):
+        sel = perm[start:start + batch_size]
+        u, i = users[sel], items[sel]
+        j = _sample_j(i, dataset.num_items, rng)
+        gamma_j = gamma_hat(u, j) if gamma_hat is not None else np.zeros(len(j))
+        yield u, (i, j), partial(_pair_objective, spec,
+                                 dataset.is_clicked(u, j).astype(np.int8), theta[i],
+                                 theta[j], np.asarray(gamma_j, dtype=np.float64))
+
+
+def _point_batches(dataset: ImplicitDataset, spec, batch_size: int, theta, rng):
+    """One pointwise epoch's batches (u, (i,), objective): the exposed cells
+    shuffled, half a batch at a time, each half topped up 1:1 with unexposed
+    cells, whose click is 0."""
+    half = max(1, batch_size // 2)
+    perm = rng.permutation(len(dataset))
+    for start in range(0, len(perm), half):
+        sel = perm[start:start + half]
+        nu, ni = _sample_unexposed(dataset, len(sel), rng)
+        i = np.concatenate([dataset.items[sel], ni])
+        c = np.concatenate([dataset.rel[sel].astype(np.float64), np.zeros(len(nu))])
+        yield (np.concatenate([dataset.users[sel], nu]), (i,),
+               partial(_point_objective, spec, c, theta[i]))
 
 
 # ---------------------------------------------------------------------------
@@ -262,40 +274,6 @@ def _step(model, adam, u, items, objective, config) -> float:
     return batch_loss
 
 
-# ---------------------------------------------------------------------------
-# Epoch loops
-
-
-def _pairwise_epoch(pool, model, adam, spec, config, rng, theta, gamma_hat):
-    perm = rng.permutation(len(pool))
-    losses = []
-    for start in range(0, len(perm), config.batch_size):
-        sel = perm[start:start + config.batch_size]
-        u, i = pool.users[sel], pool.items[sel]
-        j = pool.sample_negatives(i, rng)
-        objective = partial(_pair_objective, spec,
-                            *_pair_inputs(pool.dataset, u, i, j, theta, gamma_hat))
-        losses.append((_step(model, adam, u, (i, j), objective, config), len(u)))
-    return losses
-
-
-def _pointwise_epoch(dataset, model, adam, spec, config, rng, theta):
-    half = max(1, config.batch_size // 2)
-    perm = rng.permutation(len(dataset))
-    losses = []
-    for start in range(0, len(perm), half):
-        sel = perm[start:start + half]
-        eu, ei = dataset.users[sel], dataset.items[sel]
-        ec = dataset.rel[sel].astype(np.float64)
-        nu, ni = _sample_unexposed(dataset, len(sel), rng)
-        u = np.concatenate([eu, nu])
-        i = np.concatenate([ei, ni])
-        c = np.concatenate([ec, np.zeros(len(nu))])
-        objective = partial(_point_objective, spec, c, theta[i])
-        losses.append((_step(model, adam, u, (i,), objective, config), len(u)))
-    return losses
-
-
 def train(dataset: ImplicitDataset, config: TrainConfig, loss_spec: LossSpec,
           propensities: PropensityTable | None = None, gamma_hat=None,
           validation: ImplicitDataset | None = None) -> TrainRun:
@@ -313,21 +291,19 @@ def train(dataset: ImplicitDataset, config: TrainConfig, loss_spec: LossSpec,
     theta = propensities.theta_click if propensities is not None \
         else np.ones(dataset.num_items)
     if loss_spec.is_pairwise:
-        pool = _PositivePool(dataset)
+        batches = partial(_pair_batches, dataset, loss_spec, config.batch_size, theta, gamma_hat)
+    else:
+        batches = partial(_point_batches, dataset, loss_spec, config.batch_size, theta)
 
     best_val = -math.inf
     best_model = None
-    best_epoch = -1
     stale = 0
     curve = []
     epoch_log = []
 
     for epoch in range(config.max_epochs):
-        if loss_spec.is_pairwise:
-            losses = _pairwise_epoch(pool, model, adam, loss_spec, config, rng, theta,
-                                     gamma_hat)
-        else:
-            losses = _pointwise_epoch(dataset, model, adam, loss_spec, config, rng, theta)
+        losses = [(_step(model, adam, u, items, objective, config), len(u))
+                  for u, items, objective in batches(rng)]
         total = sum(n for _, n in losses)
         train_loss = sum(l * n for l, n in losses) / max(total, 1)
         if not math.isfinite(train_loss):
@@ -341,7 +317,6 @@ def train(dataset: ImplicitDataset, config: TrainConfig, loss_spec: LossSpec,
             if val_metric > best_val:
                 best_val = val_metric
                 best_model = model.copy()
-                best_epoch = epoch
                 stale = 0
             else:
                 stale += 1
@@ -356,7 +331,6 @@ def train(dataset: ImplicitDataset, config: TrainConfig, loss_spec: LossSpec,
         final_model=final,
         validation_curve=curve,
         epochs_trained=len(epoch_log),
-        best_epoch=best_epoch,
         epoch_log=epoch_log,
     )
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -234,3 +236,22 @@ class TestSaveLoadRoundTrip:
         assert np.array_equal(back.rel, ds.rel)
         assert back.epsilon == ds.epsilon and back.seed == ds.seed
         assert back.r_max == ds.r_max == 5
+
+    @pytest.mark.parametrize("edit, counts", [
+        (lambda rows: rows[:-1], "5 rows with 3 clicks"),
+        (lambda rows: rows[:-1] + [rows[-1].replace("\t0\n", "\t1\n")], "6 rows with 4 clicks"),
+    ], ids=["last_row_dropped", "click_added"])
+    def test_rows_or_clicks_unlike_meta_rejected(self, tmp_path, edit, counts):
+        # a truncated or edited exposed.tsv does not load as a silent subset:
+        # meta.json counts its rows and clicks
+        ds = make_implicit(2, 3, [(u, i, 0.5, (u + i + 1) % 2) for u in range(2)
+                                  for i in range(3)])
+        save_dataset(ds, tmp_path / "d")
+        path = tmp_path / "d" / "exposed.tsv"
+        header, *rows = path.read_text().splitlines(keepends=True)
+        rows = edit(rows)
+        path.write_text(header + "".join(rows))
+        message = (f"{path}:{len(rows) + 2}: ends after {counts}, but meta.json's "
+                   "num_exposed and num_clicks are 6 and 3")
+        with pytest.raises(ParseError, match=re.escape(message)):
+            load_dataset(tmp_path / "d")

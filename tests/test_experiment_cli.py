@@ -151,6 +151,27 @@ class TestConfigParsing:
         with pytest.raises(ValueError, match="ks must be"):
             exp.ExperimentConfig(ks=ks)
 
+    @pytest.mark.parametrize("key, value, bounds", [
+        ("epsilon_train", 1.0, "[0, 1)"), ("epsilon_train", -0.1, "[0, 1)"),
+        ("epsilon_test", float("nan"), "[0, 1)"),
+        ("validation_fraction", 0.0, "(0, 1)"), ("validation_fraction", 1.0, "(0, 1)"),
+        ("validation_fraction", float("nan"), "(0, 1)"),
+    ], ids=["epsilon_train_one", "epsilon_train_negative", "epsilon_test_nan",
+            "fraction_zero", "fraction_one", "fraction_nan"])
+    def test_split_settings_out_of_range_rejected(self, triplet_files, tmp_path, capsys, key,
+                                                  value, bounds):
+        # found before the rating files are read, not as an unnamed ValueError
+        # of the split that reads them
+        message = f"{key} must be in {bounds}, got {value!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            exp.ExperimentConfig(**{key: value})
+        out = tmp_path / "out"
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(small_config_text(triplet_files, out) + f"{key} = {value}\n")
+        assert cli.main(["experiment", "--config", str(cfg_path)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     def test_unknown_candidate_mode_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="test_onyl"):
             exp.ExperimentConfig(candidates="test_onyl")
@@ -437,6 +458,37 @@ class TestPrepareCli:
         assert captured.out == ""
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--epsilon-train", "1", "epsilon_train must be in [0, 1), got 1.0"),
+        ("--epsilon-test", "nan", "epsilon_test must be in [0, 1), got nan"),
+        ("--validation-fraction", "0", "validation_fraction must be in (0, 1), got 0.0"),
+        ("--validation-fraction", "1.5", "validation_fraction must be in (0, 1), got 1.5"),
+    ], ids=["epsilon_train_one", "epsilon_test_nan", "fraction_zero", "fraction_above_one"])
+    def test_split_setting_named_before_work(self, triplet_files, tmp_path, capsys,
+                                             monkeypatch, flag, value, message):
+        stop_at(monkeypatch, exp, "prepare_datasets")
+        out = tmp_path / "prepared"
+        assert cli.main(["prepare", "--dataset", str(triplet_files), "--format", "triplets",
+                         flag, value, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {flag}: {message}\n"
+        assert not out.exists()
+
+    def test_empty_out_rejected_before_work(self, triplet_files, tmp_path, capsys,
+                                            monkeypatch):
+        # Path("") is the working directory, which would take the splits
+        stop_at(monkeypatch, exp, "prepare_datasets")
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        assert cli.main(["prepare", "--dataset", str(triplet_files), "--format", "triplets",
+                         "--out", ""]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --out is empty: name an output directory\n"
+        assert list(work.iterdir()) == []
+
     def test_prepare_coat_matrices(self, tmp_path):
         # coat reads two dense matrices of one shape, 0 meaning unrated
         (tmp_path / "train.ascii").write_text("1 0 5\n0 3 4\n")
@@ -503,7 +555,7 @@ class TestTrainCli:
          "not valid JSON: Expecting ',' delimiter"),
         ("meta.json", lambda text: text.replace('"seed"', '"sead"'), 1,
          "expected a JSON object with the keys format_version, num_users, num_items, "
-         "split_tag, epsilon, seed"),
+         "num_exposed, num_clicks, split_tag, epsilon, seed"),
         ("meta.json", lambda text: text.replace('"num_users": 60', '"num_users": "60"'), 1,
          "num_users and num_items must be non-negative integers"),
         # the fixture's train split has 60 users and 40 items, and its line 3
@@ -541,6 +593,8 @@ class TestTrainCli:
         path = prep / "train" / "exposed.tsv"
         header, *rows = path.read_text().splitlines(keepends=True)
         path.write_text(header + "".join(row[:row.rindex("\t")] + "\t0\n" for row in rows))
+        meta = prep / "train" / "meta.json"  # a consistent split: meta.json counts no clicks
+        meta.write_text(re.sub(r'"num_clicks": \d+', '"num_clicks": 0', meta.read_text()))
         out = tmp_path / "run"
         assert cli.main(["train", "--data", str(prep), "--method", "bpr",
                          "--out", str(out)]) == 2
@@ -580,6 +634,18 @@ class TestTrainCli:
         assert captured.out == ""
         assert captured.err == f"error: cannot create directory {out}: Not a directory\n"
         assert afile.read_text() == "kept\n"
+
+    def test_empty_out_rejected_before_work(self, prep, tmp_path, capsys, monkeypatch):
+        # Path("") is the working directory, which would take the run's files
+        stop_at(monkeypatch, cli, "train_key")
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        assert cli.main(["train", "--data", str(prep), "--method", "bpr", "--out", ""]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --out is empty: name an output directory\n"
+        assert list(work.iterdir()) == []
 
     def test_mfdu_trains_relmf(self, triplet_files, tmp_path):
         prep = tmp_path / "prep"

@@ -2,7 +2,6 @@ import hashlib
 import itertools
 import math
 import warnings
-from functools import partial
 from types import SimpleNamespace
 
 import numpy as np
@@ -13,6 +12,7 @@ from hypothesis.extra import numpy as hnp
 
 from uplrec import trainer
 from uplrec.errors import TrainingDivergedError
+from uplrec.evaluation import validation_dcg
 from uplrec.factor_model import FactorModel, TrainConfig, init_model
 from uplrec.losses import (
     GAMMA_HAT_MAX,
@@ -27,9 +27,9 @@ from uplrec.oracle import estimator_reports, model_for_world, random_world
 from uplrec.propensity import PropensityTable
 from uplrec.trainer import (
     AdamState,
-    _pair_inputs,
-    _pair_objective,
-    _PositivePool,
+    _pair_batches,
+    _point_batches,
+    _sample_j,
     _scatter_rows,
     relevance_predictor,
     stage_spec,
@@ -71,26 +71,17 @@ class TestAdam:
             assert adam.step == expected
 
 
-def _pair_epoch_batches(monkeypatch, ds, batch_size, epochs=1, seed=0,
-                        theta=None, gamma_hat=None):
-    """The batches that pairwise epochs hand to the training step, each with
-    the ``pair_weights`` inputs bound into the objective the step receives."""
-    batches = []
-
-    def step(model, adam, u, items, objective, config):
-        i, j = items
-        _, c_j, theta_i, theta_j, gamma_hat_j = objective.args
-        batches.append(SimpleNamespace(u=u, i=i, j=j, c_j=c_j, theta_i=theta_i,
-                                       theta_j=theta_j, gamma_hat_j=gamma_hat_j))
-        return 0.0
-
-    monkeypatch.setattr(trainer, "_step", step)
-    pool = _PositivePool(ds)
-    config = TrainConfig(d=2, batch_size=batch_size)
+def _pair_epoch_batches(ds, batch_size, epochs=1, seed=0, theta=None, gamma_hat=None):
+    """The batches that pairwise epochs yield, each with the ``pair_weights``
+    inputs bound into its objective."""
     rng = np.random.default_rng(seed)
     theta = np.ones(ds.num_items) if theta is None else theta
+    batches = []
     for _ in range(epochs):
-        trainer._pairwise_epoch(pool, None, None, None, config, rng, theta, gamma_hat)
+        for u, (i, j), objective in _pair_batches(ds, None, batch_size, theta, gamma_hat, rng):
+            _, c_j, theta_i, theta_j, gamma_hat_j = objective.args
+            batches.append(SimpleNamespace(u=u, i=i, j=j, c_j=c_j, theta_i=theta_i,
+                                           theta_j=theta_j, gamma_hat_j=gamma_hat_j))
     return batches
 
 
@@ -102,19 +93,19 @@ def _pair_terms(spec, batches):
 
 
 class TestSampleBatch:
-    def test_forced_single_pair(self, monkeypatch):
+    def test_forced_single_pair(self):
         # one click and a single other item: the only possible pair
         ds = make_implicit(1, 2, [(0, 0, 1.0, 1)])
-        for batch in _pair_epoch_batches(monkeypatch, ds, batch_size=4, epochs=8):
+        for batch in _pair_epoch_batches(ds, batch_size=4, epochs=8):
             assert np.all(batch.u == 0)
             assert np.all(batch.i == 0)
             assert np.all(batch.j == 1)
             assert np.all(batch.c_j == 0)
 
-    def test_exact_batch_size(self, monkeypatch):
+    def test_exact_batch_size(self):
         # an epoch draws every positive once: full batches, then the rest
         ds = make_implicit(2, 5, [(u, i, 0.5, 1) for u in range(2) for i in range(2)])
-        batches = _pair_epoch_batches(monkeypatch, ds, batch_size=3)
+        batches = _pair_epoch_batches(ds, batch_size=3)
         assert [len(b.u) for b in batches] == [3, 1]
         pairs = sorted(zip(np.concatenate([b.u for b in batches]).tolist(),
                            np.concatenate([b.i for b in batches]).tolist()))
@@ -126,7 +117,7 @@ class TestSampleBatch:
         ds = make_implicit(1, 11, [(0, 0, 1.0, 1)])
         rng = np.random.default_rng(2)
         draws = 100_000
-        j = _PositivePool(ds).sample_negatives(np.zeros(draws, dtype=np.int64), rng)
+        j = _sample_j(np.zeros(draws, dtype=np.int64), 11, rng)
         counts = np.bincount(j, minlength=11)
         assert counts[0] == 0  # j != i
         p = 1 / 10
@@ -135,74 +126,70 @@ class TestSampleBatch:
             assert abs(counts[item] - draws * p) < 3 * sigma
 
     @pytest.mark.parametrize("method", ["bpr", "upl"])
-    def test_clicked_candidates_weigh_zero(self, method, monkeypatch):
+    def test_clicked_candidates_weigh_zero(self, method):
         cells = [(0, i, 0.5, 1) for i in range(3)] + [(0, 3, 0.5, 0)]
         ds = make_implicit(1, 6, cells)
-        batches = _pair_epoch_batches(monkeypatch, ds, batch_size=2, epochs=200, seed=3)
+        batches = _pair_epoch_batches(ds, batch_size=2, epochs=200, seed=3)
         c_j, (terms, gf) = _pair_terms(LossSpec(method), batches)
         assert 0 < c_j.sum() < len(c_j)  # clicked candidates are drawn
         assert np.all(terms[c_j == 1] == 0) and np.all(gf[c_j == 1] == 0)
         assert np.all(gf[c_j == 0] > 0)
 
-    def test_ubpr_candidates_include_clicked(self, monkeypatch):
+    def test_ubpr_candidates_include_clicked(self):
         cells = [(0, i, 0.5, 1) for i in range(5)] + [(0, 5, 0.5, 0)]
         ds = make_implicit(1, 6, cells)
-        batches = _pair_epoch_batches(monkeypatch, ds, batch_size=5, epochs=100, seed=4,
+        batches = _pair_epoch_batches(ds, batch_size=5, epochs=100, seed=4,
                                       theta=np.full(6, 0.5))
         c_j, (terms, _) = _pair_terms(LossSpec("ubpr"), batches)
         assert c_j.sum() > 0  # clicked candidates do occur
         assert np.all(terms[c_j == 1] == -2.0)  # and weigh (1/0.5) * (1 - 1/0.5)
 
     @pytest.mark.parametrize("method", ["bpr", "upl"])
-    def test_user_who_clicked_everything_weighs_zero(self, method, monkeypatch):
+    def test_user_who_clicked_everything_weighs_zero(self, method):
         # user 0 clicked every item: their positives stay in the pool, and
         # every candidate they draw is clicked, so their pairs weigh 0
         cells = [(0, i, 0.9, 1) for i in range(3)] + \
                 [(1, 0, 0.5, 1), (1, 1, 0.5, 0)]
         ds = make_implicit(2, 3, cells)
-        batches = _pair_epoch_batches(monkeypatch, ds, batch_size=2, epochs=50, seed=5)
+        batches = _pair_epoch_batches(ds, batch_size=2, epochs=50, seed=5)
         users = np.concatenate([b.u for b in batches])
         _, (terms, gf) = _pair_terms(LossSpec(method), batches)
         assert np.count_nonzero(users == 0) == 3 * 50
         assert np.all(terms[users == 0] == 0) and np.all(gf[users == 0] == 0)
 
-    def test_pool_needs_a_click_and_another_item(self):
-        with pytest.raises(ValueError, match="admissible"):
-            _PositivePool(make_implicit(1, 3, [(0, 0, 0.5, 0)]))
-        with pytest.raises(ValueError, match="admissible"):
-            _PositivePool(make_implicit(2, 1, [(0, 0, 0.5, 1)]))
+    def test_pairs_need_a_click_and_another_item(self):
+        for ds in (make_implicit(1, 3, [(0, 0, 0.5, 0)]),
+                   make_implicit(2, 1, [(0, 0, 0.5, 1)])):
+            with pytest.raises(ValueError, match="admissible"):
+                next(_pair_batches(ds, None, 4, np.ones(ds.num_items), None,
+                                   np.random.default_rng(0)))
 
     def test_pointwise_mix(self, monkeypatch):
         cells = [(u, i, 0.5, 1) for u in range(3) for i in range(2)]
         ds = make_implicit(3, 8, cells)
-        batches, clicks = [], []
+        clicks = []
 
         def loss(method, c, s, **kwargs):
             clicks.append(c)
             return pointwise_loss(method, c, s, **kwargs)
 
-        def step(model, adam, u, items, objective, config):
-            batches.append((u, items))
-            objective(np.zeros(len(u)))  # hands the batch's clicks to pointwise_loss
-            return 0.0
-
         monkeypatch.setattr(trainer, "pointwise_loss", loss)
-        monkeypatch.setattr(trainer, "_step", step)
-        config = TrainConfig(d=2, batch_size=4)
-        trainer._pointwise_epoch(ds, None, None, LossSpec("relmf"), config,
-                                 np.random.default_rng(6), np.ones(8))
-        assert [len(u) for u, _ in batches] == [4, 4, 4]
+        batches = list(_point_batches(ds, LossSpec("relmf"), 4, np.ones(8),
+                                      np.random.default_rng(6)))
+        for u, _, objective in batches:
+            objective(np.zeros(len(u)))  # hands the batch's clicks to pointwise_loss
+        assert [len(u) for u, _, _ in batches] == [4, 4, 4]
         assert len(clicks) == len(batches)
-        for (u, (i,)), c in zip(batches, clicks):
+        for (u, (i,), _), c in zip(batches, clicks):
             exposed = ds.is_exposed(u, i)
             assert exposed.sum() == 2  # half exposed, half unexposed
             assert np.all(c[~exposed] == 0)
 
-    def test_gamma_hat_passthrough_clamped(self, monkeypatch):
+    def test_gamma_hat_passthrough_clamped(self):
         ds = make_implicit(1, 4, [(0, 0, 1.0, 1)])
         model = FactorModel(np.full((1, 2), 50.0), np.full((4, 2), 50.0))
         gh = relevance_predictor(model)
-        batches = _pair_epoch_batches(monkeypatch, ds, batch_size=1, epochs=50, seed=7,
+        batches = _pair_epoch_batches(ds, batch_size=1, epochs=50, seed=7,
                                       gamma_hat=gh)
         gamma_hat_j = np.concatenate([b.gamma_hat_j for b in batches])
         assert np.all(gamma_hat_j <= 1 - 1e-6)
@@ -224,15 +211,10 @@ class TestTrainLoop:
         config = TrainConfig(d=6, lam=0.0, learning_rate=1e-5, batch_size=4, seed=2)
         model = init_model(2, 4, d=6, seed=2, scale=0.1)
         adam = AdamState.for_model(model)
-        rng = np.random.default_rng(3)
-        pool = _PositivePool(separable_dataset)
-        idx = rng.integers(0, len(pool), size=16)
-        u, i = pool.users[idx], pool.items[idx]
-        j = pool.sample_negatives(i, rng)
-        c_j, theta_i, theta_j, gamma_hat_j = _pair_inputs(
-            separable_dataset, u, i, j, np.ones(separable_dataset.num_items), None)
-        objective = partial(_pair_objective, LossSpec("bpr"), c_j, theta_i, theta_j,
-                            gamma_hat_j)
+        u, (i, j), objective = next(_pair_batches(
+            separable_dataset, LossSpec("bpr"), 4, np.ones(separable_dataset.num_items), None,
+            np.random.default_rng(3)))
+        _, c_j, theta_i, theta_j, gamma_hat_j = objective.args
 
         def batch_loss(m):
             s_i = np.sum(m.user_factors[u] * m.item_factors[i], axis=1)
@@ -303,9 +285,8 @@ class TestTrainLoop:
         run = train(ds12, config, LossSpec("bpr"), validation=val)
         assert run.epochs_trained < 200
         assert len(run.validation_curve) == run.epochs_trained
-        assert run.best_epoch >= 0
         # the returned snapshot is from the best epoch, not the last one
-        assert run.validation_curve[run.best_epoch] == max(run.validation_curve)
+        assert validation_dcg(run.final_model, val) == max(run.validation_curve)
 
 
 class TestUplPipeline:
@@ -359,13 +340,53 @@ class TestUplPipeline:
         assert stage_spec(LossSpec("upl")) == LossSpec("relmf")
 
 
+class TestTrainedBytes:
+    """The sha256 of the factors that two epochs of each estimator train on a
+    seeded, partly exposed dataset, pinned so that a sampler change that
+    moves, adds or drops an rng draw fails here.  Pinned under numpy 2.4 on
+    x86-64; another numpy or CPU may round the same run differently."""
+
+    DIGESTS = {
+        "bpr": "9bfa12753795357714d9fb261266d4907cdb9e4f6fac8633e1b33c88a5f3003c",
+        "ubpr": "58ee4bd3fecea5752f822c6533ac4e4ba28c25b66694aab05303b4a4c922c81f",
+        "ubpr_clipped": "76a30d50b66a17d3a99d202fe289c10f4a33ff84e47876f59a3cee6d0c50578d",
+        "wmf": "7e8d9069658a6d9e7b8e60e897e0cd76f6b9c035a581e3f745e5e457b74043af",
+        "relmf": "259e8a5362fab7b163440de66874084766fc8f212d8e733e7b1513e4d8a8401f",
+        "upl": "3857fbd41fecc73649ca4118979cd0e7886233d7ef8a4e4ad22b65a4cbdaac77",
+    }
+
+    @pytest.mark.parametrize("method", sorted(DIGESTS))
+    def test_final_factors_digest(self, method):
+        rng = np.random.default_rng(22)
+        cells = [(u, i, 0.5, int(rng.random() < 0.5))
+                 for u in range(20) for i in range(15) if rng.random() < 0.6]
+        ds = make_implicit(20, 15, cells)
+        pt = PropensityTable.from_click_counts(ds.item_click_counts)
+        config = TrainConfig(d=4, lam=1e-3, learning_rate=0.01, batch_size=16,
+                             max_epochs=2, seed=5)
+        spec = LossSpec(method, clip_threshold=0.0 if method == "ubpr_clipped" else None,
+                        wmf_weight=5.0 if method == "wmf" else None)
+        run = train_key(ds, config, spec, pt)[-1]
+        assert model_checksum(run.final_model) == self.DIGESTS[method]
+
+
 class _EveryDraw:
-    """Stands in for the epoch rng: ``integers(0, n, size)`` returns 0..n-1
-    in turn.  Handed positives repeated n times, a draw with no rejection
-    step then yields every outcome of every positive exactly once."""
+    """Stands in for the epoch rng: ``permutation(n)`` is the identity, and
+    in epoch k, counted by the permutations drawn, ``integers(low, high,
+    size)`` draws offset k, low + k, every time.  Over I - 1 epochs a draw
+    with no rejection step then yields every outcome of every positive
+    exactly once."""
+
+    def __init__(self):
+        self.epoch = -1
+
+    def permutation(self, n):
+        self.epoch += 1
+        return np.arange(n)
 
     def integers(self, low, high, size):
-        return np.resize(np.arange(low, high), size)
+        assert low + self.epoch < high
+        return np.full(size, low + self.epoch)
 
 
 class TestMinibatchRiskMatchesIdeal:
@@ -375,8 +396,8 @@ class TestMinibatchRiskMatchesIdeal:
     def test_epoch_expectation_is_full_batch_risk_over_i_minus_1(
             self, estimator, num_items, world_seed, model_seed):
         """Exact expectation, over every click outcome and every candidate
-        draw, of the term sum of one epoch as training samples it and as the
-        objective handed to the step weights it: (I - 1) times it is the
+        draw, of the term sum of one epoch as ``_pair_batches`` yields it and
+        as the objective it binds weights it: (I - 1) times it is the
         oracle's full-batch expectation, and for the unbiased estimators it
         is the ideal risk over I - 1."""
         world = random_world(1, num_items, seed=world_seed)
@@ -396,13 +417,12 @@ class TestMinibatchRiskMatchesIdeal:
             prob = np.prod(np.where(clicks == 1, click_prob, 1.0 - click_prob))
             ds = make_implicit(1, num_items,
                                [(0, k, gamma[k], clicks[k]) for k in range(num_items)])
-            pool = _PositivePool(ds)
-            u = np.repeat(pool.users, num_items - 1)
-            i = np.repeat(pool.items, num_items - 1)
-            j = pool.sample_negatives(i, _EveryDraw())
-            terms, _ = _pair_objective(spec, *_pair_inputs(ds, u, i, j, theta, gamma_hat),
-                                       scores[u, i], scores[u, j])
-            expected += prob * math.fsum(terms) / (num_items - 1)
+            rng = _EveryDraw()
+            terms = [objective(scores[u, i], scores[u, j])[0]
+                     for _ in range(num_items - 1)
+                     for u, (i, j), objective in _pair_batches(ds, spec, 2, theta, gamma_hat,
+                                                               rng)]
+            expected += prob * math.fsum(np.concatenate(terms)) / (num_items - 1)
 
         exact, = estimator_reports(world, model, [(estimator, 0.0)])
         assert expected * (num_items - 1) == pytest.approx(exact.exact_expectation, rel=1e-12)
