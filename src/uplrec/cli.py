@@ -24,7 +24,7 @@ from . import experiment as exp
 from . import oracle
 from .datasets import load_dataset
 from .errors import EstimationError, IntegrityError, ParseError
-from .evaluation import CANDIDATE_MODES, CohortSpec, compute_cohorts, evaluate
+from .evaluation import CANDIDATE_MODES, compute_cohorts, evaluate
 from .experiment import METHOD_TOKENS, ExperimentConfig, PreparedData
 from .factor_model import TrainConfig, save_checkpoint
 from .propensity import PropensityTable
@@ -83,9 +83,11 @@ def main(argv=None) -> int:
     r.add_argument("--out", required=True)
 
     args = parser.parse_args(argv)
-    if args.command in ("prepare", "train") and not args.out:
-        # Path("") is the working directory, which would take the outputs
-        print("error: --out is empty: name an output directory", file=sys.stderr)
+    if args.command != "experiment" and args.out == "":
+        # Path("") is the working directory, which would take the outputs;
+        # experiment's --out overrides a config key, checked with the config
+        what = "file" if args.command == "verify" else "directory"
+        print(f"error: --out is empty: name an output {what}", file=sys.stderr)
         return 2
     if args.command == "prepare":
         return _cmd_prepare(args)
@@ -123,12 +125,17 @@ def _cmd_prepare(args) -> int:
 
 
 def _load_prepared(data_dir) -> PreparedData:
+    """The three splits ``prepare`` wrote; IntegrityError when a split's
+    users x items differ from train's."""
     root = Path(data_dir)
-    return PreparedData(
-        train=load_dataset(root / "train"),
-        validation=load_dataset(root / "validation"),
-        test=load_dataset(root / "test"),
-    )
+    data = PreparedData(*(load_dataset(root / split)
+                          for split in ("train", "validation", "test")))
+    shape = (data.train.num_users, data.train.num_items)
+    for split, dataset in (("validation", data.validation), ("test", data.test)):
+        if (dataset.num_users, dataset.num_items) != shape:
+            raise IntegrityError("{} is {}x{} (users x items), but {} is {}x{}".format(
+                root / split, dataset.num_users, dataset.num_items, root / "train", *shape))
+    return data
 
 
 def _make_dir(path) -> bool:
@@ -171,7 +178,7 @@ def _cmd_train(args) -> int:
         return 2
     *_, run = train_key(data.train, train_config, spec, propensities, data.validation)
     save_checkpoint(run.final_model, out / "model.ckpt", seed=args.seed)
-    cohorts = compute_cohorts(data.train, CohortSpec())
+    cohorts = compute_cohorts(data.train)
     reports = evaluate(run.final_model, data.test, cohorts=cohorts,
                        candidates=args.candidates, method=args.method, run=0)
     exp.write_metrics(out / "metrics.tsv", reports)

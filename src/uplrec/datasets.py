@@ -19,6 +19,7 @@ import numpy as np
 from .errors import IntegrityError, ParseError
 
 DATASET_FORMAT_VERSION = 1
+R_MAX = 5  # star ratings run from 1 to R_MAX
 
 
 @dataclass
@@ -34,7 +35,6 @@ class ExplicitRatings:
     users: np.ndarray
     items: np.ndarray
     ratings: np.ndarray
-    r_max: int = 5
     user_ids: np.ndarray | None = None
     item_ids: np.ndarray | None = None
 
@@ -51,8 +51,8 @@ class ExplicitRatings:
             raise ValueError("user index out of range")
         if len(self.items) and (self.items.min() < 0 or self.items.max() >= self.num_items):
             raise ValueError("item index out of range")
-        if len(self.ratings) and (self.ratings.min() < 1 or self.ratings.max() > self.r_max):
-            raise ValueError(f"rating outside [1, {self.r_max}]")
+        if len(self.ratings) and (self.ratings.min() < 1 or self.ratings.max() > R_MAX):
+            raise ValueError(f"rating outside [1, {R_MAX}]")
         codes = self.users * self.num_items + self.items
         if len(np.unique(codes)) != len(codes):
             raise IntegrityError("duplicate (user, item) pair")
@@ -61,7 +61,7 @@ class ExplicitRatings:
         return len(self.users)
 
 
-def load_triplets(path, format="triplets", r_max=5) -> ExplicitRatings:
+def load_triplets(path, format="triplets") -> ExplicitRatings:
     """Load explicit ratings from disk.
 
     ``format="triplets"``: lines of "user<TAB>item<TAB>rating" with arbitrary
@@ -71,13 +71,13 @@ def load_triplets(path, format="triplets", r_max=5) -> ExplicitRatings:
     """
     path = Path(path)
     if format == "triplets":
-        return _load_triplet_file(path, r_max)
+        return _load_triplet_file(path)
     if format == "dense":
-        return _load_dense_file(path, r_max)
+        return _load_dense_file(path)
     raise ValueError(f"unknown format {format!r}")
 
 
-def _load_triplet_file(path: Path, r_max: int) -> ExplicitRatings:
+def _load_triplet_file(path: Path) -> ExplicitRatings:
     raw_users, raw_items, ratings = [], [], []
     first_line = {}  # (user, item) -> the line that rated it
     with open(path) as fh:
@@ -94,8 +94,8 @@ def _load_triplet_file(path: Path, r_max: int) -> ExplicitRatings:
                 u, i, r = int(parts[0]), int(parts[1]), int(parts[2])
             except ValueError:
                 raise ParseError(path, lineno, f"non-integer field in {line!r}") from None
-            if not 1 <= r <= r_max:
-                raise ParseError(path, lineno, f"rating {r} outside [1, {r_max}]")
+            if not 1 <= r <= R_MAX:
+                raise ParseError(path, lineno, f"rating {r} outside [1, {R_MAX}]")
             if (u, i) in first_line:
                 raise ParseError(path, lineno, f"duplicate (user, item) pair ({u}, {i}), "
                                  f"first on line {first_line[u, i]}")
@@ -115,13 +115,12 @@ def _load_triplet_file(path: Path, r_max: int) -> ExplicitRatings:
         users=users,
         items=items,
         ratings=np.asarray(ratings),
-        r_max=r_max,
         user_ids=user_ids,
         item_ids=item_ids,
     )
 
 
-def _load_dense_file(path: Path, r_max: int) -> ExplicitRatings:
+def _load_dense_file(path: Path) -> ExplicitRatings:
     rows = []
     width = None
     with open(path) as fh:
@@ -137,8 +136,8 @@ def _load_dense_file(path: Path, r_max: int) -> ExplicitRatings:
             elif len(row) != width:
                 raise ParseError(path, lineno, f"expected {width} columns, got {len(row)}")
             for r in row:
-                if not 0 <= r <= r_max:
-                    raise ParseError(path, lineno, f"rating {r} outside [0, {r_max}]")
+                if not 0 <= r <= R_MAX:
+                    raise ParseError(path, lineno, f"rating {r} outside [0, {R_MAX}]")
             rows.append(row)
     if not rows:
         raise ParseError(path, 1, "empty rating matrix")
@@ -150,7 +149,6 @@ def _load_dense_file(path: Path, r_max: int) -> ExplicitRatings:
         users=users,
         items=items,
         ratings=mat[users, items],
-        r_max=r_max,
         user_ids=np.arange(mat.shape[0]),
         item_ids=np.arange(mat.shape[1]),
     )
@@ -173,18 +171,18 @@ def align_index_spaces(a: ExplicitRatings, b: ExplicitRatings):
     return remap(a), remap(b)
 
 
-def rating_to_relevance(rating, epsilon, r_max=5):
+def rating_to_relevance(rating, epsilon):
     """Relevance probability of a star rating:
-    epsilon + (1 - epsilon) * (2^rating - 1) / (2^r_max - 1).
+    epsilon + (1 - epsilon) * (2^rating - 1) / (2^R_MAX - 1).
 
-    Accepts scalars or arrays; ratings must lie in [1, r_max].
+    Accepts scalars or arrays; ratings must lie in [1, R_MAX].
     """
     rating = np.asarray(rating)
     if not 0.0 <= float(epsilon) < 1.0:
         raise ValueError("epsilon must be in [0, 1)")
-    if np.any(rating < 1) or np.any(rating > r_max):
-        raise ValueError(f"rating outside [1, {r_max}]")
-    out = epsilon + (1.0 - epsilon) * (np.exp2(rating) - 1.0) / (2.0**r_max - 1.0)
+    if np.any(rating < 1) or np.any(rating > R_MAX):
+        raise ValueError(f"rating outside [1, {R_MAX}]")
+    out = epsilon + (1.0 - epsilon) * (np.exp2(rating) - 1.0) / (2.0**R_MAX - 1.0)
     return float(out) if out.ndim == 0 else out
 
 
@@ -207,7 +205,6 @@ class ImplicitDataset:
     split_tag: str = "train"
     epsilon: float = 0.0
     seed: int | None = None
-    r_max: int | None = None
 
     def __post_init__(self):
         self.users = np.asarray(self.users, dtype=np.int64)
@@ -299,7 +296,7 @@ def generate_semi_synthetic(ratings: ExplicitRatings, epsilon: float, seed: int,
     gamma from :func:`rating_to_relevance`; click c = o*r.  Regeneration with
     the same seed is bit-identical.
     """
-    gamma = rating_to_relevance(ratings.ratings, epsilon, ratings.r_max)
+    gamma = rating_to_relevance(ratings.ratings, epsilon)
     gamma = np.atleast_1d(np.asarray(gamma, dtype=np.float64))
     rng = np.random.default_rng(seed)
     # Draw in (user, item) order so the stream is independent of file order.
@@ -316,7 +313,6 @@ def generate_semi_synthetic(ratings: ExplicitRatings, epsilon: float, seed: int,
         split_tag=split_tag,
         epsilon=float(epsilon),
         seed=seed,
-        r_max=ratings.r_max,
     )
 
 
@@ -359,7 +355,7 @@ def save_dataset(dataset: ImplicitDataset, out_dir):
         "split_tag": dataset.split_tag,
         "epsilon": dataset.epsilon,
         "seed": dataset.seed,
-        "r_max": dataset.r_max,
+        "r_max": R_MAX,
     }
     (out / "meta.json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
     with open(out / "exposed.tsv", "w") as fh:
@@ -443,7 +439,6 @@ def load_dataset(in_dir) -> ImplicitDataset:
         split_tag=meta["split_tag"],
         epsilon=meta["epsilon"],
         seed=meta["seed"],
-        r_max=meta.get("r_max"),
     )
 
 

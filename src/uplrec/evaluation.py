@@ -41,18 +41,9 @@ DEFAULT_KS = (3, 5, 8)
 COHORTS = ("all", "cold_start_users", "rare_items")
 CANDIDATE_MODES = ("catalog", "test_only")
 _CHUNK_CELLS = 1 << 15  # float64 cells per chunk: scores, or gathered item factors
-
-
-@dataclass
-class CohortSpec:
-    """Click-count thresholds defining the hard cohorts."""
-
-    rare_item_click_threshold: int = 100
-    cold_start_user_click_threshold: int = 6
-
-    def __post_init__(self):
-        if self.rare_item_click_threshold <= 0 or self.cold_start_user_click_threshold <= 0:
-            raise ValueError("cohort thresholds must be positive")
+# the hard cohorts: fewer training clicks than these
+RARE_ITEM_CLICK_THRESHOLD = 100
+COLD_START_USER_CLICK_THRESHOLD = 6
 
 
 @dataclass
@@ -63,11 +54,10 @@ class CohortMasks:
     cold_users: np.ndarray  # bool per user
 
 
-def compute_cohorts(train: ImplicitDataset, spec: CohortSpec | None = None) -> CohortMasks:
-    spec = spec or CohortSpec()
+def compute_cohorts(train: ImplicitDataset) -> CohortMasks:
     return CohortMasks(
-        rare_items=train.item_click_counts < spec.rare_item_click_threshold,
-        cold_users=train.user_click_counts < spec.cold_start_user_click_threshold,
+        rare_items=train.item_click_counts < RARE_ITEM_CLICK_THRESHOLD,
+        cold_users=train.user_click_counts < COLD_START_USER_CLICK_THRESHOLD,
     )
 
 

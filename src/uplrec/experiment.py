@@ -23,6 +23,7 @@ stable ordering, fixed float formatting.
 from __future__ import annotations
 
 import hashlib
+import itertools
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -42,7 +43,6 @@ from .errors import IntegrityError, ParseError
 from .evaluation import (
     CANDIDATE_MODES,
     DEFAULT_KS,
-    CohortSpec,
     MetricReport,
     compute_cohorts,
     evaluate,
@@ -394,10 +394,9 @@ class _Runs:
     """An experiment's training runs, keyed by (LossSpec, TrainConfig).
 
     Training is a pure function of its key on the prepared data, so each key
-    trains once.  A run is held only while a later task can read it: a
-    caller releases each key it is done with, and a run stays after that
-    only if its LossSpec is in ``keep``, the specs the methods still to
-    come read.
+    trains once.  A run is held only while a later task can read it, that
+    is while its LossSpec is in ``keep``, the specs the methods still to
+    come read; any other run lives only as long as its caller keeps it.
     """
 
     def __init__(self, state):
@@ -406,12 +405,12 @@ class _Runs:
         self.keep = set()
 
     def stream(self, keys):
-        """Yield (key, run) in key order: the held run, or one trained now.
+        """Yield each key's run in key order: the held run, or one trained now.
 
         The keys not held are trained in key order, on a pool all submitted
         at once; the keys must be distinct.  A task gets the model of its
-        held stage run, or trains that stage first; a stage run is held only
-        if its spec is kept.  Failed runs are never held.
+        held stage run, or trains that stage first.  A trained run, stage or
+        not, is held if its spec is kept; failed runs are never held.
         """
         fresh = [key for key in keys if key not in self.held]
         tasks = []
@@ -421,16 +420,14 @@ class _Runs:
         trained = _train_tasks(tasks, self.state)
         fresh = set(fresh)
         for key in keys:
-            if key in fresh:
-                *stages, self.held[key] = next(trained)
-                for run in stages:
-                    if run.loss_spec in self.keep:
-                        self.held[run.loss_spec, run.config] = run
-            yield key, self.held[key]
-
-    def release(self, key):
-        if key[0] not in self.keep:
-            self.held.pop(key, None)
+            if key not in fresh:
+                yield self.held[key]
+                continue
+            runs = next(trained)
+            for run in runs:
+                if run.loss_spec in self.keep:
+                    self.held[run.loss_spec, run.config] = run
+            yield runs[-1]
 
     def drop_unkept(self):
         self.held = {key: run for key, run in self.held.items() if key[0] in self.keep}
@@ -443,11 +440,11 @@ class _Runs:
 CONFIG_HASH_FILE = "config_hash.txt"
 
 
-def run_experiment(config: ExperimentConfig, out_dir=None) -> Path:
+def run_experiment(config: ExperimentConfig) -> Path:
     """Grid-search, repeated runs, aggregation, significance and tables."""
-    if not (out_dir or config.out):  # Path("") would be the working directory
+    if not config.out:  # Path("") would be the working directory
         raise ValueError("no output directory configured: set out")
-    out = Path(out_dir or config.out)
+    out = Path(config.out)
     # find and parse the rating files, and estimate the propensities from
     # the train split's clicks, before anything is written
     cfg_hash = config.hash()
@@ -465,8 +462,7 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> Path:
     propensities.save(out / "propensities")
     # what every task reads: handed to each worker once, or passed in-process
     runs = _Runs({"data": data, "propensities": propensities, "config": config,
-                  "cohorts": compute_cohorts(data.train, CohortSpec())
-                  if config.cohorts else None})
+                  "cohorts": compute_cohorts(data.train) if config.cohorts else None})
 
     grid_rows = []
     all_reports: list[MetricReport] = []
@@ -475,10 +471,9 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> Path:
     for idx, token in enumerate(config.methods):
         runs.keep = set().union(*(_specs_read(later, config)
                                   for later in config.methods[idx + 1:]))
-        try:
-            best_combo, method_grid_rows = _grid_search(token, runs)
-            grid_rows.extend(method_grid_rows)
-            all_reports.extend(_final_runs(token, best_combo, runs, out))
+        try:  # no local here holds the grid's best run past its final runs
+            all_reports.extend(
+                _final_runs(token, runs, out, *_grid_search(token, runs, grid_rows)))
         except Exception as exc:  # isolate per-method failures
             failures.append((token, f"{type(exc).__name__}: {exc}"))
         runs.drop_unkept()
@@ -495,39 +490,38 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> Path:
     return out
 
 
-def _grid_search(token, runs: _Runs):
-    """The best combo on validation DCG@5 and the grid rows.  The best run
-    stays held: final run 0 has its key."""
+def _grid_search(token, runs: _Runs, grid_rows: list):
+    """The best combo on validation DCG@5 (the best of each run's epochs,
+    0 without any) and its run; the combos' rows join ``grid_rows`` once
+    every combo has trained.  Only the best run so far is kept past its
+    row."""
     config = runs.state["config"]
     combos = _grid_for(token, config)
     keys = [_run_key(token, combo, config, config.seed) for combo in combos]
     rows = []
-    best_combo, best_key, best_val = None, None, -np.inf
-    for combo, (key, run) in zip(combos, runs.stream(keys)):
-        val = max(run.validation_curve) if run.validation_curve else 0.0
+    best_combo, best_run, best_val = None, None, -np.inf
+    for combo, run in zip(combos, runs.stream(keys)):
+        val = max((v for _, _, v in run.epoch_log if v is not None), default=0.0)
         rows.append((token, *combo, val))
         if val > best_val:
-            if best_key is not None:
-                runs.release(best_key)
-            best_combo, best_key, best_val = combo, key, val
-        else:
-            runs.release(key)
-    return best_combo, rows
+            best_combo, best_run, best_val = combo, run, val
+    grid_rows.extend(rows)
+    return best_combo, best_run
 
 
-def _final_runs(token, combo, runs: _Runs, out: Path):
-    """Run r trains at seed ``seed + r``; the logs are written once every run
-    has been evaluated."""
+def _final_runs(token, runs: _Runs, out: Path, combo, best_run):
+    """Run r trains at seed ``seed + r``; run 0 is the grid's ``best_run``,
+    which trained at ``seed``.  The logs are written once every run has been
+    evaluated."""
     state = runs.state
     config = state["config"]
-    keys = [_run_key(token, combo, config, config.seed + r) for r in range(config.runs)]
+    keys = [_run_key(token, combo, config, config.seed + r) for r in range(1, config.runs)]
     reports, epoch_logs = [], []
-    for run_idx, (key, run) in enumerate(runs.stream(keys)):
+    for run_idx, run in enumerate(itertools.chain([best_run], runs.stream(keys))):
         reports.extend(evaluate(run.final_model, state["data"].test, ks=config.ks,
                                 cohorts=state["cohorts"], candidates=config.candidates,
                                 method=token, run=run_idx))
         epoch_logs.append(run.epoch_log)
-        runs.release(key)
     for run_idx, epoch_log in enumerate(epoch_logs):
         write_epoch_log(out / "logs" / f"{token}_run{run_idx:03d}.log", epoch_log)
     return reports
@@ -571,19 +565,26 @@ def write_metrics(path, reports, comment=""):
 
 
 def read_per_run(path):
-    """Parse per_run_metrics.tsv back into row tuples; a malformed row raises
-    ParseError naming the file and line."""
+    """Parse per_run_metrics.tsv back into row tuples; a malformed row, or a
+    row whose (method, run, cohort, metric, k) repeats an earlier one's,
+    raises ParseError naming the file and line."""
     rows = []
+    first_line = {}  # (method, run, cohort, metric, k) -> the line that gave it
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             if line.startswith("#") or line.startswith("method\t") or not line.strip():
                 continue
             try:
                 method, run, cohort, metric, k, value = line.rstrip("\n").split("\t")
-                rows.append((method, int(run), cohort, metric, int(k), float(value)))
+                row = (method, int(run), cohort, metric, int(k), float(value))
             except ValueError:
                 raise ParseError(path, lineno, "expected method, run, cohort, metric, k and "
                                  f"value, got {line.rstrip()!r}") from None
+            if row[:5] in first_line:
+                raise ParseError(path, lineno, f"duplicate (method, run, cohort, metric, k) "
+                                 f"{row[:5]}, first on line {first_line[row[:5]]}")
+            first_line[row[:5]] = lineno
+            rows.append(row)
     return rows
 
 

@@ -394,14 +394,14 @@ def low_exposure_worlds(count=3, seed=777):
 # Verification suite consumed by the CLI
 
 
-def verification_suite(samples=10**5, seed=1234, suite_count=20):
+def verification_suite(samples=10**5, seed=1234):
     """Run every oracle invariant; yields (check_name, passed, detail) rows.
 
     Each world is walked once, for all the estimators its checks compare.
     """
     results = []
 
-    worlds = unbiasedness_suite(count=suite_count)
+    worlds = unbiasedness_suite()
     max_err_upl = 0.0
     max_err_ubpr = 0.0
     for k, (name, world) in enumerate(worlds):

@@ -25,7 +25,7 @@ through ``train_key``, which for upl first trains the relmf stage that
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -111,9 +111,11 @@ class TrainRun:
     config: TrainConfig
     loss_spec: LossSpec
     final_model: FactorModel
-    validation_curve: list = field(default_factory=list)
-    epochs_trained: int = 0
-    epoch_log: list = field(default_factory=list)  # (epoch, train_loss, val_metric|None)
+    epoch_log: list  # (epoch, train_loss, val_metric|None)
+
+    @property
+    def epochs_trained(self) -> int:
+        return len(self.epoch_log)
 
 
 def relevance_predictor(model: FactorModel):
@@ -298,7 +300,6 @@ def train(dataset: ImplicitDataset, config: TrainConfig, loss_spec: LossSpec,
     best_val = -math.inf
     best_model = None
     stale = 0
-    curve = []
     epoch_log = []
 
     for epoch in range(config.max_epochs):
@@ -313,7 +314,6 @@ def train(dataset: ImplicitDataset, config: TrainConfig, loss_spec: LossSpec,
         val_metric = None
         if validation is not None:
             val_metric = validation_dcg(model, validation)
-            curve.append(val_metric)
             if val_metric > best_val:
                 best_val = val_metric
                 best_model = model.copy()
@@ -325,14 +325,7 @@ def train(dataset: ImplicitDataset, config: TrainConfig, loss_spec: LossSpec,
             break
 
     final = best_model if best_model is not None else model
-    return TrainRun(
-        config=config,
-        loss_spec=loss_spec,
-        final_model=final,
-        validation_curve=curve,
-        epochs_trained=len(epoch_log),
-        epoch_log=epoch_log,
-    )
+    return TrainRun(config=config, loss_spec=loss_spec, final_model=final, epoch_log=epoch_log)
 
 
 def stage_spec(loss_spec: LossSpec) -> LossSpec | None:

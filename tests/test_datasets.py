@@ -1,3 +1,4 @@
+import json
 import re
 
 import numpy as np
@@ -19,10 +20,9 @@ from uplrec.errors import IntegrityError, ParseError
 from conftest import make_implicit
 
 
-def ratings_from_entries(entries, num_users, num_items, r_max=5):
+def ratings_from_entries(entries, num_users, num_items):
     u, i, r = zip(*entries)
-    return ExplicitRatings(num_users, num_items, np.array(u), np.array(i),
-                           np.array(r), r_max=r_max)
+    return ExplicitRatings(num_users, num_items, np.array(u), np.array(i), np.array(r))
 
 
 class TestLoadTriplets:
@@ -105,35 +105,35 @@ class TestLoadTriplets:
 
 class TestRatingToRelevance:
     def test_top_rating_is_one(self):
-        assert rating_to_relevance(5, 0.0, 5) == 1.0
-        assert rating_to_relevance(5, 0.1, 5) == pytest.approx(1.0, abs=1e-15)
+        assert rating_to_relevance(5, 0.0) == 1.0
+        assert rating_to_relevance(5, 0.1) == pytest.approx(1.0, abs=1e-15)
 
     def test_hand_computed_value(self):
         # 0.1 + 0.9 * (2^1 - 1)/(2^5 - 1), checked by independent evaluation
-        assert rating_to_relevance(1, 0.1, 5) == pytest.approx(0.12903225806451613, abs=1e-15)
+        assert rating_to_relevance(1, 0.1) == pytest.approx(0.12903225806451613, abs=1e-15)
 
     def test_bottom_rating_no_epsilon(self):
-        assert rating_to_relevance(1, 0.0, 5) == pytest.approx(1 / 31, abs=1e-15)
+        assert rating_to_relevance(1, 0.0) == pytest.approx(1 / 31, abs=1e-15)
 
     def test_strictly_increasing_in_rating(self):
         for eps in (0.0, 0.1, 0.5, 0.9):
-            vals = [rating_to_relevance(r, eps, 5) for r in range(1, 6)]
+            vals = [rating_to_relevance(r, eps) for r in range(1, 6)]
             assert all(a < b for a, b in zip(vals, vals[1:]))
 
     def test_bounds(self):
         for eps in (0.0, 0.1, 0.5):
             for r in range(1, 6):
-                assert eps <= rating_to_relevance(r, eps, 5) <= 1.0
+                assert eps <= rating_to_relevance(r, eps) <= 1.0
 
     def test_rating_out_of_range(self):
         with pytest.raises(ValueError):
-            rating_to_relevance(0, 0.1, 5)
+            rating_to_relevance(0, 0.1)
         with pytest.raises(ValueError):
-            rating_to_relevance(6, 0.1, 5)
+            rating_to_relevance(6, 0.1)
 
     def test_epsilon_out_of_range(self):
         with pytest.raises(ValueError):
-            rating_to_relevance(3, 1.0, 5)
+            rating_to_relevance(3, 1.0)
 
 
 class TestGenerateSemiSynthetic:
@@ -235,7 +235,7 @@ class TestSaveLoadRoundTrip:
         assert np.array_equal(back.gamma, ds.gamma)  # %.17g is reload-exact
         assert np.array_equal(back.rel, ds.rel)
         assert back.epsilon == ds.epsilon and back.seed == ds.seed
-        assert back.r_max == ds.r_max == 5
+        assert json.loads((tmp_path / "d" / "meta.json").read_text())["r_max"] == 5
 
     @pytest.mark.parametrize("edit, counts", [
         (lambda rows: rows[:-1], "5 rows with 3 clicks"),

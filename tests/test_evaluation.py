@@ -12,7 +12,6 @@ from uplrec import evaluation
 from uplrec.evaluation import (
     COHORTS,
     CohortMasks,
-    CohortSpec,
     MetricReport,
     compute_cohorts,
     evaluate,
@@ -410,19 +409,16 @@ class TestEvaluate:
     def test_cold_start_cohort_empty_when_all_users_warm(self):
         train = make_implicit(2, 8, [(u, i, 0.9, 1) for u in range(2) for i in range(8)])
         test = make_implicit(2, 8, [(0, 0, 0.9, 1), (1, 1, 0.9, 1)], split_tag="test")
-        cohorts = compute_cohorts(train, CohortSpec(cold_start_user_click_threshold=6))
+        cohorts = compute_cohorts(train)
         model = init_model(2, 8, d=2, seed=0)
         reports = evaluate(model, test, ks=(3,), cohorts=cohorts)
         assert not any(r.cohort == "cold_start_users" for r in reports)
         assert any(r.cohort == "all" for r in reports)
 
     def test_rare_items_cohort_restricts_credit(self):
-        # item 0 popular (>= threshold clicks), item 1 rare
-        train_cells = [(u, 0, 0.9, 1) for u in range(6)] + [(0, 1, 0.5, 1)]
-        train = make_implicit(6, 3, train_cells)
-        cohorts = compute_cohorts(train, CohortSpec(rare_item_click_threshold=3,
-                                                    cold_start_user_click_threshold=1))
-        assert not cohorts.rare_items[0] and cohorts.rare_items[1]
+        # item 0 popular, items 1 and 2 rare; no user is cold
+        cohorts = CohortMasks(rare_items=np.array([False, True, True]),
+                              cold_users=np.zeros(6, dtype=bool))
         test = make_implicit(6, 3, [(0, 0, 0.9, 1), (0, 1, 0.4, 1), (1, 0, 0.9, 1)],
                              split_tag="test")
         model = FactorModel(np.ones((6, 1)), np.array([[3.0], [2.0], [1.0]]))
@@ -578,12 +574,15 @@ class TestOneTailedTTest:
             one_tailed_t_test([1.0], [0.5, 0.6])
 
 
-class TestCohortSpec:
-    def test_default_thresholds(self):
-        spec = CohortSpec()
-        assert spec.rare_item_click_threshold == 100
-        assert spec.cold_start_user_click_threshold == 6
-
-    def test_positive_thresholds_required(self):
-        with pytest.raises(ValueError):
-            CohortSpec(rare_item_click_threshold=0)
+class TestComputeCohorts:
+    def test_thresholds_at_their_boundaries(self):
+        # rare items have < 100 training clicks, cold-start users < 6: item 0
+        # has 99 clicks and item 1 100; user 0 has 5 clicks and user 1 6.
+        # User 0's exposed but unclicked cell on item 7 counts for neither.
+        cells = [(u, 0, 0.5, 1) for u in range(99)] + [(u, 1, 0.5, 1) for u in range(100)]
+        cells += [(0, i, 0.5, 1) for i in (2, 3, 4)] + [(1, i, 0.5, 1) for i in (2, 3, 4, 5)]
+        cells.append((0, 7, 0.5, 0))
+        cohorts = compute_cohorts(make_implicit(100, 8, cells))
+        assert cohorts.rare_items.tolist() == [True, False] + [True] * 6
+        assert cohorts.cold_users[:2].tolist() == [True, False]
+        assert cohorts.cold_users[2:].all()  # 2 clicks each, user 99 one

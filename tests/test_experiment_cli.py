@@ -11,7 +11,7 @@ from uplrec import cli, trainer
 from uplrec import experiment as exp
 from uplrec.datasets import load_dataset
 from uplrec.errors import ParseError
-from uplrec.evaluation import CohortSpec, compute_cohorts, evaluate
+from uplrec.evaluation import compute_cohorts, evaluate
 from uplrec.factor_model import TrainConfig, load_checkpoint
 from uplrec.losses import LossSpec
 from uplrec.propensity import PropensityTable
@@ -604,6 +604,25 @@ class TestTrainCli:
             f"error: prepared data {prep}: train split: all click counts are zero\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("split, key, shape", [
+        ("validation", "num_users", "61x40"), ("test", "num_items", "60x41"),
+    ])
+    def test_split_shape_unlike_train_rejected_in_one_line(self, prep, tmp_path, capsys,
+                                                          monkeypatch, split, key, shape):
+        # a split copied in from another prepare: every row still loads
+        stop_at(monkeypatch, cli, "train_key")
+        meta = prep / split / "meta.json"
+        count = int(re.search(rf'"{key}": (\d+)', meta.read_text()).group(1))
+        meta.write_text(meta.read_text().replace(f'"{key}": {count}', f'"{key}": {count + 1}'))
+        out = tmp_path / "run"
+        assert cli.main(["train", "--data", str(prep), "--method", "bpr",
+                         "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: prepared data {prep}: {prep / split} is {shape} "
+                                f"(users x items), but {prep / 'train'} is 60x40\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("method, flags, message", [
         ("ubpr", ["--clip", "5"], "--clip 5.0: clip_threshold must be in [-10, 0]"),
         ("wmf", ["--wmf-weight", "0.5"], "--wmf-weight 0.5: wmf_weight must be >= 1"),
@@ -908,6 +927,32 @@ class TestReportCli:
                                 "and value, got 'bpr\\t0\\tall\\tdcg\\t5'\n")
         assert list(tmp_path.iterdir()) == [path]
 
+    def test_repeated_row_key_rejected_in_one_line(self, tmp_path, capsys):
+        # a repeated row would be counted as one more run of its method
+        path = tmp_path / "per_run_metrics.tsv"
+        path.write_text("method\trun\tcohort\tmetric\tk\tvalue\n"
+                        "bpr\t0\tall\tdcg\t5\t0.25\n"
+                        "bpr\t1\tall\tdcg\t5\t0.5\n"
+                        "bpr\t1\tall\tdcg\t5\t0.5\n")
+        assert cli.main(["report", "--out", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: {path}:4: duplicate (method, run, cohort, metric, k) "
+                                "('bpr', 1, 'all', 'dcg', 5), first on line 3\n")
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_empty_out_rejected_in_one_line(self, tmp_path, capsys, monkeypatch):
+        # Path("") is the working directory, which would be re-aggregated
+        monkeypatch.chdir(tmp_path)
+        path = tmp_path / "per_run_metrics.tsv"
+        path.write_text("method\trun\tcohort\tmetric\tk\tvalue\n"
+                        "bpr\t0\tall\tdcg\t5\t0.25\n")
+        assert cli.main(["report", "--out", ""]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --out is empty: name an output directory\n"
+        assert list(tmp_path.iterdir()) == [path]
+
 
 class TestMfduToken:
     def test_mfdu_rows_equal_relmf(self, triplet_files, tmp_path):
@@ -1027,7 +1072,7 @@ class TestRunMemo:
         propensities = PropensityTable.from_click_counts(
             data.train.item_click_counts, power=config.propensity_power,
             floor=config.propensity_floor)
-        cohorts = compute_cohorts(data.train, CohortSpec())
+        cohorts = compute_cohorts(data.train)
         rows = exp.read_per_run(out / "per_run_metrics.tsv")
         tokens = [t for t in ("upl", "mfdu", "bpr") if t in config.methods]
         assert tokens
@@ -1225,6 +1270,24 @@ class TestVerifyCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: --out {tmp_path} is a directory\n"
+
+    @pytest.mark.parametrize("world", [[], ["--world", str(WORLDS_DIR / "clip_bias.txt")]],
+                             ids=["suite", "world"])
+    def test_empty_out_rejected_up_front(self, world, tmp_path, capsys, monkeypatch):
+        # an empty --out names no file; it is not the absent --out
+        from uplrec import oracle
+
+        def never(*args, **kwargs):
+            raise AssertionError("checks ran before --out was checked")
+
+        monkeypatch.setattr(oracle, "verification_suite", never)
+        monkeypatch.setattr(oracle, "estimator_reports", never)
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["verify", *world, "--samples", "10000", "--out", ""]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --out is empty: name an output file\n"
+        assert list(tmp_path.iterdir()) == []
 
     def test_out_under_a_file_rejected_up_front(self, tmp_path, capsys, monkeypatch):
         from uplrec import oracle

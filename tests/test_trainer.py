@@ -283,10 +283,11 @@ class TestTrainLoop:
         config = TrainConfig(d=4, lam=0.0, learning_rate=0.01, batch_size=16,
                              max_epochs=200, patience=3, seed=5)
         run = train(ds12, config, LossSpec("bpr"), validation=val)
-        assert run.epochs_trained < 200
-        assert len(run.validation_curve) == run.epochs_trained
+        curve = [val_metric for _, _, val_metric in run.epoch_log]
+        assert run.epochs_trained == len(curve) < 200
+        assert None not in curve  # every epoch was validated
         # the returned snapshot is from the best epoch, not the last one
-        assert validation_dcg(run.final_model, val) == max(run.validation_curve)
+        assert validation_dcg(run.final_model, val) == max(curve)
 
 
 class TestUplPipeline:
