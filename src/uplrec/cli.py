@@ -23,7 +23,7 @@ from pathlib import Path
 from . import experiment as exp
 from . import oracle
 from .datasets import load_dataset
-from .errors import EstimationError, IntegrityError, ParseError
+from .errors import EstimationError, IntegrityError, ParseError, SettingError
 from .evaluation import CANDIDATE_MODES, compute_cohorts, evaluate
 from .experiment import METHOD_TOKENS, ExperimentConfig, PreparedData
 from .factor_model import TrainConfig, save_checkpoint
@@ -104,11 +104,11 @@ def main(argv=None) -> int:
 
 
 def _cmd_prepare(args) -> int:
-    try:  # each split setting alone over the defaults, which build, to name its flag
-        for flag in ("epsilon_train", "epsilon_test", "validation_fraction"):
-            ExperimentConfig(**{flag: getattr(args, flag)})
-    except ValueError as exc:
-        print(f"error: --{flag.replace('_', '-')}: {exc}", file=sys.stderr)
+    try:  # the config checks each flag that is one of its fields
+        ExperimentConfig(**{f.name: getattr(args, f.name) for f in fields(ExperimentConfig)
+                            if hasattr(args, f.name)})
+    except SettingError as exc:
+        print(f"error: --{exc.name.replace('_', '-')}: {exc}", file=sys.stderr)
         return 2
     try:
         data = exp.prepare_datasets(
@@ -116,6 +116,8 @@ def _cmd_prepare(args) -> int:
             args.validation_fraction, args.seed, args.train_file, args.test_file)
     except (FileNotFoundError, ParseError, IntegrityError) as exc:  # names the files
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    if not _make_dir(args.out):  # after the input is checked, as train does
         return 2
     exp.save_prepared(data, args.out)
     print(f"prepared {args.out}: train {len(data.train)} cells "
@@ -150,17 +152,14 @@ def _make_dir(path) -> bool:
 
 
 def _cmd_train(args) -> int:
-    settings = {f.name: getattr(args, f.name) for f in fields(TrainConfig)}
-    try:  # each setting alone over the defaults, which build, to name its flag
-        for flag in settings:
-            TrainConfig(**{flag: settings[flag]})
-        flag = "clip" if args.method == "ubpr" else "wmf_weight"
+    try:
+        train_config = TrainConfig(**{f.name: getattr(args, f.name)
+                                      for f in fields(TrainConfig)})
         spec = exp.make_loss_spec(args.method, args.clip, args.wmf_weight)
-    except ValueError as exc:
-        print(f"error: --{flag.replace('_', '-')} {getattr(args, flag)!r}: {exc}",
-              file=sys.stderr)
+    except SettingError as exc:  # named by its flag
+        flag = "clip" if exc.name == "clip_threshold" else exc.name
+        print(f"error: --{flag.replace('_', '-')} {exc.value!r}: {exc}", file=sys.stderr)
         return 2
-    train_config = TrainConfig(**settings)
     try:
         data = _load_prepared(args.data)
         propensities = PropensityTable.from_click_counts(data.train.item_click_counts)

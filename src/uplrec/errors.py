@@ -10,6 +10,15 @@ class ParseError(ValueError):
         self.lineno = lineno
 
 
+class SettingError(ValueError):
+    """A setting outside its valid range; carries the setting's name and value."""
+
+    def __init__(self, name, value, message):
+        super().__init__(message)
+        self.name = name
+        self.value = value
+
+
 class IntegrityError(ValueError):
     """Input violates a structural constraint (e.g. duplicate (user, item) pair)."""
 

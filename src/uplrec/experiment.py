@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -39,7 +40,7 @@ from .datasets import (
     save_index_maps,
     split_validation,
 )
-from .errors import IntegrityError, ParseError
+from .errors import IntegrityError, ParseError, SettingError
 from .evaluation import (
     CANDIDATE_MODES,
     DEFAULT_KS,
@@ -66,6 +67,8 @@ _RATING_FILES = {
                  ("test.txt", "ydata-ymusic-rating-study-v1_0-test.txt")),
 }
 DATASET_FORMATS = tuple(_RATING_FILES)
+# the config key of each TrainConfig and LossSpec field it does not share a name with
+_CONFIG_KEYS = {"d": "d_grid", "lam": "lambda_grid", "clip_threshold": "clip_grid"}
 
 
 @dataclass
@@ -98,15 +101,16 @@ class ExperimentConfig:
 
     def __post_init__(self):
         if self.runs < 1:
-            raise ValueError("runs must be >= 1")
+            raise SettingError("runs", self.runs, "runs must be >= 1")
         if self.threads < 1:
-            raise ValueError("threads must be >= 1")
-        for key in ("epsilon_train", "epsilon_test"):  # NaN fails each range test
-            if not 0.0 <= getattr(self, key) < 1.0:
-                raise ValueError(f"{key} must be in [0, 1), got {getattr(self, key)!r}")
-        if not 0.0 < self.validation_fraction < 1.0:
-            raise ValueError("validation_fraction must be in (0, 1), "
-                             f"got {self.validation_fraction!r}")
+            raise SettingError("threads", self.threads, "threads must be >= 1")
+        for key, valid, bounds in (  # NaN fails each range test
+                ("epsilon_train", 0.0 <= self.epsilon_train < 1.0, "[0, 1)"),
+                ("epsilon_test", 0.0 <= self.epsilon_test < 1.0, "[0, 1)"),
+                ("validation_fraction", 0.0 < self.validation_fraction < 1.0, "(0, 1)")):
+            if not valid:
+                value = getattr(self, key)
+                raise SettingError(key, value, f"{key} must be in {bounds}, got {value!r}")
         if not self.d_grid or not self.lambda_grid:
             raise ValueError("hyperparameter grid must be non-empty")
         if "ubpr" in self.methods and not self.clip_grid:
@@ -117,7 +121,8 @@ class ExperimentConfig:
             if m not in METHOD_TOKENS:
                 raise ValueError(f"unknown method token {m!r}")
         if not self.ks or min(self.ks) < 1:
-            raise ValueError(f"ks must be non-empty cutoffs >= 1, got {self.ks!r}")
+            raise SettingError("ks", self.ks,
+                               f"ks must be non-empty cutoffs >= 1, got {self.ks!r}")
         for name, values in (("methods", self.methods), ("ks", self.ks)):
             repeated = [v for v in values if values.count(v) > 1]
             if repeated:  # its rows would be written, and counted, twice
@@ -126,14 +131,19 @@ class ExperimentConfig:
             raise ValueError(f"unknown candidate mode {self.candidates!r}")
         if self.format not in DATASET_FORMATS:
             raise ValueError(f"unknown dataset format {self.format!r}")
+        try:  # the propensity's own checks, on one item's count
+            PropensityTable.from_click_counts((1,), self.propensity_power, self.propensity_floor)
+        except SettingError as exc:
+            key = f"propensity_{exc.name}"
+            raise SettingError(key, exc.value, f"{key} value {exc.value!r}: {exc}") from None
         for token in self.methods:  # TrainConfig and LossSpec reject what cannot train
-            for combo in _grid_for(token, self):
-                try:
+            try:
+                for combo in _grid_for(token, self):
                     _run_key(token, combo, self, self.seed)
-                except ValueError as exc:
-                    key, value = _rejected_setting(token, combo, self)
-                    raise ValueError(f"{key} value {value!r} for method {token}: {exc}") \
-                        from None
+            except SettingError as exc:
+                key = _CONFIG_KEYS.get(exc.name, exc.name)
+                raise SettingError(key, exc.value, f"{key} value {exc.value!r} for method "
+                                   f"{token}: {exc}") from None
 
     def canonical_text(self) -> str:
         lines = []
@@ -335,22 +345,6 @@ def _run_key(token: str, combo, config: ExperimentConfig, seed: int):
     d, lam, clip = combo
     return (make_loss_spec(token, clip, config.wmf_weight),
             make_train_config(config, d, lam, seed))
-
-
-def _rejected_setting(token, combo, config: ExperimentConfig):
-    """The (config key, value) behind a key that fails to build: each
-    TrainConfig setting is tried alone over the defaults, which build; if
-    none fails, the LossSpec's one config value does."""
-    d, lam, clip = combo
-    settings = [("d_grid", "d", d), ("lambda_grid", "lam", lam)] + [
-        (f.name, f.name, getattr(config, f.name)) for f in fields(TrainConfig)
-        if hasattr(config, f.name)]
-    for key, name, value in settings:
-        try:
-            TrainConfig(**{name: value})
-        except ValueError:
-            return key, value
-    return ("clip_grid", clip) if token == "ubpr" else ("wmf_weight", config.wmf_weight)
 
 
 def _specs_read(token: str, config: ExperimentConfig) -> set:
@@ -580,6 +574,8 @@ def read_per_run(path):
             except ValueError:
                 raise ParseError(path, lineno, "expected method, run, cohort, metric, k and "
                                  f"value, got {line.rstrip()!r}") from None
+            if not math.isfinite(row[5]):  # write_metrics never writes one
+                raise ParseError(path, lineno, f"value must be finite, got {value!r}")
             if row[:5] in first_line:
                 raise ParseError(path, lineno, f"duplicate (method, run, cohort, metric, k) "
                                  f"{row[:5]}, first on line {first_line[row[:5]]}")

@@ -6,11 +6,14 @@ differences are attributable to the loss alone.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+
+from .errors import SettingError
 
 CHECKPOINT_MAGIC = b"FACT0001"
 
@@ -62,18 +65,20 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.d < 1:
-            raise ValueError("latent dimension must be >= 1")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if self.lam < 0:
-            raise ValueError("lambda must be >= 0")
-        if self.max_epochs < 1:  # else the random initial model is the result
-            raise ValueError("max_epochs must be >= 1")
-        if self.patience < 1:  # else training stops after epoch 0
-            raise ValueError("patience must be >= 1")
+        for name, valid, message in (
+                ("d", self.d >= 1, "latent dimension must be >= 1"),
+                ("learning_rate", math.isfinite(self.learning_rate),
+                 "learning_rate must be finite"),
+                ("learning_rate", self.learning_rate > 0, "learning_rate must be positive"),
+                ("batch_size", self.batch_size >= 1, "batch_size must be >= 1"),
+                ("lam", math.isfinite(self.lam), "lambda must be finite"),
+                ("lam", self.lam >= 0, "lambda must be >= 0"),
+                # else the random initial model is the result
+                ("max_epochs", self.max_epochs >= 1, "max_epochs must be >= 1"),
+                # else training stops after epoch 0
+                ("patience", self.patience >= 1, "patience must be >= 1")):
+            if not valid:
+                raise SettingError(name, getattr(self, name), message)
 
 
 def init_model(num_users, num_items, d, seed, scale=0.01) -> FactorModel:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SingularityError
+from .errors import SettingError, SingularityError
 
 PAIRWISE_METHODS = ("bpr", "ubpr", "ubpr_clipped", "upl")
 POINTWISE_METHODS = ("wmf", "relmf")
@@ -125,8 +125,8 @@ def pointwise_loss(method, c, s, theta_click=1.0, weight=10.0):
     p = sigmoid(s)
 
     if method == "wmf":
-        if weight < 1.0:
-            raise ValueError("wmf weight must be >= 1")
+        if not 1.0 <= weight < np.inf:  # NaN fails it too
+            raise ValueError("wmf weight must be >= 1 and finite")
         w_pos = weight * c
         w_neg = 1.0 - c
     elif method == "relmf":
@@ -161,15 +161,18 @@ class LossSpec:
         if self.method == "ubpr_clipped":
             if self.clip_threshold is None:
                 raise ValueError("ubpr_clipped requires clip_threshold")
-            if not -10.0 <= self.clip_threshold <= 0.0:
-                raise ValueError("clip_threshold must be in [-10, 0]")
+            if not -10.0 <= self.clip_threshold <= 0.0:  # NaN fails it too
+                raise SettingError("clip_threshold", self.clip_threshold,
+                                   "clip_threshold must be in [-10, 0]")
         elif self.clip_threshold is not None:
             raise ValueError("clip_threshold only valid for ubpr_clipped")
         if self.method == "wmf":
             if self.wmf_weight is None:
                 raise ValueError("wmf requires wmf_weight")
+            if not np.isfinite(self.wmf_weight):
+                raise SettingError("wmf_weight", self.wmf_weight, "wmf_weight must be finite")
             if self.wmf_weight < 1.0:
-                raise ValueError("wmf_weight must be >= 1")
+                raise SettingError("wmf_weight", self.wmf_weight, "wmf_weight must be >= 1")
         elif self.wmf_weight is not None:
             raise ValueError("wmf_weight only valid for wmf")
 

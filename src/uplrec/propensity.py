@@ -12,17 +12,20 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import EstimationError, SingularityError
+from .errors import EstimationError, SettingError, SingularityError
 
 DEFAULT_POWER = 0.5
 DEFAULT_FLOOR = 1e-2
 
 
 def estimate_click_propensity(click_counts, power=DEFAULT_POWER, floor=DEFAULT_FLOOR):
-    """(n_i / max_i n_i)^power per item, floored for zero-click items."""
+    """(n_i / max_i n_i)^power per item, floored for zero-click items.  theta
+    is a probability that IPS weights divide by, so the floor lies in (0, 1]."""
     counts = np.asarray(click_counts, dtype=np.float64)
-    if power <= 0:
-        raise ValueError("power must be positive")
+    if not 0 < power < np.inf:  # NaN fails each range test
+        raise SettingError("power", power, "power must be positive and finite")
+    if not 0 < floor <= 1:
+        raise SettingError("floor", floor, "floor must be in (0, 1]")
     # written so that NaN fails the check
     if not np.all((counts >= 0) & (counts < np.inf)):
         raise ValueError("click counts must be finite and non-negative")

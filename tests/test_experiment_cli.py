@@ -10,7 +10,7 @@ import pytest
 from uplrec import cli, trainer
 from uplrec import experiment as exp
 from uplrec.datasets import load_dataset
-from uplrec.errors import ParseError
+from uplrec.errors import ParseError, SettingError
 from uplrec.evaluation import compute_cohorts, evaluate
 from uplrec.factor_model import TrainConfig, load_checkpoint
 from uplrec.losses import LossSpec
@@ -368,21 +368,38 @@ class TestConfigParsing:
          "wmf_weight value 0.5 for method wmf: wmf_weight must be >= 1"),
         ("methods = wmf,bpr,ubpr\nclip_grid = 5",
          "clip_grid value 5.0 for method ubpr: clip_threshold must be in [-10, 0]"),
+        ("learning_rate = nan",
+         "learning_rate value nan for method bpr: learning_rate must be finite"),
+        ("lambda_grid = inf", "lambda_grid value inf for method bpr: lambda must be finite"),
+        ("methods = wmf,bpr\nwmf_weight = nan",
+         "wmf_weight value nan for method wmf: wmf_weight must be finite"),
+        ("lambda_grid = -1\nlearning_rate = 0",
+         "learning_rate value 0.0 for method bpr: learning_rate must be positive"),
+        ("propensity_power = -1",
+         "propensity_power value -1.0: power must be positive and finite"),
+        ("propensity_power = inf",
+         "propensity_power value inf: power must be positive and finite"),
+        ("propensity_floor = 2", "propensity_floor value 2.0: floor must be in (0, 1]"),
+        ("propensity_floor = nan", "propensity_floor value nan: floor must be in (0, 1]"),
     ], ids=["d", "lambda", "batch_size", "learning_rate", "max_epochs", "patience",
-            "wmf_weight", "clip"])
+            "wmf_weight", "clip", "learning_rate_nan", "lambda_inf", "wmf_weight_nan",
+            "two_bad_settings", "power_negative", "power_inf", "floor_above_one", "floor_nan"])
     def test_untrainable_values_rejected_before_writing(self, triplet_files, tmp_path,
                                                         capsys, lines, message):
         # every run of some method would fail: the config builds each key
         # it trains, so TrainConfig and LossSpec reject the value up front,
-        # and the CLI names the key, value and method in one line
+        # and the CLI names the key, value and method in one line; the
+        # propensity settings are checked by the propensity estimate's own
+        # checks, and with two bad settings the check that fails names its key
         out = tmp_path / "out"
         cfg_path = tmp_path / "exp.cfg"
         cfg_path.write_text(small_config_text(triplet_files, out) + lines + "\n")
         assert cli.main(["experiment", "--config", str(cfg_path)]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
-        with pytest.raises(ValueError, match=re.escape(message)):
+        with pytest.raises(SettingError, match=re.escape(message)) as info:
             exp.parse_config_file(cfg_path)
+        assert info.value.name == message.split()[0]
 
     def test_canonical_text_round_trips_every_field(self, tmp_path):
         # every field away from its default, so each field's parser is used
@@ -488,6 +505,21 @@ class TestPrepareCli:
         assert captured.out == ""
         assert captured.err == "error: --out is empty: name an output directory\n"
         assert list(work.iterdir()) == []
+
+    @pytest.mark.parametrize("under, reason", [("", "File exists"),
+                                               ("prepared", "Not a directory")],
+                             ids=["a_file", "under_a_file"])
+    def test_uncreatable_out_rejected_in_one_line(self, triplet_files, tmp_path, capsys,
+                                                  under, reason):
+        afile = tmp_path / "afile"
+        afile.write_text("kept\n")
+        out = afile / under
+        assert cli.main(["prepare", "--dataset", str(triplet_files), "--format", "triplets",
+                         "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: cannot create directory {out}: {reason}\n"
+        assert afile.read_text() == "kept\n"
 
     def test_prepare_coat_matrices(self, tmp_path):
         # coat reads two dense matrices of one shape, 0 meaning unrated
@@ -629,7 +661,11 @@ class TestTrainCli:
         ("bpr", ["--d", "0"], "--d 0: latent dimension must be >= 1"),
         ("upl", ["--learning-rate", "-1"],
          "--learning-rate -1.0: learning_rate must be positive"),
-    ], ids=["clip", "wmf_weight", "d", "learning_rate"])
+        ("bpr", ["--learning-rate", "nan"], "--learning-rate nan: learning_rate must be finite"),
+        ("wmf", ["--wmf-weight", "nan"], "--wmf-weight nan: wmf_weight must be finite"),
+        ("bpr", ["--lam", "inf"], "--lam inf: lambda must be finite"),
+    ], ids=["clip", "wmf_weight", "d", "learning_rate", "learning_rate_nan", "wmf_weight_nan",
+            "lam_inf"])
     def test_rejected_setting_named_before_out_created(self, prep, tmp_path, capsys,
                                                         monkeypatch, method, flags, message):
         stop_at(monkeypatch, cli, "train_key")
@@ -917,14 +953,21 @@ class TestReportCli:
             f"error: [Errno 2] No such file or directory: '{tmp_path / 'per_run_metrics.tsv'}'\n"
         assert list(tmp_path.iterdir()) == []
 
-    def test_malformed_per_run_row_rejected_in_one_line(self, tmp_path, capsys):
+    @pytest.mark.parametrize("row, message", [
+        ("bpr\t0\tall\tdcg\t5", "expected method, run, cohort, metric, k and value, "
+                               "got 'bpr\\t0\\tall\\tdcg\\t5'"),
+        ("bpr\t0\tall\tdcg\t5\tnan", "value must be finite, got 'nan'"),
+        ("bpr\t0\tall\tdcg\t5\t-inf", "value must be finite, got '-inf'"),
+    ], ids=["short", "nan", "minus_inf"])
+    def test_malformed_per_run_row_rejected_in_one_line(self, tmp_path, capsys, row, message):
+        # write_metrics never writes a non-finite value, which would turn
+        # its group's mean into nan
         path = tmp_path / "per_run_metrics.tsv"
-        path.write_text("method\trun\tcohort\tmetric\tk\tvalue\nbpr\t0\tall\tdcg\t5\n")
+        path.write_text(f"method\trun\tcohort\tmetric\tk\tvalue\n{row}\n")
         assert cli.main(["report", "--out", str(tmp_path)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == (f"error: {path}:2: expected method, run, cohort, metric, k "
-                                "and value, got 'bpr\\t0\\tall\\tdcg\\t5'\n")
+        assert captured.err == f"error: {path}:2: {message}\n"
         assert list(tmp_path.iterdir()) == [path]
 
     def test_repeated_row_key_rejected_in_one_line(self, tmp_path, capsys):

@@ -3,6 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from uplrec.errors import SettingError
 from uplrec.factor_model import (
     FactorModel,
     TrainConfig,
@@ -105,6 +106,20 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match="patience must be >= 1"):
             TrainConfig(patience=0)
         TrainConfig(max_epochs=1, patience=1)
+
+    @pytest.mark.parametrize("name, value, message", [
+        ("learning_rate", float("nan"), "learning_rate must be finite"),
+        ("learning_rate", float("inf"), "learning_rate must be finite"),
+        ("lam", float("nan"), "lambda must be finite"),
+        ("lam", float("inf"), "lambda must be finite"),
+        ("lam", -1e-3, "lambda must be >= 0"),
+    ], ids=["learning_rate_nan", "learning_rate_inf", "lam_nan", "lam_inf", "lam_negative"])
+    def test_rejection_names_the_field(self, name, value, message):
+        # NaN would train until a non-finite loss; inf diverges at once
+        with pytest.raises(SettingError, match=f"^{message}$") as info:
+            TrainConfig(**{name: value})
+        assert info.value.name == name
+        assert info.value.value is value
 
     def test_defaults(self):
         cfg = TrainConfig()

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from uplrec.errors import SingularityError
+from uplrec.errors import SettingError, SingularityError
 from uplrec.losses import (
     LossSpec,
     clip_term,
@@ -143,6 +143,14 @@ class TestPointwiseLoss:
     def test_wmf_weight_bound(self):
         with pytest.raises(ValueError):
             pointwise_loss("wmf", 1, 0.0, weight=0.5)
+
+    @pytest.mark.parametrize("weight", [math.nan, math.inf])
+    def test_non_finite_wmf_weight_rejected(self, weight):
+        with pytest.raises(ValueError, match="wmf weight must be >= 1 and finite"):
+            pointwise_loss("wmf", 1, 0.0, weight=weight)
+        with pytest.raises(SettingError, match="wmf_weight must be finite") as info:
+            LossSpec("wmf", wmf_weight=weight)
+        assert info.value.name == "wmf_weight"
 
     def test_zero_propensity_singularity(self):
         with pytest.raises(SingularityError):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from uplrec.errors import EstimationError, SingularityError
+from uplrec.errors import EstimationError, SettingError, SingularityError
 from uplrec.propensity import (
     PropensityTable,
     estimate_click_propensity,
@@ -42,6 +42,19 @@ class TestClickPropensity:
     def test_power_must_be_positive(self):
         with pytest.raises(ValueError):
             estimate_click_propensity([1, 2], power=0.0)
+
+    @pytest.mark.parametrize("name, value, message", [
+        ("power", np.nan, "power must be positive and finite"),
+        ("power", np.inf, "power must be positive and finite"),
+        ("floor", 0.0, r"floor must be in \(0, 1\]"),
+        ("floor", 2.0, r"floor must be in \(0, 1\]"),
+        ("floor", np.nan, r"floor must be in \(0, 1\]"),
+    ], ids=["power_nan", "power_inf", "floor_zero", "floor_above_one", "floor_nan"])
+    def test_settings_out_of_range_named(self, name, value, message):
+        # theta is a probability that the IPS weights divide by
+        with pytest.raises(SettingError, match=f"^{message}$") as info:
+            estimate_click_propensity([1, 2], **{name: value})
+        assert info.value.name == name
 
 
 class TestPosteriorExposure:
