@@ -199,6 +199,11 @@ def _cmd_experiment(args) -> int:
         if not config.out:  # Path("") would be the working directory
             raise ValueError(f"{args.config}: no output directory: set out or pass --out")
         config.rating_files()  # a dataset without them is a config error
+    except SettingError as exc:  # named by its flag when a flag set it
+        flagged = exc.name in _OVERRIDE_KEYS and getattr(args, exc.name) is not None
+        flag = f"--{exc.name.replace('_', '-')}: " if flagged else ""
+        print(f"error: {flag}{exc}", file=sys.stderr)
+        return 2
     except (ValueError, FileNotFoundError) as exc:  # a config error: one line, not a traceback
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -224,6 +229,9 @@ def _cmd_verify(args) -> int:
         return 2
     if args.out and (args.exact_only or not args.world):
         print("error: --out needs --world without --exact-only", file=sys.stderr)
+        return 2
+    if args.seed < 0:  # numpy's generators take no negative seed
+        print(f"error: --seed must be >= 0, got {args.seed}", file=sys.stderr)
         return 2
     if not args.exact_only and args.samples < oracle.MIN_MC_SAMPLES:
         print(f"error: --samples must be >= {oracle.MIN_MC_SAMPLES} for a Monte Carlo "

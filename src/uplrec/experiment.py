@@ -104,6 +104,8 @@ class ExperimentConfig:
             raise SettingError("runs", self.runs, "runs must be >= 1")
         if self.threads < 1:
             raise SettingError("threads", self.threads, "threads must be >= 1")
+        if self.seed < 0:  # numpy's generators take no negative seed
+            raise SettingError("seed", self.seed, f"seed must be >= 0, got {self.seed!r}")
         for key, valid, bounds in (  # NaN fails each range test
                 ("epsilon_train", 0.0 <= self.epsilon_train < 1.0, "[0, 1)"),
                 ("epsilon_test", 0.0 <= self.epsilon_test < 1.0, "[0, 1)"),

@@ -76,7 +76,9 @@ class TrainConfig:
                 # else the random initial model is the result
                 ("max_epochs", self.max_epochs >= 1, "max_epochs must be >= 1"),
                 # else training stops after epoch 0
-                ("patience", self.patience >= 1, "patience must be >= 1")):
+                ("patience", self.patience >= 1, "patience must be >= 1"),
+                # numpy's generators take no negative seed
+                ("seed", self.seed >= 0, "seed must be >= 0")):
             if not valid:
                 raise SettingError(name, getattr(self, name), message)
 

@@ -13,7 +13,11 @@ pair of one user's items at once.  ``estimator_reports`` is the one walk
 over a world's users: for each user it builds one (items, items) table of
 pair losses, every requested estimator's (a, B) block from it and, for
 Monte Carlo, that user's click draw once, streamed in chunks of about
-MC_CHUNK_CELLS cells that every case's risks add up in place.  Each report
+MC_CHUNK_CELLS cells that every case's risks add up in place.  A user's risk
+is a function of the user's click pattern alone, so on a world of at most 12
+items (2^items patterns fit in one chunk's rows, see ``_chunk_rows``) each
+case scores every pattern once per user and a draw's risk is looked up by
+its pattern; on larger worlds each chunk is scored draw by draw.  Each report
 carries the ideal risk, the exact moments and, when drawn, the per-draw
 risks, which ``variance_order`` compares; no array grows with cells^2, and
 only the (samples,) risks grow with the number of draws.
@@ -28,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ParseError
+from .errors import ParseError, SettingError
 from .evaluation import t_sf
 from .factor_model import FactorModel, init_model
 from .losses import LossSpec, pair_weights, softplus
@@ -206,14 +210,21 @@ def _chunk_rows(num_items: int) -> int:
     threads.  Other row counts (109, 279, 327) moved the last bits at
     100-300 items, and with a threaded BLAS the bits of their last rows
     followed its split of the product, so a short chunk is padded to this
-    many rows."""
+    many rows.
+
+    When the 2^num_items click patterns fit in these rows (num_items <= 12)
+    ``estimator_reports`` scores the patterns instead of the draws, on a
+    table of max(512, 2^num_items) rows, also a multiple of 512, so each
+    draw's risk keeps the bits it has when scored in its chunk."""
     return max(512, MC_CHUNK_CELLS // num_items // 512 * 512)
 
 
 def sample_clicks(world: SyntheticWorld, samples: int, seed: int):
     """Yields, for each user, an iterator over that user's click draws
-    c ~ Bern(theta * gamma) in row chunks of ``_chunk_rows`` rows, together
-    (samples, num_items).
+    c ~ Bern(theta * gamma) in bool row chunks of ``_chunk_rows`` rows,
+    together (samples, num_items).  A chunk is only read as click patterns
+    or cast to float64 for the risk's einsum, so it is kept as bool, an
+    eighth of the float64 bytes.
 
     One generator draws every chunk in turn, one uniform a cell, so the
     chunks are bit for bit that generator's one-shot (samples, num_items)
@@ -227,7 +238,7 @@ def sample_clicks(world: SyntheticWorld, samples: int, seed: int):
     def chunks(p):
         for start in range(0, samples, rows):
             shape = (min(rows, samples - start), world.num_items)
-            yield (rng.random(shape) < p).astype(np.float64)
+            yield rng.random(shape) < p
 
     for p in world.theta * world.gamma:
         yield chunks(p)
@@ -239,12 +250,15 @@ def estimator_reports(world: SyntheticWorld, model: FactorModel, cases, samples=
     walk over its users that every oracle result reduces.
 
     A case is (estimator[, clip_threshold[, gamma_hat]]); the estimator
-    names and ``samples`` are checked before the walk.  For each user the
-    pair-loss table is built once and, when ``samples`` is given, the clicks
-    are drawn once (``sample_clicks``), so every case is scored on the same
-    draws; each case's (a, B) block then gives that user's share of the
-    exact moments and, chunk by chunk of the draws, its risk on every draw,
-    added in place into the case's (samples,) risks.  Without ``samples``
+    names, ``samples`` and, when drawing, ``seed`` are checked before the
+    walk.  For each user the pair-loss table is built once and, when
+    ``samples`` is given, the clicks are drawn once (``sample_clicks``), so
+    every case is scored on the same draws; each case's (a, B) block then
+    gives that user's share of the exact moments and, chunk by chunk of the
+    draws, its risk on every draw, added in place into the case's (samples,)
+    risks.  Up to 12 items the risk of every click pattern is computed once
+    per user and case, and each draw reads its pattern's; beyond, each
+    chunk's draws are scored by one einsum per case.  Without ``samples``
     nothing is drawn: the Monte-Carlo fields are nan, ``sample_count`` is 0
     and ``risks`` is None.
 
@@ -262,10 +276,12 @@ def estimator_reports(world: SyntheticWorld, model: FactorModel, cases, samples=
     specs = [_case(world, *case) for case in cases]
     if samples is not None and samples < MIN_MC_SAMPLES:
         raise ValueError(f"samples must be >= {MIN_MC_SAMPLES}, got {samples}")
+    if samples is not None and seed < 0:
+        raise SettingError("seed", seed, f"seed must be >= 0, got {seed}")
     p = world.theta * world.gamma
     s2 = p * (1.0 - p)
     means, variances = [[] for _ in specs], [[] for _ in specs]
-    draws, risks = itertools.repeat(()), [None] * len(specs)
+    draws, risks, patterns = itertools.repeat(()), [None] * len(specs), None
     if samples is not None:
         draws = sample_clicks(world, samples, seed)
         risks = [np.zeros(samples) for _ in specs]
@@ -276,6 +292,13 @@ def estimator_reports(world: SyntheticWorld, model: FactorModel, cases, samples=
         c = np.broadcast_to(0.0, (rows, n))
         path = np.einsum_path(_RISK_SUBSCRIPTS, c, np.broadcast_to(0.0, (n, n)), c,
                               optimize=True)[0]
+        if 1 << n <= rows:  # row k clicks the items of k's set bits, see _chunk_rows
+            weights = 1 << np.arange(n)
+            patterns = ((np.arange(max(512, 1 << n))[:, None] & weights) != 0).astype(np.float64)
+
+    def risk_rows(c, a, B):
+        """c @ a + c @ B @ c for each row c of a float64 chunk."""
+        return c @ a + np.einsum(_RISK_SUBSCRIPTS, c, B, c, optimize=path)
 
     def walk():
         for (u, loss), chunks in zip(_pair_losses(world, model), draws):
@@ -286,14 +309,21 @@ def estimator_reports(world: SyntheticWorld, model: FactorModel, cases, samples=
                 means[k].append(a @ p[u] + p[u] @ B @ p[u])
                 variances[k].append((a + S @ p[u]) ** 2 @ s2[u]
                                     + 0.5 * (s2[u] @ (S * S) @ s2[u]))
+            if patterns is not None:  # each case scores every click pattern once
+                tables = [risk_rows(patterns, a, B) for a, B in blocks]
             start = 0
             for c in chunks:
                 stop = start + len(c)
-                if len(c) < rows:  # rows without clicks up to the full shape, see _chunk_rows
-                    c = np.pad(c, ((0, rows - len(c)), (0, 0)))
-                for (a, B), risk in zip(blocks, risks):
-                    risk[start:stop] += (c @ a + np.einsum(_RISK_SUBSCRIPTS, c, B, c,
-                                                           optimize=path))[:stop - start]
+                if patterns is not None:
+                    index = c @ weights
+                    for table, risk in zip(tables, risks):
+                        risk[start:stop] += table[index]
+                else:
+                    if len(c) < rows:  # rows without clicks up to the full shape, see _chunk_rows
+                        c = np.pad(c, ((0, rows - len(c)), (0, 0)))
+                    c = c.astype(np.float64)
+                    for (a, B), risk in zip(blocks, risks):
+                        risk[start:stop] += risk_rows(c, a, B)[:stop - start]
                 start = stop
             yield (world.gamma[u, :, None] * (1.0 - world.gamma[u]) * loss).ravel()
 

@@ -172,6 +172,20 @@ class TestConfigParsing:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
+    def test_setting_from_a_flag_named_by_the_flag(self, triplet_files, tmp_path, capsys,
+                                                   monkeypatch):
+        # a rejected value that a flag set is named by the flag, as prepare
+        # names it; numpy's generators take no negative seed
+        stop_at(monkeypatch, exp, "run_experiment")
+        out = tmp_path / "out"
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(small_config_text(triplet_files, out))
+        assert cli.main(["experiment", "--config", str(cfg_path), "--seed", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --seed: seed must be >= 0, got -1\n"
+        assert not out.exists()
+
     def test_unknown_candidate_mode_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="test_onyl"):
             exp.ExperimentConfig(candidates="test_onyl")
@@ -381,9 +395,11 @@ class TestConfigParsing:
          "propensity_power value inf: power must be positive and finite"),
         ("propensity_floor = 2", "propensity_floor value 2.0: floor must be in (0, 1]"),
         ("propensity_floor = nan", "propensity_floor value nan: floor must be in (0, 1]"),
+        ("seed = -1", "seed must be >= 0, got -1"),
     ], ids=["d", "lambda", "batch_size", "learning_rate", "max_epochs", "patience",
             "wmf_weight", "clip", "learning_rate_nan", "lambda_inf", "wmf_weight_nan",
-            "two_bad_settings", "power_negative", "power_inf", "floor_above_one", "floor_nan"])
+            "two_bad_settings", "power_negative", "power_inf", "floor_above_one", "floor_nan",
+            "seed_negative"])
     def test_untrainable_values_rejected_before_writing(self, triplet_files, tmp_path,
                                                         capsys, lines, message):
         # every run of some method would fail: the config builds each key
@@ -480,7 +496,9 @@ class TestPrepareCli:
         ("--epsilon-test", "nan", "epsilon_test must be in [0, 1), got nan"),
         ("--validation-fraction", "0", "validation_fraction must be in (0, 1), got 0.0"),
         ("--validation-fraction", "1.5", "validation_fraction must be in (0, 1), got 1.5"),
-    ], ids=["epsilon_train_one", "epsilon_test_nan", "fraction_zero", "fraction_above_one"])
+        ("--seed", "-1", "seed must be >= 0, got -1"),
+    ], ids=["epsilon_train_one", "epsilon_test_nan", "fraction_zero", "fraction_above_one",
+            "seed_negative"])
     def test_split_setting_named_before_work(self, triplet_files, tmp_path, capsys,
                                              monkeypatch, flag, value, message):
         stop_at(monkeypatch, exp, "prepare_datasets")
@@ -664,8 +682,9 @@ class TestTrainCli:
         ("bpr", ["--learning-rate", "nan"], "--learning-rate nan: learning_rate must be finite"),
         ("wmf", ["--wmf-weight", "nan"], "--wmf-weight nan: wmf_weight must be finite"),
         ("bpr", ["--lam", "inf"], "--lam inf: lambda must be finite"),
+        ("upl", ["--seed", "-1"], "--seed -1: seed must be >= 0"),
     ], ids=["clip", "wmf_weight", "d", "learning_rate", "learning_rate_nan", "wmf_weight_nan",
-            "lam_inf"])
+            "lam_inf", "seed_negative"])
     def test_rejected_setting_named_before_out_created(self, prep, tmp_path, capsys,
                                                         monkeypatch, method, flags, message):
         stop_at(monkeypatch, cli, "train_key")
@@ -1300,6 +1319,24 @@ class TestVerifyCli:
         assert captured.out == ""
         assert captured.err == message
         assert not out.exists()
+
+    @pytest.mark.parametrize("world", [[], ["--world", str(WORLDS_DIR / "clip_bias.txt")],
+                                       ["--world", str(WORLDS_DIR / "clip_bias.txt"),
+                                        "--exact-only"]],
+                             ids=["suite", "world", "world_exact"])
+    def test_negative_seed_rejected_up_front(self, world, tmp_path, capsys, monkeypatch):
+        # the seed also draws the model, so --exact-only takes no negative one
+        from uplrec import oracle
+
+        def never(*args, **kwargs):
+            raise AssertionError("checks ran before --seed was validated")
+
+        for name in ("verification_suite", "estimator_reports", "parse_world_spec"):
+            monkeypatch.setattr(oracle, name, never)
+        assert cli.main(["verify", "--seed", "-1", *world]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --seed must be >= 0, got -1\n"
 
     def test_out_directory_rejected_up_front(self, tmp_path, capsys, monkeypatch):
         from uplrec import oracle

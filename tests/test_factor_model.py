@@ -113,7 +113,9 @@ class TestTrainConfig:
         ("lam", float("nan"), "lambda must be finite"),
         ("lam", float("inf"), "lambda must be finite"),
         ("lam", -1e-3, "lambda must be >= 0"),
-    ], ids=["learning_rate_nan", "learning_rate_inf", "lam_nan", "lam_inf", "lam_negative"])
+        ("seed", -1, "seed must be >= 0"),
+    ], ids=["learning_rate_nan", "learning_rate_inf", "lam_nan", "lam_inf", "lam_negative",
+            "seed_negative"])
     def test_rejection_names_the_field(self, name, value, message):
         # NaN would train until a non-finite loss; inf diverges at once
         with pytest.raises(SettingError, match=f"^{message}$") as info:

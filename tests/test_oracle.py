@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import uplrec.oracle as oracle_mod
-from uplrec.errors import ParseError
+from uplrec.errors import ParseError, SettingError
 from uplrec.factor_model import FactorModel
 from uplrec.losses import pair_weights, sigmoid_pair_loss
 from uplrec.oracle import (
@@ -236,6 +236,18 @@ class TestMonteCarlo:
         for samples in (100, 9999, 0):
             with pytest.raises(ValueError, match=f"samples must be >= 10000, got {samples}$"):
                 estimator_reports(world, model, [("ubpr",), ("upl",)], samples=samples)
+
+    def test_negative_seed_rejected_before_the_walk(self, monkeypatch):
+        # numpy's generators take no negative seed; without draws it seeds nothing
+        world = random_world(1, 3, seed=5)
+        model = model_for_world(world, seed=6)
+        calls = count_calls(monkeypatch, oracle_mod, "sample_clicks", "_pair_losses")
+        with pytest.raises(SettingError, match="^seed must be >= 0, got -1$") as info:
+            estimator_reports(world, model, [("upl",)], samples=10**4, seed=-1)
+        assert (info.value.name, info.value.value) == ("seed", -1)
+        assert calls == {"sample_clicks": 0, "_pair_losses": 0}
+        rep, = estimator_reports(world, model, [("upl",)], seed=-1)
+        assert rep.sample_count == 0
 
     def test_degenerate_single_cell_estimator_is_constant_zero(self):
         # a 1-cell world has no pairs, so every estimator is identically 0
@@ -648,22 +660,41 @@ class TestChunkedDraws:
         for chunks, (clicks, rng) in zip(users, one_shot_clicks(world, samples, 171),
                                          strict=True):
             assert [len(c) for c in chunks] == [rows] * 3 + [17]
+            # bool, an eighth of a float64 chunk's bytes
+            assert all(c.dtype == np.bool_ for c in chunks)
             assert np.array_equal(np.concatenate(chunks), clicks)
         # the generator ends where the one-shot draws leave it
         assert made[0].bit_generator.state == rng.bit_generator.state
 
     @pytest.mark.parametrize("shape, samples", [((1, 5), 30017), ((3, 6), 30017),
+                                                ((1, 12), 10007), ((1, 13), 10007),
                                                 ((20, 100), 10007), ((2, 300), 10007)],
-                             ids=["1x5", "3x6", "20x100", "2x300"])
+                             ids=["1x5", "3x6", "1x12", "1x13", "20x100", "2x300"])
     def test_chunked_risks_equal_one_shot(self, shape, samples):
-        # per-draw results of the chunked c @ a and einsum keep every bit of
-        # the one-shot (samples, items) arrays padded to a multiple of 512 rows
+        # per-draw results of the chunked c @ a and einsum, or of each click
+        # pattern scored once, keep every bit of the one-shot (samples, items)
+        # arrays padded to a multiple of 512 rows; 12 items is the largest
+        # world whose 4,096 patterns fit in a chunk (5,120 rows), 13 the
+        # smallest scored chunk by chunk
         world = random_world(*shape, seed=180)
         model = model_for_world(world, seed=181)
         cases = [("upl",), ("ubpr_clipped", -1.0)]
         reports = estimator_reports(world, model, cases, samples=samples, seed=182)
         for case, rep in zip(cases, reports):
             assert np.array_equal(rep.risks, single_case_risks(world, model, case, samples, 182))
+
+    @pytest.mark.parametrize("shape, samples, calls", [
+        ((1, 5), 10**5, 1 * 2),  # 8 chunks of 12,800 rows
+        ((2, 13), 10**4, 2 * 3 * 2),  # 3 chunks of 4,608 rows
+    ], ids=["patterns_1x5", "chunks_2x13"])
+    def test_risk_einsum_calls(self, shape, samples, calls, monkeypatch):
+        # up to 12 items each (user, case) scores its click patterns in one
+        # einsum, whatever the number of chunks; beyond, each chunk and case
+        world = random_world(*shape, seed=185)
+        model = model_for_world(world, seed=186)
+        counted = count_calls(monkeypatch, np, "einsum")
+        estimator_reports(world, model, [("upl",), ("ubpr",)], samples=samples, seed=187)
+        assert counted == {"einsum": calls}
 
     def test_risks_do_not_depend_on_blas_threads(self, tmp_path):
         # a threaded BLAS splits each product by its shape; the short last
