@@ -17,7 +17,7 @@ from .datasets import (
     rating_to_relevance,
     split_validation,
 )
-from .evaluation import MetricReport, evaluate, one_tailed_t_test, rank_metrics
+from .evaluation import MetricReport, evaluate, one_tailed_t_test
 from .factor_model import FactorModel, TrainConfig, init_model
 from .losses import LossSpec, clip_term, pair_weights, pointwise_loss, sigmoid_pair_loss, \
     ubpr_pair_weight, upl_pair_weight

@@ -10,6 +10,10 @@ Subcommands:
 
 A flag that sets a config field takes its type and default from the field,
 in ExperimentConfig or TrainConfig; ``experiment``'s are parsed as strings.
+
+A command refuses its request by raising UsageError, or lets the ParseError
+or IntegrityError of a malformed input through; ``main`` alone prints it as
+one ``error:`` line and returns 2.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from pathlib import Path
 from . import experiment as exp
 from . import oracle
 from .datasets import load_dataset
-from .errors import EstimationError, IntegrityError, ParseError, SettingError
+from .errors import EstimationError, IntegrityError, ParseError, SettingError, UsageError
 from .evaluation import CANDIDATE_MODES, compute_cohorts, evaluate
 from .experiment import METHOD_TOKENS, ExperimentConfig, PreparedData
 from .factor_model import TrainConfig, save_checkpoint
@@ -83,24 +87,16 @@ def main(argv=None) -> int:
     r.add_argument("--out", required=True)
 
     args = parser.parse_args(argv)
-    if args.command != "experiment" and args.out == "":
-        # Path("") is the working directory, which would take the outputs;
-        # experiment's --out overrides a config key, checked with the config
-        what = "file" if args.command == "verify" else "directory"
-        print(f"error: --out is empty: name an output {what}", file=sys.stderr)
+    try:
+        if args.command != "experiment" and args.out == "":
+            # Path("") is the working directory, which would take the outputs;
+            # experiment's --out overrides a config key, checked with the config
+            what = "file" if args.command == "verify" else "directory"
+            raise UsageError(f"--out is empty: name an output {what}")
+        return _COMMANDS[args.command](args)
+    except (UsageError, ParseError, IntegrityError) as exc:  # each names what it refuses
+        print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.command == "prepare":
-        return _cmd_prepare(args)
-    if args.command == "train":
-        return _cmd_train(args)
-    if args.command == "experiment":
-        return _cmd_experiment(args)
-    if args.command == "verify":
-        return _cmd_verify(args)
-    if args.command == "report":
-        return _cmd_report(args)
-    parser.error(f"unknown command {args.command!r}")
-    return 2
 
 
 def _cmd_prepare(args) -> int:
@@ -108,17 +104,14 @@ def _cmd_prepare(args) -> int:
         ExperimentConfig(**{f.name: getattr(args, f.name) for f in fields(ExperimentConfig)
                             if hasattr(args, f.name)})
     except SettingError as exc:
-        print(f"error: --{exc.name.replace('_', '-')}: {exc}", file=sys.stderr)
-        return 2
+        raise UsageError(f"--{exc.name.replace('_', '-')}: {exc}") from None
     try:
         data = exp.prepare_datasets(
             args.dataset, args.format, args.epsilon_train, args.epsilon_test,
             args.validation_fraction, args.seed, args.train_file, args.test_file)
-    except (FileNotFoundError, ParseError, IntegrityError) as exc:  # names the files
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if not _make_dir(args.out):  # after the input is checked, as train does
-        return 2
+    except OSError as exc:  # names the file
+        raise UsageError(str(exc)) from None
+    exp.make_dir(args.out)  # after the input is checked, as train does
     exp.save_prepared(data, args.out)
     print(f"prepared {args.out}: train {len(data.train)} cells "
           f"({data.train.num_clicks} clicks), validation {len(data.validation)}, "
@@ -140,17 +133,6 @@ def _load_prepared(data_dir) -> PreparedData:
     return data
 
 
-def _make_dir(path) -> bool:
-    """Create directory ``path`` and its parents before any work; when that
-    fails, print one error line and return False."""
-    try:
-        Path(path).mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        print(f"error: cannot create directory {path}: {exc.strerror}", file=sys.stderr)
-        return False
-    return True
-
-
 def _cmd_train(args) -> int:
     try:
         train_config = TrainConfig(**{f.name: getattr(args, f.name)
@@ -158,23 +140,18 @@ def _cmd_train(args) -> int:
         spec = exp.make_loss_spec(args.method, args.clip, args.wmf_weight)
     except SettingError as exc:  # named by its flag
         flag = "clip" if exc.name == "clip_threshold" else exc.name
-        print(f"error: --{flag.replace('_', '-')} {exc.value!r}: {exc}", file=sys.stderr)
-        return 2
+        raise UsageError(f"--{flag.replace('_', '-')} {exc.value!r}: {exc}") from None
     try:
         data = _load_prepared(args.data)
         propensities = PropensityTable.from_click_counts(data.train.item_click_counts)
     except FileNotFoundError as exc:
-        print(f"error: prepared data {args.data}: {exc.filename} not found", file=sys.stderr)
-        return 2
+        raise UsageError(f"prepared data {args.data}: {exc.filename} not found") from None
     except EstimationError as exc:  # a train split without clicks
-        print(f"error: prepared data {args.data}: train split: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:  # a malformed file: ParseError names it and the line
-        print(f"error: prepared data {args.data}: {exc}", file=sys.stderr)
-        return 2
+        raise UsageError(f"prepared data {args.data}: train split: {exc}") from None
+    except (OSError, ParseError, IntegrityError) as exc:  # each names its file
+        raise UsageError(f"prepared data {args.data}: {exc}") from None
     out = Path(args.out)
-    if not _make_dir(out):
-        return 2
+    exp.make_dir(out)
     *_, run = train_key(data.train, train_config, spec, propensities, data.validation)
     save_checkpoint(run.final_model, out / "model.ckpt", seed=args.seed)
     cohorts = compute_cohorts(data.train)
@@ -197,24 +174,18 @@ def _cmd_experiment(args) -> int:
             overrides.update(exp.read_config_values(args.grid_file, exp.GRID_KEYS))
         config = exp.parse_config_file(args.config, overrides)
         if not config.out:  # Path("") would be the working directory
-            raise ValueError(f"{args.config}: no output directory: set out or pass --out")
+            raise UsageError(f"{args.config}: no output directory: set out or pass --out")
         config.rating_files()  # a dataset without them is a config error
     except SettingError as exc:  # named by its flag when a flag set it
         flagged = exc.name in _OVERRIDE_KEYS and getattr(args, exc.name) is not None
         flag = f"--{exc.name.replace('_', '-')}: " if flagged else ""
-        print(f"error: {flag}{exc}", file=sys.stderr)
-        return 2
-    except (ValueError, FileNotFoundError) as exc:  # a config error: one line, not a traceback
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:  # each error below is found before anything is written
+        raise UsageError(f"{flag}{exc}") from None
+    except (OSError, ValueError) as exc:  # a config error: one line, not a traceback
+        raise UsageError(str(exc)) from None
+    try:  # run_experiment refuses before it writes anything
         out = exp.run_experiment(config)
-    except (ParseError, IntegrityError) as exc:  # malformed rating files, named
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except EstimationError as exc:  # a train split without clicks
-        print(f"error: dataset {config.dataset}: train split: {exc}", file=sys.stderr)
-        return 2
+        raise UsageError(f"dataset {config.dataset}: train split: {exc}") from None
     failures = out / "failures.tsv"
     print(f"experiment done: {out} (config hash {exp.read_config_hash(out)})")
     if failures.exists():
@@ -225,30 +196,24 @@ def _cmd_experiment(args) -> int:
 
 def _cmd_verify(args) -> int:
     if args.exact_only and not args.world:
-        print("error: --exact-only needs --world", file=sys.stderr)
-        return 2
+        raise UsageError("--exact-only needs --world")
     if args.out and (args.exact_only or not args.world):
-        print("error: --out needs --world without --exact-only", file=sys.stderr)
-        return 2
+        raise UsageError("--out needs --world without --exact-only")
     if args.seed < 0:  # numpy's generators take no negative seed
-        print(f"error: --seed must be >= 0, got {args.seed}", file=sys.stderr)
-        return 2
+        raise UsageError(f"--seed must be >= 0, got {args.seed}")
     if not args.exact_only and args.samples < oracle.MIN_MC_SAMPLES:
-        print(f"error: --samples must be >= {oracle.MIN_MC_SAMPLES} for a Monte Carlo "
-              f"run, got {args.samples}", file=sys.stderr)
-        return 2
+        raise UsageError(f"--samples must be >= {oracle.MIN_MC_SAMPLES} for a Monte Carlo "
+                         f"run, got {args.samples}")
     if args.out and Path(args.out).is_dir():
-        print(f"error: --out {args.out} is a directory", file=sys.stderr)
-        return 2
+        raise UsageError(f"--out {args.out} is a directory")
     started = time.perf_counter()
     if args.world:
         try:
             world = oracle.parse_world_spec(args.world)
-        except (FileNotFoundError, ParseError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        if args.out and not _make_dir(Path(args.out).parent):
-            return 2
+        except OSError as exc:  # names the file
+            raise UsageError(str(exc)) from None
+        if args.out:
+            exp.make_dir(Path(args.out).parent)
         model = oracle.model_for_world(world, seed=args.seed)
         reports = oracle.estimator_reports(
             world, model, [(e,) for e in oracle.ESTIMATORS],
@@ -287,12 +252,15 @@ def _cmd_report(args) -> int:
     out = Path(args.out)
     try:
         rows = exp.read_per_run(out / "per_run_metrics.tsv")
-    except (FileNotFoundError, ParseError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except OSError as exc:  # names the file
+        raise UsageError(str(exc)) from None
     exp.write_aggregates(out, rows, exp.read_config_hash(out))
     print(f"re-aggregated {len(rows)} rows into {out}")
     return 0
+
+
+_COMMANDS = {"prepare": _cmd_prepare, "train": _cmd_train, "experiment": _cmd_experiment,
+             "verify": _cmd_verify, "report": _cmd_report}
 
 
 if __name__ == "__main__":

@@ -1,6 +1,12 @@
 """Exception types shared across the package."""
 
 
+class UsageError(Exception):
+    """A request refused before its work is done: an unusable setting, input
+    or output path.  The message is the whole error line and names what is
+    refused.  Not a ValueError, so that no ``except ValueError`` takes it."""
+
+
 class ParseError(ValueError):
     """Malformed input file; message carries the offending line number."""
 

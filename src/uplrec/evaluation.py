@@ -73,12 +73,6 @@ class MetricReport:
     num_users: int = 0
 
 
-def _check_ks(ks):
-    for k in ks:
-        if k < 1:
-            raise ValueError(f"cutoff k must be >= 1, got {k}")
-
-
 def _scores(model: FactorModel, users, cand_items):
     """Scores of each user's candidates: all items when ``cand_items`` is
     None, else row r of ``cand_items`` for ``users[r]``.  The stacked matmul
@@ -115,7 +109,9 @@ def _user_metrics(model: FactorModel, data: ImplicitDataset, ks, candidates: str
     cohort includes, in ascending user order.  Users are grouped by
     candidate count and ranked a chunk at a time.
     """
-    _check_ks(ks)
+    for k in ks:
+        if k < 1:
+            raise ValueError(f"cutoff k must be >= 1, got {k}")
     catalog = candidates == "catalog"
     indptr = data.user_indptr
     counts = np.diff(indptr)
@@ -160,29 +156,6 @@ def _user_metrics(model: FactorModel, data: ImplicitDataset, ks, candidates: str
                     values[c][k][:, users[keep]] = _top_metrics(
                         top, totals[c][users[keep]], n, k)
     return {c: {k: tuple(values[c][k][:, included[c]]) for k in ks} for c in spec}
-
-
-def rank_metrics(scores, relevance, k: int):
-    """(DCG@k, Recall@k, AP@k) for one user's candidate list.
-
-    Relevance is binary (0/1).  Requires at least one relevant item; callers
-    exclude zero-relevant users before averaging.
-    """
-    scores = np.asarray(scores, dtype=np.float64)
-    relevance = np.asarray(relevance)
-    if scores.ndim != 1 or scores.shape != relevance.shape:
-        raise ValueError("scores/relevance must be 1-D with equal shapes")
-    if not np.all((relevance == 0) | (relevance == 1)):
-        raise ValueError("relevance must hold only 0 and 1")
-    if len(scores) == 0:
-        raise ValueError("empty item list")
-    _check_ks((k,))
-    total_rel = int(relevance.sum())
-    if total_rel == 0:
-        raise ValueError("no relevant item in the candidate list")
-    order = np.argsort(-scores, kind="stable")[None, :k]
-    top = relevance.astype(np.float64)[order]
-    return tuple(float(m[0]) for m in _top_metrics(top, total_rel, len(scores), k))
 
 
 def evaluate(model: FactorModel, test: ImplicitDataset, ks=DEFAULT_KS,

@@ -40,7 +40,7 @@ from .datasets import (
     save_index_maps,
     split_validation,
 )
-from .errors import IntegrityError, ParseError, SettingError
+from .errors import IntegrityError, ParseError, SettingError, UsageError
 from .evaluation import (
     CANDIDATE_MODES,
     DEFAULT_KS,
@@ -106,6 +106,12 @@ class ExperimentConfig:
             raise SettingError("threads", self.threads, "threads must be >= 1")
         if self.seed < 0:  # numpy's generators take no negative seed
             raise SettingError("seed", self.seed, f"seed must be >= 0, got {self.seed!r}")
+        last_seed = self.seed + self.runs - 1  # run r trains at seed + r
+        try:
+            TrainConfig(seed=last_seed)
+        except SettingError as exc:
+            raise SettingError("seed", self.seed, f"seed value {self.seed!r} with runs "
+                               f"{self.runs!r}: last run seed {last_seed}: {exc}") from None
         for key, valid, bounds in (  # NaN fails each range test
                 ("epsilon_train", 0.0 <= self.epsilon_train < 1.0, "[0, 1)"),
                 ("epsilon_test", 0.0 <= self.epsilon_test < 1.0, "[0, 1)"),
@@ -252,11 +258,12 @@ def _find_file(root: Path, explicit: str, candidates) -> Path:
     if explicit:
         p = Path(explicit)
         p = p if p.is_absolute() else root / p
-        if p.exists():
+        if p.is_file():
             return p
-        raise FileNotFoundError(f"dataset {root}: rating file {p} not found")
+        raise FileNotFoundError(f"dataset {root}: rating file {p} "
+                                + ("is not a file" if p.exists() else "not found"))
     for name in candidates:
-        if (root / name).exists():
+        if (root / name).is_file():
             return root / name
     raise FileNotFoundError(f"dataset {root}: none of {', '.join(candidates)} found")
 
@@ -295,6 +302,15 @@ def prepare_datasets(dataset_path, format=ExperimentConfig.format,
         train=train, validation=validation, test=test,
         user_ids=train_ratings.user_ids, item_ids=train_ratings.item_ids,
     )
+
+
+def make_dir(path):
+    """Create directory ``path`` and its parents; UsageError names it when
+    that fails."""
+    try:
+        Path(path).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise UsageError(f"cannot create directory {path}: {exc.strerror}") from None
 
 
 def save_prepared(data: PreparedData, out_dir):
@@ -450,7 +466,7 @@ def run_experiment(config: ExperimentConfig) -> Path:
     propensities = PropensityTable.from_click_counts(
         data.train.item_click_counts, power=config.propensity_power,
         floor=config.propensity_floor)
-    out.mkdir(parents=True, exist_ok=True)
+    make_dir(out)
     (out / "logs").mkdir(exist_ok=True)
     (out / "config_resolved.cfg").write_text(config.canonical_text())
     (out / CONFIG_HASH_FILE).write_text(cfg_hash + "\n")

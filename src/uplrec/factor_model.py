@@ -78,7 +78,9 @@ class TrainConfig:
                 # else training stops after epoch 0
                 ("patience", self.patience >= 1, "patience must be >= 1"),
                 # numpy's generators take no negative seed
-                ("seed", self.seed >= 0, "seed must be >= 0")):
+                ("seed", self.seed >= 0, "seed must be >= 0"),
+                # save_checkpoint stores it as an int64
+                ("seed", self.seed < 2**63, f"seed must be < {2**63}")):
             if not valid:
                 raise SettingError(name, getattr(self, name), message)
 

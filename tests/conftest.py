@@ -3,6 +3,8 @@ import pytest
 from hypothesis import settings
 
 from uplrec.datasets import ImplicitDataset
+from uplrec.evaluation import evaluate
+from uplrec.factor_model import FactorModel
 
 # No per-example deadline: on a loaded host the first example of a property
 # test can take longer than hypothesis's default 200 ms.
@@ -46,6 +48,17 @@ def make_implicit(num_users, num_items, cells, split_tag="train"):
     rel = np.array([c[3] for c in cells], dtype=np.int8)
     return ImplicitDataset(num_users, num_items, users, items, gamma, rel,
                            split_tag=split_tag)
+
+
+def one_user_metrics(scores, relevance, k):
+    """(DCG@k, Recall@k, AP@k) that ``evaluate`` gives one user whose
+    candidates are items 0..n-1: a d=1 model with user factor 1 and item
+    factors ``scores`` scores each item exactly."""
+    test = make_implicit(1, len(scores), [(0, i, 0.5, r) for i, r in enumerate(relevance)],
+                         split_tag="test")
+    model = FactorModel(np.ones((1, 1)), np.asarray(scores, dtype=np.float64)[:, None])
+    report, = evaluate(model, test, ks=(k,))
+    return report.dcg, report.recall, report.map
 
 
 def write_synthetic_triplets(root, seed=7, num_users=60, num_items=40):

@@ -16,7 +16,6 @@ import pytest
 
 from uplrec import cli
 from uplrec import experiment as exp
-from uplrec.evaluation import rank_metrics
 from uplrec.losses import (
     clip_term,
     pointwise_loss,
@@ -34,7 +33,7 @@ from uplrec.oracle import (
     variance_order,
 )
 
-from conftest import write_synthetic_triplets
+from conftest import one_user_metrics, write_synthetic_triplets
 
 COAT_DIR = Path(os.environ.get("COAT_DIR", Path(__file__).resolve().parent.parent
                                / "data" / "coat"))
@@ -156,7 +155,7 @@ def test_criterion_5_metric_correctness():
         ([1.0, 1.0], [1, 0], 1, (1.0, 1.0, 1.0)),  # tie broken by item index
     ]
     for scores, rel, k, expected in fixtures:
-        got = rank_metrics(scores, rel, k)
+        got = one_user_metrics(scores, rel, k)
         assert got == pytest.approx(expected, abs=1e-12), (scores, rel, k)
     print(f"\nACCEPTANCE 5 metric-correctness: PASS ({len(fixtures)} hand-computed "
           "fixtures exact)")

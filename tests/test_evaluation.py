@@ -16,13 +16,12 @@ from uplrec.evaluation import (
     compute_cohorts,
     evaluate,
     one_tailed_t_test,
-    rank_metrics,
     t_sf,
     validation_dcg,
 )
 from uplrec.factor_model import FactorModel, init_model
 
-from conftest import make_implicit
+from conftest import make_implicit, one_user_metrics
 
 LOG2_3 = math.log2(3.0)
 
@@ -256,7 +255,7 @@ class TestKernelMatchesLoop:
         assert validation_dcg(model, test, k=5) == \
             _ref_validation_dcg(_model_score(model), test, 5)
 
-    def test_rank_metrics_matches_reference(self):
+    def test_one_user_matches_reference(self):
         rng = np.random.default_rng(7)
         for _ in range(50):
             n = int(rng.integers(1, 20))
@@ -264,34 +263,36 @@ class TestKernelMatchesLoop:
             rel = (rng.random(n) < 0.4).astype(int)
             rel[rng.integers(n)] = 1
             for k in (1, 3, 5, 8, 9, 16, 25):
-                assert rank_metrics(scores, rel, k) == _ref_rank_metrics(scores, rel, k)
+                assert one_user_metrics(scores, rel, k) == _ref_rank_metrics(scores, rel, k)
 
 
 class TestRankMetrics:
+    """The ranking-metric math, read off ``evaluate`` for one user."""
+
     def test_single_relevant_ranked_first(self):
-        dcg, recall, ap = rank_metrics([2.0, 1.0, 0.5], [1, 0, 0], k=3)
+        dcg, recall, ap = one_user_metrics([2.0, 1.0, 0.5], [1, 0, 0], k=3)
         assert (dcg, recall, ap) == (1.0, 1.0, 1.0)
 
     def test_single_relevant_ranked_second(self):
-        dcg, recall, ap = rank_metrics([2.0, 1.0], [0, 1], k=3)
+        dcg, recall, ap = one_user_metrics([2.0, 1.0], [0, 1], k=3)
         assert dcg == pytest.approx(1 / LOG2_3, abs=1e-12)  # ~0.63093
         assert recall == 1.0
         assert ap == pytest.approx(0.5)
 
     def test_two_relevant_ranks_one_and_three(self):
-        dcg, recall, ap = rank_metrics([4.0, 3.0, 2.0, 1.0], [1, 0, 1, 0], k=3)
+        dcg, recall, ap = one_user_metrics([4.0, 3.0, 2.0, 1.0], [1, 0, 1, 0], k=3)
         assert dcg == pytest.approx(1.0 + 1.0 / 2.0, abs=1e-12)  # log2(4) = 2
         assert recall == 1.0
         assert ap == pytest.approx(0.5 * (1.0 + 2.0 / 3.0), abs=1e-12)
 
     def test_relevant_below_cutoff(self):
-        dcg, recall, ap = rank_metrics([3.0, 2.0, 1.0], [0, 1, 1], k=2)
+        dcg, recall, ap = one_user_metrics([3.0, 2.0, 1.0], [0, 1, 1], k=2)
         assert dcg == pytest.approx(1 / LOG2_3, abs=1e-12)
         assert recall == pytest.approx(0.5)
         assert ap == pytest.approx(0.25)  # (1/2) * P@2 = (1/2)*(1/2)
 
     def test_cutoff_beyond_list_length(self):
-        dcg, recall, ap = rank_metrics([2.0, 1.0], [1, 0], k=8)
+        dcg, recall, ap = one_user_metrics([2.0, 1.0], [1, 0], k=8)
         assert (dcg, recall, ap) == (1.0, 1.0, 1.0)
 
     def test_all_relevant_recall_is_min_k_n_over_n(self):
@@ -299,13 +300,13 @@ class TestRankMetrics:
         scores = np.arange(n, 0, -1, dtype=float)
         rel = np.ones(n, dtype=int)
         for k in (1, 2, 3, 8):
-            _, recall, _ = rank_metrics(scores, rel, k)
+            _, recall, _ = one_user_metrics(scores, rel, k)
             assert recall == pytest.approx(min(k, n) / n)
 
     def test_tie_break_ascending_item_index(self):
         # equal scores: item 0 ranked before item 1
-        dcg_a, _, _ = rank_metrics([1.0, 1.0], [1, 0], k=1)
-        dcg_b, _, _ = rank_metrics([1.0, 1.0], [0, 1], k=1)
+        dcg_a, _, _ = one_user_metrics([1.0, 1.0], [1, 0], k=1)
+        dcg_b, _, _ = one_user_metrics([1.0, 1.0], [0, 1], k=1)
         assert dcg_a == 1.0 and dcg_b == 0.0
 
     def test_monotone_transform_invariance(self):
@@ -316,8 +317,8 @@ class TestRankMetrics:
             if rel.sum() == 0:
                 rel[3] = 1
             for k in (3, 5, 8):
-                base = rank_metrics(scores, rel, k)
-                squashed = rank_metrics(np.tanh(scores) * 7 + 2, rel, k)
+                base = one_user_metrics(scores, rel, k)
+                squashed = one_user_metrics(np.tanh(scores) * 7 + 2, rel, k)
                 assert base == pytest.approx(squashed, abs=1e-12)
 
     def test_metric_ranges_and_recall_monotone(self):
@@ -329,31 +330,18 @@ class TestRankMetrics:
                 rel[0] = 1
             prev_recall, prev_dcg = 0.0, 0.0
             for k in (1, 2, 3, 5, 8):
-                dcg, recall, ap = rank_metrics(scores, rel, k)
+                dcg, recall, ap = one_user_metrics(scores, rel, k)
                 assert 0 <= recall <= 1 and 0 <= ap <= 1 and dcg >= 0
                 assert recall >= prev_recall - 1e-15
                 assert dcg >= prev_dcg - 1e-15
                 prev_recall, prev_dcg = recall, dcg
 
-    def test_zero_relevant_rejected(self):
-        with pytest.raises(ValueError):
-            rank_metrics([1.0, 2.0], [0, 0], k=3)
-
-    def test_empty_list_rejected(self):
-        with pytest.raises(ValueError):
-            rank_metrics([], [], k=3)
-
-    # graded relevance once gave AP = 2.0; fractional relevance truncated to
-    # "no relevant item"
-    @pytest.mark.parametrize("relevance", [[2, 0], [0.5, 0.4]])
+    # graded relevance once gave AP = 2.0: the dataset evaluate reads holds
+    # only 0 and 1
+    @pytest.mark.parametrize("relevance", [[2, 0], [-1, 1]])
     def test_non_binary_relevance_rejected(self, relevance):
-        with pytest.raises(ValueError, match="only 0 and 1"):
-            rank_metrics([2.0, 1.0], relevance, k=1)
-
-    @pytest.mark.parametrize("k", [0, -1])
-    def test_cutoff_below_one_rejected(self, k):
-        with pytest.raises(ValueError, match="k must be >= 1"):
-            rank_metrics([2.0, 1.0, 0.5], [1, 0, 1], k=k)
+        with pytest.raises(ValueError, match="rel must be binary"):
+            one_user_metrics([2.0, 1.0], relevance, k=1)
 
 
 class TestEvaluate:

@@ -396,10 +396,14 @@ class TestConfigParsing:
         ("propensity_floor = 2", "propensity_floor value 2.0: floor must be in (0, 1]"),
         ("propensity_floor = nan", "propensity_floor value nan: floor must be in (0, 1]"),
         ("seed = -1", "seed must be >= 0, got -1"),
+        # runs = 2: run 1 trains at seed + 1, which the checkpoint's int64 cannot hold
+        ("seed = 9223372036854775807",
+         "seed value 9223372036854775807 with runs 2: last run seed 9223372036854775808: "
+         "seed must be < 9223372036854775808"),
     ], ids=["d", "lambda", "batch_size", "learning_rate", "max_epochs", "patience",
             "wmf_weight", "clip", "learning_rate_nan", "lambda_inf", "wmf_weight_nan",
             "two_bad_settings", "power_negative", "power_inf", "floor_above_one", "floor_nan",
-            "seed_negative"])
+            "seed_negative", "last_run_seed_beyond_int64"])
     def test_untrainable_values_rejected_before_writing(self, triplet_files, tmp_path,
                                                         capsys, lines, message):
         # every run of some method would fail: the config builds each key
@@ -683,8 +687,10 @@ class TestTrainCli:
         ("wmf", ["--wmf-weight", "nan"], "--wmf-weight nan: wmf_weight must be finite"),
         ("bpr", ["--lam", "inf"], "--lam inf: lambda must be finite"),
         ("upl", ["--seed", "-1"], "--seed -1: seed must be >= 0"),
+        ("bpr", ["--seed", "9223372036854775808"],
+         "--seed 9223372036854775808: seed must be < 9223372036854775808"),
     ], ids=["clip", "wmf_weight", "d", "learning_rate", "learning_rate_nan", "wmf_weight_nan",
-            "lam_inf", "seed_negative"])
+            "lam_inf", "seed_negative", "seed_beyond_int64"])
     def test_rejected_setting_named_before_out_created(self, prep, tmp_path, capsys,
                                                         monkeypatch, method, flags, message):
         stop_at(monkeypatch, cli, "train_key")
@@ -881,6 +887,57 @@ class TestCliSurface:
         for _, key, _, value in flags:
             assert getattr(from_file, key) != value, key
             assert getattr(config, key) == value, key
+
+
+class TestUnusablePaths:
+    """A directory where a command reads a file, or a file where it reads or
+    creates a directory, gives one error line naming the path, and nothing
+    is written."""
+
+    @pytest.mark.parametrize("case", [
+        "experiment_config", "experiment_grid_file", "experiment_train_file",
+        "experiment_out", "experiment_out_under_a_file", "verify_world", "train_data",
+        "report_out", "prepare_train_file"])
+    def test_refused_in_one_line(self, triplet_files, tmp_path, capsys, case):
+        adir, afile = tmp_path / "adir", tmp_path / "afile"
+        adir.mkdir()
+        afile.write_text("kept\n")
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(small_config_text(triplet_files, tmp_path / "out"))
+        cfg_train_dir = tmp_path / "train_dir.cfg"
+        cfg_train_dir.write_text(cfg.read_text() + f"train_file = {adir}\n")
+        experiment = ["experiment", "--config", str(cfg)]
+        prepare = ["prepare", "--dataset", str(triplet_files), "--format", "triplets"]
+        is_a_dir = f"[Errno 21] Is a directory: '{adir}'"
+        not_a_file = f"dataset {triplet_files}: rating file {adir} is not a file"
+        argv, message = {
+            "experiment_config": (["experiment", "--config", str(adir)], is_a_dir),
+            "experiment_grid_file": (experiment + ["--grid-file", str(adir)], is_a_dir),
+            "experiment_train_file": (["experiment", "--config", str(cfg_train_dir)],
+                                      not_a_file),
+            "experiment_out": (experiment + ["--out", str(afile)],
+                               f"cannot create directory {afile}: File exists"),
+            "experiment_out_under_a_file": (
+                experiment + ["--out", str(afile / "out")],
+                f"cannot create directory {afile / 'out'}: Not a directory"),
+            "verify_world": (["verify", "--world", str(adir), "--exact-only"], is_a_dir),
+            "train_data": (
+                ["train", "--data", str(afile), "--method", "bpr", "--out", str(tmp_path / "o")],
+                f"prepared data {afile}: [Errno 20] Not a directory: "
+                f"'{afile / 'train' / 'meta.json'}'"),
+            "report_out": (["report", "--out", str(afile)],
+                           f"[Errno 20] Not a directory: '{afile / 'per_run_metrics.tsv'}'"),
+            "prepare_train_file": (
+                prepare + ["--train-file", str(adir), "--out", str(tmp_path / "o")],
+                not_a_file),
+        }[case]
+        before = sorted(tmp_path.rglob("*"))
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+        assert sorted(tmp_path.rglob("*")) == before
+        assert afile.read_text() == "kept\n"
 
 
 def wrap_train(monkeypatch, fail=None):

@@ -114,8 +114,9 @@ class TestTrainConfig:
         ("lam", float("inf"), "lambda must be finite"),
         ("lam", -1e-3, "lambda must be >= 0"),
         ("seed", -1, "seed must be >= 0"),
+        ("seed", 2**63, "seed must be < 9223372036854775808"),
     ], ids=["learning_rate_nan", "learning_rate_inf", "lam_nan", "lam_inf", "lam_negative",
-            "seed_negative"])
+            "seed_negative", "seed_beyond_int64"])
     def test_rejection_names_the_field(self, name, value, message):
         # NaN would train until a non-finite loss; inf diverges at once
         with pytest.raises(SettingError, match=f"^{message}$") as info:
