@@ -180,7 +180,7 @@ def _cmd_experiment(args) -> int:
         flagged = exc.name in _OVERRIDE_KEYS and getattr(args, exc.name) is not None
         flag = f"--{exc.name.replace('_', '-')}: " if flagged else ""
         raise UsageError(f"{flag}{exc}") from None
-    except (OSError, ValueError) as exc:  # a config error: one line, not a traceback
+    except OSError as exc:  # a file it cannot read or find: one line, not a traceback
         raise UsageError(str(exc)) from None
     try:  # run_experiment refuses before it writes anything
         out = exp.run_experiment(config)

@@ -61,6 +61,20 @@ class ExplicitRatings:
         return len(self.users)
 
 
+def read_lines(path, comment=None):
+    """Yield (line number, line) for each line of a UTF-8 text file, split at
+    \\n, \\r or \\r\\n as a text-mode file is, cut at ``comment`` and
+    stripped, unless blank; a line that is not UTF-8 raises ParseError."""
+    for lineno, raw in enumerate(Path(path).read_bytes().splitlines(), start=1):
+        try:  # no byte of a multi-byte UTF-8 character is a line end
+            line = raw.decode()
+        except UnicodeDecodeError:
+            raise ParseError(path, lineno, "not UTF-8 text") from None
+        line = (line.partition(comment)[0] if comment else line).strip()
+        if line:
+            yield lineno, line
+
+
 def load_triplets(path, format="triplets") -> ExplicitRatings:
     """Load explicit ratings from disk.
 
@@ -80,29 +94,25 @@ def load_triplets(path, format="triplets") -> ExplicitRatings:
 def _load_triplet_file(path: Path) -> ExplicitRatings:
     raw_users, raw_items, ratings = [], [], []
     first_line = {}  # (user, item) -> the line that rated it
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                parts = line.split()
-            if len(parts) != 3:
-                raise ParseError(path, lineno, f"expected 3 fields, got {len(parts)}")
-            try:
-                u, i, r = int(parts[0]), int(parts[1]), int(parts[2])
-            except ValueError:
-                raise ParseError(path, lineno, f"non-integer field in {line!r}") from None
-            if not 1 <= r <= R_MAX:
-                raise ParseError(path, lineno, f"rating {r} outside [1, {R_MAX}]")
-            if (u, i) in first_line:
-                raise ParseError(path, lineno, f"duplicate (user, item) pair ({u}, {i}), "
-                                 f"first on line {first_line[u, i]}")
-            first_line[u, i] = lineno
-            raw_users.append(u)
-            raw_items.append(i)
-            ratings.append(r)
+    for lineno, line in read_lines(path):
+        parts = line.split("\t")
+        if len(parts) != 3:
+            parts = line.split()
+        if len(parts) != 3:
+            raise ParseError(path, lineno, f"expected 3 fields, got {len(parts)}")
+        try:
+            u, i, r = int(parts[0]), int(parts[1]), int(parts[2])
+        except ValueError:
+            raise ParseError(path, lineno, f"non-integer field in {line!r}") from None
+        if not 1 <= r <= R_MAX:
+            raise ParseError(path, lineno, f"rating {r} outside [1, {R_MAX}]")
+        if (u, i) in first_line:
+            raise ParseError(path, lineno, f"duplicate (user, item) pair ({u}, {i}), "
+                             f"first on line {first_line[u, i]}")
+        first_line[u, i] = lineno
+        raw_users.append(u)
+        raw_items.append(i)
+        ratings.append(r)
     if not ratings:
         raise ParseError(path, 1, "no ratings")
     raw_users = np.asarray(raw_users, dtype=np.int64)
@@ -123,22 +133,19 @@ def _load_triplet_file(path: Path) -> ExplicitRatings:
 def _load_dense_file(path: Path) -> ExplicitRatings:
     rows = []
     width = None
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                row = [int(tok) for tok in line.split()]
-            except ValueError:
-                raise ParseError(path, lineno, "non-integer entry") from None
-            if width is None:
-                width = len(row)
-            elif len(row) != width:
-                raise ParseError(path, lineno, f"expected {width} columns, got {len(row)}")
-            for r in row:
-                if not 0 <= r <= R_MAX:
-                    raise ParseError(path, lineno, f"rating {r} outside [0, {R_MAX}]")
-            rows.append(row)
+    for lineno, line in read_lines(path):
+        try:
+            row = [int(tok) for tok in line.split()]
+        except ValueError:
+            raise ParseError(path, lineno, "non-integer entry") from None
+        if width is None:
+            width = len(row)
+        elif len(row) != width:
+            raise ParseError(path, lineno, f"expected {width} columns, got {len(row)}")
+        for r in row:
+            if not 0 <= r <= R_MAX:
+                raise ParseError(path, lineno, f"rating {r} outside [0, {R_MAX}]")
+        rows.append(row)
     if not rows:
         raise ParseError(path, 1, "empty rating matrix")
     mat = np.asarray(rows, dtype=np.int64)
@@ -377,10 +384,12 @@ def load_dataset(in_dir) -> ImplicitDataset:
     ParseError naming the file and line."""
     src = Path(in_dir)
     meta_path = src / "meta.json"
+    numbered = dict(read_lines(meta_path))  # the file's line number of each JSON line
     try:
-        meta = json.loads(meta_path.read_text())
+        meta = json.loads("\n".join(numbered.values()))
     except json.JSONDecodeError as exc:
-        raise ParseError(meta_path, exc.lineno, f"not valid JSON: {exc.msg}") from None
+        lineno = list(numbered)[exc.lineno - 1] if numbered else 1
+        raise ParseError(meta_path, lineno, f"not valid JSON: {exc.msg}") from None
     if not isinstance(meta, dict) or not meta.keys() >= set(_META_KEYS):
         raise ParseError(meta_path, 1, "expected a JSON object with the keys "
                          + ", ".join(_META_KEYS))
@@ -393,38 +402,35 @@ def load_dataset(in_dir) -> ImplicitDataset:
     first_line = {}  # (user, item) -> the line that stored it
     path = src / "exposed.tsv"
     lineno = 1
-    with open(path) as fh:
-        header = fh.readline()
-        if header.strip() != "user\titem\tgamma\trel":
-            raise ParseError(path, 1, "unexpected header")
-        for lineno, line in enumerate(fh, start=2):
-            if not line.strip():
-                continue
-            parts = line.split("\t")
-            if len(parts) != 4:
-                raise ParseError(path, lineno, "expected 4 columns")
-            try:
-                u, i, g, r = int(parts[0]), int(parts[1]), float(parts[2]), int(parts[3])
-            except ValueError:
-                raise ParseError(path, lineno, "expected integer user, item "
-                                 f"and rel and a float gamma, got {line.rstrip()!r}") from None
-            for name, index in (("user", u), ("item", i)):
-                count = meta[f"num_{name}s"]
-                if not 0 <= index < count:
-                    raise ParseError(path, lineno, f"{name} {index} outside [0, {count}) "
-                                     f"of meta.json's num_{name}s")
-            if not 0.0 <= g <= 1.0:
-                raise ParseError(path, lineno, f"gamma {g!r} outside [0, 1]")
-            if r not in (0, 1):
-                raise ParseError(path, lineno, f"rel {r} is neither 0 nor 1")
-            if (u, i) in first_line:
-                raise ParseError(path, lineno, f"duplicate (user, item) pair ({u}, {i}), "
-                                 f"first on line {first_line[u, i]}")
-            first_line[u, i] = lineno
-            users.append(u)
-            items.append(i)
-            gamma.append(g)
-            rel.append(r)
+    lines = read_lines(path)
+    if next(lines, None) != (1, "user\titem\tgamma\trel"):
+        raise ParseError(path, 1, "unexpected header")
+    for lineno, line in lines:
+        parts = line.split("\t")
+        if len(parts) != 4:
+            raise ParseError(path, lineno, "expected 4 columns")
+        try:
+            u, i, g, r = int(parts[0]), int(parts[1]), float(parts[2]), int(parts[3])
+        except ValueError:
+            raise ParseError(path, lineno, "expected integer user, item "
+                             f"and rel and a float gamma, got {line!r}") from None
+        for name, index in (("user", u), ("item", i)):
+            count = meta[f"num_{name}s"]
+            if not 0 <= index < count:
+                raise ParseError(path, lineno, f"{name} {index} outside [0, {count}) "
+                                 f"of meta.json's num_{name}s")
+        if not 0.0 <= g <= 1.0:
+            raise ParseError(path, lineno, f"gamma {g!r} outside [0, 1]")
+        if r not in (0, 1):
+            raise ParseError(path, lineno, f"rel {r} is neither 0 nor 1")
+        if (u, i) in first_line:
+            raise ParseError(path, lineno, f"duplicate (user, item) pair ({u}, {i}), "
+                             f"first on line {first_line[u, i]}")
+        first_line[u, i] = lineno
+        users.append(u)
+        items.append(i)
+        gamma.append(g)
+        rel.append(r)
     if (len(rel), sum(rel)) != (meta["num_exposed"], meta["num_clicks"]):
         raise ParseError(path, lineno + 1, f"ends after {len(rel)} rows with {sum(rel)} "
                          f"clicks, but meta.json's num_exposed and num_clicks are "

@@ -36,6 +36,7 @@ from .datasets import (
     align_index_spaces,
     generate_semi_synthetic,
     load_triplets,
+    read_lines,
     save_dataset,
     save_index_maps,
     split_validation,
@@ -119,26 +120,30 @@ class ExperimentConfig:
             if not valid:
                 value = getattr(self, key)
                 raise SettingError(key, value, f"{key} must be in {bounds}, got {value!r}")
-        if not self.d_grid or not self.lambda_grid:
-            raise ValueError("hyperparameter grid must be non-empty")
+        for key, grid in (("d_grid", self.d_grid), ("lambda_grid", self.lambda_grid)):
+            if not grid:
+                raise SettingError(key, grid, "hyperparameter grid must be non-empty")
         if "ubpr" in self.methods and not self.clip_grid:
-            raise ValueError("clip_grid must be non-empty when ubpr is run")
+            raise SettingError("clip_grid", self.clip_grid,
+                               "clip_grid must be non-empty when ubpr is run")
         if not self.methods:
-            raise ValueError(f"methods must name at least one token, got {self.methods!r}")
+            raise SettingError("methods", self.methods,
+                               f"methods must name at least one token, got {self.methods!r}")
         for m in self.methods:
             if m not in METHOD_TOKENS:
-                raise ValueError(f"unknown method token {m!r}")
+                raise SettingError("methods", self.methods, f"unknown method token {m!r}")
         if not self.ks or min(self.ks) < 1:
             raise SettingError("ks", self.ks,
                                f"ks must be non-empty cutoffs >= 1, got {self.ks!r}")
         for name, values in (("methods", self.methods), ("ks", self.ks)):
             repeated = [v for v in values if values.count(v) > 1]
             if repeated:  # its rows would be written, and counted, twice
-                raise ValueError(f"{name} repeats {repeated[0]!r}")
+                raise SettingError(name, values, f"{name} repeats {repeated[0]!r}")
         if self.candidates not in CANDIDATE_MODES:
-            raise ValueError(f"unknown candidate mode {self.candidates!r}")
+            raise SettingError("candidates", self.candidates,
+                               f"unknown candidate mode {self.candidates!r}")
         if self.format not in DATASET_FORMATS:
-            raise ValueError(f"unknown dataset format {self.format!r}")
+            raise SettingError("format", self.format, f"unknown dataset format {self.format!r}")
         try:  # the propensity's own checks, on one item's count
             PropensityTable.from_click_counts((1,), self.propensity_power, self.propensity_floor)
         except SettingError as exc:
@@ -206,23 +211,19 @@ def read_config_values(path, keys=tuple(_PARSERS)) -> dict:
     """The parsed values a flat key=value file sets; '#' comments; unknown
     keys, keys outside ``keys`` and values that do not parse are errors."""
     values = {}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
-            key, _, val = line.partition("=")
-            key = key.strip()
-            if key not in _PARSERS:
-                raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-            if key not in keys:
-                raise ValueError(f"{path}:{lineno}: {key!r} is not one of {', '.join(keys)}")
-            try:
-                values[key] = _PARSERS[key](val.strip())
-            except ValueError as exc:
-                raise ParseError(path, lineno, f"{key}: {exc}") from None
+    for lineno, line in read_lines(path, "#"):
+        if "=" not in line:
+            raise ParseError(path, lineno, f"expected key=value, got {line!r}")
+        key, _, val = line.partition("=")
+        key = key.strip()
+        if key not in _PARSERS:
+            raise ParseError(path, lineno, f"unknown config key {key!r}")
+        if key not in keys:
+            raise ParseError(path, lineno, f"{key!r} is not one of {', '.join(keys)}")
+        try:
+            values[key] = _PARSERS[key](val.strip())
+        except ValueError as exc:
+            raise ParseError(path, lineno, f"{key}: {exc}") from None
     return values
 
 
@@ -237,7 +238,7 @@ def parse_config_file(path, overrides=None) -> ExperimentConfig:
         try:
             values[key] = _PARSERS[key](val) if isinstance(val, str) else val
         except ValueError as exc:
-            raise ValueError(f"{key} override {val!r}: {exc}") from None
+            raise SettingError(key, val, f"{key} override {val!r}: {exc}") from None
     return ExperimentConfig(**values)
 
 
@@ -582,30 +583,29 @@ def read_per_run(path):
     raises ParseError naming the file and line."""
     rows = []
     first_line = {}  # (method, run, cohort, metric, k) -> the line that gave it
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if line.startswith("#") or line.startswith("method\t") or not line.strip():
-                continue
-            try:
-                method, run, cohort, metric, k, value = line.rstrip("\n").split("\t")
-                row = (method, int(run), cohort, metric, int(k), float(value))
-            except ValueError:
-                raise ParseError(path, lineno, "expected method, run, cohort, metric, k and "
-                                 f"value, got {line.rstrip()!r}") from None
-            if not math.isfinite(row[5]):  # write_metrics never writes one
-                raise ParseError(path, lineno, f"value must be finite, got {value!r}")
-            if row[:5] in first_line:
-                raise ParseError(path, lineno, f"duplicate (method, run, cohort, metric, k) "
-                                 f"{row[:5]}, first on line {first_line[row[:5]]}")
-            first_line[row[:5]] = lineno
-            rows.append(row)
+    for lineno, line in read_lines(path):
+        if line.startswith(("#", "method\t")):
+            continue
+        try:
+            method, run, cohort, metric, k, value = line.split("\t")
+            row = (method, int(run), cohort, metric, int(k), float(value))
+        except ValueError:
+            raise ParseError(path, lineno, "expected method, run, cohort, metric, k and "
+                             f"value, got {line!r}") from None
+        if not math.isfinite(row[5]):  # write_metrics never writes one
+            raise ParseError(path, lineno, f"value must be finite, got {value!r}")
+        if row[:5] in first_line:
+            raise ParseError(path, lineno, f"duplicate (method, run, cohort, metric, k) "
+                             f"{row[:5]}, first on line {first_line[row[:5]]}")
+        first_line[row[:5]] = lineno
+        rows.append(row)
     return rows
 
 
 def read_config_hash(out_dir) -> str:
     """The config hash ``run_experiment`` wrote into out_dir, or "unknown"."""
     path = Path(out_dir) / CONFIG_HASH_FILE
-    return path.read_text().strip() if path.exists() else "unknown"
+    return " ".join(line for _, line in read_lines(path)) if path.exists() else "unknown"
 
 
 def write_aggregates(out_dir, rows, cfg_hash):

@@ -18,9 +18,10 @@ is a function of the user's click pattern alone, so on a world of at most 12
 items (2^items patterns fit in one chunk's rows, see ``_chunk_rows``) each
 case scores every pattern once per user and a draw's risk is looked up by
 its pattern; on larger worlds each chunk is scored draw by draw.  Each report
-carries the ideal risk, the exact moments and, when drawn, the per-draw
-risks, which ``variance_order`` compares; no array grows with cells^2, and
-only the (samples,) risks grow with the number of draws.
+carries the ideal risk and the exact moments, each a ``math.fsum`` of one
+number per user (the ideal's is the ``np.sum`` of the user's pair terms),
+and, when drawn, the per-draw risks, which ``variance_order`` compares; no
+array grows with cells^2, and only the (samples,) risks grow with the draws.
 """
 
 from __future__ import annotations
@@ -28,10 +29,10 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
+from .datasets import read_lines
 from .errors import ParseError, SettingError
 from .evaluation import t_sf
 from .factor_model import FactorModel, init_model
@@ -63,8 +64,6 @@ class SyntheticWorld:
             raise ValueError("theta must lie strictly inside (0, 1)")
         if not np.all((self.gamma > 0) & (self.gamma < 1)):
             raise ValueError("gamma must lie strictly inside (0, 1)")
-        if not np.all(self.theta * self.gamma < 1):
-            raise ValueError("theta * gamma must be < 1")
 
     @property
     def num_users(self) -> int:
@@ -92,9 +91,7 @@ def parse_world_spec(path) -> SyntheticWorld:
     '#' starts a comment; blank lines are ignored.  A malformed file raises
     ParseError naming the file and line.
     """
-    numbered = [(lineno, raw.split("#", 1)[0].strip())
-                for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1)]
-    numbered = [(lineno, line) for lineno, line in numbered if line]
+    numbered = list(read_lines(path, "#"))
     it = iter(numbered)
     end = numbered[-1][0] if numbered else 1
 
@@ -280,7 +277,7 @@ def estimator_reports(world: SyntheticWorld, model: FactorModel, cases, samples=
         raise SettingError("seed", seed, f"seed must be >= 0, got {seed}")
     p = world.theta * world.gamma
     s2 = p * (1.0 - p)
-    means, variances = [[] for _ in specs], [[] for _ in specs]
+    means, variances, ideals = [[] for _ in specs], [[] for _ in specs], []
     draws, risks, patterns = itertools.repeat(()), [None] * len(specs), None
     if samples is not None:
         draws = sample_clicks(world, samples, seed)
@@ -300,36 +297,32 @@ def estimator_reports(world: SyntheticWorld, model: FactorModel, cases, samples=
         """c @ a + c @ B @ c for each row c of a float64 chunk."""
         return c @ a + np.einsum(_RISK_SUBSCRIPTS, c, B, c, optimize=path)
 
-    def walk():
-        for (u, loss), chunks in zip(_pair_losses(world, model), draws):
-            blocks = [_risk_block(spec, world.theta[u], gamma[u], loss)
-                      for spec, gamma in specs]
-            for k, (a, B) in enumerate(blocks):
-                S = B + B.T
-                means[k].append(a @ p[u] + p[u] @ B @ p[u])
-                variances[k].append((a + S @ p[u]) ** 2 @ s2[u]
-                                    + 0.5 * (s2[u] @ (S * S) @ s2[u]))
-            if patterns is not None:  # each case scores every click pattern once
-                tables = [risk_rows(patterns, a, B) for a, B in blocks]
-            start = 0
-            for c in chunks:
-                stop = start + len(c)
-                if patterns is not None:
-                    index = c @ weights
-                    for table, risk in zip(tables, risks):
-                        risk[start:stop] += table[index]
-                else:
-                    if len(c) < rows:  # rows without clicks up to the full shape, see _chunk_rows
-                        c = np.pad(c, ((0, rows - len(c)), (0, 0)))
-                    c = c.astype(np.float64)
-                    for (a, B), risk in zip(blocks, risks):
-                        risk[start:stop] += risk_rows(c, a, B)[:stop - start]
-                start = stop
-            yield (world.gamma[u, :, None] * (1.0 - world.gamma[u]) * loss).ravel()
-
-    # math.fsum rounds once over all it is given, so the ideal's pair terms
-    # stream into it user by user instead of being kept
-    ideal = math.fsum(itertools.chain.from_iterable(walk()))
+    for (u, loss), chunks in zip(_pair_losses(world, model), draws):
+        blocks = [_risk_block(spec, world.theta[u], gamma[u], loss)
+                  for spec, gamma in specs]
+        for k, (a, B) in enumerate(blocks):
+            S = B + B.T
+            means[k].append(a @ p[u] + p[u] @ B @ p[u])
+            variances[k].append((a + S @ p[u]) ** 2 @ s2[u]
+                                + 0.5 * (s2[u] @ (S * S) @ s2[u]))
+        ideals.append(np.sum(world.gamma[u, :, None] * (1.0 - world.gamma[u]) * loss))
+        if patterns is not None:  # each case scores every click pattern once
+            tables = [risk_rows(patterns, a, B) for a, B in blocks]
+        start = 0
+        for c in chunks:
+            stop = start + len(c)
+            if patterns is not None:
+                index = c @ weights
+                for table, risk in zip(tables, risks):
+                    risk[start:stop] += table[index]
+            else:
+                if len(c) < rows:  # rows without clicks up to the full shape, see _chunk_rows
+                    c = np.pad(c, ((0, rows - len(c)), (0, 0)))
+                c = c.astype(np.float64)
+                for (a, B), risk in zip(blocks, risks):
+                    risk[start:stop] += risk_rows(c, a, B)[:stop - start]
+            start = stop
+    ideal = math.fsum(ideals)
     reports = []
     for (estimator, *_), m, v, values in zip(cases, means, variances, risks):
         exact_mean = math.fsum(m)

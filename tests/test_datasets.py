@@ -1,5 +1,7 @@
+import ast
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from uplrec.datasets import (
     load_dataset,
     load_triplets,
     rating_to_relevance,
+    read_lines,
     save_dataset,
     split_validation,
 )
@@ -23,6 +26,53 @@ from conftest import make_implicit
 def ratings_from_entries(entries, num_users, num_items):
     u, i, r = zip(*entries)
     return ExplicitRatings(num_users, num_items, np.array(u), np.array(i), np.array(r))
+
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "uplrec"
+# the functions that may read a file: the one reader of text files, the
+# config hash of the rating files' bytes and the binary checkpoint's reader
+FILE_READERS = {("datasets", "read_lines"), ("experiment", "ExperimentConfig.hash"),
+                ("factor_model", "load_checkpoint")}
+
+
+def file_reads(node, scope=()):
+    """Yield the enclosing class and function names of each call under
+    ``node`` that reads a file: ``open(path[, mode])`` or ``path.open([mode])``
+    without a write mode, ``read_text()`` and ``read_bytes()``."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Call):
+            func = child.func
+            method = isinstance(func, ast.Attribute)
+            name = func.attr if method else getattr(func, "id", None)
+            at = 0 if method else 1  # the mode's place in path.open(mode) or open(path, mode)
+            modes = [k.value for k in child.keywords if k.arg == "mode"] + child.args[at:at + 1]
+            writes = any(isinstance(m, ast.Constant) and set(str(m.value)) & set("wax+")
+                         for m in modes)
+            if name in ("read_text", "read_bytes") or (name == "open" and not writes):
+                yield ".".join(scope)
+        named = isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+        yield from file_reads(child, scope + (child.name,) if named else scope)
+
+
+class TestReadLines:
+    def test_every_file_read_goes_through_the_reader(self):
+        reads = {(module.stem, scope) for module in sorted(SRC.glob("*.py"))
+                 for scope in file_reads(ast.parse(module.read_text()))}
+        assert reads == FILE_READERS
+
+    def test_lines_end_as_in_a_text_mode_file(self, tmp_path):
+        # \n, \r and \r\n end a line; a form feed does not
+        path = tmp_path / "f.txt"
+        path.write_bytes(b"a = 1 # note\r\n\r\n  b\x0cc  \rd\n# a comment\n\xc3\xa9\n")
+        assert list(read_lines(path, "#")) == [(1, "a = 1"), (3, "b\x0cc"), (4, "d"),
+                                               (6, "\u00e9")]
+        assert next(read_lines(path)) == (1, "a = 1 # note")
+
+    def test_byte_that_is_not_utf8_names_its_line(self, tmp_path):
+        path = tmp_path / "f.txt"
+        path.write_bytes(b"1\t2\t3\r\n\r4\t5\t\xe9\n")
+        with pytest.raises(ParseError, match=re.escape(f"{path}:3: not UTF-8 text")):
+            list(read_lines(path))
 
 
 class TestLoadTriplets:

@@ -172,18 +172,22 @@ class TestConfigParsing:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--seed", "-1", "seed must be >= 0, got -1"),
+        ("--methods", "bpr,nope", "unknown method token 'nope'"),
+    ], ids=["seed_negative", "methods_unknown"])
     def test_setting_from_a_flag_named_by_the_flag(self, triplet_files, tmp_path, capsys,
-                                                   monkeypatch):
+                                                   monkeypatch, flag, value, message):
         # a rejected value that a flag set is named by the flag, as prepare
         # names it; numpy's generators take no negative seed
         stop_at(monkeypatch, exp, "run_experiment")
         out = tmp_path / "out"
         cfg_path = tmp_path / "exp.cfg"
         cfg_path.write_text(small_config_text(triplet_files, out))
-        assert cli.main(["experiment", "--config", str(cfg_path), "--seed", "-1"]) == 2
+        assert cli.main(["experiment", "--config", str(cfg_path), flag, value]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: --seed: seed must be >= 0, got -1\n"
+        assert captured.err == f"error: {flag}: {message}\n"
         assert not out.exists()
 
     def test_unknown_candidate_mode_rejected(self, tmp_path):
@@ -201,7 +205,7 @@ class TestConfigParsing:
         cfg_path = tmp_path / "exp.cfg"
         cfg_path.write_text(small_config_text(triplet_files, out))
         assert cli.main(["experiment", "--config", str(cfg_path), "--format", "csv"]) == 2
-        assert capsys.readouterr().err == "error: unknown dataset format 'csv'\n"
+        assert capsys.readouterr().err == "error: --format: unknown dataset format 'csv'\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("extra, message", [
@@ -319,7 +323,7 @@ class TestConfigParsing:
             f"error: {grid}:3: clip_grid: could not convert string to float: 'low'\n"
         assert cli.main(["experiment", "--config", str(cfg_path), "--runs", "abc"]) == 2
         assert capsys.readouterr().err == \
-            "error: runs override 'abc': invalid literal for int() with base 10: 'abc'\n"
+            "error: --runs: runs override 'abc': invalid literal for int() with base 10: 'abc'\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("word, value", [
@@ -890,9 +894,9 @@ class TestCliSurface:
 
 
 class TestUnusablePaths:
-    """A directory where a command reads a file, or a file where it reads or
-    creates a directory, gives one error line naming the path, and nothing
-    is written."""
+    """A directory where a command reads a file, a file where it reads or
+    creates a directory, or an input that is not UTF-8 text, gives one error
+    line naming the path, and nothing is written."""
 
     @pytest.mark.parametrize("case", [
         "experiment_config", "experiment_grid_file", "experiment_train_file",
@@ -938,6 +942,56 @@ class TestUnusablePaths:
         assert captured.err == f"error: {message}\n"
         assert sorted(tmp_path.rglob("*")) == before
         assert afile.read_text() == "kept\n"
+
+    @pytest.mark.parametrize("case", [
+        "prepare_triplets", "prepare_coat", "experiment_config", "experiment_grid_file",
+        "verify_world", "train_meta", "train_exposed", "report"])
+    def test_undecodable_input_refused_in_one_line(self, triplet_files, tmp_path, capsys,
+                                                   case):
+        # a 0xff byte, never part of UTF-8 text, at the start of an input's line 2
+        prep, coat, runs = tmp_path / "prep", tmp_path / "coat", tmp_path / "runs"
+        assert cli.main(["prepare", "--dataset", str(triplet_files), "--format", "triplets",
+                         "--out", str(prep)]) == 0
+        coat.mkdir()
+        for name in ("train.ascii", "test.ascii"):
+            (coat / name).write_text("1 0 5\n0 3 4\n")
+        runs.mkdir()
+        (runs / "per_run_metrics.tsv").write_text(
+            "method\trun\tcohort\tmetric\tk\tvalue\nbpr\t0\tall\tdcg\t5\t0.5\n")
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(small_config_text(triplet_files, tmp_path / "out"))
+        grid = tmp_path / "grid.cfg"
+        grid.write_text("# grids\nd_grid = 8\n")
+        world = tmp_path / "world.txt"
+        shutil.copy(WORLDS_DIR / "clip_bias.txt", world)
+        data = shutil.copytree(triplet_files, tmp_path / "data")
+        train = ["train", "--data", str(prep), "--method", "bpr", "--out", str(tmp_path / "o")]
+        argv, path, prefix = {
+            "prepare_triplets": (["prepare", "--dataset", str(data), "--format", "triplets",
+                                  "--out", str(tmp_path / "o")], data / "train.txt", ""),
+            "prepare_coat": (["prepare", "--dataset", str(coat), "--format", "coat",
+                              "--out", str(tmp_path / "o")], coat / "train.ascii", ""),
+            "experiment_config": (["experiment", "--config", str(cfg)], cfg, ""),
+            "experiment_grid_file": (["experiment", "--config", str(cfg),
+                                      "--grid-file", str(grid)], grid, ""),
+            "verify_world": (["verify", "--world", str(world), "--exact-only"], world, ""),
+            "train_meta": (train, prep / "train" / "meta.json", f"prepared data {prep}: "),
+            "train_exposed": (train, prep / "train" / "exposed.tsv",
+                              f"prepared data {prep}: "),
+            "report": (["report", "--out", str(runs)], runs / "per_run_metrics.tsv", ""),
+        }[case]
+        lines = path.read_bytes().splitlines(keepends=True)
+        path.write_bytes(b"".join([lines[0], b"\xff" + lines[1], *lines[2:]]))
+        capsys.readouterr()
+
+        def tree():
+            return {p: p.is_file() and p.read_bytes() for p in tmp_path.rglob("*")}
+        before = tree()
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {prefix}{path}:2: not UTF-8 text\n"
+        assert tree() == before
 
 
 def wrap_train(monkeypatch, fail=None):
@@ -1268,8 +1322,8 @@ LOW_EXPOSURE_MC_TSV = (
 )
 CLIP_BIAS_EXACT_STDOUT = """\
 world: 1 users x 3 items (3 cells); ideal risk = 1.284326616
-  upl: exact expectation = 1.284326616 (bias -2.220e-16), exact variance = 2.350071477
-  ubpr: exact expectation = 1.284326616 (bias +0.000e+00), exact variance = 7.410719169
+  upl: exact expectation = 1.284326616 (bias -4.441e-16), exact variance = 2.350071477
+  ubpr: exact expectation = 1.284326616 (bias -2.220e-16), exact variance = 7.410719169
   ubpr_clipped: exact expectation = 1.926489925 (bias +6.422e-01), exact variance = 5.287660823
   bpr: exact expectation = 0.9632449623 (bias -3.211e-01), exact variance = 1.321915206
 """

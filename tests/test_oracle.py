@@ -171,6 +171,24 @@ class TestIdealRisk:
         rep, = estimator_reports(world, model, [("bpr",)])
         assert rep.ideal_risk == pytest.approx(brute_force_ideal(world, model), rel=1e-12)
 
+    def test_summed_from_one_value_per_user(self, monkeypatch):
+        # each user's pair terms are summed by np.sum, and math.fsum adds the
+        # users' sums, as it adds each case's per-user mean and variance
+        world = random_world(3, 7, seed=12)
+        model = model_for_world(world, seed=13)
+        calls = []
+
+        def fsum(values, _real=math.fsum):
+            values = list(values)
+            calls.append((len(values), _real(values)))
+            return calls[-1][1]
+        monkeypatch.setattr(oracle_mod.math, "fsum", fsum)
+        rep, = estimator_reports(world, model, [("bpr",)])
+        assert calls == [(world.num_users, rep.ideal_risk),
+                         (world.num_users, rep.exact_expectation),
+                         (world.num_users, rep.exact_variance)]
+        assert rep.ideal_risk == pytest.approx(brute_force_ideal(world, model), rel=1e-12)
+
 
 class TestExactExpectation:
     def test_upl_unbiased(self):
