@@ -252,9 +252,10 @@ def _cmd_report(args) -> int:
     out = Path(args.out)
     try:
         rows = exp.read_per_run(out / "per_run_metrics.tsv")
+        cfg_hash = exp.read_config_hash(out)
     except OSError as exc:  # names the file
         raise UsageError(str(exc)) from None
-    exp.write_aggregates(out, rows, exp.read_config_hash(out))
+    exp.write_aggregates(out, rows, cfg_hash)
     print(f"re-aggregated {len(rows)} rows into {out}")
     return 0
 

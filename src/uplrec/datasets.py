@@ -250,29 +250,23 @@ class ImplicitDataset:
         return int(self.rel.sum())
 
     @cached_property
-    def exposed_codes(self) -> np.ndarray:
-        """Sorted u*num_items+i codes of exposed cells, for membership tests."""
-        return self.users * self.num_items + self.items
+    def cells(self) -> np.ndarray:
+        """(num_users, num_items) int8 table: -1 on an unexposed cell, else its rel."""
+        table = np.full((self.num_users, self.num_items), -1, dtype=np.int8)
+        table[self.users, self.items] = self.rel
+        return table
 
     @cached_property
     def click_pairs(self) -> tuple[np.ndarray, np.ndarray]:
-        mask = self.rel == 1
-        return self.users[mask], self.items[mask]
-
-    @cached_property
-    def clicked_codes(self) -> np.ndarray:
-        u, i = self.click_pairs
-        return u * self.num_items + i
+        return np.nonzero(self.cells == 1)
 
     @cached_property
     def item_click_counts(self) -> np.ndarray:
-        _, items = self.click_pairs
-        return np.bincount(items, minlength=self.num_items)
+        return np.count_nonzero(self.cells == 1, axis=0)
 
     @cached_property
     def user_click_counts(self) -> np.ndarray:
-        users, _ = self.click_pairs
-        return np.bincount(users, minlength=self.num_users)
+        return np.count_nonzero(self.cells == 1, axis=1)
 
     @cached_property
     def user_indptr(self) -> np.ndarray:
@@ -280,19 +274,10 @@ class ImplicitDataset:
         return np.searchsorted(self.users, np.arange(self.num_users + 1))
 
     def is_exposed(self, users, items) -> np.ndarray:
-        return _sorted_contains(self.exposed_codes,
-                                np.asarray(users) * self.num_items + np.asarray(items))
+        return self.cells[users, items] >= 0
 
     def is_clicked(self, users, items) -> np.ndarray:
-        return _sorted_contains(self.clicked_codes,
-                                np.asarray(users) * self.num_items + np.asarray(items))
-
-
-def _sorted_contains(haystack: np.ndarray, codes: np.ndarray) -> np.ndarray:
-    if len(haystack) == 0:
-        return np.zeros(np.shape(codes), dtype=bool)
-    pos = np.minimum(np.searchsorted(haystack, codes), len(haystack) - 1)
-    return haystack[pos] == codes
+        return self.cells[users, items] == 1
 
 
 def generate_semi_synthetic(ratings: ExplicitRatings, epsilon: float, seed: int,

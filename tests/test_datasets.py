@@ -5,6 +5,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from uplrec.datasets import (
     ExplicitRatings,
@@ -26,6 +28,10 @@ from conftest import make_implicit
 def ratings_from_entries(entries, num_users, num_items):
     u, i, r = zip(*entries)
     return ExplicitRatings(num_users, num_items, np.array(u), np.array(i), np.array(r))
+
+
+def exposed_pairs(ds):
+    return set(zip(ds.users.tolist(), ds.items.tolist()))
 
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "uplrec"
@@ -233,6 +239,39 @@ class TestGenerateSemiSynthetic:
         assert np.all(ds.rel[ds.is_clicked(ds.users, ds.items)] == 1)
 
 
+@st.composite
+def _cell_lists(draw):
+    """(num_users, num_items, (u, i, rel) cells in any order, no cell twice)."""
+    num_users, num_items = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    cells = draw(st.lists(st.tuples(st.integers(0, num_users - 1),
+                                    st.integers(0, num_items - 1), st.integers(0, 1)),
+                          unique_by=lambda c: c[:2]))
+    return num_users, num_items, cells
+
+
+class TestCellTable:
+    @given(_cell_lists())
+    @example((2, 3, [(1, 2, 0), (0, 1, 0)]))  # no click
+    @example((2, 2, [(1, 1, 1), (0, 0, 0), (1, 0, 1), (0, 1, 1)]))  # every cell exposed
+    @example((3, 2, [(2, 1, 1), (0, 0, 1)]))  # user 1 has no cells
+    def test_matches_set_reference(self, case):
+        num_users, num_items, cells = case
+        ds = make_implicit(num_users, num_items, [(u, i, 0.5, r) for u, i, r in cells])
+        exposed = {(u, i) for u, i, _ in cells}
+        clicked = {(u, i) for u, i, r in cells if r == 1}
+        grid = [(u, i) for u in range(num_users) for i in range(num_items)]
+        users, items = np.array(grid).T
+        assert ds.is_exposed(users, items).tolist() == [c in exposed for c in grid]
+        assert ds.is_clicked(users, items).tolist() == [c in clicked for c in grid]
+        assert list(zip(*(a.tolist() for a in ds.click_pairs))) == sorted(clicked)
+        assert all(a.dtype == np.int64 for a in ds.click_pairs)
+        item_counts = [sum(i == item for _, i in clicked) for item in range(num_items)]
+        user_counts = [sum(u == user for u, _ in clicked) for user in range(num_users)]
+        assert ds.item_click_counts.tolist() == item_counts
+        assert ds.user_click_counts.tolist() == user_counts
+        assert ds.item_click_counts.dtype == ds.user_click_counts.dtype == np.int64
+
+
 class TestSplitValidation:
     def _dataset(self, n_users=10, n_items=10):
         cells = [(u, i, 0.5, (u + i) % 2) for u in range(n_users) for i in range(n_items)]
@@ -246,16 +285,15 @@ class TestSplitValidation:
     def test_union_and_disjoint(self):
         ds = self._dataset()
         train, val = split_validation(ds, 0.3, seed=5)
-        codes = set(train.exposed_codes) | set(val.exposed_codes)
-        assert codes == set(ds.exposed_codes)
-        assert not (set(train.exposed_codes) & set(val.exposed_codes))
+        assert exposed_pairs(train) | exposed_pairs(val) == exposed_pairs(ds)
+        assert not exposed_pairs(train) & exposed_pairs(val)
 
     def test_same_seed_identical(self):
         ds = self._dataset()
         t1, v1 = split_validation(ds, 0.1, seed=3)
         t2, v2 = split_validation(ds, 0.1, seed=3)
-        assert np.array_equal(v1.exposed_codes, v2.exposed_codes)
-        assert np.array_equal(t1.exposed_codes, t2.exposed_codes)
+        assert np.array_equal(v1.cells, v2.cells)
+        assert np.array_equal(t1.cells, t2.cells)
 
     def test_fraction_bounds(self):
         ds = self._dataset()

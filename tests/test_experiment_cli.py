@@ -901,11 +901,15 @@ class TestUnusablePaths:
     @pytest.mark.parametrize("case", [
         "experiment_config", "experiment_grid_file", "experiment_train_file",
         "experiment_out", "experiment_out_under_a_file", "verify_world", "train_data",
-        "report_out", "prepare_train_file"])
+        "report_out", "report_config_hash", "prepare_train_file"])
     def test_refused_in_one_line(self, triplet_files, tmp_path, capsys, case):
         adir, afile = tmp_path / "adir", tmp_path / "afile"
         adir.mkdir()
         afile.write_text("kept\n")
+        runs = tmp_path / "runs"  # a readable per-run table beside a hash that is a directory
+        runs.mkdir()
+        (runs / "per_run_metrics.tsv").write_text("bpr\t0\tall\tdcg\t5\t0.25\n")
+        (runs / "config_hash.txt").mkdir()
         cfg = tmp_path / "exp.cfg"
         cfg.write_text(small_config_text(triplet_files, tmp_path / "out"))
         cfg_train_dir = tmp_path / "train_dir.cfg"
@@ -931,6 +935,8 @@ class TestUnusablePaths:
                 f"'{afile / 'train' / 'meta.json'}'"),
             "report_out": (["report", "--out", str(afile)],
                            f"[Errno 20] Not a directory: '{afile / 'per_run_metrics.tsv'}'"),
+            "report_config_hash": (["report", "--out", str(runs)],
+                                   f"[Errno 21] Is a directory: '{runs / 'config_hash.txt'}'"),
             "prepare_train_file": (
                 prepare + ["--train-file", str(adir), "--out", str(tmp_path / "o")],
                 not_a_file),
