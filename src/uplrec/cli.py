@@ -144,6 +144,7 @@ def _cmd_train(args) -> int:
     try:
         data = _load_prepared(args.data)
         propensities = PropensityTable.from_click_counts(data.train.item_click_counts)
+        exp.check_validation_split(data.validation, f"prepared data {args.data}")
     except FileNotFoundError as exc:
         raise UsageError(f"prepared data {args.data}: {exc.filename} not found") from None
     except EstimationError as exc:  # a train split without clicks

@@ -35,8 +35,8 @@ class ExplicitRatings:
     users: np.ndarray
     items: np.ndarray
     ratings: np.ndarray
-    user_ids: np.ndarray | None = None
-    item_ids: np.ndarray | None = None
+    user_ids: np.ndarray
+    item_ids: np.ndarray
 
     def __post_init__(self):
         self.users = np.asarray(self.users, dtype=np.int64)
@@ -164,8 +164,6 @@ def _load_dense_file(path: Path) -> ExplicitRatings:
 def align_index_spaces(a: ExplicitRatings, b: ExplicitRatings):
     """Remap two rating sets (e.g. train and test files) onto one shared
     0-based index space, using the union of their raw ids."""
-    if a.user_ids is None or b.user_ids is None:
-        raise ValueError("raw id mappings required for alignment")
     user_ids = np.union1d(a.user_ids, b.user_ids)
     item_ids = np.union1d(a.item_ids, b.item_ids)
 
@@ -182,15 +180,14 @@ def rating_to_relevance(rating, epsilon):
     """Relevance probability of a star rating:
     epsilon + (1 - epsilon) * (2^rating - 1) / (2^R_MAX - 1).
 
-    Accepts scalars or arrays; ratings must lie in [1, R_MAX].
+    Elementwise; a scalar gives a numpy scalar.  Ratings must lie in [1, R_MAX].
     """
     rating = np.asarray(rating)
     if not 0.0 <= float(epsilon) < 1.0:
         raise ValueError("epsilon must be in [0, 1)")
     if np.any(rating < 1) or np.any(rating > R_MAX):
         raise ValueError(f"rating outside [1, {R_MAX}]")
-    out = epsilon + (1.0 - epsilon) * (np.exp2(rating) - 1.0) / (2.0**R_MAX - 1.0)
-    return float(out) if out.ndim == 0 else out
+    return epsilon + (1.0 - epsilon) * (np.exp2(rating) - 1.0) / (2.0**R_MAX - 1.0)
 
 
 @dataclass
@@ -289,7 +286,6 @@ def generate_semi_synthetic(ratings: ExplicitRatings, epsilon: float, seed: int,
     the same seed is bit-identical.
     """
     gamma = rating_to_relevance(ratings.ratings, epsilon)
-    gamma = np.atleast_1d(np.asarray(gamma, dtype=np.float64))
     rng = np.random.default_rng(seed)
     # Draw in (user, item) order so the stream is independent of file order.
     order = np.lexsort((ratings.items, ratings.users))

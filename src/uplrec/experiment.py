@@ -314,14 +314,21 @@ def make_dir(path):
         raise UsageError(f"cannot create directory {path}: {exc.strerror}") from None
 
 
+def check_validation_split(validation: ImplicitDataset, where):
+    """UsageError, after ``where``, unless the validation split holds a click: without
+    one each epoch's validation DCG@5 reads 0, and every run keeps its epoch-0 model."""
+    if not validation.num_clicks:
+        raise UsageError(f"{where}: validation split has {len(validation)} cells and "
+                         "0 clicks: raise validation_fraction")
+
+
 def save_prepared(data: PreparedData, out_dir):
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     save_dataset(data.train, out / "train")
     save_dataset(data.validation, out / "validation")
     save_dataset(data.test, out / "test")
-    if data.user_ids is not None:
-        save_index_maps(out, data.user_ids, data.item_ids)
+    save_index_maps(out, data.user_ids, data.item_ids)
 
 
 # ---------------------------------------------------------------------------
@@ -391,11 +398,11 @@ def _train_task(task, state=_POOL_STATE):
 
 
 def _train_tasks(tasks, state):
-    """Yield each task's runs in task order, trained in-process or, with
-    threads > 1, on a worker pool."""
-    threads = state["config"].threads
-    if threads > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=threads, initializer=_pool_init,
+    """Yield each task's runs in task order, trained in-process or on a pool of
+    min(threads, tasks) workers when that is more than one."""
+    workers = min(state["config"].threads, len(tasks))  # each forked at the first submit
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers, initializer=_pool_init,
                                  initargs=(state,)) as pool:
             yield from pool.map(_train_task, tasks)
     else:
@@ -458,8 +465,8 @@ def run_experiment(config: ExperimentConfig) -> Path:
     if not config.out:  # Path("") would be the working directory
         raise ValueError("no output directory configured: set out")
     out = Path(config.out)
-    # find and parse the rating files, and estimate the propensities from
-    # the train split's clicks, before anything is written
+    # find and parse the rating files, estimate the propensities from the
+    # train split's clicks and check the validation split's, before writing
     cfg_hash = config.hash()
     data = prepare_datasets(
         config.dataset, config.format, config.epsilon_train, config.epsilon_test,
@@ -467,6 +474,7 @@ def run_experiment(config: ExperimentConfig) -> Path:
     propensities = PropensityTable.from_click_counts(
         data.train.item_click_counts, power=config.propensity_power,
         floor=config.propensity_floor)
+    check_validation_split(data.validation, f"dataset {config.dataset}")
     make_dir(out)
     (out / "logs").mkdir(exist_ok=True)
     (out / "config_resolved.cfg").write_text(config.canonical_text())

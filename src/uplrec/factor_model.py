@@ -113,12 +113,18 @@ def save_checkpoint(model: FactorModel, path, seed=0):
 
 
 def load_checkpoint(path) -> tuple[FactorModel, int]:
-    path = Path(path)
-    with open(path, "rb") as fh:
-        magic = fh.read(8)
-        if magic != CHECKPOINT_MAGIC:
-            raise ValueError(f"bad checkpoint magic {magic!r}")
-        d, num_users, num_items, seed = struct.unpack("<qqqq", fh.read(32))
-        user = np.frombuffer(fh.read(num_users * d * 8), dtype="<f8").reshape(num_users, d)
-        item = np.frombuffer(fh.read(num_items * d * 8), dtype="<f8").reshape(num_items, d)
-    return FactorModel(user.copy(), item.copy()), seed
+    """The (model, seed) that save_checkpoint wrote, or one ValueError naming the path."""
+    data = Path(path).read_bytes()
+    if not data.startswith(CHECKPOINT_MAGIC):
+        raise ValueError(f"{path}: bad checkpoint magic {data[:8]!r}")
+    if len(data) < 40:
+        raise ValueError(f"{path}: {len(data)} bytes, shorter than the 40-byte header")
+    d, num_users, num_items, seed = struct.unpack_from("<qqqq", data, 8)
+    if min(d, num_users, num_items) < 0 or len(data) != 40 + (num_users + num_items) * d * 8:
+        raise ValueError(f"{path}: d={d}, {num_users} users and {num_items} items do not match "
+                         f"{len(data) - 40} bytes of factors")
+    user, item = np.split(np.frombuffer(data, "<f8", offset=40).copy(), [num_users * d])
+    try:  # a NaN or infinite entry
+        return FactorModel(user.reshape(num_users, d), item.reshape(num_items, d)), seed
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

@@ -38,15 +38,12 @@ def sigmoid(x):
     """Numerically stable logistic function."""
     x = np.asarray(x, dtype=np.float64)
     z = np.exp(-np.abs(x))
-    out = np.where(x >= 0, 1.0 / (1.0 + z), z / (1.0 + z))
-    return float(out) if out.ndim == 0 else out
+    return np.where(x >= 0, 1.0 / (1.0 + z), z / (1.0 + z))
 
 
 def softplus(x):
     """log(1 + exp(x)), stable for |x| up to at least 700."""
-    x = np.asarray(x, dtype=np.float64)
-    out = np.logaddexp(0.0, x)
-    return float(out) if out.ndim == 0 else out
+    return np.logaddexp(0.0, np.asarray(x, dtype=np.float64))
 
 
 def sigmoid_pair_loss(s_i, s_j):
@@ -56,11 +53,8 @@ def sigmoid_pair_loss(s_i, s_j):
     and dloss_dsj = +(1 - sigmoid(d)) for d = s_i - s_j.
     """
     d = np.asarray(s_i, dtype=np.float64) - np.asarray(s_j, dtype=np.float64)
-    loss = softplus(-d)
     g = sigmoid(-d)  # = 1 - sigmoid(d)
-    if np.ndim(loss) == 0:
-        return float(loss), float(-g), float(g)
-    return loss, -g, +g
+    return softplus(-d), -g, +g
 
 
 def upl_pair_weight(theta_i, theta_j, gamma_hat_j):
@@ -73,8 +67,7 @@ def upl_pair_weight(theta_i, theta_j, gamma_hat_j):
     denom = 1.0 - theta_j * gamma_hat_j
     if np.any(denom <= 0):
         raise SingularityError("theta_j * gamma_j >= 1")
-    out = (1.0 - gamma_hat_j) / (theta_i * denom)
-    return float(out) if out.ndim == 0 else out
+    return (1.0 - gamma_hat_j) / (theta_i * denom)
 
 
 def upl_pair_weight_from_posterior(theta_i, theta_j, posterior_j):
@@ -88,8 +81,7 @@ def upl_pair_weight_from_posterior(theta_i, theta_j, posterior_j):
     theta_j = np.asarray(theta_j, dtype=np.float64)
     if np.any(theta_i <= 0) or np.any(theta_j <= 0):
         raise SingularityError("propensities must be positive")
-    out = np.asarray(posterior_j, dtype=np.float64) / (theta_i * theta_j)
-    return float(out) if out.ndim == 0 else out
+    return np.asarray(posterior_j, dtype=np.float64) / (theta_i * theta_j)
 
 
 def ubpr_pair_weight(c_i, c_j, theta_i, theta_j):
@@ -98,20 +90,18 @@ def ubpr_pair_weight(c_i, c_j, theta_i, theta_j):
     theta_j = np.asarray(theta_j, dtype=np.float64)
     if np.any(theta_i <= 0) or np.any(theta_j <= 0):
         raise SingularityError("propensities must be positive")
-    out = (np.asarray(c_i) / theta_i) * (1.0 - np.asarray(c_j) / theta_j)
-    return float(out) if out.ndim == 0 else out
+    return (np.asarray(c_i) / theta_i) * (1.0 - np.asarray(c_j) / theta_j)
 
 
 def clip_term(weighted_loss, threshold):
     """max(weighted_loss, threshold) with threshold <= 0."""
     if np.any(np.asarray(threshold) > 0):
         raise ValueError("clip threshold must be <= 0")
-    out = np.maximum(np.asarray(weighted_loss, dtype=np.float64), threshold)
-    return float(out) if out.ndim == 0 else out
+    return np.maximum(np.asarray(weighted_loss, dtype=np.float64), threshold)
 
 
 def pointwise_loss(method, c, s, theta_click=1.0, weight=10.0):
-    """Pointwise losses on a single cell, with gradient w.r.t. the score.
+    """Pointwise losses of cells, with gradients w.r.t. their scores.
 
     With p = sigmoid(s):
       wmf:    weight*c*(-log p) + (1-c)*(-log(1-p))
@@ -138,11 +128,7 @@ def pointwise_loss(method, c, s, theta_click=1.0, weight=10.0):
     else:
         raise ValueError(f"unknown pointwise method {method!r}")
 
-    loss = w_pos * nlog_p + w_neg * nlog_1mp
-    grad = w_pos * (p - 1.0) + w_neg * p
-    if np.ndim(loss) == 0:
-        return float(loss), float(grad)
-    return loss, grad
+    return w_pos * nlog_p + w_neg * nlog_1mp, w_pos * (p - 1.0) + w_neg * p
 
 
 @dataclass(frozen=True)

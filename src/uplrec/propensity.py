@@ -38,7 +38,7 @@ def estimate_click_propensity(click_counts, power=DEFAULT_POWER, floor=DEFAULT_F
 def posterior_exposure(theta, gamma):
     """P(exposed | not clicked) = theta * (1 - gamma) / (1 - theta * gamma).
 
-    Accepts scalars or arrays.  Raises SingularityError when theta*gamma >= 1
+    Elementwise; scalars give a numpy scalar.  Raises SingularityError when theta*gamma >= 1
     (only reachable at theta = gamma = 1, where a non-click is impossible).
     """
     theta = np.asarray(theta, dtype=np.float64)
@@ -50,8 +50,7 @@ def posterior_exposure(theta, gamma):
     denom = 1.0 - theta * gamma
     if np.any(denom <= 0):
         raise SingularityError("theta * gamma >= 1")
-    out = theta * (1.0 - gamma) / denom
-    return float(out) if out.ndim == 0 else out
+    return theta * (1.0 - gamma) / denom
 
 
 @dataclass

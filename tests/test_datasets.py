@@ -27,7 +27,8 @@ from conftest import make_implicit
 
 def ratings_from_entries(entries, num_users, num_items):
     u, i, r = zip(*entries)
-    return ExplicitRatings(num_users, num_items, np.array(u), np.array(i), np.array(r))
+    return ExplicitRatings(num_users, num_items, np.array(u), np.array(i), np.array(r),
+                           np.arange(num_users), np.arange(num_items))
 
 
 def exposed_pairs(ds):

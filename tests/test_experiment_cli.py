@@ -267,6 +267,20 @@ class TestConfigParsing:
         assert captured.out == ""
         assert not out.exists()
 
+    def test_validation_split_without_clicks_rejected_before_writing(
+            self, triplet_files, tmp_path, capsys):
+        # floor(1e-4 * cells) = 0: every epoch's validation DCG@5 would read 0
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(small_config_text(triplet_files, tmp_path / "out")
+                            + "validation_fraction = 1e-4\n")
+        before = sorted(tmp_path.rglob("*"))
+        assert cli.main(["experiment", "--config", str(cfg_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (f"error: dataset {triplet_files}: validation split has 0 cells "
+                                "and 0 clicks: raise validation_fraction\n")
+        assert captured.out == ""
+        assert sorted(tmp_path.rglob("*")) == before
+
     @pytest.mark.parametrize("drop, flags", [("out = {out}\n", []), ("", ["--out", ""])],
                              ids=["missing", "empty_override"])
     def test_empty_out_rejected_before_writing(self, triplet_files, tmp_path, capsys,
@@ -661,6 +675,23 @@ class TestTrainCli:
         assert captured.err == \
             f"error: prepared data {prep}: train split: all click counts are zero\n"
         assert not out.exists()
+
+    def test_validation_split_without_clicks_rejected_in_one_line(self, prep, tmp_path,
+                                                                    capsys, monkeypatch):
+        stop_at(monkeypatch, cli, "train_key")
+        path = prep / "validation" / "exposed.tsv"
+        header, *rows = path.read_text().splitlines(keepends=True)
+        path.write_text(header + "".join(row[:row.rindex("\t")] + "\t0\n" for row in rows))
+        meta = prep / "validation" / "meta.json"
+        meta.write_text(re.sub(r'"num_clicks": \d+', '"num_clicks": 0', meta.read_text()))
+        before = sorted(tmp_path.rglob("*"))
+        assert cli.main(["train", "--data", str(prep), "--method", "bpr",
+                         "--out", str(tmp_path / "run")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: prepared data {prep}: validation split has "
+                                f"{len(rows)} cells and 0 clicks: raise validation_fraction\n")
+        assert sorted(tmp_path.rglob("*")) == before
 
     @pytest.mark.parametrize("split, key, shape", [
         ("validation", "num_users", "61x40"), ("test", "num_items", "60x41"),
@@ -1169,6 +1200,36 @@ class TestExperimentWorkers:
         assert outputs[0].keys() == outputs[1].keys()
         for name in outputs[0]:
             assert outputs[0][name] == outputs[1][name], f"{name} differs across threads"
+
+
+    def test_pool_no_wider_than_its_tasks(self, triplet_files, tmp_path, monkeypatch):
+        # a pool forks all its workers at the first submit: two grid tasks
+        # get two, whatever threads allows
+        widths = []
+
+        class InlinePool:
+            """Records its width and runs the tasks in this process."""
+
+            def __init__(self, max_workers, initializer, initargs):
+                widths.append(max_workers)
+                self.state, = initargs
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return (fn(task, self.state) for task in tasks)
+
+        monkeypatch.setattr(exp, "ProcessPoolExecutor", InlinePool)
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(small_config_text(triplet_files, tmp_path / "out", methods="ubpr",
+                                              runs=1).replace("clip_grid = 0", "clip_grid = 0,-1")
+                            + "threads = 8\n")
+        assert cli.main(["experiment", "--config", str(cfg_path)]) == 0
+        assert widths == [2]
 
 
 class TestExperimentFailureIsolation:

@@ -1,4 +1,5 @@
 import hashlib
+import struct
 
 import numpy as np
 import pytest
@@ -87,6 +88,32 @@ class TestCheckpoint:
         path.write_bytes(b"NOTMAGIC" + b"\0" * 64)
         with pytest.raises(ValueError, match="magic"):
             load_checkpoint(path)
+
+    # a 5 x 4, d = 3 checkpoint: a 40-byte header, 120 bytes of user factors
+    # and 96 of item factors
+    @pytest.mark.parametrize("edit, message", [
+        (lambda b: b"NOTMAGIC" + b[8:], "bad checkpoint magic b'NOTMAGIC'"),
+        (lambda b: b[:5], "bad checkpoint magic b'FACT0'"),
+        (lambda b: b[:20], "20 bytes, shorter than the 40-byte header"),
+        (lambda b: b[:16] + struct.pack("<q", -5) + b[24:],
+         "d=3, -5 users and 4 items do not match 216 bytes of factors"),
+        # -4 + 13 = 5 + 4 rows: a size that adds up does not hide a negative count
+        (lambda b: b[:16] + struct.pack("<qq", -4, 13) + b[32:],
+         "d=3, -4 users and 13 items do not match 216 bytes of factors"),
+        (lambda b: b[:24] + struct.pack("<q", 2**60) + b[32:],
+         f"d=3, 5 users and {2**60} items do not match 216 bytes of factors"),
+        (lambda b: b[:-8], "d=3, 5 users and 4 items do not match 208 bytes of factors"),
+        (lambda b: b + b"\0" * 8, "d=3, 5 users and 4 items do not match 224 bytes of factors"),
+        (lambda b: b[:-8] + struct.pack("<d", np.nan), "non-finite factor entries"),
+    ], ids=["magic", "cut_in_magic", "cut_in_header", "negative_count", "negative_count_fits",
+            "oversized_count", "cut_in_factors", "trailing_bytes", "non_finite"])
+    def test_malformed_file_named_in_one_error(self, tmp_path, edit, message):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(init_model(5, 4, d=3, seed=0), path)
+        path.write_bytes(edit(path.read_bytes()))
+        with pytest.raises(ValueError) as info:
+            load_checkpoint(path)
+        assert str(info.value) == f"{path}: {message}"
 
 
 class TestTrainConfig:

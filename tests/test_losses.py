@@ -1,4 +1,6 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from uplrec.losses import (
 from uplrec.propensity import posterior_exposure
 
 LN2 = math.log(2.0)
+SRC = Path(__file__).resolve().parents[1] / "src" / "uplrec"
 
 
 def central_diff(f, x, h=1e-6):
@@ -271,3 +274,34 @@ class TestLossSpec:
             LossSpec(method)
         with pytest.raises(ValueError, match="unknown pointwise method"):
             pointwise_loss(method, 1, 0.0)
+
+
+def called_name(node):
+    """The name a call or an attribute ends in: ``ndim`` for ``np.ndim(x)``
+    and ``x.ndim``."""
+    node = node.func if isinstance(node, ast.Call) else node
+    return getattr(node, "attr", getattr(node, "id", None))
+
+
+def scalar_branches(tree):
+    """Yield the line of each comparison of ``x.ndim`` or ``np.ndim(x)`` with
+    0 and of each ``np.atleast_1d`` call: a second return path for 0-d
+    results, or the undoing of one."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Compare):
+            sides = [node.left, *node.comparators]
+            if (any(isinstance(s, (ast.Attribute, ast.Call)) and called_name(s) == "ndim"
+                    for s in sides)
+                    and any(isinstance(s, ast.Constant) and s.value == 0 for s in sides)):
+                yield node.lineno
+        elif isinstance(node, ast.Call) and called_name(node) == "atleast_1d":
+            yield node.lineno
+
+
+class TestOneReturnPath:
+    def test_no_scalar_branch_in_the_package(self):
+        # arrays in, arrays out: a scalar argument gives numpy's own 0-d
+        # result, never a Python float from a branch of its own
+        sites = [f"{module.name}:{line}" for module in sorted(SRC.glob("*.py"))
+                 for line in scalar_branches(ast.parse(module.read_text()))]
+        assert sites == []
