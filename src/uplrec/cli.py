@@ -27,11 +27,10 @@ from pathlib import Path
 from . import experiment as exp
 from . import oracle
 from .datasets import load_dataset
-from .errors import EstimationError, IntegrityError, ParseError, SettingError, UsageError
+from .errors import IntegrityError, ParseError, SettingError, UsageError
 from .evaluation import CANDIDATE_MODES, compute_cohorts, evaluate
 from .experiment import METHOD_TOKENS, ExperimentConfig, PreparedData
 from .factor_model import TrainConfig, save_checkpoint
-from .propensity import PropensityTable
 from .trainer import train_key
 
 
@@ -111,6 +110,7 @@ def _cmd_prepare(args) -> int:
             args.validation_fraction, args.seed, args.train_file, args.test_file)
     except OSError as exc:  # names the file
         raise UsageError(str(exc)) from None
+    exp.check_splits(data, f"dataset {args.dataset}")  # the splits train would refuse
     exp.make_dir(args.out)  # after the input is checked, as train does
     exp.save_prepared(data, args.out)
     print(f"prepared {args.out}: train {len(data.train)} cells "
@@ -143,14 +143,14 @@ def _cmd_train(args) -> int:
         raise UsageError(f"--{flag.replace('_', '-')} {exc.value!r}: {exc}") from None
     try:
         data = _load_prepared(args.data)
-        propensities = PropensityTable.from_click_counts(data.train.item_click_counts)
-        exp.check_validation_split(data.validation, f"prepared data {args.data}")
     except FileNotFoundError as exc:
         raise UsageError(f"prepared data {args.data}: {exc.filename} not found") from None
-    except EstimationError as exc:  # a train split without clicks
-        raise UsageError(f"prepared data {args.data}: train split: {exc}") from None
     except (OSError, ParseError, IntegrityError) as exc:  # each names its file
         raise UsageError(f"prepared data {args.data}: {exc}") from None
+    propensities = exp.check_splits(data, f"prepared data {args.data}")
+    if spec.is_pairwise and data.train.num_items < 2:  # no item j to pair a click with
+        raise UsageError(f"prepared data {args.data}: method {args.method} pairs each click "
+                         f"with another item, but the catalog has {data.train.num_items} item")
     out = Path(args.out)
     exp.make_dir(out)
     *_, run = train_key(data.train, train_config, spec, propensities, data.validation)
@@ -183,10 +183,7 @@ def _cmd_experiment(args) -> int:
         raise UsageError(f"{flag}{exc}") from None
     except OSError as exc:  # a file it cannot read or find: one line, not a traceback
         raise UsageError(str(exc)) from None
-    try:  # run_experiment refuses before it writes anything
-        out = exp.run_experiment(config)
-    except EstimationError as exc:  # a train split without clicks
-        raise UsageError(f"dataset {config.dataset}: train split: {exc}") from None
+    out = exp.run_experiment(config)  # it refuses before it writes anything
     failures = out / "failures.tsv"
     print(f"experiment done: {out} (config hash {exp.read_config_hash(out)})")
     if failures.exists():

@@ -52,7 +52,7 @@ from .evaluation import (
 )
 from .factor_model import TrainConfig
 from .losses import LossSpec
-from .propensity import DEFAULT_FLOOR, DEFAULT_POWER, PropensityTable
+from .propensity import PropensityTable
 from .trainer import stage_spec, train_key
 
 METHOD_TOKENS = ("wmf", "relmf", "mfdu", "bpr", "ubpr", "ubpr_nclip", "upl")
@@ -95,8 +95,6 @@ class ExperimentConfig:
     max_epochs: int = TrainConfig.max_epochs
     patience: int = TrainConfig.patience
     wmf_weight: float = 10.0
-    propensity_power: float = DEFAULT_POWER
-    propensity_floor: float = DEFAULT_FLOOR
     threads: int = 1
     out: str = ""
 
@@ -144,11 +142,6 @@ class ExperimentConfig:
                                f"unknown candidate mode {self.candidates!r}")
         if self.format not in DATASET_FORMATS:
             raise SettingError("format", self.format, f"unknown dataset format {self.format!r}")
-        try:  # the propensity's own checks, on one item's count
-            PropensityTable.from_click_counts((1,), self.propensity_power, self.propensity_floor)
-        except SettingError as exc:
-            key = f"propensity_{exc.name}"
-            raise SettingError(key, exc.value, f"{key} value {exc.value!r}: {exc}") from None
         for token in self.methods:  # TrainConfig and LossSpec reject what cannot train
             try:
                 for combo in _grid_for(token, self):
@@ -314,12 +307,17 @@ def make_dir(path):
         raise UsageError(f"cannot create directory {path}: {exc.strerror}") from None
 
 
-def check_validation_split(validation: ImplicitDataset, where):
-    """UsageError, after ``where``, unless the validation split holds a click: without
-    one each epoch's validation DCG@5 reads 0, and every run keeps its epoch-0 model."""
-    if not validation.num_clicks:
-        raise UsageError(f"{where}: validation split has {len(validation)} cells and "
+def check_splits(data: PreparedData, where) -> PropensityTable:
+    """The propensities of the train split's clicks.  UsageError, after
+    ``where``, unless the train split holds a click, without which there is
+    no propensity, and the validation split holds one: without it each epoch's
+    validation DCG@5 reads 0, and every run keeps its epoch-0 model."""
+    if not data.train.num_clicks:
+        raise UsageError(f"{where}: train split: all click counts are zero")
+    if not data.validation.num_clicks:
+        raise UsageError(f"{where}: validation split has {len(data.validation)} cells and "
                          "0 clicks: raise validation_fraction")
+    return PropensityTable.from_click_counts(data.train.item_click_counts)
 
 
 def save_prepared(data: PreparedData, out_dir):
@@ -399,7 +397,9 @@ def _train_task(task, state=_POOL_STATE):
 
 def _train_tasks(tasks, state):
     """Yield each task's runs in task order, trained in-process or on a pool of
-    min(threads, tasks) workers when that is more than one."""
+    min(threads, tasks) workers when that is more than one.  The pool is the
+    call's own: once a worker dies a pool refuses every later submit, so one
+    pool per experiment would fail every later method after one crash."""
     workers = min(state["config"].threads, len(tasks))  # each forked at the first submit
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers, initializer=_pool_init,
@@ -471,10 +471,7 @@ def run_experiment(config: ExperimentConfig) -> Path:
     data = prepare_datasets(
         config.dataset, config.format, config.epsilon_train, config.epsilon_test,
         config.validation_fraction, config.seed, config.train_file, config.test_file)
-    propensities = PropensityTable.from_click_counts(
-        data.train.item_click_counts, power=config.propensity_power,
-        floor=config.propensity_floor)
-    check_validation_split(data.validation, f"dataset {config.dataset}")
+    propensities = check_splits(data, f"dataset {config.dataset}")
     make_dir(out)
     (out / "logs").mkdir(exist_ok=True)
     (out / "config_resolved.cfg").write_text(config.canonical_text())

@@ -1,8 +1,9 @@
 """Popularity-based exposure propensities and posterior exposure probability.
 
-Per-item propensities are powers of normalized click counts:
-theta_click = (n_i / max n_i)^power, raised to a configurable floor, since
-inverse-propensity weights divide by these numbers.
+Per-item propensities are the square roots of normalized click counts,
+theta_click = max((n_i / max n_i)^POWER, FLOOR) with POWER = 0.5 and
+FLOOR = 0.01: inverse-propensity weights divide by these numbers, so a
+zero-click item gets the floor.  Every command estimates them this one way.
 """
 
 from __future__ import annotations
@@ -12,27 +13,22 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import EstimationError, SettingError, SingularityError
+from .errors import EstimationError, SingularityError
 
-DEFAULT_POWER = 0.5
-DEFAULT_FLOOR = 1e-2
+POWER = 0.5
+FLOOR = 1e-2
 
 
-def estimate_click_propensity(click_counts, power=DEFAULT_POWER, floor=DEFAULT_FLOOR):
-    """(n_i / max_i n_i)^power per item, floored for zero-click items.  theta
-    is a probability that IPS weights divide by, so the floor lies in (0, 1]."""
+def estimate_click_propensity(click_counts):
+    """(n_i / max_i n_i)^POWER per item, floored at FLOOR for zero-click items."""
     counts = np.asarray(click_counts, dtype=np.float64)
-    if not 0 < power < np.inf:  # NaN fails each range test
-        raise SettingError("power", power, "power must be positive and finite")
-    if not 0 < floor <= 1:
-        raise SettingError("floor", floor, "floor must be in (0, 1]")
     # written so that NaN fails the check
     if not np.all((counts >= 0) & (counts < np.inf)):
         raise ValueError("click counts must be finite and non-negative")
     if counts.size == 0 or counts.max() == 0:
         raise EstimationError("all click counts are zero")
-    theta = (counts / counts.max()) ** power
-    return np.maximum(theta, floor)
+    theta = (counts / counts.max()) ** POWER
+    return np.maximum(theta, FLOOR)
 
 
 def posterior_exposure(theta, gamma):
@@ -60,8 +56,8 @@ class PropensityTable:
     theta_click: np.ndarray
 
     @classmethod
-    def from_click_counts(cls, click_counts, power=DEFAULT_POWER, floor=DEFAULT_FLOOR):
-        return cls(theta_click=estimate_click_propensity(click_counts, power, floor))
+    def from_click_counts(cls, click_counts):
+        return cls(theta_click=estimate_click_propensity(click_counts))
 
     def save(self, out_dir):
         """Two-column (item_index, value) text file for audit."""

@@ -18,6 +18,7 @@ from uplrec.propensity import PropensityTable
 
 from conftest import count_calls, write_synthetic_triplets, write_world_spec
 
+README = Path(__file__).resolve().parents[1] / "README.md"
 WORLDS_DIR = Path(__file__).resolve().parents[1] / "worlds"
 BUNDLED_WORLDS = sorted(WORLDS_DIR.glob("*.txt"))
 
@@ -107,6 +108,33 @@ class TestConfigParsing:
         cfg_path.write_text("dataset = x\nnot_a_key = 3\n")
         with pytest.raises(ValueError, match="not_a_key"):
             exp.parse_config_file(cfg_path)
+
+    @pytest.mark.parametrize("key", ["propensity_power", "propensity_floor"])
+    def test_propensity_setting_is_an_unknown_key(self, triplet_files, tmp_path, capsys, key):
+        # theta's power and floor are constants of the one propensity estimate
+        text = small_config_text(triplet_files, tmp_path / "out")
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(text + f"{key} = 0.5\n")
+        before = sorted(tmp_path.rglob("*"))
+        assert cli.main(["experiment", "--config", str(cfg_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: {cfg_path}:{len(text.splitlines()) + 1}: "
+                                f"unknown config key {key!r}\n")
+        assert sorted(tmp_path.rglob("*")) == before
+
+    def test_readme_config_lists_every_key_at_its_default(self, tmp_path):
+        # README's config block names every key with its default value, but
+        # for the dataset and out, which default to empty
+        block, = re.findall(r"```ini\n(.*?)```", README.read_text(), re.S)
+        cfg_path = tmp_path / "readme.cfg"
+        cfg_path.write_text(block)
+        values = exp.read_config_values(cfg_path)
+        default = exp.ExperimentConfig()
+        assert sorted(values) == sorted(f.name for f in fields(default))
+        for key in ("dataset", "out"):
+            del values[key]
+        assert values == {key: getattr(default, key) for key in values}
 
     def test_malformed_line_rejected(self, tmp_path):
         cfg_path = tmp_path / "exp.cfg"
@@ -407,12 +435,6 @@ class TestConfigParsing:
          "wmf_weight value nan for method wmf: wmf_weight must be finite"),
         ("lambda_grid = -1\nlearning_rate = 0",
          "learning_rate value 0.0 for method bpr: learning_rate must be positive"),
-        ("propensity_power = -1",
-         "propensity_power value -1.0: power must be positive and finite"),
-        ("propensity_power = inf",
-         "propensity_power value inf: power must be positive and finite"),
-        ("propensity_floor = 2", "propensity_floor value 2.0: floor must be in (0, 1]"),
-        ("propensity_floor = nan", "propensity_floor value nan: floor must be in (0, 1]"),
         ("seed = -1", "seed must be >= 0, got -1"),
         # runs = 2: run 1 trains at seed + 1, which the checkpoint's int64 cannot hold
         ("seed = 9223372036854775807",
@@ -420,15 +442,13 @@ class TestConfigParsing:
          "seed must be < 9223372036854775808"),
     ], ids=["d", "lambda", "batch_size", "learning_rate", "max_epochs", "patience",
             "wmf_weight", "clip", "learning_rate_nan", "lambda_inf", "wmf_weight_nan",
-            "two_bad_settings", "power_negative", "power_inf", "floor_above_one", "floor_nan",
-            "seed_negative", "last_run_seed_beyond_int64"])
+            "two_bad_settings", "seed_negative", "last_run_seed_beyond_int64"])
     def test_untrainable_values_rejected_before_writing(self, triplet_files, tmp_path,
                                                         capsys, lines, message):
         # every run of some method would fail: the config builds each key
         # it trains, so TrainConfig and LossSpec reject the value up front,
-        # and the CLI names the key, value and method in one line; the
-        # propensity settings are checked by the propensity estimate's own
-        # checks, and with two bad settings the check that fails names its key
+        # and the CLI names the key, value and method in one line; with two
+        # bad settings the check that fails names its key
         out = tmp_path / "out"
         cfg_path = tmp_path / "exp.cfg"
         cfg_path.write_text(small_config_text(triplet_files, out) + lines + "\n")
@@ -447,7 +467,7 @@ class TestConfigParsing:
             validation_fraction=0.2, d_grid=(4, 6), lambda_grid=(0.5, 1e-9),
             clip_grid=(-0.5, -2.0), ks=(1, 10), cohorts=False, candidates="test_only",
             batch_size=32, learning_rate=0.01, max_epochs=9, patience=2, wmf_weight=3.5,
-            propensity_power=0.75, propensity_floor=0.05, threads=2, out="o")
+            threads=2, out="o")
         default = exp.ExperimentConfig()
         assert [f.name for f in fields(config)
                 if getattr(config, f.name) == getattr(default, f.name)] == []
@@ -560,6 +580,26 @@ class TestPrepareCli:
         assert captured.out == ""
         assert captured.err == f"error: cannot create directory {out}: {reason}\n"
         assert afile.read_text() == "kept\n"
+
+    @pytest.mark.parametrize("case", ["train_without_clicks", "validation_without_clicks"])
+    def test_splits_train_would_refuse_rejected_in_one_line(self, triplet_files, tmp_path,
+                                                           capsys, case):
+        # the refusal comes from prepare, not from the first train on its output
+        if case == "train_without_clicks":
+            root = clickless_triplets(tmp_path)
+            flags = ["--epsilon-train", "0", "--seed", "11"]
+            message = f"dataset {root}: train split: all click counts are zero"
+        else:  # floor(1e-4 * cells) = 0
+            root, flags = triplet_files, ["--validation-fraction", "1e-4"]
+            message = (f"dataset {root}: validation split has 0 cells and 0 clicks: "
+                       "raise validation_fraction")
+        out = tmp_path / "prepared"
+        assert cli.main(["prepare", "--dataset", str(root), "--format", "triplets", *flags,
+                         "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+        assert not out.exists()
 
     def test_prepare_coat_matrices(self, tmp_path):
         # coat reads two dense matrices of one shape, 0 meaning unrated
@@ -762,6 +802,29 @@ class TestTrainCli:
         assert captured.err == "error: --out is empty: name an output directory\n"
         assert list(work.iterdir()) == []
 
+    def test_pairwise_method_on_one_item_rejected_in_one_line(self, tmp_path, capsys):
+        # 40 users clicking the one item: relmf trains on it, but a pairwise
+        # method has no other item j to pair a click with
+        root = tmp_path / "one_item"
+        root.mkdir()
+        (root / "train.txt").write_text("".join(f"{u}\t1\t5\n" for u in range(40)))
+        (root / "test.txt").write_text("0\t1\t5\n")
+        prep = tmp_path / "prep"
+        assert cli.main(["prepare", "--dataset", str(root), "--format", "triplets",
+                         "--out", str(prep)]) == 0
+        capsys.readouterr()
+        for method in ("bpr", "upl"):
+            out = tmp_path / method
+            assert cli.main(["train", "--data", str(prep), "--method", method,
+                             "--out", str(out)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == (f"error: prepared data {prep}: method {method} pairs "
+                                    "each click with another item, but the catalog has 1 item\n")
+            assert not out.exists()
+        assert cli.main(["train", "--data", str(prep), "--method", "relmf", "--d", "2",
+                         "--max-epochs", "1", "--out", str(tmp_path / "relmf")]) == 0
+
     def test_mfdu_trains_relmf(self, triplet_files, tmp_path):
         prep = tmp_path / "prep"
         cli.main(["prepare", "--dataset", str(triplet_files), "--format",
@@ -868,8 +931,8 @@ class TestCliSurface:
     @pytest.mark.parametrize("token", exp.METHOD_TOKENS)
     def test_train_defaults_are_the_config_defaults(self, prepared, tmp_path, monkeypatch,
                                                     token):
-        # only the required flags: TrainConfig's defaults, and
-        # ExperimentConfig's wmf_weight, propensities and candidates
+        # only the required flags: TrainConfig's defaults, ExperimentConfig's
+        # wmf_weight and candidates, and the one propensity estimate
         keys, candidates = [], []
 
         def quick_train_key(dataset, config, spec, propensities, *args,
@@ -890,8 +953,7 @@ class TestCliSurface:
         assert config == TrainConfig()
         assert spec == exp.make_loss_spec(token, 0.0, default.wmf_weight)
         counts = load_dataset(prepared / "train").item_click_counts
-        assert np.array_equal(theta, PropensityTable.from_click_counts(
-            counts, power=default.propensity_power, floor=default.propensity_floor).theta_click)
+        assert np.array_equal(theta, PropensityTable.from_click_counts(counts).theta_click)
         assert candidates == [default.candidates]
 
     def test_experiment_flags_set_their_keys(self, triplet_files, tmp_path, monkeypatch):
@@ -1309,9 +1371,7 @@ class TestRunMemo:
         data = exp.prepare_datasets(config.dataset, config.format, config.epsilon_train,
                                     config.epsilon_test, config.validation_fraction,
                                     config.seed)
-        propensities = PropensityTable.from_click_counts(
-            data.train.item_click_counts, power=config.propensity_power,
-            floor=config.propensity_floor)
+        propensities = PropensityTable.from_click_counts(data.train.item_click_counts)
         cohorts = compute_cohorts(data.train)
         rows = exp.read_per_run(out / "per_run_metrics.tsv")
         tokens = [t for t in ("upl", "mfdu", "bpr") if t in config.methods]

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from uplrec.errors import EstimationError, SettingError, SingularityError
+from uplrec.errors import EstimationError, SingularityError
 from uplrec.propensity import (
     PropensityTable,
     estimate_click_propensity,
@@ -11,15 +11,15 @@ from uplrec.propensity import (
 
 class TestClickPropensity:
     def test_most_clicked_item_gets_one(self):
-        theta = estimate_click_propensity([3, 12, 12, 1], power=0.5)
+        theta = estimate_click_propensity([3, 12, 12, 1])
         assert theta[1] == 1.0 and theta[2] == 1.0
 
     def test_quarter_of_max_sqrt(self):
-        theta = estimate_click_propensity([1, 4], power=0.5)
+        theta = estimate_click_propensity([1, 4])
         assert theta[0] == pytest.approx(0.5, abs=1e-15)  # sqrt(1/4)
 
     def test_zero_count_gets_floor(self):
-        theta = estimate_click_propensity([0, 10], power=0.5, floor=1e-2)
+        theta = estimate_click_propensity([0, 10])
         assert theta[0] == 0.01
 
     def test_all_zero_counts_error(self):
@@ -38,23 +38,6 @@ class TestClickPropensity:
         a = estimate_click_propensity(counts)
         b = estimate_click_propensity(counts * 17)
         assert np.allclose(a, b, atol=1e-15)
-
-    def test_power_must_be_positive(self):
-        with pytest.raises(ValueError):
-            estimate_click_propensity([1, 2], power=0.0)
-
-    @pytest.mark.parametrize("name, value, message", [
-        ("power", np.nan, "power must be positive and finite"),
-        ("power", np.inf, "power must be positive and finite"),
-        ("floor", 0.0, r"floor must be in \(0, 1\]"),
-        ("floor", 2.0, r"floor must be in \(0, 1\]"),
-        ("floor", np.nan, r"floor must be in \(0, 1\]"),
-    ], ids=["power_nan", "power_inf", "floor_zero", "floor_above_one", "floor_nan"])
-    def test_settings_out_of_range_named(self, name, value, message):
-        # theta is a probability that the IPS weights divide by
-        with pytest.raises(SettingError, match=f"^{message}$") as info:
-            estimate_click_propensity([1, 2], **{name: value})
-        assert info.value.name == name
 
 
 class TestPosteriorExposure:
