@@ -109,12 +109,19 @@ class TestConfigParsing:
         with pytest.raises(ValueError, match="not_a_key"):
             exp.parse_config_file(cfg_path)
 
-    @pytest.mark.parametrize("key", ["propensity_power", "propensity_floor"])
-    def test_propensity_setting_is_an_unknown_key(self, triplet_files, tmp_path, capsys, key):
-        # theta's power and floor are constants of the one propensity estimate
+    @pytest.mark.parametrize("key, value", [
+        ("propensity_power", "0.5"), ("propensity_floor", "0.5"),
+        ("propensity_power", "-1"), ("propensity_power", "inf"),
+        ("propensity_floor", "2"), ("propensity_floor", "nan"),
+    ], ids=["propensity_power", "propensity_floor", "power_negative", "power_inf",
+            "floor_above_one", "floor_nan"])
+    def test_propensity_setting_is_an_unknown_key(self, triplet_files, tmp_path, capsys,
+                                                  key, value):
+        # theta's power and floor are constants of the one propensity estimate:
+        # a config that sets one is refused before writing, whatever the value
         text = small_config_text(triplet_files, tmp_path / "out")
         cfg_path = tmp_path / "exp.cfg"
-        cfg_path.write_text(text + f"{key} = 0.5\n")
+        cfg_path.write_text(text + f"{key} = {value}\n")
         before = sorted(tmp_path.rglob("*"))
         assert cli.main(["experiment", "--config", str(cfg_path)]) == 2
         captured = capsys.readouterr()

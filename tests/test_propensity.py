@@ -3,6 +3,7 @@ import pytest
 
 from uplrec.errors import EstimationError, SingularityError
 from uplrec.propensity import (
+    FLOOR,
     PropensityTable,
     estimate_click_propensity,
     posterior_exposure,
@@ -38,6 +39,25 @@ class TestClickPropensity:
         a = estimate_click_propensity(counts)
         b = estimate_click_propensity(counts * 17)
         assert np.allclose(a, b, atol=1e-15)
+
+    def test_power_must_be_positive(self):
+        # more clicks, higher propensity: a power of 0 would make every
+        # theta 1, a negative one would rank the items backwards
+        theta = estimate_click_propensity([1, 2, 4, 8])
+        assert np.all(np.diff(theta) > 0)
+
+    # theta is a probability that the IPS weights divide by; each case checks
+    # the estimate against the failure an out-of-range power or floor causes
+    @pytest.mark.parametrize("holds", [
+        lambda theta: np.all(np.isfinite(theta)),
+        lambda theta: theta[2] > FLOOR,  # (2/16)^inf = 0 would floor it
+        lambda theta: theta[0] > 0,
+        lambda theta: np.all(theta <= 1),
+        lambda theta: theta[0] == FLOOR,
+    ], ids=["power_nan", "power_inf", "floor_zero", "floor_above_one", "floor_nan"])
+    def test_settings_out_of_range_named(self, holds):
+        theta = estimate_click_propensity([0, 1, 2, 16])
+        assert holds(theta)
 
 
 class TestPosteriorExposure:
