@@ -27,7 +27,7 @@ from pathlib import Path
 from . import experiment as exp
 from . import oracle
 from .datasets import load_dataset
-from .errors import IntegrityError, ParseError, SettingError, UsageError
+from .errors import IntegrityError, ParseError, SettingError, TrainingDivergedError, UsageError
 from .evaluation import CANDIDATE_MODES, compute_cohorts, evaluate
 from .experiment import METHOD_TOKENS, ExperimentConfig, PreparedData
 from .factor_model import TrainConfig, save_checkpoint
@@ -63,7 +63,6 @@ def main(argv=None) -> int:
     for f in fields(TrainConfig):
         _flag(t, f.name, f.default)
     _flag(t, "clip", 0.0)
-    _flag(t, "wmf_weight", ExperimentConfig.wmf_weight)
     _flag(t, "candidates", ExperimentConfig.candidates, choices=CANDIDATE_MODES)
     t.add_argument("--out", required=True)
 
@@ -137,7 +136,7 @@ def _cmd_train(args) -> int:
     try:
         train_config = TrainConfig(**{f.name: getattr(args, f.name)
                                       for f in fields(TrainConfig)})
-        spec = exp.make_loss_spec(args.method, args.clip, args.wmf_weight)
+        spec = exp.make_loss_spec(args.method, args.clip)
     except SettingError as exc:  # named by its flag
         flag = "clip" if exc.name == "clip_threshold" else exc.name
         raise UsageError(f"--{flag.replace('_', '-')} {exc.value!r}: {exc}") from None
@@ -153,7 +152,11 @@ def _cmd_train(args) -> int:
                          f"with another item, but the catalog has {data.train.num_items} item")
     out = Path(args.out)
     exp.make_dir(out)
-    *_, run = train_key(data.train, train_config, spec, propensities, data.validation)
+    try:
+        *_, run = train_key(data.train, train_config, spec, propensities, data.validation)
+    except TrainingDivergedError as exc:  # the line experiment writes to failures.tsv
+        print(f"error: {args.method}: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
     save_checkpoint(run.final_model, out / "model.ckpt", seed=args.seed)
     cohorts = compute_cohorts(data.train)
     reports = evaluate(run.final_model, data.test, cohorts=cohorts,

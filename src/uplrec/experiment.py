@@ -94,7 +94,6 @@ class ExperimentConfig:
     learning_rate: float = TrainConfig.learning_rate
     max_epochs: int = TrainConfig.max_epochs
     patience: int = TrainConfig.patience
-    wmf_weight: float = 10.0
     threads: int = 1
     out: str = ""
 
@@ -333,15 +332,13 @@ def save_prepared(data: PreparedData, out_dir):
 # Single training jobs
 
 
-def make_loss_spec(token: str, clip: float, wmf_weight: float) -> LossSpec:
+def make_loss_spec(token: str, clip: float) -> LossSpec:
     if token == "ubpr":
         return LossSpec("ubpr_clipped", clip_threshold=clip)
     if token == "ubpr_nclip":
         return LossSpec("ubpr")
     if token == "mfdu":
         return LossSpec("relmf")
-    if token == "wmf":
-        return LossSpec("wmf", wmf_weight=wmf_weight)
     return LossSpec(token)
 
 
@@ -367,15 +364,13 @@ def _grid_for(token: str, config: ExperimentConfig):
 def _run_key(token: str, combo, config: ExperimentConfig, seed: int):
     """The (LossSpec, TrainConfig) a method trains at a grid combo and seed."""
     d, lam, clip = combo
-    return (make_loss_spec(token, clip, config.wmf_weight),
-            make_train_config(config, d, lam, seed))
+    return make_loss_spec(token, clip), make_train_config(config, d, lam, seed)
 
 
 def _specs_read(token: str, config: ExperimentConfig) -> set:
     """The LossSpecs whose runs a method reads: those it trains and their
     stages."""
-    specs = {make_loss_spec(token, clip, config.wmf_weight)
-             for _, _, clip in _grid_for(token, config)}
+    specs = {make_loss_spec(token, clip) for _, _, clip in _grid_for(token, config)}
     return specs | {stage_spec(spec) for spec in specs} - {None}
 
 

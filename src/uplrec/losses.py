@@ -14,8 +14,9 @@ sampled pairs and the oracle's full pair sums alike:
 
 A pair whose i is not clicked weighs 0 under every estimator.
 
-Pointwise baselines (wmf, relmf) are logistic losses on single cells with
-their respective confidence / inverse-propensity weightings.
+Pointwise baselines (wmf, relmf) are logistic losses on single cells: wmf
+weights a click's loss by the constant ``WMF_WEIGHT``, relmf by inverse
+propensity.
 """
 
 from __future__ import annotations
@@ -32,6 +33,9 @@ METHODS = PAIRWISE_METHODS + POINTWISE_METHODS
 
 GAMMA_HAT_MIN = 1e-6
 GAMMA_HAT_MAX = 1.0 - 1e-6
+# wmf's confidence in a click (Hu, Koren & Volinsky 2008): a clicked cell's
+# loss counts this many times an unclicked one's
+WMF_WEIGHT = 10.0
 
 
 def sigmoid(x):
@@ -100,11 +104,11 @@ def clip_term(weighted_loss, threshold):
     return np.maximum(np.asarray(weighted_loss, dtype=np.float64), threshold)
 
 
-def pointwise_loss(method, c, s, theta_click=1.0, weight=10.0):
+def pointwise_loss(method, c, s, theta_click=1.0):
     """Pointwise losses of cells, with gradients w.r.t. their scores.
 
     With p = sigmoid(s):
-      wmf:    weight*c*(-log p) + (1-c)*(-log(1-p))
+      wmf:    WMF_WEIGHT*c*(-log p) + (1-c)*(-log(1-p))
       relmf:  (c/theta_click)*(-log p) + (1 - c/theta_click)*(-log(1-p))
     Returns (loss, dloss_ds).
     """
@@ -115,9 +119,7 @@ def pointwise_loss(method, c, s, theta_click=1.0, weight=10.0):
     p = sigmoid(s)
 
     if method == "wmf":
-        if not 1.0 <= weight < np.inf:  # NaN fails it too
-            raise ValueError("wmf weight must be >= 1 and finite")
-        w_pos = weight * c
+        w_pos = WMF_WEIGHT * c
         w_neg = 1.0 - c
     elif method == "relmf":
         theta_click = np.asarray(theta_click, dtype=np.float64)
@@ -133,13 +135,12 @@ def pointwise_loss(method, c, s, theta_click=1.0, weight=10.0):
 
 @dataclass(frozen=True)
 class LossSpec:
-    """Selects an estimator; method-specific fields must be present exactly
-    when the method requires them.  Frozen, so that with a TrainConfig it
-    names one training run."""
+    """Selects an estimator: its method and, for ubpr_clipped alone, the clip
+    threshold the grid tunes.  Frozen, so that with a TrainConfig it names
+    one training run."""
 
     method: str
     clip_threshold: float | None = None
-    wmf_weight: float | None = None
 
     def __post_init__(self):
         if self.method not in METHODS:
@@ -152,15 +153,6 @@ class LossSpec:
                                    "clip_threshold must be in [-10, 0]")
         elif self.clip_threshold is not None:
             raise ValueError("clip_threshold only valid for ubpr_clipped")
-        if self.method == "wmf":
-            if self.wmf_weight is None:
-                raise ValueError("wmf requires wmf_weight")
-            if not np.isfinite(self.wmf_weight):
-                raise SettingError("wmf_weight", self.wmf_weight, "wmf_weight must be finite")
-            if self.wmf_weight < 1.0:
-                raise SettingError("wmf_weight", self.wmf_weight, "wmf_weight must be >= 1")
-        elif self.wmf_weight is not None:
-            raise ValueError("wmf_weight only valid for wmf")
 
     @property
     def is_pairwise(self) -> bool:

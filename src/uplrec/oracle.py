@@ -110,9 +110,10 @@ def parse_world_spec(path) -> SyntheticWorld:
 
     def count(keyword):
         lineno, parts = header(keyword)
-        if len(parts) != 1 or not parts[0].isdigit() or int(parts[0]) < 1:
+        digits = parts[0] if len(parts) == 1 and parts[0].isascii() else ""  # isdigit passes '²'
+        if not digits.isdigit() or int(digits) < 1:
             raise ParseError(path, lineno, f"expected '{keyword} <positive count>'")
-        return int(parts[0])
+        return int(digits)
 
     users, items = count("users"), count("items")
 

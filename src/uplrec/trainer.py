@@ -239,8 +239,7 @@ def _pair_objective(spec, c_j, theta_i, theta_j, gamma_j, s_i, s_j):
 
 def _point_objective(spec, c, theta_click, s):
     """The estimator's pointwise terms and their derivatives by s."""
-    loss, ds = pointwise_loss(spec.method, c, s, theta_click=theta_click,
-                              weight=spec.wmf_weight)
+    loss, ds = pointwise_loss(spec.method, c, s, theta_click=theta_click)
     return loss, (ds,)
 
 

@@ -129,8 +129,7 @@ def test_criterion_4_gradient_correctness():
                   grad, si, "ubpr_clipped")
 
     # pointwise losses
-    for method, kwargs in (("wmf", {"weight": 5.0}),
-                           ("relmf", {"theta_click": 0.35})):
+    for method, kwargs in (("wmf", {}), ("relmf", {"theta_click": 0.35})):
         for _ in range(100):
             c = int(rng.integers(0, 2))
             s = rng.normal(0, 3)

@@ -109,24 +109,27 @@ class TestConfigParsing:
         with pytest.raises(ValueError, match="not_a_key"):
             exp.parse_config_file(cfg_path)
 
-    @pytest.mark.parametrize("key, value", [
-        ("propensity_power", "0.5"), ("propensity_floor", "0.5"),
-        ("propensity_power", "-1"), ("propensity_power", "inf"),
-        ("propensity_floor", "2"), ("propensity_floor", "nan"),
+    @pytest.mark.parametrize("lines", [
+        "propensity_power = 0.5", "propensity_floor = 0.5",
+        "propensity_power = -1", "propensity_power = inf",
+        "propensity_floor = 2", "propensity_floor = nan",
+        "methods = wmf,bpr\nwmf_weight = 10",
+        "methods = wmf,bpr\nwmf_weight = 0.5", "methods = wmf,bpr\nwmf_weight = nan",
     ], ids=["propensity_power", "propensity_floor", "power_negative", "power_inf",
-            "floor_above_one", "floor_nan"])
-    def test_propensity_setting_is_an_unknown_key(self, triplet_files, tmp_path, capsys,
-                                                  key, value):
-        # theta's power and floor are constants of the one propensity estimate:
-        # a config that sets one is refused before writing, whatever the value
-        text = small_config_text(triplet_files, tmp_path / "out")
+            "floor_above_one", "floor_nan", "wmf_weight", "wmf_weight_below_one",
+            "wmf_weight_nan"])
+    def test_retired_setting_is_an_unknown_key(self, triplet_files, tmp_path, capsys, lines):
+        # theta's power and floor and wmf's click weight are constants: a
+        # config that sets one is refused before writing, whatever the value
+        text = small_config_text(triplet_files, tmp_path / "out") + lines + "\n"
+        key = lines.splitlines()[-1].split(" = ")[0]
         cfg_path = tmp_path / "exp.cfg"
-        cfg_path.write_text(text + f"{key} = {value}\n")
+        cfg_path.write_text(text)
         before = sorted(tmp_path.rglob("*"))
         assert cli.main(["experiment", "--config", str(cfg_path)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == (f"error: {cfg_path}:{len(text.splitlines()) + 1}: "
+        assert captured.err == (f"error: {cfg_path}:{len(text.splitlines())}: "
                                 f"unknown config key {key!r}\n")
         assert sorted(tmp_path.rglob("*")) == before
 
@@ -431,15 +434,11 @@ class TestConfigParsing:
          "learning_rate value 0.0 for method bpr: learning_rate must be positive"),
         ("max_epochs = 0", "max_epochs value 0 for method bpr: max_epochs must be >= 1"),
         ("patience = 0", "patience value 0 for method bpr: patience must be >= 1"),
-        ("methods = wmf,bpr\nwmf_weight = 0.5",
-         "wmf_weight value 0.5 for method wmf: wmf_weight must be >= 1"),
         ("methods = wmf,bpr,ubpr\nclip_grid = 5",
          "clip_grid value 5.0 for method ubpr: clip_threshold must be in [-10, 0]"),
         ("learning_rate = nan",
          "learning_rate value nan for method bpr: learning_rate must be finite"),
         ("lambda_grid = inf", "lambda_grid value inf for method bpr: lambda must be finite"),
-        ("methods = wmf,bpr\nwmf_weight = nan",
-         "wmf_weight value nan for method wmf: wmf_weight must be finite"),
         ("lambda_grid = -1\nlearning_rate = 0",
          "learning_rate value 0.0 for method bpr: learning_rate must be positive"),
         ("seed = -1", "seed must be >= 0, got -1"),
@@ -447,9 +446,9 @@ class TestConfigParsing:
         ("seed = 9223372036854775807",
          "seed value 9223372036854775807 with runs 2: last run seed 9223372036854775808: "
          "seed must be < 9223372036854775808"),
-    ], ids=["d", "lambda", "batch_size", "learning_rate", "max_epochs", "patience",
-            "wmf_weight", "clip", "learning_rate_nan", "lambda_inf", "wmf_weight_nan",
-            "two_bad_settings", "seed_negative", "last_run_seed_beyond_int64"])
+    ], ids=["d", "lambda", "batch_size", "learning_rate", "max_epochs", "patience", "clip",
+            "learning_rate_nan", "lambda_inf", "two_bad_settings", "seed_negative",
+            "last_run_seed_beyond_int64"])
     def test_untrainable_values_rejected_before_writing(self, triplet_files, tmp_path,
                                                         capsys, lines, message):
         # every run of some method would fail: the config builds each key
@@ -473,8 +472,8 @@ class TestConfigParsing:
             methods=("upl", "bpr"), runs=3, seed=7, epsilon_train=0.25, epsilon_test=0.05,
             validation_fraction=0.2, d_grid=(4, 6), lambda_grid=(0.5, 1e-9),
             clip_grid=(-0.5, -2.0), ks=(1, 10), cohorts=False, candidates="test_only",
-            batch_size=32, learning_rate=0.01, max_epochs=9, patience=2, wmf_weight=3.5,
-            threads=2, out="o")
+            batch_size=32, learning_rate=0.01, max_epochs=9, patience=2, threads=2,
+            out="o")
         default = exp.ExperimentConfig()
         assert [f.name for f in fields(config)
                 if getattr(config, f.name) == getattr(default, f.name)] == []
@@ -485,7 +484,7 @@ class TestConfigParsing:
 
 class TestMakeLossSpec:
     @pytest.mark.parametrize("token, spec", [
-        ("wmf", LossSpec("wmf", wmf_weight=4.0)),
+        ("wmf", LossSpec("wmf")),
         ("relmf", LossSpec("relmf")),
         ("mfdu", LossSpec("relmf")),
         ("bpr", LossSpec("bpr")),
@@ -494,7 +493,7 @@ class TestMakeLossSpec:
         ("upl", LossSpec("upl")),
     ])
     def test_token_maps_to_spec(self, token, spec):
-        assert exp.make_loss_spec(token, clip=-2.0, wmf_weight=4.0) == spec
+        assert exp.make_loss_spec(token, clip=-2.0) == spec
 
 
 class TestPrepareCli:
@@ -761,18 +760,16 @@ class TestTrainCli:
 
     @pytest.mark.parametrize("method, flags, message", [
         ("ubpr", ["--clip", "5"], "--clip 5.0: clip_threshold must be in [-10, 0]"),
-        ("wmf", ["--wmf-weight", "0.5"], "--wmf-weight 0.5: wmf_weight must be >= 1"),
         ("bpr", ["--d", "0"], "--d 0: latent dimension must be >= 1"),
         ("upl", ["--learning-rate", "-1"],
          "--learning-rate -1.0: learning_rate must be positive"),
         ("bpr", ["--learning-rate", "nan"], "--learning-rate nan: learning_rate must be finite"),
-        ("wmf", ["--wmf-weight", "nan"], "--wmf-weight nan: wmf_weight must be finite"),
         ("bpr", ["--lam", "inf"], "--lam inf: lambda must be finite"),
         ("upl", ["--seed", "-1"], "--seed -1: seed must be >= 0"),
         ("bpr", ["--seed", "9223372036854775808"],
          "--seed 9223372036854775808: seed must be < 9223372036854775808"),
-    ], ids=["clip", "wmf_weight", "d", "learning_rate", "learning_rate_nan", "wmf_weight_nan",
-            "lam_inf", "seed_negative", "seed_beyond_int64"])
+    ], ids=["clip", "d", "learning_rate", "learning_rate_nan", "lam_inf", "seed_negative",
+            "seed_beyond_int64"])
     def test_rejected_setting_named_before_out_created(self, prep, tmp_path, capsys,
                                                         monkeypatch, method, flags, message):
         stop_at(monkeypatch, cli, "train_key")
@@ -831,6 +828,32 @@ class TestTrainCli:
             assert not out.exists()
         assert cli.main(["train", "--data", str(prep), "--method", "relmf", "--d", "2",
                          "--max-epochs", "1", "--out", str(tmp_path / "relmf")]) == 0
+
+    @pytest.mark.parametrize("method, learning_rate", [("bpr", "1e300"), ("relmf", "1e160")])
+    def test_diverging_run_fails_in_one_line(self, prep, tmp_path, capsys, method,
+                                             learning_rate):
+        # the line an experiment writes to failures.tsv, not a traceback;
+        # --out, made before training, is left without a file
+        out = tmp_path / "run"
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert cli.main(["train", "--data", str(prep), "--method", method, "--d", "4",
+                             "--max-epochs", "3", "--learning-rate", learning_rate,
+                             "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert re.fullmatch(f"error: {method}: TrainingDivergedError: non-finite loss "
+                            r"at epoch \d+, batch \d+\n", captured.err)
+        assert list(out.iterdir()) == []
+
+    def test_retired_flag_is_unknown(self, prep, tmp_path, capsys):
+        # wmf's click weight is a constant: argparse refuses the flag
+        out = tmp_path / "run"
+        with pytest.raises(SystemExit) as info:
+            cli.main(["train", "--data", str(prep), "--method", "wmf", "--wmf-weight", "10",
+                      "--out", str(out)])
+        assert info.value.code == 2
+        assert "unrecognized arguments: --wmf-weight 10" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_mfdu_trains_relmf(self, triplet_files, tmp_path):
         prep = tmp_path / "prep"
@@ -939,7 +962,7 @@ class TestCliSurface:
     def test_train_defaults_are_the_config_defaults(self, prepared, tmp_path, monkeypatch,
                                                     token):
         # only the required flags: TrainConfig's defaults, ExperimentConfig's
-        # wmf_weight and candidates, and the one propensity estimate
+        # candidates, and the one propensity estimate
         keys, candidates = [], []
 
         def quick_train_key(dataset, config, spec, propensities, *args,
@@ -958,10 +981,22 @@ class TestCliSurface:
         default = exp.ExperimentConfig()
         (config, spec, theta), = keys
         assert config == TrainConfig()
-        assert spec == exp.make_loss_spec(token, 0.0, default.wmf_weight)
+        assert spec == exp.make_loss_spec(token, 0.0)
         counts = load_dataset(prepared / "train").item_click_counts
         assert np.array_equal(theta, PropensityTable.from_click_counts(counts).theta_click)
         assert candidates == [default.candidates]
+
+    def test_readme_names_every_option_and_no_other_flag(self, capsys):
+        # pip's flag in the install block is the one flag not uplrec's
+        flag = r"(?<![\w-])--[a-z][a-z-]*"
+        options = set()
+        for command in cli._COMMANDS:
+            with pytest.raises(SystemExit):
+                cli.main([command, "--help"])
+            options |= set(re.findall(flag, capsys.readouterr().out)) - {"--help"}
+        named = set(re.findall(flag, README.read_text())) - {"--no-build-isolation"}
+        assert sorted(named - options) == []
+        assert sorted(options - named) == []
 
     def test_experiment_flags_set_their_keys(self, triplet_files, tmp_path, monkeypatch):
         cfg_path = tmp_path / "exp.cfg"
@@ -1397,7 +1432,7 @@ class TestRunMemo:
                 else:
                     trained = trainer.train(
                         data.train, train_config,
-                        exp.make_loss_spec(token, 0.0, config.wmf_weight),
+                        exp.make_loss_spec(token, 0.0),
                         propensities, validation=data.validation)
                 for rep in evaluate(trained.final_model, data.test, ks=config.ks,
                                     cohorts=cohorts, candidates=config.candidates,
@@ -1512,11 +1547,13 @@ class TestVerifyCli:
          "expected 3 theta values strictly inside (0, 1), got '0.5 1.5 0.5'"),
         ("users 1\nitems 2\ntheta\n0.5 0.5\ngamma\n0.5 0.5\n0.5 0.5\nusers 7\n", 7,
          "expected the end of the file after the gamma table, got '0.5 0.5'"),
-    ], ids=["truncated", "short_row", "theta_outside_unit_interval", "extra_lines"])
+        ("users \u00b2\nitems 3\n", 1, "expected 'users <positive count>'"),
+    ], ids=["truncated", "short_row", "theta_outside_unit_interval", "extra_lines",
+            "superscript_users"])
     def test_malformed_world_file_rejected_in_one_line(self, tmp_path, capsys, text, lineno,
                                                        message):
         path = tmp_path / "w.txt"
-        path.write_text(text)
+        path.write_text(text, encoding="utf-8")
         assert cli.main(["verify", "--world", str(path), "--exact-only"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""

@@ -1,12 +1,14 @@
 import ast
 import math
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from uplrec.errors import SettingError, SingularityError
+from uplrec.errors import SingularityError
 from uplrec.losses import (
+    WMF_WEIGHT,
     LossSpec,
     clip_term,
     pair_weights,
@@ -140,27 +142,16 @@ class TestPointwiseLoss:
             assert loss == pytest.approx(LN2, abs=1e-15)
 
     def test_wmf_weighting(self):
-        loss, _ = pointwise_loss("wmf", 1, 0.0, weight=2.0)
-        assert loss == pytest.approx(2 * LN2, abs=1e-15)
-
-    def test_wmf_weight_bound(self):
-        with pytest.raises(ValueError):
-            pointwise_loss("wmf", 1, 0.0, weight=0.5)
-
-    @pytest.mark.parametrize("weight", [math.nan, math.inf])
-    def test_non_finite_wmf_weight_rejected(self, weight):
-        with pytest.raises(ValueError, match="wmf weight must be >= 1 and finite"):
-            pointwise_loss("wmf", 1, 0.0, weight=weight)
-        with pytest.raises(SettingError, match="wmf_weight must be finite") as info:
-            LossSpec("wmf", wmf_weight=weight)
-        assert info.value.name == "wmf_weight"
+        # a click's loss counts WMF_WEIGHT times; an unclicked cell's once
+        loss, _ = pointwise_loss("wmf", np.array([1, 0]), 0.0)
+        assert loss == pytest.approx([WMF_WEIGHT * LN2, LN2], abs=1e-15)
 
     def test_zero_propensity_singularity(self):
         with pytest.raises(SingularityError):
             pointwise_loss("relmf", 1, 0.0, theta_click=0.0)
 
     @pytest.mark.parametrize("method,kwargs", [
-        ("wmf", {"weight": 7.0}),
+        ("wmf", {}),
         ("relmf", {"theta_click": 0.3}),
     ])
     def test_gradients_match_finite_differences(self, method, kwargs):
@@ -256,11 +247,10 @@ class TestLossSpec:
             LossSpec("bpr", clip_threshold=0.0)
 
     def test_wmf_weight_rules(self):
-        with pytest.raises(ValueError):
-            LossSpec("wmf")
-        with pytest.raises(ValueError):
-            LossSpec("relmf", wmf_weight=5.0)
-        LossSpec("wmf", wmf_weight=10.0)
+        # the weight is the constant WMF_WEIGHT: wmf builds without one, and
+        # no spec has a field for it
+        assert LossSpec("wmf").method == "wmf"
+        assert [f.name for f in fields(LossSpec)] == ["method", "clip_threshold"]
 
     def test_unknown_method(self):
         with pytest.raises(ValueError):

@@ -116,6 +116,8 @@ class TestSyntheticWorld:
         ("", 1, "file ends before 'users'"),
         ("users 1\nitem 3\n", 2, "expected 'items', got 'item 3'"),
         ("users 0\nitems 3\n", 1, "expected 'users <positive count>'"),
+        # '²' passes str.isdigit, but int() refuses it
+        ("users \u00b2\nitems 3\n", 1, "expected 'users <positive count>'"),
         ("users 1\nitems 3\ntheta\n0.5 0.5 0.5\ngamma\n", 5,
          "file ends before the end of the gamma table"),
         ("users 1\nitems 3\ntheta\n0.5 0.5\ngamma\n0.5 0.5 0.5\n", 4,
@@ -126,11 +128,11 @@ class TestSyntheticWorld:
          "expected 2 gamma values strictly inside (0, 1), got '1 0.5'"),
         ("users 1\nitems 2\ntheta\n0.5 0.5\ngamma\n0.5 0.5\n0.5 0.5\nusers 7\n", 7,
          "expected the end of the file after the gamma table, got '0.5 0.5'"),
-    ], ids=["empty", "bad_keyword", "no_users", "truncated", "short_row", "non_numeric",
-            "gamma_outside_unit_interval", "extra_lines"])
+    ], ids=["empty", "bad_keyword", "no_users", "superscript_users", "truncated", "short_row",
+            "non_numeric", "gamma_outside_unit_interval", "extra_lines"])
     def test_spec_parser_names_file_and_line(self, tmp_path, text, lineno, message):
         path = tmp_path / "w.txt"
-        path.write_text(text)
+        path.write_text(text, encoding="utf-8")
         with pytest.raises(ParseError) as info:
             parse_world_spec(path)
         assert str(info.value) == f"{path}:{lineno}: {message}"

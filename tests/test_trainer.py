@@ -335,7 +335,7 @@ class TestUplPipeline:
         config = TrainConfig(d=4, lam=1e-5, learning_rate=0.01, batch_size=32,
                              max_epochs=2, seed=3)
         for method in ("bpr", "ubpr", "wmf", "relmf"):
-            spec = LossSpec(method, wmf_weight=5.0 if method == "wmf" else None)
+            spec = LossSpec(method)
             assert stage_spec(spec) is None
             assert [run.loss_spec for run in train_key(ds, config, spec, pt)] == [spec]
         assert stage_spec(LossSpec("upl")) == LossSpec("relmf")
@@ -351,7 +351,7 @@ class TestTrainedBytes:
         "bpr": "9bfa12753795357714d9fb261266d4907cdb9e4f6fac8633e1b33c88a5f3003c",
         "ubpr": "58ee4bd3fecea5752f822c6533ac4e4ba28c25b66694aab05303b4a4c922c81f",
         "ubpr_clipped": "76a30d50b66a17d3a99d202fe289c10f4a33ff84e47876f59a3cee6d0c50578d",
-        "wmf": "7e8d9069658a6d9e7b8e60e897e0cd76f6b9c035a581e3f745e5e457b74043af",
+        "wmf": "87140b7a90c006a5d6003dd97c0f008fa06781996ca29011b2f0b8dfaef3201c",
         "relmf": "259e8a5362fab7b163440de66874084766fc8f212d8e733e7b1513e4d8a8401f",
         "upl": "3857fbd41fecc73649ca4118979cd0e7886233d7ef8a4e4ad22b65a4cbdaac77",
     }
@@ -365,8 +365,7 @@ class TestTrainedBytes:
         pt = PropensityTable.from_click_counts(ds.item_click_counts)
         config = TrainConfig(d=4, lam=1e-3, learning_rate=0.01, batch_size=16,
                              max_epochs=2, seed=5)
-        spec = LossSpec(method, clip_threshold=0.0 if method == "ubpr_clipped" else None,
-                        wmf_weight=5.0 if method == "wmf" else None)
+        spec = LossSpec(method, clip_threshold=0.0 if method == "ubpr_clipped" else None)
         run = train_key(ds, config, spec, pt)[-1]
         assert model_checksum(run.final_model) == self.DIGESTS[method]
 
@@ -537,9 +536,8 @@ def _reference_step(model, adam, u, items, objective, config):
         (all_items,) = items
         c, theta_click = bound
         qi = model.item_factors[all_items]
-        kwargs = {"weight": spec.wmf_weight} if spec.method == "wmf" else {}
         terms, ds = pointwise_loss(spec.method, c, np.sum(pu * qi, axis=1),
-                                   theta_click=theta_click, **kwargs)
+                                   theta_click=theta_click)
         reg = np.sum(pu**2, axis=1) + np.sum(qi**2, axis=1)
         gu_rows = (ds[:, None] * qi + 2.0 * lam * pu) / m
         gq_rows = (ds[:, None] * pu + 2.0 * lam * qi) / m
@@ -568,8 +566,7 @@ class TestStepMatchesReference:
         pt = PropensityTable.from_click_counts(ds.item_click_counts)
         config = TrainConfig(d=8, lam=1e-3, learning_rate=0.01, batch_size=32,
                              max_epochs=3, seed=4)
-        spec = LossSpec(method, clip_threshold=0.0 if method == "ubpr_clipped" else None,
-                        wmf_weight=5.0 if method == "wmf" else None)
+        spec = LossSpec(method, clip_threshold=0.0 if method == "ubpr_clipped" else None)
 
         def trained():
             return train_key(ds, config, spec, pt)[-1]
