@@ -258,6 +258,10 @@ class ImplicitDataset:
         return np.nonzero(self.cells == 1)
 
     @cached_property
+    def non_click_cells(self) -> np.ndarray:
+        return np.flatnonzero(self.cells != 1)  # u * num_items + i, exposed or not
+
+    @cached_property
     def item_click_counts(self) -> np.ndarray:
         return np.count_nonzero(self.cells == 1, axis=0)
 
@@ -269,9 +273,6 @@ class ImplicitDataset:
     def user_indptr(self) -> np.ndarray:
         """CSR-style offsets into the exposed-cell arrays, one slice per user."""
         return np.searchsorted(self.users, np.arange(self.num_users + 1))
-
-    def is_exposed(self, users, items) -> np.ndarray:
-        return self.cells[users, items] >= 0
 
     def is_clicked(self, users, items) -> np.ndarray:
         return self.cells[users, items] == 1

@@ -1,12 +1,14 @@
 """Mini-batch training of the factor ranker under any of the loss estimators.
 
-Each sampling rule is one generator of an epoch's batches: ``_pair_batches``
-makes a shuffled pass over the clicked cells with one candidate j per
-positive, drawn by ``_sample_j`` uniformly over the items other than i for
-every estimator; ``losses.pair_weights`` weights each pair, so the expected
-epoch term sum is the estimator's full-batch risk divided by I - 1.
-``_point_batches`` makes a pass over the exposed cells with unexposed cells
-sampled 1:1.  ``train`` runs every epoch as one loop over its generator.
+Each sampling rule is one generator of an epoch's batches; neither reads
+exposure, which implicit feedback hides.  ``_pair_batches`` makes a shuffled
+pass over the clicks with one candidate j per click, uniform over the items
+other than i (``_sample_j``), weighted by ``losses.pair_weights``: the
+expected epoch term sum is the estimator's full-batch risk over I - 1.
+``_point_batches`` tops each half batch of shuffled clicks up with as many
+non-clicks, drawn uniformly at rate N1/N0 (half clicks, one draw per click)
+and weighted N0/N1: the expected epoch term sum is the full-batch pointwise
+risk over every cell.  ``train`` loops over the generator once per epoch.
 
 Every estimator trains through the one step ``_step``: a batch is the users
 u and one item array per score (i for a pointwise batch, i and j for a
@@ -141,21 +143,6 @@ def _sample_j(i, num_items: int, rng) -> np.ndarray:
     return j
 
 
-def _sample_unexposed(dataset: ImplicitDataset, count: int, rng):
-    if len(dataset) >= dataset.num_users * dataset.num_items:
-        # fully exposed matrix: there is nothing unexposed to sample
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    u = rng.integers(0, dataset.num_users, size=count)
-    i = rng.integers(0, dataset.num_items, size=count)
-    bad = dataset.is_exposed(u, i)
-    while bad.any():
-        n = int(bad.sum())
-        u[bad] = rng.integers(0, dataset.num_users, size=n)
-        i[bad] = rng.integers(0, dataset.num_items, size=n)
-        bad[bad] = dataset.is_exposed(u[bad], i[bad])
-    return u, i
-
-
 def _pair_batches(dataset: ImplicitDataset, spec, batch_size: int, theta, gamma_hat, rng):
     """One pairwise epoch's batches (u, (i, j), objective): the clicked (u, i)
     pairs shuffled, each with one candidate j from ``_sample_j``, clicked or
@@ -178,18 +165,27 @@ def _pair_batches(dataset: ImplicitDataset, spec, batch_size: int, theta, gamma_
 
 
 def _point_batches(dataset: ImplicitDataset, spec, batch_size: int, theta, rng):
-    """One pointwise epoch's batches (u, (i,), objective): the exposed cells
-    shuffled, half a batch at a time, each half topped up 1:1 with unexposed
-    cells, whose click is 0."""
+    """One pointwise epoch's batches (u, (i,), objective): the N1 clicks
+    shuffled, each half batch topped up with as many cells drawn uniformly,
+    with replacement, from the N0 non-clicks, exposed or not (rate N1/N0: half
+    clicks, one draw per click as in ``_pair_batches``).  The objective weights
+    a draw N0/N1, so the expected epoch term sum is the full-batch pointwise
+    risk over every cell.  With no non-click, the clicks train alone."""
+    users, items = dataset.click_pairs
+    if len(users) == 0:
+        raise ValueError("no click to train on")
+    non_clicks = dataset.non_click_cells
+    rate = len(non_clicks) / len(users)  # N0/N1
     half = max(1, batch_size // 2)
-    perm = rng.permutation(len(dataset))
+    perm = rng.permutation(len(users))
     for start in range(0, len(perm), half):
         sel = perm[start:start + half]
-        nu, ni = _sample_unexposed(dataset, len(sel), rng)
-        i = np.concatenate([dataset.items[sel], ni])
-        c = np.concatenate([dataset.rel[sel].astype(np.float64), np.zeros(len(nu))])
-        yield (np.concatenate([dataset.users[sel], nu]), (i,),
-               partial(_point_objective, spec, c, theta[i]))
+        drawn = non_clicks[rng.integers(0, len(non_clicks), size=len(sel) if rate else 0)]
+        nu, ni = np.divmod(drawn, dataset.num_items)
+        i = np.concatenate([items[sel], ni])
+        c = np.concatenate([np.ones(len(sel)), np.zeros(len(drawn))])
+        yield (np.concatenate([users[sel], nu]), (i,),
+               partial(_point_objective, spec, c, theta[i], np.where(c == 1, 1.0, rate)))
 
 
 # ---------------------------------------------------------------------------
@@ -237,10 +233,10 @@ def _pair_objective(spec, c_j, theta_i, theta_j, gamma_j, s_i, s_j):
     return terms, (gf * dsi, gf * dsj)
 
 
-def _point_objective(spec, c, theta_click, s):
-    """The estimator's pointwise terms and their derivatives by s."""
+def _point_objective(spec, c, theta_click, weight, s):
+    """The estimator's pointwise terms and their derivatives by s, times each row's weight."""
     loss, ds = pointwise_loss(spec.method, c, s, theta_click=theta_click)
-    return loss, (ds,)
+    return weight * loss, (weight * ds,)
 
 
 def _step(model, adam, u, items, objective, config) -> float:
@@ -301,27 +297,29 @@ def train(dataset: ImplicitDataset, config: TrainConfig, loss_spec: LossSpec,
     stale = 0
     epoch_log = []
 
-    for epoch in range(config.max_epochs):
-        losses = [(_step(model, adam, u, items, objective, config), len(u))
-                  for u, items, objective in batches(rng)]
-        total = sum(n for _, n in losses)
-        train_loss = sum(l * n for l, n in losses) / max(total, 1)
-        if not math.isfinite(train_loss):
-            bad = next(k for k, (l, _) in enumerate(losses) if not math.isfinite(l))
-            raise TrainingDivergedError(epoch, bad)
+    # a diverging run overflows; the non-finite check below is its one report
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for epoch in range(config.max_epochs):
+            losses = [(_step(model, adam, u, items, objective, config), len(u))
+                      for u, items, objective in batches(rng)]
+            total = sum(n for _, n in losses)
+            train_loss = sum(l * n for l, n in losses) / max(total, 1)
+            if not math.isfinite(train_loss):
+                bad = next(k for k, (l, _) in enumerate(losses) if not math.isfinite(l))
+                raise TrainingDivergedError(epoch, bad)
 
-        val_metric = None
-        if validation is not None:
-            val_metric = validation_dcg(model, validation)
-            if val_metric > best_val:
-                best_val = val_metric
-                best_model = model.copy()
-                stale = 0
-            else:
-                stale += 1
-        epoch_log.append((epoch, train_loss, val_metric))
-        if validation is not None and stale >= config.patience:
-            break
+            val_metric = None
+            if validation is not None:
+                val_metric = validation_dcg(model, validation)
+                if val_metric > best_val:
+                    best_val = val_metric
+                    best_model = model.copy()
+                    stale = 0
+                else:
+                    stale += 1
+            epoch_log.append((epoch, train_loss, val_metric))
+            if validation is not None and stale >= config.patience:
+                break
 
     final = best_model if best_model is not None else model
     return TrainRun(config=config, loss_spec=loss_spec, final_model=final, epoch_log=epoch_log)

@@ -204,7 +204,7 @@ class TestGenerateSemiSynthetic:
         ratings = ratings_from_entries([(0, 0, 5)], 1, 2)
         for seed in (0, 1, 2):
             ds = generate_semi_synthetic(ratings, epsilon=0.0, seed=seed)
-            assert not ds.is_exposed([0], [1])[0]
+            assert not ds.cells[0, 1] >= 0
             assert not ds.is_clicked([0], [1])[0]
 
     def test_click_rate_binomial_concentration(self):
@@ -235,7 +235,7 @@ class TestGenerateSemiSynthetic:
         ratings = ratings_from_entries(entries, 10, 8)
         ds = generate_semi_synthetic(ratings, epsilon=0.1, seed=3)
         cu, ci = ds.click_pairs
-        assert ds.is_exposed(cu, ci).all()
+        assert (ds.cells[cu, ci] >= 0).all()
         # every click carries relevance draw 1 (click = exposure * rel)
         assert np.all(ds.rel[ds.is_clicked(ds.users, ds.items)] == 1)
 
@@ -262,7 +262,9 @@ class TestCellTable:
         clicked = {(u, i) for u, i, r in cells if r == 1}
         grid = [(u, i) for u in range(num_users) for i in range(num_items)]
         users, items = np.array(grid).T
-        assert ds.is_exposed(users, items).tolist() == [c in exposed for c in grid]
+        assert (ds.cells[users, items] >= 0).tolist() == [c in exposed for c in grid]
+        assert ds.non_click_cells.tolist() == [u * num_items + i for u, i in grid
+                                               if (u, i) not in clicked]
         assert ds.is_clicked(users, items).tolist() == [c in clicked for c in grid]
         assert list(zip(*(a.tolist() for a in ds.click_pairs))) == sorted(clicked)
         assert all(a.dtype == np.int64 for a in ds.click_pairs)

@@ -1,6 +1,7 @@
 import inspect
 import re
 import shutil
+import warnings
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -832,10 +833,12 @@ class TestTrainCli:
     @pytest.mark.parametrize("method, learning_rate", [("bpr", "1e300"), ("relmf", "1e160")])
     def test_diverging_run_fails_in_one_line(self, prep, tmp_path, capsys, method,
                                              learning_rate):
-        # the line an experiment writes to failures.tsv, not a traceback;
-        # --out, made before training, is left without a file
+        # the line an experiment writes to failures.tsv, not a traceback or a
+        # numpy warning, even with every warning an error; --out, made before
+        # training, is left without a file
         out = tmp_path / "run"
-        with np.errstate(over="ignore", invalid="ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             assert cli.main(["train", "--data", str(prep), "--method", method, "--d", "4",
                              "--max-epochs", "3", "--learning-rate", learning_rate,
                              "--out", str(out)]) == 1

@@ -17,7 +17,7 @@ PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 # the spans that perfbench's per-layer training metrics read: a refactor
 # that stops calling one of them where perfbench wraps it reads 0 there
 TRAINING_SPANS = {"losses.sigmoid_pair_loss", "losses.pointwise_loss", "datasets.is_clicked",
-                  "datasets.is_exposed", "trainer.AdamState.update"}
+                  "trainer.AdamState.update"}
 LAYER_SPANS = {"train-d200": TRAINING_SPANS,
                "sweep-d64": TRAINING_SPANS | {"evaluation.evaluate"},
                "verify-suite": set()}

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import math
 import warnings
+from functools import partial
 from types import SimpleNamespace
 
 import numpy as np
@@ -164,26 +165,70 @@ class TestSampleBatch:
                 next(_pair_batches(ds, None, 4, np.ones(ds.num_items), None,
                                    np.random.default_rng(0)))
 
-    def test_pointwise_mix(self, monkeypatch):
-        cells = [(u, i, 0.5, 1) for u in range(3) for i in range(2)]
+    def test_pointwise_mix(self):
+        # 6 clicks among 3 x 8 cells, 3 of the 18 non-clicks exposed: each
+        # half batch of clicks is topped up with as many non-clicks, which
+        # weigh N0/N1 = 3
+        cells = [(u, i, 0.5, 1) for u in range(3) for i in range(2)] \
+            + [(u, 2, 0.5, 0) for u in range(3)]
         ds = make_implicit(3, 8, cells)
-        clicks = []
-
-        def loss(method, c, s, **kwargs):
-            clicks.append(c)
-            return pointwise_loss(method, c, s, **kwargs)
-
-        monkeypatch.setattr(trainer, "pointwise_loss", loss)
         batches = list(_point_batches(ds, LossSpec("relmf"), 4, np.ones(8),
                                       np.random.default_rng(6)))
-        for u, _, objective in batches:
-            objective(np.zeros(len(u)))  # hands the batch's clicks to pointwise_loss
         assert [len(u) for u, _, _ in batches] == [4, 4, 4]
-        assert len(clicks) == len(batches)
-        for (u, (i,), _), c in zip(batches, clicks):
-            exposed = ds.is_exposed(u, i)
-            assert exposed.sum() == 2  # half exposed, half unexposed
-            assert np.all(c[~exposed] == 0)
+        clicks = []
+        for u, (i,), objective in batches:
+            _, c, _, weight = objective.args
+            assert ds.is_clicked(u, i).tolist() == [True, True, False, False]
+            assert c.tolist() == [1, 1, 0, 0]
+            assert weight.tolist() == [1, 1, 3, 3]
+            clicks += zip(u[:2].tolist(), i[:2].tolist())
+        assert sorted(clicks) == list(zip(*(a.tolist() for a in ds.click_pairs)))
+
+    def test_points_need_a_click(self):
+        ds = make_implicit(2, 3, [(0, 0, 0.5, 0), (1, 2, 0.5, 0)])
+        with pytest.raises(ValueError, match="no click"):
+            next(_point_batches(ds, LossSpec("relmf"), 4, np.ones(3),
+                                np.random.default_rng(0)))
+
+    @pytest.mark.parametrize("method", ["wmf", "relmf"])
+    def test_every_cell_clicked_trains_on_clicks_alone(self, method):
+        ds = make_implicit(3, 2, [(u, i, 0.9, 1) for u in range(3) for i in range(2)])
+        batches = list(_point_batches(ds, LossSpec(method), 4, np.ones(2),
+                                      np.random.default_rng(1)))
+        assert [len(u) for u, _, _ in batches] == [2, 2, 2]
+        assert all(objective.args[1].all() for _, _, objective in batches)
+        config = TrainConfig(d=2, learning_rate=0.01, batch_size=4, max_epochs=3, seed=2)
+        run = train(ds, config, LossSpec(method))
+        assert run.epochs_trained == 3
+        assert all(math.isfinite(loss) for _, loss, _ in run.epoch_log)
+
+    def test_samplers_read_clicks_not_exposure(self):
+        # the same clicks, once with no other exposed cell and once with
+        # half the non-clicks exposed: every batch must match byte for byte
+        rng = np.random.default_rng(3)
+        clicks = [(u, i) for u in range(5) for i in range(6) if rng.random() < 0.3]
+        others = [(u, i) for u in range(5) for i in range(6)
+                  if (u, i) not in clicks and rng.random() < 0.5]
+        bare = make_implicit(5, 6, [(u, i, 0.5, 1) for u, i in clicks])
+        exposed = make_implicit(5, 6, [(u, i, 0.5, 1) for u, i in clicks]
+                                + [(u, i, 0.5, 0) for u, i in others])
+        theta = np.linspace(0.2, 1.0, 6)
+
+        def gamma_hat(users, items):
+            return (users + items) / 20.0
+
+        for epoch in (partial(_point_batches, spec=LossSpec("relmf"), batch_size=4,
+                              theta=theta),
+                      partial(_pair_batches, spec=LossSpec("upl"), batch_size=4,
+                              theta=theta, gamma_hat=gamma_hat)):
+            a, b = (list(epoch(ds, rng=np.random.default_rng(9))) for ds in (bare, exposed))
+            assert len(a) == len(b) > 1
+            for (ua, items_a, obj_a), (ub, items_b, obj_b) in zip(a, b):
+                assert ua.tobytes() == ub.tobytes()
+                assert [k.tobytes() for k in items_a] == [k.tobytes() for k in items_b]
+                assert obj_a.func is obj_b.func and obj_a.args[0] == obj_b.args[0]
+                assert [x.tobytes() for x in obj_a.args[1:]] \
+                    == [x.tobytes() for x in obj_b.args[1:]]
 
     def test_gamma_hat_passthrough_clamped(self):
         ds = make_implicit(1, 4, [(0, 0, 1.0, 1)])
@@ -351,9 +396,9 @@ class TestTrainedBytes:
         "bpr": "9bfa12753795357714d9fb261266d4907cdb9e4f6fac8633e1b33c88a5f3003c",
         "ubpr": "58ee4bd3fecea5752f822c6533ac4e4ba28c25b66694aab05303b4a4c922c81f",
         "ubpr_clipped": "76a30d50b66a17d3a99d202fe289c10f4a33ff84e47876f59a3cee6d0c50578d",
-        "wmf": "87140b7a90c006a5d6003dd97c0f008fa06781996ca29011b2f0b8dfaef3201c",
-        "relmf": "259e8a5362fab7b163440de66874084766fc8f212d8e733e7b1513e4d8a8401f",
-        "upl": "3857fbd41fecc73649ca4118979cd0e7886233d7ef8a4e4ad22b65a4cbdaac77",
+        "wmf": "dc0178c000e30d13d9271840d8e7336a941deb21b0d026085a3b2708cbe92a95",
+        "relmf": "d03558546d5190fef3570ac1fc239d2fd7789a9098a178f26cfdcfefd8a04540",
+        "upl": "263252ce6535ddbdf3ac91036e322c3d448ad5c1d32b82245178e802723c56ee",
     }
 
     @pytest.mark.parametrize("method", sorted(DIGESTS))
@@ -373,9 +418,10 @@ class TestTrainedBytes:
 class _EveryDraw:
     """Stands in for the epoch rng: ``permutation(n)`` is the identity, and
     in epoch k, counted by the permutations drawn, ``integers(low, high,
-    size)`` draws offset k, low + k, every time.  Over I - 1 epochs a draw
-    with no rejection step then yields every outcome of every positive
-    exactly once."""
+    size)`` draws offset k, low + k, every time.  Over high - low epochs a
+    draw with no rejection step then yields each of its outcomes exactly
+    once, for every row: for the pair sampler, I - 1 epochs; for the
+    pointwise one, N0."""
 
     def __init__(self):
         self.epoch = -1
@@ -428,6 +474,36 @@ class TestMinibatchRiskMatchesIdeal:
         assert expected * (num_items - 1) == pytest.approx(exact.exact_expectation, rel=1e-12)
         if estimator in ("upl", "ubpr"):
             assert expected == pytest.approx(exact.ideal_risk / (num_items - 1), rel=1e-12)
+
+
+class TestPointwiseEpochMatchesFullBatchRisk:
+    @pytest.mark.parametrize("method", ["wmf", "relmf"])
+    @pytest.mark.parametrize("seed, batch_size", [(0, 2), (2, 4), (3, 16)])  # N1 = 4, 5, 7
+    def test_epoch_expectation_is_full_batch_risk(self, method, seed, batch_size):
+        """Exact expectation, over every non-click draw, of the term sum of
+        one epoch as ``_point_batches`` yields it and as the objective it
+        binds weights it: the pointwise risk summed over all U x I cells."""
+        rng = np.random.default_rng(seed)
+        num_users, num_items = 3, 4
+        cells = [(u, i, 0.5, int(rng.random() < 0.5))
+                 for u in range(num_users) for i in range(num_items) if rng.random() < 0.7]
+        cells.append((2, 3, 0.5, 1))  # at least one click
+        ds = make_implicit(num_users, num_items, list({c[:2]: c for c in cells}.values()))
+        theta = rng.uniform(0.2, 1.0, num_items)
+        scores = score_matrix(model_for_world(random_world(num_users, num_items, seed=seed),
+                                              seed=seed))
+        num_non_clicks = num_users * num_items - ds.num_clicks
+        assert 0 < num_non_clicks < num_users * num_items
+
+        rng = _EveryDraw()
+        sums = [math.fsum(np.concatenate([objective(scores[u, i])[0] for u, (i,), objective
+                                          in _point_batches(ds, LossSpec(method), batch_size,
+                                                            theta, rng)]))
+                for _ in range(num_non_clicks)]
+        clicked = ds.cells == 1
+        risk, _ = pointwise_loss(method, clicked, scores, theta_click=theta[None, :])
+        assert math.fsum(sums) / num_non_clicks == pytest.approx(math.fsum(risk.ravel()),
+                                                                  rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -534,10 +610,12 @@ def _reference_step(model, adam, u, items, objective, config):
         gq_rows = np.concatenate([gqi_rows, gqj_rows])
     else:
         (all_items,) = items
-        c, theta_click = bound
+        c, theta_click, weight = bound
         qi = model.item_factors[all_items]
-        terms, ds = pointwise_loss(spec.method, c, np.sum(pu * qi, axis=1),
-                                   theta_click=theta_click)
+        loss, dloss = pointwise_loss(spec.method, c, np.sum(pu * qi, axis=1),
+                                     theta_click=theta_click)
+        terms = weight * loss
+        ds = weight * dloss
         reg = np.sum(pu**2, axis=1) + np.sum(qi**2, axis=1)
         gu_rows = (ds[:, None] * qi + 2.0 * lam * pu) / m
         gq_rows = (ds[:, None] * pu + 2.0 * lam * qi) / m
@@ -557,8 +635,8 @@ def _reference_step(model, adam, u, items, objective, config):
 class TestStepMatchesReference:
     @pytest.mark.parametrize("method", ["bpr", "ubpr", "ubpr_clipped", "wmf", "relmf", "upl"])
     def test_final_factors_bit_identical(self, method, monkeypatch):
-        # partial exposure, so the pointwise epoch samples unexposed cells and
-        # every batch of 32 repeats users and items
+        # partial exposure, so the pointwise epoch draws exposed and unexposed
+        # non-clicks, and every batch of 32 repeats users and items
         rng = np.random.default_rng(21)
         cells = [(u, i, 0.5, int(rng.random() < 0.5))
                  for u in range(20) for i in range(15) if rng.random() < 0.6]
@@ -567,6 +645,7 @@ class TestStepMatchesReference:
         config = TrainConfig(d=8, lam=1e-3, learning_rate=0.01, batch_size=32,
                              max_epochs=3, seed=4)
         spec = LossSpec(method, clip_threshold=0.0 if method == "ubpr_clipped" else None)
+        rate = (20 * 15 - ds.num_clicks) / ds.num_clicks  # a non-click's weight, N0/N1
 
         def trained():
             return train_key(ds, config, spec, pt)[-1]
@@ -590,9 +669,10 @@ class TestStepMatchesReference:
                 assert gamma_j.any() == (method == "upl")
             else:
                 (i,) = items
-                c, theta_click = bound
+                c, theta_click, weight = bound
                 assert np.array_equal(c, ds.is_clicked(u, i))
                 assert np.array_equal(theta_click, pt.theta_click[i])
+                assert np.array_equal(weight, np.where(c == 1, 1.0, rate))
             calls.append(args)
             return _reference_step(*args)
 
