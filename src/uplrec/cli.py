@@ -35,8 +35,7 @@ from .trainer import train_key
 
 
 # the ExperimentConfig keys `experiment` flags override, given as strings
-_OVERRIDE_KEYS = ("dataset", "format", "methods", "runs", "seed", "epsilon_train",
-                  "epsilon_test", "threads", "out")
+_OVERRIDE_KEYS = ("dataset", "format", "methods", "runs", "seed", "threads", "out")
 
 
 def _flag(parser, key, default, **kwargs):
@@ -52,8 +51,7 @@ def main(argv=None) -> int:
     p = sub.add_parser("prepare", help="generate semi-synthetic implicit datasets")
     p.add_argument("--dataset", required=True, help="dataset file or directory")
     _flag(p, "format", ExperimentConfig.format, choices=exp.DATASET_FORMATS)
-    for name in ("train_file", "test_file", "epsilon_train", "epsilon_test",
-                 "validation_fraction", "seed"):
+    for name in ("train_file", "test_file", "seed"):
         _flag(p, name, getattr(ExperimentConfig, name))
     p.add_argument("--out", required=True)
 
@@ -104,9 +102,8 @@ def _cmd_prepare(args) -> int:
     except SettingError as exc:
         raise UsageError(f"--{exc.name.replace('_', '-')}: {exc}") from None
     try:
-        data = exp.prepare_datasets(
-            args.dataset, args.format, args.epsilon_train, args.epsilon_test,
-            args.validation_fraction, args.seed, args.train_file, args.test_file)
+        data = exp.prepare_datasets(args.dataset, args.format, args.seed, args.train_file,
+                                    args.test_file)
     except OSError as exc:  # names the file
         raise UsageError(str(exc)) from None
     exp.check_splits(data, f"dataset {args.dataset}")  # the splits train would refuse

@@ -247,27 +247,27 @@ class ImplicitDataset:
         return int(self.rel.sum())
 
     @cached_property
-    def cells(self) -> np.ndarray:
-        """(num_users, num_items) int8 table: -1 on an unexposed cell, else its rel."""
-        table = np.full((self.num_users, self.num_items), -1, dtype=np.int8)
+    def click_table(self) -> np.ndarray:
+        """(num_users, num_items) bool table: True on a click."""
+        table = np.zeros((self.num_users, self.num_items), dtype=bool)
         table[self.users, self.items] = self.rel
         return table
 
     @cached_property
     def click_pairs(self) -> tuple[np.ndarray, np.ndarray]:
-        return np.nonzero(self.cells == 1)
+        return np.nonzero(self.click_table)
 
     @cached_property
     def non_click_cells(self) -> np.ndarray:
-        return np.flatnonzero(self.cells != 1)  # u * num_items + i, exposed or not
+        return np.flatnonzero(~self.click_table)  # u * num_items + i, exposed or not
 
     @cached_property
     def item_click_counts(self) -> np.ndarray:
-        return np.count_nonzero(self.cells == 1, axis=0)
+        return np.count_nonzero(self.click_table, axis=0)
 
     @cached_property
     def user_click_counts(self) -> np.ndarray:
-        return np.count_nonzero(self.cells == 1, axis=1)
+        return np.count_nonzero(self.click_table, axis=1)
 
     @cached_property
     def user_indptr(self) -> np.ndarray:
@@ -275,7 +275,7 @@ class ImplicitDataset:
         return np.searchsorted(self.users, np.arange(self.num_users + 1))
 
     def is_clicked(self, users, items) -> np.ndarray:
-        return self.cells[users, items] == 1
+        return self.click_table[users, items]
 
 
 def generate_semi_synthetic(ratings: ExplicitRatings, epsilon: float, seed: int,

@@ -44,7 +44,6 @@ from .datasets import (
 from .errors import IntegrityError, ParseError, SettingError, UsageError
 from .evaluation import (
     CANDIDATE_MODES,
-    DEFAULT_KS,
     MetricReport,
     compute_cohorts,
     evaluate,
@@ -68,6 +67,11 @@ _RATING_FILES = {
                  ("test.txt", "ydata-ymusic-rating-study-v1_0-test.txt")),
 }
 DATASET_FORMATS = tuple(_RATING_FILES)
+# the semi-synthetic protocol: the epsilon of train's and test's relevance
+# probabilities and the share of train's exposed cells held out for validation
+EPSILON_TRAIN = 0.1
+EPSILON_TEST = 0.0
+VALIDATION_FRACTION = 0.1
 # the config key of each TrainConfig and LossSpec field it does not share a name with
 _CONFIG_KEYS = {"d": "d_grid", "lam": "lambda_grid", "clip_threshold": "clip_grid"}
 
@@ -81,13 +85,9 @@ class ExperimentConfig:
     methods: tuple = METHOD_TOKENS
     runs: int = 50
     seed: int = 0
-    epsilon_train: float = 0.1
-    epsilon_test: float = 0.0
-    validation_fraction: float = 0.1
     d_grid: tuple = (100, 200, 300)
     lambda_grid: tuple = (1e-7, 1e-5, 1e-3)
     clip_grid: tuple = (0.0, -0.1, -1.0, -10.0)
-    ks: tuple = DEFAULT_KS
     cohorts: bool = True
     candidates: str = CANDIDATE_MODES[0]
     batch_size: int = TrainConfig.batch_size
@@ -110,13 +110,6 @@ class ExperimentConfig:
         except SettingError as exc:
             raise SettingError("seed", self.seed, f"seed value {self.seed!r} with runs "
                                f"{self.runs!r}: last run seed {last_seed}: {exc}") from None
-        for key, valid, bounds in (  # NaN fails each range test
-                ("epsilon_train", 0.0 <= self.epsilon_train < 1.0, "[0, 1)"),
-                ("epsilon_test", 0.0 <= self.epsilon_test < 1.0, "[0, 1)"),
-                ("validation_fraction", 0.0 < self.validation_fraction < 1.0, "(0, 1)")):
-            if not valid:
-                value = getattr(self, key)
-                raise SettingError(key, value, f"{key} must be in {bounds}, got {value!r}")
         for key, grid in (("d_grid", self.d_grid), ("lambda_grid", self.lambda_grid)):
             if not grid:
                 raise SettingError(key, grid, "hyperparameter grid must be non-empty")
@@ -129,13 +122,9 @@ class ExperimentConfig:
         for m in self.methods:
             if m not in METHOD_TOKENS:
                 raise SettingError("methods", self.methods, f"unknown method token {m!r}")
-        if not self.ks or min(self.ks) < 1:
-            raise SettingError("ks", self.ks,
-                               f"ks must be non-empty cutoffs >= 1, got {self.ks!r}")
-        for name, values in (("methods", self.methods), ("ks", self.ks)):
-            repeated = [v for v in values if values.count(v) > 1]
-            if repeated:  # its rows would be written, and counted, twice
-                raise SettingError(name, values, f"{name} repeats {repeated[0]!r}")
+        repeated = [m for m in self.methods if self.methods.count(m) > 1]
+        if repeated:  # its rows would be written, and counted, twice
+            raise SettingError("methods", self.methods, f"methods repeats {repeated[0]!r}")
         if self.candidates not in CANDIDATE_MODES:
             raise SettingError("candidates", self.candidates,
                                f"unknown candidate mode {self.candidates!r}")
@@ -271,12 +260,10 @@ def _rating_files(dataset_path, format, train_file, test_file):
 
 
 def prepare_datasets(dataset_path, format=ExperimentConfig.format,
-                     epsilon_train=ExperimentConfig.epsilon_train,
-                     epsilon_test=ExperimentConfig.epsilon_test,
-                     validation_fraction=ExperimentConfig.validation_fraction,
                      seed=ExperimentConfig.seed, train_file="", test_file="") -> PreparedData:
     """Load explicit ratings and produce (train, validation, test) implicit
-    splits.  Generation seeds: train = seed, test = seed + 1, split = seed + 2.
+    splits at EPSILON_TRAIN, EPSILON_TEST and VALIDATION_FRACTION.
+    Generation seeds: train = seed, test = seed + 1, split = seed + 2.
     """
     paths = _rating_files(dataset_path, format, train_file, test_file)
     train_ratings, test_ratings = (load_triplets(path, format=_RATING_FILES[format][0])
@@ -288,9 +275,9 @@ def prepare_datasets(dataset_path, format=ExperimentConfig.format,
         raise IntegrityError("{} and {} have different shapes, {}x{} and {}x{}".format(
             *paths, train_ratings.num_users, train_ratings.num_items,
             test_ratings.num_users, test_ratings.num_items))
-    train_full = generate_semi_synthetic(train_ratings, epsilon_train, seed, "train")
-    test = generate_semi_synthetic(test_ratings, epsilon_test, seed + 1, "test")
-    train, validation = split_validation(train_full, validation_fraction, seed + 2)
+    train_full = generate_semi_synthetic(train_ratings, EPSILON_TRAIN, seed, "train")
+    test = generate_semi_synthetic(test_ratings, EPSILON_TEST, seed + 1, "test")
+    train, validation = split_validation(train_full, VALIDATION_FRACTION, seed + 2)
     return PreparedData(
         train=train, validation=validation, test=test,
         user_ids=train_ratings.user_ids, item_ids=train_ratings.item_ids,
@@ -315,7 +302,7 @@ def check_splits(data: PreparedData, where) -> PropensityTable:
         raise UsageError(f"{where}: train split: all click counts are zero")
     if not data.validation.num_clicks:
         raise UsageError(f"{where}: validation split has {len(data.validation)} cells and "
-                         "0 clicks: raise validation_fraction")
+                         "0 clicks: its DCG@5 would read 0 at every epoch")
     return PropensityTable.from_click_counts(data.train.item_click_counts)
 
 
@@ -463,9 +450,8 @@ def run_experiment(config: ExperimentConfig) -> Path:
     # find and parse the rating files, estimate the propensities from the
     # train split's clicks and check the validation split's, before writing
     cfg_hash = config.hash()
-    data = prepare_datasets(
-        config.dataset, config.format, config.epsilon_train, config.epsilon_test,
-        config.validation_fraction, config.seed, config.train_file, config.test_file)
+    data = prepare_datasets(config.dataset, config.format, config.seed, config.train_file,
+                            config.test_file)
     propensities = check_splits(data, f"dataset {config.dataset}")
     make_dir(out)
     (out / "logs").mkdir(exist_ok=True)
@@ -531,9 +517,8 @@ def _final_runs(token, runs: _Runs, out: Path, combo, best_run):
     keys = [_run_key(token, combo, config, config.seed + r) for r in range(1, config.runs)]
     reports, epoch_logs = [], []
     for run_idx, run in enumerate(itertools.chain([best_run], runs.stream(keys))):
-        reports.extend(evaluate(run.final_model, state["data"].test, ks=config.ks,
-                                cohorts=state["cohorts"], candidates=config.candidates,
-                                method=token, run=run_idx))
+        reports.extend(evaluate(run.final_model, state["data"].test, cohorts=state["cohorts"],
+                                candidates=config.candidates, method=token, run=run_idx))
         epoch_logs.append(run.epoch_log)
     for run_idx, epoch_log in enumerate(epoch_logs):
         write_epoch_log(out / "logs" / f"{token}_run{run_idx:03d}.log", epoch_log)

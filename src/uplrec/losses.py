@@ -1,6 +1,7 @@
 """Loss estimators for implicit-feedback ranking, with analytic gradients.
 
-Pairwise base loss is L(s_i, s_j) = -log sigmoid(s_i - s_j).  The estimators
+Pairwise base loss is L(s_i, s_j) = -log sigmoid(s_i - s_j), ``pair_loss``,
+which the trainer's step and the oracle's pair tables both call.  The estimators
 differ only in the weight each (i: clicked, j != i) pair receives, and
 ``pair_weights`` is the one place that weight is computed, for the trainer's
 sampled pairs and the oracle's full pair sums alike:
@@ -50,15 +51,22 @@ def softplus(x):
     return np.logaddexp(0.0, np.asarray(x, dtype=np.float64))
 
 
+def pair_loss(s_i, s_j):
+    """The pair loss L(s_i, s_j) = -log sigmoid(s_i - s_j) = softplus(s_j - s_i),
+    elementwise and broadcasting: what the trainer steps on and the oracle
+    sums."""
+    return softplus(np.asarray(s_j, dtype=np.float64) - np.asarray(s_i, dtype=np.float64))
+
+
 def sigmoid_pair_loss(s_i, s_j):
-    """-log sigmoid(s_i - s_j) and its gradients w.r.t. both scores.
+    """``pair_loss(s_i, s_j)`` and its gradients w.r.t. both scores.
 
     Returns (loss, dloss_dsi, dloss_dsj) where dloss_dsi = -(1 - sigmoid(d))
     and dloss_dsj = +(1 - sigmoid(d)) for d = s_i - s_j.
     """
     d = np.asarray(s_i, dtype=np.float64) - np.asarray(s_j, dtype=np.float64)
     g = sigmoid(-d)  # = 1 - sigmoid(d)
-    return softplus(-d), -g, +g
+    return pair_loss(s_i, s_j), -g, +g
 
 
 def upl_pair_weight(theta_i, theta_j, gamma_hat_j):

@@ -36,7 +36,7 @@ from .datasets import read_lines
 from .errors import ParseError, SettingError
 from .evaluation import t_sf
 from .factor_model import FactorModel, init_model
-from .losses import LossSpec, pair_weights, softplus
+from .losses import LossSpec, pair_loss, pair_weights
 
 MIN_MC_SAMPLES = 10**4
 MC_CHUNK_CELLS = 1 << 16  # cells of one Monte Carlo chunk, see _chunk_rows
@@ -166,7 +166,7 @@ def _pair_losses(world: SyntheticWorld, model: FactorModel):
         # a (1, d) row, not a (d,) vector: numpy sends the two to BLAS
         # kernels whose last bits differ
         scores = (model.user_factors[u:u + 1] @ model.item_factors.T)[0]
-        loss = softplus(scores - scores[:, None])  # -log sigmoid(s_i - s_j)
+        loss = pair_loss(scores[:, None], scores)
         np.fill_diagonal(loss, 0.0)
         yield u, loss
 

@@ -204,7 +204,7 @@ class TestGenerateSemiSynthetic:
         ratings = ratings_from_entries([(0, 0, 5)], 1, 2)
         for seed in (0, 1, 2):
             ds = generate_semi_synthetic(ratings, epsilon=0.0, seed=seed)
-            assert not ds.cells[0, 1] >= 0
+            assert exposed_pairs(ds) == {(0, 0)}
             assert not ds.is_clicked([0], [1])[0]
 
     def test_click_rate_binomial_concentration(self):
@@ -235,7 +235,7 @@ class TestGenerateSemiSynthetic:
         ratings = ratings_from_entries(entries, 10, 8)
         ds = generate_semi_synthetic(ratings, epsilon=0.1, seed=3)
         cu, ci = ds.click_pairs
-        assert (ds.cells[cu, ci] >= 0).all()
+        assert set(zip(cu.tolist(), ci.tolist())) <= exposed_pairs(ds)
         # every click carries relevance draw 1 (click = exposure * rel)
         assert np.all(ds.rel[ds.is_clicked(ds.users, ds.items)] == 1)
 
@@ -262,7 +262,9 @@ class TestCellTable:
         clicked = {(u, i) for u, i, r in cells if r == 1}
         grid = [(u, i) for u in range(num_users) for i in range(num_items)]
         users, items = np.array(grid).T
-        assert (ds.cells[users, items] >= 0).tolist() == [c in exposed for c in grid]
+        assert exposed_pairs(ds) == exposed
+        assert ds.click_table.shape == (num_users, num_items)
+        assert ds.click_table.dtype == bool
         assert ds.non_click_cells.tolist() == [u * num_items + i for u, i in grid
                                                if (u, i) not in clicked]
         assert ds.is_clicked(users, items).tolist() == [c in clicked for c in grid]
@@ -295,8 +297,9 @@ class TestSplitValidation:
         ds = self._dataset()
         t1, v1 = split_validation(ds, 0.1, seed=3)
         t2, v2 = split_validation(ds, 0.1, seed=3)
-        assert np.array_equal(v1.cells, v2.cells)
-        assert np.array_equal(t1.cells, t2.cells)
+        for a, b in ((v1, v2), (t1, t2)):
+            for column in ("users", "items", "rel"):
+                assert np.array_equal(getattr(a, column), getattr(b, column))
 
     def test_fraction_bounds(self):
         ds = self._dataset()

@@ -1,4 +1,3 @@
-import inspect
 import re
 import shutil
 import warnings
@@ -82,15 +81,29 @@ def bad_rating_files(case, source, tmp_path):
                               f"({user}, {item}), first on line 1")
 
 
+CLICKLESS_SEED = 12
+
+
 def clickless_triplets(tmp_path):
-    """Two one-star train ratings that draw no click at epsilon_train 0 and
-    seed 11, and one test rating."""
+    """Two one-star train ratings that draw no click at CLICKLESS_SEED, and
+    one test rating."""
     root = tmp_path / "clickless"
     root.mkdir()
     (root / "train.txt").write_text("1\t1\t1\n2\t2\t1\n")
     (root / "test.txt").write_text("1\t2\t5\n")
-    assert exp.prepare_datasets(root, "triplets", epsilon_train=0.0,
-                                seed=11).train.num_clicks == 0
+    assert exp.prepare_datasets(root, "triplets", seed=CLICKLESS_SEED).train.num_clicks == 0
+    return root
+
+
+def validationless_triplets(tmp_path):
+    """Three five-star train ratings, each a click, of which floor(10%) = 0
+    go to validation, and one test rating."""
+    root = tmp_path / "validationless"
+    root.mkdir()
+    (root / "train.txt").write_text("1\t1\t5\n1\t2\t5\n2\t2\t5\n")
+    (root / "test.txt").write_text("1\t2\t5\n")
+    data = exp.prepare_datasets(root, "triplets")
+    assert (len(data.validation), data.train.num_clicks) == (0, 3)
     return root
 
 
@@ -102,7 +115,7 @@ class TestConfigParsing:
         assert config.methods == ("bpr",)
         assert config.runs == 2
         assert config.d_grid == (8,)
-        assert config.ks == (3, 5, 8)  # default preserved
+        assert config.candidates == "catalog"  # default preserved
 
     def test_unknown_key_rejected(self, tmp_path):
         cfg_path = tmp_path / "exp.cfg"
@@ -116,14 +129,25 @@ class TestConfigParsing:
         "propensity_floor = 2", "propensity_floor = nan",
         "methods = wmf,bpr\nwmf_weight = 10",
         "methods = wmf,bpr\nwmf_weight = 0.5", "methods = wmf,bpr\nwmf_weight = nan",
+        "epsilon_train = 0.1", "epsilon_test = 0.0", "validation_fraction = 0.1",
+        "ks = 3,5,8",
+        "epsilon_train = 1.0", "epsilon_train = -0.1", "epsilon_test = nan",
+        "validation_fraction = 0.0", "validation_fraction = 1.0",
+        "validation_fraction = nan",
+        "ks =", "ks = -1", "ks = 0", "ks = 5,0", "ks = 3,5,5",
     ], ids=["propensity_power", "propensity_floor", "power_negative", "power_inf",
             "floor_above_one", "floor_nan", "wmf_weight", "wmf_weight_below_one",
-            "wmf_weight_nan"])
+            "wmf_weight_nan",
+            "epsilon_train", "epsilon_test", "validation_fraction", "ks",
+            "epsilon_train_one", "epsilon_train_negative", "epsilon_test_nan",
+            "fraction_zero", "fraction_one", "fraction_nan",
+            "ks_empty", "ks_negative", "ks_zero", "ks_with_zero", "ks_repeated"])
     def test_retired_setting_is_an_unknown_key(self, triplet_files, tmp_path, capsys, lines):
-        # theta's power and floor and wmf's click weight are constants: a
-        # config that sets one is refused before writing, whatever the value
+        # theta's power and floor, wmf's click weight, the data protocol's
+        # epsilons and validation share and the metric cutoffs are constants:
+        # a config that sets one is refused before writing, whatever the value
         text = small_config_text(triplet_files, tmp_path / "out") + lines + "\n"
-        key = lines.splitlines()[-1].split(" = ")[0]
+        key = lines.splitlines()[-1].partition("=")[0].strip()
         cfg_path = tmp_path / "exp.cfg"
         cfg_path.write_text(text)
         before = sorted(tmp_path.rglob("*"))
@@ -184,32 +208,6 @@ class TestConfigParsing:
         lines[0] = "\t".join((u, i, str(1 + int(r) % 5)))
         train.write_text("\n".join(lines) + "\n")
         assert hash_of(b) != hash_of(a)
-
-    @pytest.mark.parametrize("ks", [(), (-1,), (0,), (5, 0)])
-    def test_bad_cutoffs_rejected(self, ks):
-        with pytest.raises(ValueError, match="ks must be"):
-            exp.ExperimentConfig(ks=ks)
-
-    @pytest.mark.parametrize("key, value, bounds", [
-        ("epsilon_train", 1.0, "[0, 1)"), ("epsilon_train", -0.1, "[0, 1)"),
-        ("epsilon_test", float("nan"), "[0, 1)"),
-        ("validation_fraction", 0.0, "(0, 1)"), ("validation_fraction", 1.0, "(0, 1)"),
-        ("validation_fraction", float("nan"), "(0, 1)"),
-    ], ids=["epsilon_train_one", "epsilon_train_negative", "epsilon_test_nan",
-            "fraction_zero", "fraction_one", "fraction_nan"])
-    def test_split_settings_out_of_range_rejected(self, triplet_files, tmp_path, capsys, key,
-                                                  value, bounds):
-        # found before the rating files are read, not as an unnamed ValueError
-        # of the split that reads them
-        message = f"{key} must be in {bounds}, got {value!r}"
-        with pytest.raises(ValueError, match=re.escape(message)):
-            exp.ExperimentConfig(**{key: value})
-        out = tmp_path / "out"
-        cfg_path = tmp_path / "exp.cfg"
-        cfg_path.write_text(small_config_text(triplet_files, out) + f"{key} = {value}\n")
-        assert cli.main(["experiment", "--config", str(cfg_path)]) == 2
-        assert capsys.readouterr().err == f"error: {message}\n"
-        assert not out.exists()
 
     @pytest.mark.parametrize("flag, value, message", [
         ("--seed", "-1", "seed must be >= 0, got -1"),
@@ -298,7 +296,7 @@ class TestConfigParsing:
         root = clickless_triplets(tmp_path)
         out = tmp_path / "out"
         cfg_path = tmp_path / "exp.cfg"
-        cfg_path.write_text(small_config_text(root, out) + "epsilon_train = 0\n")
+        cfg_path.write_text(small_config_text(root, out, seed=CLICKLESS_SEED))
         assert cli.main(["experiment", "--config", str(cfg_path)]) == 2
         captured = capsys.readouterr()
         assert captured.err == \
@@ -306,17 +304,16 @@ class TestConfigParsing:
         assert captured.out == ""
         assert not out.exists()
 
-    def test_validation_split_without_clicks_rejected_before_writing(
-            self, triplet_files, tmp_path, capsys):
-        # floor(1e-4 * cells) = 0: every epoch's validation DCG@5 would read 0
+    def test_validation_split_without_clicks_rejected_before_writing(self, tmp_path, capsys):
+        # floor(10% of 3 cells) = 0: every epoch's validation DCG@5 would read 0
+        root = validationless_triplets(tmp_path)
         cfg_path = tmp_path / "exp.cfg"
-        cfg_path.write_text(small_config_text(triplet_files, tmp_path / "out")
-                            + "validation_fraction = 1e-4\n")
+        cfg_path.write_text(small_config_text(root, tmp_path / "out"))
         before = sorted(tmp_path.rglob("*"))
         assert cli.main(["experiment", "--config", str(cfg_path)]) == 2
         captured = capsys.readouterr()
-        assert captured.err == (f"error: dataset {triplet_files}: validation split has 0 cells "
-                                "and 0 clicks: raise validation_fraction\n")
+        assert captured.err == (f"error: dataset {root}: validation split has 0 cells "
+                                "and 0 clicks: its DCG@5 would read 0 at every epoch\n")
         assert captured.out == ""
         assert sorted(tmp_path.rglob("*")) == before
 
@@ -413,12 +410,11 @@ class TestConfigParsing:
 
     @pytest.mark.parametrize("line, message", [
         ("methods = bpr,upl,bpr", "methods repeats 'bpr'"),
-        ("ks = 3,5,5", "ks repeats 5"),
         ("methods =", r"methods must name at least one token, got \(\)"),
     ])
     def test_repeated_or_empty_values_rejected_before_writing(self, triplet_files, tmp_path,
                                                               capsys, line, message):
-        # a repeated token or cutoff would write every run's rows twice and
+        # a repeated token would write every run's rows twice and
         # count them twice in aggregate.tsv; no methods would run nothing
         out = tmp_path / "out"
         cfg_path = tmp_path / "exp.cfg"
@@ -470,9 +466,8 @@ class TestConfigParsing:
         # every field away from its default, so each field's parser is used
         config = exp.ExperimentConfig(
             dataset="ratings", format="triplets", train_file="a.txt", test_file="b.txt",
-            methods=("upl", "bpr"), runs=3, seed=7, epsilon_train=0.25, epsilon_test=0.05,
-            validation_fraction=0.2, d_grid=(4, 6), lambda_grid=(0.5, 1e-9),
-            clip_grid=(-0.5, -2.0), ks=(1, 10), cohorts=False, candidates="test_only",
+            methods=("upl", "bpr"), runs=3, seed=7, d_grid=(4, 6), lambda_grid=(0.5, 1e-9),
+            clip_grid=(-0.5, -2.0), cohorts=False, candidates="test_only",
             batch_size=32, learning_rate=0.01, max_epochs=9, patience=2, threads=2,
             out="o")
         default = exp.ExperimentConfig()
@@ -541,13 +536,8 @@ class TestPrepareCli:
         assert not out.exists()
 
     @pytest.mark.parametrize("flag, value, message", [
-        ("--epsilon-train", "1", "epsilon_train must be in [0, 1), got 1.0"),
-        ("--epsilon-test", "nan", "epsilon_test must be in [0, 1), got nan"),
-        ("--validation-fraction", "0", "validation_fraction must be in (0, 1), got 0.0"),
-        ("--validation-fraction", "1.5", "validation_fraction must be in (0, 1), got 1.5"),
         ("--seed", "-1", "seed must be >= 0, got -1"),
-    ], ids=["epsilon_train_one", "epsilon_test_nan", "fraction_zero", "fraction_above_one",
-            "seed_negative"])
+    ], ids=["seed_negative"])
     def test_split_setting_named_before_work(self, triplet_files, tmp_path, capsys,
                                              monkeypatch, flag, value, message):
         stop_at(monkeypatch, exp, "prepare_datasets")
@@ -594,12 +584,12 @@ class TestPrepareCli:
         # the refusal comes from prepare, not from the first train on its output
         if case == "train_without_clicks":
             root = clickless_triplets(tmp_path)
-            flags = ["--epsilon-train", "0", "--seed", "11"]
+            flags = ["--seed", str(CLICKLESS_SEED)]
             message = f"dataset {root}: train split: all click counts are zero"
-        else:  # floor(1e-4 * cells) = 0
-            root, flags = triplet_files, ["--validation-fraction", "1e-4"]
+        else:  # floor(10% of 3 cells) = 0
+            root, flags = validationless_triplets(tmp_path), []
             message = (f"dataset {root}: validation split has 0 cells and 0 clicks: "
-                       "raise validation_fraction")
+                       "its DCG@5 would read 0 at every epoch")
         out = tmp_path / "prepared"
         assert cli.main(["prepare", "--dataset", str(root), "--format", "triplets", *flags,
                          "--out", str(out)]) == 2
@@ -737,7 +727,8 @@ class TestTrainCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == (f"error: prepared data {prep}: validation split has "
-                                f"{len(rows)} cells and 0 clicks: raise validation_fraction\n")
+                                f"{len(rows)} cells and 0 clicks: its DCG@5 would read 0 "
+                                "at every epoch\n")
         assert sorted(tmp_path.rglob("*")) == before
 
     @pytest.mark.parametrize("split, key, shape", [
@@ -848,15 +839,32 @@ class TestTrainCli:
                             r"at epoch \d+, batch \d+\n", captured.err)
         assert list(out.iterdir()) == []
 
-    def test_retired_flag_is_unknown(self, prep, tmp_path, capsys):
-        # wmf's click weight is a constant: argparse refuses the flag
+    @pytest.mark.parametrize("command, flag, value", [
+        ("train", "--wmf-weight", "10"),
+        ("prepare", "--epsilon-train", "1"), ("prepare", "--epsilon-test", "nan"),
+        ("prepare", "--validation-fraction", "0"),
+        ("prepare", "--validation-fraction", "1.5"),
+        ("experiment", "--epsilon-train", "0.1"), ("experiment", "--epsilon-test", "0"),
+    ], ids=["wmf_weight", "epsilon_train_one", "epsilon_test_nan", "fraction_zero",
+            "fraction_above_one", "experiment_epsilon_train", "experiment_epsilon_test"])
+    def test_retired_flag_is_unknown(self, triplet_files, tmp_path, capsys, command, flag,
+                                     value):
+        # wmf's click weight and the data protocol are constants: argparse
+        # refuses the flag, whatever the value, before anything is read
         out = tmp_path / "run"
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(small_config_text(triplet_files, out))
+        argv = {"train": ["--data", str(tmp_path / "prep"), "--method", "wmf",
+                          "--out", str(out)],
+                "prepare": ["--dataset", str(triplet_files), "--format", "triplets",
+                            "--out", str(out)],
+                "experiment": ["--config", str(cfg_path)]}[command]
+        before = sorted(tmp_path.rglob("*"))
         with pytest.raises(SystemExit) as info:
-            cli.main(["train", "--data", str(prep), "--method", "wmf", "--wmf-weight", "10",
-                      "--out", str(out)])
+            cli.main([command, *argv, flag, value])
         assert info.value.code == 2
-        assert "unrecognized arguments: --wmf-weight 10" in capsys.readouterr().err
-        assert not out.exists()
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+        assert sorted(tmp_path.rglob("*")) == before
 
     def test_mfdu_trains_relmf(self, triplet_files, tmp_path):
         prep = tmp_path / "prep"
@@ -920,6 +928,23 @@ def stop_at(monkeypatch, module, name):
     return calls
 
 
+def tree_bytes(root):
+    """{path relative to root: bytes} of every file under root."""
+    return {p.relative_to(root).as_posix(): p.read_bytes()
+            for p in Path(root).rglob("*") if p.is_file()}
+
+
+@pytest.fixture(scope="module")
+def experiment_data(triplet_files, tmp_path_factory):
+    """(dataset root, seed, the ``out/data`` an experiment at that seed saved)."""
+    seed, work = 5, tmp_path_factory.mktemp("experiment_data")
+    cfg_path, out = work / "exp.cfg", work / "out"
+    cfg_path.write_text(small_config_text(triplet_files, out, runs=1, seed=seed)
+                        + "max_epochs = 1\n")
+    assert cli.main(["experiment", "--config", str(cfg_path)]) == 0
+    return triplet_files, seed, out / "data"
+
+
 class TestCliSurface:
     """A flag's default is its setting's default, and each flag reaches the
     setting it names."""
@@ -937,17 +962,29 @@ class TestCliSurface:
         with pytest.raises(_Stop):
             cli.main(["prepare", "--dataset", str(triplet_files), "--out", str(tmp_path)])
         default = exp.ExperimentConfig()
-        assert calls == [((str(triplet_files), default.format, default.epsilon_train,
-                           default.epsilon_test, default.validation_fraction, default.seed,
+        assert calls == [((str(triplet_files), default.format, default.seed,
                            default.train_file, default.test_file), {})]
 
-    def test_prepare_datasets_defaults_are_the_config_defaults(self):
+    def test_prepare_datasets_defaults_are_the_config_defaults(self, experiment_data,
+                                                               tmp_path):
         # perfbench's train-d200 calls prepare_datasets with format and seed
-        # alone, so its data follows ExperimentConfig's epsilons and split
-        params = inspect.signature(exp.prepare_datasets).parameters
-        default = exp.ExperimentConfig()
-        assert {name: p.default for name, p in params.items() if name != "dataset_path"} \
-            == {name: getattr(default, name) for name in params if name != "dataset_path"}
+        # alone: the data is the experiment's at that seed
+        root, seed, saved = experiment_data
+        data = exp.prepare_datasets(str(root), format="triplets", seed=seed)
+        exp.save_prepared(data, tmp_path / "data")
+        assert tree_bytes(tmp_path / "data") == tree_bytes(saved)
+
+    def test_prepare_writes_the_experiment_data(self, experiment_data, tmp_path):
+        # `prepare --seed S` needs no other experiment setting to write, byte
+        # for byte, the splits and index maps an experiment at seed S saves
+        root, seed, saved = experiment_data
+        assert cli.main(["prepare", "--dataset", str(root), "--format", "triplets",
+                         "--seed", str(seed), "--out", str(tmp_path / "prep")]) == 0
+        files = tree_bytes(tmp_path / "prep")
+        assert sorted(files) == sorted(
+            [f"{split}/{name}" for split in ("train", "validation", "test")
+             for name in ("exposed.tsv", "meta.json")] + ["item_map.tsv", "user_map.tsv"])
+        assert files == tree_bytes(saved)
 
     def test_format_choices_are_the_dataset_formats(self, tmp_path, monkeypatch, capsys):
         # --format offers the formats _rating_files knows, from one tuple
@@ -1010,8 +1047,6 @@ class TestCliSurface:
             ("--methods", "methods", "relmf, upl", ("relmf", "upl")),
             ("--runs", "runs", "3", 3),
             ("--seed", "seed", "4", 4),
-            ("--epsilon-train", "epsilon_train", "0.3", 0.3),
-            ("--epsilon-test", "epsilon_test", "0.2", 0.2),
             ("--threads", "threads", "2", 2),
             ("--out", "out", "elsewhere_out", "elsewhere_out"),
         ]
@@ -1413,9 +1448,7 @@ class TestRunMemo:
         # experiment or train_key
         config, _ = memo_run
         out = Path(config.out)
-        data = exp.prepare_datasets(config.dataset, config.format, config.epsilon_train,
-                                    config.epsilon_test, config.validation_fraction,
-                                    config.seed)
+        data = exp.prepare_datasets(config.dataset, config.format, seed=config.seed)
         propensities = PropensityTable.from_click_counts(data.train.item_click_counts)
         cohorts = compute_cohorts(data.train)
         rows = exp.read_per_run(out / "per_run_metrics.tsv")
@@ -1437,9 +1470,8 @@ class TestRunMemo:
                         data.train, train_config,
                         exp.make_loss_spec(token, 0.0),
                         propensities, validation=data.validation)
-                for rep in evaluate(trained.final_model, data.test, ks=config.ks,
-                                    cohorts=cohorts, candidates=config.candidates,
-                                    method=token, run=run):
+                for rep in evaluate(trained.final_model, data.test, cohorts=cohorts,
+                                    candidates=config.candidates, method=token, run=run):
                     expected += [(rep.method, rep.run, rep.cohort, metric, rep.k,
                                   getattr(rep, metric)) for metric in exp.METRIC_NAMES]
                 log = tmp_path / f"{token}{run}.log"

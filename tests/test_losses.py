@@ -11,9 +11,11 @@ from uplrec.losses import (
     WMF_WEIGHT,
     LossSpec,
     clip_term,
+    pair_loss,
     pair_weights,
     pointwise_loss,
     sigmoid_pair_loss,
+    softplus,
     ubpr_pair_weight,
     upl_pair_weight,
     upl_pair_weight_from_posterior,
@@ -66,6 +68,26 @@ class TestSigmoidPairLoss:
             num_j = central_diff(lambda x: sigmoid_pair_loss(si, x)[0], sj)
             assert dsi == pytest.approx(num_i, rel=1e-4, abs=1e-9)
             assert dsj == pytest.approx(num_j, rel=1e-4, abs=1e-9)
+
+
+    def test_trainer_and_oracle_call_one_pair_loss(self, monkeypatch):
+        # the loss the trainer steps on is pair_loss bit for bit, and the
+        # oracle's pair tables are pair_loss: replacing it replaces both
+        from uplrec import losses, oracle
+        s_i, s_j = np.random.default_rng(2).normal(0, 3, (2, 1000))
+        loss, _, _ = sigmoid_pair_loss(s_i, s_j)
+        assert loss.tobytes() == pair_loss(s_i, s_j).tobytes()
+        assert loss.tobytes() == softplus(-(s_i - s_j)).tobytes()
+        assert oracle.pair_loss is losses.pair_loss
+
+        def seven(a, b):
+            return np.full(np.broadcast_shapes(np.shape(a), np.shape(b)), 7.0)
+        monkeypatch.setattr(losses, "pair_loss", seven)
+        monkeypatch.setattr(oracle, "pair_loss", seven)
+        assert np.all(sigmoid_pair_loss(s_i, s_j)[0] == 7.0)
+        world = oracle.random_world(2, 4, seed=3)
+        for _, table in oracle._pair_losses(world, oracle.model_for_world(world, seed=4)):
+            assert np.array_equal(table, 7.0 - 7.0 * np.eye(4))
 
 
 class TestUplPairWeight:

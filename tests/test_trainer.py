@@ -500,7 +500,7 @@ class TestPointwiseEpochMatchesFullBatchRisk:
                                           in _point_batches(ds, LossSpec(method), batch_size,
                                                             theta, rng)]))
                 for _ in range(num_non_clicks)]
-        clicked = ds.cells == 1
+        clicked = ds.click_table
         risk, _ = pointwise_loss(method, clicked, scores, theta_click=theta[None, :])
         assert math.fsum(sums) / num_non_clicks == pytest.approx(math.fsum(risk.ravel()),
                                                                   rel=1e-12)
