@@ -9,7 +9,8 @@ Subcommands:
   report      re-aggregate an experiment directory from its per-run TSV
 
 A flag that sets a config field takes its type and default from the field,
-in ExperimentConfig or TrainConfig; ``experiment``'s are parsed as strings.
+in ExperimentConfig or TrainConfig; ``experiment`` reads its settings from
+its config file alone.
 
 A command refuses its request by raising UsageError, or lets the ParseError
 or IntegrityError of a malformed input through; ``main`` alone prints it as
@@ -32,10 +33,6 @@ from .evaluation import CANDIDATE_MODES, compute_cohorts, evaluate
 from .experiment import METHOD_TOKENS, ExperimentConfig, PreparedData
 from .factor_model import TrainConfig, save_checkpoint
 from .trainer import train_key
-
-
-# the ExperimentConfig keys `experiment` flags override, given as strings
-_OVERRIDE_KEYS = ("dataset", "format", "methods", "runs", "seed", "threads", "out")
 
 
 def _flag(parser, key, default, **kwargs):
@@ -66,10 +63,6 @@ def main(argv=None) -> int:
 
     e = sub.add_parser("experiment", help="full experiment sweep from a config file")
     e.add_argument("--config", required=True, help="flat key=value config file")
-    e.add_argument("--grid-file", default=None,
-                   help="config file whose *_grid keys override the config's")
-    for key in _OVERRIDE_KEYS:
-        e.add_argument("--" + key.replace("_", "-"), default=None)
 
     v = sub.add_parser("verify", help="estimator oracle suite")
     v.add_argument("--world", default=None, help="world spec file; bundled suite if omitted")
@@ -86,7 +79,7 @@ def main(argv=None) -> int:
     try:
         if args.command != "experiment" and args.out == "":
             # Path("") is the working directory, which would take the outputs;
-            # experiment's --out overrides a config key, checked with the config
+            # experiment's output directory is its config's out, checked there
             what = "file" if args.command == "verify" else "directory"
             raise UsageError(f"--out is empty: name an output {what}")
         return _COMMANDS[args.command](args)
@@ -96,11 +89,8 @@ def main(argv=None) -> int:
 
 
 def _cmd_prepare(args) -> int:
-    try:  # the config checks each flag that is one of its fields
-        ExperimentConfig(**{f.name: getattr(args, f.name) for f in fields(ExperimentConfig)
-                            if hasattr(args, f.name)})
-    except SettingError as exc:
-        raise UsageError(f"--{exc.name.replace('_', '-')}: {exc}") from None
+    if args.seed < 0:  # numpy's generators take no negative seed
+        raise UsageError(f"--seed: seed must be >= 0, got {args.seed}")
     try:
         data = exp.prepare_datasets(args.dataset, args.format, args.seed, args.train_file,
                                     args.test_file)
@@ -169,19 +159,12 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    overrides = {key: getattr(args, key) for key in _OVERRIDE_KEYS}
     try:
-        if args.grid_file:
-            overrides.update(exp.read_config_values(args.grid_file, exp.GRID_KEYS))
-        config = exp.parse_config_file(args.config, overrides)
+        config = exp.parse_config_file(args.config)
         if not config.out:  # Path("") would be the working directory
-            raise UsageError(f"{args.config}: no output directory: set out or pass --out")
+            raise UsageError(f"{args.config}: no output directory: set out")
         config.rating_files()  # a dataset without them is a config error
-    except SettingError as exc:  # named by its flag when a flag set it
-        flagged = exc.name in _OVERRIDE_KEYS and getattr(args, exc.name) is not None
-        flag = f"--{exc.name.replace('_', '-')}: " if flagged else ""
-        raise UsageError(f"{flag}{exc}") from None
-    except OSError as exc:  # a file it cannot read or find: one line, not a traceback
+    except (SettingError, OSError) as exc:  # a bad value, or a file it cannot read or find
         raise UsageError(str(exc)) from None
     out = exp.run_experiment(config)  # it refuses before it writes anything
     failures = out / "failures.tsv"

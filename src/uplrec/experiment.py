@@ -185,12 +185,9 @@ _PARSERS = {f.name: _parser(f.default) for f in fields(ExperimentConfig)}
 _PARSERS["methods"] = lambda s: tuple(t.strip() for t in s.split(",") if t.strip())
 
 
-GRID_KEYS = tuple(key for key in _PARSERS if key.endswith("_grid"))
-
-
-def read_config_values(path, keys=tuple(_PARSERS)) -> dict:
+def read_config_values(path) -> dict:
     """The parsed values a flat key=value file sets; '#' comments; unknown
-    keys, keys outside ``keys`` and values that do not parse are errors."""
+    keys and values that do not parse are errors."""
     values = {}
     for lineno, line in read_lines(path, "#"):
         if "=" not in line:
@@ -199,8 +196,6 @@ def read_config_values(path, keys=tuple(_PARSERS)) -> dict:
         key = key.strip()
         if key not in _PARSERS:
             raise ParseError(path, lineno, f"unknown config key {key!r}")
-        if key not in keys:
-            raise ParseError(path, lineno, f"{key!r} is not one of {', '.join(keys)}")
         try:
             values[key] = _PARSERS[key](val.strip())
         except ValueError as exc:
@@ -208,19 +203,9 @@ def read_config_values(path, keys=tuple(_PARSERS)) -> dict:
     return values
 
 
-def parse_config_file(path, overrides=None) -> ExperimentConfig:
+def parse_config_file(path) -> ExperimentConfig:
     """Flat key=value config; '#' comments; unknown keys are errors."""
-    values = read_config_values(path)
-    for key, val in (overrides or {}).items():
-        if key not in _PARSERS:
-            raise ValueError(f"unknown config key {key!r}")
-        if val is None:  # None overrides nothing
-            continue
-        try:
-            values[key] = _PARSERS[key](val) if isinstance(val, str) else val
-        except ValueError as exc:
-            raise SettingError(key, val, f"{key} override {val!r}: {exc}") from None
-    return ExperimentConfig(**values)
+    return ExperimentConfig(**read_config_values(path))
 
 
 # ---------------------------------------------------------------------------

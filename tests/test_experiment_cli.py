@@ -177,11 +177,11 @@ class TestConfigParsing:
         with pytest.raises(ValueError, match="key=value"):
             exp.parse_config_file(cfg_path)
 
-    def test_comments_and_overrides(self, tmp_path, triplet_files):
+    def test_comment_lines_skipped(self, tmp_path, triplet_files):
         cfg_path = tmp_path / "exp.cfg"
         cfg_path.write_text("# comment\n" + small_config_text(triplet_files, "o"))
-        config = exp.parse_config_file(cfg_path, overrides={"runs": "5"})
-        assert config.runs == 5
+        config = exp.parse_config_file(cfg_path)
+        assert config.runs == 2
 
     def test_hash_depends_on_values(self, triplet_files, tmp_path):
         cfg_path = tmp_path / "exp.cfg"
@@ -191,8 +191,9 @@ class TestConfigParsing:
         b = exp.parse_config_file(cfg_path).hash()
         assert a != b
         # threads and out say how and where to run, not what to compute
-        assert b == exp.parse_config_file(cfg_path, {"threads": "2"}).hash()
-        assert b == exp.parse_config_file(cfg_path, {"out": "p"}).hash()
+        for line in ("threads = 2", "out = p"):
+            cfg_path.write_text(small_config_text(triplet_files, "o", runs=3) + line + "\n")
+            assert b == exp.parse_config_file(cfg_path).hash()
 
     def test_hash_follows_rating_bytes_not_paths(self, triplet_files, tmp_path):
         def hash_of(ratings):
@@ -209,24 +210,6 @@ class TestConfigParsing:
         train.write_text("\n".join(lines) + "\n")
         assert hash_of(b) != hash_of(a)
 
-    @pytest.mark.parametrize("flag, value, message", [
-        ("--seed", "-1", "seed must be >= 0, got -1"),
-        ("--methods", "bpr,nope", "unknown method token 'nope'"),
-    ], ids=["seed_negative", "methods_unknown"])
-    def test_setting_from_a_flag_named_by_the_flag(self, triplet_files, tmp_path, capsys,
-                                                   monkeypatch, flag, value, message):
-        # a rejected value that a flag set is named by the flag, as prepare
-        # names it; numpy's generators take no negative seed
-        stop_at(monkeypatch, exp, "run_experiment")
-        out = tmp_path / "out"
-        cfg_path = tmp_path / "exp.cfg"
-        cfg_path.write_text(small_config_text(triplet_files, out))
-        assert cli.main(["experiment", "--config", str(cfg_path), flag, value]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == f"error: {flag}: {message}\n"
-        assert not out.exists()
-
     def test_unknown_candidate_mode_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="test_onyl"):
             exp.ExperimentConfig(candidates="test_onyl")
@@ -240,9 +223,9 @@ class TestConfigParsing:
             exp.ExperimentConfig(format="csv")
         out = tmp_path / "out"
         cfg_path = tmp_path / "exp.cfg"
-        cfg_path.write_text(small_config_text(triplet_files, out))
-        assert cli.main(["experiment", "--config", str(cfg_path), "--format", "csv"]) == 2
-        assert capsys.readouterr().err == "error: --format: unknown dataset format 'csv'\n"
+        cfg_path.write_text(small_config_text(triplet_files, out) + "format = csv\n")
+        assert cli.main(["experiment", "--config", str(cfg_path)]) == 2
+        assert capsys.readouterr().err == "error: unknown dataset format 'csv'\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("extra, message", [
@@ -285,8 +268,8 @@ class TestConfigParsing:
         root, format, message = bad_rating_files(case, triplet_files, tmp_path)
         out = tmp_path / "out"
         cfg_path = tmp_path / "exp.cfg"
-        cfg_path.write_text(small_config_text(root, out))
-        assert cli.main(["experiment", "--config", str(cfg_path), "--format", format]) == 2
+        cfg_path.write_text(small_config_text(root, out) + f"format = {format}\n")
+        assert cli.main(["experiment", "--config", str(cfg_path)]) == 2
         captured = capsys.readouterr()
         assert captured.err == f"error: {message}\n"
         assert captured.out == ""
@@ -317,23 +300,29 @@ class TestConfigParsing:
         assert captured.out == ""
         assert sorted(tmp_path.rglob("*")) == before
 
-    @pytest.mark.parametrize("drop, flags", [("out = {out}\n", []), ("", ["--out", ""])],
-                             ids=["missing", "empty_override"])
+    def test_missing_config_rejected_in_one_line(self, tmp_path, capsys):
+        cfg_path = tmp_path / "absent.cfg"
+        assert cli.main(["experiment", "--config", str(cfg_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: [Errno 2] No such file or directory: '{cfg_path}'\n"
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("out_line", ["", "out =\n"], ids=["missing", "empty"])
     def test_empty_out_rejected_before_writing(self, triplet_files, tmp_path, capsys,
-                                               monkeypatch, drop, flags):
+                                               monkeypatch, out_line):
         # Path("") is the working directory, which would take the whole tree
         work = tmp_path / "work"
         work.mkdir()
         monkeypatch.chdir(work)
         cfg_path = tmp_path / "exp.cfg"
-        cfg_path.write_text(small_config_text(triplet_files, "o").replace(
-            drop.format(out="o"), ""))
-        assert cli.main(["experiment", "--config", str(cfg_path), *flags]) == 2
+        cfg_path.write_text(small_config_text(triplet_files, "o").replace("out = o\n",
+                                                                          out_line))
+        assert cli.main(["experiment", "--config", str(cfg_path)]) == 2
         captured = capsys.readouterr()
-        assert captured.err == \
-            f"error: {cfg_path}: no output directory: set out or pass --out\n"
+        assert captured.err == f"error: {cfg_path}: no output directory: set out\n"
         assert captured.out == ""
-        config = exp.parse_config_file(cfg_path, {"out": ""})
+        config = exp.parse_config_file(cfg_path)
         with pytest.raises(ValueError, match="no output directory configured"):
             exp.run_experiment(config)
         assert list(work.iterdir()) == []
@@ -359,22 +348,6 @@ class TestConfigParsing:
         with pytest.raises(ParseError) as info:
             exp.parse_config_file(cfg_path)
         assert (info.value.path, info.value.lineno) == (str(cfg_path), lineno)
-
-    def test_unparsable_grid_file_or_override_names_its_key(self, triplet_files, tmp_path,
-                                                             capsys):
-        out = tmp_path / "out"
-        cfg_path = tmp_path / "exp.cfg"
-        cfg_path.write_text(small_config_text(triplet_files, out))
-        grid = tmp_path / "grid.cfg"
-        grid.write_text("# grids\nd_grid = 8\nclip_grid = 0,low\n")
-        assert cli.main(["experiment", "--config", str(cfg_path),
-                         "--grid-file", str(grid)]) == 2
-        assert capsys.readouterr().err == \
-            f"error: {grid}:3: clip_grid: could not convert string to float: 'low'\n"
-        assert cli.main(["experiment", "--config", str(cfg_path), "--runs", "abc"]) == 2
-        assert capsys.readouterr().err == \
-            "error: --runs: runs override 'abc': invalid literal for int() with base 10: 'abc'\n"
-        assert not out.exists()
 
     @pytest.mark.parametrize("word, value", [
         ("on", True), ("ON", True), ("true", True), ("True", True), ("yes", True),
@@ -402,11 +375,17 @@ class TestConfigParsing:
         assert cfg_hash == exp.parse_config_file(cfg_path).hash()
         assert capsys.readouterr().out == f"experiment done: {out} (config hash {cfg_hash})\n"
 
-    def test_invalid_method_token(self, tmp_path):
+    def test_invalid_method_token(self, triplet_files, tmp_path, capsys):
+        out = tmp_path / "out"
         cfg_path = tmp_path / "exp.cfg"
-        cfg_path.write_text("methods = bpr,expomf\n")
+        cfg_path.write_text(small_config_text(triplet_files, out, methods="bpr,expomf"))
         with pytest.raises(ValueError, match="expomf"):
             exp.parse_config_file(cfg_path)
+        assert cli.main(["experiment", "--config", str(cfg_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: unknown method token 'expomf'\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("line, message", [
         ("methods = bpr,upl,bpr", "methods repeats 'bpr'"),
@@ -845,11 +824,19 @@ class TestTrainCli:
         ("prepare", "--validation-fraction", "0"),
         ("prepare", "--validation-fraction", "1.5"),
         ("experiment", "--epsilon-train", "0.1"), ("experiment", "--epsilon-test", "0"),
+        ("experiment", "--dataset", "elsewhere"), ("experiment", "--format", "coat"),
+        ("experiment", "--methods", "relmf"), ("experiment", "--runs", "3"),
+        ("experiment", "--seed", "4"), ("experiment", "--threads", "2"),
+        ("experiment", "--out", "elsewhere_out"), ("experiment", "--grid-file", "grid.cfg"),
     ], ids=["wmf_weight", "epsilon_train_one", "epsilon_test_nan", "fraction_zero",
-            "fraction_above_one", "experiment_epsilon_train", "experiment_epsilon_test"])
+            "fraction_above_one", "experiment_epsilon_train", "experiment_epsilon_test",
+            "experiment_dataset", "experiment_format", "experiment_methods",
+            "experiment_runs", "experiment_seed", "experiment_threads", "experiment_out",
+            "experiment_grid_file"])
     def test_retired_flag_is_unknown(self, triplet_files, tmp_path, capsys, command, flag,
                                      value):
-        # wmf's click weight and the data protocol are constants: argparse
+        # wmf's click weight and the data protocol are constants, and an
+        # experiment's settings come from its config file alone: argparse
         # refuses the flag, whatever the value, before anything is read
         out = tmp_path / "run"
         cfg_path = tmp_path / "exp.cfg"
@@ -986,6 +973,19 @@ class TestCliSurface:
              for name in ("exposed.tsv", "meta.json")] + ["item_map.tsv", "user_map.tsv"])
         assert files == tree_bytes(saved)
 
+    def test_prepare_takes_the_seed_of_a_one_run_experiment(self, triplet_files, tmp_path):
+        # prepare has no runs, so no last run seed bounds its seed: at the
+        # largest seeds only a one-run experiment is valid, and prepare
+        # still rebuilds its data
+        seed, out = 2**63 - 8, tmp_path / "out"
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(small_config_text(triplet_files, out, runs=1, seed=seed)
+                            + "max_epochs = 1\n")
+        assert cli.main(["experiment", "--config", str(cfg_path)]) == 0
+        assert cli.main(["prepare", "--dataset", str(triplet_files), "--format", "triplets",
+                         "--seed", str(seed), "--out", str(tmp_path / "prep")]) == 0
+        assert tree_bytes(tmp_path / "prep") == tree_bytes(out / "data")
+
     def test_format_choices_are_the_dataset_formats(self, tmp_path, monkeypatch, capsys):
         # --format offers the formats _rating_files knows, from one tuple
         monkeypatch.setattr(exp, "DATASET_FORMATS", ("coat", "other"))
@@ -1038,41 +1038,13 @@ class TestCliSurface:
         assert sorted(named - options) == []
         assert sorted(options - named) == []
 
-    def test_experiment_flags_set_their_keys(self, triplet_files, tmp_path, monkeypatch):
-        cfg_path = tmp_path / "exp.cfg"
-        cfg_path.write_text(small_config_text(triplet_files, tmp_path / "out"))
-        flags = [  # flag, key, value given, value set; none is the file's
-            ("--dataset", "dataset", "elsewhere", "elsewhere"),
-            ("--format", "format", "coat", "coat"),
-            ("--methods", "methods", "relmf, upl", ("relmf", "upl")),
-            ("--runs", "runs", "3", 3),
-            ("--seed", "seed", "4", 4),
-            ("--threads", "threads", "2", 2),
-            ("--out", "out", "elsewhere_out", "elsewhere_out"),
-        ]
-        # the CLI hashes the rating files before it runs: give --dataset some
-        monkeypatch.chdir(tmp_path)
-        (tmp_path / "elsewhere").mkdir()
-        for name in ("train.ascii", "test.ascii"):
-            (tmp_path / "elsewhere" / name).write_text("")
-        calls = stop_at(monkeypatch, exp, "run_experiment")
-        with pytest.raises(_Stop):
-            cli.main(["experiment", "--config", str(cfg_path)]
-                     + [arg for flag, _, given, _ in flags for arg in (flag, given)])
-        (config,), _ = calls[0]
-        from_file = exp.parse_config_file(cfg_path)
-        for _, key, _, value in flags:
-            assert getattr(from_file, key) != value, key
-            assert getattr(config, key) == value, key
-
-
 class TestUnusablePaths:
     """A directory where a command reads a file, a file where it reads or
     creates a directory, or an input that is not UTF-8 text, gives one error
     line naming the path, and nothing is written."""
 
     @pytest.mark.parametrize("case", [
-        "experiment_config", "experiment_grid_file", "experiment_train_file",
+        "experiment_config", "experiment_train_file",
         "experiment_out", "experiment_out_under_a_file", "verify_world", "train_data",
         "report_out", "report_config_hash", "prepare_train_file"])
     def test_refused_in_one_line(self, triplet_files, tmp_path, capsys, case):
@@ -1087,19 +1059,20 @@ class TestUnusablePaths:
         cfg.write_text(small_config_text(triplet_files, tmp_path / "out"))
         cfg_train_dir = tmp_path / "train_dir.cfg"
         cfg_train_dir.write_text(cfg.read_text() + f"train_file = {adir}\n")
-        experiment = ["experiment", "--config", str(cfg)]
+        cfg_out, cfg_out_under = tmp_path / "out.cfg", tmp_path / "out_under.cfg"
+        cfg_out.write_text(small_config_text(triplet_files, afile))
+        cfg_out_under.write_text(small_config_text(triplet_files, afile / "out"))
         prepare = ["prepare", "--dataset", str(triplet_files), "--format", "triplets"]
         is_a_dir = f"[Errno 21] Is a directory: '{adir}'"
         not_a_file = f"dataset {triplet_files}: rating file {adir} is not a file"
         argv, message = {
             "experiment_config": (["experiment", "--config", str(adir)], is_a_dir),
-            "experiment_grid_file": (experiment + ["--grid-file", str(adir)], is_a_dir),
             "experiment_train_file": (["experiment", "--config", str(cfg_train_dir)],
                                       not_a_file),
-            "experiment_out": (experiment + ["--out", str(afile)],
+            "experiment_out": (["experiment", "--config", str(cfg_out)],
                                f"cannot create directory {afile}: File exists"),
             "experiment_out_under_a_file": (
-                experiment + ["--out", str(afile / "out")],
+                ["experiment", "--config", str(cfg_out_under)],
                 f"cannot create directory {afile / 'out'}: Not a directory"),
             "verify_world": (["verify", "--world", str(adir), "--exact-only"], is_a_dir),
             "train_data": (
@@ -1123,7 +1096,7 @@ class TestUnusablePaths:
         assert afile.read_text() == "kept\n"
 
     @pytest.mark.parametrize("case", [
-        "prepare_triplets", "prepare_coat", "experiment_config", "experiment_grid_file",
+        "prepare_triplets", "prepare_coat", "experiment_config",
         "verify_world", "train_meta", "train_exposed", "report"])
     def test_undecodable_input_refused_in_one_line(self, triplet_files, tmp_path, capsys,
                                                    case):
@@ -1139,8 +1112,6 @@ class TestUnusablePaths:
             "method\trun\tcohort\tmetric\tk\tvalue\nbpr\t0\tall\tdcg\t5\t0.5\n")
         cfg = tmp_path / "exp.cfg"
         cfg.write_text(small_config_text(triplet_files, tmp_path / "out"))
-        grid = tmp_path / "grid.cfg"
-        grid.write_text("# grids\nd_grid = 8\n")
         world = tmp_path / "world.txt"
         shutil.copy(WORLDS_DIR / "clip_bias.txt", world)
         data = shutil.copytree(triplet_files, tmp_path / "data")
@@ -1151,8 +1122,6 @@ class TestUnusablePaths:
             "prepare_coat": (["prepare", "--dataset", str(coat), "--format", "coat",
                               "--out", str(tmp_path / "o")], coat / "train.ascii", ""),
             "experiment_config": (["experiment", "--config", str(cfg)], cfg, ""),
-            "experiment_grid_file": (["experiment", "--config", str(cfg),
-                                      "--grid-file", str(grid)], grid, ""),
             "verify_world": (["verify", "--world", str(world), "--exact-only"], world, ""),
             "train_meta": (train, prep / "train" / "meta.json", f"prepared data {prep}: "),
             "train_exposed": (train, prep / "train" / "exposed.tsv",
@@ -1765,59 +1734,3 @@ class TestVerifyCli:
             captured.out)
         assert re.fullmatch(r"verify: 4 estimators in \d+\.\d\d s\n", captured.err)
 
-
-class TestGridFile:
-    def test_grid_file_overrides(self, triplet_files, tmp_path):
-        cfg_path = tmp_path / "exp.cfg"
-        out = tmp_path / "out"
-        cfg_path.write_text(small_config_text(triplet_files, out, runs=1))
-        grid_path = tmp_path / "grid.cfg"
-        grid_path.write_text("d_grid = 4,6\nlambda_grid = 1e-4\nclip_grid = 0\n")
-        rc = cli.main(["experiment", "--config", str(cfg_path),
-                       "--grid-file", str(grid_path)])
-        assert rc == 0
-        grid_lines = (out / "grid_search.tsv").read_text().strip().splitlines()
-        body = [l for l in grid_lines if not l.startswith(("#", "method\t"))]
-        assert len(body) == 2  # two d values x one lambda
-        assert {l.split("\t")[1] for l in body} == {"4", "6"}
-
-    def test_grid_file_resolves_like_inline_grids(self, triplet_files, tmp_path, capsys):
-        grid = {"d_grid": "4,6", "lambda_grid": "1e-4,1e-3", "clip_grid": "-1,0"}
-        base = small_config_text(triplet_files, tmp_path / "a", runs=1)
-        (tmp_path / "a.cfg").write_text(base)
-        (tmp_path / "grid.cfg").write_text("".join(f"{k} = {v}\n" for k, v in grid.items()))
-        inline = small_config_text(triplet_files, tmp_path / "b", runs=1)
-        for key, value in grid.items():
-            inline = re.sub(rf"^{key} = .*$", f"{key} = {value}", inline, flags=re.M)
-        (tmp_path / "b.cfg").write_text(inline)
-        assert cli.main(["experiment", "--config", str(tmp_path / "a.cfg"),
-                         "--grid-file", str(tmp_path / "grid.cfg")]) == 0
-        assert cli.main(["experiment", "--config", str(tmp_path / "b.cfg")]) == 0
-        hashes = re.findall(r"config hash (\w+)", capsys.readouterr().out)
-        assert len(hashes) == 2 and hashes[0] == hashes[1]
-        resolved_a = (tmp_path / "a" / "config_resolved.cfg").read_text()
-        resolved_b = (tmp_path / "b" / "config_resolved.cfg").read_text()
-        assert resolved_a.replace(str(tmp_path / "a"), str(tmp_path / "b")) == resolved_b
-
-    def test_grid_keys_left_out_keep_the_config_values(self, triplet_files, tmp_path):
-        out = tmp_path / "out"
-        cfg = re.sub(r"^lambda_grid = .*$", "lambda_grid = 0.001",
-                     small_config_text(triplet_files, out, runs=1), flags=re.M)
-        (tmp_path / "exp.cfg").write_text(cfg)
-        (tmp_path / "grid.cfg").write_text("clip_grid = 0,-1\n")
-        assert cli.main(["experiment", "--config", str(tmp_path / "exp.cfg"),
-                         "--grid-file", str(tmp_path / "grid.cfg")]) == 0
-        resolved = (out / "config_resolved.cfg").read_text().splitlines()
-        assert "d_grid=8" in resolved
-        assert "lambda_grid=0.001" in resolved
-        assert "clip_grid=0.0,-1.0" in resolved
-
-    def test_non_grid_key_rejected(self, triplet_files, tmp_path, capsys):
-        out = tmp_path / "out"
-        (tmp_path / "exp.cfg").write_text(small_config_text(triplet_files, out, runs=1))
-        (tmp_path / "grid.cfg").write_text("d_grid = 4\nruns = 3\n")
-        assert cli.main(["experiment", "--config", str(tmp_path / "exp.cfg"),
-                         "--grid-file", str(tmp_path / "grid.cfg")]) == 2
-        assert re.match(r"error: .*grid\.cfg:2: 'runs' is not one of",
-                        capsys.readouterr().err)
-        assert not out.exists()  # rejected before anything ran
