@@ -46,10 +46,9 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("prepare", help="generate semi-synthetic implicit datasets")
-    p.add_argument("--dataset", required=True, help="dataset file or directory")
+    p.add_argument("--dataset", required=True, help="dataset directory")
     _flag(p, "format", ExperimentConfig.format, choices=exp.DATASET_FORMATS)
-    for name in ("train_file", "test_file", "seed"):
-        _flag(p, name, getattr(ExperimentConfig, name))
+    _flag(p, "seed", ExperimentConfig.seed)
     p.add_argument("--out", required=True)
 
     t = sub.add_parser("train", help="single training run on a prepared directory")
@@ -92,8 +91,7 @@ def _cmd_prepare(args) -> int:
     if args.seed < 0:  # numpy's generators take no negative seed
         raise UsageError(f"--seed: seed must be >= 0, got {args.seed}")
     try:
-        data = exp.prepare_datasets(args.dataset, args.format, args.seed, args.train_file,
-                                    args.test_file)
+        data = exp.prepare_datasets(args.dataset, args.format, args.seed)
     except OSError as exc:  # names the file
         raise UsageError(str(exc)) from None
     exp.check_splits(data, f"dataset {args.dataset}")  # the splits train would refuse

@@ -22,6 +22,13 @@ DATASET_FORMAT_VERSION = 1
 R_MAX = 5  # star ratings run from 1 to R_MAX
 
 
+def _check_distinct_cells(codes):
+    """IntegrityError unless the ascending cell codes user * num_items + item
+    name each (user, item) pair once."""
+    if np.any(np.diff(codes) <= 0):
+        raise IntegrityError("duplicate (user, item) pair")
+
+
 @dataclass
 class ExplicitRatings:
     """Sparse (user, item, rating) triplets with dense 0-based indices.
@@ -53,9 +60,7 @@ class ExplicitRatings:
             raise ValueError("item index out of range")
         if len(self.ratings) and (self.ratings.min() < 1 or self.ratings.max() > R_MAX):
             raise ValueError(f"rating outside [1, {R_MAX}]")
-        codes = self.users * self.num_items + self.items
-        if len(np.unique(codes)) != len(codes):
-            raise IntegrityError("duplicate (user, item) pair")
+        _check_distinct_cells(np.sort(self.users * self.num_items + self.items))
 
     def __len__(self):
         return len(self.users)
@@ -235,9 +240,7 @@ class ImplicitDataset:
             raise ValueError("gamma outside [0, 1]")
         if not np.all(np.isin(self.rel, (0, 1))):
             raise ValueError("rel must be binary")
-        codes = self.users * self.num_items + self.items
-        if np.any(np.diff(codes) <= 0):
-            raise IntegrityError("duplicate (user, item) pair")
+        _check_distinct_cells(self.users * self.num_items + self.items)  # lexsorted
 
     def __len__(self):
         return len(self.users)

@@ -128,7 +128,7 @@ def _user_metrics(model: FactorModel, data: ImplicitDataset, ks, candidates: str
 
     active = np.flatnonzero(counts)
     widths = np.full(len(active), model.num_items) if catalog else counts[active]
-    for n in np.unique(widths):
+    for n in np.flatnonzero(np.bincount(widths)):  # np.unique would load numpy.ma
         group = active[widths == n]
         step = max(1, _CHUNK_CELLS // (n if catalog else n * model.d))
         for lo in range(0, len(group), step):

@@ -80,8 +80,6 @@ _CONFIG_KEYS = {"d": "d_grid", "lam": "lambda_grid", "clip_threshold": "clip_gri
 class ExperimentConfig:
     dataset: str = ""
     format: str = DATASET_FORMATS[0]
-    train_file: str = ""
-    test_file: str = ""
     methods: tuple = METHOD_TOKENS
     runs: int = 50
     seed: int = 0
@@ -150,8 +148,8 @@ class ExperimentConfig:
 
     def rating_files(self) -> tuple[Path, Path]:
         """The (train, test) rating files the config reads; FileNotFoundError
-        names the dataset and the file it lacks."""
-        return _rating_files(self.dataset, self.format, self.train_file, self.test_file)
+        names the dataset and the file it lacks or that is not a file."""
+        return _rating_files(self.dataset, self.format)
 
     def hash(self) -> str:
         """Hash of what the config computes.  The rating files enter by the
@@ -160,7 +158,7 @@ class ExperimentConfig:
         run, so they are left out."""
         digests = ",".join(hashlib.sha256(p.read_bytes()).hexdigest()
                            for p in self.rating_files())
-        what = replace(self, dataset="", train_file="", test_file="", threads=1, out="")
+        what = replace(self, dataset="", threads=1, out="")
         text = what.canonical_text() + f"ratings_sha256={digests}\n"
         return hashlib.sha256(text.encode()).hexdigest()[:16]
 
@@ -221,36 +219,35 @@ class PreparedData:
     item_ids: np.ndarray | None = None
 
 
-def _find_file(root: Path, explicit: str, candidates) -> Path:
-    if explicit:
-        p = Path(explicit)
-        p = p if p.is_absolute() else root / p
+def _find_file(root: Path, names) -> Path:
+    """The first of ``names`` in directory ``root``; FileNotFoundError when
+    none is there or the first there is not a file."""
+    for name in names:
+        p = root / name
         if p.is_file():
             return p
-        raise FileNotFoundError(f"dataset {root}: rating file {p} "
-                                + ("is not a file" if p.exists() else "not found"))
-    for name in candidates:
-        if (root / name).is_file():
-            return root / name
-    raise FileNotFoundError(f"dataset {root}: none of {', '.join(candidates)} found")
+        if p.exists():  # a directory, say: refused, not passed over
+            raise FileNotFoundError(f"dataset {root}: rating file {p} is not a file")
+    raise FileNotFoundError(f"dataset {root}: none of {', '.join(names)} found")
 
 
-def _rating_files(dataset_path, format, train_file, test_file):
-    """The (train, test) explicit-rating files that ``prepare_datasets`` reads."""
+def _rating_files(dataset_path, format):
+    """The (train, test) explicit-rating files that ``prepare_datasets`` reads:
+    each the first of the format's names found in the dataset directory."""
     if format not in _RATING_FILES:
         raise ValueError(f"unknown dataset format {format!r}")
     _, train_names, test_names = _RATING_FILES[format]
     root = Path(dataset_path)
-    return (_find_file(root, train_file, train_names), _find_file(root, test_file, test_names))
+    return _find_file(root, train_names), _find_file(root, test_names)
 
 
 def prepare_datasets(dataset_path, format=ExperimentConfig.format,
-                     seed=ExperimentConfig.seed, train_file="", test_file="") -> PreparedData:
+                     seed=ExperimentConfig.seed) -> PreparedData:
     """Load explicit ratings and produce (train, validation, test) implicit
     splits at EPSILON_TRAIN, EPSILON_TEST and VALIDATION_FRACTION.
     Generation seeds: train = seed, test = seed + 1, split = seed + 2.
     """
-    paths = _rating_files(dataset_path, format, train_file, test_file)
+    paths = _rating_files(dataset_path, format)
     train_ratings, test_ratings = (load_triplets(path, format=_RATING_FILES[format][0])
                                    for path in paths)
     if format == "triplets":
@@ -435,8 +432,7 @@ def run_experiment(config: ExperimentConfig) -> Path:
     # find and parse the rating files, estimate the propensities from the
     # train split's clicks and check the validation split's, before writing
     cfg_hash = config.hash()
-    data = prepare_datasets(config.dataset, config.format, config.seed, config.train_file,
-                            config.test_file)
+    data = prepare_datasets(config.dataset, config.format, config.seed)
     propensities = check_splits(data, f"dataset {config.dataset}")
     make_dir(out)
     (out / "logs").mkdir(exist_ok=True)

@@ -135,17 +135,20 @@ class TestConfigParsing:
         "validation_fraction = 0.0", "validation_fraction = 1.0",
         "validation_fraction = nan",
         "ks =", "ks = -1", "ks = 0", "ks = 5,0", "ks = 3,5,5",
+        "train_file = a.txt", "test_file = b.txt",
     ], ids=["propensity_power", "propensity_floor", "power_negative", "power_inf",
             "floor_above_one", "floor_nan", "wmf_weight", "wmf_weight_below_one",
             "wmf_weight_nan",
             "epsilon_train", "epsilon_test", "validation_fraction", "ks",
             "epsilon_train_one", "epsilon_train_negative", "epsilon_test_nan",
             "fraction_zero", "fraction_one", "fraction_nan",
-            "ks_empty", "ks_negative", "ks_zero", "ks_with_zero", "ks_repeated"])
+            "ks_empty", "ks_negative", "ks_zero", "ks_with_zero", "ks_repeated",
+            "train_file", "test_file"])
     def test_retired_setting_is_an_unknown_key(self, triplet_files, tmp_path, capsys, lines):
         # theta's power and floor, wmf's click weight, the data protocol's
-        # epsilons and validation share and the metric cutoffs are constants:
-        # a config that sets one is refused before writing, whatever the value
+        # epsilons and validation share and the metric cutoffs are constants,
+        # and a dataset's rating files are found by its format's names: a
+        # config that sets one is refused before writing, whatever the value
         text = small_config_text(triplet_files, tmp_path / "out") + lines + "\n"
         key = lines.splitlines()[-1].partition("=")[0].strip()
         cfg_path = tmp_path / "exp.cfg"
@@ -228,21 +231,16 @@ class TestConfigParsing:
         assert capsys.readouterr().err == "error: unknown dataset format 'csv'\n"
         assert not out.exists()
 
-    @pytest.mark.parametrize("extra, message", [
-        ("", "dataset {root}: none of train.txt, ydata-ymusic-rating-study-v1_0-train.txt "
-             "found"),
-        ("train_file = gone.txt\n", "dataset {root}: rating file {root}/gone.txt not found"),
-    ], ids=["searched", "named"])
-    def test_missing_rating_files_rejected_before_writing(self, tmp_path, capsys, extra,
-                                                          message):
+    def test_missing_rating_files_rejected_before_writing(self, tmp_path, capsys):
         # the config hash reads the rating files, so a dataset without them
         # is a config error before the output tree is created
         root = tmp_path / "nonexistent"
         out = tmp_path / "out"
         cfg_path = tmp_path / "exp.cfg"
-        cfg_path.write_text(small_config_text(root, out) + extra)
+        cfg_path.write_text(small_config_text(root, out))
         assert cli.main(["experiment", "--config", str(cfg_path)]) == 2
-        assert capsys.readouterr().err == "error: " + message.format(root=root) + "\n"
+        assert capsys.readouterr().err == (f"error: dataset {root}: none of train.txt, "
+                                           "ydata-ymusic-rating-study-v1_0-train.txt found\n")
         assert not out.exists()
         config = exp.parse_config_file(cfg_path)
         with pytest.raises(FileNotFoundError, match=re.escape(str(root))):
@@ -444,11 +442,10 @@ class TestConfigParsing:
     def test_canonical_text_round_trips_every_field(self, tmp_path):
         # every field away from its default, so each field's parser is used
         config = exp.ExperimentConfig(
-            dataset="ratings", format="triplets", train_file="a.txt", test_file="b.txt",
-            methods=("upl", "bpr"), runs=3, seed=7, d_grid=(4, 6), lambda_grid=(0.5, 1e-9),
-            clip_grid=(-0.5, -2.0), cohorts=False, candidates="test_only",
-            batch_size=32, learning_rate=0.01, max_epochs=9, patience=2, threads=2,
-            out="o")
+            dataset="ratings", format="triplets", methods=("upl", "bpr"), runs=3, seed=7,
+            d_grid=(4, 6), lambda_grid=(0.5, 1e-9), clip_grid=(-0.5, -2.0), cohorts=False,
+            candidates="test_only", batch_size=32, learning_rate=0.01, max_epochs=9,
+            patience=2, threads=2, out="o")
         default = exp.ExperimentConfig()
         assert [f.name for f in fields(config)
                 if getattr(config, f.name) == getattr(default, f.name)] == []
@@ -823,20 +820,22 @@ class TestTrainCli:
         ("prepare", "--epsilon-train", "1"), ("prepare", "--epsilon-test", "nan"),
         ("prepare", "--validation-fraction", "0"),
         ("prepare", "--validation-fraction", "1.5"),
+        ("prepare", "--train-file", "a.txt"), ("prepare", "--test-file", "b.txt"),
         ("experiment", "--epsilon-train", "0.1"), ("experiment", "--epsilon-test", "0"),
         ("experiment", "--dataset", "elsewhere"), ("experiment", "--format", "coat"),
         ("experiment", "--methods", "relmf"), ("experiment", "--runs", "3"),
         ("experiment", "--seed", "4"), ("experiment", "--threads", "2"),
         ("experiment", "--out", "elsewhere_out"), ("experiment", "--grid-file", "grid.cfg"),
     ], ids=["wmf_weight", "epsilon_train_one", "epsilon_test_nan", "fraction_zero",
-            "fraction_above_one", "experiment_epsilon_train", "experiment_epsilon_test",
-            "experiment_dataset", "experiment_format", "experiment_methods",
-            "experiment_runs", "experiment_seed", "experiment_threads", "experiment_out",
-            "experiment_grid_file"])
+            "fraction_above_one", "train_file", "test_file", "experiment_epsilon_train",
+            "experiment_epsilon_test", "experiment_dataset", "experiment_format",
+            "experiment_methods", "experiment_runs", "experiment_seed", "experiment_threads",
+            "experiment_out", "experiment_grid_file"])
     def test_retired_flag_is_unknown(self, triplet_files, tmp_path, capsys, command, flag,
                                      value):
-        # wmf's click weight and the data protocol are constants, and an
-        # experiment's settings come from its config file alone: argparse
+        # wmf's click weight and the data protocol are constants, a dataset's
+        # rating files are found by its format's names, and an experiment's
+        # settings come from its config file alone: argparse
         # refuses the flag, whatever the value, before anything is read
         out = tmp_path / "run"
         cfg_path = tmp_path / "exp.cfg"
@@ -949,8 +948,7 @@ class TestCliSurface:
         with pytest.raises(_Stop):
             cli.main(["prepare", "--dataset", str(triplet_files), "--out", str(tmp_path)])
         default = exp.ExperimentConfig()
-        assert calls == [((str(triplet_files), default.format, default.seed,
-                           default.train_file, default.test_file), {})]
+        assert calls == [((str(triplet_files), default.format, default.seed), {})]
 
     def test_prepare_datasets_defaults_are_the_config_defaults(self, experiment_data,
                                                                tmp_path):
@@ -1057,14 +1055,16 @@ class TestUnusablePaths:
         (runs / "config_hash.txt").mkdir()
         cfg = tmp_path / "exp.cfg"
         cfg.write_text(small_config_text(triplet_files, tmp_path / "out"))
+        hollow = tmp_path / "hollow"  # a triplets dataset whose train.txt is a directory
+        (hollow / "train.txt").mkdir(parents=True)
+        shutil.copy(triplet_files / "test.txt", hollow)
         cfg_train_dir = tmp_path / "train_dir.cfg"
-        cfg_train_dir.write_text(cfg.read_text() + f"train_file = {adir}\n")
+        cfg_train_dir.write_text(small_config_text(hollow, tmp_path / "out"))
         cfg_out, cfg_out_under = tmp_path / "out.cfg", tmp_path / "out_under.cfg"
         cfg_out.write_text(small_config_text(triplet_files, afile))
         cfg_out_under.write_text(small_config_text(triplet_files, afile / "out"))
-        prepare = ["prepare", "--dataset", str(triplet_files), "--format", "triplets"]
         is_a_dir = f"[Errno 21] Is a directory: '{adir}'"
-        not_a_file = f"dataset {triplet_files}: rating file {adir} is not a file"
+        not_a_file = f"dataset {hollow}: rating file {hollow / 'train.txt'} is not a file"
         argv, message = {
             "experiment_config": (["experiment", "--config", str(adir)], is_a_dir),
             "experiment_train_file": (["experiment", "--config", str(cfg_train_dir)],
@@ -1084,8 +1084,8 @@ class TestUnusablePaths:
             "report_config_hash": (["report", "--out", str(runs)],
                                    f"[Errno 21] Is a directory: '{runs / 'config_hash.txt'}'"),
             "prepare_train_file": (
-                prepare + ["--train-file", str(adir), "--out", str(tmp_path / "o")],
-                not_a_file),
+                ["prepare", "--dataset", str(hollow), "--format", "triplets",
+                 "--out", str(tmp_path / "o")], not_a_file),
         }[case]
         before = sorted(tmp_path.rglob("*"))
         assert cli.main(argv) == 2

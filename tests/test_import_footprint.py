@@ -6,7 +6,8 @@ BENCH_12.json), ``scipy.sparse`` in the gradient scatter
 ``trainer._scatter_rows`` (about 12 MB of train-d200's peak RSS,
 BENCH_13.json) and ``scipy.special`` in the Student-t tail
 ``evaluation.t_sf`` (about 26 MB and 315 modules over numpy,
-BENCH_16.json)."""
+BENCH_16.json).  Nor does the coat path load ``numpy.ma``, which
+``np.unique`` imports lazily (about 1.2 MB of RSS and 10 ms)."""
 
 import os
 import subprocess
@@ -43,3 +44,34 @@ def test_import_training_and_t_tests_load_no_scipy():
                           text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout == "[]\n[]\n[]\n"
+
+
+MA_SCRIPT = """
+import sys
+from pathlib import Path
+import numpy as np
+from uplrec import LossSpec, TrainConfig, experiment, trainer
+from uplrec.evaluation import compute_cohorts, evaluate
+root = Path(sys.argv[1])
+rng = np.random.default_rng(0)
+for name in ("train.ascii", "test.ascii"):
+    np.savetxt(root / name, rng.integers(0, 6, size=(30, 20)), fmt="%d")
+data = experiment.prepare_datasets(root, "coat", seed=0)
+print("numpy.ma" in sys.modules)
+propensities = experiment.check_splits(data, root)
+run = trainer.train(data.train, TrainConfig(d=2, max_epochs=2, batch_size=16),
+                    LossSpec("relmf"), propensities, validation=data.validation)
+print("numpy.ma" in sys.modules)
+evaluate(run.final_model, data.test, cohorts=compute_cohorts(data.train))
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_coat_path_loads_no_numpy_ma(tmp_path):
+    # a dense prepare_datasets, a training run with validation and evaluate
+    # with cohorts, each the coat path of an experiment
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    done = subprocess.run([sys.executable, "-c", MA_SCRIPT, str(tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "False\nFalse\nFalse\n"
