@@ -80,6 +80,29 @@ def read_lines(path, comment=None):
             yield lineno, line
 
 
+def refuse_repeats(path, what):
+    """A check(key, lineno) for a table reader: ParseError at line ``lineno``
+    of ``path`` when ``key`` came before, naming ``what`` and its first line."""
+    first_line = {}
+
+    def check(key, lineno):
+        if first_line.setdefault(key, lineno) != lineno:
+            raise ParseError(path, lineno, f"duplicate {what} {key}, "
+                             f"first on line {first_line[key]}")
+    return check
+
+
+def write_tsv(path, header, rows, comment=None):
+    """Write tab-separated lines: the ``comment`` cells after '#' and the
+    ``header`` names, each if given, then each row's cells as ``str`` gives."""
+    with open(path, "w") as fh:
+        if comment:
+            fh.write("# " + "\t".join(comment) + "\n")
+        if header:
+            fh.write("\t".join(header) + "\n")
+        fh.writelines("\t".join(map(str, row)) + "\n" for row in rows)
+
+
 def load_triplets(path, format="triplets") -> ExplicitRatings:
     """Load explicit ratings from disk.
 
@@ -98,7 +121,7 @@ def load_triplets(path, format="triplets") -> ExplicitRatings:
 
 def _load_triplet_file(path: Path) -> ExplicitRatings:
     raw_users, raw_items, ratings = [], [], []
-    first_line = {}  # (user, item) -> the line that rated it
+    repeated = refuse_repeats(path, "(user, item) pair")
     for lineno, line in read_lines(path):
         parts = line.split("\t")
         if len(parts) != 3:
@@ -111,10 +134,7 @@ def _load_triplet_file(path: Path) -> ExplicitRatings:
             raise ParseError(path, lineno, f"non-integer field in {line!r}") from None
         if not 1 <= r <= R_MAX:
             raise ParseError(path, lineno, f"rating {r} outside [1, {R_MAX}]")
-        if (u, i) in first_line:
-            raise ParseError(path, lineno, f"duplicate (user, item) pair ({u}, {i}), "
-                             f"first on line {first_line[u, i]}")
-        first_line[u, i] = lineno
+        repeated((u, i), lineno)
         raw_users.append(u)
         raw_items.append(i)
         ratings.append(r)
@@ -169,8 +189,12 @@ def _load_dense_file(path: Path) -> ExplicitRatings:
 def align_index_spaces(a: ExplicitRatings, b: ExplicitRatings):
     """Remap two rating sets (e.g. train and test files) onto one shared
     0-based index space, using the union of their raw ids."""
-    user_ids = np.union1d(a.user_ids, b.user_ids)
-    item_ids = np.union1d(a.item_ids, b.item_ids)
+    def union(x, y):  # sorted, then diffed: np.union1d would import numpy.ma
+        ids = np.sort(np.concatenate((x, y)))
+        return np.concatenate((ids[:1], ids[1:][np.diff(ids) != 0]))
+
+    user_ids = union(a.user_ids, b.user_ids)
+    item_ids = union(a.item_ids, b.item_ids)
 
     def remap(r: ExplicitRatings) -> ExplicitRatings:
         return replace(r, num_users=len(user_ids), num_items=len(item_ids),
@@ -350,10 +374,9 @@ def save_dataset(dataset: ImplicitDataset, out_dir):
         "r_max": R_MAX,
     }
     (out / "meta.json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
-    with open(out / "exposed.tsv", "w") as fh:
-        fh.write("user\titem\tgamma\trel\n")
-        for u, i, g, r in zip(dataset.users, dataset.items, dataset.gamma, dataset.rel):
-            fh.write(f"{u}\t{i}\t{g:.17g}\t{r}\n")
+    write_tsv(out / "exposed.tsv", ("user", "item", "gamma", "rel"),
+              zip(dataset.users, dataset.items, (f"{g:.17g}" for g in dataset.gamma),
+                  dataset.rel))
 
 
 _META_KEYS = ("format_version", "num_users", "num_items", "num_exposed", "num_clicks",
@@ -384,8 +407,8 @@ def load_dataset(in_dir) -> ImplicitDataset:
     if not all(type(meta[k]) is int and meta[k] >= 0 for k in ("num_users", "num_items")):
         raise ParseError(meta_path, 1, "num_users and num_items must be non-negative integers")
     users, items, gamma, rel = [], [], [], []
-    first_line = {}  # (user, item) -> the line that stored it
     path = src / "exposed.tsv"
+    repeated = refuse_repeats(path, "(user, item) pair")
     lineno = 1
     lines = read_lines(path)
     if next(lines, None) != (1, "user\titem\tgamma\trel"):
@@ -408,10 +431,7 @@ def load_dataset(in_dir) -> ImplicitDataset:
             raise ParseError(path, lineno, f"gamma {g!r} outside [0, 1]")
         if r not in (0, 1):
             raise ParseError(path, lineno, f"rel {r} is neither 0 nor 1")
-        if (u, i) in first_line:
-            raise ParseError(path, lineno, f"duplicate (user, item) pair ({u}, {i}), "
-                             f"first on line {first_line[u, i]}")
-        first_line[u, i] = lineno
+        repeated((u, i), lineno)
         users.append(u)
         items.append(i)
         gamma.append(g)
@@ -437,7 +457,4 @@ def save_index_maps(out_dir, user_ids: np.ndarray, item_ids: np.ndarray):
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     for name, ids in (("user_map.tsv", user_ids), ("item_map.tsv", item_ids)):
-        with open(out / name, "w") as fh:
-            fh.write("index\traw_id\n")
-            for idx, raw in enumerate(ids):
-                fh.write(f"{idx}\t{raw}\n")
+        write_tsv(out / name, ("index", "raw_id"), enumerate(ids))

@@ -37,9 +37,11 @@ from .datasets import (
     generate_semi_synthetic,
     load_triplets,
     read_lines,
+    refuse_repeats,
     save_dataset,
     save_index_maps,
     split_validation,
+    write_tsv,
 )
 from .errors import IntegrityError, ParseError, SettingError, UsageError
 from .evaluation import (
@@ -458,15 +460,14 @@ def run_experiment(config: ExperimentConfig) -> Path:
             failures.append((token, f"{type(exc).__name__}: {exc}"))
         runs.drop_unkept()
 
-    _write_grid(out / "grid_search.tsv", grid_rows, cfg_hash)
+    write_tsv(out / "grid_search.tsv", ("method", "d", "lambda", "clip", "val_dcg5"),
+              ((token, d, f"{lam:.17g}", f"{clip:.17g}", f"{val:.17g}")
+               for token, d, lam, clip, val in grid_rows), [f"config_hash={cfg_hash}"])
     write_metrics(out / "per_run_metrics.tsv", all_reports,
-                  f"config_hash={cfg_hash}\tbase_seed={config.seed}")
+                  [f"config_hash={cfg_hash}", f"base_seed={config.seed}"])
     write_aggregates(out, _metric_rows(all_reports), cfg_hash)
     if failures:
-        with open(out / "failures.tsv", "w") as fh:
-            fh.write("method\terror\n")
-            for token, msg in failures:
-                fh.write(f"{token}\t{msg}\n")
+        write_tsv(out / "failures.tsv", ("method", "error"), failures)
     return out
 
 
@@ -512,18 +513,9 @@ def _final_runs(token, runs: _Runs, out: Path, combo, best_run):
 
 def write_epoch_log(path, epoch_log):
     """One line per epoch: its training loss and validation DCG@5, if any."""
-    with open(path, "w") as fh:
-        for epoch, loss, val in epoch_log:
-            val_str = "" if val is None else f"{val:.10g}"
-            fh.write(f"epoch={epoch}\ttrain_loss={loss:.10g}\tval_dcg5={val_str}\n")
-
-
-def _write_grid(path, rows, cfg_hash):
-    with open(path, "w") as fh:
-        fh.write(f"# config_hash={cfg_hash}\n")
-        fh.write("method\td\tlambda\tclip\tval_dcg5\n")
-        for token, d, lam, clip, val in rows:
-            fh.write(f"{token}\t{d}\t{lam:.17g}\t{clip:.17g}\t{val:.17g}\n")
+    write_tsv(path, None, ((f"epoch={epoch}", f"train_loss={loss:.10g}",
+                            "val_dcg5=" if val is None else f"val_dcg5={val:.10g}")
+                           for epoch, loss, val in epoch_log))
 
 
 def _metric_rows(reports):
@@ -531,16 +523,12 @@ def _metric_rows(reports):
             for rep in reports for metric in METRIC_NAMES]
 
 
-def write_metrics(path, reports, comment=""):
+def write_metrics(path, reports, comment=None):
     """The per-run metrics TSV: one row per report and metric, sorted by
-    (method, run, cohort, metric, k), after an optional '#' comment line."""
+    (method, run, cohort, metric, k), after the optional ``comment`` line."""
     rows = sorted(_metric_rows(reports), key=lambda r: r[:5])
-    with open(path, "w") as fh:
-        if comment:
-            fh.write(f"# {comment}\n")
-        fh.write("method\trun\tcohort\tmetric\tk\tvalue\n")
-        for method, run, cohort, metric, k, value in rows:
-            fh.write(f"{method}\t{run}\t{cohort}\t{metric}\t{k}\t{value:.17g}\n")
+    write_tsv(path, ("method", "run", "cohort", "metric", "k", "value"),
+              ((*row[:5], f"{row[5]:.17g}") for row in rows), comment)
 
 
 def read_per_run(path):
@@ -548,7 +536,7 @@ def read_per_run(path):
     row whose (method, run, cohort, metric, k) repeats an earlier one's,
     raises ParseError naming the file and line."""
     rows = []
-    first_line = {}  # (method, run, cohort, metric, k) -> the line that gave it
+    repeated = refuse_repeats(path, "(method, run, cohort, metric, k)")
     for lineno, line in read_lines(path):
         if line.startswith(("#", "method\t")):
             continue
@@ -560,10 +548,7 @@ def read_per_run(path):
                              f"value, got {line!r}") from None
         if not math.isfinite(row[5]):  # write_metrics never writes one
             raise ParseError(path, lineno, f"value must be finite, got {value!r}")
-        if row[:5] in first_line:
-            raise ParseError(path, lineno, f"duplicate (method, run, cohort, metric, k) "
-                             f"{row[:5]}, first on line {first_line[row[:5]]}")
-        first_line[row[:5]] = lineno
+        repeated(row[:5], lineno)
         rows.append(row)
     return rows
 
@@ -582,35 +567,34 @@ def write_aggregates(out_dir, rows, cfg_hash):
     for method, run, cohort, metric, k, value in rows:
         groups.setdefault((cohort, metric, k), {}).setdefault(method, []).append(value)
 
-    with open(out / "aggregate.tsv", "w") as fh:
-        fh.write(f"# config_hash={cfg_hash}\n")
-        fh.write("method\tcohort\tmetric\tk\tmean\tstd\tn_runs\n")
-        for (cohort, metric, k) in sorted(groups):
-            for method in sorted(groups[(cohort, metric, k)]):
-                vals = np.asarray(groups[(cohort, metric, k)][method])
-                std = vals.std(ddof=1) if len(vals) > 1 else 0.0
-                fh.write(f"{method}\t{cohort}\t{metric}\t{k}\t"
-                         f"{vals.mean():.17g}\t{std:.17g}\t{len(vals)}\n")
-
-    with open(out / "significance.tsv", "w") as fh:
-        fh.write(f"# config_hash={cfg_hash}\n")
-        fh.write("cohort\tmetric\tk\tmethod\tbest_competitor\tp_value\n")
-        for (cohort, metric, k) in sorted(groups):
-            methods = sorted(groups[(cohort, metric, k)])
-            if len(methods) < 2:
-                continue
-            means = {m: float(np.mean(groups[(cohort, metric, k)][m])) for m in methods}
-            for method in methods:
-                others = [m for m in methods if m != method]
-                best = max(others, key=lambda m: (means[m], m))
-                a = groups[(cohort, metric, k)][method]
-                b = groups[(cohort, metric, k)][best]
-                if len(a) < 2 or len(b) < 2:
-                    continue
-                p = one_tailed_t_test(a, b)
-                fh.write(f"{cohort}\t{metric}\t{k}\t{method}\t{best}\t{p:.6g}\n")
-
+    comment = [f"config_hash={cfg_hash}"]
+    write_tsv(out / "aggregate.tsv", ("method", "cohort", "metric", "k", "mean", "std",
+                                      "n_runs"), _aggregate_rows(groups), comment)
+    write_tsv(out / "significance.tsv", ("cohort", "metric", "k", "method",
+                                         "best_competitor", "p_value"),
+              _significance_rows(groups), comment)
     _write_tables_md(out / "tables.md", groups, cfg_hash)
+
+
+def _aggregate_rows(groups):
+    """Each (cohort, metric, k) group's methods: mean, std and run count."""
+    for (cohort, metric, k), group in sorted(groups.items()):
+        for method, vals in sorted(group.items()):
+            std = np.std(vals, ddof=1) if len(vals) > 1 else 0.0
+            yield method, cohort, metric, k, f"{np.mean(vals):.17g}", f"{std:.17g}", len(vals)
+
+
+def _significance_rows(groups):
+    """Each method's t test against its group's best other, if both ran twice or more."""
+    for (cohort, metric, k), group in sorted(groups.items()):
+        if len(group) < 2:
+            continue
+        means = {m: float(np.mean(vals)) for m, vals in group.items()}
+        for method in sorted(group):
+            best = max((m for m in group if m != method), key=lambda m: (means[m], m))
+            a, b = group[method], group[best]
+            if len(a) > 1 and len(b) > 1:
+                yield cohort, metric, k, method, best, f"{one_tailed_t_test(a, b):.6g}"
 
 
 def _write_tables_md(path, groups, cfg_hash):

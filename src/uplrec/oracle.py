@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .datasets import read_lines
+from .datasets import read_lines, write_tsv
 from .errors import ParseError, SettingError
 from .evaluation import t_sf
 from .factor_model import FactorModel, init_model
@@ -477,9 +477,5 @@ def verification_suite(samples=10**5, seed=1234):
 def reports_to_tsv(reports, path):
     cols = ("estimator", "ideal_risk", "exact_expectation", "bias", "mc_mean",
             "mc_variance", "mc_se", "exact_variance", "sample_count")
-    with open(path, "w") as fh:
-        fh.write("\t".join(cols) + "\n")
-        for rep in reports:
-            row = (getattr(rep, c) for c in cols)
-            fh.write("\t".join(f"{v:.10g}" if isinstance(v, float) else str(v)
-                                for v in row) + "\n")
+    write_tsv(path, cols, ((f"{v:.10g}" if isinstance(v, float) else v
+                            for v in (getattr(rep, c) for c in cols)) for rep in reports))

@@ -13,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .datasets import write_tsv
 from .errors import EstimationError, SingularityError
 
 POWER = 0.5
@@ -63,6 +64,5 @@ class PropensityTable:
         """Two-column (item_index, value) text file for audit."""
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        with open(out / "theta_click.tsv", "w") as fh:
-            for idx, v in enumerate(self.theta_click):
-                fh.write(f"{idx}\t{v:.17g}\n")
+        write_tsv(out / "theta_click.tsv", None,
+                  ((idx, f"{v:.17g}") for idx, v in enumerate(self.theta_click)))

@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import json
 import re
 from pathlib import Path
@@ -330,6 +331,12 @@ class TestSaveLoadRoundTrip:
         assert np.array_equal(back.rel, ds.rel)
         assert back.epsilon == ds.epsilon and back.seed == ds.seed
         assert json.loads((tmp_path / "d" / "meta.json").read_text())["r_max"] == 5
+        # the file's bytes: a header, then one (user, item)-sorted row per cell
+        data = (tmp_path / "d" / "exposed.tsv").read_bytes()
+        assert data.startswith(b"user\titem\tgamma\trel\n0\t0\t0.12903225806451613\t1\n"
+                               b"0\t1\t0.53548387096774197\t1\n0\t2\t0.18709677419354839\t0\n")
+        assert hashlib.sha256(data).hexdigest() == \
+            "5babc327859723a943cf6e182d2bf7385c4a0179131a524b8c2f73c6a32f8422"
 
     @pytest.mark.parametrize("edit, counts", [
         (lambda rows: rows[:-1], "5 rows with 3 clicks"),

@@ -11,8 +11,8 @@ from uplrec import cli, trainer
 from uplrec import experiment as exp
 from uplrec.datasets import load_dataset
 from uplrec.errors import ParseError, SettingError
-from uplrec.evaluation import compute_cohorts, evaluate
-from uplrec.factor_model import TrainConfig, load_checkpoint
+from uplrec.evaluation import MetricReport, compute_cohorts, evaluate
+from uplrec.factor_model import FactorModel, TrainConfig, load_checkpoint
 from uplrec.losses import LossSpec
 from uplrec.propensity import PropensityTable
 
@@ -1379,6 +1379,245 @@ class TestExperimentFailureIsolation:
         assert {r[0] for r in rows} == {"bpr"} and {r[1] for r in rows} == {0, 1}
         assert sorted(p.name for p in (out / "logs").iterdir()) == \
             ["bpr_run000.log", "bpr_run001.log"]
+
+
+def fake_train_key(dataset, config, spec, *args):
+    """A run whose epoch log is a fixed function of its key, with a zero
+    model; wmf's training fails."""
+    if spec.method == "wmf":
+        raise RuntimeError("synthetic wmf failure")
+    val = 1 / 3 + 100 * config.lam - (spec.clip_threshold or 0.0) / 7
+    log = [(0, 2 / 3, None), (1, 0.5 + config.seed / 9, val)]
+    model = FactorModel(np.zeros((dataset.num_users, config.d)),
+                        np.zeros((dataset.num_items, config.d)))
+    return [trainer.TrainRun(config, spec, model, log)]
+
+
+def fake_evaluate(model, test, *, method, run, **kwargs):
+    """One report whose metrics are a fixed function of method and run."""
+    base = (exp.METHOD_TOKENS.index(method) + 1) / 10 + run / 30
+    return [MetricReport(method, run, "all", 5, base, base / 3, base / 7)]
+
+
+def tiny_triplets(tmp_path):
+    """Four train users over three items, and test ratings of a user (50)
+    and an item (6) that train lacks, all under raw ids."""
+    root = tmp_path / "tiny"
+    root.mkdir()
+    (root / "train.txt").write_text("10\t7\t5\n10\t8\t4\n10\t9\t5\n20\t7\t5\n20\t9\t3\n"
+                                    "30\t8\t5\n30\t9\t5\n40\t7\t2\n40\t8\t5\n40\t9\t5\n")
+    (root / "test.txt").write_text("10\t6\t5\n50\t8\t4\n20\t8\t1\n")
+    return root
+
+
+# every file of an experiment on tiny_triplets but config_resolved.cfg (which
+# records the paths), training and evaluation replaced as above
+TINY_EXPERIMENT_TREE = {
+    "aggregate.tsv": (
+        "# config_hash=0123456789abcdef\n"
+        "method\tcohort\tmetric\tk\tmean\tstd\tn_runs\n"
+        "bpr\tall\tdcg\t5\t0.41666666666666669\t0.02357022603955158\t2\n"
+        "ubpr\tall\tdcg\t5\t0.51666666666666661\t0.02357022603955158\t2\n"
+        "bpr\tall\tmap\t5\t0.059523809523809527\t0.003367175148507367\t2\n"
+        "ubpr\tall\tmap\t5\t0.073809523809523797\t0.003367175148507367\t2\n"
+        "bpr\tall\trecall\t5\t0.1388888888888889\t0.0078567420131838723\t2\n"
+        "ubpr\tall\trecall\t5\t0.17222222222222222\t0.0078567420131838723\t2\n"
+    ),
+    "config_hash.txt": (
+        "0123456789abcdef\n"
+    ),
+    "data/item_map.tsv": (
+        "index\traw_id\n"
+        "0\t6\n"
+        "1\t7\n"
+        "2\t8\n"
+        "3\t9\n"
+    ),
+    "data/test/exposed.tsv": (
+        "user\titem\tgamma\trel\n"
+        "0\t0\t1\t1\n"
+        "1\t2\t0.032258064516129031\t0\n"
+        "4\t2\t0.4838709677419355\t0\n"
+    ),
+    "data/test/meta.json": (
+        "{\n"
+        '  "epsilon": 0.0,\n'
+        '  "format_version": 1,\n'
+        '  "num_clicks": 1,\n'
+        '  "num_exposed": 3,\n'
+        '  "num_items": 4,\n'
+        '  "num_users": 5,\n'
+        '  "r_max": 5,\n'
+        '  "seed": 4,\n'
+        '  "split_tag": "test"\n'
+        "}\n"
+    ),
+    "data/train/exposed.tsv": (
+        "user\titem\tgamma\trel\n"
+        "0\t1\t1\t1\n"
+        "0\t2\t0.53548387096774197\t1\n"
+        "0\t3\t1\t1\n"
+        "1\t1\t1\t1\n"
+        "1\t3\t0.3032258064516129\t1\n"
+        "2\t2\t1\t1\n"
+        "2\t3\t1\t1\n"
+        "3\t2\t1\t1\n"
+        "3\t3\t1\t1\n"
+    ),
+    "data/train/meta.json": (
+        "{\n"
+        '  "epsilon": 0.1,\n'
+        '  "format_version": 1,\n'
+        '  "num_clicks": 9,\n'
+        '  "num_exposed": 9,\n'
+        '  "num_items": 4,\n'
+        '  "num_users": 5,\n'
+        '  "r_max": 5,\n'
+        '  "seed": 3,\n'
+        '  "split_tag": "train"\n'
+        "}\n"
+    ),
+    "data/user_map.tsv": (
+        "index\traw_id\n"
+        "0\t10\n"
+        "1\t20\n"
+        "2\t30\n"
+        "3\t40\n"
+        "4\t50\n"
+    ),
+    "data/validation/exposed.tsv": (
+        "user\titem\tgamma\trel\n"
+        "3\t1\t0.18709677419354839\t1\n"
+    ),
+    "data/validation/meta.json": (
+        "{\n"
+        '  "epsilon": 0.1,\n'
+        '  "format_version": 1,\n'
+        '  "num_clicks": 1,\n'
+        '  "num_exposed": 1,\n'
+        '  "num_items": 4,\n'
+        '  "num_users": 5,\n'
+        '  "r_max": 5,\n'
+        '  "seed": 3,\n'
+        '  "split_tag": "validation"\n'
+        "}\n"
+    ),
+    "failures.tsv": (
+        "method\terror\n"
+        "wmf\tRuntimeError: synthetic wmf failure\n"
+    ),
+    "grid_search.tsv": (
+        "# config_hash=0123456789abcdef\n"
+        "method\td\tlambda\tclip\tval_dcg5\n"
+        "ubpr\t2\t1.0000000000000001e-05\t0\t0.33433333333333332\n"
+        "ubpr\t2\t1.0000000000000001e-05\t-0.10000000000000001\t0.34861904761904761\n"
+        "ubpr\t2\t0.001\t0\t0.43333333333333335\n"
+        "ubpr\t2\t0.001\t-0.10000000000000001\t0.44761904761904764\n"
+        "bpr\t2\t1.0000000000000001e-05\t0\t0.33433333333333332\n"
+        "bpr\t2\t0.001\t0\t0.43333333333333335\n"
+    ),
+    "logs/bpr_run000.log": (
+        "epoch=0\ttrain_loss=0.6666666667\tval_dcg5=\n"
+        "epoch=1\ttrain_loss=0.8333333333\tval_dcg5=0.4333333333\n"
+    ),
+    "logs/bpr_run001.log": (
+        "epoch=0\ttrain_loss=0.6666666667\tval_dcg5=\n"
+        "epoch=1\ttrain_loss=0.9444444444\tval_dcg5=0.4333333333\n"
+    ),
+    "logs/ubpr_run000.log": (
+        "epoch=0\ttrain_loss=0.6666666667\tval_dcg5=\n"
+        "epoch=1\ttrain_loss=0.8333333333\tval_dcg5=0.4476190476\n"
+    ),
+    "logs/ubpr_run001.log": (
+        "epoch=0\ttrain_loss=0.6666666667\tval_dcg5=\n"
+        "epoch=1\ttrain_loss=0.9444444444\tval_dcg5=0.4476190476\n"
+    ),
+    "per_run_metrics.tsv": (
+        "# config_hash=0123456789abcdef\tbase_seed=3\n"
+        "method\trun\tcohort\tmetric\tk\tvalue\n"
+        "bpr\t0\tall\tdcg\t5\t0.40000000000000002\n"
+        "bpr\t0\tall\tmap\t5\t0.057142857142857148\n"
+        "bpr\t0\tall\trecall\t5\t0.13333333333333333\n"
+        "bpr\t1\tall\tdcg\t5\t0.43333333333333335\n"
+        "bpr\t1\tall\tmap\t5\t0.061904761904761907\n"
+        "bpr\t1\tall\trecall\t5\t0.14444444444444446\n"
+        "ubpr\t0\tall\tdcg\t5\t0.5\n"
+        "ubpr\t0\tall\tmap\t5\t0.071428571428571425\n"
+        "ubpr\t0\tall\trecall\t5\t0.16666666666666666\n"
+        "ubpr\t1\tall\tdcg\t5\t0.53333333333333333\n"
+        "ubpr\t1\tall\tmap\t5\t0.076190476190476183\n"
+        "ubpr\t1\tall\trecall\t5\t0.17777777777777778\n"
+    ),
+    "propensities/theta_click.tsv": (
+        "0\t0.01\n"
+        "1\t0.70710678118654757\n"
+        "2\t0.8660254037844386\n"
+        "3\t1\n"
+    ),
+    "significance.tsv": (
+        "# config_hash=0123456789abcdef\n"
+        "cohort\tmetric\tk\tmethod\tbest_competitor\tp_value\n"
+        "all\tdcg\t5\tbpr\tubpr\t0.974342\n"
+        "all\tdcg\t5\tubpr\tbpr\t0.0256584\n"
+        "all\tmap\t5\tbpr\tubpr\t0.974342\n"
+        "all\tmap\t5\tubpr\tbpr\t0.0256584\n"
+        "all\trecall\t5\tbpr\tubpr\t0.974342\n"
+        "all\trecall\t5\tubpr\tbpr\t0.0256584\n"
+    ),
+    "tables.md": (
+        "<!-- config_hash=0123456789abcdef -->\n"
+        "\n"
+        "## Ranking performance (cohort: all)\n"
+        "\n"
+        "| Method | DCG@5 | RECALL@5 | MAP@5 |\n"
+        "|---|---|---|---|\n"
+        "| BPR | 0.41667 | 0.13889 | 0.05952 |\n"
+        "| UBPR | 0.51667 | 0.17222 | 0.07381 |\n"
+    ),
+}
+# metrics.tsv and train.log of `uplrec train --method bpr` on the same data
+TINY_TRAIN_TREE = {
+    "metrics.tsv": (
+        "method\trun\tcohort\tmetric\tk\tvalue\n"
+        "bpr\t0\tall\tdcg\t5\t0.40000000000000002\n"
+        "bpr\t0\tall\tmap\t5\t0.057142857142857148\n"
+        "bpr\t0\tall\trecall\t5\t0.13333333333333333\n"
+    ),
+    "train.log": (
+        "epoch=0\ttrain_loss=0.6666666667\tval_dcg5=\n"
+        "epoch=1\ttrain_loss=0.9444444444\tval_dcg5=0.3343333333\n"
+    ),
+}
+
+
+class TestTableBytes:
+    """The bytes of every table an experiment and ``uplrec train`` write,
+    on fixed epoch logs and metrics, so a change to a writer shows."""
+
+    def test_experiment_tables(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(exp, "train_key", fake_train_key)
+        monkeypatch.setattr(exp, "evaluate", fake_evaluate)
+        monkeypatch.setattr(exp.ExperimentConfig, "hash", lambda self: "0123456789abcdef")
+        cfg_path, out = tmp_path / "exp.cfg", tmp_path / "out"
+        cfg_path.write_text(small_config_text(tiny_triplets(tmp_path), out,
+                                              methods="wmf,ubpr,bpr", seed=3)
+                            + "d_grid = 2\nlambda_grid = 1e-5,0.001\nclip_grid = 0,-0.1\n")
+        exp.run_experiment(exp.parse_config_file(cfg_path))
+        tree = {name: data.decode() for name, data in tree_bytes(out).items()
+                if name != "config_resolved.cfg"}
+        assert tree == TINY_EXPERIMENT_TREE
+
+    def test_train_tables(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "train_key", fake_train_key)
+        monkeypatch.setattr(cli, "evaluate", fake_evaluate)
+        prep, out = tmp_path / "prep", tmp_path / "run"
+        assert cli.main(["prepare", "--dataset", str(tiny_triplets(tmp_path)),
+                         "--format", "triplets", "--seed", "3", "--out", str(prep)]) == 0
+        assert cli.main(["train", "--data", str(prep), "--method", "bpr", "--d", "2",
+                         "--seed", "4", "--out", str(out)]) == 0
+        tree = {name: data.decode() for name, data in tree_bytes(out).items()
+                if name != "model.ckpt"}
+        assert tree == TINY_TRAIN_TREE
 
 
 class TestRunMemo:

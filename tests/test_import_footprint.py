@@ -6,8 +6,9 @@ BENCH_12.json), ``scipy.sparse`` in the gradient scatter
 ``trainer._scatter_rows`` (about 12 MB of train-d200's peak RSS,
 BENCH_13.json) and ``scipy.special`` in the Student-t tail
 ``evaluation.t_sf`` (about 26 MB and 315 modules over numpy,
-BENCH_16.json).  Nor does the coat path load ``numpy.ma``, which
-``np.unique`` imports lazily (about 1.2 MB of RSS and 10 ms)."""
+BENCH_16.json).  Nor does the coat or the triplets path load ``numpy.ma``,
+which ``np.unique`` and ``np.union1d`` import lazily (about 1.2 MB of RSS
+and 10 ms)."""
 
 import os
 import subprocess
@@ -75,3 +76,24 @@ def test_coat_path_loads_no_numpy_ma(tmp_path):
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout == "False\nFalse\nFalse\n"
+
+
+TRIPLETS_MA_SCRIPT = """
+import sys
+from pathlib import Path
+from uplrec import experiment
+root = Path(sys.argv[1])
+(root / "train.txt").write_text("10\\t7\\t5\\n10\\t8\\t4\\n20\\t9\\t5\\n")
+(root / "test.txt").write_text("10\\t6\\t5\\n30\\t8\\t4\\n")
+experiment.prepare_datasets(root, "triplets", seed=0)
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_triplets_path_loads_no_numpy_ma(tmp_path):
+    # a triplets prepare_datasets, which joins the two files' raw ids
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    done = subprocess.run([sys.executable, "-c", TRIPLETS_MA_SCRIPT, str(tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "False\n"

@@ -121,6 +121,6 @@ class TestPropensityTable:
         assert table.theta_click[1] == 0.01  # zero clicks: the floor
         table.save(tmp_path)
         assert [p.name for p in tmp_path.iterdir()] == ["theta_click.tsv"]
-        lines = (tmp_path / "theta_click.tsv").read_text().splitlines()
-        assert lines[2] == "2\t1"
-        assert [float(l.split("\t")[1]) for l in lines] == list(table.theta_click)
+        text = (tmp_path / "theta_click.tsv").read_text()
+        assert text == "0\t0.5\n1\t0.01\n2\t1\n3\t0.3872983346207417\n"
+        assert [float(l.split("\t")[1]) for l in text.splitlines()] == list(table.theta_click)
