@@ -38,7 +38,6 @@ from .datasets import ImplicitDataset
 from .factor_model import FactorModel
 
 DEFAULT_KS = (3, 5, 8)
-COHORTS = ("all", "cold_start_users", "rare_items")
 CANDIDATE_MODES = ("catalog", "test_only")
 _CHUNK_CELLS = 1 << 15  # float64 cells per chunk: scores, or gathered item factors
 # the hard cohorts: fewer training clicks than these

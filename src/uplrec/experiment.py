@@ -56,11 +56,13 @@ from .losses import LossSpec
 from .propensity import PropensityTable
 from .trainer import stage_spec, train_key
 
-METHOD_TOKENS = ("wmf", "relmf", "mfdu", "bpr", "ubpr", "ubpr_nclip", "upl")
-DISPLAY_NAMES = {
-    "wmf": "WMF", "relmf": "Rel-MF", "mfdu": "MF-DU", "bpr": "BPR",
-    "ubpr": "UBPR", "ubpr_nclip": "UBPR_NClip", "upl": "UPL",
+# each method token's (display name, the estimator it trains), in table order
+METHODS = {
+    "wmf": ("WMF", "wmf"), "relmf": ("Rel-MF", "relmf"), "mfdu": ("MF-DU", "relmf"),
+    "bpr": ("BPR", "bpr"), "ubpr": ("UBPR", "ubpr_clipped"),
+    "ubpr_nclip": ("UBPR_NClip", "ubpr"), "upl": ("UPL", "upl"),
 }
+METHOD_TOKENS = tuple(METHODS)
 METRIC_NAMES = ("dcg", "recall", "map")
 # each dataset format's load_triplets format and (train, test) rating-file names
 _RATING_FILES = {
@@ -304,13 +306,9 @@ def save_prepared(data: PreparedData, out_dir):
 
 
 def make_loss_spec(token: str, clip: float) -> LossSpec:
-    if token == "ubpr":
-        return LossSpec("ubpr_clipped", clip_threshold=clip)
-    if token == "ubpr_nclip":
-        return LossSpec("ubpr")
-    if token == "mfdu":
-        return LossSpec("relmf")
-    return LossSpec(token)
+    """The LossSpec of the token's estimator; ``clip`` is read by ubpr alone."""
+    estimator = METHODS[token][1]
+    return LossSpec(estimator, clip if estimator == "ubpr_clipped" else None)
 
 
 def make_train_config(config: ExperimentConfig, d: int, lam: float, seed: int) -> TrainConfig:
@@ -472,17 +470,16 @@ def run_experiment(config: ExperimentConfig) -> Path:
 
 
 def _grid_search(token, runs: _Runs, grid_rows: list):
-    """The best combo on validation DCG@5 (the best of each run's epochs,
-    0 without any) and its run; the combos' rows join ``grid_rows`` once
-    every combo has trained.  Only the best run so far is kept past its
-    row."""
+    """The best combo on validation DCG@5 (the best of each run's epochs)
+    and its run; the combos' rows join ``grid_rows`` once every combo has
+    trained.  Only the best run so far is kept past its row."""
     config = runs.state["config"]
     combos = _grid_for(token, config)
     keys = [_run_key(token, combo, config, config.seed) for combo in combos]
     rows = []
     best_combo, best_run, best_val = None, None, -np.inf
     for combo, run in zip(combos, runs.stream(keys)):
-        val = max((v for _, _, v in run.epoch_log if v is not None), default=0.0)
+        val = max(v for _, _, v in run.epoch_log)
         rows.append((token, *combo, val))
         if val > best_val:
             best_combo, best_run, best_val = combo, run, val
@@ -512,9 +509,8 @@ def _final_runs(token, runs: _Runs, out: Path, combo, best_run):
 
 
 def write_epoch_log(path, epoch_log):
-    """One line per epoch: its training loss and validation DCG@5, if any."""
-    write_tsv(path, None, ((f"epoch={epoch}", f"train_loss={loss:.10g}",
-                            "val_dcg5=" if val is None else f"val_dcg5={val:.10g}")
+    """One line per epoch: its training loss and validation DCG@5."""
+    write_tsv(path, None, ((f"epoch={epoch}", f"train_loss={loss:.10g}", f"val_dcg5={val:.10g}")
                            for epoch, loss, val in epoch_log))
 
 
@@ -619,5 +615,5 @@ def _write_tables_md(path, groups, cfg_hash):
                 for m, k in keys:
                     vals = groups.get((cohort, m, k), {}).get(method)
                     cells.append(f"{np.mean(vals):.5f}" if vals else "-")
-                fh.write(f"| {DISPLAY_NAMES.get(method, method)} | "
+                fh.write(f"| {METHODS[method][0] if method in METHODS else method} | "
                          + " | ".join(cells) + " |\n")

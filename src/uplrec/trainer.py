@@ -113,7 +113,7 @@ class TrainRun:
     config: TrainConfig
     loss_spec: LossSpec
     final_model: FactorModel
-    epoch_log: list  # (epoch, train_loss, val_metric|None)
+    epoch_log: list  # (epoch, train_loss, validation DCG@5)
 
     @property
     def epochs_trained(self) -> int:
@@ -272,28 +272,26 @@ def _step(model, adam, u, items, objective, config) -> float:
 
 
 def train(dataset: ImplicitDataset, config: TrainConfig, loss_spec: LossSpec,
-          propensities: PropensityTable | None = None, gamma_hat=None,
-          validation: ImplicitDataset | None = None) -> TrainRun:
+          propensities: PropensityTable, validation: ImplicitDataset,
+          gamma_hat=None) -> TrainRun:
     """Run one training job; deterministic given config.seed.
 
-    With a validation split, stops once validation DCG@5 has not improved
-    for ``config.patience`` epochs and returns the best-validation snapshot;
-    otherwise runs ``config.max_epochs`` epochs and returns the final model.
+    Stops once validation DCG@5 has not improved for ``config.patience``
+    epochs, or after ``config.max_epochs``, and returns the best-validation
+    snapshot.
     """
     if (gamma_hat is not None) != (stage_spec(loss_spec) is not None):
         raise ValueError("gamma_hat must be supplied exactly for the upl method")
     rng = np.random.default_rng(config.seed)
     model = init_model(dataset.num_users, dataset.num_items, config.d, seed=config.seed)
     adam = AdamState.for_model(model)
-    theta = propensities.theta_click if propensities is not None \
-        else np.ones(dataset.num_items)
+    theta = propensities.theta_click
     if loss_spec.is_pairwise:
         batches = partial(_pair_batches, dataset, loss_spec, config.batch_size, theta, gamma_hat)
     else:
         batches = partial(_point_batches, dataset, loss_spec, config.batch_size, theta)
 
-    best_val = -math.inf
-    best_model = None
+    best_val = -math.inf  # so epoch 0 always takes the first snapshot
     stale = 0
     epoch_log = []
 
@@ -308,21 +306,19 @@ def train(dataset: ImplicitDataset, config: TrainConfig, loss_spec: LossSpec,
                 bad = next(k for k, (l, _) in enumerate(losses) if not math.isfinite(l))
                 raise TrainingDivergedError(epoch, bad)
 
-            val_metric = None
-            if validation is not None:
-                val_metric = validation_dcg(model, validation)
-                if val_metric > best_val:
-                    best_val = val_metric
-                    best_model = model.copy()
-                    stale = 0
-                else:
-                    stale += 1
+            val_metric = validation_dcg(model, validation)
             epoch_log.append((epoch, train_loss, val_metric))
-            if validation is not None and stale >= config.patience:
-                break
+            if val_metric > best_val:
+                best_val = val_metric
+                best_model = model.copy()
+                stale = 0
+            else:
+                stale += 1
+                if stale >= config.patience:
+                    break
 
-    final = best_model if best_model is not None else model
-    return TrainRun(config=config, loss_spec=loss_spec, final_model=final, epoch_log=epoch_log)
+    return TrainRun(config=config, loss_spec=loss_spec, final_model=best_model,
+                    epoch_log=epoch_log)
 
 
 def stage_spec(loss_spec: LossSpec) -> LossSpec | None:
@@ -332,8 +328,7 @@ def stage_spec(loss_spec: LossSpec) -> LossSpec | None:
 
 
 def train_key(dataset: ImplicitDataset, config: TrainConfig, loss_spec: LossSpec,
-              propensities: PropensityTable | None = None,
-              validation: ImplicitDataset | None = None,
+              propensities: PropensityTable, validation: ImplicitDataset,
               stage_model: FactorModel | None = None) -> list[TrainRun]:
     """Train the key (loss_spec, config); returns the TrainRuns trained, the
     key's own last.  An estimator with a ``stage_spec`` reads
@@ -342,9 +337,8 @@ def train_key(dataset: ImplicitDataset, config: TrainConfig, loss_spec: LossSpec
     stage, runs, gamma_hat = stage_spec(loss_spec), [], None
     if stage is not None:
         if stage_model is None:
-            runs.append(train(dataset, config, stage, propensities, validation=validation))
+            runs.append(train(dataset, config, stage, propensities, validation))
             stage_model = runs[0].final_model
         gamma_hat = relevance_predictor(stage_model)
-    runs.append(train(dataset, config, loss_spec, propensities, gamma_hat=gamma_hat,
-                      validation=validation))
+    runs.append(train(dataset, config, loss_spec, propensities, validation, gamma_hat))
     return runs

@@ -10,7 +10,6 @@ from scipy.special import stdtr
 
 from uplrec import evaluation
 from uplrec.evaluation import (
-    COHORTS,
     CohortMasks,
     MetricReport,
     compute_cohorts,
@@ -88,7 +87,7 @@ def _ref_user_metrics(scores, relevance, ks):
 
 
 def _ref_evaluate(score, num_items, test, ks, cohorts=None, candidates="catalog"):
-    cohort_names = ["all"] if cohorts is None else list(COHORTS)
+    cohort_names = ["all"] if cohorts is None else ["all", "cold_start_users", "rare_items"]
     acc = {c: {k: [0.0, 0.0, 0.0, 0] for k in ks} for c in cohort_names}
     indptr = test.user_indptr
     for u in range(test.num_users):

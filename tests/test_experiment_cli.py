@@ -1387,7 +1387,7 @@ def fake_train_key(dataset, config, spec, *args):
     if spec.method == "wmf":
         raise RuntimeError("synthetic wmf failure")
     val = 1 / 3 + 100 * config.lam - (spec.clip_threshold or 0.0) / 7
-    log = [(0, 2 / 3, None), (1, 0.5 + config.seed / 9, val)]
+    log = [(1, 0.5 + config.seed / 9, val)]
     model = FactorModel(np.zeros((dataset.num_users, config.d)),
                         np.zeros((dataset.num_items, config.d)))
     return [trainer.TrainRun(config, spec, model, log)]
@@ -1517,19 +1517,15 @@ TINY_EXPERIMENT_TREE = {
         "bpr\t2\t0.001\t0\t0.43333333333333335\n"
     ),
     "logs/bpr_run000.log": (
-        "epoch=0\ttrain_loss=0.6666666667\tval_dcg5=\n"
         "epoch=1\ttrain_loss=0.8333333333\tval_dcg5=0.4333333333\n"
     ),
     "logs/bpr_run001.log": (
-        "epoch=0\ttrain_loss=0.6666666667\tval_dcg5=\n"
         "epoch=1\ttrain_loss=0.9444444444\tval_dcg5=0.4333333333\n"
     ),
     "logs/ubpr_run000.log": (
-        "epoch=0\ttrain_loss=0.6666666667\tval_dcg5=\n"
         "epoch=1\ttrain_loss=0.8333333333\tval_dcg5=0.4476190476\n"
     ),
     "logs/ubpr_run001.log": (
-        "epoch=0\ttrain_loss=0.6666666667\tval_dcg5=\n"
         "epoch=1\ttrain_loss=0.9444444444\tval_dcg5=0.4476190476\n"
     ),
     "per_run_metrics.tsv": (
@@ -1584,7 +1580,6 @@ TINY_TRAIN_TREE = {
         "bpr\t0\tall\trecall\t5\t0.13333333333333333\n"
     ),
     "train.log": (
-        "epoch=0\ttrain_loss=0.6666666667\tval_dcg5=\n"
         "epoch=1\ttrain_loss=0.9444444444\tval_dcg5=0.3343333333\n"
     ),
 }

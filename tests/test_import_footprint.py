@@ -24,10 +24,13 @@ import uplrec, uplrec.cli
 print(sorted(name for name in sys.modules if name.startswith("scipy")))
 from uplrec import LossSpec, TrainConfig, oracle, trainer
 from uplrec.datasets import ImplicitDataset
+from uplrec.propensity import PropensityTable
 users, items = np.divmod(np.arange(12), 4)
 data = ImplicitDataset(3, 4, users, items, np.full(12, 0.5), (items < 2).astype(np.int8))
+propensities = PropensityTable.from_click_counts(data.item_click_counts)
 for method in ("bpr", "relmf"):
-    run = trainer.train(data, TrainConfig(d=2, max_epochs=1, batch_size=4), LossSpec(method))
+    run = trainer.train(data, TrainConfig(d=2, max_epochs=1, batch_size=4), LossSpec(method),
+                        propensities, validation=data)
     assert run.epochs_trained == 1
 print(sorted(name for name in sys.modules if name.startswith("scipy")))
 world = oracle.random_world(1, 5, seed=3)

@@ -48,6 +48,19 @@ def model_checksum(model):
     return h.hexdigest()
 
 
+def estimated(ds):
+    """The propensity table every command estimates from a split's clicks."""
+    return PropensityTable.from_click_counts(ds.item_click_counts)
+
+
+def draw_validation(rng, num_users, num_items, share=0.3):
+    """A validation split drawn after a train split's cells: each cell
+    exposed with probability ``share`` and clicked with probability 0.5."""
+    return make_implicit(num_users, num_items,
+                         [(u, i, 0.5, int(rng.random() < 0.5)) for u in range(num_users)
+                          for i in range(num_items) if rng.random() < share])
+
+
 class TestAdam:
     def test_single_parameter_step_bound(self):
         # quadratic loss (x - 3)^2 at x=0: gradient -6; one Adam step moves
@@ -197,8 +210,9 @@ class TestSampleBatch:
                                       np.random.default_rng(1)))
         assert [len(u) for u, _, _ in batches] == [2, 2, 2]
         assert all(objective.args[1].all() for _, _, objective in batches)
-        config = TrainConfig(d=2, learning_rate=0.01, batch_size=4, max_epochs=3, seed=2)
-        run = train(ds, config, LossSpec(method))
+        config = TrainConfig(d=2, learning_rate=0.01, batch_size=4, max_epochs=3, patience=3,
+                             seed=2)
+        run = train(ds, config, LossSpec(method), PropensityTable(np.ones(2)), validation=ds)
         assert run.epochs_trained == 3
         assert all(math.isfinite(loss) for _, loss, _ in run.epoch_log)
 
@@ -276,24 +290,31 @@ class TestTrainLoop:
     def test_determinism_same_seed(self, separable_dataset):
         config = TrainConfig(d=4, lam=1e-5, learning_rate=0.01, batch_size=2,
                              max_epochs=20, seed=9)
-        a = train(separable_dataset, config, LossSpec("bpr"))
-        b = train(separable_dataset, config, LossSpec("bpr"))
+        a, b = (train(separable_dataset, config, LossSpec("bpr"), estimated(separable_dataset),
+                      validation=separable_dataset) for _ in range(2))
         assert model_checksum(a.final_model) == model_checksum(b.final_model)
+        assert a.epoch_log == b.epoch_log
 
-    def test_large_lambda_shrinks_norms(self, separable_dataset):
+    def test_large_lambda_shrinks_norms(self, separable_dataset, monkeypatch):
+        # the model after each epoch, as validation reads it
         norms = []
-        for epochs in (1, 2, 3, 4):
-            config = TrainConfig(d=4, lam=1e3, learning_rate=0.001, batch_size=2,
-                                 max_epochs=epochs, seed=4)
-            run = train(separable_dataset, config, LossSpec("bpr"))
-            m = run.final_model
+
+        def validation_dcg(m, validation):
             norms.append(np.linalg.norm(m.user_factors) + np.linalg.norm(m.item_factors))
+            return 0.0
+        monkeypatch.setattr(trainer, "validation_dcg", validation_dcg)
+        config = TrainConfig(d=4, lam=1e3, learning_rate=0.001, batch_size=2,
+                             max_epochs=4, patience=4, seed=4)
+        train(separable_dataset, config, LossSpec("bpr"), estimated(separable_dataset),
+              validation=separable_dataset)
+        assert len(norms) == 4
         assert all(a > b for a, b in zip(norms, norms[1:]))
 
     def test_separable_world_ranking(self, separable_dataset):
         config = TrainConfig(d=8, lam=0.0, learning_rate=0.05, batch_size=4,
                              max_epochs=300, seed=3)
-        run = train(separable_dataset, config, LossSpec("bpr"))
+        run = train(separable_dataset, config, LossSpec("bpr"), estimated(separable_dataset),
+                    validation=separable_dataset)
         scores = score_matrix(run.final_model)
         relevant = {0: [0, 1], 1: [2, 3]}
         for u, rel_items in relevant.items():
@@ -306,15 +327,26 @@ class TestTrainLoop:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             with pytest.raises(TrainingDivergedError):
-                train(separable_dataset, config, LossSpec("bpr"))
+                train(separable_dataset, config, LossSpec("bpr"), estimated(separable_dataset),
+                      validation=separable_dataset)
 
     def test_gamma_hat_exactly_for_upl(self, separable_dataset):
         config = TrainConfig(d=4, max_epochs=1, seed=0)
+        pt = estimated(separable_dataset)
+        with pytest.raises(ValueError):  # missing gamma_hat
+            train(separable_dataset, config, LossSpec("upl"), pt, validation=separable_dataset)
         with pytest.raises(ValueError):
-            train(separable_dataset, config, LossSpec("upl"))  # missing gamma_hat
-        with pytest.raises(ValueError):
-            train(separable_dataset, config, LossSpec("bpr"),
+            train(separable_dataset, config, LossSpec("bpr"), pt, validation=separable_dataset,
                   gamma_hat=lambda u, i: np.zeros(len(np.atleast_1d(u))))
+
+    @pytest.mark.parametrize("train_fn", [train, train_key])
+    def test_propensities_and_validation_are_required(self, separable_dataset, train_fn):
+        # no run trains under theta = 1 for want of a table, or for a fixed
+        # number of epochs for want of a validation split
+        ds, config, spec = separable_dataset, TrainConfig(d=2, max_epochs=1), LossSpec("ubpr")
+        for kwargs in ({}, {"propensities": estimated(ds)}, {"validation": ds}):
+            with pytest.raises(TypeError):
+                train_fn(ds, config, spec, **kwargs)
 
     def test_early_stopping_uses_patience(self):
         rng = np.random.default_rng(8)
@@ -327,10 +359,9 @@ class TestTrainLoop:
         ds12 = make_implicit(12, 12, cells)
         config = TrainConfig(d=4, lam=0.0, learning_rate=0.01, batch_size=16,
                              max_epochs=200, patience=3, seed=5)
-        run = train(ds12, config, LossSpec("bpr"), validation=val)
+        run = train(ds12, config, LossSpec("bpr"), estimated(ds12), validation=val)
         curve = [val_metric for _, _, val_metric in run.epoch_log]
         assert run.epochs_trained == len(curve) < 200
-        assert None not in curve  # every epoch was validated
         # the returned snapshot is from the best epoch, not the last one
         assert validation_dcg(run.final_model, val) == max(curve)
 
@@ -348,71 +379,86 @@ class TestUplPipeline:
                 cells.append((u, i, gamma, int(rng.random() < gamma)))
         return make_implicit(num_users, num_items, cells)
 
-    def test_relmf_recovers_relevance(self):
+    def test_relmf_recovers_relevance(self, monkeypatch):
         ds = self._exposed_everything()
         # d=1 represents the rank-1 checkerboard logit exactly; the L2 weight
         # keeps scores off the saturation regime so gamma is recovered
-        # instead of the binary draws
+        # instead of the binary draws.  What 200 epochs learn, not an early
+        # epoch's ranking: validation DCG@5 rises every epoch, so the run
+        # returns its last model
+        epochs = itertools.count()
+        monkeypatch.setattr(trainer, "validation_dcg", lambda model, val: next(epochs))
         config = TrainConfig(d=1, lam=1e-2, learning_rate=0.05, batch_size=32,
                              max_epochs=200, seed=6)
-        run = train(ds, config, LossSpec("relmf"))
+        run = train(ds, config, LossSpec("relmf"), PropensityTable(np.ones(12)), validation=ds)
+        assert run.epochs_trained == 200
         gh = relevance_predictor(run.final_model)
         est = gh(ds.users, ds.items)
         assert np.mean(np.abs(est - ds.gamma)) < 0.1
 
     def test_pipeline_determinism_and_clamping(self):
-        ds = self._exposed_everything(seed=1)
-        pt = PropensityTable.from_click_counts(ds.item_click_counts)
+        ds, val = self._exposed_everything(seed=1), self._exposed_everything(seed=9)
+        pt = estimated(ds)
         config = TrainConfig(d=4, lam=1e-5, learning_rate=0.01, batch_size=32,
                              max_epochs=5, seed=7)
-        a = train_key(ds, config, LossSpec("upl"), pt)
-        b = train_key(ds, config, LossSpec("upl"), pt)
+        a = train_key(ds, config, LossSpec("upl"), pt, val)
+        b = train_key(ds, config, LossSpec("upl"), pt, val)
         assert [run.loss_spec for run in a] == [LossSpec("relmf"), LossSpec("upl")]
         assert model_checksum(a[-1].final_model) == model_checksum(b[-1].final_model)
         # handed its stage's model, the key trains upl alone, to the same run
-        (c,) = train_key(ds, config, LossSpec("upl"), pt, stage_model=a[0].final_model)
+        (c,) = train_key(ds, config, LossSpec("upl"), pt, val, stage_model=a[0].final_model)
         assert model_checksum(c.final_model) == model_checksum(a[-1].final_model)
         assert c.epoch_log == a[-1].epoch_log
 
     def test_only_upl_has_a_stage(self):
         ds = self._exposed_everything(seed=2)
-        pt = PropensityTable.from_click_counts(ds.item_click_counts)
+        pt = estimated(ds)
         config = TrainConfig(d=4, lam=1e-5, learning_rate=0.01, batch_size=32,
                              max_epochs=2, seed=3)
         for method in ("bpr", "ubpr", "wmf", "relmf"):
             spec = LossSpec(method)
             assert stage_spec(spec) is None
-            assert [run.loss_spec for run in train_key(ds, config, spec, pt)] == [spec]
+            assert [run.loss_spec for run in train_key(ds, config, spec, pt, ds)] == [spec]
         assert stage_spec(LossSpec("upl")) == LossSpec("relmf")
 
 
 class TestTrainedBytes:
-    """The sha256 of the factors that two epochs of each estimator train on a
-    seeded, partly exposed dataset, pinned so that a sampler change that
-    moves, adds or drops an rng draw fails here.  Pinned under numpy 2.4 on
-    x86-64; another numpy or CPU may round the same run differently."""
+    """The sha256 of the best-validation factors that two epochs of each
+    estimator train on a seeded, partly exposed dataset, and the repr of each
+    epoch's training loss, pinned so that a sampler change that moves, adds
+    or drops an rng draw fails here, in the epoch the snapshot holds or in a
+    later one.  Pinned under numpy 2.4 on x86-64; another numpy or CPU may
+    round the same run differently."""
 
-    DIGESTS = {
-        "bpr": "9bfa12753795357714d9fb261266d4907cdb9e4f6fac8633e1b33c88a5f3003c",
-        "ubpr": "58ee4bd3fecea5752f822c6533ac4e4ba28c25b66694aab05303b4a4c922c81f",
-        "ubpr_clipped": "76a30d50b66a17d3a99d202fe289c10f4a33ff84e47876f59a3cee6d0c50578d",
-        "wmf": "dc0178c000e30d13d9271840d8e7336a941deb21b0d026085a3b2708cbe92a95",
-        "relmf": "d03558546d5190fef3570ac1fc239d2fd7789a9098a178f26cfdcfefd8a04540",
-        "upl": "263252ce6535ddbdf3ac91036e322c3d448ad5c1d32b82245178e802723c56ee",
+    PINS = {
+        "bpr": ("9bfa12753795357714d9fb261266d4907cdb9e4f6fac8633e1b33c88a5f3003c",
+                ("0.5217661349250402", "0.4823018916239063")),
+        "ubpr": ("58ee4bd3fecea5752f822c6533ac4e4ba28c25b66694aab05303b4a4c922c81f",
+                 ("0.6139534108049124", "0.5436990437169161")),
+        "ubpr_clipped": ("76a30d50b66a17d3a99d202fe289c10f4a33ff84e47876f59a3cee6d0c50578d",
+                         ("0.6666822785381329", "0.6078132678552501")),
+        "wmf": ("ea84f71e0ad5cd4e2efe98a320f10346176428dcdf5d7a6a1e94daf8e9ad88a1",
+                ("4.287070552892325", "4.281007690220202")),
+        "relmf": ("80fcbdcf1301eaa9ab511852269255b5e11b4ef47a1ae765917ac9ff2d299b96",
+                  ("1.1680269887743335", "1.1668662977103685")),
+        "upl": ("6ef1ac2ac2089d4bdda208067cf61e2d3f6311fb86172172323388c22445b092",
+                ("0.5289285117895599", "0.4953922052142954")),
     }
 
-    @pytest.mark.parametrize("method", sorted(DIGESTS))
+    @pytest.mark.parametrize("method", sorted(PINS))
     def test_final_factors_digest(self, method):
         rng = np.random.default_rng(22)
         cells = [(u, i, 0.5, int(rng.random() < 0.5))
                  for u in range(20) for i in range(15) if rng.random() < 0.6]
         ds = make_implicit(20, 15, cells)
-        pt = PropensityTable.from_click_counts(ds.item_click_counts)
+        val = draw_validation(rng, 20, 15)
         config = TrainConfig(d=4, lam=1e-3, learning_rate=0.01, batch_size=16,
-                             max_epochs=2, seed=5)
+                             max_epochs=2, patience=2, seed=5)
         spec = LossSpec(method, clip_threshold=0.0 if method == "ubpr_clipped" else None)
-        run = train_key(ds, config, spec, pt)[-1]
-        assert model_checksum(run.final_model) == self.DIGESTS[method]
+        run = train_key(ds, config, spec, estimated(ds), val)[-1]
+        digest, losses = self.PINS[method]
+        assert model_checksum(run.final_model) == digest
+        assert tuple(repr(loss) for _, loss, _ in run.epoch_log) == losses
 
 
 class _EveryDraw:
@@ -641,14 +687,15 @@ class TestStepMatchesReference:
         cells = [(u, i, 0.5, int(rng.random() < 0.5))
                  for u in range(20) for i in range(15) if rng.random() < 0.6]
         ds = make_implicit(20, 15, cells)
-        pt = PropensityTable.from_click_counts(ds.item_click_counts)
+        val = draw_validation(rng, 20, 15)
+        pt = estimated(ds)
         config = TrainConfig(d=8, lam=1e-3, learning_rate=0.01, batch_size=32,
-                             max_epochs=3, seed=4)
+                             max_epochs=3, patience=3, seed=4)
         spec = LossSpec(method, clip_threshold=0.0 if method == "ubpr_clipped" else None)
         rate = (20 * 15 - ds.num_clicks) / ds.num_clicks  # a non-click's weight, N0/N1
 
         def trained():
-            return train_key(ds, config, spec, pt)[-1]
+            return train_key(ds, config, spec, pt, val)[-1]
 
         fast = trained()
         calls = []
@@ -681,4 +728,5 @@ class TestStepMatchesReference:
         assert calls  # the reference really ran
         assert np.array_equal(fast.final_model.user_factors, slow.final_model.user_factors)
         assert np.array_equal(fast.final_model.item_factors, slow.final_model.item_factors)
-        assert fast.epoch_log == slow.epoch_log  # the training losses too
+        assert fast.epoch_log == slow.epoch_log  # every epoch's losses too
+        assert fast.epochs_trained == 3
