@@ -2,15 +2,16 @@
 
 Subcommands:
   prepare     turn explicit-rating files into semi-synthetic implicit splits
-  train       one training run on a prepared dataset directory: the run 0
-              an experiment gives for the same token, seed and combo
+  train       one training run on a dataset directory: the run 0 an
+              experiment gives for the same token, seed and combo
   experiment  full sweep from a key=value config file (grid + repeated runs)
   verify      run the estimator oracle suite (exact moments + Monte Carlo)
   report      re-aggregate an experiment directory from its per-run TSV
 
 A flag that sets a config field takes its type and default from the field,
 in ExperimentConfig or TrainConfig; ``experiment`` reads its settings from
-its config file alone.
+its config file alone.  ``prepare`` and ``train`` read a dataset one way,
+as an experiment does: its rating files, split at ``--seed``.
 
 A command refuses its request by raising UsageError, or lets the ParseError
 or IntegrityError of a malformed input through; ``main`` alone prints it as
@@ -27,10 +28,9 @@ from pathlib import Path
 
 from . import experiment as exp
 from . import oracle
-from .datasets import load_dataset
 from .errors import IntegrityError, ParseError, SettingError, TrainingDivergedError, UsageError
 from .evaluation import CANDIDATE_MODES, compute_cohorts, evaluate
-from .experiment import METHOD_TOKENS, ExperimentConfig, PreparedData
+from .experiment import METHOD_TOKENS, ExperimentConfig
 from .factor_model import TrainConfig, save_checkpoint
 from .trainer import train_key
 
@@ -41,18 +41,23 @@ def _flag(parser, key, default, **kwargs):
                         **kwargs)
 
 
+def _dataset_flags(parser):
+    """--dataset and --format: the rating files an experiment's config names."""
+    parser.add_argument("--dataset", required=True, help="dataset directory")
+    _flag(parser, "format", ExperimentConfig.format, choices=exp.DATASET_FORMATS)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="uplrec")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("prepare", help="generate semi-synthetic implicit datasets")
-    p.add_argument("--dataset", required=True, help="dataset directory")
-    _flag(p, "format", ExperimentConfig.format, choices=exp.DATASET_FORMATS)
+    _dataset_flags(p)
     _flag(p, "seed", ExperimentConfig.seed)
     p.add_argument("--out", required=True)
 
-    t = sub.add_parser("train", help="single training run on a prepared directory")
-    t.add_argument("--data", required=True, help="directory written by `prepare`")
+    t = sub.add_parser("train", help="single training run on splits prepared at --seed")
+    _dataset_flags(t)
     t.add_argument("--method", required=True, choices=METHOD_TOKENS)
     for f in fields(TrainConfig):
         _flag(t, f.name, f.default)
@@ -65,8 +70,8 @@ def main(argv=None) -> int:
 
     v = sub.add_parser("verify", help="estimator oracle suite")
     v.add_argument("--world", default=None, help="world spec file; bundled suite if omitted")
-    v.add_argument("--samples", type=int, default=100000)
-    v.add_argument("--seed", type=int, default=1234)
+    v.add_argument("--samples", type=int, default=oracle.VERIFY_SAMPLES)
+    v.add_argument("--seed", type=int, default=oracle.VERIFY_SEED)
     v.add_argument("--exact-only", action="store_true", help="needs --world")
     v.add_argument("--out", default=None,
                    help="TSV of the Monte Carlo reports of a --world run")
@@ -87,34 +92,27 @@ def main(argv=None) -> int:
         return 2
 
 
-def _cmd_prepare(args) -> int:
-    if args.seed < 0:  # numpy's generators take no negative seed
-        raise UsageError(f"--seed: seed must be >= 0, got {args.seed}")
+def _read_dataset(args):
+    """The splits an experiment at ``--seed`` prepares from ``--dataset``,
+    and their propensities; UsageError names a rating file that cannot be
+    read and splits that no run can train on."""
     try:
         data = exp.prepare_datasets(args.dataset, args.format, args.seed)
     except OSError as exc:  # names the file
         raise UsageError(str(exc)) from None
-    exp.check_splits(data, f"dataset {args.dataset}")  # the splits train would refuse
+    return data, exp.check_splits(data, f"dataset {args.dataset}")
+
+
+def _cmd_prepare(args) -> int:
+    if args.seed < 0:  # numpy's generators take no negative seed
+        raise UsageError(f"--seed: seed must be >= 0, got {args.seed}")
+    data, _ = _read_dataset(args)  # the splits train would refuse
     exp.make_dir(args.out)  # after the input is checked, as train does
     exp.save_prepared(data, args.out)
     print(f"prepared {args.out}: train {len(data.train)} cells "
           f"({data.train.num_clicks} clicks), validation {len(data.validation)}, "
           f"test {len(data.test)}")
     return 0
-
-
-def _load_prepared(data_dir) -> PreparedData:
-    """The three splits ``prepare`` wrote; IntegrityError when a split's
-    users x items differ from train's."""
-    root = Path(data_dir)
-    data = PreparedData(*(load_dataset(root / split)
-                          for split in ("train", "validation", "test")))
-    shape = (data.train.num_users, data.train.num_items)
-    for split, dataset in (("validation", data.validation), ("test", data.test)):
-        if (dataset.num_users, dataset.num_items) != shape:
-            raise IntegrityError("{} is {}x{} (users x items), but {} is {}x{}".format(
-                root / split, dataset.num_users, dataset.num_items, root / "train", *shape))
-    return data
 
 
 def _cmd_train(args) -> int:
@@ -125,15 +123,9 @@ def _cmd_train(args) -> int:
     except SettingError as exc:  # named by its flag
         flag = "clip" if exc.name == "clip_threshold" else exc.name
         raise UsageError(f"--{flag.replace('_', '-')} {exc.value!r}: {exc}") from None
-    try:
-        data = _load_prepared(args.data)
-    except FileNotFoundError as exc:
-        raise UsageError(f"prepared data {args.data}: {exc.filename} not found") from None
-    except (OSError, ParseError, IntegrityError) as exc:  # each names its file
-        raise UsageError(f"prepared data {args.data}: {exc}") from None
-    propensities = exp.check_splits(data, f"prepared data {args.data}")
+    data, propensities = _read_dataset(args)
     if spec.is_pairwise and data.train.num_items < 2:  # no item j to pair a click with
-        raise UsageError(f"prepared data {args.data}: method {args.method} pairs each click "
+        raise UsageError(f"dataset {args.dataset}: method {args.method} pairs each click "
                          f"with another item, but the catalog has {data.train.num_items} item")
     out = Path(args.out)
     exp.make_dir(out)

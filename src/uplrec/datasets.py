@@ -355,11 +355,8 @@ def split_validation(dataset: ImplicitDataset, fraction: float, seed: int):
 
 
 def save_dataset(dataset: ImplicitDataset, out_dir):
-    """Write a dataset as a self-describing directory: meta.json + exposed.tsv.
-
-    exposed.tsv columns: user, item, gamma (%.17g, reload-exact), rel.
-    Rows are sorted by (user, item).
-    """
+    """Write a dataset's record, which nothing reads back: meta.json and
+    exposed.tsv, of user, item, gamma (%.17g) and rel, sorted by (user, item)."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     meta = {
@@ -377,80 +374,6 @@ def save_dataset(dataset: ImplicitDataset, out_dir):
     write_tsv(out / "exposed.tsv", ("user", "item", "gamma", "rel"),
               zip(dataset.users, dataset.items, (f"{g:.17g}" for g in dataset.gamma),
                   dataset.rel))
-
-
-_META_KEYS = ("format_version", "num_users", "num_items", "num_exposed", "num_clicks",
-              "split_tag", "epsilon", "seed")
-
-
-def load_dataset(in_dir) -> ImplicitDataset:
-    """Read a directory ``save_dataset`` wrote; a malformed meta.json or
-    exposed.tsv, a row that breaks the dataset's constraints (an index
-    outside meta.json's counts, gamma outside [0, 1], rel not 0 or 1, a
-    repeated (user, item) pair), or rows and clicks that differ from
-    meta.json's num_exposed and num_clicks (a truncated file), raises
-    ParseError naming the file and line."""
-    src = Path(in_dir)
-    meta_path = src / "meta.json"
-    numbered = dict(read_lines(meta_path))  # the file's line number of each JSON line
-    try:
-        meta = json.loads("\n".join(numbered.values()))
-    except json.JSONDecodeError as exc:
-        lineno = list(numbered)[exc.lineno - 1] if numbered else 1
-        raise ParseError(meta_path, lineno, f"not valid JSON: {exc.msg}") from None
-    if not isinstance(meta, dict) or not meta.keys() >= set(_META_KEYS):
-        raise ParseError(meta_path, 1, "expected a JSON object with the keys "
-                         + ", ".join(_META_KEYS))
-    if meta["format_version"] != DATASET_FORMAT_VERSION:
-        raise ParseError(meta_path, 1,
-                         f"unsupported dataset format version {meta['format_version']}")
-    if not all(type(meta[k]) is int and meta[k] >= 0 for k in ("num_users", "num_items")):
-        raise ParseError(meta_path, 1, "num_users and num_items must be non-negative integers")
-    users, items, gamma, rel = [], [], [], []
-    path = src / "exposed.tsv"
-    repeated = refuse_repeats(path, "(user, item) pair")
-    lineno = 1
-    lines = read_lines(path)
-    if next(lines, None) != (1, "user\titem\tgamma\trel"):
-        raise ParseError(path, 1, "unexpected header")
-    for lineno, line in lines:
-        parts = line.split("\t")
-        if len(parts) != 4:
-            raise ParseError(path, lineno, "expected 4 columns")
-        try:
-            u, i, g, r = int(parts[0]), int(parts[1]), float(parts[2]), int(parts[3])
-        except ValueError:
-            raise ParseError(path, lineno, "expected integer user, item "
-                             f"and rel and a float gamma, got {line!r}") from None
-        for name, index in (("user", u), ("item", i)):
-            count = meta[f"num_{name}s"]
-            if not 0 <= index < count:
-                raise ParseError(path, lineno, f"{name} {index} outside [0, {count}) "
-                                 f"of meta.json's num_{name}s")
-        if not 0.0 <= g <= 1.0:
-            raise ParseError(path, lineno, f"gamma {g!r} outside [0, 1]")
-        if r not in (0, 1):
-            raise ParseError(path, lineno, f"rel {r} is neither 0 nor 1")
-        repeated((u, i), lineno)
-        users.append(u)
-        items.append(i)
-        gamma.append(g)
-        rel.append(r)
-    if (len(rel), sum(rel)) != (meta["num_exposed"], meta["num_clicks"]):
-        raise ParseError(path, lineno + 1, f"ends after {len(rel)} rows with {sum(rel)} "
-                         f"clicks, but meta.json's num_exposed and num_clicks are "
-                         f"{meta['num_exposed']!r} and {meta['num_clicks']!r}")
-    return ImplicitDataset(
-        num_users=meta["num_users"],
-        num_items=meta["num_items"],
-        users=np.asarray(users, dtype=np.int64),
-        items=np.asarray(items, dtype=np.int64),
-        gamma=np.asarray(gamma),
-        rel=np.asarray(rel, dtype=np.int8),
-        split_tag=meta["split_tag"],
-        epsilon=meta["epsilon"],
-        seed=meta["seed"],
-    )
 
 
 def save_index_maps(out_dir, user_ids: np.ndarray, item_ids: np.ndarray):

@@ -219,8 +219,8 @@ class PreparedData:
     train: ImplicitDataset
     validation: ImplicitDataset
     test: ImplicitDataset
-    user_ids: np.ndarray | None = None
-    item_ids: np.ndarray | None = None
+    user_ids: np.ndarray
+    item_ids: np.ndarray
 
 
 def _find_file(root: Path, names) -> Path:
@@ -377,7 +377,7 @@ def _train_tasks(tasks, state):
 class _Runs:
     """An experiment's training runs, keyed by (LossSpec, TrainConfig).
 
-    Training is a pure function of its key on the prepared data, so each key
+    Training is a pure function of its key on the experiment's splits, so each key
     trains once.  A run is held only while a later task can read it, that
     is while its LossSpec is in ``keep``, the specs the methods still to
     come read; any other run lives only as long as its caller keeps it.

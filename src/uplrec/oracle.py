@@ -39,6 +39,8 @@ from .factor_model import FactorModel, init_model
 from .losses import LossSpec, pair_loss, pair_weights
 
 MIN_MC_SAMPLES = 10**4
+VERIFY_SAMPLES = 10**5  # the bundled suite's Monte Carlo draws and seed, as `verify` runs it
+VERIFY_SEED = 1234
 MC_CHUNK_CELLS = 1 << 16  # cells of one Monte Carlo chunk, see _chunk_rows
 _RISK_SUBSCRIPTS = "mp,pq,mq->m"  # c @ B @ c for each row c of a chunk
 
@@ -418,7 +420,7 @@ def low_exposure_worlds(count=3, seed=777):
 # Verification suite consumed by the CLI
 
 
-def verification_suite(samples=10**5, seed=1234):
+def verification_suite(samples=VERIFY_SAMPLES, seed=VERIFY_SEED):
     """Run every oracle invariant; yields (check_name, passed, detail) rows.
 
     Each world is walked once, for all the estimators its checks compare.

@@ -14,7 +14,6 @@ from uplrec.datasets import (
     ImplicitDataset,
     align_index_spaces,
     generate_semi_synthetic,
-    load_dataset,
     load_triplets,
     rating_to_relevance,
     read_lines,
@@ -319,40 +318,21 @@ class TestImplicitDatasetValidation:
 
 class TestSaveLoadRoundTrip:
     def test_round_trip_exact(self, tmp_path):
+        # the record a dataset leaves: its columns, gamma exact at %.17g, and
+        # meta.json's counts and generation settings
         entries = [(u, i, (u + 3 * i) % 5 + 1) for u in range(7) for i in range(5)]
         ratings = ratings_from_entries(entries, 7, 5)
         ds = generate_semi_synthetic(ratings, epsilon=0.1, seed=11)
         save_dataset(ds, tmp_path / "d")
-        back = load_dataset(tmp_path / "d")
-        assert back.num_users == ds.num_users and back.num_items == ds.num_items
-        assert np.array_equal(back.users, ds.users)
-        assert np.array_equal(back.items, ds.items)
-        assert np.array_equal(back.gamma, ds.gamma)  # %.17g is reload-exact
-        assert np.array_equal(back.rel, ds.rel)
-        assert back.epsilon == ds.epsilon and back.seed == ds.seed
-        assert json.loads((tmp_path / "d" / "meta.json").read_text())["r_max"] == 5
+        assert json.loads((tmp_path / "d" / "meta.json").read_text()) == {
+            "format_version": 1, "num_users": 7, "num_items": 5, "num_exposed": 35,
+            "num_clicks": ds.num_clicks, "split_tag": "train", "epsilon": 0.1, "seed": 11,
+            "r_max": 5}
         # the file's bytes: a header, then one (user, item)-sorted row per cell
         data = (tmp_path / "d" / "exposed.tsv").read_bytes()
         assert data.startswith(b"user\titem\tgamma\trel\n0\t0\t0.12903225806451613\t1\n"
                                b"0\t1\t0.53548387096774197\t1\n0\t2\t0.18709677419354839\t0\n")
         assert hashlib.sha256(data).hexdigest() == \
             "5babc327859723a943cf6e182d2bf7385c4a0179131a524b8c2f73c6a32f8422"
-
-    @pytest.mark.parametrize("edit, counts", [
-        (lambda rows: rows[:-1], "5 rows with 3 clicks"),
-        (lambda rows: rows[:-1] + [rows[-1].replace("\t0\n", "\t1\n")], "6 rows with 4 clicks"),
-    ], ids=["last_row_dropped", "click_added"])
-    def test_rows_or_clicks_unlike_meta_rejected(self, tmp_path, edit, counts):
-        # a truncated or edited exposed.tsv does not load as a silent subset:
-        # meta.json counts its rows and clicks
-        ds = make_implicit(2, 3, [(u, i, 0.5, (u + i + 1) % 2) for u in range(2)
-                                  for i in range(3)])
-        save_dataset(ds, tmp_path / "d")
-        path = tmp_path / "d" / "exposed.tsv"
-        header, *rows = path.read_text().splitlines(keepends=True)
-        rows = edit(rows)
-        path.write_text(header + "".join(rows))
-        message = (f"{path}:{len(rows) + 2}: ends after {counts}, but meta.json's "
-                   "num_exposed and num_clicks are 6 and 3")
-        with pytest.raises(ParseError, match=re.escape(message)):
-            load_dataset(tmp_path / "d")
+        rows = [line.split("\t") for line in data.decode().splitlines()[1:]]
+        assert np.array_equal([float(g) for _, _, g, _ in rows], ds.gamma)

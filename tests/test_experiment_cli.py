@@ -1,3 +1,5 @@
+import inspect
+import json
 import re
 import shutil
 import warnings
@@ -7,9 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from uplrec import cli, trainer
+from uplrec import cli, oracle, trainer
 from uplrec import experiment as exp
-from uplrec.datasets import load_dataset
 from uplrec.errors import ParseError, SettingError
 from uplrec.evaluation import MetricReport, compute_cohorts, evaluate
 from uplrec.factor_model import FactorModel, TrainConfig, load_checkpoint
@@ -476,40 +477,12 @@ class TestPrepareCli:
             "--seed", "3", "--out", str(out),
         ])
         assert rc == 0
-        train = load_dataset(out / "train")
-        val = load_dataset(out / "validation")
-        test = load_dataset(out / "test")
-        assert len(val) == int(0.1 * (len(train) + len(val)))
-        assert train.epsilon == 0.1 and test.epsilon == 0.0
+        meta = {split: json.loads((out / split / "meta.json").read_text())
+                for split in ("train", "validation", "test")}
+        cells = meta["train"]["num_exposed"] + meta["validation"]["num_exposed"]
+        assert meta["validation"]["num_exposed"] == int(0.1 * cells)
+        assert meta["train"]["epsilon"] == 0.1 and meta["test"]["epsilon"] == 0.0
         assert (out / "user_map.tsv").exists()
-
-    def test_missing_dataset_rejected_in_one_line(self, tmp_path, capsys):
-        root = tmp_path / "nonexistent"
-        out = tmp_path / "prepared"
-        assert cli.main(["prepare", "--dataset", str(root), "--out", str(out)]) == 2
-        assert capsys.readouterr().err == f"error: dataset {root}: none of train.ascii found\n"
-        assert not out.exists()
-
-    def test_malformed_rating_file_rejected_in_one_line(self, triplet_files, tmp_path, capsys):
-        root = malformed_triplets(triplet_files, tmp_path)
-        out = tmp_path / "prepared"
-        assert cli.main(["prepare", "--dataset", str(root), "--format", "triplets",
-                         "--out", str(out)]) == 2
-        assert capsys.readouterr().err == \
-            f"error: {root / 'train.txt'}:2: expected 3 fields, got 2\n"
-        assert not out.exists()
-
-    @pytest.mark.parametrize("case", BAD_RATING_FILES)
-    def test_bad_rating_files_rejected_in_one_line(self, triplet_files, tmp_path, capsys,
-                                                   case):
-        root, format, message = bad_rating_files(case, triplet_files, tmp_path)
-        out = tmp_path / "prepared"
-        assert cli.main(["prepare", "--dataset", str(root), "--format", format,
-                         "--out", str(out)]) == 2
-        captured = capsys.readouterr()
-        assert captured.err == f"error: {message}\n"
-        assert captured.out == ""
-        assert not out.exists()
 
     @pytest.mark.parametrize("flag, value, message", [
         ("--seed", "-1", "seed must be >= 0, got -1"),
@@ -554,26 +527,6 @@ class TestPrepareCli:
         assert captured.err == f"error: cannot create directory {out}: {reason}\n"
         assert afile.read_text() == "kept\n"
 
-    @pytest.mark.parametrize("case", ["train_without_clicks", "validation_without_clicks"])
-    def test_splits_train_would_refuse_rejected_in_one_line(self, triplet_files, tmp_path,
-                                                           capsys, case):
-        # the refusal comes from prepare, not from the first train on its output
-        if case == "train_without_clicks":
-            root = clickless_triplets(tmp_path)
-            flags = ["--seed", str(CLICKLESS_SEED)]
-            message = f"dataset {root}: train split: all click counts are zero"
-        else:  # floor(10% of 3 cells) = 0
-            root, flags = validationless_triplets(tmp_path), []
-            message = (f"dataset {root}: validation split has 0 cells and 0 clicks: "
-                       "its DCG@5 would read 0 at every epoch")
-        out = tmp_path / "prepared"
-        assert cli.main(["prepare", "--dataset", str(root), "--format", "triplets", *flags,
-                         "--out", str(out)]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == f"error: {message}\n"
-        assert not out.exists()
-
     def test_prepare_coat_matrices(self, tmp_path):
         # coat reads two dense matrices of one shape, 0 meaning unrated
         (tmp_path / "train.ascii").write_text("1 0 5\n0 3 4\n")
@@ -597,21 +550,79 @@ class TestPrepareCli:
             assert a == b
 
 
+def read_dataset_argv(command, root, *flags, out):
+    """The argv of ``command`` reading the dataset ``root``: train trains bpr."""
+    method = ("--method", "bpr") if command == "train" else ()
+    return [command, "--dataset", str(root), *flags, *method, "--out", str(out)]
+
+
+def tree_state(root):
+    """{path: its bytes, or False for a directory} of everything under root."""
+    return {p: p.is_file() and p.read_bytes() for p in Path(root).rglob("*")}
+
+
+class TestDatasetRefusals:
+    """``prepare`` and ``train`` read a dataset one way, the experiment's:
+    each refuses a dataset it cannot split, or whose splits no run can train
+    on, with the same one error line, exits 2 and writes nothing."""
+
+    def assert_refused(self, argv, message, tmp_path, capsys):
+        before = tree_state(tmp_path)
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+        assert tree_state(tmp_path) == before
+
+    @pytest.mark.parametrize("command", ["prepare", "train"])
+    def test_missing_dataset_rejected_in_one_line(self, tmp_path, capsys, command):
+        root = tmp_path / "nonexistent"
+        self.assert_refused(read_dataset_argv(command, root, out=tmp_path / "o"),
+                            f"dataset {root}: none of train.ascii found", tmp_path, capsys)
+
+    @pytest.mark.parametrize("command", ["prepare", "train"])
+    def test_malformed_rating_file_rejected_in_one_line(self, triplet_files, tmp_path, capsys,
+                                                        command):
+        root = malformed_triplets(triplet_files, tmp_path)
+        argv = read_dataset_argv(command, root, "--format", "triplets", out=tmp_path / "o")
+        self.assert_refused(argv, f"{root / 'train.txt'}:2: expected 3 fields, got 2",
+                            tmp_path, capsys)
+
+    @pytest.mark.parametrize("command", ["prepare", "train"])
+    @pytest.mark.parametrize("case", BAD_RATING_FILES)
+    def test_bad_rating_files_rejected_in_one_line(self, triplet_files, tmp_path, capsys,
+                                                   case, command):
+        root, format, message = bad_rating_files(case, triplet_files, tmp_path)
+        argv = read_dataset_argv(command, root, "--format", format, out=tmp_path / "o")
+        self.assert_refused(argv, message, tmp_path, capsys)
+
+    @pytest.mark.parametrize("command", ["prepare", "train"])
+    @pytest.mark.parametrize("case", ["train_without_clicks", "validation_without_clicks"])
+    def test_splits_no_run_trains_on_rejected_in_one_line(self, tmp_path, capsys, case,
+                                                          command):
+        if case == "train_without_clicks":
+            root = clickless_triplets(tmp_path)
+            flags = ["--seed", str(CLICKLESS_SEED)]
+            message = f"dataset {root}: train split: all click counts are zero"
+        else:  # floor(10% of 3 cells) = 0
+            root, flags = validationless_triplets(tmp_path), []
+            message = (f"dataset {root}: validation split has 0 cells and 0 clicks: "
+                       "its DCG@5 would read 0 at every epoch")
+        argv = read_dataset_argv(command, root, "--format", "triplets", *flags,
+                                 out=tmp_path / "o")
+        self.assert_refused(argv, message, tmp_path, capsys)
+
+
 class TestTrainCli:
     @pytest.fixture
-    def prep(self, triplet_files, tmp_path):
-        prep = tmp_path / "prep"
-        assert cli.main(["prepare", "--dataset", str(triplet_files), "--format", "triplets",
-                         "--out", str(prep)]) == 0
-        return prep
+    def dataset(self, triplet_files):
+        """train's flags that read the synthetic triplets dataset."""
+        return ["--dataset", str(triplet_files), "--format", "triplets"]
 
-    def test_single_run_outputs(self, triplet_files, tmp_path):
-        prep = tmp_path / "prep"
-        cli.main(["prepare", "--dataset", str(triplet_files), "--format",
-                  "triplets", "--seed", "3", "--out", str(prep)])
+    def test_single_run_outputs(self, dataset, tmp_path):
         out = tmp_path / "run"
         rc = cli.main([
-            "train", "--data", str(prep), "--method", "upl", "--d", "8",
+            "train", *dataset, "--method", "upl", "--d", "8",
             "--lam", "1e-5", "--max-epochs", "6", "--seed", "1",
             "--out", str(out),
         ])
@@ -622,109 +633,6 @@ class TestTrainCli:
         assert lines[0] == "method\trun\tcohort\tmetric\tk\tvalue"
         assert len(lines) > 1
         assert (out / "train.log").read_text().startswith("epoch=0\t")
-
-    def test_data_without_splits_rejected_in_one_line(self, tmp_path, capsys):
-        data = tmp_path / "unprepared"
-        data.mkdir()
-        out = tmp_path / "run"
-        assert cli.main(["train", "--data", str(data), "--method", "bpr",
-                         "--out", str(out)]) == 2
-        assert capsys.readouterr().err == \
-            f"error: prepared data {data}: {data / 'train' / 'meta.json'} not found\n"
-        assert not out.exists()
-
-    @pytest.mark.parametrize("name, edit, lineno, message", [
-        ("exposed.tsv", lambda text: text + "0\tx\t0.5\t1\n", -1,
-         "expected integer user, item and rel and a float gamma, got '0\\tx\\t0.5\\t1'"),
-        ("meta.json", lambda text: text[:text.index(",")], 2,
-         "not valid JSON: Expecting ',' delimiter"),
-        ("meta.json", lambda text: text.replace('"seed"', '"sead"'), 1,
-         "expected a JSON object with the keys format_version, num_users, num_items, "
-         "num_exposed, num_clicks, split_tag, epsilon, seed"),
-        ("meta.json", lambda text: text.replace('"num_users": 60', '"num_users": "60"'), 1,
-         "num_users and num_items must be non-negative integers"),
-        # the fixture's train split has 60 users and 40 items, and its line 3
-        # is the row "0  4  1  1"
-        ("exposed.tsv", lambda text: text + "999\t0\t0.5\t1\n", -1,
-         "user 999 outside [0, 60) of meta.json's num_users"),
-        ("exposed.tsv", lambda text: text + "0\t40\t0.5\t1\n", -1,
-         "item 40 outside [0, 40) of meta.json's num_items"),
-        ("exposed.tsv", lambda text: text + "0\t0\t1.5\t1\n", -1, "gamma 1.5 outside [0, 1]"),
-        ("exposed.tsv", lambda text: text + "0\t0\t0.5\t2\n", -1, "rel 2 is neither 0 nor 1"),
-        ("exposed.tsv", lambda text: text + "0\t4\t1\t1\n", -1,
-         "duplicate (user, item) pair (0, 4), first on line 3"),
-    ], ids=["malformed_row", "meta_not_json", "meta_without_key", "meta_count_not_int",
-            "user_out_of_range", "item_out_of_range", "gamma_outside_unit_interval",
-            "rel_not_binary", "duplicate_pair"])
-    def test_malformed_prepared_file_rejected_in_one_line(self, prep, tmp_path, capsys,
-                                                          monkeypatch, name, edit, lineno,
-                                                          message):
-        stop_at(monkeypatch, cli, "train_key")
-        path = prep / "train" / name
-        path.write_text(edit(path.read_text()))
-        if lineno < 0:
-            lineno = len(path.read_text().splitlines())
-        out = tmp_path / "run"
-        assert cli.main(["train", "--data", str(prep), "--method", "bpr",
-                         "--out", str(out)]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == f"error: prepared data {prep}: {path}:{lineno}: {message}\n"
-        assert not out.exists()
-
-    def test_train_split_without_clicks_rejected_in_one_line(self, prep, tmp_path, capsys,
-                                                               monkeypatch):
-        stop_at(monkeypatch, cli, "train_key")
-        path = prep / "train" / "exposed.tsv"
-        header, *rows = path.read_text().splitlines(keepends=True)
-        path.write_text(header + "".join(row[:row.rindex("\t")] + "\t0\n" for row in rows))
-        meta = prep / "train" / "meta.json"  # a consistent split: meta.json counts no clicks
-        meta.write_text(re.sub(r'"num_clicks": \d+', '"num_clicks": 0', meta.read_text()))
-        out = tmp_path / "run"
-        assert cli.main(["train", "--data", str(prep), "--method", "bpr",
-                         "--out", str(out)]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == \
-            f"error: prepared data {prep}: train split: all click counts are zero\n"
-        assert not out.exists()
-
-    def test_validation_split_without_clicks_rejected_in_one_line(self, prep, tmp_path,
-                                                                    capsys, monkeypatch):
-        stop_at(monkeypatch, cli, "train_key")
-        path = prep / "validation" / "exposed.tsv"
-        header, *rows = path.read_text().splitlines(keepends=True)
-        path.write_text(header + "".join(row[:row.rindex("\t")] + "\t0\n" for row in rows))
-        meta = prep / "validation" / "meta.json"
-        meta.write_text(re.sub(r'"num_clicks": \d+', '"num_clicks": 0', meta.read_text()))
-        before = sorted(tmp_path.rglob("*"))
-        assert cli.main(["train", "--data", str(prep), "--method", "bpr",
-                         "--out", str(tmp_path / "run")]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == (f"error: prepared data {prep}: validation split has "
-                                f"{len(rows)} cells and 0 clicks: its DCG@5 would read 0 "
-                                "at every epoch\n")
-        assert sorted(tmp_path.rglob("*")) == before
-
-    @pytest.mark.parametrize("split, key, shape", [
-        ("validation", "num_users", "61x40"), ("test", "num_items", "60x41"),
-    ])
-    def test_split_shape_unlike_train_rejected_in_one_line(self, prep, tmp_path, capsys,
-                                                          monkeypatch, split, key, shape):
-        # a split copied in from another prepare: every row still loads
-        stop_at(monkeypatch, cli, "train_key")
-        meta = prep / split / "meta.json"
-        count = int(re.search(rf'"{key}": (\d+)', meta.read_text()).group(1))
-        meta.write_text(meta.read_text().replace(f'"{key}": {count}', f'"{key}": {count + 1}'))
-        out = tmp_path / "run"
-        assert cli.main(["train", "--data", str(prep), "--method", "bpr",
-                         "--out", str(out)]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == (f"error: prepared data {prep}: {prep / split} is {shape} "
-                                f"(users x items), but {prep / 'train'} is 60x40\n")
-        assert not out.exists()
 
     @pytest.mark.parametrize("method, flags, message", [
         ("ubpr", ["--clip", "5"], "--clip 5.0: clip_threshold must be in [-10, 0]"),
@@ -738,37 +646,37 @@ class TestTrainCli:
          "--seed 9223372036854775808: seed must be < 9223372036854775808"),
     ], ids=["clip", "d", "learning_rate", "learning_rate_nan", "lam_inf", "seed_negative",
             "seed_beyond_int64"])
-    def test_rejected_setting_named_before_out_created(self, prep, tmp_path, capsys,
+    def test_rejected_setting_named_before_out_created(self, dataset, tmp_path, capsys,
                                                         monkeypatch, method, flags, message):
-        stop_at(monkeypatch, cli, "train_key")
+        # before the rating files are read, too
+        stop_at(monkeypatch, exp, "prepare_datasets")
         out = tmp_path / "run"
-        assert cli.main(["train", "--data", str(prep), "--method", method, *flags,
+        assert cli.main(["train", *dataset, "--method", method, *flags,
                          "--out", str(out)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
         assert not out.exists()
 
-    def test_out_under_a_file_rejected_before_training(self, prep, tmp_path, capsys,
+    def test_out_under_a_file_rejected_before_training(self, dataset, tmp_path, capsys,
                                                        monkeypatch):
         stop_at(monkeypatch, cli, "train_key")
         afile = tmp_path / "afile"
         afile.write_text("kept\n")
         out = afile / "run"
-        assert cli.main(["train", "--data", str(prep), "--method", "bpr",
-                         "--out", str(out)]) == 2
+        assert cli.main(["train", *dataset, "--method", "bpr", "--out", str(out)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: cannot create directory {out}: Not a directory\n"
         assert afile.read_text() == "kept\n"
 
-    def test_empty_out_rejected_before_work(self, prep, tmp_path, capsys, monkeypatch):
+    def test_empty_out_rejected_before_work(self, dataset, tmp_path, capsys, monkeypatch):
         # Path("") is the working directory, which would take the run's files
-        stop_at(monkeypatch, cli, "train_key")
+        stop_at(monkeypatch, exp, "prepare_datasets")
         work = tmp_path / "work"
         work.mkdir()
         monkeypatch.chdir(work)
-        assert cli.main(["train", "--data", str(prep), "--method", "bpr", "--out", ""]) == 2
+        assert cli.main(["train", *dataset, "--method", "bpr", "--out", ""]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: --out is empty: name an output directory\n"
@@ -781,24 +689,20 @@ class TestTrainCli:
         root.mkdir()
         (root / "train.txt").write_text("".join(f"{u}\t1\t5\n" for u in range(40)))
         (root / "test.txt").write_text("0\t1\t5\n")
-        prep = tmp_path / "prep"
-        assert cli.main(["prepare", "--dataset", str(root), "--format", "triplets",
-                         "--out", str(prep)]) == 0
-        capsys.readouterr()
+        dataset = ["--dataset", str(root), "--format", "triplets"]
         for method in ("bpr", "upl"):
             out = tmp_path / method
-            assert cli.main(["train", "--data", str(prep), "--method", method,
-                             "--out", str(out)]) == 2
+            assert cli.main(["train", *dataset, "--method", method, "--out", str(out)]) == 2
             captured = capsys.readouterr()
             assert captured.out == ""
-            assert captured.err == (f"error: prepared data {prep}: method {method} pairs "
+            assert captured.err == (f"error: dataset {root}: method {method} pairs "
                                     "each click with another item, but the catalog has 1 item\n")
             assert not out.exists()
-        assert cli.main(["train", "--data", str(prep), "--method", "relmf", "--d", "2",
+        assert cli.main(["train", *dataset, "--method", "relmf", "--d", "2",
                          "--max-epochs", "1", "--out", str(tmp_path / "relmf")]) == 0
 
     @pytest.mark.parametrize("method, learning_rate", [("bpr", "1e300"), ("relmf", "1e160")])
-    def test_diverging_run_fails_in_one_line(self, prep, tmp_path, capsys, method,
+    def test_diverging_run_fails_in_one_line(self, dataset, tmp_path, capsys, method,
                                              learning_rate):
         # the line an experiment writes to failures.tsv, not a traceback or a
         # numpy warning, even with every warning an error; --out, made before
@@ -806,7 +710,7 @@ class TestTrainCli:
         out = tmp_path / "run"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert cli.main(["train", "--data", str(prep), "--method", method, "--d", "4",
+            assert cli.main(["train", *dataset, "--method", method, "--d", "4",
                              "--max-epochs", "3", "--learning-rate", learning_rate,
                              "--out", str(out)]) == 1
         captured = capsys.readouterr()
@@ -840,8 +744,8 @@ class TestTrainCli:
         out = tmp_path / "run"
         cfg_path = tmp_path / "exp.cfg"
         cfg_path.write_text(small_config_text(triplet_files, out))
-        argv = {"train": ["--data", str(tmp_path / "prep"), "--method", "wmf",
-                          "--out", str(out)],
+        argv = {"train": ["--dataset", str(triplet_files), "--format", "triplets",
+                          "--method", "wmf", "--out", str(out)],
                 "prepare": ["--dataset", str(triplet_files), "--format", "triplets",
                             "--out", str(out)],
                 "experiment": ["--config", str(cfg_path)]}[command]
@@ -852,15 +756,12 @@ class TestTrainCli:
         assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
         assert sorted(tmp_path.rglob("*")) == before
 
-    def test_mfdu_trains_relmf(self, triplet_files, tmp_path):
-        prep = tmp_path / "prep"
-        cli.main(["prepare", "--dataset", str(triplet_files), "--format",
-                  "triplets", "--seed", "3", "--out", str(prep)])
+    def test_mfdu_trains_relmf(self, dataset, tmp_path):
         outs = {}
         for method in ("relmf", "mfdu"):
             outs[method] = tmp_path / method
             assert cli.main([
-                "train", "--data", str(prep), "--method", method, "--d", "8",
+                "train", *dataset, "--method", method, "--d", "8",
                 "--lam", "1e-5", "--max-epochs", "4", "--seed", "2",
                 "--out", str(outs[method]),
             ]) == 0
@@ -872,11 +773,10 @@ class TestTrainCli:
             [r.split("\t")[1:] for r in relmf_rows]
 
     def test_each_token_matches_experiment_run_zero(self, triplet_files, tmp_path):
-        # `uplrec train` and the experiment train a key the same way: for the
-        # same seed and combo, train gives the experiment's run 0
-        seed, prep = 5, tmp_path / "prep"
-        assert cli.main(["prepare", "--dataset", str(triplet_files), "--format",
-                         "triplets", "--seed", str(seed), "--out", str(prep)]) == 0
+        # `uplrec train` and the experiment split the rating files and train
+        # a key the same way: for the same seed and combo, train gives the
+        # experiment's run 0
+        seed = 5
         cfg_path, out = tmp_path / "exp.cfg", tmp_path / "exp"
         cfg_path.write_text(small_config_text(triplet_files, out,
                                               methods=",".join(exp.METHOD_TOKENS),
@@ -887,7 +787,8 @@ class TestTrainCli:
         for token in exp.METHOD_TOKENS:
             run_dir = tmp_path / token
             assert cli.main([
-                "train", "--data", str(prep), "--method", token, "--d", "8",
+                "train", "--dataset", str(triplet_files), "--format", "triplets",
+                "--method", token, "--d", "8",
                 "--lam", "1e-5", "--clip", "-1", "--batch-size", "64",
                 "--max-epochs", "4", "--patience", "3", "--seed", str(seed),
                 "--out", str(run_dir),
@@ -935,13 +836,6 @@ class TestCliSurface:
     """A flag's default is its setting's default, and each flag reaches the
     setting it names."""
 
-    @pytest.fixture(scope="class")
-    def prepared(self, triplet_files, tmp_path_factory):
-        prep = tmp_path_factory.mktemp("prep")
-        assert cli.main(["prepare", "--dataset", str(triplet_files), "--format", "triplets",
-                         "--out", str(prep)]) == 0
-        return prep
-
     def test_prepare_defaults_are_the_config_defaults(self, triplet_files, tmp_path,
                                                       monkeypatch):
         calls = stop_at(monkeypatch, exp, "prepare_datasets")
@@ -949,6 +843,18 @@ class TestCliSurface:
             cli.main(["prepare", "--dataset", str(triplet_files), "--out", str(tmp_path)])
         default = exp.ExperimentConfig()
         assert calls == [((str(triplet_files), default.format, default.seed), {})]
+
+    def test_train_reads_the_dataset_as_prepare_does(self, triplet_files, tmp_path,
+                                                     monkeypatch):
+        # the same defaults, and the one --seed both splits and trains
+        calls = stop_at(monkeypatch, exp, "prepare_datasets")
+        for argv in (["--seed", "4"], []):
+            with pytest.raises(_Stop):
+                cli.main(["train", "--dataset", str(triplet_files), "--method", "bpr",
+                          *argv, "--out", str(tmp_path)])
+        default = exp.ExperimentConfig()
+        assert calls == [((str(triplet_files), default.format, seed), {})
+                         for seed in (4, default.seed)]
 
     def test_prepare_datasets_defaults_are_the_config_defaults(self, experiment_data,
                                                                tmp_path):
@@ -997,10 +903,10 @@ class TestCliSurface:
         assert "invalid choice: 'triplets'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("token", exp.METHOD_TOKENS)
-    def test_train_defaults_are_the_config_defaults(self, prepared, tmp_path, monkeypatch,
-                                                    token):
-        # only the required flags: TrainConfig's defaults, ExperimentConfig's
-        # candidates, and the one propensity estimate
+    def test_train_defaults_are_the_config_defaults(self, triplet_files, tmp_path,
+                                                    monkeypatch, token):
+        # only the required flags and --format: TrainConfig's defaults,
+        # ExperimentConfig's candidates, and the one propensity estimate
         keys, candidates = [], []
 
         def quick_train_key(dataset, config, spec, propensities, *args,
@@ -1014,13 +920,13 @@ class TestCliSurface:
             return _real(*args, **kwargs)
         monkeypatch.setattr(cli, "train_key", quick_train_key)
         monkeypatch.setattr(cli, "evaluate", recording_evaluate)
-        assert cli.main(["train", "--data", str(prepared), "--method", token,
-                         "--out", str(tmp_path)]) == 0
+        assert cli.main(["train", "--dataset", str(triplet_files), "--format", "triplets",
+                         "--method", token, "--out", str(tmp_path)]) == 0
         default = exp.ExperimentConfig()
         (config, spec, theta), = keys
         assert config == TrainConfig()
         assert spec == exp.make_loss_spec(token, 0.0)
-        counts = load_dataset(prepared / "train").item_click_counts
+        counts = exp.prepare_datasets(triplet_files, "triplets").train.item_click_counts
         assert np.array_equal(theta, PropensityTable.from_click_counts(counts).theta_click)
         assert candidates == [default.candidates]
 
@@ -1043,8 +949,8 @@ class TestUnusablePaths:
 
     @pytest.mark.parametrize("case", [
         "experiment_config", "experiment_train_file",
-        "experiment_out", "experiment_out_under_a_file", "verify_world", "train_data",
-        "report_out", "report_config_hash", "prepare_train_file"])
+        "experiment_out", "experiment_out_under_a_file", "verify_world",
+        "report_out", "report_config_hash", "prepare_train_file", "train_train_file"])
     def test_refused_in_one_line(self, triplet_files, tmp_path, capsys, case):
         adir, afile = tmp_path / "adir", tmp_path / "afile"
         adir.mkdir()
@@ -1075,16 +981,15 @@ class TestUnusablePaths:
                 ["experiment", "--config", str(cfg_out_under)],
                 f"cannot create directory {afile / 'out'}: Not a directory"),
             "verify_world": (["verify", "--world", str(adir), "--exact-only"], is_a_dir),
-            "train_data": (
-                ["train", "--data", str(afile), "--method", "bpr", "--out", str(tmp_path / "o")],
-                f"prepared data {afile}: [Errno 20] Not a directory: "
-                f"'{afile / 'train' / 'meta.json'}'"),
             "report_out": (["report", "--out", str(afile)],
                            f"[Errno 20] Not a directory: '{afile / 'per_run_metrics.tsv'}'"),
             "report_config_hash": (["report", "--out", str(runs)],
                                    f"[Errno 21] Is a directory: '{runs / 'config_hash.txt'}'"),
             "prepare_train_file": (
                 ["prepare", "--dataset", str(hollow), "--format", "triplets",
+                 "--out", str(tmp_path / "o")], not_a_file),
+            "train_train_file": (
+                ["train", "--dataset", str(hollow), "--format", "triplets", "--method", "bpr",
                  "--out", str(tmp_path / "o")], not_a_file),
         }[case]
         before = sorted(tmp_path.rglob("*"))
@@ -1096,14 +1001,12 @@ class TestUnusablePaths:
         assert afile.read_text() == "kept\n"
 
     @pytest.mark.parametrize("case", [
-        "prepare_triplets", "prepare_coat", "experiment_config",
-        "verify_world", "train_meta", "train_exposed", "report"])
+        "prepare_triplets", "prepare_coat", "train_triplets", "train_coat",
+        "experiment_config", "verify_world", "report"])
     def test_undecodable_input_refused_in_one_line(self, triplet_files, tmp_path, capsys,
                                                    case):
         # a 0xff byte, never part of UTF-8 text, at the start of an input's line 2
-        prep, coat, runs = tmp_path / "prep", tmp_path / "coat", tmp_path / "runs"
-        assert cli.main(["prepare", "--dataset", str(triplet_files), "--format", "triplets",
-                         "--out", str(prep)]) == 0
+        coat, runs = tmp_path / "coat", tmp_path / "runs"
         coat.mkdir()
         for name in ("train.ascii", "test.ascii"):
             (coat / name).write_text("1 0 5\n0 3 4\n")
@@ -1115,31 +1018,27 @@ class TestUnusablePaths:
         world = tmp_path / "world.txt"
         shutil.copy(WORLDS_DIR / "clip_bias.txt", world)
         data = shutil.copytree(triplet_files, tmp_path / "data")
-        train = ["train", "--data", str(prep), "--method", "bpr", "--out", str(tmp_path / "o")]
-        argv, path, prefix = {
+        train = ["train", "--method", "bpr", "--out", str(tmp_path / "o"), "--dataset"]
+        argv, path = {
             "prepare_triplets": (["prepare", "--dataset", str(data), "--format", "triplets",
-                                  "--out", str(tmp_path / "o")], data / "train.txt", ""),
+                                  "--out", str(tmp_path / "o")], data / "train.txt"),
             "prepare_coat": (["prepare", "--dataset", str(coat), "--format", "coat",
-                              "--out", str(tmp_path / "o")], coat / "train.ascii", ""),
-            "experiment_config": (["experiment", "--config", str(cfg)], cfg, ""),
-            "verify_world": (["verify", "--world", str(world), "--exact-only"], world, ""),
-            "train_meta": (train, prep / "train" / "meta.json", f"prepared data {prep}: "),
-            "train_exposed": (train, prep / "train" / "exposed.tsv",
-                              f"prepared data {prep}: "),
-            "report": (["report", "--out", str(runs)], runs / "per_run_metrics.tsv", ""),
+                              "--out", str(tmp_path / "o")], coat / "train.ascii"),
+            "train_triplets": ([*train, str(data), "--format", "triplets"],
+                               data / "train.txt"),
+            "train_coat": ([*train, str(coat), "--format", "coat"], coat / "train.ascii"),
+            "experiment_config": (["experiment", "--config", str(cfg)], cfg),
+            "verify_world": (["verify", "--world", str(world), "--exact-only"], world),
+            "report": (["report", "--out", str(runs)], runs / "per_run_metrics.tsv"),
         }[case]
         lines = path.read_bytes().splitlines(keepends=True)
         path.write_bytes(b"".join([lines[0], b"\xff" + lines[1], *lines[2:]]))
-        capsys.readouterr()
-
-        def tree():
-            return {p: p.is_file() and p.read_bytes() for p in tmp_path.rglob("*")}
-        before = tree()
+        before = tree_state(tmp_path)
         assert cli.main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == f"error: {prefix}{path}:2: not UTF-8 text\n"
-        assert tree() == before
+        assert captured.err == f"error: {path}:2: not UTF-8 text\n"
+        assert tree_state(tmp_path) == before
 
 
 def wrap_train(monkeypatch, fail=None):
@@ -1605,10 +1504,9 @@ class TestTableBytes:
     def test_train_tables(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(cli, "train_key", fake_train_key)
         monkeypatch.setattr(cli, "evaluate", fake_evaluate)
-        prep, out = tmp_path / "prep", tmp_path / "run"
-        assert cli.main(["prepare", "--dataset", str(tiny_triplets(tmp_path)),
-                         "--format", "triplets", "--seed", "3", "--out", str(prep)]) == 0
-        assert cli.main(["train", "--data", str(prep), "--method", "bpr", "--d", "2",
+        out = tmp_path / "run"
+        assert cli.main(["train", "--dataset", str(tiny_triplets(tmp_path)),
+                         "--format", "triplets", "--method", "bpr", "--d", "2",
                          "--seed", "4", "--out", str(out)]) == 0
         tree = {name: data.decode() for name, data in tree_bytes(out).items()
                 if name != "model.ckpt"}
@@ -1737,6 +1635,14 @@ world: 1 users x 3 items (3 cells); ideal risk = 1.284326616
 
 
 class TestVerifyCli:
+    def test_defaults_are_the_suite_defaults(self, monkeypatch):
+        # `uplrec verify` runs the suite as verification_suite() would
+        suite = inspect.signature(oracle.verification_suite).parameters
+        calls = stop_at(monkeypatch, oracle, "verification_suite")
+        with pytest.raises(_Stop):
+            cli.main(["verify"])
+        assert calls == [((), {name: p.default for name, p in suite.items()})]
+
     def test_bundled_suite_passes(self, capsys):
         rc = cli.main(["verify", "--samples", "10000"])
         captured = capsys.readouterr()
