@@ -21,6 +21,7 @@ one ``error:`` line and returns 2.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import time
 from dataclasses import fields
@@ -48,15 +49,16 @@ def _dataset_flags(parser):
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(prog="uplrec")
+    parser = argparse.ArgumentParser(prog="uplrec", allow_abbrev=False)
     sub = parser.add_subparsers(dest="command", required=True)
+    command = functools.partial(sub.add_parser, allow_abbrev=False)  # no flag by prefix
 
-    p = sub.add_parser("prepare", help="generate semi-synthetic implicit datasets")
+    p = command("prepare", help="generate semi-synthetic implicit datasets")
     _dataset_flags(p)
     _flag(p, "seed", ExperimentConfig.seed)
     p.add_argument("--out", required=True)
 
-    t = sub.add_parser("train", help="single training run on splits prepared at --seed")
+    t = command("train", help="single training run on splits prepared at --seed")
     _dataset_flags(t)
     t.add_argument("--method", required=True, choices=METHOD_TOKENS)
     for f in fields(TrainConfig):
@@ -65,10 +67,10 @@ def main(argv=None) -> int:
     _flag(t, "candidates", ExperimentConfig.candidates, choices=CANDIDATE_MODES)
     t.add_argument("--out", required=True)
 
-    e = sub.add_parser("experiment", help="full experiment sweep from a config file")
+    e = command("experiment", help="full experiment sweep from a config file")
     e.add_argument("--config", required=True, help="flat key=value config file")
 
-    v = sub.add_parser("verify", help="estimator oracle suite")
+    v = command("verify", help="estimator oracle suite")
     v.add_argument("--world", default=None, help="world spec file; bundled suite if omitted")
     v.add_argument("--samples", type=int, default=oracle.VERIFY_SAMPLES)
     v.add_argument("--seed", type=int, default=oracle.VERIFY_SEED)
@@ -76,7 +78,7 @@ def main(argv=None) -> int:
     v.add_argument("--out", default=None,
                    help="TSV of the Monte Carlo reports of a --world run")
 
-    r = sub.add_parser("report", help="re-aggregate an experiment output directory")
+    r = command("report", help="re-aggregate an experiment output directory")
     r.add_argument("--out", required=True)
 
     args = parser.parse_args(argv)

@@ -730,17 +730,19 @@ class TestTrainCli:
         ("experiment", "--methods", "relmf"), ("experiment", "--runs", "3"),
         ("experiment", "--seed", "4"), ("experiment", "--threads", "2"),
         ("experiment", "--out", "elsewhere_out"), ("experiment", "--grid-file", "grid.cfg"),
+        ("train", "--data", "prepared"),
     ], ids=["wmf_weight", "epsilon_train_one", "epsilon_test_nan", "fraction_zero",
             "fraction_above_one", "train_file", "test_file", "experiment_epsilon_train",
             "experiment_epsilon_test", "experiment_dataset", "experiment_format",
             "experiment_methods", "experiment_runs", "experiment_seed", "experiment_threads",
-            "experiment_out", "experiment_grid_file"])
+            "experiment_out", "experiment_grid_file", "train_data"])
     def test_retired_flag_is_unknown(self, triplet_files, tmp_path, capsys, command, flag,
                                      value):
         # wmf's click weight and the data protocol are constants, a dataset's
-        # rating files are found by its format's names, and an experiment's
-        # settings come from its config file alone: argparse
-        # refuses the flag, whatever the value, before anything is read
+        # rating files are found by its format's names, train reads them and
+        # not prepared splits, and an experiment's settings come from its
+        # config file alone: argparse refuses the flag, whatever the value,
+        # before anything is read, even where it begins a live flag
         out = tmp_path / "run"
         cfg_path = tmp_path / "exp.cfg"
         cfg_path.write_text(small_config_text(triplet_files, out))
@@ -772,22 +774,21 @@ class TestTrainCli:
         assert [r.split("\t")[1:] for r in mfdu_rows] == \
             [r.split("\t")[1:] for r in relmf_rows]
 
-    def test_each_token_matches_experiment_run_zero(self, triplet_files, tmp_path):
+    def assert_each_token_matches_experiment_run_zero(self, root, format, tmp_path):
         # `uplrec train` and the experiment split the rating files and train
         # a key the same way: for the same seed and combo, train gives the
         # experiment's run 0
         seed = 5
         cfg_path, out = tmp_path / "exp.cfg", tmp_path / "exp"
-        cfg_path.write_text(small_config_text(triplet_files, out,
-                                              methods=",".join(exp.METHOD_TOKENS),
+        cfg_path.write_text(small_config_text(root, out, methods=",".join(exp.METHOD_TOKENS),
                                               runs=1, seed=seed)
-                            + "clip_grid = -1\nmax_epochs = 4\n")
+                            + f"format = {format}\nclip_grid = -1\nmax_epochs = 4\n")
         assert cli.main(["experiment", "--config", str(cfg_path)]) == 0
         rows = exp.read_per_run(out / "per_run_metrics.tsv")
         for token in exp.METHOD_TOKENS:
             run_dir = tmp_path / token
             assert cli.main([
-                "train", "--dataset", str(triplet_files), "--format", "triplets",
+                "train", "--dataset", str(root), "--format", format,
                 "--method", token, "--d", "8",
                 "--lam", "1e-5", "--clip", "-1", "--batch-size", "64",
                 "--max-epochs", "4", "--patience", "3", "--seed", str(seed),
@@ -797,6 +798,23 @@ class TestTrainCli:
                 (out / "logs" / f"{token}_run000.log").read_bytes(), token
             expected = [r for r in rows if r[:2] == (token, 0)]
             assert expected and exp.read_per_run(run_dir / "metrics.tsv") == expected, token
+
+    def test_each_token_matches_experiment_run_zero(self, triplet_files, tmp_path):
+        self.assert_each_token_matches_experiment_run_zero(triplet_files, "triplets", tmp_path)
+
+    def test_each_token_matches_experiment_run_zero_on_coat(self, triplet_files, tmp_path):
+        # the same ratings as coat's two dense matrices, 0 meaning unrated
+        root = tmp_path / "coat"
+        root.mkdir()
+        train, test = (np.loadtxt(triplet_files / name, dtype=np.int64, ndmin=2)
+                       for name in ("train.txt", "test.txt"))
+        users, items = (np.unique(np.concatenate([train[:, k], test[:, k]])) for k in (0, 1))
+        for name, ratings in (("train.ascii", train), ("test.ascii", test)):
+            dense = np.zeros((len(users), len(items)), dtype=np.int64)
+            dense[np.searchsorted(users, ratings[:, 0]),
+                  np.searchsorted(items, ratings[:, 1])] = ratings[:, 2]
+            np.savetxt(root / name, dense, fmt="%d")
+        self.assert_each_token_matches_experiment_run_zero(root, "coat", tmp_path)
 
 
 class _Stop(Exception):
@@ -930,6 +948,30 @@ class TestCliSurface:
         assert np.array_equal(theta, PropensityTable.from_click_counts(counts).theta_click)
         assert candidates == [default.candidates]
 
+    @pytest.mark.parametrize("command, prefix, value", [
+        ("prepare", "--se", "3"), ("train", "--max-epoch", "3"),
+        ("experiment", "--conf", "other.cfg"), ("verify", "--sample", "10000"),
+        ("report", "--ou", "other"),
+    ], ids=["prepare_seed", "train_max_epochs", "experiment_config", "verify_samples",
+            "report_out"])
+    def test_flags_are_matched_whole(self, triplet_files, tmp_path, capsys, monkeypatch,
+                                     command, prefix, value):
+        # a prefix of a live flag is unknown, not read as the flag, so no
+        # retired flag that begins a live one is taken for it
+        monkeypatch.setitem(cli._COMMANDS, command, lambda args: pytest.fail("ran"))
+        out = tmp_path / "o"
+        argv = {"prepare": ["--dataset", str(triplet_files), "--out", str(out)],
+                "train": ["--dataset", str(triplet_files), "--method", "bpr",
+                          "--out", str(out)],
+                "experiment": ["--config", str(tmp_path / "exp.cfg")],
+                "verify": [],
+                "report": ["--out", str(out)]}[command]
+        with pytest.raises(SystemExit) as info:
+            cli.main([command, *argv, prefix, value])
+        assert info.value.code == 2
+        assert f"unrecognized arguments: {prefix} {value}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_readme_names_every_option_and_no_other_flag(self, capsys):
         # pip's flag in the install block is the one flag not uplrec's
         flag = r"(?<![\w-])--[a-z][a-z-]*"
@@ -950,7 +992,8 @@ class TestUnusablePaths:
     @pytest.mark.parametrize("case", [
         "experiment_config", "experiment_train_file",
         "experiment_out", "experiment_out_under_a_file", "verify_world",
-        "report_out", "report_config_hash", "prepare_train_file", "train_train_file"])
+        "report_out", "report_config_hash", "prepare_train_file", "train_train_file",
+        "prepare_test_file", "train_test_file", "train_coat_file"])
     def test_refused_in_one_line(self, triplet_files, tmp_path, capsys, case):
         adir, afile = tmp_path / "adir", tmp_path / "afile"
         adir.mkdir()
@@ -964,6 +1007,12 @@ class TestUnusablePaths:
         hollow = tmp_path / "hollow"  # a triplets dataset whose train.txt is a directory
         (hollow / "train.txt").mkdir(parents=True)
         shutil.copy(triplet_files / "test.txt", hollow)
+        hollow_test = tmp_path / "hollow_test"  # ... whose test.txt is a directory
+        (hollow_test / "test.txt").mkdir(parents=True)
+        shutil.copy(triplet_files / "train.txt", hollow_test)
+        hollow_coat = tmp_path / "hollow_coat"  # a coat dataset whose train.ascii is one
+        (hollow_coat / "train.ascii").mkdir(parents=True)
+        (hollow_coat / "test.ascii").write_text("1 0 5\n0 3 4\n")
         cfg_train_dir = tmp_path / "train_dir.cfg"
         cfg_train_dir.write_text(small_config_text(hollow, tmp_path / "out"))
         cfg_out, cfg_out_under = tmp_path / "out.cfg", tmp_path / "out_under.cfg"
@@ -971,6 +1020,7 @@ class TestUnusablePaths:
         cfg_out_under.write_text(small_config_text(triplet_files, afile / "out"))
         is_a_dir = f"[Errno 21] Is a directory: '{adir}'"
         not_a_file = f"dataset {hollow}: rating file {hollow / 'train.txt'} is not a file"
+        train = ["train", "--method", "bpr", "--out", str(tmp_path / "o"), "--dataset"]
         argv, message = {
             "experiment_config": (["experiment", "--config", str(adir)], is_a_dir),
             "experiment_train_file": (["experiment", "--config", str(cfg_train_dir)],
@@ -988,9 +1038,18 @@ class TestUnusablePaths:
             "prepare_train_file": (
                 ["prepare", "--dataset", str(hollow), "--format", "triplets",
                  "--out", str(tmp_path / "o")], not_a_file),
-            "train_train_file": (
-                ["train", "--dataset", str(hollow), "--format", "triplets", "--method", "bpr",
-                 "--out", str(tmp_path / "o")], not_a_file),
+            "train_train_file": ([*train, str(hollow), "--format", "triplets"], not_a_file),
+            "prepare_test_file": (
+                ["prepare", "--dataset", str(hollow_test), "--format", "triplets",
+                 "--out", str(tmp_path / "o")],
+                f"dataset {hollow_test}: rating file {hollow_test / 'test.txt'} is not a file"),
+            "train_test_file": (
+                [*train, str(hollow_test), "--format", "triplets"],
+                f"dataset {hollow_test}: rating file {hollow_test / 'test.txt'} is not a file"),
+            "train_coat_file": (
+                [*train, str(hollow_coat), "--format", "coat"],
+                f"dataset {hollow_coat}: rating file {hollow_coat / 'train.ascii'} "
+                "is not a file"),
         }[case]
         before = sorted(tmp_path.rglob("*"))
         assert cli.main(argv) == 2
