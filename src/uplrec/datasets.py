@@ -225,8 +225,10 @@ class ImplicitDataset:
 
     One row per *exposed* cell (a rated (user, item) pair), sorted by
     (user, item).  Exposure is 1 on every stored cell, so click == rel there;
-    unstored cells have exposure 0 and click 0.  Treat instances as
-    immutable after construction.
+    unstored cells have exposure 0 and click 0.  The click views are cached
+    on first use: a U x I bool table, the clicked pairs and their gaps, from
+    which ``non_click_at`` finds any non-click without a U x I index.  Treat
+    instances as immutable after construction.
     """
 
     num_users: int
@@ -285,8 +287,18 @@ class ImplicitDataset:
         return np.nonzero(self.click_table)
 
     @cached_property
-    def non_click_cells(self) -> np.ndarray:
-        return np.flatnonzero(~self.click_table)  # u * num_items + i, exposed or not
+    def click_gaps(self) -> np.ndarray:
+        """Per click in (user, item) order, the non-clicks before it: its cell
+        u * num_items + i minus its rank.  O(N1), where a table of the
+        non-clicks, exposed or not, would take U * I - N1 cells."""
+        users, items = self.click_pairs
+        return users * self.num_items + items - np.arange(len(users))
+
+    def non_click_at(self, k) -> np.ndarray:
+        """The k-th of the non-click cells u * num_items + i in ascending
+        order, for each k in [0, U * I - N1): k plus the clicks with at most
+        k non-clicks before them."""
+        return k + np.searchsorted(self.click_gaps, k, side="right")
 
     @cached_property
     def item_click_counts(self) -> np.ndarray:

@@ -25,7 +25,6 @@ from __future__ import annotations
 import hashlib
 import itertools
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -363,9 +362,12 @@ def _train_tasks(tasks, state):
     """Yield each task's runs in task order, trained in-process or on a pool of
     min(threads, tasks) workers when that is more than one.  The pool is the
     call's own: once a worker dies a pool refuses every later submit, so one
-    pool per experiment would fail every later method after one crash."""
+    pool per experiment would fail every later method after one crash.  Only
+    a pool imports ``multiprocessing``, about 1.2 MB of a process's RSS."""
     workers = min(state["config"].threads, len(tasks))  # each forked at the first submit
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers, initializer=_pool_init,
                                  initargs=(state,)) as pool:
             yield from pool.map(_train_task, tasks)

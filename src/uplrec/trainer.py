@@ -8,7 +8,10 @@ expected epoch term sum is the estimator's full-batch risk over I - 1.
 ``_point_batches`` tops each half batch of shuffled clicks up with as many
 non-clicks, drawn uniformly at rate N1/N0 (half clicks, one draw per click)
 and weighted N0/N1: the expected epoch term sum is the full-batch pointwise
-risk over every cell.  ``train`` loops over the generator once per epoch.
+risk over every cell.  It draws ranks among the non-clicks and maps them to
+cells through ``ImplicitDataset.non_click_at``, which holds the N1 clicks'
+gaps rather than an index of the U * I - N1 non-clicks.  ``train`` loops over
+the generator once per epoch.
 
 Every estimator trains through the one step ``_step``: a batch is the users
 u and one item array per score (i for a pointwise batch, i and j for a
@@ -168,19 +171,22 @@ def _point_batches(dataset: ImplicitDataset, spec, batch_size: int, theta, rng):
     """One pointwise epoch's batches (u, (i,), objective): the N1 clicks
     shuffled, each half batch topped up with as many cells drawn uniformly,
     with replacement, from the N0 non-clicks, exposed or not (rate N1/N0: half
-    clicks, one draw per click as in ``_pair_batches``).  The objective weights
-    a draw N0/N1, so the expected epoch term sum is the full-batch pointwise
-    risk over every cell.  With no non-click, the clicks train alone."""
+    clicks, one draw per click as in ``_pair_batches``).  A draw is a rank k
+    in [0, N0), which ``non_click_at`` maps to the k-th non-click cell.  The
+    objective weights a draw N0/N1, so the expected epoch term sum is the
+    full-batch pointwise risk over every cell.  With no non-click, the clicks
+    train alone."""
     users, items = dataset.click_pairs
     if len(users) == 0:
         raise ValueError("no click to train on")
-    non_clicks = dataset.non_click_cells
-    rate = len(non_clicks) / len(users)  # N0/N1
+    num_non_clicks = dataset.num_users * dataset.num_items - len(users)
+    rate = num_non_clicks / len(users)  # N0/N1
     half = max(1, batch_size // 2)
     perm = rng.permutation(len(users))
     for start in range(0, len(perm), half):
         sel = perm[start:start + half]
-        drawn = non_clicks[rng.integers(0, len(non_clicks), size=len(sel) if rate else 0)]
+        drawn = dataset.non_click_at(rng.integers(0, num_non_clicks,
+                                                  size=len(sel) if rate else 0))
         nu, ni = np.divmod(drawn, dataset.num_items)
         i = np.concatenate([items[sel], ni])
         c = np.concatenate([np.ones(len(sel)), np.zeros(len(drawn))])

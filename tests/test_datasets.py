@@ -255,6 +255,9 @@ class TestCellTable:
     @example((2, 3, [(1, 2, 0), (0, 1, 0)]))  # no click
     @example((2, 2, [(1, 1, 1), (0, 0, 0), (1, 0, 1), (0, 1, 1)]))  # every cell exposed
     @example((3, 2, [(2, 1, 1), (0, 0, 1)]))  # user 1 has no cells
+    @example((2, 2, [(1, 1, 1), (0, 0, 1), (1, 0, 1), (0, 1, 1)]))  # every cell clicked: N0 = 0
+    @example((3, 4, [(1, 2, 1)]))  # one click
+    @example((3, 4, [(2, 3, 1), (0, 0, 1), (1, 1, 0)]))  # clicks on the first and last cell
     def test_matches_set_reference(self, case):
         num_users, num_items, cells = case
         ds = make_implicit(num_users, num_items, [(u, i, 0.5, r) for u, i, r in cells])
@@ -265,8 +268,9 @@ class TestCellTable:
         assert exposed_pairs(ds) == exposed
         assert ds.click_table.shape == (num_users, num_items)
         assert ds.click_table.dtype == bool
-        assert ds.non_click_cells.tolist() == [u * num_items + i for u, i in grid
-                                               if (u, i) not in clicked]
+        non_clicks = [u * num_items + i for u, i in grid if (u, i) not in clicked]
+        assert ds.non_click_at(np.arange(len(non_clicks))).tolist() == non_clicks
+        assert ds.click_gaps.nbytes == 8 * len(clicked)
         assert ds.is_clicked(users, items).tolist() == [c in clicked for c in grid]
         assert list(zip(*(a.tolist() for a in ds.click_pairs))) == sorted(clicked)
         assert all(a.dtype == np.int64 for a in ds.click_pairs)

@@ -1,3 +1,4 @@
+import concurrent.futures
 import inspect
 import json
 import re
@@ -1292,7 +1293,8 @@ class TestExperimentWorkers:
             def map(self, fn, tasks):
                 return (fn(task, self.state) for task in tasks)
 
-        monkeypatch.setattr(exp, "ProcessPoolExecutor", InlinePool)
+        # _train_tasks imports the pool class when it forks, so patch its source
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
         cfg_path = tmp_path / "exp.cfg"
         cfg_path.write_text(small_config_text(triplet_files, tmp_path / "out", methods="ubpr",
                                               runs=1).replace("clip_grid = 0", "clip_grid = 0,-1")

@@ -8,7 +8,9 @@ BENCH_13.json) and ``scipy.special`` in the Student-t tail
 ``evaluation.t_sf`` (about 26 MB and 315 modules over numpy,
 BENCH_16.json).  Nor does the coat or the triplets path load ``numpy.ma``,
 which ``np.unique`` and ``np.union1d`` import lazily (about 1.2 MB of RSS
-and 10 ms)."""
+and 10 ms).  Nor does an experiment at ``threads = 1`` load
+``multiprocessing``, which only a worker pool needs (about 1.2 MB of
+sweep-d64's peak RSS, BENCH_39.json)."""
 
 import os
 import subprocess
@@ -100,3 +102,34 @@ def test_triplets_path_loads_no_numpy_ma(tmp_path):
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout == "False\n"
+
+
+POOL_SCRIPT = """
+import sys
+from pathlib import Path
+import numpy as np
+from uplrec import experiment
+root = Path(sys.argv[1])
+pool_modules = ("multiprocessing", "concurrent.futures.process")
+print([name for name in pool_modules if name in sys.modules])
+rng = np.random.default_rng(0)
+for name in ("train.ascii", "test.ascii"):
+    np.savetxt(root / name, rng.integers(0, 6, size=(30, 20)), fmt="%d")
+(root / "exp.cfg").write_text(f"dataset = {root}\\nformat = coat\\nmethods = relmf,upl\\n"
+                              "runs = 2\\nd_grid = 2,4\\nlambda_grid = 1e-5\\n"
+                              "max_epochs = 2\\nbatch_size = 16\\nthreads = 1\\n"
+                              f"out = {root / 'out'}\\n")
+experiment.run_experiment(experiment.parse_config_file(root / "exp.cfg"))
+print([name for name in pool_modules if name in sys.modules])
+"""
+
+
+def test_single_thread_experiment_loads_no_pool(tmp_path):
+    # an experiment whose grid and final runs each have more than one task,
+    # so only threads = 1 keeps them in process
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    done = subprocess.run([sys.executable, "-c", POOL_SCRIPT, str(tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n[]\n"
+    assert (tmp_path / "out" / "per_run_metrics.tsv").is_file()

@@ -106,6 +106,23 @@ def _pair_terms(spec, batches):
     return c_j, pair_weights(spec, c_j, theta_i, theta_j, gamma_j, np.ones(len(c_j)))
 
 
+def _reference_point_batches(ds, batch_size, rng):
+    """(users, items, weights) of each batch of a pointwise epoch drawn, with
+    the same rng calls as ``_point_batches``, from an index of every non-click
+    cell."""
+    users, items = ds.click_pairs
+    non_clicks = np.flatnonzero(~ds.click_table)
+    rate = len(non_clicks) / len(users)
+    half = max(1, batch_size // 2)
+    perm = rng.permutation(len(users))
+    for start in range(0, len(perm), half):
+        sel = perm[start:start + half]
+        drawn = non_clicks[rng.integers(0, len(non_clicks), size=len(sel) if rate else 0)]
+        nu, ni = np.divmod(drawn, ds.num_items)
+        yield (np.concatenate([users[sel], nu]), np.concatenate([items[sel], ni]),
+               np.concatenate([np.ones(len(sel)), np.full(len(drawn), rate)]))
+
+
 class TestSampleBatch:
     def test_forced_single_pair(self):
         # one click and a single other item: the only possible pair
@@ -196,6 +213,27 @@ class TestSampleBatch:
             assert weight.tolist() == [1, 1, 3, 3]
             clicks += zip(u[:2].tolist(), i[:2].tolist())
         assert sorted(clicks) == list(zip(*(a.tolist() for a in ds.click_pairs)))
+
+    @pytest.mark.parametrize("world", ["first_and_last_clicked", "every_cell_clicked"])
+    @pytest.mark.parametrize("seed, batch_size", [(0, 2), (1, 5), (2, 64)])
+    def test_point_batches_match_a_non_click_index(self, world, seed, batch_size):
+        rng = np.random.default_rng(seed)
+        if world == "every_cell_clicked":
+            ds = make_implicit(3, 4, [(u, i, 0.5, 1) for u in range(3) for i in range(4)])
+        else:  # random clicks, and clicks on the first and last cells
+            ends = ((0, 0), (4, 6))
+            ds = make_implicit(5, 7, [(u, i, 0.5, int((u, i) in ends or rng.random() < 0.3))
+                                      for u in range(5) for i in range(7)
+                                      if (u, i) in ends or rng.random() < 0.8])
+            assert ds.click_table[0, 0] and ds.click_table[-1, -1]
+        batches = list(_point_batches(ds, LossSpec("relmf"), batch_size,
+                                      np.ones(ds.num_items), np.random.default_rng(seed)))
+        reference = list(_reference_point_batches(ds, batch_size, np.random.default_rng(seed)))
+        assert len(batches) == len(reference) > 0
+        for (u, (i,), objective), (ref_u, ref_i, ref_weight) in zip(batches, reference):
+            assert u.tobytes() == ref_u.tobytes()
+            assert i.tobytes() == ref_i.tobytes()
+            assert objective.args[3].tobytes() == ref_weight.tobytes()
 
     def test_points_need_a_click(self):
         ds = make_implicit(2, 3, [(0, 0, 0.5, 0), (1, 2, 0.5, 0)])
