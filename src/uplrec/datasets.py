@@ -22,10 +22,13 @@ DATASET_FORMAT_VERSION = 1
 R_MAX = 5  # star ratings run from 1 to R_MAX
 
 
-def _check_distinct_cells(codes):
-    """IntegrityError unless the ascending cell codes user * num_items + item
-    name each (user, item) pair once."""
-    if np.any(np.diff(codes) <= 0):
+def _check_cells(users, items, num_users: int, num_items: int):
+    """ValueError unless every user and item index is in range, IntegrityError
+    unless the cells name each (user, item) pair once."""
+    for what, index, size in (("user", users, num_users), ("item", items, num_items)):
+        if len(index) and (index.min() < 0 or index.max() >= size):
+            raise ValueError(f"{what} index out of range")
+    if np.any(np.diff(np.sort(users * num_items + items)) <= 0):
         raise IntegrityError("duplicate (user, item) pair")
 
 
@@ -54,13 +57,9 @@ class ExplicitRatings:
     def validate(self):
         if len(self.users) != len(self.items) or len(self.users) != len(self.ratings):
             raise ValueError("users/items/ratings length mismatch")
-        if len(self.users) and (self.users.min() < 0 or self.users.max() >= self.num_users):
-            raise ValueError("user index out of range")
-        if len(self.items) and (self.items.min() < 0 or self.items.max() >= self.num_items):
-            raise ValueError("item index out of range")
+        _check_cells(self.users, self.items, self.num_users, self.num_items)
         if len(self.ratings) and (self.ratings.min() < 1 or self.ratings.max() > R_MAX):
             raise ValueError(f"rating outside [1, {R_MAX}]")
-        _check_distinct_cells(np.sort(self.users * self.num_items + self.items))
 
     def __len__(self):
         return len(self.users)
@@ -225,10 +224,12 @@ class ImplicitDataset:
 
     One row per *exposed* cell (a rated (user, item) pair), sorted by
     (user, item).  Exposure is 1 on every stored cell, so click == rel there;
-    unstored cells have exposure 0 and click 0.  The click views are cached
-    on first use: a U x I bool table, the clicked pairs and their gaps, from
-    which ``non_click_at`` finds any non-click without a U x I index.  Treat
-    instances as immutable after construction.
+    unstored cells have exposure 0 and click 0.  Every click view comes from
+    the ascending click codes u * num_items + i (8 bytes a click) and is
+    cached on first use: the clicked pairs, their gaps, from which
+    ``non_click_at`` finds any non-click, and the click counts; ``is_clicked``
+    searches the codes.  Nothing grows with U * I.  Treat instances as
+    immutable after construction.
     """
 
     num_users: int
@@ -257,16 +258,12 @@ class ImplicitDataset:
         n = len(self.users)
         if not (len(self.items) == len(self.gamma) == len(self.rel) == n):
             raise ValueError("column length mismatch")
-        if n and (self.users.min() < 0 or self.users.max() >= self.num_users):
-            raise ValueError("user index out of range")
-        if n and (self.items.min() < 0 or self.items.max() >= self.num_items):
-            raise ValueError("item index out of range")
+        _check_cells(self.users, self.items, self.num_users, self.num_items)
         # written so that NaN fails the check
         if not np.all((self.gamma >= 0) & (self.gamma <= 1)):
             raise ValueError("gamma outside [0, 1]")
         if not np.all(np.isin(self.rel, (0, 1))):
             raise ValueError("rel must be binary")
-        _check_distinct_cells(self.users * self.num_items + self.items)  # lexsorted
 
     def __len__(self):
         return len(self.users)
@@ -276,23 +273,20 @@ class ImplicitDataset:
         return int(self.rel.sum())
 
     @cached_property
-    def click_table(self) -> np.ndarray:
-        """(num_users, num_items) bool table: True on a click."""
-        table = np.zeros((self.num_users, self.num_items), dtype=bool)
-        table[self.users, self.items] = self.rel
-        return table
+    def click_codes(self) -> np.ndarray:
+        """The clicked cells u * num_items + i, ascending: every click view's source."""
+        return (self.users * self.num_items + self.items)[self.rel == 1]
 
     @cached_property
     def click_pairs(self) -> tuple[np.ndarray, np.ndarray]:
-        return np.nonzero(self.click_table)
+        return np.divmod(self.click_codes, self.num_items)
 
     @cached_property
     def click_gaps(self) -> np.ndarray:
-        """Per click in (user, item) order, the non-clicks before it: its cell
-        u * num_items + i minus its rank.  O(N1), where a table of the
-        non-clicks, exposed or not, would take U * I - N1 cells."""
-        users, items = self.click_pairs
-        return users * self.num_items + items - np.arange(len(users))
+        """Per click in (user, item) order, the non-clicks before it: its code
+        minus its rank.  O(N1), where a table of the non-clicks, exposed or
+        not, would take U * I - N1 cells."""
+        return self.click_codes - np.arange(len(self.click_codes))
 
     def non_click_at(self, k) -> np.ndarray:
         """The k-th of the non-click cells u * num_items + i in ascending
@@ -302,11 +296,11 @@ class ImplicitDataset:
 
     @cached_property
     def item_click_counts(self) -> np.ndarray:
-        return np.count_nonzero(self.click_table, axis=0)
+        return np.bincount(self.click_pairs[1], minlength=self.num_items)
 
     @cached_property
     def user_click_counts(self) -> np.ndarray:
-        return np.count_nonzero(self.click_table, axis=1)
+        return np.bincount(self.click_pairs[0], minlength=self.num_users)
 
     @cached_property
     def user_indptr(self) -> np.ndarray:
@@ -314,7 +308,10 @@ class ImplicitDataset:
         return np.searchsorted(self.users, np.arange(self.num_users + 1))
 
     def is_clicked(self, users, items) -> np.ndarray:
-        return self.click_table[users, items]
+        """Membership of each cell u * num_items + i in the click codes."""
+        codes = np.asarray(users) * self.num_items + np.asarray(items)
+        return (np.searchsorted(self.click_codes, codes, side="right")
+                > np.searchsorted(self.click_codes, codes))
 
 
 def generate_semi_synthetic(ratings: ExplicitRatings, epsilon: float, seed: int,

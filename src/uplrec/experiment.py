@@ -605,8 +605,8 @@ def _write_tables_md(path, groups, cfg_hash):
                                      if c == cohort and mm == m})]
             methods = sorted({meth for (c, m, k) in groups if c == cohort
                               for meth in groups[(c, m, k)]},
-                             key=lambda t: METHOD_TOKENS.index(t)
-                             if t in METHOD_TOKENS else 99)
+                             key=lambda t: (METHOD_TOKENS.index(t) if t in METHOD_TOKENS
+                                            else len(METHOD_TOKENS), t))
             fh.write(f"\n## Ranking performance (cohort: {cohort})\n\n")
             header = "| Method | " + " | ".join(
                 f"{m.upper()}@{k}" for m, k in keys) + " |\n"

@@ -4,14 +4,15 @@ Each sampling rule is one generator of an epoch's batches; neither reads
 exposure, which implicit feedback hides.  ``_pair_batches`` makes a shuffled
 pass over the clicks with one candidate j per click, uniform over the items
 other than i (``_sample_j``), weighted by ``losses.pair_weights``: the
-expected epoch term sum is the estimator's full-batch risk over I - 1.
+expected epoch term sum is the estimator's full-batch risk over I - 1; j's
+click is a search of the split's N1 click codes (``is_clicked``).
 ``_point_batches`` tops each half batch of shuffled clicks up with as many
 non-clicks, drawn uniformly at rate N1/N0 (half clicks, one draw per click)
 and weighted N0/N1: the expected epoch term sum is the full-batch pointwise
 risk over every cell.  It draws ranks among the non-clicks and maps them to
-cells through ``ImplicitDataset.non_click_at``, which holds the N1 clicks'
-gaps rather than an index of the U * I - N1 non-clicks.  ``train`` loops over
-the generator once per epoch.
+cells through ``ImplicitDataset.non_click_at``, from the clicks' gaps.  Both
+read O(N1) click views; nothing grows with U * I.  ``train`` loops over the
+generator once per epoch.
 
 Every estimator trains through the one step ``_step``: a batch is the users
 u and one item array per score (i for a pointwise batch, i and j for a

@@ -266,8 +266,9 @@ class TestCellTable:
         grid = [(u, i) for u in range(num_users) for i in range(num_items)]
         users, items = np.array(grid).T
         assert exposed_pairs(ds) == exposed
-        assert ds.click_table.shape == (num_users, num_items)
-        assert ds.click_table.dtype == bool
+        assert ds.click_codes.tolist() == sorted(u * num_items + i for u, i in clicked)
+        assert ds.click_codes.dtype == np.int64
+        assert ds.is_clicked(users, items).dtype == bool
         non_clicks = [u * num_items + i for u, i in grid if (u, i) not in clicked]
         assert ds.non_click_at(np.arange(len(non_clicks))).tolist() == non_clicks
         assert ds.click_gaps.nbytes == 8 * len(clicked)
@@ -318,6 +319,19 @@ class TestImplicitDatasetValidation:
     def test_gamma_outside_unit_interval_rejected(self, bad):
         with pytest.raises(ValueError, match=r"gamma outside \[0, 1\]"):
             ImplicitDataset(2, 2, [0, 1], [0, 1], [bad, 0.5], [0, 1])
+
+    @pytest.mark.parametrize("users, items, error, message", [
+        ([0, 2], [0, 1], ValueError, "user index out of range"),
+        ([0, -1], [0, 1], ValueError, "user index out of range"),
+        ([0, 1], [2, 1], ValueError, "item index out of range"),
+        ([1, 1], [0, 0], IntegrityError, r"duplicate \(user, item\) pair"),
+    ], ids=["user_high", "user_negative", "item_high", "repeated_cell"])
+    def test_cells_refused_as_the_ratings_refuse_them(self, users, items, error, message):
+        # both classes check their cells through one helper
+        with pytest.raises(error, match=message):
+            ImplicitDataset(2, 2, users, items, [0.5, 0.5], [0, 1])
+        with pytest.raises(error, match=message):
+            ratings_from_entries([(u, i, 3) for u, i in zip(users, items)], 2, 2)
 
 
 class TestSaveLoadRoundTrip:

@@ -1,8 +1,11 @@
 import concurrent.futures
 import inspect
 import json
+import os
 import re
 import shutil
+import subprocess
+import sys
 import warnings
 from dataclasses import fields, replace
 from pathlib import Path
@@ -1232,6 +1235,29 @@ class TestReportCli:
         assert captured.out == ""
         assert captured.err == "error: --out is empty: name an output directory\n"
         assert list(tmp_path.iterdir()) == [path]
+
+    def test_tables_md_order_independent_of_hash_seed(self, tmp_path):
+        # methods outside METHOD_TOKENS follow the known tokens by name; a
+        # set's order would follow PYTHONHASHSEED
+        methods = ["zeta", "bpr", "alpha", "omega", "upl", "kappa", "beta", "mu", "delta"]
+        rows = "".join(f"{m}\t{run}\tall\tdcg\t5\t0.{n}{run}\n"
+                       for n, m in enumerate(methods) for run in range(2))
+        script = "import sys; from uplrec import cli; sys.exit(cli.main(sys.argv[1:]))"
+        tables = []
+        for hash_seed in ("0", "1", "2", "3"):
+            out = tmp_path / hash_seed
+            out.mkdir()
+            (out / "per_run_metrics.tsv").write_text(
+                "method\trun\tcohort\tmetric\tk\tvalue\n" + rows)
+            env = {**os.environ, "PYTHONHASHSEED": hash_seed,
+                   "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+            done = subprocess.run([sys.executable, "-c", script, "report", "--out", str(out)],
+                                  env=env, capture_output=True, text=True, timeout=60)
+            assert done.returncode == 0, done.stderr
+            tables.append((out / "tables.md").read_bytes())
+        assert tables == [tables[0]] * 4
+        names = re.findall(r"^\| (\S+) \|", tables[0].decode(), flags=re.M)[1:]
+        assert names == ["BPR", "UPL", "alpha", "beta", "delta", "kappa", "mu", "omega", "zeta"]
 
 
 class TestMfduToken:

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+import tracemalloc
 import warnings
 from functools import partial
 from types import SimpleNamespace
@@ -51,6 +52,13 @@ def model_checksum(model):
 def estimated(ds):
     """The propensity table every command estimates from a split's clicks."""
     return PropensityTable.from_click_counts(ds.item_click_counts)
+
+
+def click_matrix(ds):
+    """A split's clicks as a (num_users, num_items) bool table, from its rows."""
+    table = np.zeros((ds.num_users, ds.num_items), dtype=bool)
+    table[ds.users, ds.items] = ds.rel == 1
+    return table
 
 
 def draw_validation(rng, num_users, num_items, share=0.3):
@@ -111,7 +119,7 @@ def _reference_point_batches(ds, batch_size, rng):
     the same rng calls as ``_point_batches``, from an index of every non-click
     cell."""
     users, items = ds.click_pairs
-    non_clicks = np.flatnonzero(~ds.click_table)
+    non_clicks = np.flatnonzero(~click_matrix(ds))
     rate = len(non_clicks) / len(users)
     half = max(1, batch_size // 2)
     perm = rng.permutation(len(users))
@@ -225,7 +233,8 @@ class TestSampleBatch:
             ds = make_implicit(5, 7, [(u, i, 0.5, int((u, i) in ends or rng.random() < 0.3))
                                       for u in range(5) for i in range(7)
                                       if (u, i) in ends or rng.random() < 0.8])
-            assert ds.click_table[0, 0] and ds.click_table[-1, -1]
+            clicked = click_matrix(ds)
+            assert clicked[0, 0] and clicked[-1, -1]
         batches = list(_point_batches(ds, LossSpec("relmf"), batch_size,
                                       np.ones(ds.num_items), np.random.default_rng(seed)))
         reference = list(_reference_point_batches(ds, batch_size, np.random.default_rng(seed)))
@@ -301,6 +310,33 @@ class TestSampleBatch:
         assert gh[1] == GAMMA_HAT_MIN
         assert gh[2] == sigmoid(np.array([0.05 * 40.0]))[0]
         assert GAMMA_HAT_MIN < gh[2] < GAMMA_HAT_MAX
+
+
+class TestClickViewsStaySmall:
+    def test_sparse_split_allocates_no_user_item_table(self):
+        # 40 clicks among 2,000 x 5,000 cells: a (num_users, num_items) bool
+        # table alone would take 10 MB; the click views take about 70 KB,
+        # nearly all of it the per-item and per-user click counts
+        rng = np.random.default_rng(0)
+        num_users, num_items = 2_000, 5_000
+        codes = rng.choice(num_users * num_items, size=60, replace=False)
+        ds = make_implicit(num_users, num_items,
+                           [(c // num_items, c % num_items, 0.5, int(k < 40))
+                            for k, c in enumerate(codes.tolist())])
+        theta = np.ones(num_items)
+        tracemalloc.start()
+        try:
+            users, items = ds.click_pairs
+            assert ds.click_gaps.size == ds.item_click_counts.sum() == \
+                ds.user_click_counts.sum() == len(users) == 40
+            assert ds.is_clicked(users, items).all()
+            for batches in (_pair_batches(ds, LossSpec("bpr"), 16, theta, None, rng),
+                            _point_batches(ds, LossSpec("relmf"), 16, theta, rng)):
+                assert sum(len(u) for u, _, _ in batches) > 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
 
 class TestTrainLoop:
@@ -584,7 +620,7 @@ class TestPointwiseEpochMatchesFullBatchRisk:
                                           in _point_batches(ds, LossSpec(method), batch_size,
                                                             theta, rng)]))
                 for _ in range(num_non_clicks)]
-        clicked = ds.click_table
+        clicked = click_matrix(ds)
         risk, _ = pointwise_loss(method, clicked, scores, theta_click=theta[None, :])
         assert math.fsum(sums) / num_non_clicks == pytest.approx(math.fsum(risk.ravel()),
                                                                   rel=1e-12)
